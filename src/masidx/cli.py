@@ -11,12 +11,18 @@ Real matrices are row-major nested arrays; complex matrices use an
 [re, im] pair per entry; Lagrangian frames are 2n rows by n columns.
 
 --refine-factor r (r > 1) treats sampled Lagrangian or unitary paths as
-nodes of a piecewise-geodesic interpolation in the symmetric-unitary
-model, inserting r - 1 intermediate samples per gap and attaching the
-interpolant as a refiner.  With the default r = 1 the samples are used
-as-is and under-resolved inputs fail with an ambiguity error rather
-than being silently interpolated.  The crossings subcommand always
-interpolates (root isolation needs a continuous path).
+nodes of a piecewise-geodesic interpolation, inserting r - 1 intermediate
+samples per gap and attaching the interpolant as a refiner.  Each gap
+carries one principal-logarithm geodesic (``paths.unitary_geodesic``)
+between its end unitaries, evaluated lazily: only the samples the index
+actually asks for are built.  Unitary paths interpolate their own
+samples.  Lagrangian paths interpolate their pair unitaries against the
+horizontal Lagrangian of the standard model, pulled back into the input's
+space, and a frame is recovered with ``lagrangian_from_souriau`` at each
+requested time.  With the default r = 1 the samples are used as-is and
+under-resolved inputs fail with an ambiguity error rather than being
+silently interpolated.  The crossings and reduce subcommands always
+interpolate (root isolation and reduction need a continuous path).
 """
 
 import argparse
@@ -37,8 +43,6 @@ from .core import (
 from .errors import AmbiguityError, PreconditionError, ValidationError
 from .indices import (
     LiftedUnitary,
-    _principal_log_factors,
-    _souriau_segment,
     _transversality_margin,
     complex_kashiwara,
     hormander,
@@ -47,9 +51,15 @@ from .indices import (
     leray_general,
 )
 from .crossings import crossing_form, find_crossings, maslov_via_crossings
-from .paths import LagrangianPath, UnitaryPath, maslov, unitary_maslov
+from .paths import (
+    LagrangianPath,
+    UnitaryPath,
+    maslov,
+    unitary_geodesic,
+    unitary_maslov,
+)
 from .pairs import gamma_reduce_path, pair_maslov, polarized_pair
-from .souriau import souriau
+from .souriau import lagrangian_from_souriau, souriau
 from .spectral import (
     boundary_problem,
     cauchy_data_path,
@@ -128,7 +138,7 @@ def _complex_matrix(obj, shape, where):
     return A[..., 0] + 1j * A[..., 1]
 
 
-def _space_of(obj, where):
+def _space_of(obj, where, tol):
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         _fail('"n" must be a positive integer', where)
@@ -136,10 +146,12 @@ def _space_of(obj, where):
         sp = obj["space"]
         _check_keys(sp, ["J", "G"], [], where + ".space")
         return SymplecticSpace(
+            n=n,
             J=_real_matrix(sp["J"], (2 * n, 2 * n), where + ".space.J"),
             G=_real_matrix(sp["G"], (2 * n, 2 * n), where + ".space.G"),
+            tol=tol,
         )
-    return standard_space(n)
+    return standard_space(n, tol)
 
 
 def _frame(obj, space, where):
@@ -187,16 +199,11 @@ def _segment_times(ts, factor):
     return out
 
 
-def _lagrangian_path(ts, frames, factor, tol):
-    if factor <= 1:
-        return LagrangianPath(
-            samples=tuple(zip(ts, frames)), refiner=None
-        )
-    ref = horizontal_frame(frames[0].space)
-    ws = [souriau(ref, f) for f in frames]
+def _geodesic_refiner(ts, nodes, tol):
+    """Piecewise principal-log geodesic through the unitaries ``nodes``."""
     segs = []
-    for i in range(len(ws) - 1):
-        seg = _souriau_segment(ref, ws[i], ws[i + 1], tol)
+    for i in range(len(nodes) - 1):
+        seg = unitary_geodesic(nodes[i], nodes[i + 1], tol)
         if seg is None:
             raise PreconditionError(
                 "adjacent samples are antipodal in the unitary model; "
@@ -211,7 +218,27 @@ def _lagrangian_path(ts, frames, factor, tol):
             len(segs) - 1,
         )
         tau = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return segs[i].at(min(max(tau, 0.0), 1.0))
+        return segs[i](min(max(tau, 0.0), 1.0))
+
+    return refiner
+
+
+def _lagrangian_path(ts, frames, factor, tol):
+    if factor <= 1:
+        return LagrangianPath(
+            samples=tuple(zip(ts, frames)), refiner=None
+        )
+    # the horizontal frame of a general space need not be Lagrangian, so
+    # the reference is built in the standard model and pulled back
+    space = frames[0].space
+    std = space.standardization
+    ref = horizontal_frame(std.target)
+    if not space.is_standard:
+        ref = std.pull_frame(ref)
+    geodesic = _geodesic_refiner(ts, [souriau(ref, f) for f in frames], tol)
+
+    def refiner(t):
+        return lagrangian_from_souriau(ref, geodesic(t))
 
     nodes = _segment_times(ts, factor)
     return LagrangianPath(
@@ -222,27 +249,7 @@ def _lagrangian_path(ts, frames, factor, tol):
 def _unitary_cli_path(ts, mats, factor, tol):
     if factor <= 1:
         return UnitaryPath(samples=tuple(zip(ts, mats)), refiner=None)
-    factors = []
-    for i in range(len(mats) - 1):
-        f = _principal_log_factors(mats[i].conj().T @ mats[i + 1], tol)
-        if f is None:
-            raise PreconditionError(
-                "adjacent unitaries are antipodal; supply intermediate "
-                "samples",
-                where=f"path[{i}]",
-            )
-        factors.append(f)
-
-    def refiner(t):
-        i = min(
-            max(int(np.searchsorted(ts, t, side="right")) - 1, 0),
-            len(factors) - 1,
-        )
-        tau = (t - ts[i]) / (ts[i + 1] - ts[i])
-        tau = min(max(tau, 0.0), 1.0)
-        Z, theta = factors[i]
-        return mats[i] @ ((Z * np.exp(1j * tau * theta)) @ Z.conj().T)
-
+    refiner = _geodesic_refiner(ts, mats, tol)
     nodes = _segment_times(ts, factor)
     return UnitaryPath(
         samples=tuple((t, refiner(t)) for t in nodes), refiner=refiner
@@ -330,7 +337,7 @@ def _cmd_maslov(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "reference", "path"], ["space"], "input"
     )
-    space = _space_of(obj, "input")
+    space = _space_of(obj, "input", tol)
     lam = _frame(obj["reference"], space, "input.reference")
     ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
     path = _lagrangian_path(ts, frames, args.refine_factor, tol)
@@ -356,7 +363,7 @@ def _cmd_crossings(obj, args, tol):
         ["space", "richardson"],
         "input",
     )
-    space = _space_of(obj, "input")
+    space = _space_of(obj, "input", tol)
     lam = _frame(obj["reference"], space, "input.reference")
     ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
@@ -387,7 +394,7 @@ def _cmd_crossings(obj, args, tol):
 
 def _cmd_kashiwara(obj, args, tol):
     _check_keys(obj, ["version", "n", "frames"], ["space"], "input")
-    space = _space_of(obj, "input")
+    space = _space_of(obj, "input", tol)
     fr = obj["frames"]
     if not isinstance(fr, list) or len(fr) != 3:
         _fail('"frames" must list exactly three frames', "input.frames")
@@ -417,7 +424,7 @@ def _cmd_complex_kashiwara(obj, args, tol):
     )
     lam = None
     if "reference" in obj:
-        space = _space_of(obj, "input")
+        space = _space_of(obj, "input", tol)
         lam = _frame(obj["reference"], space, "input.reference")
     sig = complex_kashiwara(u1, u2, u3, lam=lam, tol=tol)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
@@ -456,7 +463,7 @@ def _cmd_hormander(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, "input")
+    space = _space_of(obj, "input", tol)
     ell0 = _frame(obj["ell0"], space, "input.ell0")
     ell1 = _frame(obj["ell1"], space, "input.ell1")
     lam = _frame(obj["lam"], space, "input.lam")
@@ -472,7 +479,7 @@ def _cmd_pair_maslov(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, "input")
+    space = _space_of(obj, "input", tol)
     mts, mframes = _lagrangian_nodes(obj["mu_path"], space, "input.mu_path")
     lts, lframes = _lagrangian_nodes(
         obj["lambda_path"], space, "input.lambda_path"
@@ -504,7 +511,7 @@ def _cmd_reduce(obj, args, tol):
     for name, val in (("n_big", nb), ("n_small", nh)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             _fail(f'"{name}" must be a positive integer', "input")
-    big, small = standard_space(nb), standard_space(nh)
+    big, small = standard_space(nb, tol), standard_space(nh, tol)
     pp = polarized_pair(
         lam_plus=_frame(obj["lam_plus"], big, "input.lam_plus"),
         lam_minus=_frame(obj["lam_minus"], big, "input.lam_minus"),

@@ -104,6 +104,20 @@ DEFAULT_TOL = Tolerances()
 # --------------------------------------------------------------------------
 
 
+def _norm2_exceeds(X, bound):
+    """``np.linalg.norm(X, 2) > bound``, skipping the SVD when it can.
+
+    ||X||_2 <= ||X||_F, so a Frobenius norm below the bound already proves
+    the check passes.  The relative margin of 1e-8 keeps rounding in the
+    two norms from letting the shortcut answer differently from the SVD,
+    and bounds below 1e-140 always go to the SVD: squares of entries that
+    small underflow, so the Frobenius norm can come out below ||X||_2.
+    """
+    if bound >= 1e-140 and np.linalg.norm(X) * (1.0 + 1e-8) <= bound:
+        return False
+    return bool(np.linalg.norm(X, 2) > bound)
+
+
 def _as_matrix(M, name, shape=None, allow_complex=False):
     A = np.asarray(M)
     if allow_complex:
@@ -142,21 +156,21 @@ class SymplecticSpace:
         object.__setattr__(self, "G", G)
         t = self.tol.validation
         eye = np.eye(2 * n)
-        if np.linalg.norm(J @ J + eye, 2) > 1e-12 * max(1.0, float(n)):
+        if _norm2_exceeds(J @ J + eye, 1e-12 * max(1.0, float(n))):
             raise ValidationError("J^2 != -Id", where="SymplecticSpace.J")
-        if np.linalg.norm(G - G.T, 2) > t:
+        if _norm2_exceeds(G - G.T, t):
             raise ValidationError("G not symmetric", where="SymplecticSpace.G")
         if np.linalg.eigvalsh(G).min() <= 0:
             raise ValidationError(
                 "G not positive definite", where="SymplecticSpace.G"
             )
-        if np.linalg.norm(J.T @ G @ J - G, 2) > t * np.linalg.norm(G, 2):
+        if _norm2_exceeds(J.T @ G @ J - G, t * np.linalg.norm(G, 2)):
             raise ValidationError(
                 "J not G-compatible (J^T G J != G)", where="SymplecticSpace"
             )
         gram = J.T @ G
-        if np.linalg.norm(gram + gram.T, 2) > 1e-12 * max(
-            1.0, np.linalg.norm(gram, 2)
+        if _norm2_exceeds(
+            gram + gram.T, 1e-12 * max(1.0, np.linalg.norm(gram, 2))
         ):
             raise ValidationError(
                 "form Gram not antisymmetric", where="SymplecticSpace"
@@ -227,7 +241,7 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
             "Omega must be square of even size", where="compatible_structure"
         )
     scale = np.linalg.norm(A, 2)
-    if scale == 0 or np.linalg.norm(A + A.T, 2) > tol.validation * scale:
+    if scale == 0 or _norm2_exceeds(A + A.T, tol.validation * scale):
         raise ValidationError(
             "Omega not antisymmetric", where="compatible_structure"
         )
@@ -279,16 +293,16 @@ class LagrangianFrame:
         sp = self.space
         F = _as_matrix(self.F, "F", (2 * sp.n, sp.n))
         object.__setattr__(self, "F", F)
-        if np.linalg.norm(F.T @ sp.G @ F - np.eye(sp.n), 2) > 1e-10:
+        if _norm2_exceeds(F.T @ sp.G @ F - np.eye(sp.n), 1e-10):
             raise ValidationError(
                 "frame not G-orthonormal", where="LagrangianFrame"
             )
-        if np.linalg.norm(F.T @ sp.gram @ F, 2) > 1e-10:
+        if _norm2_exceeds(F.T @ sp.gram @ F, 1e-10):
             raise ValidationError(
                 "frame not isotropic", where="LagrangianFrame"
             )
         P = self.P
-        if np.linalg.norm(sp.J - sp.J @ P - P @ sp.J, 2) > 1e-9:
+        if _norm2_exceeds(sp.J - sp.J @ P - P @ sp.J, 1e-9):
             raise ValidationError(
                 "projection does not split J (J != JP + PJ)",
                 where="LagrangianFrame",
@@ -348,7 +362,7 @@ def lagrangian(space, M, tol=None):
     tol = tol or space.tol
     M = _as_matrix(M, "frame", (2 * space.n, space.n))
     F = _orthonormalize(space, M, tol, "lagrangian")
-    if np.linalg.norm(F.T @ space.gram @ F, 2) > 1e-8:
+    if _norm2_exceeds(F.T @ space.gram @ F, 1e-8):
         raise ValidationError(
             "subspace is not isotropic", where="lagrangian"
         )
@@ -376,9 +390,7 @@ class SymmetricGenerator:
         n = self.base.space.n
         A = _as_matrix(self.A, "A", (n, n))
         object.__setattr__(self, "A", A)
-        if np.linalg.norm(A - A.T, 2) > 1e-10 * max(
-            1.0, np.linalg.norm(A, 2)
-        ):
+        if _norm2_exceeds(A - A.T, 1e-10 * max(1.0, np.linalg.norm(A, 2))):
             raise ValidationError(
                 "generator not symmetric", where="SymmetricGenerator"
             )
@@ -403,7 +415,7 @@ def cayley_unitary(gen, tol=DEFAULT_TOL):
     w, V = np.linalg.eigh(A)
     inv_root = (V / np.sqrt(1.0 + w**2)) @ V.T
     U = (np.eye(A.shape[0]) + 1j * A) @ inv_root
-    if np.linalg.norm(U.conj().T @ U - np.eye(A.shape[0]), 2) > 1e-10:
+    if _norm2_exceeds(U.conj().T @ U - np.eye(A.shape[0]), 1e-10):
         raise ValidationError("Cayley image not unitary", where="cayley_unitary")
     return U
 
@@ -419,15 +431,13 @@ def kato_pair_transform(P, Q, tol=DEFAULT_TOL):
     P = _as_matrix(P, "P")
     Q = _as_matrix(Q, "Q", P.shape)
     for name, M in (("P", P), ("Q", Q)):
-        if np.linalg.norm(M @ M - M, 2) > 1e-8 or (
-            np.linalg.norm(M - M.T, 2) > 1e-8
-        ):
+        if _norm2_exceeds(M @ M - M, 1e-8) or _norm2_exceeds(M - M.T, 1e-8):
             raise ValidationError(
                 f"{name} is not a symmetric projection",
                 where="kato_pair_transform",
             )
-    gap = np.linalg.norm(P - Q, 2)
-    if gap > 1.0 - 1e-6:
+    if _norm2_exceeds(P - Q, 1.0 - 1e-6):
+        gap = np.linalg.norm(P - Q, 2)
         raise PreconditionError(
             f"projections too far apart (||P - Q|| = {gap:.6f} > 1 - 1e-6)",
             where="kato_pair_transform",
@@ -436,11 +446,11 @@ def kato_pair_transform(P, Q, tol=DEFAULT_TOL):
     w, V = np.linalg.eigh(S)
     D = (V / np.sqrt(w)) @ V.T
     W = D @ ((np.eye(P.shape[0]) - P) @ (np.eye(P.shape[0]) - Q) + P @ Q)
-    if np.linalg.norm(W.T @ W - np.eye(W.shape[0]), 2) > 1e-10:
+    if _norm2_exceeds(W.T @ W - np.eye(W.shape[0]), 1e-10):
         raise ValidationError(
             "transform drifted from orthogonality", where="kato_pair_transform"
         )
-    if np.linalg.norm(W @ Q - P @ W, 2) > 1e-9:
+    if _norm2_exceeds(W @ Q - P @ W, 1e-9):
         raise ValidationError(
             "intertwining residual above 1e-9", where="kato_pair_transform"
         )
@@ -490,9 +500,8 @@ def complexify(T, tol=1e-9):
     n = m // 2
     A, B = T[:n, :n], T[n:, :n]
     scale = max(1.0, np.linalg.norm(T, 2))
-    if (
-        np.linalg.norm(T[:n, n:] + B, 2) > tol * scale
-        or np.linalg.norm(T[n:, n:] - A, 2) > tol * scale
+    if _norm2_exceeds(T[:n, n:] + B, tol * scale) or _norm2_exceeds(
+        T[n:, n:] - A, tol * scale
     ):
         raise ValidationError(
             "operator does not commute with the complex structure",
@@ -576,7 +585,7 @@ def standardize(space):
     S = T.T @ W
     target = standard_space(n, tol=space.tol)
     check = S @ space.J @ np.linalg.inv(S)
-    if np.linalg.norm(check - target.J, 2) > 1e-9:
+    if _norm2_exceeds(check - target.J, 1e-9):
         raise ValidationError("standardization drifted", where="standardize")
     return Standardization(space, target, S, np.linalg.inv(S))
 

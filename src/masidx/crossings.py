@@ -75,13 +75,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     def g(t):
         return _nearest_offset(souriau(lam, path.at(t)))
 
-    fdist = lambda a, b: np.linalg.norm(a.P - b.P, 2)
     samples = _adequate(
-        list(path.samples),
-        path.refiner,
-        tol.adjacency_frame,
-        fdist,
-        "find_crossings",
+        list(path.samples), path.refiner, tol.adjacency_frame, "find_crossings"
     )
     ts = [t for t, _ in samples]
     ws = [souriau(lam, f) for _, f in samples]

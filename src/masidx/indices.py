@@ -16,11 +16,11 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
+    _norm2_exceeds,
     _require_same_space,
     haar_unitary,
     horizontal_frame,
@@ -29,7 +29,13 @@ from .core import (
     standard_space,
 )
 from .errors import PreconditionError, ValidationError
-from .paths import LagrangianPath, catenate, maslov, to_unitary_path
+from .paths import (
+    catenate,
+    lagrangian_path_from_function,
+    maslov,
+    to_unitary_path,
+    unitary_geodesic,
+)
 from .souriau import lagrangian_from_souriau, souriau
 
 __all__ = [
@@ -123,7 +129,7 @@ def _check_unitary(U, where, tol=1e-9):
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValidationError("expected a square matrix", where=where)
-    if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2) > tol:
+    if _norm2_exceeds(U.conj().T @ U - np.eye(U.shape[0]), tol):
         raise ValidationError("matrix not unitary", where=where)
     return U
 
@@ -268,28 +274,18 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
 # --------------------------------------------------------------------------
 
 
-def _principal_log_factors(D, tol):
-    T, Z = schur(D, output="complex")
-    vals = np.diag(T)
-    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-        return None
-    return Z, np.angle(vals)
-
-
 def _souriau_segment(ref, w0, w1, tol):
-    """Path of symmetric unitaries w0 -> w1 along the principal geodesic."""
-    factors = _principal_log_factors(w0.conj().T @ w1, tol)
-    if factors is None:
+    """Path of symmetric unitaries w0 -> w1 along the principal geodesic.
+
+    Sampled at 9 points, which ``hormander`` counts on; None at the
+    logarithm cut.
+    """
+    geodesic = unitary_geodesic(w0, w1, tol)
+    if geodesic is None:
         return None
-    Z, theta = factors
-
-    def frame_at(t):
-        W = w0 @ ((Z * np.exp(1j * t * theta)) @ Z.conj().T)
-        return lagrangian_from_souriau(ref, W)
-
-    ts = np.linspace(0.0, 1.0, 9)
-    samples = tuple((float(t), frame_at(float(t))) for t in ts)
-    return LagrangianPath(samples=samples, refiner=frame_at)
+    return lagrangian_path_from_function(
+        lambda t: lagrangian_from_souriau(ref, geodesic(t)), num=9
+    )
 
 
 def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):

@@ -24,9 +24,10 @@ reference and the same machinery applies.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
 
-from .core import DEFAULT_TOL, LagrangianFrame
+from .core import DEFAULT_TOL, LagrangianFrame, _norm2_exceeds
 from .errors import AmbiguityError, ValidationError
 from .souriau import souriau
 
@@ -39,6 +40,7 @@ __all__ = [
     "lagrangian_path_from_function",
     "catenate",
     "reverse",
+    "unitary_geodesic",
     "PhaseTrace",
     "IndexReport",
     "unitary_maslov",
@@ -95,7 +97,7 @@ class UnitaryPath:
                 raise ValidationError(
                     "inconsistent matrix sizes", where="UnitaryPath"
                 )
-            if np.linalg.norm(U.conj().T @ U - np.eye(dim), 2) > 1e-9:
+            if _norm2_exceeds(U.conj().T @ U - np.eye(dim), 1e-9):
                 raise ValidationError(
                     f"sample at t={t} not unitary", where="UnitaryPath"
                 )
@@ -183,10 +185,11 @@ def lagrangian_path_from_function(f, num=17):
     )
 
 
-def _junction_gap(a, b):
+def _gap(a, b):
+    """Difference of two samples whose spectral norm is their distance."""
     if isinstance(a, LagrangianFrame):
-        return np.linalg.norm(a.P - b.P, 2)
-    return np.linalg.norm(np.asarray(a) - np.asarray(b), 2)
+        return a.P - b.P
+    return np.asarray(a) - np.asarray(b)
 
 
 def catenate(first, second, tol=1e-8):
@@ -195,7 +198,7 @@ def catenate(first, second, tol=1e-8):
         raise ValidationError("cannot catenate different path kinds", "catenate")
     end = first.samples[-1][1]
     start = second.samples[0][1]
-    if _junction_gap(end, start) > tol:
+    if _norm2_exceeds(_gap(end, start), tol):
         raise ValidationError("junction mismatch", where="catenate")
     samples = [(0.5 * t, v) for t, v in first.samples]
     samples += [(0.5 + 0.5 * t, v) for t, v in second.samples[1:]]
@@ -214,6 +217,25 @@ def reverse(path):
     f = path.refiner
     refiner = None if f is None else (lambda t, _f=f: _f(1.0 - t))
     return type(path)(samples=samples, refiner=refiner)
+
+
+def unitary_geodesic(U0, U1, tol=DEFAULT_TOL):
+    """Principal-logarithm geodesic t -> U0 exp(t log(U0^H U1)), t in [0, 1].
+
+    Returns the callable, which evaluates lazily, or None when an
+    eigenvalue of U0^H U1 lies within ``tol.log_cut`` of the logarithm cut
+    at -1 (the endpoints are antipodal in that direction).
+    """
+    T, Z = schur(U0.conj().T @ U1, output="complex")
+    vals = np.diag(T)
+    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
+        return None
+    theta = np.angle(vals)
+
+    def at(t):
+        return U0 @ ((Z * np.exp(1j * t * theta)) @ Z.conj().T)
+
+    return at
 
 
 # --------------------------------------------------------------------------
@@ -238,11 +260,6 @@ class IndexReport:
     k_counts: tuple
     trace: PhaseTrace
     diagnostics: dict
-
-
-def _offsets(U):
-    """Signed angular offsets of the spectrum from -1."""
-    return np.angle(-np.linalg.eigvals(U))
 
 
 def _match(prev, cur):
@@ -307,15 +324,13 @@ def _count_on_arc(s, eps, snap):
     return int(np.count_nonzero((s >= -snap) & (s <= eps + snap)))
 
 
-def _adequate(samples, refiner, bound, dist, where):
+def _adequate(samples, refiner, bound, where):
     """Insert midpoints until adjacent samples are closer than ``bound``."""
     samples = list(samples)
     for _ in range(_MAX_ROUNDS):
         inserts = []
         for i in range(len(samples) - 1):
-            t0, v0 = samples[i]
-            t1, v1 = samples[i + 1]
-            if dist(v0, v1) > bound:
+            if _norm2_exceeds(_gap(samples[i][1], samples[i + 1][1]), bound):
                 inserts.append(i)
         if not inserts:
             return samples
@@ -368,7 +383,6 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         Adjacency bound or admissible test angle unattainable at the
         available resolution.
     """
-    udist = lambda a, b: np.linalg.norm(a - b, 2)
     refiner = (
         None
         if path.refiner is None
@@ -378,11 +392,12 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         list(path.samples),
         refiner,
         tol.adjacency_unitary,
-        udist,
         "unitary_maslov",
     )
 
-    offs = [_offsets(U) for _, U in samples]
+    # one eigen-decomposition per sample serves the count and the trace
+    spectra = [np.linalg.eigvals(U) for _, U in samples]
+    offs = [np.angle(-ev) for ev in spectra]
     inserted = 0
     while True:
         stuck = None
@@ -401,7 +416,8 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
                 where="unitary_maslov",
             )
         _insert_midpoint(samples, stuck, refiner, "unitary_maslov")
-        offs.insert(stuck + 1, _offsets(samples[stuck + 1][1]))
+        spectra.insert(stuck + 1, np.linalg.eigvals(samples[stuck + 1][1]))
+        offs.insert(stuck + 1, np.angle(-spectra[stuck + 1]))
         inserted += 1
 
     snap = tol.clustering
@@ -414,7 +430,7 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         total += k_hi - k_lo
 
     ts = np.array([t for t, _ in samples])
-    trace = _phase_trace(ts, [U for _, U in samples])
+    trace = _phase_trace(ts, spectra)
     return IndexReport(
         value=int(total),
         partition=ts,
@@ -425,11 +441,11 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     )
 
 
-def _phase_trace(ts, mats):
+def _phase_trace(ts, spectra):
     rows = []
     prev = None
-    for U in mats:
-        cur = np.angle(np.linalg.eigvals(U))
+    for ev in spectra:
+        cur = np.angle(ev)
         if prev is not None:
             cur = cur[_match(prev, cur)]
         rows.append(cur)
@@ -440,13 +456,8 @@ def _phase_trace(ts, mats):
 
 def to_unitary_path(path, lam, tol=DEFAULT_TOL):
     """Pair-unitary conversion of a Lagrangian path against a reference."""
-    fdist = lambda a, b: np.linalg.norm(a.P - b.P, 2)
     samples = _adequate(
-        list(path.samples),
-        path.refiner,
-        tol.adjacency_frame,
-        fdist,
-        "maslov",
+        list(path.samples), path.refiner, tol.adjacency_frame, "maslov"
     )
     usamples = tuple((t, souriau(lam, f)) for t, f in samples)
     refiner = None

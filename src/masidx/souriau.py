@@ -1,12 +1,20 @@
 """The unitary attached to an ordered pair of Lagrangian subspaces.
 
-For frames lam, mu in the same space, the real operator
+A Lagrangian of the standard model with orthonormal frame F = [X; Y] has
+the unitary U = X + iY, and its reflection 2P - Id acts on z = x + iy as
+the antilinear map z -> U U^T conj(z).  The real operator
 
     S = (Id - 2 P_mu)(2 P_lam - Id)
 
-commutes with the complex structure, so it has a complex matrix W (n x n,
-unitary).  Its eigenspace at -1 is the complexified intersection mu ∩ lam,
-which is what every index in this package counts.
+is minus the product of two such reflections, so it is complex linear with
+the n x n unitary matrix
+
+    W(lam, mu) = -(U_mu U_mu^T) conj(U_lam U_lam^T),
+
+the Souriau map in the form used by Howard, Latushkin and Sukhtayev,
+"The Maslov index for Lagrangian pairs on R^{2n}", J. Math. Anal. Appl.
+451 (2017).  Its eigenspace at -1 is the complexified intersection
+mu ∩ lam, which is what every index in this package counts.
 
 General metrics are first moved onto the standard model by the congruence
 from ``standardize``; the returned matrix always refers to the standard
@@ -17,8 +25,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    _norm2_exceeds,
     _require_same_space,
-    complexify,
     lagrangian,
     realify,
 )
@@ -36,8 +44,19 @@ def _standard_pair(lam, mu=None):
     return std, lam_s, mu_s
 
 
-def souriau(lam, mu, tol=None):
+def _symmetric_unitary(frame):
+    """U U^T for U = X + iY, the unitary of a standard-model frame."""
+    n = frame.space.n
+    U = frame.F[:n] + 1j * frame.F[n:]
+    return U @ U.T
+
+
+def souriau(lam, mu):
     """Unitary of the ordered pair (lam, mu).
+
+    Computed in closed form on n x n matrices,
+    W = -(U_mu U_mu^T) conj(U_lam U_lam^T) with U = X + iY taken from the
+    standardized frames (Howard, Latushkin and Sukhtayev, JMAA 451, 2017).
 
     Parameters
     ----------
@@ -54,9 +73,8 @@ def souriau(lam, mu, tol=None):
     _require_same_space(lam.space, mu.space, "souriau")
     _, lam_s, mu_s = _standard_pair(lam, mu)
     n = lam_s.space.n
-    S_real = (np.eye(2 * n) - 2.0 * mu_s.P) @ lam_s.tau
-    W = complexify(S_real)
-    if np.linalg.norm(W.conj().T @ W - np.eye(n), 2) > 1e-10:
+    W = -_symmetric_unitary(mu_s) @ np.conj(_symmetric_unitary(lam_s))
+    if _norm2_exceeds(W.conj().T @ W - np.eye(n), 1e-10):
         raise ValidationError("pair unitary drifted", where="souriau")
     return W
 
@@ -71,7 +89,7 @@ def kernel_dim_minus_one(W, tol=1e-7):
             "tol must lie in (0, 0.5)", where="kernel_dim_minus_one"
         )
     W = np.asarray(W, dtype=complex)
-    if np.linalg.norm(W.conj().T @ W - np.eye(W.shape[0]), 2) > 1e-9:
+    if _norm2_exceeds(W.conj().T @ W - np.eye(W.shape[0]), 1e-9):
         raise ValidationError("matrix not unitary", where="kernel_dim_minus_one")
     offsets = np.angle(-np.linalg.eigvals(W))
     return int(np.count_nonzero(np.abs(offsets) < tol))
@@ -92,7 +110,7 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
     n = lam.space.n
     if W.shape != (n, n):
         raise ValidationError("size mismatch", where="lagrangian_from_souriau")
-    if np.linalg.norm(W.conj().T @ W - np.eye(n), 2) > 1e-9:
+    if _norm2_exceeds(W.conj().T @ W - np.eye(n), 1e-9):
         raise ValidationError(
             "matrix not unitary", where="lagrangian_from_souriau"
         )

@@ -99,6 +99,22 @@ def trajectory_count(u_of_t, base_times, factor=16, max_rounds=8):
     raise RuntimeError("trajectory oracle did not stabilize")
 
 
+def souriau_reflection_product(lam, mu):
+    """Pair unitary built as complexify((Id - 2 P_mu) tau_lam).
+
+    The real 2n x 2n reflection product on the standard model, the
+    construction the closed form in ``souriau`` replaced; general metrics
+    are pushed through the same standardization first.
+    """
+    from masidx import complexify
+
+    if not lam.space.is_standard:
+        std = lam.space.standardization
+        lam, mu = std.push_frame(lam), std.push_frame(mu)
+    n = lam.space.n
+    return complexify((np.eye(2 * n) - 2.0 * mu.P) @ lam.tau)
+
+
 def maslov_oracle(path, lam, factor=16):
     """Trajectory-oracle value of a Lagrangian path with a refiner."""
     from masidx import souriau

@@ -1,0 +1,162 @@
+"""The JSON command line, driven in-process through ``cli.run``."""
+
+import json
+
+import numpy as np
+import pytest
+
+from masidx import cli, standard_space
+from conftest import random_structure_space, spinner_expected, spinner_path
+
+# eigenphases move from phases to phases + pi * rates; every endpoint stays
+# at least 0.5 away from -1, so the closed-form count is unambiguous
+SPINNERS = {
+    1: ([0.3], [1.5]),
+    3: ([0.4, -1.9, 2.6], [1.8, -1.3, 0.9]),
+    4: ([0.3, -1.0, 2.0, -2.5], [1.5, -1.2, 0.8, 2.6]),
+}
+
+
+def _real(M):
+    return np.asarray(M, dtype=float).tolist()
+
+
+def _complex(U):
+    U = np.asarray(U, dtype=complex)
+    return np.stack([U.real, U.imag], axis=-1).tolist()
+
+
+def _run(tmp_path, capsys, command, body, *flags):
+    src = tmp_path / f"{command}.json"
+    src.write_text(json.dumps(body))
+    code = cli.run([command, str(src), *flags])
+    out = capsys.readouterr().out
+    return code, json.loads(out), out
+
+
+def _spinner_body(n, nodes, rng, space=None):
+    """maslov input for the spinner of SPINNERS[n], sampled at ``nodes``.
+
+    The path is built in the standard model and pulled back into
+    ``space`` by its standardization, which ``souriau`` undoes, so the
+    index stays the closed-form spinner value.
+    """
+    phases, rates = SPINNERS[n]
+    path, ref = spinner_path(
+        standard_space(n), phases, rates, rng=rng, num=nodes
+    )
+    body = {"version": 1, "n": n}
+    pull = np.eye(2 * n)
+    if space is not None:
+        pull = space.standardization.inverse
+        body["space"] = {"J": _real(space.J), "G": _real(space.G)}
+    body["reference"] = _real(pull @ ref.F)
+    body["path"] = [
+        {"t": t, "frame": _real(pull @ f.F)} for t, f in path.samples
+    ]
+    return body, spinner_expected(phases, rates)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_general_space_maslov_gives_spinner_value(n, rng, tmp_path, capsys):
+    # n = 4 needs a Lagrangian refinement reference in a general space
+    body, expected = _spinner_body(n, 5, rng, random_structure_space(n, rng))
+    code, out, _ = _run(
+        tmp_path, capsys, "maslov", body, "--refine-factor", "2"
+    )
+    assert code == 0, out
+    assert out["value"] == expected
+
+
+def test_general_space_crossings_give_spinner_value(rng, tmp_path, capsys):
+    body, expected = _spinner_body(1, 5, rng, random_structure_space(1, rng))
+    code, out, _ = _run(tmp_path, capsys, "crossings", body)
+    assert code == 0, out
+    assert out["value"] == expected == 1
+    (crossing,) = out["crossings"]
+    phase, rate = SPINNERS[1][0][0], SPINNERS[1][1][0]
+    assert crossing["t_star"] == pytest.approx(
+        (np.pi - phase) / (np.pi * rate), abs=1e-8
+    )
+    assert crossing["signature"] == [1, 0]
+
+
+def test_refine_factor_matches_dense_sampling(rng, tmp_path, capsys):
+    # one seed, so both samplings share the spinner's orientation
+    seed = int(rng.integers(2**31))
+    coarse, expected = _spinner_body(3, 5, np.random.default_rng(seed))
+    dense, _ = _spinner_body(3, 65, np.random.default_rng(seed))
+    code, refined, _ = _run(
+        tmp_path, capsys, "maslov", coarse, "--refine-factor", "2"
+    )
+    assert code == 0, refined
+    code, sampled, _ = _run(tmp_path, capsys, "maslov", dense)
+    assert code == 0, sampled
+    assert refined["value"] == sampled["value"] == expected
+
+
+def test_invalid_frame_exits_2(tmp_path, capsys):
+    # span(e_1, e_3) pairs to 1 under omega: not Lagrangian
+    frame = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    body = {
+        "version": 1,
+        "n": 2,
+        "reference": frame,
+        "path": [{"t": 0.0, "frame": frame}, {"t": 1.0, "frame": frame}],
+    }
+    code, out, _ = _run(tmp_path, capsys, "maslov", body)
+    assert code == 2
+    assert out == {"reason": "subspace is not isotropic", "where": "lagrangian"}
+
+
+def _scalar_unitary_body(end_phase):
+    return {
+        "version": 1,
+        "n": 1,
+        "path": [
+            {"t": 0.0, "U": _complex([[1.0]])},
+            {"t": 1.0, "U": _complex([[np.exp(1j * end_phase)]])},
+        ],
+    }
+
+
+def test_undersampled_path_without_refinement_exits_3(tmp_path, capsys):
+    code, out, _ = _run(
+        tmp_path, capsys, "unitary-maslov", _scalar_unitary_body(2.5)
+    )
+    assert code == 3
+    assert out["where"] == "unitary_maslov"
+
+
+def test_antipodal_samples_under_refinement_exit_4(tmp_path, capsys):
+    code, out, _ = _run(
+        tmp_path,
+        capsys,
+        "unitary-maslov",
+        _scalar_unitary_body(np.pi),
+        "--refine-factor",
+        "2",
+    )
+    assert code == 4
+    assert out["where"] == "path[0]"
+    assert "antipodal" in out["reason"]
+
+
+def test_rerun_is_byte_identical(rng, tmp_path, capsys):
+    body, _ = _spinner_body(4, 5, rng, random_structure_space(4, rng))
+    runs = []
+    for k in range(2):
+        trace = tmp_path / f"trace{k}.csv"
+        code, _, raw = _run(
+            tmp_path,
+            capsys,
+            "maslov",
+            body,
+            "--refine-factor",
+            "2",
+            "--trace",
+            str(trace),
+        )
+        assert code == 0
+        runs.append((raw, trace.read_bytes()))
+    assert runs[0] == runs[1]

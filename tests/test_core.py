@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from masidx import (
     DEFAULT_TOL,
@@ -33,6 +36,7 @@ from masidx import (
     standardize,
     vertical_frame,
 )
+from masidx.core import _norm2_exceeds
 from conftest import random_structure_space
 
 
@@ -103,6 +107,44 @@ def test_tolerance_scaling_keeps_adjacency_bounds():
     assert loose.adjacency_unitary == base.adjacency_unitary
     assert loose.adjacency_frame == base.adjacency_frame
     assert isinstance(loose, Tolerances)
+
+
+# --------------------------------------------------------------------------
+# validation norms
+
+
+# up to 1e150, so rank-one products stay finite while squares overflow
+_ENTRY = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+_MATRIX = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=_ENTRY)
+)
+
+
+@seed(20260815)
+@settings(max_examples=300, deadline=None)
+@given(_MATRIX, _MATRIX, st.booleans(), st.floats(0.0, 1.5))
+@example(np.eye(2), np.zeros((2, 2)), False, 0.5)
+def test_norm2_exceeds_agrees_with_the_spectral_norm(re, im, rank_one, where):
+    """The Frobenius shortcut never answers differently from the SVD.
+
+    Bounds are placed between ||A||_2 and ||A||_F (where the shortcut must
+    defer to the SVD), on both norms, and beyond ||A||_F; rank-one
+    matrices make the two norms equal up to rounding.  Huge and tiny
+    entries make the Frobenius norm overflow or underflow.
+    """
+    A = re
+    if im.shape == re.shape:
+        A = re + 1j * im
+    if rank_one:
+        A = np.outer(A[:, 0], A[0].conj())
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        two, fro = np.linalg.norm(A, 2), np.linalg.norm(A)
+        if where <= 1.0:
+            between = two + where * (fro - two)
+        else:
+            between = where * fro
+        for bound in (between, two, fro, 0.0):
+            assert _norm2_exceeds(A, bound) == (np.linalg.norm(A, 2) > bound)
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,13 @@ from masidx import (
     AmbiguityError,
     ValidationError,
     catenate,
+    haar_unitary,
     horizontal_frame,
     lagrangian_path,
     maslov,
     reverse,
     standard_space,
+    unitary_geodesic,
     unitary_maslov,
     unitary_path,
     unitary_path_from_function,
@@ -61,6 +63,20 @@ def test_at_needs_a_refiner_between_samples():
         p.at(0.5)
     q = scalar_path(lambda t: 0.2 * t)
     np.testing.assert_allclose(q.at(0.5), [[np.exp(0.1j)]])
+
+
+def test_unitary_geodesic_joins_its_endpoints(rng):
+    V = haar_unitary(4, rng)
+    phases = np.array([0.3, -1.1, 2.0, -2.9])
+    U0 = haar_unitary(4, rng)
+    U1 = U0 @ (V * np.exp(1j * phases)) @ V.conj().T
+    g = unitary_geodesic(U0, U1)
+    np.testing.assert_allclose(g(0.0), U0, atol=1e-12)
+    np.testing.assert_allclose(g(1.0), U1, atol=1e-12)
+    # constant speed: the midpoint carries half of every principal angle
+    mid = U0 @ (V * np.exp(0.5j * phases)) @ V.conj().T
+    np.testing.assert_allclose(g(0.5), mid, atol=1e-12)
+    assert unitary_geodesic(U0, -U0) is None
 
 
 def test_catenate_checks_junctions():

@@ -21,6 +21,7 @@ from masidx import (
     vertical_frame,
 )
 from conftest import random_structure_space, spinner_path
+from oracles import souriau_reflection_product
 
 MATRIX_TOL = 1e-10
 KERNEL_TOL = 1e-7
@@ -32,6 +33,21 @@ SP3 = standard_space(3)
 def random_symmetric_unitary(n, rng):
     V = haar_unitary(n, rng)
     return (V * np.exp(1j * rng.uniform(-np.pi, np.pi, n))) @ V.T
+
+
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 7, 32])
+def test_closed_form_matches_reflection_product(n, general, rng):
+    space = random_structure_space(n, rng) if general else standard_space(n)
+    for _ in range(3):
+        lam = random_lagrangian(space, rng)
+        mu = random_lagrangian(space, rng)
+        np.testing.assert_allclose(
+            souriau(lam, mu),
+            souriau_reflection_product(lam, mu),
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 def test_same_lagrangian_gives_minus_identity():
