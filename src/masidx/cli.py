@@ -36,14 +36,12 @@ from .core import (
     DEFAULT_TOL,
     SymplecticSpace,
     horizontal_frame,
-    intersection_dim,
     lagrangian,
     standard_space,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
 from .indices import (
     LiftedUnitary,
-    _transversality_margin,
     complex_kashiwara,
     hormander,
     kashiwara,
@@ -62,9 +60,9 @@ from .pairs import gamma_reduce_path, pair_maslov, polarized_pair
 from .souriau import lagrangian_from_souriau, souriau
 from .spectral import (
     boundary_problem,
-    cauchy_data_path,
     eigenvalue_trace,
     spectral_flow,
+    verify_coincidence,
 )
 
 _PROFILES = {"strict": 0.1, "default": 1.0, "loose": 10.0}
@@ -138,17 +136,22 @@ def _complex_matrix(obj, shape, where):
     return A[..., 0] + 1j * A[..., 1]
 
 
-def _space_of(obj, where, tol):
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail('"n" must be a positive integer', where)
+def _positive_int(obj, key):
+    val = obj.get(key)
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        _fail(f'"{key}" must be a positive integer', "input")
+    return val
+
+
+def _space_of(obj, tol):
+    n = _positive_int(obj, "n")
     if "space" in obj:
         sp = obj["space"]
-        _check_keys(sp, ["J", "G"], [], where + ".space")
+        _check_keys(sp, ["J", "G"], [], "input.space")
         return SymplecticSpace(
             n=n,
-            J=_real_matrix(sp["J"], (2 * n, 2 * n), where + ".space.J"),
-            G=_real_matrix(sp["G"], (2 * n, 2 * n), where + ".space.G"),
+            J=_real_matrix(sp["J"], (2 * n, 2 * n), "input.space.J"),
+            G=_real_matrix(sp["G"], (2 * n, 2 * n), "input.space.G"),
             tol=tol,
         )
     return standard_space(n, tol)
@@ -337,7 +340,7 @@ def _cmd_maslov(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "reference", "path"], ["space"], "input"
     )
-    space = _space_of(obj, "input", tol)
+    space = _space_of(obj, tol)
     lam = _frame(obj["reference"], space, "input.reference")
     ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
     path = _lagrangian_path(ts, frames, args.refine_factor, tol)
@@ -347,9 +350,7 @@ def _cmd_maslov(obj, args, tol):
 
 def _cmd_unitary_maslov(obj, args, tol):
     _check_keys(obj, ["version", "n", "path"], [], "input")
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail('"n" must be a positive integer', "input")
+    n = _positive_int(obj, "n")
     ts, mats = _unitary_nodes(obj["path"], n, "input.path")
     path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
     report = unitary_maslov(path, tol)
@@ -363,7 +364,7 @@ def _cmd_crossings(obj, args, tol):
         ["space", "richardson"],
         "input",
     )
-    space = _space_of(obj, "input", tol)
+    space = _space_of(obj, tol)
     lam = _frame(obj["reference"], space, "input.reference")
     ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
@@ -394,7 +395,7 @@ def _cmd_crossings(obj, args, tol):
 
 def _cmd_kashiwara(obj, args, tol):
     _check_keys(obj, ["version", "n", "frames"], ["space"], "input")
-    space = _space_of(obj, "input", tol)
+    space = _space_of(obj, tol)
     fr = obj["frames"]
     if not isinstance(fr, list) or len(fr) != 3:
         _fail('"frames" must list exactly three frames', "input.frames")
@@ -409,9 +410,7 @@ def _cmd_complex_kashiwara(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "unitaries"], ["reference", "space"], "input"
     )
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail('"n" must be a positive integer', "input")
+    n = _positive_int(obj, "n")
     us = obj["unitaries"]
     if not isinstance(us, list) or len(us) != 3:
         _fail(
@@ -424,7 +423,7 @@ def _cmd_complex_kashiwara(obj, args, tol):
     )
     lam = None
     if "reference" in obj:
-        space = _space_of(obj, "input", tol)
+        space = _space_of(obj, tol)
         lam = _frame(obj["reference"], space, "input.reference")
     sig = complex_kashiwara(u1, u2, u3, lam=lam, tol=tol)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
@@ -442,16 +441,19 @@ def _cmd_leray(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "lift1", "lift2"], ["probe"], "input"
     )
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail('"n" must be a positive integer', "input")
+    n = _positive_int(obj, "n")
     l1 = _lift(obj["lift1"], n, "input.lift1")
     l2 = _lift(obj["lift2"], n, "input.lift2")
     probe = None
     if "probe" in obj:
         probe = _complex_matrix(obj["probe"], (n, n), "input.probe")
-    if probe is None and _transversality_margin(l1.U, l2.U) > tol.transversal:
-        return {"value": float(leray(l1, l2, tol))}, None
+    if probe is None:
+        # leray raises exactly when the transversality margin is at most
+        # tol.transversal; only then is a probe drawn
+        try:
+            return {"value": float(leray(l1, l2, tol))}, None
+        except PreconditionError:
+            pass
     value = leray_general(l1, l2, probe=probe, seed=args.seed, tol=tol)
     return {"value": float(value), "probe_seed": int(args.seed)}, None
 
@@ -463,7 +465,7 @@ def _cmd_hormander(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, "input", tol)
+    space = _space_of(obj, tol)
     ell0 = _frame(obj["ell0"], space, "input.ell0")
     ell1 = _frame(obj["ell1"], space, "input.ell1")
     lam = _frame(obj["lam"], space, "input.lam")
@@ -479,7 +481,7 @@ def _cmd_pair_maslov(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, "input", tol)
+    space = _space_of(obj, tol)
     mts, mframes = _lagrangian_nodes(obj["mu_path"], space, "input.mu_path")
     lts, lframes = _lagrangian_nodes(
         obj["lambda_path"], space, "input.lambda_path"
@@ -507,10 +509,7 @@ def _cmd_reduce(obj, args, tol):
         [],
         "input",
     )
-    nb, nh = obj["n_big"], obj["n_small"]
-    for name, val in (("n_big", nb), ("n_small", nh)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            _fail(f'"{name}" must be a positive integer', "input")
+    nb, nh = _positive_int(obj, "n_big"), _positive_int(obj, "n_small")
     big, small = standard_space(nb, tol), standard_space(nh, tol)
     pp = polarized_pair(
         lam_plus=_frame(obj["lam_plus"], big, "input.lam_plus"),
@@ -551,9 +550,7 @@ def _boundary_problem(obj):
         [],
         "input",
     )
-    N = obj["N"]
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        _fail('"N" must be a positive integer', "input")
+    N = _positive_int(obj, "N")
     m = 2 * N
     fam = obj["family"]
     if not isinstance(fam, list) or len(fam) < 2:
@@ -588,14 +585,7 @@ def _cmd_spectral_flow(obj, args, tol):
 
 def _cmd_verify_coincidence(obj, args, tol):
     bp = _boundary_problem(obj)
-    sf = spectral_flow(bp, window=args.window, tol=tol)
-    path, boundary = cauchy_data_path(bp, tol)
-    mas = maslov(path, boundary, tol)
-    out = {
-        "sf": int(sf.value),
-        "mas": int(mas.value),
-        "equal": bool(sf.value == mas.value),
-    }
+    out = verify_coincidence(bp, window=args.window, tol=tol)
     trace = None
     if args.trace is not None:
         trace = eigenvalue_trace(bp, window=args.window, tol=tol)

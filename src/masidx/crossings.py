@@ -16,8 +16,8 @@ from scipy.linalg import schur
 from scipy.optimize import minimize_scalar
 
 from .core import DEFAULT_TOL, complexify_vectors
-from .errors import AmbiguityError, PreconditionError, ValidationError
-from .paths import LagrangianPath, _adequate
+from .errors import AmbiguityError, PreconditionError
+from .paths import _adequate
 from .souriau import minus_one_offsets, souriau
 
 __all__ = [

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    LagrangianFrame,
     _norm2_exceeds,
     _require_same_space,
     haar_unitary,

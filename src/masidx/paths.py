@@ -18,7 +18,8 @@ below tolerance the path is refined; without a refiner this is an
 AmbiguityError.
 
 Lagrangian paths are converted through the pair unitary with a fixed
-reference and the same machinery applies.
+reference and the same machinery applies.  ``spectral.spectral_flow``
+counts with the same helpers on the real line.
 """
 
 from dataclasses import dataclass, field
@@ -262,13 +263,20 @@ class IndexReport:
     diagnostics: dict
 
 
+def _assign(cost, reach):
+    """Cheapest matching of rows to columns, without pairs costing more
+    than ``reach``; returns (rows, cols)."""
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] <= reach
+    return rows[keep], cols[keep]
+
+
 def _match(prev, cur):
     """Permutation of cur minimizing total circular distance to prev."""
     diff = np.abs(
         np.angle(np.exp(1j * (cur[None, :] - prev[:, None])))
     )
-    _, cols = linear_sum_assignment(diff)
-    return cols
+    return _assign(diff, np.inf)[1]
 
 
 def _blocked_intervals(s0, s1):
@@ -288,39 +296,34 @@ def _blocked_intervals(s0, s1):
     return out
 
 
-def _free_gaps(blocked, cap):
-    """Complement of the blocked set inside (0, cap]."""
-    pts = sorted((max(lo, 0.0), min(hi, cap)) for lo, hi in blocked)
+def _test_value(blocked, tol):
+    """Admissible test value for one subinterval, or None.
+
+    ``blocked`` lists the closed offset intervals swept by matched
+    spectral motion.  Each is clamped to [0, EPS_CAP]; one that clamps to
+    nothing or to {0} blocks nothing.  The test value is the midpoint of
+    the widest free gap in (0, EPS_CAP], and None when the clearance (half
+    its width) is below ``tol.clearance``.
+    """
     gaps = []
     cursor = 0.0
-    for lo, hi in pts:
-        if hi < cursor:
+    for lo, hi in sorted(
+        (max(lo, 0.0), min(hi, EPS_CAP)) for lo, hi in blocked
+    ):
+        if hi <= 0.0 or hi < lo:
             continue
         if lo > cursor:
-            gaps.append((cursor, min(lo, cap)))
+            gaps.append((lo - cursor, cursor, lo))
         cursor = max(cursor, hi)
-        if cursor >= cap:
-            break
-    if cursor < cap:
-        gaps.append((cursor, cap))
-    return [(lo, hi) for lo, hi in gaps if hi > lo]
-
-
-def _choose_eps(s0, s1, tol):
-    """Admissible test angle for one subinterval, or None."""
-    blocked = [
-        iv for iv in _blocked_intervals(s0, s1) if iv[1] - iv[0] > 0.0 or iv[0] > 0.0
-    ]
-    gaps = _free_gaps(blocked, EPS_CAP)
-    if not gaps:
-        return None
-    width, lo, hi = max((hi - lo, lo, hi) for lo, hi in gaps)
-    if width / 2.0 < tol.clearance:
+    gaps.append((EPS_CAP - cursor, cursor, EPS_CAP))
+    width, lo, hi = max(gaps)
+    if width <= 0.0 or width / 2.0 < tol.clearance:
         return None
     return (lo + hi) / 2.0
 
 
 def _count_on_arc(s, eps, snap):
+    """Number of offsets in the closed test arc [0, eps], up to ``snap``."""
     return int(np.count_nonzero((s >= -snap) & (s <= eps + snap)))
 
 
@@ -398,26 +401,25 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     # one eigen-decomposition per sample serves the count and the trace
     spectra = [np.linalg.eigvals(U) for _, U in samples]
     offs = [np.angle(-ev) for ev in spectra]
+    # work-list: intervals before i keep their test angles, so after a
+    # midpoint insertion only the stuck interval is checked again
+    epsilons = []
     inserted = 0
-    while True:
-        stuck = None
-        epsilons = []
-        for i in range(len(samples) - 1):
-            eps = _choose_eps(offs[i], offs[i + 1], tol)
-            if eps is None:
-                stuck = i
-                break
+    i = 0
+    while i < len(samples) - 1:
+        eps = _test_value(_blocked_intervals(offs[i], offs[i + 1]), tol)
+        if eps is not None:
             epsilons.append(eps)
-        if stuck is None:
-            break
+            i += 1
+            continue
         if inserted >= 4000:
             raise AmbiguityError(
                 "no admissible test angle after maximal refinement",
                 where="unitary_maslov",
             )
-        _insert_midpoint(samples, stuck, refiner, "unitary_maslov")
-        spectra.insert(stuck + 1, np.linalg.eigvals(samples[stuck + 1][1]))
-        offs.insert(stuck + 1, np.angle(-spectra[stuck + 1]))
+        _insert_midpoint(samples, i, refiner, "unitary_maslov")
+        spectra.insert(i + 1, np.linalg.eigvals(samples[i + 1][1]))
+        offs.insert(i + 1, np.angle(-spectra[i + 1]))
         inserted += 1
 
     snap = tol.clustering

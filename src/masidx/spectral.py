@@ -8,9 +8,12 @@ Phi_{t,s} = expm(-B + JJ C_t - s JJ) moves lambda0 onto a subspace
 meeting lambda1.
 
 The flow of eigenvalues through 0 as t sweeps [0, 1] is counted by the
-same partition / test-angle scheme as the unitary index, with the arc
-[0, eps] on the real axis (closed at 0).  The coincidence theorem equates
-it with the index of the Cauchy-data path in the doubled space against
+same code as the unitary index (``paths._test_value`` and
+``paths._count_on_arc``): a partition of [0, 1] with one admissible test
+value per interval, and the arc [0, eps] on the real axis (closed at 0).
+Only the blocked intervals differ: a matched pair of eigenvalues blocks
+the segment between them.  The coincidence theorem equates the flow with
+the index of the Cauchy-data path in the doubled space against
 lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
 """
 
@@ -18,11 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq, linear_sum_assignment, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .core import DEFAULT_TOL, box_space, lagrangian, standard_space
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .paths import LagrangianPath, maslov
+from .paths import (
+    LagrangianPath,
+    _assign,
+    _count_on_arc,
+    _test_value,
+    maslov,
+)
 
 __all__ = [
     "BoundaryProblem",
@@ -43,7 +52,6 @@ _TRACK_LO = -0.3
 _TRACK_HI = 1.3
 _MOTION = 0.2
 _GRID = 0.29
-_EPS_CAP = 1.0
 
 
 def JJ(N):
@@ -273,64 +281,15 @@ class SpectralFlowReport:
     value: int
     partition: np.ndarray
     epsilons: np.ndarray
-    trace: tuple
     diagnostics: dict
 
 
-def _match_sets(prev, cur, reach):
-    """Pairs (i, j) of nearby values; unmatched entries are ignored."""
-    if len(prev) == 0 or len(cur) == 0:
-        return []
-    cost = np.abs(cur[None, :] - prev[:, None])
-    rows, cols = linear_sum_assignment(cost)
-    return [
-        (i, j) for i, j in zip(rows, cols) if cost[i, j] <= reach
-    ]
+def _pairs(prev, cur):
+    """Nearby eigenvalues of adjacent samples, matched one to one."""
+    return _assign(np.abs(cur[None, :] - prev[:, None]), 2.0)
 
 
-def _blocked_line(prev, cur, pairs):
-    out = []
-    for i, j in pairs:
-        a, b = prev[i], cur[j]
-        lo, hi = min(a, b), max(a, b)
-        lo = max(lo, 0.0)
-        hi = min(hi, _EPS_CAP)
-        if hi >= lo and hi > 0.0:
-            out.append((lo, hi))
-    return out
-
-
-def _free_gaps_line(blocked, cap):
-    gaps = []
-    cursor = 0.0
-    for lo, hi in sorted(blocked):
-        if hi < cursor:
-            continue
-        if lo > cursor:
-            gaps.append((cursor, min(lo, cap)))
-        cursor = max(cursor, hi)
-        if cursor >= cap:
-            break
-    if cursor < cap:
-        gaps.append((cursor, cap))
-    return [(lo, hi) for lo, hi in gaps if hi > lo]
-
-
-def _flow_eps(prev, cur, pairs, tol):
-    gaps = _free_gaps_line(_blocked_line(prev, cur, pairs), _EPS_CAP)
-    if not gaps:
-        return None
-    width, lo, hi = max((hi - lo, lo, hi) for lo, hi in gaps)
-    if width / 2.0 < tol.clearance:
-        return None
-    return 0.5 * (lo + hi)
-
-
-def _count_line(vals, eps, snap):
-    return int(np.count_nonzero((vals >= -snap) & (vals <= eps + snap)))
-
-
-def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25, compute_trace=False):
+def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
     Preconditions: no eigenvalue within 1e-8 of +-window at t = 0 or 1.
@@ -339,9 +298,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25, compute_trace=False
 
     Starts from ``nodes`` uniform time samples and inserts midpoints until
     adjacent spectra near 0 are in slow-motion correspondence, so the
-    count is independent of the family's own sampling density.  The
-    full-window eigenvalue trace is only computed when ``compute_trace``
-    is set (it costs more than the flow itself).
+    count is independent of the family's own sampling density.
     """
     for t_end in (0.0, 1.0):
         for edge in (-window, window):
@@ -367,20 +324,17 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25, compute_trace=False
     def step_ok(prev, cur):
         # matched pairs near the counting region must move slowly, and
         # nothing may appear or vanish there between adjacent samples
-        pairs = _match_sets(prev, cur, reach=2.0)
-        mp, mc = set(), set()
-        for a, b in pairs:
-            mp.add(a)
-            mc.add(b)
+        rows, cols = _pairs(prev, cur)
+        for a, b in zip(rows, cols):
             if (tracked(prev[a]) or tracked(cur[b])) and abs(
                 cur[b] - prev[a]
             ) > _MOTION:
                 return False
         for k, s in enumerate(prev):
-            if k not in mp and tracked(s):
+            if k not in rows and tracked(s):
                 return False
         for k, s in enumerate(cur):
-            if k not in mc and tracked(s):
+            if k not in cols and tracked(s):
                 return False
         return True
 
@@ -402,24 +356,24 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25, compute_trace=False
     snap = tol.flow_snap
     for i in range(len(ts) - 1):
         prev, cur = spec(ts[i]), spec(ts[i + 1])
-        pairs = _match_sets(prev, cur, reach=2.0)
-        eps = _flow_eps(prev, cur, pairs, tol)
+        rows, cols = _pairs(prev, cur)
+        eps = _test_value(
+            [sorted((prev[a], cur[b])) for a, b in zip(rows, cols)], tol
+        )
         if eps is None:
             raise AmbiguityError(
                 "no admissible test value (tangential crossing?)",
                 where="spectral_flow",
             )
         epsilons.append(eps)
-        total += _count_line(cur, eps, snap) - _count_line(prev, eps, snap)
+        total += _count_on_arc(cur, eps, snap) - _count_on_arc(
+            prev, eps, snap
+        )
 
-    trace = None
-    if compute_trace:
-        trace = eigenvalue_trace(bp, window=window, tol=tol)
     return SpectralFlowReport(
         value=int(total),
         partition=np.array(ts),
         epsilons=np.array(epsilons),
-        trace=trace,
         diagnostics={"time_samples": len(ts)},
     )
 

@@ -109,6 +109,33 @@ def test_invalid_frame_exits_2(tmp_path, capsys):
     assert out == {"reason": "subspace is not isotropic", "where": "lagrangian"}
 
 
+_REDUCE_KEYS = ["lam_plus", "lam_minus", "ell_plus", "ell_minus",
+                "i_plus_diag", "path"]
+
+
+@pytest.mark.parametrize(
+    "command, body, key",
+    [
+        ("maslov", {"n": 0, "reference": [], "path": []}, "n"),
+        ("unitary-maslov", {"n": -1, "path": []}, "n"),
+        ("complex-kashiwara", {"n": True, "unitaries": []}, "n"),
+        ("leray", {"n": 1.0, "lift1": {}, "lift2": {}}, "n"),
+        ("reduce", dict.fromkeys(_REDUCE_KEYS, [])
+         | {"n_big": "2", "n_small": 1}, "n_big"),
+        ("reduce", dict.fromkeys(_REDUCE_KEYS, [])
+         | {"n_big": 2, "n_small": 0}, "n_small"),
+        ("spectral-flow", {"N": 0, "B": [], "family": [], "lambda0": [],
+                           "lambda1": []}, "N"),
+    ],
+)
+def test_sizes_must_be_positive_integers(command, body, key, tmp_path,
+                                         capsys):
+    code, out, _ = _run(tmp_path, capsys, command, {"version": 1, **body})
+    assert code == 2
+    assert out == {"reason": f'"{key}" must be a positive integer',
+                   "where": "input"}
+
+
 def _scalar_unitary_body(end_phase):
     return {
         "version": 1,

@@ -1,0 +1,55 @@
+"""Static checks on the imports of the package modules.
+
+Every imported name is used (a name listed in ``__all__`` counts as a
+re-export), and the CLI reaches the other modules through their public
+names only.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "masidx"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imports(tree):
+    """(node, bound name, imported name) for every name the module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield node, bound, alias.name
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    unused = sorted(b for _, b, _ in _imports(tree) if b not in used)
+    assert unused == []
+
+
+def test_cli_imports_no_private_names_from_sibling_modules():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = sorted(
+        name
+        for node, _, name in _imports(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.level > 0
+        and name.startswith("_")
+        and not name.endswith("__")
+    )
+    assert private == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from masidx import (
+    DEFAULT_TOL,
     AmbiguityError,
     ValidationError,
     catenate,
@@ -26,6 +27,7 @@ from conftest import (
     spinner_expected,
     spinner_path,
 )
+from masidx.paths import EPS_CAP, _test_value
 from oracles import unitary_oracle
 
 SP1 = standard_space(1)
@@ -247,6 +249,37 @@ def test_report_internals_are_consistent(rng):
     assert total == rep.value
     assert rep.trace.values.shape[1] == 3
     assert rep.trace.kind == "eigenphase"
+
+
+C = DEFAULT_TOL.clearance
+
+
+@pytest.mark.parametrize(
+    "blocked, expected",
+    [
+        # a zero-width interval at 0 blocks nothing
+        ([(0.0, 0.0)], 0.5 * EPS_CAP),
+        ([(0.0, 0.0), (0.5, EPS_CAP)], 0.25),
+        # nothing is blocked beyond the cap
+        ([(0.6, 3.0)], 0.3),
+        ([(EPS_CAP + 0.5, 3.0)], 0.5 * EPS_CAP),
+        # overlapping and nested intervals merge
+        ([(0.2, 0.3), (0.1, 0.6), (0.5, 0.7)], 0.5 * (0.7 + EPS_CAP)),
+        # a line interval below 0 is clamped at 0
+        ([(-0.5, 0.2)], 0.5 * (0.2 + EPS_CAP)),
+        ([(-0.5, -0.1)], 0.5 * EPS_CAP),
+        # the widest gap must be at least 2 * clearance wide
+        ([(2.5 * C, EPS_CAP)], 1.25 * C),
+        ([(1.5 * C, EPS_CAP)], None),
+        ([(0.0, EPS_CAP)], None),
+    ],
+)
+def test_test_value_on_blocked_sets(blocked, expected):
+    eps = _test_value(blocked, DEFAULT_TOL)
+    if expected is None:
+        assert eps is None
+    else:
+        assert eps == pytest.approx(expected, rel=1e-12)
 
 
 def test_sparse_samples_without_refiner_are_ambiguous():

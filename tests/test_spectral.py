@@ -138,7 +138,6 @@ def test_rotation_flow_is_one():
     bp = rotation_problem()
     rep = spectral_flow(bp)
     assert rep.value == 1
-    assert rep.trace is None
     assert len(rep.epsilons) == len(rep.partition) - 1
     assert np.all(rep.epsilons > 0.0) and np.all(rep.epsilons <= 1.0)
     assert rep.diagnostics["time_samples"] >= 25
