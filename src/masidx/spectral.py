@@ -5,7 +5,8 @@ JJ = [[0, I], [-I, 0]], B symmetric and anticommuting with JJ, C_t
 symmetric, and boundary conditions u(0) in lambda0, u(1) in lambda1.
 s is an eigenvalue iff the constant-coefficient flow
 Phi_{t,s} = expm(-B + JJ C_t - s JJ) moves lambda0 onto a subspace
-meeting lambda1.
+meeting lambda1.  ``eigenvalues_near`` shoots through one ``_Shooter``
+per family time, which forms -B + JJ C_t once and shoots each s once.
 
 The flow of eigenvalues through 0 as t sweeps [0, 1] is counted by the
 same code as the unitary index (``paths._test_value`` and
@@ -18,12 +19,19 @@ lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import DEFAULT_TOL, box_space, lagrangian, standard_space
+from .core import (
+    DEFAULT_TOL,
+    _norm2_exceeds,
+    box_space,
+    lagrangian,
+    standard_space,
+)
 from .errors import AmbiguityError, PreconditionError, ValidationError
 from .paths import (
     LagrangianPath,
@@ -54,10 +62,32 @@ _MOTION = 0.2
 _GRID = 0.29
 
 
-def JJ(N):
+@lru_cache(maxsize=8)
+def _jj(N):
+    """The structure matrix of size 2N, shared and read-only."""
     z = np.zeros((N, N))
     eye = np.eye(N)
-    return np.block([[z, eye], [-eye, z]])
+    jj = np.block([[z, eye], [-eye, z]])
+    jj.setflags(write=False)
+    return jj
+
+
+def JJ(N):
+    """The structure matrix [[0, I], [-I, 0]] of size 2N, as a new array."""
+    return _jj(N).copy()
+
+
+def _exceeds(res, tol, scale, power=1):
+    """``norm(res, 2) > tol * max(1, norm(scale, 2) ** power)``.
+
+    The bound is at least ``tol``, so a residual that ``_norm2_exceeds``
+    clears against ``tol`` passes without any SVD; only the others take
+    the exact test.
+    """
+    return _norm2_exceeds(res, tol) and bool(
+        np.linalg.norm(res, 2)
+        > tol * max(1.0, np.linalg.norm(scale, 2) ** power)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +133,10 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     B = np.asarray(B, dtype=float)
     if B.shape != (m, m):
         raise ValidationError("B has wrong shape", where="boundary_problem")
-    if np.linalg.norm(B - B.T, 2) > 1e-10 * max(1.0, np.linalg.norm(B, 2)):
+    if _exceeds(B - B.T, 1e-10, B):
         raise ValidationError("B not symmetric", where="boundary_problem")
-    jj = JJ(N)
-    if np.linalg.norm(jj @ B + B @ jj, 2) > 1e-9 * max(
-        1.0, np.linalg.norm(B, 2)
-    ):
+    jj = _jj(N)
+    if _exceeds(jj @ B + B @ jj, 1e-9, B):
         raise ValidationError(
             "B must anticommute with the structure matrix "
             "(otherwise the flow is not symplectic)",
@@ -131,9 +159,7 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
             raise ValidationError(
                 "C has wrong shape", where="boundary_problem"
             )
-        if np.linalg.norm(C - C.T, 2) > 1e-10 * max(
-            1.0, np.linalg.norm(C, 2)
-        ):
+        if _exceeds(C - C.T, 1e-10, C):
             raise ValidationError("C not symmetric", where="boundary_problem")
         cs.append(C)
     space = standard_space(N)
@@ -150,18 +176,30 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     )
 
 
-def fundamental_solution(B, C, s):
-    """expm(-B + JJ C - s JJ); symplectic for the JJ-form to 1e-9."""
+def _generator(B, C):
+    """(-B + JJ C, JJ): the s-independent part of the flow exponent."""
     B = np.asarray(B, dtype=float)
-    N = B.shape[0] // 2
-    jj = JJ(N)
-    Phi = expm(-B + jj @ np.asarray(C, dtype=float) - s * jj)
-    res = np.linalg.norm(Phi.T @ jj @ Phi - jj, 2)
-    if res > 1e-9 * max(1.0, np.linalg.norm(Phi, 2) ** 2):
+    jj = _jj(B.shape[0] // 2)
+    return -B + jj @ np.asarray(C, dtype=float), jj
+
+
+def _flow(gen, jj, s):
+    """expm(gen - s JJ), checked symplectic for the JJ-form to 1e-9.
+
+    The check runs on every flow: it is the only validation of C_t
+    values from ``c_func``.
+    """
+    Phi = expm(gen - s * jj)
+    if _exceeds(Phi.T @ jj @ Phi - jj, 1e-9, Phi, power=2):
         raise ValidationError(
             "flow not symplectic (check B, C)", where="fundamental_solution"
         )
     return Phi
+
+
+def fundamental_solution(B, C, s):
+    """expm(-B + JJ C - s JJ); symplectic for the JJ-form to 1e-9."""
+    return _flow(*_generator(B, C), s)
 
 
 # --------------------------------------------------------------------------
@@ -169,22 +207,42 @@ def fundamental_solution(B, C, s):
 # --------------------------------------------------------------------------
 
 
-def _shoot(bp, t, s):
-    Phi = bp.solution(t, s)
-    M = np.hstack([Phi @ bp.lambda0, bp.lambda1])
-    det = float(np.linalg.det(M))
-    smin = float(np.linalg.svd(M, compute_uv=False)[-1])
-    return det, smin
+class _Shooter:
+    """Shooting matrix [Phi_s lambda0, lambda1] of ``bp`` at one family
+    time, with (det, singular values) kept for every s already shot."""
+
+    def __init__(self, bp, t):
+        self._gen, self._jj = _generator(bp.B, bp.c_at(t))
+        self._lambda0 = bp.lambda0
+        self._lambda1 = bp.lambda1
+        self._shots = {}
+
+    def singular_values(self, s):
+        return self._shot(s)[1]
+
+    def __call__(self, s):
+        """(det, smallest singular value) at s."""
+        det, sv = self._shot(s)
+        return det, float(sv[-1])
+
+    def _shot(self, s):
+        s = float(s)
+        if s not in self._shots:
+            Phi = _flow(self._gen, self._jj, s)
+            M = np.hstack([Phi @ self._lambda0, self._lambda1])
+            self._shots[s] = (
+                float(np.linalg.det(M)),
+                np.linalg.svd(M, compute_uv=False),
+            )
+        return self._shots[s]
 
 
-def _multiplicity(bp, t, s, thresh=1e-6):
-    Phi = bp.solution(t, s)
-    M = np.hstack([Phi @ bp.lambda0, bp.lambda1])
-    sv = np.linalg.svd(M, compute_uv=False)
+def _multiplicity(shoot, s, thresh=1e-6):
+    sv = shoot.singular_values(s)
     return max(1, int(np.count_nonzero(sv < thresh)))
 
 
-def _scan_cell(bp, t, lo, hi, flo, fhi, slope, tol, depth, found):
+def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
     """Collect zeros of the shooting determinant inside (lo, hi).
 
     Sign change: one bracketed root.  No sign change: the cell can only
@@ -198,7 +256,7 @@ def _scan_cell(bp, t, lo, hi, flo, fhi, slope, tol, depth, found):
         found.append(
             float(
                 brentq(
-                    lambda s: _shoot(bp, t, s)[0],
+                    lambda s: shoot(s)[0],
                     lo,
                     hi,
                     xtol=tol.bisect_t,
@@ -210,16 +268,16 @@ def _scan_cell(bp, t, lo, hi, flo, fhi, slope, tol, depth, found):
         return
     if depth > 0:
         mid = 0.5 * (lo + hi)
-        fmid = _shoot(bp, t, mid)
+        fmid = shoot(mid)
         if fmid[1] < 1e-9:
             found.append(mid)
             return
-        _scan_cell(bp, t, lo, mid, flo, fmid, slope, tol, depth - 1, found)
-        _scan_cell(bp, t, mid, hi, fmid, fhi, slope, tol, depth - 1, found)
+        _scan_cell(shoot, lo, mid, flo, fmid, slope, tol, depth - 1, found)
+        _scan_cell(shoot, mid, hi, fmid, fhi, slope, tol, depth - 1, found)
         return
     if min(mlo, mhi) < 0.15:
         res = minimize_scalar(
-            lambda s: _shoot(bp, t, s)[1],
+            lambda s: shoot(s)[1],
             bounds=(lo, hi),
             method="bounded",
             options={"xatol": tol.bisect_t},
@@ -236,8 +294,9 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     subdivision of cells whose edges look near-singular (close root
     pairs, roots next to grid points).
     """
+    shoot = _Shooter(bp, t)
     grid = np.arange(lo, hi + _GRID, _GRID)
-    vals = [_shoot(bp, t, float(s)) for s in grid]
+    vals = [shoot(float(s)) for s in grid]
     # empirical bound on how fast the smallest singular value can move;
     # V-shaped cells understate their own slope, so take the global max
     slope = max(
@@ -251,8 +310,7 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     found = [float(s) for s, (_, m) in zip(grid, vals) if m < 1e-9]
     for i in range(len(grid) - 1):
         _scan_cell(
-            bp,
-            t,
+            shoot,
             float(grid[i]),
             float(grid[i + 1]),
             vals[i],
@@ -267,7 +325,7 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     for s in found:
         if out and s - out[-1] <= 100.0 * tol.bisect_t:
             continue
-        out.extend([s] * _multiplicity(bp, t, s))
+        out.extend([s] * _multiplicity(shoot, s))
     return np.array([s for s in out if lo - 1e-12 <= s <= hi + 1e-12])
 
 

@@ -1,6 +1,7 @@
 """The JSON command line, driven in-process through ``cli.run``."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,3 +188,60 @@ def test_rerun_is_byte_identical(rng, tmp_path, capsys):
         assert code == 0
         runs.append((raw, trace.read_bytes()))
     assert runs[0] == runs[1]
+
+
+def _ladder_body(a0, r, nodes=5):
+    """spectral-flow input: B = 0, C_t = blockdiag(a_t, a_t) with
+    a_t = diag(a0 + r t), horizontal boundary conditions at both ends.
+
+    Each scalar block rotates the boundary line at speed s - a_j, so the
+    eigenvalues are the decoupled ladders s = a_j(t) + k pi.
+    """
+    N = len(a0)
+    z = np.zeros((N, N))
+    family = []
+    for t in np.linspace(0.0, 1.0, nodes):
+        a = np.diag(np.add(a0, np.multiply(r, t)))
+        family.append({"t": float(t), "C": _real(np.block([[a, z], [z, a]]))})
+    lam = _real(np.vstack([np.eye(N), z]))
+    return {"version": 1, "N": N, "B": _real(np.zeros((2 * N, 2 * N))),
+            "family": family, "lambda0": lam, "lambda1": lam}
+
+
+def _ladder_flow(a0, r):
+    """Net upward passages through 0 of the ladders s = a_j(t) + k pi."""
+    return sum(math.floor((a + v) / math.pi) - math.floor(a / math.pi)
+               for a, v in zip(a0, r))
+
+
+@pytest.mark.parametrize(
+    "a0, r, flow", [([0.3], [3.5], 1), ([0.3, -0.3], [-3.5, -3.2], -3)]
+)
+def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
+                                                capsys):
+    assert _ladder_flow(a0, r) == flow
+    code, out, _ = _run(tmp_path, capsys, "spectral-flow", _ladder_body(a0, r))
+    assert code == 0, out
+    assert out["value"] == flow
+
+
+def test_verify_coincidence_on_a_ladder(tmp_path, capsys):
+    a0, r = [1.0], [-4.2]
+    code, out, _ = _run(
+        tmp_path, capsys, "verify-coincidence", _ladder_body(a0, r)
+    )
+    assert code == 0, out
+    assert out["sf"] == out["mas"] == _ladder_flow(a0, r) == -2
+    assert out["equal"] is True
+
+
+def test_commuting_b_exits_2(tmp_path, capsys):
+    body = _ladder_body([0.3], [3.5])
+    body["B"] = _real(np.eye(2))
+    code, out, _ = _run(tmp_path, capsys, "spectral-flow", body)
+    assert code == 2
+    assert out == {
+        "reason": "B must anticommute with the structure matrix "
+        "(otherwise the flow is not symplectic)",
+        "where": "boundary_problem",
+    }

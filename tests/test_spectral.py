@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
+from masidx import spectral
 from masidx import (
     JJ,
     PreconditionError,
@@ -23,7 +26,12 @@ from masidx import (
     standard_space,
     verify_coincidence,
 )
-from conftest import random_admissible, random_boundary_family, rotation_problem
+from conftest import (
+    random_admissible,
+    random_boundary_family,
+    random_symmetric,
+    rotation_problem,
+)
 
 
 def ladder(t, lo, hi):
@@ -100,6 +108,88 @@ def test_fundamental_solution_rejects_drifting_flow():
         fundamental_solution(np.eye(2), np.zeros((2, 2)), 0.0)
 
 
+def _structure(N):
+    z = np.zeros((N, N))
+    return np.block([[z, np.eye(N)], [-np.eye(N), z]])
+
+
+def _passes_two_svd_check(B, C, s):
+    """The symplectic check as two spectral norms, with no shortcut."""
+    jj = _structure(B.shape[0] // 2)
+    Phi = expm(-B + jj @ C - s * jj)
+    res = np.linalg.norm(Phi.T @ jj @ Phi - jj, 2)
+    return bool(res <= 1e-9 * max(1.0, np.linalg.norm(Phi, 2) ** 2))
+
+
+def _raises_not_symplectic(B, C, s):
+    try:
+        fundamental_solution(B, C, s)
+    except ValidationError as exc:
+        assert exc.reason == "flow not symplectic (check B, C)"
+        return True
+    return False
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 6.0),
+    st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1.0]),
+    st.floats(-3.0, 3.0),
+)
+def test_symplectic_check_decides_like_two_svds(N, draw, scale, skew, s):
+    """Frobenius first, exact fallback: the same decision as two SVDs.
+
+    Admissible B up to a large norm (flows far from orthogonal), and C
+    symmetric up to a skew part of size ``skew``, which puts the residual
+    on both sides of the 1e-9 bound.
+    """
+    rng = np.random.default_rng(draw)
+    B = random_admissible(N, rng, scale)
+    K = rng.standard_normal((2 * N, 2 * N))
+    C = random_symmetric(2 * N, rng, 1.0) + skew * (K - K.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _raises_not_symplectic(B, C, s) != _passes_two_svd_check(
+            B, C, s
+        )
+
+
+def test_non_symmetric_c_is_not_symplectic(rng):
+    for N in (1, 2, 3):
+        B = random_admissible(N, rng)
+        C = rng.standard_normal((2 * N, 2 * N))
+        assert not _passes_two_svd_check(B, C, 0.3)
+        assert _raises_not_symplectic(B, C, 0.3)
+
+
+def test_large_flow_passes_through_the_exact_fallback():
+    """||Phi||_2 ~ 1e5: the residual is far above 1e-9 but inside the
+    relative bound 1e-9 ||Phi||_2^2, so only the exact test can pass it."""
+    B = 12.0 * np.array([[0.6, 0.8], [0.8, -0.6]])
+    C = np.array([[0.4, -0.7], [-0.7, 1.1]])
+    jj = _structure(1)
+    Phi = fundamental_solution(B, C, 0.3)
+    assert np.linalg.norm(Phi, 2) > 1e5
+    assert np.linalg.norm(Phi.T @ jj @ Phi - jj, 2) > 1e-7
+    assert _passes_two_svd_check(B, C, 0.3)
+
+
+def test_structure_matrix_copies_are_private():
+    jj = JJ(2)
+    jj[:] = 7.0
+    np.testing.assert_array_equal(JJ(2), _structure(2))
+    z = np.zeros((4, 4))
+    np.testing.assert_array_equal(
+        fundamental_solution(z, z, 0.5), expm(-0.5 * _structure(2))
+    )
+    shared = spectral._jj(2)
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0, 0] = 1.0
+
+
 # --------------------------------------------------------------------------
 # eigenvalues by shooting
 
@@ -109,6 +199,36 @@ def test_rotation_spectrum_is_the_exact_ladder(t):
     bp = rotation_problem()
     got = eigenvalues_near(bp, t, -4.0, 4.0)
     np.testing.assert_allclose(got, ladder(t, -4.0, 4.0), atol=1e-8)
+
+
+def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
+    """brentq's bracket ends and the multiplicity count reuse earlier
+    shots instead of exponentiating the same matrix again."""
+    args = []
+
+    def counted(A):
+        args.append(np.ascontiguousarray(A).tobytes())
+        return expm(A)
+
+    monkeypatch.setattr(spectral, "expm", counted)
+    got = eigenvalues_near(rotation_problem(), 0.3, -4.0, 4.0)
+    np.testing.assert_allclose(got, ladder(0.3, -4.0, 4.0), atol=1e-8)
+    assert args and len(set(args)) == len(args)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a root on a grid point is reported again by the dip search "
+    "of the neighbouring cell, 2e-8 away, outside the merge window",
+)
+def test_root_on_a_grid_point_is_reported_once():
+    # the grid starts at -0.55 with step 0.29, so 0.61 is a grid point
+    C = 0.61 * np.eye(2)
+    lam = np.array([[1.0], [0.0]])
+    bp = boundary_problem(1, np.zeros((2, 2)), [(0.0, C), (1.0, C)], lam, lam)
+    np.testing.assert_allclose(
+        eigenvalues_near(bp, 0.5, -0.55, 1.55), [0.61], atol=1e-8
+    )
 
 
 def test_eigenvalue_multiplicity_is_reported():
