@@ -48,7 +48,7 @@ from .indices import (
     leray,
     leray_general,
 )
-from .crossings import crossing_form, find_crossings, maslov_via_crossings
+from .crossings import crossing_form, crossing_sum, find_crossings
 from .paths import (
     LagrangianPath,
     UnitaryPath,
@@ -371,25 +371,28 @@ def _cmd_crossings(obj, args, tol):
     richardson = obj.get("richardson", False)
     if not isinstance(richardson, bool):
         _fail('"richardson" must be a boolean', "input.richardson")
-    rows = []
-    all_regular = True
-    for t_star in find_crossings(path, lam, tol):
-        c = crossing_form(path, lam, t_star, tol=tol, richardson=richardson)
-        p, q = c.signature
-        all_regular = all_regular and c.regular
-        rows.append(
-            {
-                "t_star": float(c.t_star),
-                "dim": int(c.dim),
-                "signature": [int(p), int(q)],
-                "regular": bool(c.regular),
-            }
-        )
-    out = {"crossings": rows}
-    if all_regular:
-        out["value"] = int(maslov_via_crossings(path, lam, tol))
-    else:
-        out["value"] = None
+    forms = [
+        crossing_form(path, lam, t_star, tol=tol, richardson=richardson)
+        for t_star in find_crossings(path, lam, tol)
+    ]
+    rows = [
+        {
+            "t_star": float(c.t_star),
+            "dim": int(c.dim),
+            "signature": [int(p) for p in c.signature],
+            "regular": bool(c.regular),
+        }
+        for c in forms
+    ]
+    out = {"crossings": rows, "value": None}
+    if all(c.regular for c in forms):
+        # the value is the one maslov_via_crossings gives, from forms
+        # without the Richardson step even when the rows report them
+        if richardson:
+            forms = (
+                crossing_form(path, lam, c.t_star, tol=tol) for c in forms
+            )
+        out["value"] = int(crossing_sum(forms))
     return out, None
 
 

@@ -260,7 +260,7 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
 
 
 def _spaces_match(a, b, tol=1e-10):
-    return (
+    return a is b or (
         a.n == b.n
         and np.allclose(a.J, b.J, atol=tol)
         and np.allclose(a.G, b.G, atol=tol)

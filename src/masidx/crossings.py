@@ -25,6 +25,7 @@ __all__ = [
     "find_crossings",
     "crossing_form",
     "crossing_form_phase",
+    "crossing_sum",
     "maslov_via_crossings",
 ]
 
@@ -283,26 +284,38 @@ def crossing_form_phase(path, lam, t_star, h=None, tol=DEFAULT_TOL):
     return Q
 
 
-def maslov_via_crossings(path, lam, tol=DEFAULT_TOL, h=None):
-    """Index as a sum of crossing signatures with boundary corrections.
+def crossing_sum(crossings):
+    """Index from crossing forms: signatures with boundary corrections.
 
     Interior crossings contribute sign(Q) = p - q, a crossing at t = 0
-    contributes -q, one at t = 1 contributes +p.  All crossings must be
-    regular.
+    contributes -q, one at t = 1 contributes +p.  The crossings are read
+    in order, and the first non-regular one raises PreconditionError.
     """
     total = 0
-    for t_star in find_crossings(path, lam, tol):
-        c = crossing_form(path, lam, t_star, h=h, tol=tol)
+    for c in crossings:
         if not c.regular:
             raise PreconditionError(
-                f"non-regular crossing at t={t_star}",
+                f"non-regular crossing at t={c.t_star}",
                 where="maslov_via_crossings",
             )
         p, q = c.signature
-        if t_star <= 1e-9:
+        if c.t_star <= 1e-9:
             total -= q
-        elif t_star >= 1.0 - 1e-9:
+        elif c.t_star >= 1.0 - 1e-9:
             total += p
         else:
             total += p - q
     return total
+
+
+def maslov_via_crossings(path, lam, tol=DEFAULT_TOL, h=None):
+    """Index as ``crossing_sum`` over the crossing forms of the path.
+
+    All crossings must be regular.  Each form is built only after the
+    ones before it passed, so the first non-regular crossing raises
+    before later forms are differentiated.
+    """
+    return crossing_sum(
+        crossing_form(path, lam, t_star, h=h, tol=tol)
+        for t_star in find_crossings(path, lam, tol)
+    )

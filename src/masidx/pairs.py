@@ -272,7 +272,8 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
     speed = 4.0 * np.linalg.norm(gamma, 2) * max(_probe_rate(path), 1e-2)
     beta = 0.2
     knots = [t for t, _ in path.samples]
-    out = [(0.0, gamma_reduce(pp, path.at(0.0), tol))]
+    frame = path.at(0.0)
+    out = [(0.0, gamma_reduce(pp, frame, tol))]
     t = 0.0
     next_knot = 1
     steps = 0
@@ -283,14 +284,15 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
                 "reduction conditioning defeats resampling",
                 where="gamma_reduce_path",
             )
-        sigma = np.linalg.svd(gamma @ path.at(t).F, compute_uv=False).min()
+        sigma = np.linalg.svd(gamma @ frame.F, compute_uv=False).min()
         h = max(beta * sigma / speed, 1e-12)
         while next_knot < len(knots) and knots[next_knot] <= t:
             next_knot += 1
         t2 = min(1.0, t + h)
         if next_knot < len(knots):
             t2 = min(t2, knots[next_knot])
-        out.append((t2, gamma_reduce(pp, path.at(t2), tol)))
+        frame = path.at(t2)
+        out.append((t2, gamma_reduce(pp, frame, tol)))
         t = t2
     refiner = lambda s: gamma_reduce(pp, path.refiner(s), tol)
     return LagrangianPath(samples=tuple(out), refiner=refiner)

@@ -60,6 +60,7 @@ _TRACK_LO = -0.3
 _TRACK_HI = 1.3
 _MOTION = 0.2
 _GRID = 0.29
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 @lru_cache(maxsize=8)
@@ -321,12 +322,25 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
             found,
         )
     found.sort()
-    out = []
+    roots = []
     for s in found:
-        if out and s - out[-1] <= 100.0 * tol.bisect_t:
+        if roots and s - roots[-1] <= _merge_window(s, tol):
+            if shoot(s)[1] < shoot(roots[-1])[1]:
+                roots[-1] = s
             continue
-        out.extend([s] * _multiplicity(shoot, s))
+        roots.append(s)
+    out = [s for s in roots for _ in range(_multiplicity(shoot, s))]
     return np.array([s for s in out if lo - 1e-12 <= s <= hi + 1e-12])
+
+
+def _merge_window(s, tol):
+    """Distance below which two found roots are one.
+
+    The bounded dip search stops within 4 (sqrt(eps) |s| + xatol / 3) of
+    its minimum (scipy's fminbound rule), so away from s = 0 it resolves
+    a root that sits on a grid point more coarsely than ``bisect_t``.
+    """
+    return 100.0 * tol.bisect_t + 4.0 * _SQRT_EPS * abs(s)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from masidx import cli, standard_space
+from masidx import cli, crossings, maslov_via_crossings, standard_space
 from conftest import random_structure_space, spinner_expected, spinner_path
 
 # eigenphases move from phases to phases + pi * rates; every endpoint stays
@@ -80,6 +80,45 @@ def test_general_space_crossings_give_spinner_value(rng, tmp_path, capsys):
         (np.pi - phase) / (np.pi * rate), abs=1e-8
     )
     assert crossing["signature"] == [1, 0]
+
+
+def _counting_search(monkeypatch, *modules):
+    """Wrap find_crossings in ``modules``; returns the list of its calls."""
+    calls = []
+    search = crossings.find_crossings
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "find_crossings", counting)
+    return calls
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
+                                             capsys, monkeypatch):
+    calls = _counting_search(monkeypatch, cli, crossings)
+    body, expected = _spinner_body(3, 5, rng)
+    body["richardson"] = richardson
+    code, out, _ = _run(tmp_path, capsys, "crossings", body)
+    assert code == 0, out
+    assert out["value"] == expected
+    assert len(out["crossings"]) == 3
+    assert len(calls) == 1
+
+
+def test_richardson_crossings_report_the_plain_crossing_sum(
+    rng, tmp_path, capsys, monkeypatch
+):
+    calls = _counting_search(monkeypatch, cli)
+    body, _ = _spinner_body(4, 5, rng, random_structure_space(4, rng))
+    body["richardson"] = True
+    code, out, _ = _run(tmp_path, capsys, "crossings", body)
+    assert code == 0, out
+    (args,) = calls
+    assert out["value"] == maslov_via_crossings(*args)
 
 
 def test_refine_factor_matches_dense_sampling(rng, tmp_path, capsys):
@@ -215,7 +254,16 @@ def _ladder_flow(a0, r):
 
 
 @pytest.mark.parametrize(
-    "a0, r, flow", [([0.3], [3.5], 1), ([0.3, -0.3], [-3.5, -3.2], -3)]
+    "a0, r, flow",
+    [
+        ([0.3], [3.5], 1),
+        ([0.3, -0.3], [-3.5, -3.2], -3),
+        # at t = 0.375 the root s = 0.9 sits on a grid point of the
+        # eigenvalue search, which once reported it twice
+        ([0.3, -0.3], [3.5, 3.2], 2),
+        # two ladders meet at t = 0.35, s = 0.725
+        ([0.2, 0.9], [1.5, -0.5], 0),
+    ],
 )
 def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
                                                 capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from masidx import (
     AmbiguityError,
+    Crossing,
     PreconditionError,
     horizontal_frame,
     lagrangian,
@@ -12,6 +13,7 @@ from masidx import (
     lagrangian_path_from_function,
     crossing_form,
     crossing_form_phase,
+    crossing_sum,
     find_crossings,
     maslov,
     maslov_via_crossings,
@@ -100,6 +102,39 @@ def test_boundary_crossings_use_one_sided_counts(theta0, theta1, expected):
     assert maslov(path, ref).value == expected
 
 
+def _crossing(t_star, signature, regular=True):
+    dim = sum(signature)
+    return Crossing(
+        t_star=t_star,
+        kernel=np.zeros((2 * dim, dim)),
+        form=np.diag([1.0] * signature[0] + [-1.0] * signature[1]),
+        signature=signature,
+        regular=regular,
+    )
+
+
+@pytest.mark.parametrize(
+    "t_star, expected", [(0.0, -2), (1.0, 3), (0.4, 1), (1e-10, -2)]
+)
+def test_crossing_sum_boundary_rules(t_star, expected):
+    assert crossing_sum([_crossing(t_star, (3, 2))]) == expected
+
+
+def test_crossing_sum_adds_every_crossing():
+    forms = [_crossing(0.0, (1, 1)), _crossing(0.5, (2, 0)),
+             _crossing(0.7, (0, 1)), _crossing(1.0, (0, 2))]
+    assert crossing_sum(forms) == -1 + 2 - 1 + 0
+    assert crossing_sum([]) == 0
+
+
+def test_crossing_sum_rejects_a_non_regular_crossing():
+    forms = [_crossing(0.2, (1, 0)), _crossing(0.5, (1, 0), regular=False)]
+    with pytest.raises(PreconditionError) as err:
+        crossing_sum(forms)
+    assert err.value.where == "maslov_via_crossings"
+    assert err.value.reason == "non-regular crossing at t=0.5"
+
+
 def test_clock_change_preserves_the_signature():
     base, ref = sweep(5 * np.pi / 6, 7 * np.pi / 6, num=65)
     warped = lagrangian_path_from_function(lambda t: base.at(t**3), num=65)
@@ -158,8 +193,9 @@ def test_mixed_crossing_is_flagged_irregular():
     assert c.dim == 2
     assert not c.regular
     assert c.signature == (1, 0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         maslov_via_crossings(path, ref)
+    assert err.value.where == "maslov_via_crossings"
     assert maslov(path, ref).value == 1
 
 

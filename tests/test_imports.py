@@ -1,8 +1,8 @@
 """Static checks on the imports of the package modules.
 
 Every imported name is used (a name listed in ``__all__`` counts as a
-re-export), and the CLI reaches the other modules through their public
-names only.
+re-export), every name listed in ``__all__`` is bound in its module, and
+the CLI reaches the other modules through their public names only.
 """
 
 import ast
@@ -23,15 +23,40 @@ def _imports(tree):
                 yield node, bound, alias.name
 
 
-def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _exported(tree):
+    """The names listed in the module's ``__all__``."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__"
             for t in node.targets
         ):
-            used |= {elt.value for elt in node.value.elts}
-    return used
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return used | _exported(tree)
+
+
+def _module_bindings(tree):
+    """Names bound by the module's top-level statements."""
+    bound = {b for _, b, _ in _imports(tree)}
+    for node in tree.body:
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                bound |= {
+                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
+                }
+    return bound
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -40,6 +65,12 @@ def test_every_imported_name_is_used(path):
     used = _used_names(tree)
     unused = sorted(b for _, b, _ in _imports(tree) if b not in used)
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    tree = ast.parse(path.read_text())
+    assert sorted(_exported(tree) - _module_bindings(tree)) == []
 
 
 def test_cli_imports_no_private_names_from_sibling_modules():

@@ -299,6 +299,23 @@ def test_reduction_preserves_transversal_paths(rng):
     assert maslov(reduced, pp.ell_minus).value == 0
 
 
+def test_reduction_march_evaluates_each_time_once():
+    """The march steps from the frame it has just reduced: one refiner
+    call per marched time, plus the midpoint probes of the rate estimate."""
+    pp = coordinate_pair(2, [2.0, 0.5])
+    base, _ = spinner_path(pp.big, [0.3, -1.0], [1.5, -1.2], num=5)
+    calls = []
+
+    def refiner(t):
+        calls.append(t)
+        return base.refiner(t)
+
+    reduced = gamma_reduce_path(pp, lagrangian_path(base.samples, refiner))
+    probes = len(base.samples) - 1
+    assert len(calls) == len(reduced.samples) + probes
+    assert calls[probes:] == [t for t, _ in reduced.samples]
+
+
 def test_reduction_of_a_single_direction_loop():
     """Rotating one plus direction through the minus factor: the reduced
     path follows the rescaled rotation, crosses once at the half turn with

@@ -216,11 +216,6 @@ def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     assert args and len(set(args)) == len(args)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a root on a grid point is reported again by the dip search "
-    "of the neighbouring cell, 2e-8 away, outside the merge window",
-)
 def test_root_on_a_grid_point_is_reported_once():
     # the grid starts at -0.55 with step 0.29, so 0.61 is a grid point
     C = 0.61 * np.eye(2)
