@@ -19,7 +19,9 @@ AmbiguityError.
 
 Lagrangian paths are converted through the pair unitary with a fixed
 reference and the same machinery applies.  ``spectral.spectral_flow``
-counts with the same helpers on the real line.
+counts with the same ``_test_value`` and ``_count_on_arc`` on the real
+line, where the blocked intervals are Weyl balls around both end spectra
+and no eigenvalue is matched.
 """
 
 from dataclasses import dataclass, field
@@ -263,20 +265,12 @@ class IndexReport:
     diagnostics: dict
 
 
-def _assign(cost, reach):
-    """Cheapest matching of rows to columns, without pairs costing more
-    than ``reach``; returns (rows, cols)."""
-    rows, cols = linear_sum_assignment(cost)
-    keep = cost[rows, cols] <= reach
-    return rows[keep], cols[keep]
-
-
 def _match(prev, cur):
     """Permutation of cur minimizing total circular distance to prev."""
     diff = np.abs(
         np.angle(np.exp(1j * (cur[None, :] - prev[:, None])))
     )
-    return _assign(diff, np.inf)[1]
+    return linear_sum_assignment(diff)[1]
 
 
 def _blocked_intervals(s0, s1):
@@ -299,11 +293,11 @@ def _blocked_intervals(s0, s1):
 def _test_value(blocked, tol):
     """Admissible test value for one subinterval, or None.
 
-    ``blocked`` lists the closed offset intervals swept by matched
-    spectral motion.  Each is clamped to [0, EPS_CAP]; one that clamps to
-    nothing or to {0} blocks nothing.  The test value is the midpoint of
-    the widest free gap in (0, EPS_CAP], and None when the clearance (half
-    its width) is below ``tol.clearance``.
+    ``blocked`` lists the closed offset intervals that the spectrum may
+    sweep on the subinterval.  Each is clamped to [0, EPS_CAP]; one that
+    clamps to nothing or to {0} blocks nothing.  The test value is the
+    midpoint of the widest free gap in (0, EPS_CAP], and None when the
+    clearance (half its width) is below ``tol.clearance``.
     """
     gaps = []
     cursor = 0.0

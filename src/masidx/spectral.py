@@ -1,9 +1,9 @@
 """Spectral flow of constant-coefficient first-order boundary problems.
 
-A family member is the operator  JJ u' + B u + C_t u  on [0, 1] with
-JJ = [[0, I], [-I, 0]], B symmetric and anticommuting with JJ, C_t
-symmetric, and boundary conditions u(0) in lambda0, u(1) in lambda1.
-s is an eigenvalue iff the constant-coefficient flow
+A family member is the operator  JJ u' + (JJ B) u + C_t u  on [0, 1] with
+JJ = [[0, I], [-I, 0]], B symmetric and anticommuting with JJ (so JJ B is
+symmetric), C_t symmetric, and boundary conditions u(0) in lambda0,
+u(1) in lambda1.  s is an eigenvalue iff the constant-coefficient flow
 Phi_{t,s} = expm(-B + JJ C_t - s JJ) moves lambda0 onto a subspace
 meeting lambda1.  ``eigenvalues_near`` shoots through one ``_Shooter``
 per family time, which forms -B + JJ C_t once and shoots each s once.
@@ -12,10 +12,14 @@ The flow of eigenvalues through 0 as t sweeps [0, 1] is counted by the
 same code as the unitary index (``paths._test_value`` and
 ``paths._count_on_arc``): a partition of [0, 1] with one admissible test
 value per interval, and the arc [0, eps] on the real axis (closed at 0).
-Only the blocked intervals differ: a matched pair of eigenvalues blocks
-the segment between them.  The coincidence theorem equates the flow with
-the index of the Cauchy-data path in the doubled space against
-lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
+Only the blocked intervals differ.  Two family members differ by the
+bounded symmetric multiplication C_t - C_t', so no eigenvalue moves
+farther than ||C_t - C_t'||_2 (Weyl): a ball of the piece's radius around
+every eigenvalue at either end blocks all the spectrum the piece can
+reach, and no eigenvalue is matched across samples.  The coincidence
+theorem equates the flow with the index of the Cauchy-data path in the
+doubled space against lambda0 ⊞ lambda1, and ``verify_coincidence``
+computes both sides.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +39,6 @@ from .core import (
 from .errors import AmbiguityError, PreconditionError, ValidationError
 from .paths import (
     LagrangianPath,
-    _assign,
     _count_on_arc,
     _test_value,
     maslov,
@@ -56,9 +59,11 @@ __all__ = [
 
 _DETECT_LO = -0.55
 _DETECT_HI = 1.55
-_TRACK_LO = -0.3
-_TRACK_HI = 1.3
-_MOTION = 0.2
+# Test values lie in (0, EPS_CAP] = (0, 1], and the detection window
+# reaches 0.55 past both ends of that range.  An eigenvalue outside the
+# window is therefore farther than _REACH from every test value and
+# cannot reach one on a piece whose radius is at most _REACH.
+_REACH = 0.5
 _GRID = 0.29
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
@@ -243,6 +248,11 @@ def _multiplicity(shoot, s, thresh=1e-6):
     return max(1, int(np.count_nonzero(sv < thresh)))
 
 
+def _bracketed_root(shoot, a, b, tol):
+    """The root of the shooting determinant between a sign change."""
+    return float(brentq(lambda s: shoot(s)[0], a, b, xtol=tol.bisect_t))
+
+
 def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
     """Collect zeros of the shooting determinant inside (lo, hi).
 
@@ -251,19 +261,12 @@ def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
     come back inside it, which the slope bound excludes once the edges
     clear ``slope * width``; otherwise split until individual roots show
     up as sign changes or the dip search resolves a genuine tangency.
+    A dip root of odd multiplicity changes the sign of the determinant,
+    so between edges of one sign it has a partner, bracketed beside it.
     """
     (dlo, mlo), (dhi, mhi) = flo, fhi
     if (dlo < 0.0) != (dhi < 0.0):
-        found.append(
-            float(
-                brentq(
-                    lambda s: shoot(s)[0],
-                    lo,
-                    hi,
-                    xtol=tol.bisect_t,
-                )
-            )
-        )
+        found.append(_bracketed_root(shoot, lo, hi, tol))
         return
     if min(mlo, mhi) >= slope * (hi - lo):
         return
@@ -284,7 +287,14 @@ def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
             options={"xatol": tol.bisect_t},
         )
         if res.fun < 1e-6:
-            found.append(float(res.x))
+            x = float(res.x)
+            found.append(x)
+            if _multiplicity(shoot, x) % 2:
+                # the edges share a sign, so an odd root has a partner
+                w = _merge_window(x, tol)
+                for a, b in ((lo, x - w), (x + w, hi)):
+                    if a < b and (shoot(a)[0] < 0.0) != (shoot(b)[0] < 0.0):
+                        found.append(_bracketed_root(shoot, a, b, tol))
 
 
 def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
@@ -356,21 +366,34 @@ class SpectralFlowReport:
     diagnostics: dict
 
 
-def _pairs(prev, cur):
-    """Nearby eigenvalues of adjacent samples, matched one to one."""
-    return _assign(np.abs(cur[None, :] - prev[:, None]), 2.0)
+def _radius(bp, t0, t1):
+    """Largest ||C_t - C_{t0}||_2 over the piece [t0, t1].
+
+    Read at t1 and at the family nodes inside the piece.  For a sampled
+    family C_t is linear between nodes, where the norm is convex in t, so
+    the value is the exact supremum.  A ``c_func`` family is read at the
+    same points, and between them the value is a heuristic.
+    """
+    c0 = bp.c_at(t0)
+    inner = bp.ts[(bp.ts > t0) & (bp.ts < t1)]
+    return max(
+        float(np.linalg.norm(bp.c_at(t) - c0, 2)) for t in (*inner, t1)
+    )
 
 
-def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25):
+def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
     Preconditions: no eigenvalue within 1e-8 of +-window at t = 0 or 1.
     AmbiguityError when no admissible test value exists at the achievable
     time resolution (tangential crossing).
 
-    Starts from ``nodes`` uniform time samples and inserts midpoints until
-    adjacent spectra near 0 are in slow-motion correspondence, so the
-    count is independent of the family's own sampling density.
+    Phillips' count.  The partition starts from {0, 1}.  A piece of
+    radius r (``_radius``) at most ``_REACH`` takes as its test value eps
+    the midpoint of the widest gap left by the balls (s - r, s + r) around
+    the eigenvalues s at both of its ends; by Weyl no eigenvalue on the
+    piece reaches eps, so the piece adds the change in the number of
+    eigenvalues in [0, eps] between its ends.  Any other piece is halved.
     """
     for t_end in (0.0, 1.0):
         for edge in (-window, window):
@@ -390,57 +413,31 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL, nodes=25):
             spectra[t] = eigenvalues_near(bp, t, _DETECT_LO, _DETECT_HI, tol)
         return spectra[t]
 
-    def tracked(s):
-        return _TRACK_LO <= s <= _TRACK_HI
-
-    def step_ok(prev, cur):
-        # matched pairs near the counting region must move slowly, and
-        # nothing may appear or vanish there between adjacent samples
-        rows, cols = _pairs(prev, cur)
-        for a, b in zip(rows, cols):
-            if (tracked(prev[a]) or tracked(cur[b])) and abs(
-                cur[b] - prev[a]
-            ) > _MOTION:
-                return False
-        for k, s in enumerate(prev):
-            if k not in rows and tracked(s):
-                return False
-        for k, s in enumerate(cur):
-            if k not in cols and tracked(s):
-                return False
-        return True
-
-    ts = [float(t) for t in np.linspace(0.0, 1.0, max(2, nodes))]
-    i = 0
-    while i < len(ts) - 1:
-        if step_ok(spec(ts[i]), spec(ts[i + 1])):
-            i += 1
-            continue
-        if ts[i + 1] - ts[i] <= 1e-9 or len(ts) > 5000:
-            raise AmbiguityError(
-                "eigenvalue tracking did not stabilize",
-                where="spectral_flow",
-            )
-        ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
-
+    ts = [0.0, 1.0]
     total = 0
     epsilons = []
     snap = tol.flow_snap
-    for i in range(len(ts) - 1):
-        prev, cur = spec(ts[i]), spec(ts[i + 1])
-        rows, cols = _pairs(prev, cur)
-        eps = _test_value(
-            [sorted((prev[a], cur[b])) for a, b in zip(rows, cols)], tol
-        )
-        if eps is None:
+    i = 0
+    while i < len(ts) - 1:
+        t0, t1 = ts[i], ts[i + 1]
+        r = _radius(bp, t0, t1)
+        eps = None
+        if r <= _REACH:
+            ends = np.concatenate([spec(t0), spec(t1)])
+            eps = _test_value([(s - r, s + r) for s in ends], tol)
+        if eps is not None:
+            epsilons.append(eps)
+            total += _count_on_arc(spec(t1), eps, snap) - _count_on_arc(
+                spec(t0), eps, snap
+            )
+            i += 1
+            continue
+        if t1 - t0 <= 1e-9 or len(ts) > 5000:
             raise AmbiguityError(
                 "no admissible test value (tangential crossing?)",
                 where="spectral_flow",
             )
-        epsilons.append(eps)
-        total += _count_on_arc(cur, eps, snap) - _count_on_arc(
-            prev, eps, snap
-        )
+        ts.insert(i + 1, 0.5 * (t0 + t1))
 
     return SpectralFlowReport(
         value=int(total),

@@ -263,6 +263,11 @@ def _ladder_flow(a0, r):
         ([0.3, -0.3], [3.5, 3.2], 2),
         # two ladders meet at t = 0.35, s = 0.725
         ([0.2, 0.9], [1.5, -0.5], 0),
+        # more ladder meetings; at t = 0.8625 the first has two roots
+        # 3.5e-3 apart inside one cell of the eigenvalue search
+        ([1.789, 1.368], [1.708, 2.192], 2),
+        ([-0.574, 0.876], [-2.956, 2.565], 0),
+        ([-0.382, 0.965, 0.853], [-2.171, -1.174, -0.523], -1),
     ],
 )
 def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
@@ -273,8 +278,16 @@ def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
     assert out["value"] == flow
 
 
-def test_verify_coincidence_on_a_ladder(tmp_path, capsys):
-    a0, r = [1.0], [-4.2]
+@pytest.mark.parametrize(
+    "a0, r",
+    [
+        ([1.0], [-4.2]),
+        # the benchmark's defect-(e) family, with eigenvalues at the edges
+        # of the detection window
+        ([-1.62565259, 0.39809789], [-2.258514, -2.22104573]),
+    ],
+)
+def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
     code, out, _ = _run(
         tmp_path, capsys, "verify-coincidence", _ladder_body(a0, r)
     )

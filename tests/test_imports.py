@@ -1,8 +1,9 @@
 """Static checks on the imports of the package modules.
 
 Every imported name is used (a name listed in ``__all__`` counts as a
-re-export), every name listed in ``__all__`` is bound in its module, and
-the CLI reaches the other modules through their public names only.
+re-export), every name listed in ``__all__`` is bound in its module, every
+private top-level name is referenced somewhere in the package, and the
+CLI reaches the other modules through their public names only.
 """
 
 import ast
@@ -40,22 +41,30 @@ def _used_names(tree):
     return used | _exported(tree)
 
 
+def _statement_bindings(stmt):
+    """Names a top-level def, class or assignment binds."""
+    if isinstance(
+        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        )
+        return {
+            n.id
+            for target in targets
+            for n in ast.walk(target)
+            if isinstance(n, ast.Name)
+        }
+    return set()
+
+
 def _module_bindings(tree):
     """Names bound by the module's top-level statements."""
     bound = {b for _, b, _ in _imports(tree)}
     for node in tree.body:
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                bound |= {
-                    n.id for n in ast.walk(target) if isinstance(n, ast.Name)
-                }
+        bound |= _statement_bindings(node)
     return bound
 
 
@@ -84,3 +93,33 @@ def test_cli_imports_no_private_names_from_sibling_modules():
         and not name.endswith("__")
     )
     assert private == []
+
+
+def _references(node):
+    """Names a statement reads, reaches as attributes, or imports."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs |= {alias.name for alias in n.names}
+    return refs
+
+
+def test_every_private_name_is_used():
+    """A private name that only its own definition mentions is a leftover."""
+    statements = [
+        stmt for path in MODULES for stmt in ast.parse(path.read_text()).body
+    ]
+    refs = [_references(stmt) for stmt in statements]
+    unused = sorted(
+        name
+        for i, stmt in enumerate(statements)
+        for name in _statement_bindings(stmt)
+        if name.startswith("_")
+        and not name.endswith("__")
+        and not any(name in r for j, r in enumerate(refs) if j != i)
+    )
+    assert unused == []

@@ -29,9 +29,40 @@ from masidx import (
 from conftest import (
     random_admissible,
     random_boundary_family,
+    random_lagrangian,
     random_symmetric,
     rotation_problem,
 )
+
+
+def _ladder_problem(a0, r, nodes=5):
+    """B = 0, C_t = blockdiag(a_t, a_t) with a_t = diag(a0 + r t), sampled
+    at ``nodes`` times, horizontal boundary conditions: the eigenvalues
+    are the decoupled ladders s = a_j(t) + k pi."""
+    N = len(a0)
+    z = np.zeros((N, N))
+    family = []
+    for t in np.linspace(0.0, 1.0, nodes):
+        a = np.diag(np.add(a0, np.multiply(r, t)))
+        family.append((float(t), np.block([[a, z], [z, a]])))
+    lam = np.vstack([np.eye(N), z])
+    return boundary_problem(N, np.zeros((2 * N, 2 * N)), family, lam, lam)
+
+
+def _piecewise_linear_family(N, nodes, rng):
+    """Random admissible family sampled at ``nodes`` uneven times, with
+    no ``c_func``: C_t is linear between the nodes."""
+    inner = np.sort(rng.uniform(0.05, 0.95, nodes - 2))
+    ts = np.concatenate([[0.0], inner, [1.0]])
+    family = [(float(t), random_symmetric(2 * N, rng, 1.5)) for t in ts]
+    space = standard_space(N)
+    return boundary_problem(
+        N,
+        random_admissible(N, rng, 0.5),
+        family,
+        random_lagrangian(space, rng).F,
+        random_lagrangian(space, rng).F,
+    )
 
 
 def ladder(t, lo, hi):
@@ -226,6 +257,18 @@ def test_root_on_a_grid_point_is_reported_once():
     )
 
 
+def test_close_root_pair_without_a_sign_change_is_reported():
+    """Two simple roots 3.5e-3 apart inside one grid cell leave its edges
+    of one sign; the dip search finds one and the other is bracketed
+    beside it."""
+    bp = _ladder_problem((1.789, 1.368), (1.708, 2.192))
+    np.testing.assert_allclose(
+        eigenvalues_near(bp, 0.8625, -0.55, 1.55),
+        [0.117007, 0.120557],
+        atol=1e-6,
+    )
+
+
 def test_eigenvalue_multiplicity_is_reported():
     z = np.zeros((4, 4))
     lam = np.eye(4)[:, :2]
@@ -255,7 +298,49 @@ def test_rotation_flow_is_one():
     assert rep.value == 1
     assert len(rep.epsilons) == len(rep.partition) - 1
     assert np.all(rep.epsilons > 0.0) and np.all(rep.epsilons <= 1.0)
-    assert rep.diagnostics["time_samples"] >= 25
+    assert rep.diagnostics["time_samples"] == len(rep.partition)
+
+
+def test_radius_is_the_largest_weyl_shift_on_the_piece(rng):
+    bp = _piecewise_linear_family(2, 7, rng)
+    nodes = bp.ts
+    pieces = [
+        (0.0, 1.0),
+        (nodes[1], nodes[4]),
+        (0.5 * (nodes[2] + nodes[3]), nodes[5]),
+        (nodes[3], nodes[4]),
+        (nodes[2] + 0.25 * (nodes[3] - nodes[2]),
+         nodes[2] + 0.75 * (nodes[3] - nodes[2])),
+    ]
+    counts = []
+    for t0, t1 in pieces:
+        c0 = bp.c_at(t0)
+        inner = nodes[(nodes > t0) & (nodes < t1)]
+        counts.append(inner.size)
+        r = spectral._radius(bp, t0, t1)
+        want = max(
+            np.linalg.norm(bp.c_at(t) - c0, 2) for t in (*inner, t1)
+        )
+        assert r == want
+        grid = np.linspace(t0, t1, 401)
+        worst = max(np.linalg.norm(bp.c_at(t) - c0, 2) for t in grid)
+        assert worst <= r + 1e-12
+    assert 0 in counts and max(counts) >= 2
+
+
+def test_test_values_are_admissible_inside_their_pieces(rng):
+    """Phillips admissibility, checked from the spectra alone: inside each
+    piece of the partition no eigenvalue comes near its test value."""
+    bp = _piecewise_linear_family(2, 5, rng)
+    rep = spectral_flow(bp)
+    tol = spectral.DEFAULT_TOL
+    closest = np.inf
+    for t0, t1, eps in zip(rep.partition, rep.partition[1:], rep.epsilons):
+        for t in np.linspace(t0, t1, 5)[1:-1]:
+            evs = eigenvalues_near(bp, t, -0.55, 1.55)
+            if evs.size:
+                closest = min(closest, np.min(np.abs(evs - eps)))
+    assert closest > tol.clearance
 
 
 def test_reversed_rotation_flows_down():
