@@ -15,14 +15,19 @@ nodes of a piecewise-geodesic interpolation, inserting r - 1 intermediate
 samples per gap and attaching the interpolant as a refiner.  Each gap
 carries one principal-logarithm geodesic (``paths.unitary_geodesic``)
 between its end unitaries, evaluated lazily: only the samples the index
-actually asks for are built.  Unitary paths interpolate their own
-samples.  Lagrangian paths interpolate their pair unitaries against the
-horizontal Lagrangian of the standard model, pulled back into the input's
-space, and a frame is recovered with ``lagrangian_from_souriau`` at each
-requested time.  With the default r = 1 the samples are used as-is and
-under-resolved inputs fail with an ambiguity error rather than being
-silently interpolated.  The crossings and reduce subcommands always
-interpolate (root isolation and reduction need a continuous path).
+actually asks for are built.  A path may hold at most
+``paths.MAX_SAMPLES`` samples, so a larger r is rejected before any is
+built.  Unitary paths interpolate their own samples.  maslov counts the
+pair unitaries W(lam, mu_i) of its nodes against the reference lam as a
+unitary path, interpolated the same way; no frame is built between the
+nodes.  crossings, reduce and pair-maslov need frames: they interpolate
+the pair unitaries against the horizontal Lagrangian of the standard
+model, pulled back into the input's space, and recover a frame with
+``lagrangian_from_souriau`` at each requested time.  With the default
+r = 1 the samples are used as-is and under-resolved inputs fail with an
+ambiguity error rather than being silently interpolated.  The crossings
+and reduce subcommands always interpolate (root isolation and reduction
+need a continuous path).
 """
 
 import argparse
@@ -50,6 +55,7 @@ from .indices import (
 )
 from .crossings import crossing_form, crossing_sum, find_crossings
 from .paths import (
+    MAX_SAMPLES,
     LagrangianPath,
     UnitaryPath,
     maslov,
@@ -104,7 +110,10 @@ def _load_input(path):
 def _real_number(x, where):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail("expected a number", where)
-    return float(x)
+    x = float(x)
+    if not np.isfinite(x):
+        _fail("number must be finite", where)
+    return x
 
 
 def _real_matrix(obj, shape, where):
@@ -194,10 +203,16 @@ def _unitary_nodes(obj, n, where):
 
 
 def _segment_times(ts, factor):
+    if (len(ts) - 1) * factor + 1 > MAX_SAMPLES:
+        _fail(
+            f"--refine-factor {factor} gives more than {MAX_SAMPLES} "
+            "samples",
+            "arguments",
+        )
     out = []
     for i in range(len(ts) - 1):
-        for k in range(max(1, factor)):
-            out.append(ts[i] + (ts[i + 1] - ts[i]) * k / max(1, factor))
+        for k in range(factor):
+            out.append(ts[i] + (ts[i + 1] - ts[i]) * k / factor)
     out.append(ts[-1])
     return out
 
@@ -231,6 +246,7 @@ def _lagrangian_path(ts, frames, factor, tol):
         return LagrangianPath(
             samples=tuple(zip(ts, frames)), refiner=None
         )
+    nodes = _segment_times(ts, factor)
     # the horizontal frame of a general space need not be Lagrangian, so
     # the reference is built in the standard model and pulled back
     space = frames[0].space
@@ -243,7 +259,6 @@ def _lagrangian_path(ts, frames, factor, tol):
     def refiner(t):
         return lagrangian_from_souriau(ref, geodesic(t))
 
-    nodes = _segment_times(ts, factor)
     return LagrangianPath(
         samples=tuple((t, refiner(t)) for t in nodes), refiner=refiner
     )
@@ -252,8 +267,8 @@ def _lagrangian_path(ts, frames, factor, tol):
 def _unitary_cli_path(ts, mats, factor, tol):
     if factor <= 1:
         return UnitaryPath(samples=tuple(zip(ts, mats)), refiner=None)
-    refiner = _geodesic_refiner(ts, mats, tol)
     nodes = _segment_times(ts, factor)
+    refiner = _geodesic_refiner(ts, mats, tol)
     return UnitaryPath(
         samples=tuple((t, refiner(t)) for t in nodes), refiner=refiner
     )
@@ -336,6 +351,12 @@ def _eigen_trace_rows(trace):
 # --------------------------------------------------------------------------
 
 
+def _count_unitary(ts, mats, args, tol):
+    path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
+    report = unitary_maslov(path, tol)
+    return {"value": int(report.value)}, report.trace
+
+
 def _cmd_maslov(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "reference", "path"], ["space"], "input"
@@ -343,18 +364,16 @@ def _cmd_maslov(obj, args, tol):
     space = _space_of(obj, tol)
     lam = _frame(obj["reference"], space, "input.reference")
     ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
-    path = _lagrangian_path(ts, frames, args.refine_factor, tol)
-    report = maslov(path, lam, tol)
-    return {"value": int(report.value)}, report.trace
+    # the index of mu_t against lam is that of its pair unitary
+    # W(lam, mu_t), so the path is interpolated and counted as unitaries
+    return _count_unitary(ts, [souriau(lam, f) for f in frames], args, tol)
 
 
 def _cmd_unitary_maslov(obj, args, tol):
     _check_keys(obj, ["version", "n", "path"], [], "input")
     n = _positive_int(obj, "n")
     ts, mats = _unitary_nodes(obj["path"], n, "input.path")
-    path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
-    report = unitary_maslov(path, tol)
-    return {"value": int(report.value)}, report.trace
+    return _count_unitary(ts, mats, args, tol)
 
 
 def _cmd_crossings(obj, args, tol):
@@ -513,6 +532,8 @@ def _cmd_reduce(obj, args, tol):
         "input",
     )
     nb, nh = _positive_int(obj, "n_big"), _positive_int(obj, "n_small")
+    if not isinstance(obj["i_plus_diag"], list):
+        _fail('"i_plus_diag" must be a list of numbers', "input.i_plus_diag")
     big, small = standard_space(nb, tol), standard_space(nh, tol)
     pp = polarized_pair(
         lam_plus=_frame(obj["lam_plus"], big, "input.lam_plus"),
@@ -660,6 +681,8 @@ def run(argv=None):
     try:
         if args.refine_factor < 1:
             _fail("--refine-factor must be >= 1", "arguments")
+        if not (np.isfinite(args.window) and args.window > 0):
+            _fail("--window must be a finite number > 0", "arguments")
         if args.trace is not None and trace_kind is None:
             _fail(
                 f"command {args.command} emits no trace", "arguments"

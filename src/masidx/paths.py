@@ -49,10 +49,12 @@ __all__ = [
     "unitary_maslov",
     "maslov",
     "EPS_CAP",
+    "MAX_SAMPLES",
 ]
 
 EPS_CAP = 1.0
-_MAX_SAMPLES = 60000
+# most samples a refined path may hold
+MAX_SAMPLES = 60000
 _MAX_ROUNDS = 24
 
 
@@ -65,6 +67,8 @@ def _check_times(times, where):
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValidationError("need at least two samples", where=where)
+    if not np.all(np.isfinite(times)):
+        raise ValidationError("sample times must be finite", where=where)
     if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
         raise ValidationError(
             "parameter range must be [0, 1]", where=where
@@ -337,7 +341,7 @@ def _adequate(samples, refiner, bound, where):
                 "has no refiner",
                 where=where,
             )
-        if len(samples) + len(inserts) > _MAX_SAMPLES:
+        if len(samples) + len(inserts) > MAX_SAMPLES:
             raise AmbiguityError("refinement exploded", where=where)
         for i in reversed(inserts):
             tm = 0.5 * (samples[i][0] + samples[i + 1][0])
@@ -354,7 +358,7 @@ def _insert_midpoint(samples, i, refiner, where):
             "(undersampled) and the path has no refiner",
             where=where,
         )
-    if len(samples) >= _MAX_SAMPLES:
+    if len(samples) >= MAX_SAMPLES:
         raise AmbiguityError("refinement exploded", where=where)
     tm = 0.5 * (samples[i][0] + samples[i + 1][0])
     samples.insert(i + 1, (tm, refiner(tm)))

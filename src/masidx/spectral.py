@@ -151,6 +151,7 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     ts = np.array([float(t) for t, _ in family])
     if (
         ts.size < 2
+        or not np.all(np.isfinite(ts))
         or abs(ts[0]) > 1e-12
         or abs(ts[-1] - 1.0) > 1e-12
         or np.any(np.diff(ts) <= 0)

@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/record_golden.py
 
-Builds the ``crossings`` and ``reduce`` inputs from closed-form spinner
-paths, runs each through ``masidx.cli.run`` and writes input, arguments,
-exit code and stdout to ``tests/golden/cli.json``.  Rerun it only when an
+Builds the ``crossings``, ``reduce``, ``maslov`` and ``unitary-maslov``
+inputs from closed-form spinner paths, runs each through
+``masidx.cli.run`` and writes input, arguments, exit code and stdout to
+``tests/golden/cli.json``.  Rerun it only when an
 output is meant to change, and say why in the change that does.
 """
 
@@ -17,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from masidx import cli, standard_space, vertical_frame
+from masidx import cli, souriau, standard_space, vertical_frame
 from conftest import random_structure_space, spinner_path
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -27,15 +28,18 @@ def _real(M):
     return np.asarray(M, dtype=float).tolist()
 
 
-def _spinner(n, phases, rates, rng, space=None):
-    """Reference and 5 node frames of a spinner, pulled into ``space``."""
-    path, ref = spinner_path(standard_space(n), phases, rates, rng=rng, num=5)
+def _spinner(n, phases, rates, rng, space=None, num=5):
+    """Reference and ``num`` node frames of a spinner, pulled into
+    ``space``."""
+    path, ref = spinner_path(standard_space(n), phases, rates, rng=rng,
+                             num=num)
     pull = np.eye(2 * n) if space is None else space.standardization.inverse
     return pull @ ref.F, [(t, pull @ f.F) for t, f in path.samples]
 
 
-def _crossings_body(n, phases, rates, rng, space=None, richardson=False):
-    ref, frames = _spinner(n, phases, rates, rng, space)
+def _crossings_body(n, phases, rates, rng, space=None, richardson=False,
+                    num=5):
+    ref, frames = _spinner(n, phases, rates, rng, space, num)
     body = {"version": 1, "n": n, "reference": _real(ref),
             "path": [{"t": t, "frame": _real(F)} for t, F in frames]}
     if space is not None:
@@ -43,6 +47,20 @@ def _crossings_body(n, phases, rates, rng, space=None, richardson=False):
     if richardson:
         body["richardson"] = True
     return body
+
+
+def _unitary_body(body):
+    """unitary-maslov input: the pair unitaries of a maslov input."""
+    space = standard_space(body["n"])
+    if "space" in body:
+        space = cli._space_of(body, cli.DEFAULT_TOL)
+    ref = cli._frame(body["reference"], space, "reference")
+    path = []
+    for node in body["path"]:
+        W = souriau(ref, cli._frame(node["frame"], space, "frame"))
+        path.append({"t": node["t"],
+                     "U": np.stack([W.real, W.imag], axis=-1).tolist()})
+    return {"version": 1, "n": body["n"], "path": path}
 
 
 def _reduce_body(n, phases, rates, rng, i_plus_diag):
@@ -79,6 +97,19 @@ def cases():
         _reduce_body(2, [0.3, -2.5], [1.5, -0.6], np.random.default_rng(7),
                      [0.7, 1.6]),
     ))
+    # factor 1 needs nodes within the adjacency bound: 17 of them
+    for factor, num in ((1, 17), (2, 5)):
+        for name, body in (
+            ("standard-3", _crossings_body(
+                3, phases, rates, np.random.default_rng(8), num=num)),
+            ("general-2", _crossings_body(
+                2, [0.3, -2.5], [1.5, -0.6], np.random.default_rng(9),
+                general, num=num)),
+        ):
+            args = ["--refine-factor", str(factor)]
+            out.append((f"maslov-{name}-r{factor}", "maslov", args, body))
+            out.append((f"unitary-maslov-{name}-r{factor}", "unitary-maslov",
+                        args, _unitary_body(body)))
     return out
 
 

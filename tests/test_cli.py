@@ -1,12 +1,21 @@
 """The JSON command line, driven in-process through ``cli.run``."""
 
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from masidx import cli, crossings, maslov_via_crossings, standard_space
+from masidx import (
+    cli,
+    crossings,
+    horizontal_frame,
+    maslov,
+    maslov_via_crossings,
+    standard_space,
+    vertical_frame,
+)
 from conftest import random_structure_space, spinner_expected, spinner_path
 
 # eigenphases move from phases to phases + pi * rates; every endpoint stays
@@ -82,24 +91,26 @@ def test_general_space_crossings_give_spinner_value(rng, tmp_path, capsys):
     assert crossing["signature"] == [1, 0]
 
 
-def _counting_search(monkeypatch, *modules):
-    """Wrap find_crossings in ``modules``; returns the list of its calls."""
+def _recorded(monkeypatch, name, *modules):
+    """Wrap the function ``name`` of ``modules[0]`` in each of ``modules``;
+    returns the (args, result) of each of its calls."""
     calls = []
-    search = crossings.find_crossings
+    original = getattr(modules[0], name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     for module in modules:
-        monkeypatch.setattr(module, "find_crossings", counting)
+        monkeypatch.setattr(module, name, recording)
     return calls
 
 
 @pytest.mark.parametrize("richardson", [False, True])
 def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
                                              capsys, monkeypatch):
-    calls = _counting_search(monkeypatch, cli, crossings)
+    calls = _recorded(monkeypatch, "find_crossings", crossings, cli)
     body, expected = _spinner_body(3, 5, rng)
     body["richardson"] = richardson
     code, out, _ = _run(tmp_path, capsys, "crossings", body)
@@ -112,12 +123,12 @@ def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
 def test_richardson_crossings_report_the_plain_crossing_sum(
     rng, tmp_path, capsys, monkeypatch
 ):
-    calls = _counting_search(monkeypatch, cli)
+    calls = _recorded(monkeypatch, "find_crossings", cli)
     body, _ = _spinner_body(4, 5, rng, random_structure_space(4, rng))
     body["richardson"] = True
     code, out, _ = _run(tmp_path, capsys, "crossings", body)
     assert code == 0, out
-    (args,) = calls
+    ((args, _),) = calls
     assert out["value"] == maslov_via_crossings(*args)
 
 
@@ -306,3 +317,201 @@ def test_commuting_b_exits_2(tmp_path, capsys):
         "(otherwise the flow is not symplectic)",
         "where": "boundary_problem",
     }
+
+
+# --------------------------------------------------------------------------
+# maslov counts the pair unitaries W(lam, mu_t) directly
+
+
+@pytest.mark.parametrize("n, general", [(3, False), (4, True)])
+def test_refined_maslov_builds_no_frames(n, general, rng, tmp_path, capsys,
+                                         monkeypatch):
+    space = random_structure_space(n, rng) if general else None
+    body, expected = _spinner_body(n, 5, rng, space)
+    # the package re-exports the function under the module's name
+    souriau_module = importlib.import_module("masidx.souriau")
+    calls = _recorded(
+        monkeypatch, "lagrangian_from_souriau", souriau_module, cli
+    )
+    code, out, _ = _run(
+        tmp_path, capsys, "maslov", body, "--refine-factor", "2"
+    )
+    assert code == 0, out
+    assert out["value"] == expected
+    assert calls == []
+    # the same input still gets its frames back for crossings
+    code, _, _ = _run(tmp_path, capsys, "crossings", body)
+    assert code == 0
+    assert calls
+
+
+def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
+    """The report the CLI's maslov counts on ``body`` at factor 2, and the
+    library ``maslov`` report on the interpolated frame path."""
+    calls = _recorded(monkeypatch, "unitary_maslov", cli)
+    code, out, _ = _run(
+        tmp_path, capsys, "maslov", body, "--refine-factor", "2"
+    )
+    assert code == 0, out
+    ((_, got),) = calls
+    tol = cli.DEFAULT_TOL
+    space = cli._space_of(body, tol)
+    lam = cli._frame(body["reference"], space, "reference")
+    ts, frames = cli._lagrangian_nodes(body["path"], space, "path")
+    want = maslov(cli._lagrangian_path(ts, frames, 2, tol), lam, tol)
+    assert got.value == want.value == out["value"]
+    return got, want
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_refined_maslov_counts_on_the_frame_path_partition(n, rng, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    """In the standard model the CLI's unitary path is the frame path's
+    pair-unitary path times a constant unitary, and |dW| = 2 |dP|, so both
+    refine to the same partition."""
+    body, expected = _spinner_body(n, 5, rng)
+    got, want = _cli_and_frame_path_reports(body, monkeypatch, tmp_path,
+                                            capsys)
+    assert got.value == expected
+    np.testing.assert_array_equal(got.partition, want.partition)
+    np.testing.assert_allclose(got.epsilons, want.epsilons, atol=1e-12)
+    assert got.k_counts == want.k_counts
+    # rows are the same multisets; columns follow the eigensolver's order
+    for row, ref_row in zip(got.trace.values, want.trace.values):
+        gap = np.abs(np.angle(np.exp(1j * (row[:, None] - ref_row[None, :]))))
+        assert np.max(np.min(gap, axis=1)) <= 1e-12
+        assert np.max(np.min(gap, axis=0)) <= 1e-12
+
+
+# seeds whose general space makes the frame path refine further
+@pytest.mark.parametrize("n, seed", [(3, 0), (4, 4)])
+def test_refined_maslov_in_a_general_space_skips_frame_gap_samples(
+    n, seed, tmp_path, capsys, monkeypatch
+):
+    """A frame path in a general space is also refined until |dP| <= 0.3 in
+    the input's coordinates, where dP is not half of dW.  The unitary
+    count needs none of those samples: it counts on a proper subset of
+    the partition and gets the same value."""
+    rng = np.random.default_rng(seed)
+    body, expected = _spinner_body(n, 5, rng, random_structure_space(n, rng))
+    got, want = _cli_and_frame_path_reports(body, monkeypatch, tmp_path,
+                                            capsys)
+    assert got.value == expected
+    assert set(got.partition) < set(want.partition)
+
+
+def test_undersampled_maslov_without_refinement_exits_3(rng, tmp_path,
+                                                        capsys):
+    body, _ = _spinner_body(3, 5, rng)
+    code, out, _ = _run(tmp_path, capsys, "maslov", body)
+    assert code == 3
+    assert out == {
+        "reason": "sample spacing violates the adjacency bound and the "
+        "path has no refiner",
+        "where": "unitary_maslov",
+    }
+
+
+# --------------------------------------------------------------------------
+# input and argument validation
+
+
+def _nan_middle_time(body):
+    body["path"][1]["t"] = math.nan
+    return body
+
+
+def _unitary_three_nodes():
+    body = _scalar_unitary_body(0.2)
+    body["path"].insert(1, {"t": 0.5, "U": _complex([[np.exp(0.1j)]])})
+    return body
+
+
+@pytest.mark.parametrize(
+    "command, body, flags, where",
+    [
+        ("unitary-maslov", _nan_middle_time(_unitary_three_nodes()), (),
+         "input.path[1].t"),
+        ("unitary-maslov", _nan_middle_time(_unitary_three_nodes()),
+         ("--refine-factor", "2"), "input.path[1].t"),
+        ("spectral-flow",
+         _ladder_body([0.3], [3.5]) | {"family": [
+             {"t": t, "C": _real(np.zeros((2, 2)))}
+             for t in (0.0, math.nan, 1.0)
+         ]}, (), "input.family[1].t"),
+    ],
+    ids=["unitary-maslov-r1", "unitary-maslov-r2", "spectral-flow"],
+)
+def test_nan_times_exit_2(command, body, flags, where, tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys, command, body, *flags)
+    assert code == 2
+    assert out == {"reason": "number must be finite", "where": where}
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e400"])
+def test_infinite_maslov_time_exits_2(literal, rng, tmp_path, capsys):
+    body, _ = _spinner_body(1, 5, rng)
+    body["path"][2]["t"] = "TIME"
+    src = tmp_path / "maslov.json"
+    src.write_text(json.dumps(body).replace('"TIME"', literal))
+    code = cli.run(["maslov", str(src), "--refine-factor", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out == {"reason": "number must be finite",
+                   "where": "input.path[2].t"}
+
+
+def test_reduce_needs_a_list_of_weights(tmp_path, capsys):
+    # every other field is valid, so only the weights can be refused
+    sp = standard_space(1)
+    hor, ver = _real(horizontal_frame(sp).F), _real(vertical_frame(sp).F)
+    body = {
+        "version": 1, "n_big": 1, "n_small": 1, "i_plus_diag": 5,
+        "lam_plus": ver, "lam_minus": hor, "ell_plus": ver,
+        "ell_minus": hor,
+        "path": [{"t": 0.0, "frame": hor}, {"t": 1.0, "frame": hor}],
+    }
+    code, out, _ = _run(tmp_path, capsys, "reduce", body)
+    assert code == 2
+    assert out == {"reason": '"i_plus_diag" must be a list of numbers',
+                   "where": "input.i_plus_diag"}
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "-1", "0"])
+def test_window_must_be_finite_and_positive(window, tmp_path, capsys):
+    code, out, _ = _run(
+        tmp_path, capsys, "spectral-flow", _ladder_body([0.3], [3.5]),
+        f"--window={window}",
+    )
+    assert code == 2
+    assert out == {"reason": "--window must be a finite number > 0",
+                   "where": "arguments"}
+
+
+@pytest.mark.parametrize(
+    "command, factor",
+    [("unitary-maslov", 10**9), ("maslov", 15000), ("crossings", 15000)],
+)
+def test_refine_factor_beyond_the_sample_cap_exits_2(command, factor, rng,
+                                                     tmp_path, capsys):
+    # 15000 on five nodes asks for one sample more than the cap, 10**9 on
+    # two for far more; both are refused before any sample is built
+    if command == "unitary-maslov":
+        body = _scalar_unitary_body(0.2)
+    else:
+        body, _ = _spinner_body(1, 5, rng)
+    code, out, _ = _run(
+        tmp_path, capsys, command, body, "--refine-factor", str(factor)
+    )
+    assert code == 2
+    assert out["where"] == "arguments"
+    assert f"more than {cli.MAX_SAMPLES} samples" in out["reason"]
+
+
+def test_segment_times_stop_at_the_sample_cap():
+    assert len(cli._segment_times([0.0, 1.0], cli.MAX_SAMPLES - 1)) == (
+        cli.MAX_SAMPLES
+    )
+    with pytest.raises(cli.ValidationError):
+        cli._segment_times([0.0, 1.0], cli.MAX_SAMPLES)

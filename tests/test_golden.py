@@ -1,4 +1,5 @@
-"""CLI outputs of ``crossings`` and ``reduce`` against recorded goldens.
+"""CLI outputs of ``crossings``, ``reduce``, ``maslov`` and
+``unitary-maslov`` against recorded goldens.
 
 ``golden/cli.json`` holds each input with the exit code and stdout it
 gave when recorded (``record_golden.py``).  Keys, booleans and strings

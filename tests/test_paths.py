@@ -56,6 +56,14 @@ def test_paths_need_ordered_unit_interval_times():
         unitary_path([(0.0, U), (0.5, U), (0.4, U), (1.0, U)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_times_are_rejected(bad):
+    # every comparison with NaN is false, so no ordering check catches it
+    U = np.eye(1)
+    with pytest.raises(ValidationError, match="finite"):
+        unitary_path([(0.0, U), (bad, U), (1.0, U)])
+
+
 def test_at_needs_a_refiner_between_samples():
     U0, U1 = np.eye(1), np.array([[np.exp(0.2j)]])
     p = unitary_path([(0.0, U0), (1.0, U1)])

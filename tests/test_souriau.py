@@ -218,3 +218,39 @@ def test_rejects_mismatched_spaces(rng):
     b = random_lagrangian(standard_space(2), rng)
     with pytest.raises(ValidationError):
         souriau(a, b)
+
+
+def _horizontal_reference(space):
+    """The standard model's horizontal Lagrangian, pulled into ``space``."""
+    ref = horizontal_frame(space.standardization.target)
+    return ref if space.is_standard else space.standardization.pull_frame(ref)
+
+
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_pair_unitary_factors_through_the_horizontal_reference(n, general,
+                                                               rng):
+    """W(lam, mu) = -W(ref, mu) W(lam, ref): a path's pair unitaries against
+    lam are those against ref times a constant unitary on the right."""
+    space = random_structure_space(n, rng) if general else standard_space(n)
+    ref = _horizontal_reference(space)
+    for _ in range(3):
+        lam = random_lagrangian(space, rng)
+        mu = random_lagrangian(space, rng)
+        np.testing.assert_allclose(
+            souriau(lam, mu),
+            -souriau(ref, mu) @ souriau(lam, ref),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_pair_unitary_gaps_are_twice_the_projection_gaps(n, rng):
+    lam = random_lagrangian(standard_space(n), rng)
+    for _ in range(5):
+        a = random_lagrangian(standard_space(n), rng)
+        b = random_lagrangian(standard_space(n), rng)
+        dW = np.linalg.norm(souriau(lam, a) - souriau(lam, b), 2)
+        dP = np.linalg.norm(a.P - b.P, 2)
+        assert dW == pytest.approx(2.0 * dP, rel=1e-12, abs=1e-12)

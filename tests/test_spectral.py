@@ -134,6 +134,13 @@ def test_fundamental_solution_is_symplectic(rng):
             assert res <= 1e-9 * max(1.0, np.linalg.norm(Phi, 2) ** 2)
 
 
+def test_boundary_problem_rejects_a_nan_time():
+    lam = np.array([[1.0], [0.0]])
+    z = np.zeros((2, 2))
+    with pytest.raises(ValidationError):
+        boundary_problem(1, z, [(0.0, z), (np.nan, z), (1.0, z)], lam, lam)
+
+
 def test_fundamental_solution_rejects_drifting_flow():
     with pytest.raises(ValidationError):
         fundamental_solution(np.eye(2), np.zeros((2, 2)), 0.0)
