@@ -15,11 +15,11 @@ value per interval, and the arc [0, eps] on the real axis (closed at 0).
 Only the blocked intervals differ.  Two family members differ by the
 bounded symmetric multiplication C_t - C_t', so no eigenvalue moves
 farther than ||C_t - C_t'||_2 (Weyl): a ball of the piece's radius around
-every eigenvalue at either end blocks all the spectrum the piece can
-reach, and no eigenvalue is matched across samples.  The coincidence
-theorem equates the flow with the index of the Cauchy-data path in the
-doubled space against lambda0 ⊞ lambda1, and ``verify_coincidence``
-computes both sides.
+every eigenvalue at the start of the piece blocks all the spectrum the
+piece can reach, and no eigenvalue is matched across samples.  The
+coincidence theorem equates the flow with the index of the Cauchy-data
+path in the doubled space against lambda0 ⊞ lambda1, and
+``verify_coincidence`` computes both sides.
 """
 
 from dataclasses import dataclass, field
@@ -259,9 +259,12 @@ def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
 
     Sign change: one bracketed root.  No sign change: the cell can only
     hide roots if the smallest singular value could descend to zero and
-    come back inside it, which the slope bound excludes once the edges
-    clear ``slope * width``; otherwise split until individual roots show
-    up as sign changes or the dip search resolves a genuine tangency.
+    come back inside it.  With that value ``slope``-Lipschitz in s, a zero
+    at x in the cell forces mlo <= slope (x - lo) and mhi <= slope (hi - x),
+    so the edges *together* reach at most ``slope * width``; a cell whose
+    edges sum past that holds none.  Otherwise split until individual
+    roots show up as sign changes or the dip search resolves a genuine
+    tangency.
     A dip root of odd multiplicity changes the sign of the determinant,
     so between edges of one sign it has a partner, bracketed beside it.
     """
@@ -269,7 +272,7 @@ def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
     if (dlo < 0.0) != (dhi < 0.0):
         found.append(_bracketed_root(shoot, lo, hi, tol))
         return
-    if min(mlo, mhi) >= slope * (hi - lo):
+    if mlo + mhi > slope * (hi - lo):
         return
     if depth > 0:
         mid = 0.5 * (lo + hi)
@@ -304,10 +307,18 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     Bracketed on determinant sign changes over a grid finer than the
     ladder spacing, refined to ``tol.bisect_t`` in s, with recursive
     subdivision of cells whose edges look near-singular (close root
-    pairs, roots next to grid points).
+    pairs, roots next to grid points).  ValidationError when that grid
+    has fewer than two distinct points: [lo, hi] is a single point, or
+    lies so far from 0 that the float spacing swallows the grid step.
     """
-    shoot = _Shooter(bp, t)
     grid = np.arange(lo, hi + _GRID, _GRID)
+    if np.unique(grid).size < 2:
+        raise ValidationError(
+            f"the shooting grid on [{lo}, {hi}] has fewer than two "
+            "distinct points",
+            where="eigenvalues_near",
+        )
+    shoot = _Shooter(bp, t)
     vals = [shoot(float(s)) for s in grid]
     # empirical bound on how fast the smallest singular value can move;
     # V-shaped cells understate their own slope, so take the global max
@@ -385,16 +396,17 @@ def _radius(bp, t0, t1):
 def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
-    Preconditions: no eigenvalue within 1e-8 of +-window at t = 0 or 1.
-    AmbiguityError when no admissible test value exists at the achievable
-    time resolution (tangential crossing).
+    Preconditions: no eigenvalue within ``tol.flow_guard`` of +-window
+    at t = 0 or 1.  AmbiguityError when no admissible test value exists at
+    the achievable time resolution (tangential crossing).
 
-    Phillips' count.  The partition starts from {0, 1}.  A piece of
-    radius r (``_radius``) at most ``_REACH`` takes as its test value eps
-    the midpoint of the widest gap left by the balls (s - r, s + r) around
-    the eigenvalues s at both of its ends; by Weyl no eigenvalue on the
-    piece reaches eps, so the piece adds the change in the number of
-    eigenvalues in [0, eps] between its ends.  Any other piece is halved.
+    Phillips' count.  The partition starts from {0, 1}.  A piece [t0, t1]
+    of radius r (``_radius``) at most ``_REACH`` takes as its test value
+    eps the midpoint of the widest gap left by the balls (s - r, s + r)
+    around the eigenvalues s at t0; by Weyl every eigenvalue on the piece
+    lies in one of those balls, so none reaches eps, and the piece adds
+    the change in the number of eigenvalues in [0, eps] between its ends.
+    Any other piece is halved.
     """
     for t_end in (0.0, 1.0):
         for edge in (-window, window):
@@ -424,8 +436,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
         r = _radius(bp, t0, t1)
         eps = None
         if r <= _REACH:
-            ends = np.concatenate([spec(t0), spec(t1)])
-            eps = _test_value([(s - r, s + r) for s in ends], tol)
+            eps = _test_value([(s - r, s + r) for s in spec(t0)], tol)
         if eps is not None:
             epsilons.append(eps)
             total += _count_on_arc(spec(t1), eps, snap) - _count_on_arc(

@@ -203,6 +203,25 @@ def rotation_problem(samples=41):
     )
 
 
+def ladder_body(a0, r, nodes=5):
+    """spectral-flow input: B = 0, C_t = blockdiag(a_t, a_t) with
+    a_t = diag(a0 + r t), horizontal boundary conditions at both ends.
+
+    Each scalar block rotates the boundary line at speed s - a_j, so the
+    eigenvalues are the decoupled ladders s = a_j(t) + k pi.
+    """
+    N = len(a0)
+    z = np.zeros((N, N))
+    family = []
+    for t in np.linspace(0.0, 1.0, nodes):
+        a = np.diag(np.add(a0, np.multiply(r, t)))
+        C = np.block([[a, z], [z, a]])
+        family.append({"t": float(t), "C": C.tolist()})
+    lam = np.vstack([np.eye(N), z]).tolist()
+    return {"version": 1, "N": N, "B": np.zeros((2 * N, 2 * N)).tolist(),
+            "family": family, "lambda0": lam, "lambda1": lam}
+
+
 def random_admissible(N, rng, scale=0.5):
     """Symmetric matrix anticommuting with the flow structure matrix."""
     P = random_symmetric(N, rng, scale)

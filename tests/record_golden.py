@@ -3,7 +3,9 @@
     PYTHONPATH=src python tests/record_golden.py
 
 Builds the ``crossings``, ``reduce``, ``maslov`` and ``unitary-maslov``
-inputs from closed-form spinner paths, runs each through
+inputs from closed-form spinner paths, and the ``spectral-flow`` and
+``verify-coincidence`` inputs from decoupled eigenvalue ladders, runs
+each through
 ``masidx.cli.run`` and writes input, arguments, exit code and stdout to
 ``tests/golden/cli.json``.  Rerun it only when an
 output is meant to change, and say why in the change that does.
@@ -19,7 +21,7 @@ import tempfile
 import numpy as np
 
 from masidx import cli, souriau, standard_space, vertical_frame
-from conftest import random_structure_space, spinner_path
+from conftest import ladder_body, random_structure_space, spinner_path
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
 
@@ -110,6 +112,16 @@ def cases():
             out.append((f"maslov-{name}-r{factor}", "maslov", args, body))
             out.append((f"unitary-maslov-{name}-r{factor}", "unitary-maslov",
                         args, _unitary_body(body)))
+    # closed-form flows 1, -2, 2 and 0; in the last, two ladders meet at
+    # t = 0.35, s = 0.725
+    for command in ("spectral-flow", "verify-coincidence"):
+        for name, a0, r in (
+            ("ladder-1-up", [0.3], [3.5]),
+            ("ladder-1-down", [1.0], [-4.2]),
+            ("ladders-2-up", [0.3, -0.3], [3.5, 3.2]),
+            ("ladders-2-meet", [0.2, 0.9], [1.5, -0.5]),
+        ):
+            out.append((f"{command}-{name}", command, [], ladder_body(a0, r)))
     return out
 
 

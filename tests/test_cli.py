@@ -16,7 +16,12 @@ from masidx import (
     standard_space,
     vertical_frame,
 )
-from conftest import random_structure_space, spinner_expected, spinner_path
+from conftest import (
+    ladder_body,
+    random_structure_space,
+    spinner_expected,
+    spinner_path,
+)
 
 # eigenphases move from phases to phases + pi * rates; every endpoint stays
 # at least 0.5 away from -1, so the closed-form count is unambiguous
@@ -240,24 +245,6 @@ def test_rerun_is_byte_identical(rng, tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
-def _ladder_body(a0, r, nodes=5):
-    """spectral-flow input: B = 0, C_t = blockdiag(a_t, a_t) with
-    a_t = diag(a0 + r t), horizontal boundary conditions at both ends.
-
-    Each scalar block rotates the boundary line at speed s - a_j, so the
-    eigenvalues are the decoupled ladders s = a_j(t) + k pi.
-    """
-    N = len(a0)
-    z = np.zeros((N, N))
-    family = []
-    for t in np.linspace(0.0, 1.0, nodes):
-        a = np.diag(np.add(a0, np.multiply(r, t)))
-        family.append({"t": float(t), "C": _real(np.block([[a, z], [z, a]]))})
-    lam = _real(np.vstack([np.eye(N), z]))
-    return {"version": 1, "N": N, "B": _real(np.zeros((2 * N, 2 * N))),
-            "family": family, "lambda0": lam, "lambda1": lam}
-
-
 def _ladder_flow(a0, r):
     """Net upward passages through 0 of the ladders s = a_j(t) + k pi."""
     return sum(math.floor((a + v) / math.pi) - math.floor(a / math.pi)
@@ -284,7 +271,7 @@ def _ladder_flow(a0, r):
 def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
                                                 capsys):
     assert _ladder_flow(a0, r) == flow
-    code, out, _ = _run(tmp_path, capsys, "spectral-flow", _ladder_body(a0, r))
+    code, out, _ = _run(tmp_path, capsys, "spectral-flow", ladder_body(a0, r))
     assert code == 0, out
     assert out["value"] == flow
 
@@ -300,7 +287,7 @@ def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
 )
 def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
     code, out, _ = _run(
-        tmp_path, capsys, "verify-coincidence", _ladder_body(a0, r)
+        tmp_path, capsys, "verify-coincidence", ladder_body(a0, r)
     )
     assert code == 0, out
     assert out["sf"] == out["mas"] == _ladder_flow(a0, r) == -2
@@ -308,7 +295,7 @@ def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
 
 
 def test_commuting_b_exits_2(tmp_path, capsys):
-    body = _ladder_body([0.3], [3.5])
+    body = ladder_body([0.3], [3.5])
     body["B"] = _real(np.eye(2))
     code, out, _ = _run(tmp_path, capsys, "spectral-flow", body)
     assert code == 2
@@ -436,7 +423,7 @@ def _unitary_three_nodes():
         ("unitary-maslov", _nan_middle_time(_unitary_three_nodes()),
          ("--refine-factor", "2"), "input.path[1].t"),
         ("spectral-flow",
-         _ladder_body([0.3], [3.5]) | {"family": [
+         ladder_body([0.3], [3.5]) | {"family": [
              {"t": t, "C": _real(np.zeros((2, 2)))}
              for t in (0.0, math.nan, 1.0)
          ]}, (), "input.family[1].t"),
@@ -481,12 +468,27 @@ def test_reduce_needs_a_list_of_weights(tmp_path, capsys):
 @pytest.mark.parametrize("window", ["nan", "inf", "-1", "0"])
 def test_window_must_be_finite_and_positive(window, tmp_path, capsys):
     code, out, _ = _run(
-        tmp_path, capsys, "spectral-flow", _ladder_body([0.3], [3.5]),
+        tmp_path, capsys, "spectral-flow", ladder_body([0.3], [3.5]),
         f"--window={window}",
     )
     assert code == 2
     assert out == {"reason": "--window must be a finite number > 0",
                    "where": "arguments"}
+
+
+@pytest.mark.parametrize("window", ["1e16", "1e20", "1e300"])
+@pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
+def test_window_past_the_float_spacing_exits_2(command, window, tmp_path,
+                                               capsys):
+    # window +- 0.5 rounds to one float, so the guard's shooting grid has
+    # a single point
+    code, out, _ = _run(
+        tmp_path, capsys, command, ladder_body([0.3], [3.5]),
+        f"--window={window}",
+    )
+    assert code == 2
+    assert out["where"] == "eigenvalues_near"
+    assert out["reason"].endswith("has fewer than two distinct points")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""CLI outputs of ``crossings``, ``reduce``, ``maslov`` and
-``unitary-maslov`` against recorded goldens.
+"""CLI outputs of ``crossings``, ``reduce``, ``maslov``,
+``unitary-maslov``, ``spectral-flow`` and ``verify-coincidence`` against
+recorded goldens.
 
 ``golden/cli.json`` holds each input with the exit code and stdout it
 gave when recorded (``record_golden.py``).  Keys, booleans and strings

@@ -241,7 +241,8 @@ def test_rotation_spectrum_is_the_exact_ladder(t):
 
 def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     """brentq's bracket ends and the multiplicity count reuse earlier
-    shots instead of exponentiating the same matrix again."""
+    shots instead of exponentiating the same matrix again, and no cell
+    whose edges together clear the slope bound is split: 50 shots."""
     args = []
 
     def counted(A):
@@ -252,6 +253,7 @@ def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     got = eigenvalues_near(rotation_problem(), 0.3, -4.0, 4.0)
     np.testing.assert_allclose(got, ladder(0.3, -4.0, 4.0), atol=1e-8)
     assert args and len(set(args)) == len(args)
+    assert len(args) <= 50
 
 
 def test_root_on_a_grid_point_is_reported_once():
@@ -262,6 +264,85 @@ def test_root_on_a_grid_point_is_reported_once():
     np.testing.assert_allclose(
         eigenvalues_near(bp, 0.5, -0.55, 1.55), [0.61], atol=1e-8
     )
+
+
+def test_cell_whose_edges_together_clear_the_slope_bound_is_not_shot():
+    """A zero inside would need 0.01 + 0.6 <= slope * width = 0.58, so the
+    cell cannot hide one, though its lower edge alone is far below 0.58."""
+    calls = []
+
+    def shoot(s):
+        calls.append(s)
+        return 1.0, 1.0
+
+    found = []
+    spectral._scan_cell(
+        shoot, 0.0, 0.29, (1.0, 0.01), (1.0, 0.6), 2.0,
+        spectral.DEFAULT_TOL, 5, found,
+    )
+    assert calls == [] and found == []
+
+
+def test_a_one_point_shooting_grid_is_rejected():
+    # arange(0, 0 + step, step) is the single point 0
+    with pytest.raises(ValidationError) as exc:
+        eigenvalues_near(rotation_problem(), 0.3, 0.0, 0.0)
+    assert exc.value.where == "eigenvalues_near"
+
+
+def _ladder_roots(a0, r, t, lo, hi):
+    """Closed form of ``_ladder_problem``'s spectrum inside [lo, hi]."""
+    a = np.add(a0, np.multiply(r, t))
+    s = (a[:, None] + np.pi * np.arange(-3, 4)).ravel()
+    return np.sort(s[(s >= lo) & (s <= hi)])
+
+
+def _most_roots_in_a_grid_cell(roots, lo, hi):
+    grid = np.arange(lo, hi + spectral._GRID, spectral._GRID)
+    return np.histogram(roots, grid)[0].max()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_ladder_roots_match_the_closed_form(N):
+    """Random ladders at 41 times, drawn so that some cell of the shooting
+    grid holds two roots and none holds three (see the xfail tests
+    below)."""
+    lo, hi = -0.55, 1.55
+    ts = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(20261018 + N)
+    while True:
+        a0 = rng.uniform(-1.6, 1.6, N)
+        r = rng.uniform(-3.5, 3.5, N)
+        wants = [_ladder_roots(a0, r, t, lo, hi) for t in ts]
+        if max(_most_roots_in_a_grid_cell(w, lo, hi) for w in wants) == 2:
+            break
+    bp = _ladder_problem(a0, r)
+    for t, want in zip(ts, wants):
+        np.testing.assert_allclose(
+            eigenvalues_near(bp, t, lo, hi), want, atol=1e-8
+        )
+
+
+_THREE_ROOT_CELL = (
+    "the sign change of a grid cell brackets one root, so a cell "
+    "holding three loses two"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_THREE_ROOT_CELL)
+def test_three_roots_in_one_grid_cell_are_reported():
+    bp = _ladder_problem((0.1, 0.2, 0.3), (0.0, 0.0, 0.0), nodes=2)
+    np.testing.assert_allclose(
+        eigenvalues_near(bp, 0.5, -0.55, 1.55), [0.1, 0.2, 0.3], atol=1e-8
+    )
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_THREE_ROOT_CELL)
+def test_flow_through_a_three_root_cell_is_the_closed_form():
+    # ladders from 0.1, 0.2, 0.3 at rates 1, -2, 0.5: only the second
+    # passes 0, downward
+    bp = _ladder_problem((0.1, 0.2, 0.3), (1.0, -2.0, 0.5), nodes=2)
+    assert spectral_flow(bp).value == -1
 
 
 def test_close_root_pair_without_a_sign_change_is_reported():
@@ -336,18 +417,36 @@ def test_radius_is_the_largest_weyl_shift_on_the_piece(rng):
 
 
 def test_test_values_are_admissible_inside_their_pieces(rng):
-    """Phillips admissibility, checked from the spectra alone: inside each
-    piece of the partition no eigenvalue comes near its test value."""
+    """Phillips admissibility, checked from the spectra alone: on each
+    piece of the partition, its ends included, no eigenvalue comes near
+    its test value."""
     bp = _piecewise_linear_family(2, 5, rng)
     rep = spectral_flow(bp)
     tol = spectral.DEFAULT_TOL
     closest = np.inf
     for t0, t1, eps in zip(rep.partition, rep.partition[1:], rep.epsilons):
-        for t in np.linspace(t0, t1, 5)[1:-1]:
+        for t in np.linspace(t0, t1, 5):
             evs = eigenvalues_near(bp, t, -0.55, 1.55)
             if evs.size:
                 closest = min(closest, np.min(np.abs(evs - eps)))
     assert closest > tol.clearance
+
+
+@pytest.mark.parametrize(
+    "make, value, samples",
+    [
+        (rotation_problem, 1, 9),
+        (lambda: _ladder_problem((0.3, -0.3), (3.5, 3.2)), 2, 10),
+    ],
+    ids=["rotation", "ladders"],
+)
+def test_pieces_block_balls_around_their_start_only(make, value, samples):
+    """Balls around the spectrum at t0 alone certify a piece; balls around
+    the t1 spectrum too would halve these families into 10 and 13
+    samples."""
+    rep = spectral_flow(make())
+    assert rep.value == value
+    assert len(rep.partition) == samples
 
 
 def test_reversed_rotation_flows_down():
