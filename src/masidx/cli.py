@@ -546,8 +546,8 @@ def _cmd_reduce(obj, args, tol):
     )
     ts, frames = _lagrangian_nodes(obj["path"], big, "input.path")
     # Reduction stretches frames by the diagonal weights, so the reduced
-    # path can violate the adjacency bound even when the input samples are
-    # fine enough; always build a refinable path.
+    # path can need samples between nodes that resolve the input path;
+    # always build a refinable path.
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
     reduced = gamma_reduce_path(pp, path, tol)
     big_report = maslov(path, pp.lam_minus, tol)

@@ -58,16 +58,16 @@ __all__ = [
 # tolerances
 # --------------------------------------------------------------------------
 
-_UNSCALED = ("adjacency_unitary", "adjacency_frame")
+_UNSCALED = ("adjacency_frame",)
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """The documented tolerance set, in one place.
 
-    ``scaled`` produces the strict/loose profiles used by the CLI; the two
-    adjacency bounds are adequacy constants, not tolerances, and never
-    scale.
+    ``scaled`` produces the strict/loose profiles used by the CLI; the
+    frame adjacency bound is an adequacy constant, not a tolerance, and
+    never scales.
     """
 
     validation: float = 1e-10
@@ -84,7 +84,6 @@ class Tolerances:
     log_cut: float = 1e-6
     flow_snap: float = 1e-8
     flow_guard: float = 1e-8
-    adjacency_unitary: float = 0.5
     adjacency_frame: float = 0.3
 
     def scaled(self, factor):

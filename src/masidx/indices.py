@@ -29,7 +29,9 @@ from .core import (
 )
 from .errors import PreconditionError, ValidationError
 from .paths import (
+    _adequate,
     catenate,
+    lagrangian_path,
     lagrangian_path_from_function,
     maslov,
     to_unitary_path,
@@ -357,9 +359,13 @@ def lift_path_endpoints(path, lam, tol=DEFAULT_TOL):
     """Continuous determinant-phase lifts of the pair unitaries at t=0, 1.
 
     The start lift takes the principal determinant phase; the end lift
-    continues it along the (refined) path.
+    continues it along the (refined) path, whose frames are first brought
+    within ``tol.adjacency_frame`` of each other.
     """
-    upath = to_unitary_path(path, lam, tol)
+    samples = _adequate(
+        path.samples, path.refiner, tol.adjacency_frame, "lift_path_endpoints"
+    )
+    upath = to_unitary_path(lagrangian_path(samples, path.refiner), lam)
     samples = list(upath.samples)
     # determinant phase must move slowly for unwrapping to be reliable
     for _ in range(24):

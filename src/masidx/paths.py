@@ -10,18 +10,19 @@ where k(t, eps) is the number of eigenvalues of U(t) on the arc.  An
 eigenvalue arriving at -1 at t = 1 from below therefore contributes +1,
 while a path starting on -1 and moving upward contributes 0.
 
-Admissibility of eps_j is decided against the swept spectrum: eigenvalues
-of the two endpoint samples are matched pairwise, each matched pair blocks
-the interval of distances-to-(-1) it sweeps, and eps_j is the midpoint of
-the widest unblocked gap in (0, 1].  If the clearance (half that gap) drops
-below tolerance the path is refined; without a refiner this is an
-AmbiguityError.
+This is Phillips' definition, and no eigenvalue is matched across
+samples.  eps_j is admissible when no eigenvalue of any U(t) on the piece
+reaches it.  U is normal, so by Bauer-Fike every such eigenvalue lies
+within the arc radius of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
+balls of that radius around the offsets at t_j block everything the
+piece can reach, and eps_j is the midpoint of the widest gap they leave
+in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
+that is an AmbiguityError.
 
 Lagrangian paths are converted through the pair unitary with a fixed
-reference and the same machinery applies.  ``spectral.spectral_flow``
-counts with the same ``_test_value`` and ``_count_on_arc`` on the real
-line, where the blocked intervals are Weyl balls around both end spectra
-and no eigenvalue is matched.
+reference and the same machinery applies.  ``_phillips`` is the one
+counting loop: ``spectral.spectral_flow`` runs it on the real line, with
+Weyl balls around the eigenvalues of the boundary problem.
 """
 
 from dataclasses import dataclass, field
@@ -277,23 +278,6 @@ def _match(prev, cur):
     return linear_sum_assignment(diff)[1]
 
 
-def _blocked_intervals(s0, s1):
-    """Distance-to-(-1) intervals swept by matched eigenvalue motion."""
-    order = _match(s0, s1)
-    out = []
-    for a, b in zip(s0, s1[order]):
-        raw = b - a
-        if abs(raw) > np.pi:
-            # motion wrapped through the +1 side of the circle
-            out.append((min(abs(a), abs(b)), np.pi))
-        elif a * b < 0.0:
-            out.append((0.0, max(abs(a), abs(b))))
-        else:
-            lo, hi = sorted((abs(a), abs(b)))
-            out.append((lo, hi))
-    return out
-
-
 def _test_value(blocked, tol):
     """Admissible test value for one subinterval, or None.
 
@@ -351,93 +335,104 @@ def _adequate(samples, refiner, bound, where):
     )
 
 
-def _insert_midpoint(samples, i, refiner, where):
-    if refiner is None:
-        raise AmbiguityError(
-            "no admissible test angle at the sampled resolution "
-            "(undersampled) and the path has no refiner",
-            where=where,
-        )
-    if len(samples) >= MAX_SAMPLES:
-        raise AmbiguityError("refinement exploded", where=where)
-    tm = 0.5 * (samples[i][0] + samples[i + 1][0])
-    samples.insert(i + 1, (tm, refiner(tm)))
+def _phillips(ts, spec, radius, reach, split, snap, tol):
+    """Phillips' count over the partition ``ts``, refined in place.
+
+    A piece [t0, t1] with r = radius(t0, t1) <= ``reach`` takes as test
+    value eps the midpoint of the widest gap that the balls (a - r, a + r)
+    around the values a of spec(t0) leave in (0, EPS_CAP].  No value on
+    the piece moves farther than r, so none reaches eps, and the piece
+    adds the change in the number of values in [0, eps] between its ends.
+    Any other piece goes to split(ts, i), which inserts a point into it
+    or raises; only that piece is checked again.
+
+    Returns (total, epsilons, k_counts).
+    """
+    total = 0
+    epsilons = []
+    k_counts = []
+    i = 0
+    while i < len(ts) - 1:
+        t0, t1 = ts[i], ts[i + 1]
+        r = radius(t0, t1)
+        eps = None
+        if r <= reach:
+            eps = _test_value([(a - r, a + r) for a in spec(t0)], tol)
+        if eps is None:
+            split(ts, i)
+            continue
+        k = (_count_on_arc(spec(t0), eps, snap),
+             _count_on_arc(spec(t1), eps, snap))
+        epsilons.append(eps)
+        k_counts.append(k)
+        total += k[1] - k[0]
+        i += 1
+    return total, epsilons, k_counts
 
 
 def unitary_maslov(path, tol=DEFAULT_TOL):
-    """Counting index of a path of unitaries.
+    """Counting index of a path of unitaries, as an IndexReport with the
+    partition, test angles, arc counts and matched eigenphase trace.
 
-    Parameters
-    ----------
-    path : UnitaryPath
-    tol : Tolerances
+    Phillips' count (``_phillips``) of the offsets angle(-lambda), from
+    the sampled partition.  A piece [t0, t1] has the arc radius
+    r = 2 arcsin(||U_t1 - U_t0||_2 / 2).  While r <= pi - EPS_CAP no ball
+    around a signed offset wraps past +-pi into the test arc, and U is
+    normal, so by Bauer-Fike a gap between the balls around the offsets
+    at t0 is admissible.  Other pieces are halved; AmbiguityError when
+    that is impossible or refinement runs out.
 
-    Returns
-    -------
-    IndexReport
-        ``value`` is the integer index; partition, per-interval test
-        angles, arc counts and the matched eigenphase trace ride along.
-
-    Raises
-    ------
-    AmbiguityError
-        Adjacency bound or admissible test angle unattainable at the
-        available resolution.
+    The radius is exact where ||U_t - U_t0||_2 peaks at t1.  On a
+    principal-log geodesic it is 2 max_k |sin(tau theta_k / 2)|, which
+    grows with tau: every piece of a CLI ``maslov`` or ``unitary-maslov``
+    path with ``--refine-factor`` >= 2.  On any other refiner it is a
+    heuristic, read at the piece's ends only.
     """
-    refiner = (
-        None
-        if path.refiner is None
-        else (lambda t: np.asarray(path.refiner(t), dtype=complex))
-    )
-    samples = _adequate(
-        list(path.samples),
-        refiner,
-        tol.adjacency_unitary,
-        "unitary_maslov",
-    )
+    mats = dict(path.samples)
+    spectra = {}
+    offsets = {}
 
-    # one eigen-decomposition per sample serves the count and the trace
-    spectra = [np.linalg.eigvals(U) for _, U in samples]
-    offs = [np.angle(-ev) for ev in spectra]
-    # work-list: intervals before i keep their test angles, so after a
-    # midpoint insertion only the stuck interval is checked again
-    epsilons = []
-    inserted = 0
-    i = 0
-    while i < len(samples) - 1:
-        eps = _test_value(_blocked_intervals(offs[i], offs[i + 1]), tol)
-        if eps is not None:
-            epsilons.append(eps)
-            i += 1
-            continue
-        if inserted >= 4000:
+    def spec(t):
+        if t not in offsets:
+            spectra[t] = np.linalg.eigvals(mats[t])
+            offsets[t] = np.angle(-spectra[t])
+        return offsets[t]
+
+    def radius(t0, t1):
+        chord = np.linalg.norm(mats[t1] - mats[t0], 2)
+        return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
+
+    def split(ts, i):
+        if len(ts) - len(path.samples) >= 4000:
             raise AmbiguityError(
                 "no admissible test angle after maximal refinement",
                 where="unitary_maslov",
             )
-        _insert_midpoint(samples, i, refiner, "unitary_maslov")
-        spectra.insert(i + 1, np.linalg.eigvals(samples[i + 1][1]))
-        offs.insert(i + 1, np.angle(-spectra[i + 1]))
-        inserted += 1
+        if path.refiner is None:
+            raise AmbiguityError(
+                "no admissible test angle at the sampled resolution "
+                "(undersampled) and the path has no refiner",
+                where="unitary_maslov",
+            )
+        if len(ts) >= MAX_SAMPLES:
+            raise AmbiguityError(
+                "refinement exploded", where="unitary_maslov"
+            )
+        tm = 0.5 * (ts[i] + ts[i + 1])
+        mats[tm] = np.asarray(path.refiner(tm), dtype=complex)
+        ts.insert(i + 1, tm)
 
-    snap = tol.clustering
-    total = 0
-    k_counts = []
-    for i, eps in enumerate(epsilons):
-        k_lo = _count_on_arc(offs[i], eps, snap)
-        k_hi = _count_on_arc(offs[i + 1], eps, snap)
-        k_counts.append((k_lo, k_hi))
-        total += k_hi - k_lo
-
-    ts = np.array([t for t, _ in samples])
-    trace = _phase_trace(ts, spectra)
+    ts = [t for t, _ in path.samples]
+    total, epsilons, k_counts = _phillips(
+        ts, spec, radius, np.pi - EPS_CAP, split, tol.clustering, tol
+    )
     return IndexReport(
         value=int(total),
-        partition=ts,
+        partition=np.array(ts),
         epsilons=np.array(epsilons),
         k_counts=tuple(k_counts),
-        trace=trace,
-        diagnostics={"samples": len(samples)},
+        trace=_phase_trace(ts, [spectra[t] for t in ts]),
+        diagnostics={"samples": len(ts)},
     )
 
 
@@ -454,12 +449,9 @@ def _phase_trace(ts, spectra):
     return PhaseTrace(kind="eigenphase", ts=np.asarray(ts), values=values)
 
 
-def to_unitary_path(path, lam, tol=DEFAULT_TOL):
+def to_unitary_path(path, lam):
     """Pair-unitary conversion of a Lagrangian path against a reference."""
-    samples = _adequate(
-        list(path.samples), path.refiner, tol.adjacency_frame, "maslov"
-    )
-    usamples = tuple((t, souriau(lam, f)) for t, f in samples)
+    usamples = tuple((t, souriau(lam, f)) for t, f in path.samples)
     refiner = None
     if path.refiner is not None:
         refiner = lambda t: souriau(lam, path.refiner(t))
@@ -472,4 +464,4 @@ def maslov(path, lam, tol=DEFAULT_TOL):
         raise ValidationError("expected a LagrangianPath", where="maslov")
     if not isinstance(lam, LagrangianFrame):
         raise ValidationError("expected a LagrangianFrame", where="maslov")
-    return unitary_maslov(to_unitary_path(path, lam, tol), tol)
+    return unitary_maslov(to_unitary_path(path, lam), tol)

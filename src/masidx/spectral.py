@@ -9,17 +9,16 @@ meeting lambda1.  ``eigenvalues_near`` shoots through one ``_Shooter``
 per family time, which forms -B + JJ C_t once and shoots each s once.
 
 The flow of eigenvalues through 0 as t sweeps [0, 1] is counted by the
-same code as the unitary index (``paths._test_value`` and
-``paths._count_on_arc``): a partition of [0, 1] with one admissible test
-value per interval, and the arc [0, eps] on the real axis (closed at 0).
-Only the blocked intervals differ.  Two family members differ by the
-bounded symmetric multiplication C_t - C_t', so no eigenvalue moves
-farther than ||C_t - C_t'||_2 (Weyl): a ball of the piece's radius around
-every eigenvalue at the start of the piece blocks all the spectrum the
-piece can reach, and no eigenvalue is matched across samples.  The
-coincidence theorem equates the flow with the index of the Cauchy-data
-path in the doubled space against lambda0 ⊞ lambda1, and
-``verify_coincidence`` computes both sides.
+same loop as the unitary index (``paths._phillips``): a partition of
+[0, 1] with one admissible test value per interval, and the arc [0, eps]
+on the real axis (closed at 0).  Only the radius of a piece differs.  Two
+family members differ by the bounded symmetric multiplication
+C_t - C_t', so no eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl):
+a ball of the piece's radius around every eigenvalue at the start of the
+piece blocks all the spectrum the piece can reach, and no eigenvalue is
+matched across samples.  The coincidence theorem equates the flow with
+the index of the Cauchy-data path in the doubled space against
+lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
 """
 
 from dataclasses import dataclass, field
@@ -37,12 +36,7 @@ from .core import (
     standard_space,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .paths import (
-    LagrangianPath,
-    _count_on_arc,
-    _test_value,
-    maslov,
-)
+from .paths import LagrangianPath, _phillips, maslov
 
 __all__ = [
     "BoundaryProblem",
@@ -398,27 +392,15 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
     Preconditions: no eigenvalue within ``tol.flow_guard`` of +-window
     at t = 0 or 1.  AmbiguityError when no admissible test value exists at
-    the achievable time resolution (tangential crossing).
+    the achievable time resolution (tangential crossing).  ValidationError
+    naming the window when the flow at s = +-window fails the symplectic
+    check: ``expm`` loses about |s| eps there, while C_0 and C_1 have
+    already passed that check inside the detection window.
 
-    Phillips' count.  The partition starts from {0, 1}.  A piece [t0, t1]
-    of radius r (``_radius``) at most ``_REACH`` takes as its test value
-    eps the midpoint of the widest gap left by the balls (s - r, s + r)
-    around the eigenvalues s at t0; by Weyl every eigenvalue on the piece
-    lies in one of those balls, so none reaches eps, and the piece adds
-    the change in the number of eigenvalues in [0, eps] between its ends.
-    Any other piece is halved.
+    Phillips' count (``paths._phillips``) from the partition {0, 1}, with
+    the radius ``_radius`` and the reach ``_REACH``: by Weyl no eigenvalue
+    moves farther than the radius on a piece.
     """
-    for t_end in (0.0, 1.0):
-        for edge in (-window, window):
-            near = eigenvalues_near(
-                bp, t_end, edge - 0.5, edge + 0.5, tol
-            )
-            if near.size and np.min(np.abs(near - edge)) < tol.flow_guard:
-                raise PreconditionError(
-                    f"eigenvalue within guard of {edge} at t={t_end}",
-                    where="spectral_flow",
-                )
-
     spectra = {}
 
     def spec(t):
@@ -426,24 +408,31 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
             spectra[t] = eigenvalues_near(bp, t, _DETECT_LO, _DETECT_HI, tol)
         return spectra[t]
 
-    ts = [0.0, 1.0]
-    total = 0
-    epsilons = []
-    snap = tol.flow_snap
-    i = 0
-    while i < len(ts) - 1:
+    # the detection window checks the flow of C_0 and C_1 first, so a guard
+    # shot that fails the symplectic check can only blame the window
+    for t_end in (0.0, 1.0):
+        spec(t_end)
+        for edge in (-window, window):
+            try:
+                near = eigenvalues_near(
+                    bp, t_end, edge - 0.5, edge + 0.5, tol
+                )
+            except ValidationError as exc:
+                if exc.where != "fundamental_solution":
+                    raise
+                raise ValidationError(
+                    f"window {window:g} is too wide: the flow at s = {edge:g} "
+                    "is not accurate enough to guard the window edge",
+                    where="spectral_flow",
+                ) from exc
+            if near.size and np.min(np.abs(near - edge)) < tol.flow_guard:
+                raise PreconditionError(
+                    f"eigenvalue within guard of {edge} at t={t_end}",
+                    where="spectral_flow",
+                )
+
+    def split(ts, i):
         t0, t1 = ts[i], ts[i + 1]
-        r = _radius(bp, t0, t1)
-        eps = None
-        if r <= _REACH:
-            eps = _test_value([(s - r, s + r) for s in spec(t0)], tol)
-        if eps is not None:
-            epsilons.append(eps)
-            total += _count_on_arc(spec(t1), eps, snap) - _count_on_arc(
-                spec(t0), eps, snap
-            )
-            i += 1
-            continue
         if t1 - t0 <= 1e-9 or len(ts) > 5000:
             raise AmbiguityError(
                 "no admissible test value (tangential crossing?)",
@@ -451,6 +440,16 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
             )
         ts.insert(i + 1, 0.5 * (t0 + t1))
 
+    ts = [0.0, 1.0]
+    total, epsilons, _ = _phillips(
+        ts,
+        spec,
+        lambda t0, t1: _radius(bp, t0, t1),
+        _REACH,
+        split,
+        tol.flow_snap,
+        tol,
+    )
     return SpectralFlowReport(
         value=int(total),
         partition=np.array(ts),

@@ -283,6 +283,10 @@ def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
         # the benchmark's defect-(e) family, with eigenvalues at the edges
         # of the detection window
         ([-1.62565259, 0.39809789], [-2.258514, -2.22104573]),
+        # the benchmark's defect-(f) family: nearly parallel ladders, whose
+        # Cauchy-data eigenphases overtake each other between samples
+        ([-1.81714959, -0.82636697, -0.17368599, 0.19631976],
+         [3.2609383, 3.16980147, 2.91277622, 3.32465287]),
     ],
 )
 def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
@@ -290,7 +294,7 @@ def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
         tmp_path, capsys, "verify-coincidence", ladder_body(a0, r)
     )
     assert code == 0, out
-    assert out["sf"] == out["mas"] == _ladder_flow(a0, r) == -2
+    assert out["sf"] == out["mas"] == _ladder_flow(a0, r)
     assert out["equal"] is True
 
 
@@ -350,14 +354,25 @@ def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
     return got, want
 
 
-@pytest.mark.parametrize("n", [1, 3, 4])
-def test_refined_maslov_counts_on_the_frame_path_partition(n, rng, tmp_path,
+# a general space from seed 0 at n = 3 and seed 4 at n = 4 once made the
+# frame path refine further than the unitary count
+@pytest.mark.parametrize(
+    "n, general_seed",
+    [(1, None), (3, None), (4, None), (3, 0), (4, 4)],
+    ids=["1", "3", "4", "3-general-seed0", "4-general-seed4"],
+)
+def test_refined_maslov_counts_on_the_frame_path_partition(n, general_seed,
+                                                           rng, tmp_path,
                                                            capsys,
                                                            monkeypatch):
-    """In the standard model the CLI's unitary path is the frame path's
-    pair-unitary path times a constant unitary, and |dW| = 2 |dP|, so both
-    refine to the same partition."""
-    body, expected = _spinner_body(n, 5, rng)
+    """The CLI's unitary path is the frame path's pair-unitary path times a
+    constant unitary, and both counts read only those unitaries, so both
+    refine to the same partition, in a general space too."""
+    space = None
+    if general_seed is not None:
+        rng = np.random.default_rng(general_seed)
+        space = random_structure_space(n, rng)
+    body, expected = _spinner_body(n, 5, rng, space)
     got, want = _cli_and_frame_path_reports(body, monkeypatch, tmp_path,
                                             capsys)
     assert got.value == expected
@@ -371,31 +386,14 @@ def test_refined_maslov_counts_on_the_frame_path_partition(n, rng, tmp_path,
         assert np.max(np.min(gap, axis=0)) <= 1e-12
 
 
-# seeds whose general space makes the frame path refine further
-@pytest.mark.parametrize("n, seed", [(3, 0), (4, 4)])
-def test_refined_maslov_in_a_general_space_skips_frame_gap_samples(
-    n, seed, tmp_path, capsys, monkeypatch
-):
-    """A frame path in a general space is also refined until |dP| <= 0.3 in
-    the input's coordinates, where dP is not half of dW.  The unitary
-    count needs none of those samples: it counts on a proper subset of
-    the partition and gets the same value."""
-    rng = np.random.default_rng(seed)
-    body, expected = _spinner_body(n, 5, rng, random_structure_space(n, rng))
-    got, want = _cli_and_frame_path_reports(body, monkeypatch, tmp_path,
-                                            capsys)
-    assert got.value == expected
-    assert set(got.partition) < set(want.partition)
-
-
 def test_undersampled_maslov_without_refinement_exits_3(rng, tmp_path,
                                                         capsys):
     body, _ = _spinner_body(3, 5, rng)
     code, out, _ = _run(tmp_path, capsys, "maslov", body)
     assert code == 3
     assert out == {
-        "reason": "sample spacing violates the adjacency bound and the "
-        "path has no refiner",
+        "reason": "no admissible test angle at the sampled resolution "
+        "(undersampled) and the path has no refiner",
         "where": "unitary_maslov",
     }
 
@@ -489,6 +487,21 @@ def test_window_past_the_float_spacing_exits_2(command, window, tmp_path,
     assert code == 2
     assert out["where"] == "eigenvalues_near"
     assert out["reason"].endswith("has fewer than two distinct points")
+
+
+@pytest.mark.parametrize("window", ["1e6", "1e15"])
+@pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
+def test_window_too_wide_for_the_guard_exits_2(command, window, tmp_path,
+                                               capsys):
+    # the guard shoots at s = +-window, where expm is too inaccurate for
+    # the symplectic check; B and C pass it inside the detection window
+    code, out, _ = _run(
+        tmp_path, capsys, command, ladder_body([0.3], [3.5]),
+        f"--window={window}",
+    )
+    assert code == 2
+    assert out["where"] == "spectral_flow"
+    assert out["reason"].startswith(f"window {float(window):g} is too wide")
 
 
 @pytest.mark.parametrize(

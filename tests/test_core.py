@@ -104,7 +104,6 @@ def test_tolerance_scaling_keeps_adjacency_bounds():
     loose = base.scaled(10.0)
     assert loose.rank == pytest.approx(10.0 * base.rank)
     assert loose.clearance == pytest.approx(10.0 * base.clearance)
-    assert loose.adjacency_unitary == base.adjacency_unitary
     assert loose.adjacency_frame == base.adjacency_frame
     assert isinstance(loose, Tolerances)
 

@@ -305,3 +305,13 @@ def test_maslov_rejects_wrong_argument_types():
     lag = lagrangian_path([(0.0, h), (1.0, h)])
     with pytest.raises(ValidationError):
         maslov(lag, np.eye(2))
+
+
+def test_overtaking_eigenvalues_count_without_matching():
+    # fast eigenphases overtake slow ones between samples that are close
+    # as matrices; a count that matched eigenvalues across samples got -7
+    path, ref, expected = random_spinner(
+        standard_space(24), np.random.default_rng(72), num=9
+    )
+    assert expected == -10
+    assert maslov(path, ref).value == expected
