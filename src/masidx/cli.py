@@ -25,7 +25,9 @@ the pair unitaries against the horizontal Lagrangian of the standard
 model, pulled back into the input's space, and recover a frame with
 ``lagrangian_from_souriau`` at each requested time.  With the default
 r = 1 the samples are used as-is and under-resolved inputs fail with an
-ambiguity error rather than being silently interpolated.  The crossings
+ambiguity error rather than being silently interpolated: a gap counts
+only when its unitaries are within 0.5 in spectral norm and their
+eigenphases leave an admissible test angle.  The crossings
 and reduce subcommands always interpolate (root isolation and reduction
 need a continuous path).
 """

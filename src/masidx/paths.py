@@ -13,11 +13,11 @@ while a path starting on -1 and moving upward contributes 0.
 This is Phillips' definition, and no eigenvalue is matched across
 samples.  eps_j is admissible when no eigenvalue of any U(t) on the piece
 reaches it.  U is normal, so by Bauer-Fike every such eigenvalue lies
-within the arc radius of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
+within the arc radius r of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
 balls of that radius around the offsets at t_j block everything the
 piece can reach, and eps_j is the midpoint of the widest gap they leave
 in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
-that is an AmbiguityError.
+that is an AmbiguityError.  ``unitary_maslov`` says how r is read.
 
 Lagrangian paths are converted through the pair unitary with a fixed
 reference and the same machinery applies.  ``_phillips`` is the one
@@ -57,6 +57,8 @@ EPS_CAP = 1.0
 # most samples a refined path may hold
 MAX_SAMPLES = 60000
 _MAX_ROUNDS = 24
+# longest chord ||U_t1 - U_t0||_2 of a piece that need not look geodesic
+_END_CHORD = 0.5
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +81,19 @@ def _check_times(times, where):
             "sample times must be strictly increasing", where=where
         )
     return times
+
+
+def _at(path, t, where):
+    """The sample at t, or the refiner's value when there is one."""
+    if path.refiner is not None:
+        return path.refiner(t)
+    for ts, v in path.samples:
+        if abs(ts - t) <= 1e-12:
+            return v
+    raise AmbiguityError(
+        "path has no refiner and needs evaluation between samples",
+        where=where,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,15 +134,7 @@ class UnitaryPath:
         return self.samples[0][1].shape[0]
 
     def at(self, t):
-        if self.refiner is None:
-            for ts, U in self.samples:
-                if abs(ts - t) <= 1e-12:
-                    return U
-            raise AmbiguityError(
-                "path has no refiner and needs evaluation between samples",
-                where="UnitaryPath.at",
-            )
-        return np.asarray(self.refiner(t), dtype=complex)
+        return np.asarray(_at(self, t, "UnitaryPath.at"), dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +167,7 @@ class LagrangianPath:
         return self.samples[0][1].space
 
     def at(self, t):
-        if self.refiner is None:
-            for ts, f in self.samples:
-                if abs(ts - t) <= 1e-12:
-                    return f
-            raise AmbiguityError(
-                "path has no refiner and needs evaluation between samples",
-                where="LagrangianPath.at",
-            )
-        return self.refiner(t)
+        return _at(self, t, "LagrangianPath.at")
 
 
 def unitary_path(samples, refiner=None):
@@ -179,18 +178,16 @@ def lagrangian_path(samples, refiner=None):
     return LagrangianPath(samples=tuple(samples), refiner=refiner)
 
 
+def _sampled(f, num):
+    return [(float(t), f(float(t))) for t in np.linspace(0.0, 1.0, num)]
+
+
 def unitary_path_from_function(f, num=17):
-    ts = np.linspace(0.0, 1.0, num)
-    return UnitaryPath(
-        samples=tuple((float(t), f(float(t))) for t in ts), refiner=f
-    )
+    return unitary_path(_sampled(f, num), refiner=f)
 
 
 def lagrangian_path_from_function(f, num=17):
-    ts = np.linspace(0.0, 1.0, num)
-    return LagrangianPath(
-        samples=tuple((float(t), f(float(t))) for t in ts), refiner=f
-    )
+    return lagrangian_path(_sampled(f, num), refiner=f)
 
 
 def _gap(a, b):
@@ -272,9 +269,7 @@ class IndexReport:
 
 def _match(prev, cur):
     """Permutation of cur minimizing total circular distance to prev."""
-    diff = np.abs(
-        np.angle(np.exp(1j * (cur[None, :] - prev[:, None])))
-    )
+    diff = np.abs(np.angle(np.exp(1j * (cur[None, :] - prev[:, None]))))
     return linear_sum_assignment(diff)[1]
 
 
@@ -382,11 +377,14 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     at t0 is admissible.  Other pieces are halved; AmbiguityError when
     that is impossible or refinement runs out.
 
-    The radius is exact where ||U_t - U_t0||_2 peaks at t1.  On a
-    principal-log geodesic it is 2 max_k |sin(tau theta_k / 2)|, which
-    grows with tau: every piece of a CLI ``maslov`` or ``unitary-maslov``
-    path with ``--refine-factor`` >= 2.  On any other refiner it is a
-    heuristic, read at the piece's ends only.
+    The radius is exact on a principal-log geodesic, where
+    ||U_t - U_t0||_2 = 2 max_k |sin(tau theta_k / 2)| peaks at t1: every
+    piece of a CLI ``maslov`` or ``unitary-maslov`` path with
+    ``--refine-factor`` >= 2.  Elsewhere it is a heuristic, so a piece
+    with chord above ``_END_CHORD`` is halved unless its midpoint, read
+    through the refiner, is the geodesic one; samples alone are read as
+    gaps of chord at most ``_END_CHORD``.  A phase that turns by nearly
+    whole turns between the points read goes unseen.
     """
     mats = dict(path.samples)
     spectra = {}
@@ -399,7 +397,18 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         return offsets[t]
 
     def radius(t0, t1):
-        chord = np.linalg.norm(mats[t1] - mats[t0], 2)
+        U0, U1 = mats[t0], mats[t1]
+        chord = np.linalg.norm(U1 - U0, 2)
+        if chord > _END_CHORD:
+            if path.refiner is None:
+                return np.inf
+            # the geodesic midpoint is U0 M, M the principal square root
+            # of U0^H U1: every eigenphase of M within pi / 2 of 0
+            Um = mats[0.5 * (t0 + t1)] = path.at(0.5 * (t0 + t1))
+            if _norm2_exceeds(Um - U0, np.sqrt(2.0)) or _norm2_exceeds(
+                Um @ U0.conj().T @ Um - U1, tol.angular
+            ):
+                return np.inf
         return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
 
     def split(ts, i):
@@ -415,11 +424,10 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
                 where="unitary_maslov",
             )
         if len(ts) >= MAX_SAMPLES:
-            raise AmbiguityError(
-                "refinement exploded", where="unitary_maslov"
-            )
+            raise AmbiguityError("refinement exploded", where="unitary_maslov")
         tm = 0.5 * (ts[i] + ts[i + 1])
-        mats[tm] = np.asarray(path.refiner(tm), dtype=complex)
+        if tm not in mats:
+            mats[tm] = path.at(tm)
         ts.insert(i + 1, tm)
 
     ts = [t for t, _ in path.samples]
@@ -437,14 +445,10 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
 
 
 def _phase_trace(ts, spectra):
-    rows = []
-    prev = None
-    for ev in spectra:
+    rows = [np.angle(spectra[0])]
+    for ev in spectra[1:]:
         cur = np.angle(ev)
-        if prev is not None:
-            cur = cur[_match(prev, cur)]
-        rows.append(cur)
-        prev = cur
+        rows.append(cur[_match(rows[-1], cur)])
     values = np.mod(np.array(rows), 2.0 * np.pi)
     return PhaseTrace(kind="eigenphase", ts=np.asarray(ts), values=values)
 

@@ -442,13 +442,8 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
     ts = [0.0, 1.0]
     total, epsilons, _ = _phillips(
-        ts,
-        spec,
-        lambda t0, t1: _radius(bp, t0, t1),
-        _REACH,
-        split,
-        tol.flow_snap,
-        tol,
+        ts, spec, lambda t0, t1: _radius(bp, t0, t1), _REACH, split,
+        tol.flow_snap, tol,
     )
     return SpectralFlowReport(
         value=int(total),

@@ -211,6 +211,24 @@ def test_undersampled_path_without_refinement_exits_3(tmp_path, capsys):
     assert out["where"] == "unitary_maslov"
 
 
+@pytest.mark.parametrize("end_phase, code", [(0.50, 0), (0.51, 3)])
+def test_unrefined_gaps_are_read_up_to_chord_one_half(end_phase, code,
+                                                      tmp_path, capsys):
+    # |exp(i phi) - 1| = 2 sin(phi / 2) crosses 0.5 at phi = 0.5054
+    got, out, _ = _run(
+        tmp_path, capsys, "unitary-maslov", _scalar_unitary_body(end_phase)
+    )
+    assert got == code
+    if code == 0:
+        assert out["value"] == 0
+    else:
+        assert out == {
+            "reason": "no admissible test angle at the sampled resolution "
+            "(undersampled) and the path has no refiner",
+            "where": "unitary_maslov",
+        }
+
+
 def test_antipodal_samples_under_refinement_exit_4(tmp_path, capsys):
     code, out, _ = _run(
         tmp_path,

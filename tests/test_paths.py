@@ -128,6 +128,21 @@ def test_winding_loops(k):
     assert unitary_oracle(p) == k
 
 
+@pytest.mark.parametrize("k", [13, -13])
+def test_fast_winding_between_samples(k):
+    # each gap turns 2 pi * 13 / 16, which the end chord reads as a short
+    # step back; only the midpoint shows that the gap is no geodesic
+    p = scalar_path(lambda t: 2 * np.pi * k * t + 0.3)
+    assert unitary_maslov(p).value == k
+
+
+def test_accelerating_phase_between_samples():
+    # the last gap turns 4.43: a short step back at its ends, and its
+    # midpoint is 2.09 ahead, not the geodesic midpoint 0.93 back
+    p = scalar_path(lambda t: 0.3 + 12.3 * t * t, num=6)
+    assert unitary_maslov(p).value == 2
+
+
 def test_small_arc_through_minus_one():
     p = scalar_path(lambda t: np.pi + (2.0 * t - 1.0) * 0.2)
     assert unitary_maslov(p).value == 1
