@@ -28,8 +28,9 @@ r = 1 the samples are used as-is and under-resolved inputs fail with an
 ambiguity error rather than being silently interpolated: a gap counts
 only when its unitaries are within 0.5 in spectral norm and their
 eigenphases leave an admissible test angle.  The crossings
-and reduce subcommands always interpolate (root isolation and reduction
-need a continuous path).
+and reduce subcommands always interpolate: the crossing search halves
+the pieces of the count's partition through the interpolant, and
+reduction marches along the path.
 """
 
 import argparse

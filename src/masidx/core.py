@@ -58,16 +58,13 @@ __all__ = [
 # tolerances
 # --------------------------------------------------------------------------
 
-_UNSCALED = ("adjacency_frame",)
-
 
 @dataclass(frozen=True)
 class Tolerances:
     """The documented tolerance set, in one place.
 
-    ``scaled`` produces the strict/loose profiles used by the CLI; the
-    frame adjacency bound is an adequacy constant, not a tolerance, and
-    never scales.
+    ``scaled`` multiplies every field by one factor: the strict and loose
+    profiles of the CLI.  Each field is read somewhere in the package.
     """
 
     validation: float = 1e-10
@@ -77,20 +74,17 @@ class Tolerances:
     clearance: float = 1e-6
     regularity: float = 1e-6
     transversal: float = 1e-8
-    lift: float = 1e-9
     diff_step: float = 1e-4
     bisect_t: float = 1e-10
     crossing_width: float = 1e-6
     log_cut: float = 1e-6
     flow_snap: float = 1e-8
     flow_guard: float = 1e-8
-    adjacency_frame: float = 0.3
 
     def scaled(self, factor):
         updates = {
             name: getattr(self, name) * factor
             for name in self.__dataclass_fields__
-            if name not in _UNSCALED
         }
         return replace(self, **updates)
 

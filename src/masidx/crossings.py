@@ -7,17 +7,20 @@ symmetric generator A_t; the crossing form is the derivative of A_t
 restricted to the intersection.  Regular crossings (nondegenerate form)
 localize the index: summing signatures with boundary corrections
 reproduces the counting index.
+
+The search for crossings reads the partition of that count
+(``paths._pair_partition``) and halves only the pieces whose arc radius
+lets an eigenvalue reach -1, so it needs no sampling of its own.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import minimize_scalar
 
 from .core import DEFAULT_TOL, complexify_vectors
 from .errors import AmbiguityError, PreconditionError
-from .paths import _adequate
+from .paths import EPS_CAP, _arc_radius, _pair_partition
 from .souriau import minus_one_offsets, souriau
 
 __all__ = [
@@ -48,109 +51,111 @@ class Crossing:
         return self.kernel.shape[1]
 
 
-def _nearest_offset(W):
-    s = minus_one_offsets(W)
-    return s[np.argmin(np.abs(s))]
-
-
-def _motion_bound(W0, W1):
-    """Angular bound on eigenvalue motion between two unitaries."""
-    gap = np.linalg.norm(W0 - W1, 2)
-    return 2.0 * np.arcsin(min(1.0, gap / 2.0))
-
-
 def find_crossings(path, lam, tol=DEFAULT_TOL):
     """All parameter values where the path meets the reference.
 
-    Sign changes of the nearest eigenphase offset are bisected to 1e-10
-    in t; offset dips without a sign change (tangencies, even
-    multiplicities) are resolved by bounded minimization.  A crossing
-    whose offset stays below the angular tolerance over a window wider
-    than ``tol.crossing_width`` raises AmbiguityError (non-isolated).
+    Reads the pieces of the counting partition (``paths._pair_partition``)
+    and their arc radius r (``paths._arc_radius``).  A zero of an
+    eigenphase offset at t in [t0, t1] lies within r (t - t0) / (t1 - t0)
+    of the offsets at t0 and within r (t1 - t) / (t1 - t0) of those at t1
+    where the radius grows linearly (geodesic pieces; elsewhere this is
+    the count's heuristic), so a piece can hold one only when the nearest
+    offsets at its ends sum to at most r.  Other pieces are dropped, the
+    rest halved until they are ``tol.bisect_t`` wide or both ends lie
+    within ``tol.angular`` of -1.  Touching leaves form one crossing.  A
+    cluster at t = 0 or 1 reports that end.  Elsewhere the first leaf
+    across which the number of offsets in (0, EPS_CAP] changes is bisected
+    on that number to ``tol.bisect_t``; a cluster where it never changes
+    (a touch, or passages that cancel) reports its end nearest -1.  A
+    crossing whose offset stays below the angular tolerance 1000
+    ``tol.crossing_width`` to both sides raises AmbiguityError
+    (non-isolated).
+
+    The pieces that the count reads as geodesic are searched exactly.  On
+    other pieces a touch of -1 that no read point comes near can go
+    unseen, as in the count.
     """
     if path.refiner is None:
         raise AmbiguityError(
             "crossing localization requires a refiner", where="find_crossings"
         )
+    upath, ts, mats = _pair_partition(path, lam, tol)
+    spectra = {}
 
-    def g(t):
-        return _nearest_offset(souriau(lam, path.at(t)))
+    def offsets(t):
+        if t not in spectra:
+            if t not in mats:
+                mats[t] = upath.at(t)
+            spectra[t] = minus_one_offsets(mats[t])
+        return spectra[t]
 
-    samples = _adequate(
-        list(path.samples), path.refiner, tol.adjacency_frame, "find_crossings"
-    )
-    ts = [t for t, _ in samples]
-    ws = [souriau(lam, f) for _, f in samples]
-    gs = [_nearest_offset(W) for W in ws]
+    def gap(t):
+        return float(np.abs(offsets(t)).min())
 
-    def genuine(t_hit):
-        # a continuous offset passing through zero stays within the
-        # eigenvalue motion of the last bracket; a wrap through +-pi or a
-        # nearest-eigenvalue identity switch leaves a finite residual
-        w_lo = souriau(lam, path.at(max(0.0, t_hit - tol.bisect_t)))
-        w_hi = souriau(lam, path.at(min(1.0, t_hit + tol.bisect_t)))
-        bound = max(tol.angular, _motion_bound(w_lo, w_hi))
-        return abs(g(t_hit)) <= bound
+    def above(t):
+        # offsets in (0, EPS_CAP]: a passage through -1 changes the count
+        s = offsets(t)
+        return int(np.count_nonzero((s > 0.0) & (s <= EPS_CAP)))
 
+    leaves = []
+    for piece in zip(ts[:-1], ts[1:]):
+        stack = [piece]
+        while stack:
+            t0, t1 = stack.pop()
+            a0, a1 = gap(t0), gap(t1)
+            r = _arc_radius(upath, mats, t0, t1, tol)
+            # a zero on a geodesic piece makes the sum equal r: the slack
+            # is rounding only, so pieces beside a crossing still drop
+            if a0 + a1 > r * (1.0 + 1e-9) + 1e-13:
+                continue
+            if t1 - t0 <= tol.bisect_t or max(a0, a1) <= tol.angular:
+                leaves.append((t0, t1))
+                continue
+            tm = 0.5 * (t0 + t1)
+            stack += [(tm, t1), (t0, tm)]
+
+    clusters = []
+    for t0, t1 in leaves:
+        if clusters and clusters[-1][-1] == t0:
+            clusters[-1].append(t1)
+        else:
+            clusters.append([t0, t1])
     hits = []
-    for t, gv in zip(ts, gs):
-        if abs(gv) <= tol.angular:
-            hits.append(float(t))
-    for i in range(len(ts) - 1):
-        t0, t1 = ts[i], ts[i + 1]
-        g0, g1 = gs[i], gs[i + 1]
-        if abs(g0) <= tol.angular or abs(g1) <= tol.angular:
+    for ends in clusters:
+        if ends[0] == ts[0] or ends[-1] == ts[-1]:
+            hits.append(ends[0] if ends[0] == ts[0] else ends[-1])
             continue
-        if np.sign(g0) != np.sign(g1):
-            t_hit = _bisect(g, t0, t1, g0, tol)
-            if genuine(t_hit):
-                hits.append(t_hit)
-        elif min(abs(g0), abs(g1)) <= _motion_bound(ws[i], ws[i + 1]):
-            res = minimize_scalar(
-                lambda t: abs(g(t)),
-                bounds=(t0, t1),
-                method="bounded",
-                options={"xatol": tol.bisect_t},
-            )
-            if abs(res.fun) <= tol.angular:
-                hits.append(float(res.x))
-
-    hits.sort()
-    merged = []
-    for t in hits:
-        if merged and t - merged[-1] <= 100.0 * tol.bisect_t:
+        steps = [
+            (a, b) for a, b in zip(ends[:-1], ends[1:]) if above(a) != above(b)
+        ]
+        if not steps:
+            # a touch, or passages that cancel: the end nearest -1
+            hits.append(min(ends, key=gap))
             continue
-        merged.append(t)
+        a, b = steps[0]
+        while b - a > tol.bisect_t:
+            tm = 0.5 * (a + b)
+            if above(tm) == above(a):
+                a = tm
+            else:
+                b = tm
+        hits.append(0.5 * (a + b))
 
     # non-isolated means dwelling on the cycle, not a flat tangency: probe
     # well outside any C^2 graze of ordinary curvature
     dwell = 1000.0 * tol.crossing_width
-    for t in merged:
+    for t in hits:
         lo, hi = t - dwell, t + dwell
         if (
             lo >= 0.0
             and hi <= 1.0
-            and abs(g(lo)) <= tol.angular
-            and abs(g(hi)) <= tol.angular
+            and gap(lo) <= tol.angular
+            and gap(hi) <= tol.angular
         ):
             raise AmbiguityError(
                 f"non-isolated crossing around t={t}", where="find_crossings"
             )
-    return merged
-
-
-def _bisect(g, t0, t1, g0, tol):
-    s0 = np.sign(g0)
-    while t1 - t0 > tol.bisect_t:
-        tm = 0.5 * (t0 + t1)
-        gm = g(tm)
-        if gm == 0.0:
-            return tm
-        if np.sign(gm) == s0:
-            t0 = tm
-        else:
-            t1 = tm
-    return 0.5 * (t0 + t1)
+    return [float(t) for t in hits]
 
 
 def _kernel_basis(path, lam, t_star, tol):

@@ -29,12 +29,10 @@ from .core import (
 )
 from .errors import PreconditionError, ValidationError
 from .paths import (
-    _adequate,
+    _pair_partition,
     catenate,
-    lagrangian_path,
     lagrangian_path_from_function,
     maslov,
-    to_unitary_path,
     unitary_geodesic,
 )
 from .souriau import lagrangian_from_souriau, souriau
@@ -358,40 +356,20 @@ def transition_function(nu, lam, mu, ell_ref, seed=0, tol=DEFAULT_TOL):
 def lift_path_endpoints(path, lam, tol=DEFAULT_TOL):
     """Continuous determinant-phase lifts of the pair unitaries at t=0, 1.
 
-    The start lift takes the principal determinant phase; the end lift
-    continues it along the (refined) path, whose frames are first brought
-    within ``tol.adjacency_frame`` of each other.
+    The start lift takes the principal determinant phase.  The end lift
+    adds, over the pieces [t_j, t_{j+1}] of the counting partition
+    (``paths._pair_partition``), the sum of the principal arguments of
+    the eigenvalues of U_{t_j}^H U_{t_{j+1}}.  A piece has arc radius at
+    most pi - EPS_CAP, so -1 never enters that spectrum along the piece
+    and the sum is the exact increment of the continuous phase.
     """
-    samples = _adequate(
-        path.samples, path.refiner, tol.adjacency_frame, "lift_path_endpoints"
+    _, ts, mats = _pair_partition(path, lam, tol)
+    alpha0 = float(np.angle(np.linalg.det(mats[ts[0]])))
+    alpha1 = alpha0 + sum(
+        float(np.sum(np.angle(np.linalg.eigvals(mats[a].conj().T @ mats[b]))))
+        for a, b in zip(ts[:-1], ts[1:])
     )
-    upath = to_unitary_path(lagrangian_path(samples, path.refiner), lam)
-    samples = list(upath.samples)
-    # determinant phase must move slowly for unwrapping to be reliable
-    for _ in range(24):
-        dets = np.array([np.linalg.det(U) for _, U in samples])
-        steps = np.abs(np.angle(dets[1:] / dets[:-1]))
-        bad = np.nonzero(steps > 0.5 * np.pi)[0]
-        if bad.size == 0:
-            break
-        if upath.refiner is None:
-            raise PreconditionError(
-                "determinant phase moves too fast and the path has no "
-                "refiner",
-                where="lift_path_endpoints",
-            )
-        for i in reversed(bad):
-            tm = 0.5 * (samples[i][0] + samples[i + 1][0])
-            samples.insert(i + 1, (tm, upath.refiner(tm)))
-    else:
-        raise PreconditionError(
-            "determinant phase refinement did not converge",
-            where="lift_path_endpoints",
-        )
-    dets = np.array([np.linalg.det(U) for _, U in samples])
-    alpha0 = float(np.angle(dets[0]))
-    alpha1 = alpha0 + float(np.sum(np.angle(dets[1:] / dets[:-1])))
     return (
-        LiftedUnitary(U=samples[0][1], alpha=alpha0),
-        LiftedUnitary(U=samples[-1][1], alpha=alpha1),
+        LiftedUnitary(U=mats[ts[0]], alpha=alpha0),
+        LiftedUnitary(U=mats[ts[-1]], alpha=alpha1),
     )

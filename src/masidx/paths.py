@@ -17,12 +17,14 @@ within the arc radius r of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
 balls of that radius around the offsets at t_j block everything the
 piece can reach, and eps_j is the midpoint of the widest gap they leave
 in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
-that is an AmbiguityError.  ``unitary_maslov`` says how r is read.
+that is an AmbiguityError.  ``_arc_radius`` says how r is read.
 
 Lagrangian paths are converted through the pair unitary with a fixed
-reference and the same machinery applies.  ``_phillips`` is the one
-counting loop: ``spectral.spectral_flow`` runs it on the real line, with
-Weyl balls around the eigenvalues of the boundary problem.
+reference and the same machinery applies.  ``_pair_partition`` hands the
+partition the count settles on to the crossing search and the endpoint
+lifts, so a path has one partition.  ``_phillips`` is the one counting
+loop: ``spectral.spectral_flow`` runs it on the real line, with Weyl
+balls around the eigenvalues of the boundary problem.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +58,6 @@ __all__ = [
 EPS_CAP = 1.0
 # most samples a refined path may hold
 MAX_SAMPLES = 60000
-_MAX_ROUNDS = 24
 # longest chord ||U_t1 - U_t0||_2 of a piece that need not look geodesic
 _END_CHORD = 0.5
 
@@ -304,32 +305,6 @@ def _count_on_arc(s, eps, snap):
     return int(np.count_nonzero((s >= -snap) & (s <= eps + snap)))
 
 
-def _adequate(samples, refiner, bound, where):
-    """Insert midpoints until adjacent samples are closer than ``bound``."""
-    samples = list(samples)
-    for _ in range(_MAX_ROUNDS):
-        inserts = []
-        for i in range(len(samples) - 1):
-            if _norm2_exceeds(_gap(samples[i][1], samples[i + 1][1]), bound):
-                inserts.append(i)
-        if not inserts:
-            return samples
-        if refiner is None:
-            raise AmbiguityError(
-                "sample spacing violates the adjacency bound and the path "
-                "has no refiner",
-                where=where,
-            )
-        if len(samples) + len(inserts) > MAX_SAMPLES:
-            raise AmbiguityError("refinement exploded", where=where)
-        for i in reversed(inserts):
-            tm = 0.5 * (samples[i][0] + samples[i + 1][0])
-            samples.insert(i + 1, (tm, refiner(tm)))
-    raise AmbiguityError(
-        "adjacency bound unreachable by refinement", where=where
-    )
-
-
 def _phillips(ts, spec, radius, reach, split, snap, tol):
     """Phillips' count over the partition ``ts``, refined in place.
 
@@ -365,26 +340,48 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
     return total, epsilons, k_counts
 
 
+def _arc_radius(path, mats, t0, t1, tol):
+    """Arc radius r = 2 arcsin(||U_t1 - U_t0||_2 / 2) of the piece [t0, t1].
+
+    ``mats`` maps times to the unitaries read so far; a midpoint read
+    here is added to it.  The radius is exact on a principal-log geodesic,
+    where ||U_t - U_t0||_2 = 2 max_k |sin(tau theta_k / 2)| peaks at t1
+    and grows linearly in tau: every piece of a CLI path with
+    ``--refine-factor`` >= 2.  Elsewhere it is a heuristic, so a piece
+    with chord above ``_END_CHORD`` gets radius inf unless its midpoint,
+    read through the refiner, is the geodesic one; samples alone are read
+    as gaps of chord at most ``_END_CHORD``.  A phase that turns by nearly
+    whole turns between the points read goes unseen.
+    """
+    U0, U1 = mats[t0], mats[t1]
+    chord = np.linalg.norm(U1 - U0, 2)
+    if chord > _END_CHORD:
+        if path.refiner is None:
+            return np.inf
+        # the geodesic midpoint is U0 M, M the principal square root
+        # of U0^H U1: every eigenphase of M within pi / 2 of 0
+        tm = 0.5 * (t0 + t1)
+        if tm not in mats:
+            mats[tm] = path.at(tm)
+        Um = mats[tm]
+        if _norm2_exceeds(Um - U0, np.sqrt(2.0)) or _norm2_exceeds(
+            Um @ U0.conj().T @ Um - U1, tol.angular
+        ):
+            return np.inf
+    return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
+
+
 def unitary_maslov(path, tol=DEFAULT_TOL):
     """Counting index of a path of unitaries, as an IndexReport with the
     partition, test angles, arc counts and matched eigenphase trace.
 
     Phillips' count (``_phillips``) of the offsets angle(-lambda), from
-    the sampled partition.  A piece [t0, t1] has the arc radius
-    r = 2 arcsin(||U_t1 - U_t0||_2 / 2).  While r <= pi - EPS_CAP no ball
-    around a signed offset wraps past +-pi into the test arc, and U is
-    normal, so by Bauer-Fike a gap between the balls around the offsets
-    at t0 is admissible.  Other pieces are halved; AmbiguityError when
-    that is impossible or refinement runs out.
-
-    The radius is exact on a principal-log geodesic, where
-    ||U_t - U_t0||_2 = 2 max_k |sin(tau theta_k / 2)| peaks at t1: every
-    piece of a CLI ``maslov`` or ``unitary-maslov`` path with
-    ``--refine-factor`` >= 2.  Elsewhere it is a heuristic, so a piece
-    with chord above ``_END_CHORD`` is halved unless its midpoint, read
-    through the refiner, is the geodesic one; samples alone are read as
-    gaps of chord at most ``_END_CHORD``.  A phase that turns by nearly
-    whole turns between the points read goes unseen.
+    the sampled partition, with the radius ``_arc_radius``.  While
+    r <= pi - EPS_CAP no ball around a signed offset wraps past +-pi into
+    the test arc, and U is normal, so by Bauer-Fike a gap between the
+    balls around the offsets at t0 is admissible.  Other pieces are
+    halved; AmbiguityError when that is impossible or refinement runs
+    out.
     """
     mats = dict(path.samples)
     spectra = {}
@@ -397,19 +394,7 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         return offsets[t]
 
     def radius(t0, t1):
-        U0, U1 = mats[t0], mats[t1]
-        chord = np.linalg.norm(U1 - U0, 2)
-        if chord > _END_CHORD:
-            if path.refiner is None:
-                return np.inf
-            # the geodesic midpoint is U0 M, M the principal square root
-            # of U0^H U1: every eigenphase of M within pi / 2 of 0
-            Um = mats[0.5 * (t0 + t1)] = path.at(0.5 * (t0 + t1))
-            if _norm2_exceeds(Um - U0, np.sqrt(2.0)) or _norm2_exceeds(
-                Um @ U0.conj().T @ Um - U1, tol.angular
-            ):
-                return np.inf
-        return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
+        return _arc_radius(path, mats, t0, t1, tol)
 
     def split(ts, i):
         if len(ts) - len(path.samples) >= 4000:
@@ -460,6 +445,20 @@ def to_unitary_path(path, lam):
     if path.refiner is not None:
         refiner = lambda t: souriau(lam, path.refiner(t))
     return UnitaryPath(samples=usamples, refiner=refiner)
+
+
+def _pair_partition(path, lam, tol):
+    """The pair-unitary path of ``path`` against ``lam``, the partition
+    its count settles on, and its unitaries at every partition time:
+    (upath, ts, mats).  Every piece has arc radius at most pi - EPS_CAP.
+    """
+    upath = to_unitary_path(path, lam)
+    ts = unitary_maslov(upath, tol).partition.tolist()
+    mats = dict(upath.samples)
+    for t in ts:
+        if t not in mats:
+            mats[t] = upath.at(t)
+    return upath, ts, mats
 
 
 def maslov(path, lam, tol=DEFAULT_TOL):

@@ -36,7 +36,7 @@ from .core import (
     standard_space,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .paths import LagrangianPath, _phillips, maslov
+from .paths import MAX_SAMPLES, LagrangianPath, _phillips, maslov
 
 __all__ = [
     "BoundaryProblem",
@@ -303,8 +303,15 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     subdivision of cells whose edges look near-singular (close root
     pairs, roots next to grid points).  ValidationError when that grid
     has fewer than two distinct points: [lo, hi] is a single point, or
-    lies so far from 0 that the float spacing swallows the grid step.
+    lies so far from 0 that the float spacing swallows the grid step; and
+    when it would hold more than ``paths.MAX_SAMPLES`` points.
     """
+    if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
+        raise ValidationError(
+            f"the shooting grid on [{lo}, {hi}] would hold more than "
+            f"{MAX_SAMPLES} points",
+            where="eigenvalues_near",
+        )
     grid = np.arange(lo, hi + _GRID, _GRID)
     if np.unique(grid).size < 2:
         raise ValidationError(

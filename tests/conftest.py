@@ -125,6 +125,20 @@ def spinner_expected(phases, rates):
     return floor_count(a, a + np.pi * np.asarray(rates, dtype=float))
 
 
+def spinner_crossings(phases, rates):
+    """Closed-form crossings (t, sign) of a spinner path in (0, 1): where
+    an eigenphase phases + pi rates t passes pi (mod 2 pi)."""
+    out = []
+    for p, r in zip(phases, rates):
+        lo, hi = sorted((p, p + np.pi * r))
+        k = np.ceil((lo - np.pi) / TWO_PI)
+        while np.pi + TWO_PI * k < hi:
+            out.append(((np.pi + TWO_PI * k - p) / (np.pi * r),
+                        1 if r > 0 else -1))
+            k += 1
+    return sorted(out)
+
+
 def random_spinner(space, rng, num=33, clearance=ENDPOINT_CLEARANCE):
     """Random spinner with endpoints clear of the counting arc.
 

@@ -164,9 +164,17 @@ def _pair_body(n, phases, rates, rng, moving_lambda=None, space=None):
     return body
 
 
+# (phases, rates) of the spinner behind each crossings case, with and
+# without the "-richardson" suffix
+CROSSINGS_SPINNERS = {
+    "crossings-standard-3": ([0.4, -1.9, 2.6], [1.8, -1.3, 0.9]),
+    "crossings-general-2": ([0.3, -2.5], [1.5, -0.6]),
+}
+
+
 def cases():
     """(id, command, args, input) of every golden case."""
-    phases, rates = [0.4, -1.9, 2.6], [1.8, -1.3, 0.9]
+    phases, rates = CROSSINGS_SPINNERS["crossings-standard-3"]
     general = random_structure_space(2, np.random.default_rng(11))
     out = []
     for richardson in (False, True):
@@ -180,7 +188,7 @@ def cases():
         out.append((
             "crossings-general-2" + suffix, "crossings",
             ["--refine-factor", "2"],
-            _crossings_body(2, [0.3, -2.5], [1.5, -0.6],
+            _crossings_body(2, *CROSSINGS_SPINNERS["crossings-general-2"],
                             np.random.default_rng(6), general, richardson),
         ))
     out.append((

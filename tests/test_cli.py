@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -520,6 +521,28 @@ def test_window_too_wide_for_the_guard_exits_2(command, window, tmp_path,
     assert code == 2
     assert out["where"] == "spectral_flow"
     assert out["reason"].startswith(f"window {float(window):g} is too wide")
+
+
+@pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
+def test_trace_grid_beyond_the_sample_cap_exits_2(command, tmp_path, capsys):
+    # window 1e5 passes the flow's guard, but the trace would shoot a grid
+    # of about 690k points at each family node
+    body = ladder_body([0.3], [3.5])
+    code, _, _ = _run(tmp_path, capsys, command, body, "--window=1e5")
+    assert code == 0
+    start = time.perf_counter()
+    code, out, _ = _run(
+        tmp_path, capsys, command, body,
+        "--window=1e5", "--trace", str(tmp_path / "trace.csv"),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == {
+        "reason": "the shooting grid on [-100000.0, 100000.0] would hold "
+        f"more than {cli.MAX_SAMPLES} points",
+        "where": "eigenvalues_near",
+    }
+    assert not (tmp_path / "trace.csv").exists()
 
 
 @pytest.mark.parametrize(

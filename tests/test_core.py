@@ -99,13 +99,14 @@ def test_compatible_structure_rejects_bad_forms(rng):
         compatible_structure(odd)
 
 
-def test_tolerance_scaling_keeps_adjacency_bounds():
+def test_tolerance_scaling_scales_every_field():
     base = DEFAULT_TOL
     loose = base.scaled(10.0)
-    assert loose.rank == pytest.approx(10.0 * base.rank)
-    assert loose.clearance == pytest.approx(10.0 * base.clearance)
-    assert loose.adjacency_frame == base.adjacency_frame
     assert isinstance(loose, Tolerances)
+    for name in Tolerances.__dataclass_fields__:
+        assert getattr(loose, name) == pytest.approx(
+            10.0 * getattr(base, name)
+        ), name
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from conftest import (
     random_spinner,
     random_structure_space,
     rotating_block_loop,
+    spinner_crossings,
+    spinner_path,
 )
 from oracles import signature_brute
 
@@ -168,35 +170,37 @@ def test_grazing_touch_cannot_be_differentiated():
 def test_mixed_crossing_is_flagged_irregular():
     """One direction sweeps through the reference, the other touches and
     retreats: the form is singular on the kernel, so the signature sum
-    must hand off to the counting definition."""
+    must hand off to the counting definition.  At t = 0.5 the crossing
+    sits on a sample; at 0.37 it lies inside a sample gap."""
     sp = standard_space(2)
-
-    def frame_at(t):
-        th = 0.8 * (t - 0.5)
-        ph = 0.8 * (t - 0.5) ** 2
-        M = np.array(
-            [
-                [np.cos(th), 0.0],
-                [0.0, np.cos(ph)],
-                [np.sin(th), 0.0],
-                [0.0, np.sin(ph)],
-            ]
-        )
-        return lagrangian(sp, M)
-
-    path = lagrangian_path_from_function(frame_at, num=33)
     ref = horizontal_frame(sp)
-    ts = find_crossings(path, ref)
-    assert len(ts) == 1
-    assert abs(ts[0] - 0.5) < 1e-4
-    c = crossing_form(path, ref, ts[0])
-    assert c.dim == 2
-    assert not c.regular
-    assert c.signature == (1, 0)
-    with pytest.raises(PreconditionError) as err:
-        maslov_via_crossings(path, ref)
-    assert err.value.where == "maslov_via_crossings"
-    assert maslov(path, ref).value == 1
+    for center in (0.5, 0.37):
+
+        def frame_at(t, center=center):
+            th = 0.8 * (t - center)
+            ph = 0.8 * (t - center) ** 2
+            M = np.array(
+                [
+                    [np.cos(th), 0.0],
+                    [0.0, np.cos(ph)],
+                    [np.sin(th), 0.0],
+                    [0.0, np.sin(ph)],
+                ]
+            )
+            return lagrangian(sp, M)
+
+        path = lagrangian_path_from_function(frame_at, num=33)
+        ts = find_crossings(path, ref)
+        assert len(ts) == 1
+        assert abs(ts[0] - center) < 1e-4
+        c = crossing_form(path, ref, ts[0])
+        assert c.dim == 2
+        assert not c.regular
+        assert c.signature == (1, 0)
+        with pytest.raises(PreconditionError) as err:
+            maslov_via_crossings(path, ref)
+        assert err.value.where == "maslov_via_crossings"
+        assert maslov(path, ref).value == 1
 
 
 def test_form_and_phase_form_agree_in_signature(rng):
@@ -258,3 +262,37 @@ def test_crossings_in_a_non_standard_metric(rng):
     c = crossing_form(path, ref, ts[0])
     assert c.regular and c.dim == 1
     assert maslov_via_crossings(path, ref) == maslov(path, ref).value
+
+
+# the spinner of perfbench's defect-b-crossings-4 problem: two crossings
+# of opposite sign 0.021 apart in t, inside one gap of the 5-sample path
+_CLOSE_PAIR = ([1.215, -0.725, -2.775, 2.227], [-2.761, 1.902, -2.544, -2.556])
+
+
+def _close_spinners(rng, count):
+    """_CLOSE_PAIR, then ``count`` random n = 4 spinners whose first four
+    crossings follow each other 0.005 to 0.1 apart in t; every crossing
+    is at least 0.005 from the next and both ends are clear of -1."""
+    yield _CLOSE_PAIR
+    while count:
+        ts = rng.uniform(0.2, 0.4) + np.cumsum(rng.uniform(0.005, 0.1, 4))
+        rates = rng.uniform(0.5, 2.5, 4) * rng.choice([-1.0, 1.0], 4)
+        phases = np.pi - np.pi * rates * ts
+        crossings = [t for t, _ in spinner_crossings(phases, rates)]
+        ends = np.concatenate([phases, phases + np.pi * rates]) - np.pi
+        clear = np.abs(np.angle(np.exp(1j * ends))).min() > 0.05
+        if clear and np.diff(crossings).min() >= 0.005:
+            count -= 1
+            yield phases.tolist(), rates.tolist()
+
+
+def test_close_crossings_match_the_closed_form(rng):
+    sp = standard_space(4)
+    for phases, rates in _close_spinners(rng, 6):
+        path, ref = spinner_path(sp, phases, rates, rng=rng, num=5)
+        want = spinner_crossings(phases, rates)
+        ts = find_crossings(path, ref)
+        assert len(ts) == len(want), (phases, rates)
+        for t, (t_want, sign) in zip(ts, want):
+            assert abs(t - t_want) < T_STAR_TOL
+            assert crossing_form(path, ref, t).sign == sign

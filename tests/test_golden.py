@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-from record_golden import GOLDEN, run_case
+from conftest import spinner_crossings
+from record_golden import CROSSINGS_SPINNERS, GOLDEN, run_case
 
 CASES = json.loads(pathlib.Path(GOLDEN).read_text())
 
@@ -40,3 +41,19 @@ def test_cli_output_matches_golden(case):
     code, stdout = run_case(case["command"], case["args"], case["input"])
     assert code == case["exit"]
     _assert_matches(json.loads(stdout), json.loads(case["stdout"]))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in CASES if c["command"] == "crossings"],
+    ids=lambda c: c["id"],
+)
+def test_golden_crossing_times_are_the_closed_form(case):
+    spinner = CROSSINGS_SPINNERS[case["id"].removesuffix("-richardson")]
+    rows = json.loads(case["stdout"])["crossings"]
+    want = spinner_crossings(*spinner)
+    assert len(rows) == len(want)
+    for row, (t, sign) in zip(rows, want):
+        assert abs(row["t_star"] - t) <= 1e-8
+        p, q = row["signature"]
+        assert p - q == sign

@@ -2,8 +2,9 @@
 
 Every imported name is used (a name listed in ``__all__`` counts as a
 re-export), every name listed in ``__all__`` is bound in its module, every
-private top-level name is referenced somewhere in the package, and the
-CLI reaches the other modules through their public names only.
+private top-level name is referenced somewhere in the package, every
+``Tolerances`` field is read somewhere in it, and the CLI reaches the
+other modules through their public names only.
 """
 
 import ast
@@ -123,3 +124,30 @@ def test_every_private_name_is_used():
         and not any(name in r for j, r in enumerate(refs) if j != i)
     )
     assert unused == []
+
+
+def _tolerance_fields():
+    """Field names of the ``Tolerances`` dataclass in ``core.py``."""
+    for node in ast.parse((SRC / "core.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+            return {
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+            }
+    raise AssertionError("core.py defines no Tolerances")
+
+
+def test_every_tolerance_field_is_read():
+    """A field no ``tol.<field>`` reads is a knob that changes nothing."""
+    read = {
+        n.attr
+        for path in MODULES
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id.lower().endswith("tol")
+    }
+    fields = _tolerance_fields()
+    assert fields
+    assert sorted(fields - read) == []

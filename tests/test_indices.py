@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from masidx import (
+    AmbiguityError,
     LiftedUnitary,
     PreconditionError,
     ValidationError,
@@ -13,6 +14,7 @@ from masidx import (
     horizontal_frame,
     kashiwara,
     lagrangian,
+    lagrangian_path,
     leray,
     leray_general,
     lift_path_endpoints,
@@ -22,7 +24,7 @@ from masidx import (
     standard_space,
     transition_function,
 )
-from conftest import line_frame, line_path, transversal_pair
+from conftest import line_frame, line_path, spinner_path, transversal_pair
 
 DEG = np.pi / 180.0
 SP1 = standard_space(1)
@@ -264,6 +266,27 @@ def test_lifted_endpoints_relation_on_random_paths(rng):
             ref, path.samples[-1][1], path.samples[0][1]
         ).signature
         assert round(rhs, 6) == expected
+
+
+def test_lift_follows_a_fast_determinant_phase(rng):
+    """The determinant phase of these spinners steps by pi |sum(rates)| / 4
+    > pi / 2 between samples; the lift adds the whole sweep."""
+    sp = standard_space(3)
+    for _ in range(8):
+        phases = rng.uniform(-np.pi, np.pi, 3)
+        rates = rng.uniform(0.7, 2.5, 3) * rng.choice([-1.0, 1.0])
+        path, ref = spinner_path(sp, phases, rates, rng=rng, num=5)
+        start, end = lift_path_endpoints(path, ref)
+        assert abs(end.alpha - start.alpha - np.pi * rates.sum()) <= 1e-9
+
+
+def test_lift_of_an_undersampled_path_without_refiner_is_ambiguous():
+    # eigenphases turn by up to 3.9 rad between the three samples
+    path, ref = spinner_path(SP2, [0.3, -1.0], [2.5, 2.0], num=3)
+    with pytest.raises(AmbiguityError) as err:
+        lift_path_endpoints(lagrangian_path(path.samples), ref)
+    assert err.value.where == "unitary_maslov"
+    assert "no refiner" in err.value.reason
 
 
 # --------------------------------------------------------------------------
