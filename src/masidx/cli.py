@@ -99,11 +99,12 @@ def _check_keys(obj, required, optional, where):
 
 def _load_input(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         _fail(f"cannot read input: {exc}", path)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, or nesting past the stack
         _fail(f"not valid JSON: {exc}", path)
     if not isinstance(obj, dict) or obj.get("version") != 1:
         _fail('input must be an object with "version": 1', path)
@@ -113,17 +114,24 @@ def _load_input(path):
 def _real_number(x, where):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail("expected a number", where)
-    x = float(x)
-    if not np.isfinite(x):
+    # NaN, infinities, and integers past the float range
+    if not abs(x) <= sys.float_info.max:
         _fail("number must be finite", where)
-    return x
+    return float(x)
+
+
+def _float_array(obj, reason, where):
+    try:
+        return np.array(obj, dtype=float)
+    except OverflowError:
+        # an integer past the float range
+        _fail("matrix entries must be finite", where)
+    except (TypeError, ValueError):
+        _fail(reason, where)
 
 
 def _real_matrix(obj, shape, where):
-    try:
-        M = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail("expected a numeric matrix", where)
+    M = _float_array(obj, "expected a numeric matrix", where)
     if M.ndim != 2 or (shape is not None and M.shape != shape):
         _fail(
             f"matrix has shape {M.shape}, expected {shape}",
@@ -135,10 +143,7 @@ def _real_matrix(obj, shape, where):
 
 
 def _complex_matrix(obj, shape, where):
-    try:
-        A = np.array(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail("expected entries as [re, im] pairs", where)
+    A = _float_array(obj, "expected entries as [re, im] pairs", where)
     if A.ndim != 3 or A.shape[2] != 2 or (
         shape is not None and A.shape[:2] != shape
     ):
@@ -156,6 +161,9 @@ def _positive_int(obj, key):
 
 
 def _space_of(obj, tol):
+    """The input's space.  Handlers build it only after checking every
+    matrix of the input against n, so an n that the matrices contradict
+    allocates nothing."""
     n = _positive_int(obj, "n")
     if "space" in obj:
         sp = obj["space"]
@@ -169,9 +177,16 @@ def _space_of(obj, tol):
     return standard_space(n, tol)
 
 
-def _frame(obj, space, where):
-    M = _real_matrix(obj, (2 * space.n, space.n), where)
-    return lagrangian(space, M)
+def _frame_matrix(obj, n, where):
+    return _real_matrix(obj, (2 * n, n), where)
+
+
+def _frame_matrices(obj, keys, n):
+    return [_frame_matrix(obj[key], n, f"input.{key}") for key in keys]
+
+
+def _frames(space, mats):
+    return [lagrangian(space, M) for M in mats]
 
 
 def _time_samples(obj, where):
@@ -180,14 +195,25 @@ def _time_samples(obj, where):
     return obj
 
 
-def _lagrangian_nodes(obj, space, where):
-    ts, frames = [], []
+def _lagrangian_nodes(obj, n, where):
+    """Times and frame matrices of a path, each checked against n."""
+    ts, mats = [], []
     for i, item in enumerate(_time_samples(obj, where)):
         loc = f"{where}[{i}]"
         _check_keys(item, ["t", "frame"], [], loc)
         ts.append(_real_number(item["t"], loc + ".t"))
-        frames.append(_frame(item["frame"], space, loc + ".frame"))
-    return ts, frames
+        mats.append(_frame_matrix(item["frame"], n, loc + ".frame"))
+    return ts, mats
+
+
+def _reference_and_path(obj, tol):
+    """Reference frame, node times and node frames of a maslov or
+    crossings input."""
+    n = _positive_int(obj, "n")
+    ref = _frame_matrix(obj["reference"], n, "input.reference")
+    ts, mats = _lagrangian_nodes(obj["path"], n, "input.path")
+    space = _space_of(obj, tol)
+    return lagrangian(space, ref), ts, _frames(space, mats)
 
 
 def _unitary_nodes(obj, n, where):
@@ -332,13 +358,10 @@ def _write_trace(path, header, rows):
         _fail(f"cannot write trace: {exc}", path)
 
 
-def _phase_trace_rows(trace):
-    header = ["t"] + [
-        f"phase_{k + 1}" for k in range(len(trace.values[0]))
-    ]
-    rows = [
-        [t] + list(phases) for t, phases in zip(trace.ts, trace.values)
-    ]
+def _phase_trace_rows(report):
+    ts, values = report.trace.ts, report.trace.values
+    header = ["t"] + [f"phase_{k + 1}" for k in range(values.shape[1])]
+    rows = [[t] + list(phases) for t, phases in zip(ts, values)]
     return header, rows
 
 
@@ -357,16 +380,14 @@ def _eigen_trace_rows(trace):
 def _count_unitary(ts, mats, args, tol):
     path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
     report = unitary_maslov(path, tol)
-    return {"value": int(report.value)}, report.trace
+    return {"value": int(report.value)}, report
 
 
 def _cmd_maslov(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "reference", "path"], ["space"], "input"
     )
-    space = _space_of(obj, tol)
-    lam = _frame(obj["reference"], space, "input.reference")
-    ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
+    lam, ts, frames = _reference_and_path(obj, tol)
     # the index of mu_t against lam is that of its pair unitary
     # W(lam, mu_t), so the path is interpolated and counted as unitaries
     return _count_unitary(ts, [souriau(lam, f) for f in frames], args, tol)
@@ -386,9 +407,7 @@ def _cmd_crossings(obj, args, tol):
         ["space", "richardson"],
         "input",
     )
-    space = _space_of(obj, tol)
-    lam = _frame(obj["reference"], space, "input.reference")
-    ts, frames = _lagrangian_nodes(obj["path"], space, "input.path")
+    lam, ts, frames = _reference_and_path(obj, tol)
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
     richardson = obj.get("richardson", False)
     if not isinstance(richardson, bool):
@@ -420,13 +439,14 @@ def _cmd_crossings(obj, args, tol):
 
 def _cmd_kashiwara(obj, args, tol):
     _check_keys(obj, ["version", "n", "frames"], ["space"], "input")
-    space = _space_of(obj, tol)
+    n = _positive_int(obj, "n")
     fr = obj["frames"]
     if not isinstance(fr, list) or len(fr) != 3:
         _fail('"frames" must list exactly three frames', "input.frames")
-    f1, f2, f3 = (
-        _frame(f, space, f"input.frames[{i}]") for i, f in enumerate(fr)
-    )
+    mats = [
+        _frame_matrix(f, n, f"input.frames[{i}]") for i, f in enumerate(fr)
+    ]
+    f1, f2, f3 = _frames(_space_of(obj, tol), mats)
     sig = kashiwara(f1, f2, f3, tol)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
 
@@ -448,8 +468,8 @@ def _cmd_complex_kashiwara(obj, args, tol):
     )
     lam = None
     if "reference" in obj:
-        space = _space_of(obj, tol)
-        lam = _frame(obj["reference"], space, "input.reference")
+        ref = _frame_matrix(obj["reference"], n, "input.reference")
+        lam = lagrangian(_space_of(obj, tol), ref)
     sig = complex_kashiwara(u1, u2, u3, lam=lam, tol=tol)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
 
@@ -490,11 +510,9 @@ def _cmd_hormander(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, tol)
-    ell0 = _frame(obj["ell0"], space, "input.ell0")
-    ell1 = _frame(obj["ell1"], space, "input.ell1")
-    lam = _frame(obj["lam"], space, "input.lam")
-    mu = _frame(obj["mu"], space, "input.mu")
+    n = _positive_int(obj, "n")
+    mats = _frame_matrices(obj, ("ell0", "ell1", "lam", "mu"), n)
+    ell0, ell1, lam, mu = _frames(_space_of(obj, tol), mats)
     value = hormander(ell0, ell1, lam, mu, seed=args.seed, tol=tol)
     return {"value": int(value), "probe_seed": int(args.seed)}, None
 
@@ -506,15 +524,20 @@ def _cmd_pair_maslov(obj, args, tol):
         ["space"],
         "input",
     )
-    space = _space_of(obj, tol)
-    mts, mframes = _lagrangian_nodes(obj["mu_path"], space, "input.mu_path")
-    lts, lframes = _lagrangian_nodes(
-        obj["lambda_path"], space, "input.lambda_path"
+    n = _positive_int(obj, "n")
+    mts, mmats = _lagrangian_nodes(obj["mu_path"], n, "input.mu_path")
+    lts, lmats = _lagrangian_nodes(
+        obj["lambda_path"], n, "input.lambda_path"
     )
-    mu_path = _lagrangian_path(mts, mframes, args.refine_factor, tol)
-    lam_path = _lagrangian_path(lts, lframes, args.refine_factor, tol)
+    space = _space_of(obj, tol)
+    mu_path = _lagrangian_path(
+        mts, _frames(space, mmats), args.refine_factor, tol
+    )
+    lam_path = _lagrangian_path(
+        lts, _frames(space, lmats), args.refine_factor, tol
+    )
     report = pair_maslov(mu_path, lam_path, tol)
-    return {"value": int(report.value)}, report.trace
+    return {"value": int(report.value)}, report
 
 
 def _cmd_reduce(obj, args, tol):
@@ -537,17 +560,17 @@ def _cmd_reduce(obj, args, tol):
     nb, nh = _positive_int(obj, "n_big"), _positive_int(obj, "n_small")
     if not isinstance(obj["i_plus_diag"], list):
         _fail('"i_plus_diag" must be a list of numbers', "input.i_plus_diag")
+    big_mats = _frame_matrices(obj, ("lam_plus", "lam_minus"), nb)
+    small_mats = _frame_matrices(obj, ("ell_plus", "ell_minus"), nh)
+    weights = [
+        _real_number(x, "input.i_plus_diag") for x in obj["i_plus_diag"]
+    ]
+    ts, mats = _lagrangian_nodes(obj["path"], nb, "input.path")
     big, small = standard_space(nb, tol), standard_space(nh, tol)
     pp = polarized_pair(
-        lam_plus=_frame(obj["lam_plus"], big, "input.lam_plus"),
-        lam_minus=_frame(obj["lam_minus"], big, "input.lam_minus"),
-        ell_plus=_frame(obj["ell_plus"], small, "input.ell_plus"),
-        ell_minus=_frame(obj["ell_minus"], small, "input.ell_minus"),
-        i_plus_diag=[
-            _real_number(x, "input.i_plus_diag") for x in obj["i_plus_diag"]
-        ],
+        *_frames(big, big_mats), *_frames(small, small_mats), weights
     )
-    ts, frames = _lagrangian_nodes(obj["path"], big, "input.path")
+    frames = _frames(big, mats)
     # Reduction stretches frames by the diagonal weights, so the reduced
     # path can need samples between nodes that resolve the input path;
     # always build a refinable path.
@@ -567,7 +590,7 @@ def _cmd_reduce(obj, args, tol):
             for t, f in reduced.samples
         ],
     }
-    return out, small_report.trace
+    return out, small_report
 
 
 def _boundary_problem(obj):
@@ -692,6 +715,8 @@ def run(argv=None):
             )
         tol = DEFAULT_TOL.scaled(_PROFILES[args.tolerance_profile])
         obj = _load_input(args.input)
+        # a phase command hands back its IndexReport, whose trace is
+        # matched only when --trace reads it
         values, trace = handler(obj, args, tol)
         if args.trace is not None:
             if trace is None:

@@ -8,9 +8,10 @@ restricted to the intersection.  Regular crossings (nondegenerate form)
 localize the index: summing signatures with boundary corrections
 reproduces the counting index.
 
-The search for crossings reads the partition of that count
-(``paths._pair_partition``) and halves only the pieces whose arc radius
-lets an eigenvalue reach -1, so it needs no sampling of its own.
+The search for crossings reads the partition of that count, with the
+unitaries and offsets it read (``paths._pair_partition``), and halves
+only the pieces whose arc radius lets an eigenvalue reach -1, so it
+needs no sampling of its own.
 """
 
 from dataclasses import dataclass
@@ -79,8 +80,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         raise AmbiguityError(
             "crossing localization requires a refiner", where="find_crossings"
         )
-    upath, ts, mats = _pair_partition(path, lam, tol)
-    spectra = {}
+    upath, ts, mats, spectra = _pair_partition(path, lam, tol)
 
     def offsets(t):
         if t not in spectra:

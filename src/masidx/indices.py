@@ -363,7 +363,7 @@ def lift_path_endpoints(path, lam, tol=DEFAULT_TOL):
     most pi - EPS_CAP, so -1 never enters that spectrum along the piece
     and the sum is the exact increment of the continuous phase.
     """
-    _, ts, mats = _pair_partition(path, lam, tol)
+    _, ts, mats, _ = _pair_partition(path, lam, tol)
     alpha0 = float(np.angle(np.linalg.det(mats[ts[0]])))
     alpha1 = alpha0 + sum(
         float(np.sum(np.angle(np.linalg.eigvals(mats[a].conj().T @ mats[b]))))

@@ -1,10 +1,11 @@
-"""Pairs of Lagrangian paths, diagonal reduction, and polarized reduction.
+"""Pairs of Lagrangian paths, the box construction, and polarized reduction.
 
-Two devices turn questions about moving pairs into single-path questions:
-
+* the index of a path of pairs (mu_t, lam_t) is the count on its n x n
+  pair unitary W(lam_t, mu_t), whose -1-eigenspace is the complexified
+  mu_t ∩ lam_t (Howard, Latushkin and Sukhtayev, JMAA 451, 2017);
 * the box construction: the double space carries omega on the left factor
-  and -omega on the right, the diagonal is Lagrangian, and the index of a
-  pair path is the index of the boxed path against the diagonal;
+  and -omega on the right, the diagonal is Lagrangian, and the boxed path
+  mu_t ⊞ lam_t has the same index against the diagonal;
 * polarized reduction: given matched polarizations of a big and a small
   space and an injection of the plus factors, every Lagrangian of the big
   space reduces to one of the small space, and the index against the minus
@@ -27,7 +28,8 @@ from .core import (
     lagrangian,
 )
 from .errors import AmbiguityError, ValidationError
-from .paths import LagrangianPath, maslov
+from .paths import LagrangianPath, UnitaryPath, unitary_maslov
+from .souriau import souriau
 
 __all__ = [
     "PolarizedPair",
@@ -70,24 +72,22 @@ def _resample(path, times, where):
 
 
 def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
-    """Index of a path of pairs: boxed path against the diagonal."""
+    """Index of a path of pairs: ``unitary_maslov`` of its pair unitaries
+    t -> souriau(lam_t, mu_t) (HLS 2017), on the union of both legs' sample
+    times, refinable when both legs are."""
     _require_same_space(mu_path.space, lam_path.space, "pair_maslov")
-    bs = box_space(mu_path.space)
     times = sorted(
         {t for t, _ in mu_path.samples} | {t for t, _ in lam_path.samples}
     )
     mus = _resample(mu_path, times, "pair_maslov")
     lams = _resample(lam_path, times, "pair_maslov")
     samples = tuple(
-        (t, box_frame(bs, m, l)) for t, m, l in zip(times, mus, lams)
+        (t, souriau(l, m)) for t, m, l in zip(times, mus, lams)
     )
     refiner = None
     if mu_path.refiner is not None and lam_path.refiner is not None:
-        refiner = lambda t: box_frame(
-            bs, mu_path.refiner(t), lam_path.refiner(t)
-        )
-    boxed = LagrangianPath(samples=samples, refiner=refiner)
-    return maslov(boxed, bs.delta, tol)
+        refiner = lambda t: souriau(lam_path.refiner(t), mu_path.refiner(t))
+    return unitary_maslov(UnitaryPath(samples=samples, refiner=refiner), tol)
 
 
 # --------------------------------------------------------------------------

@@ -21,13 +21,16 @@ that is an AmbiguityError.  ``_arc_radius`` says how r is read.
 
 Lagrangian paths are converted through the pair unitary with a fixed
 reference and the same machinery applies.  ``_pair_partition`` hands the
-partition the count settles on to the crossing search and the endpoint
-lifts, so a path has one partition.  ``_phillips`` is the one counting
-loop: ``spectral.spectral_flow`` runs it on the real line, with Weyl
-balls around the eigenvalues of the boundary problem.
+partition the count settles on, with every unitary and offset it read, to
+the crossing search and the endpoint lifts: one partition per path, and
+no time evaluated or decomposed twice.  ``IndexReport.trace`` matches
+eigenphases only when read (``--trace``).  ``_phillips`` is the one
+counting loop: ``spectral.spectral_flow`` runs it on the real line, with
+Weyl balls around the eigenvalues of the boundary problem.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -264,14 +267,22 @@ class IndexReport:
     partition: np.ndarray
     epsilons: np.ndarray
     k_counts: tuple
-    trace: PhaseTrace
     diagnostics: dict
+    # (unitaries, spectra, offsets) the count read, keyed by time
+    _reads: tuple = field(repr=False, compare=False)
 
-
-def _match(prev, cur):
-    """Permutation of cur minimizing total circular distance to prev."""
-    diff = np.abs(np.angle(np.exp(1j * (cur[None, :] - prev[:, None]))))
-    return linear_sum_assignment(diff)[1]
+    @cached_property
+    def trace(self):
+        """Eigenphases matched across the partition, each row to the last
+        by least total circular distance; built on first read."""
+        spectra = self._reads[1]
+        rows = [np.angle(spectra[self.partition[0]])]
+        for t in self.partition[1:]:
+            cur = np.angle(spectra[t])
+            step = np.angle(np.exp(1j * (cur[None, :] - rows[-1][:, None])))
+            rows.append(cur[linear_sum_assignment(np.abs(step))[1]])
+        values = np.mod(np.array(rows), 2.0 * np.pi)
+        return PhaseTrace(kind="eigenphase", ts=self.partition, values=values)
 
 
 def _test_value(blocked, tol):
@@ -373,7 +384,8 @@ def _arc_radius(path, mats, t0, t1, tol):
 
 def unitary_maslov(path, tol=DEFAULT_TOL):
     """Counting index of a path of unitaries, as an IndexReport with the
-    partition, test angles, arc counts and matched eigenphase trace.
+    partition, test angles and arc counts; its eigenphase trace is matched
+    when it is read.
 
     Phillips' count (``_phillips``) of the offsets angle(-lambda), from
     the sampled partition, with the radius ``_arc_radius``.  While
@@ -424,18 +436,9 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         partition=np.array(ts),
         epsilons=np.array(epsilons),
         k_counts=tuple(k_counts),
-        trace=_phase_trace(ts, [spectra[t] for t in ts]),
         diagnostics={"samples": len(ts)},
+        _reads=(mats, spectra, offsets),
     )
-
-
-def _phase_trace(ts, spectra):
-    rows = [np.angle(spectra[0])]
-    for ev in spectra[1:]:
-        cur = np.angle(ev)
-        rows.append(cur[_match(rows[-1], cur)])
-    values = np.mod(np.array(rows), 2.0 * np.pi)
-    return PhaseTrace(kind="eigenphase", ts=np.asarray(ts), values=values)
 
 
 def to_unitary_path(path, lam):
@@ -449,16 +452,14 @@ def to_unitary_path(path, lam):
 
 def _pair_partition(path, lam, tol):
     """The pair-unitary path of ``path`` against ``lam``, the partition
-    its count settles on, and its unitaries at every partition time:
-    (upath, ts, mats).  Every piece has arc radius at most pi - EPS_CAP.
+    its count settles on, and the unitaries and offsets the count read,
+    keyed by time: (upath, ts, mats, offsets).  Every partition time is in
+    both, and every piece has arc radius at most pi - EPS_CAP.
     """
     upath = to_unitary_path(path, lam)
-    ts = unitary_maslov(upath, tol).partition.tolist()
-    mats = dict(upath.samples)
-    for t in ts:
-        if t not in mats:
-            mats[t] = upath.at(t)
-    return upath, ts, mats
+    report = unitary_maslov(upath, tol)
+    mats, _, offsets = report._reads
+    return upath, report.partition.tolist(), mats, offsets
 
 
 def maslov(path, lam, tol=DEFAULT_TOL):

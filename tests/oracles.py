@@ -128,3 +128,27 @@ def maslov_oracle(path, lam, factor=16):
 def unitary_oracle(path, factor=16):
     ts = [t for t, _ in path.samples]
     return trajectory_count(lambda t: path.at(t), ts, factor=factor)
+
+
+def boxed_pair_maslov(mu_path, lam_path, tol=None):
+    """Index of a pair path as the box construction counts it: the boxed
+    path mu_t ⊞ lam_t of the box space against its diagonal, sampled on
+    the union of both legs' times and refined through both refiners."""
+    from masidx import (
+        DEFAULT_TOL,
+        box_frame,
+        box_space,
+        lagrangian_path,
+        maslov,
+    )
+
+    bs = box_space(mu_path.space)
+    times = sorted(
+        {t for t, _ in mu_path.samples} | {t for t, _ in lam_path.samples}
+    )
+
+    def boxed(t):
+        return box_frame(bs, mu_path.at(t), lam_path.at(t))
+
+    path = lagrangian_path([(t, boxed(t)) for t in times], refiner=boxed)
+    return maslov(path, bs.delta, tol or DEFAULT_TOL).value

@@ -72,14 +72,10 @@ def _crossings_body(n, phases, rates, rng, space=None, richardson=False,
 
 def _unitary_body(body):
     """unitary-maslov input: the pair unitaries of a maslov input."""
-    space = standard_space(body["n"])
-    if "space" in body:
-        space = cli._space_of(body, cli.DEFAULT_TOL)
-    ref = cli._frame(body["reference"], space, "reference")
-    path = []
-    for node in body["path"]:
-        W = souriau(ref, cli._frame(node["frame"], space, "frame"))
-        path.append({"t": node["t"], "U": _complex(W)})
+    ref, ts, frames = cli._reference_and_path(body, cli.DEFAULT_TOL)
+    path = [
+        {"t": t, "U": _complex(souriau(ref, f))} for t, f in zip(ts, frames)
+    ]
     return {"version": 1, "n": body["n"], "path": path}
 
 

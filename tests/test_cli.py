@@ -14,6 +14,8 @@ from masidx import (
     horizontal_frame,
     maslov,
     maslov_via_crossings,
+    pairs,
+    paths,
     standard_space,
     vertical_frame,
 )
@@ -23,6 +25,7 @@ from conftest import (
     spinner_expected,
     spinner_path,
 )
+from record_golden import GOLDEN
 
 # eigenphases move from phases to phases + pi * rates; every endpoint stays
 # at least 0.5 away from -1, so the closed-form count is unambiguous
@@ -365,9 +368,7 @@ def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
     assert code == 0, out
     ((_, got),) = calls
     tol = cli.DEFAULT_TOL
-    space = cli._space_of(body, tol)
-    lam = cli._frame(body["reference"], space, "reference")
-    ts, frames = cli._lagrangian_nodes(body["path"], space, "path")
+    lam, ts, frames = cli._reference_and_path(body, tol)
     want = maslov(cli._lagrangian_path(ts, frames, 2, tol), lam, tol)
     assert got.value == want.value == out["value"]
     return got, want
@@ -571,3 +572,97 @@ def test_segment_times_stop_at_the_sample_cap():
     )
     with pytest.raises(cli.ValidationError):
         cli._segment_times([0.0, 1.0], cli.MAX_SAMPLES)
+
+
+def _source(tmp_path, data):
+    src = tmp_path / "input.json"
+    src.write_bytes(data)
+    return str(src)
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    src = _source(tmp_path, b'{"version": 1, "n": "\xff\xfe"}')
+    code = cli.run(["maslov", src])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["where"] == src
+    assert out["reason"].startswith("not valid JSON: 'utf-8' codec")
+
+
+def test_input_nested_past_the_stack_exits_2(tmp_path, capsys):
+    src = _source(tmp_path, b"[" * 100000 + b"]" * 100000)
+    code = cli.run(["kashiwara", src])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["where"] == src
+    assert out["reason"].startswith("not valid JSON: maximum recursion")
+
+
+_LINE = [[1.0], [0.0]]
+_NODES = [{"t": 0.0, "frame": _LINE}, {"t": 1.0, "frame": _LINE}]
+
+
+@pytest.mark.parametrize(
+    "command, body, where",
+    [
+        ("maslov", {"n": 10**7, "reference": _LINE, "path": _NODES},
+         "input.reference"),
+        ("crossings", {"n": 10**7, "reference": _LINE, "path": _NODES},
+         "input.reference"),
+        ("kashiwara", {"n": 10**7, "frames": [_LINE] * 3},
+         "input.frames[0]"),
+        ("hormander", {"n": 10**7} | dict.fromkeys(
+            ["ell0", "ell1", "lam", "mu"], _LINE), "input.ell0"),
+        ("pair-maslov", {"n": 10**7, "mu_path": _NODES,
+                         "lambda_path": _NODES}, "input.mu_path[0].frame"),
+        ("reduce", {"n_big": 10**7, "n_small": 1, "i_plus_diag": [1.0],
+                    "path": _NODES} | dict.fromkeys(
+            ["lam_plus", "lam_minus", "ell_plus", "ell_minus"], _LINE),
+         "input.lam_plus"),
+    ],
+)
+def test_sizes_past_the_input_exit_2_before_allocating(command, body, where,
+                                                      tmp_path, capsys):
+    # one n x n block of n = 10**7 takes 800 TB: the frames' shapes must
+    # refuse the input before the space is built
+    code, out, _ = _run(tmp_path, capsys, command, {"version": 1, **body})
+    assert code == 2
+    assert out == {
+        "reason": "matrix has shape (2, 1), expected (20000000, 10000000)",
+        "where": where,
+    }
+
+
+def _golden_case(command):
+    cases = json.loads(GOLDEN.read_text())
+    return next(c for c in cases if c["command"] == command)
+
+
+@pytest.mark.parametrize("command", ["maslov", "pair-maslov", "reduce"])
+def test_commands_without_trace_match_no_phases(command, tmp_path, capsys,
+                                                monkeypatch):
+    calls = _recorded(monkeypatch, "linear_sum_assignment", paths)
+    case = _golden_case(command)
+    code, _, _ = _run(tmp_path, capsys, command, case["input"],
+                      *case["args"])
+    assert code == 0
+    assert calls == []
+
+
+def test_pair_maslov_trace_has_one_row_per_partition_time(tmp_path, capsys,
+                                                          monkeypatch):
+    reports = _recorded(monkeypatch, "unitary_maslov", pairs)
+    case = _golden_case("pair-maslov")
+    n = case["input"]["n"]
+    trace = tmp_path / "trace.csv"
+    flags = [*case["args"], "--trace", str(trace)]
+    code, _, _ = _run(tmp_path, capsys, "pair-maslov", case["input"], *flags)
+    assert code == 0
+    first = trace.read_bytes()
+    ((_, report),) = reports
+    header, *rows = first.decode().splitlines()
+    assert header.split(",") == ["t"] + [f"phase_{k}" for k in range(1, n + 1)]
+    assert [float(r.split(",")[0]) for r in rows] == report.partition.tolist()
+    assert all(len(r.split(",")) == n + 1 for r in rows)
+    _run(tmp_path, capsys, "pair-maslov", case["input"], *flags)
+    assert trace.read_bytes() == first

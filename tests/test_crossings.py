@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from masidx import (
+    DEFAULT_TOL,
     AmbiguityError,
     Crossing,
     PreconditionError,
+    cli,
     horizontal_frame,
     lagrangian,
     lagrangian_path,
@@ -15,6 +17,7 @@ from masidx import (
     crossing_form_phase,
     crossing_sum,
     find_crossings,
+    lift_path_endpoints,
     maslov,
     maslov_via_crossings,
     standard_space,
@@ -296,3 +299,28 @@ def test_close_crossings_match_the_closed_form(rng):
         for t, (t_want, sign) in zip(ts, want):
             assert abs(t - t_want) < T_STAR_TOL
             assert crossing_form(path, ref, t).sign == sign
+
+
+def test_search_and_lift_evaluate_no_time_twice():
+    """find_crossings and lift_path_endpoints read the unitaries the count
+    read, so neither passes a time to the refiner twice; the CLI path of
+    perfbench's defect-b-crossings-4 (_CLOSE_PAIR on 5 nodes, refined by
+    geodesics at factor 2) refines in the count and in the search."""
+    sp = standard_space(4)
+    spin, ref = spinner_path(
+        sp, *_CLOSE_PAIR, rng=np.random.default_rng(0), num=5
+    )
+    nodes = [t for t, _ in spin.samples]
+    path = cli._lagrangian_path(
+        nodes, [f for _, f in spin.samples], 2, DEFAULT_TOL
+    )
+    for search in (find_crossings, lift_path_endpoints):
+        asked = []
+
+        def refiner(t):
+            asked.append(t)
+            return path.refiner(t)
+
+        search(lagrangian_path(path.samples, refiner=refiner), ref)
+        assert asked
+        assert len(asked) == len(set(asked)), search.__name__

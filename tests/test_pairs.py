@@ -17,6 +17,7 @@ from masidx import (
     crossing_form,
     gamma_reduce,
     gamma_reduce_path,
+    haar_unitary,
     hormander,
     horizontal_frame,
     intersection_dim,
@@ -28,13 +29,20 @@ from masidx import (
     polarized_pair,
     random_lagrangian,
     random_symmetric,
+    realify,
     reverse,
     same_span,
     souriau,
     standard_space,
     vertical_frame,
 )
-from conftest import random_spinner, rotating_block_loop, spinner_path
+from conftest import (
+    random_spinner,
+    rotating_block_loop,
+    spinner_expected,
+    spinner_path,
+)
+from oracles import boxed_pair_maslov
 
 SP2 = standard_space(2)
 SP3 = standard_space(3)
@@ -118,6 +126,65 @@ def test_pair_time_grids_need_refiners(rng):
     pb = lagrangian_path([(0.0, b), (0.37, b), (1.0, b)])
     with pytest.raises(AmbiguityError):
         pair_maslov(pa, pb)
+
+
+def turned_spinner_pair(n, rng, meet, nums):
+    """A pair path (mu, lam) whose pair unitary has the eigenphases of a
+    random spinner, and that spinner's closed-form index.
+
+    Both legs are turned by the same moving unitary g_t = V exp(i s t) V^H
+    of the standard model, which conjugates the pair unitary, so the
+    spectrum stays the spinner's.  ``meet`` lists the ends (0 or 1) where
+    one eigenphase sits on -1, so that the legs meet there; ``nums`` are
+    the sample counts of the two legs.
+    """
+    sp = standard_space(n)
+    rates = rng.uniform(0.3, 2.5, n) * rng.choice([-1.0, 1.0], n)
+    phases = rng.uniform(-np.pi, np.pi, n)
+    if 0 in meet:
+        phases[0] = np.pi
+    if 1 in meet:
+        k = n - 1
+        if k == 0 and 0 in meet:
+            # one eigenphase on -1 at both ends: a whole turn
+            rates[0] = 2.0 * np.sign(rates[0])
+        phases[k] = np.pi - np.pi * rates[k]
+    spin, ref = spinner_path(sp, phases, rates, rng=rng, num=nums[0])
+    V, s = haar_unitary(n, rng), rng.uniform(-2.0, 2.0, n)
+
+    def g(t):
+        return realify((V * np.exp(1j * s * t)) @ V.conj().T)
+
+    mu = lagrangian_path_from_function(
+        lambda t: lagrangian(sp, g(t) @ spin.refiner(t).F), num=nums[0]
+    )
+    lam = lagrangian_path_from_function(
+        lambda t: lagrangian(sp, g(t) @ ref.F), num=nums[1]
+    )
+    return mu, lam, spinner_expected(phases, rates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pair_index_is_the_boxed_count(n, rng):
+    meets = [(), (0,), (1,), (0, 1)]
+    grids = [(9, 9), (5, 9), (17, 7), (3, 13)]
+    for meet, nums in zip(meets, grids):
+        mu, lam, expected = turned_spinner_pair(n, rng, meet, nums)
+        assert pair_maslov(mu, lam).value == boxed_pair_maslov(mu, lam)
+        assert pair_maslov(mu, lam).value == expected, (meet, nums)
+
+
+def test_pair_index_builds_no_box_frames(rng, monkeypatch):
+    from masidx import core, pairs
+
+    def refuse(*args):
+        raise AssertionError("pair_maslov built a box frame")
+
+    for module in (core, pairs):
+        monkeypatch.setattr(module, "box_frame", refuse)
+        monkeypatch.setattr(module, "box_space", refuse)
+    mu, lam, expected = turned_spinner_pair(3, rng, (0,), (9, 5))
+    assert pair_maslov(mu, lam).value == expected
 
 
 # --------------------------------------------------------------------------

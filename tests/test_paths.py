@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from masidx import (
     DEFAULT_TOL,
     AmbiguityError,
     ValidationError,
     catenate,
+    find_crossings,
     haar_unitary,
     horizontal_frame,
     lagrangian_path,
     maslov,
     reverse,
+    souriau,
     standard_space,
     unitary_geodesic,
     unitary_maslov,
@@ -272,6 +275,41 @@ def test_report_internals_are_consistent(rng):
     assert total == rep.value
     assert rep.trace.values.shape[1] == 3
     assert rep.trace.kind == "eigenphase"
+
+
+def _matched_phases(spectra):
+    """Eigenphases in [0, 2 pi), each row ordered by the least total
+    circular distance to the row before it."""
+    rows = [np.angle(spectra[0])]
+    for ev in spectra[1:]:
+        cur = np.angle(ev)
+        step = np.angle(np.exp(1j * (cur[None, :] - rows[-1][:, None])))
+        rows.append(cur[linear_sum_assignment(np.abs(step))[1]])
+    return np.mod(np.array(rows), 2.0 * np.pi)
+
+
+def test_trace_is_matched_only_when_read(rng, monkeypatch):
+    from masidx import paths
+
+    calls = []
+
+    def recording(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(paths, "linear_sum_assignment", recording)
+    path, ref, expected = random_spinner(SP3, rng)
+    rep = maslov(path, ref)
+    find_crossings(path, ref)
+    assert rep.value == expected
+    assert calls == []
+    spectra = [np.linalg.eigvals(souriau(ref, path.at(t)))
+               for t in rep.partition]
+    np.testing.assert_array_equal(rep.trace.values, _matched_phases(spectra))
+    np.testing.assert_array_equal(rep.trace.ts, rep.partition)
+    assert len(calls) == len(rep.partition) - 1
+    assert rep.trace is rep.trace
+    assert len(calls) == len(rep.partition) - 1
 
 
 C = DEFAULT_TOL.clearance
