@@ -11,31 +11,35 @@ Real matrices are row-major nested arrays; complex matrices use an
 [re, im] pair per entry; Lagrangian frames are 2n rows by n columns.
 
 --refine-factor r (r > 1) treats sampled Lagrangian or unitary paths as
-nodes of a piecewise-geodesic interpolation, inserting r - 1 intermediate
-samples per gap and attaching the interpolant as a refiner.  Each gap
-carries one principal-logarithm geodesic (``paths.unitary_geodesic``)
-between its end unitaries, evaluated lazily: only the samples the index
-actually asks for are built.  A path may hold at most
-``paths.MAX_SAMPLES`` samples, so a larger r is rejected before any is
-built.  Unitary paths interpolate their own samples.  maslov counts the
-pair unitaries W(lam, mu_i) of its nodes against the reference lam as a
-unitary path, interpolated the same way; no frame is built between the
-nodes.  crossings, reduce and pair-maslov need frames: they interpolate
-the pair unitaries against the horizontal Lagrangian of the standard
-model, pulled back into the input's space, and recover a frame with
-``lagrangian_from_souriau`` at each requested time.  With the default
-r = 1 the samples are used as-is and under-resolved inputs fail with an
-ambiguity error rather than being silently interpolated: a gap counts
-only when its unitaries are within 0.5 in spectral norm and their
-eigenphases leave an admissible test angle.  The crossings
-and reduce subcommands always interpolate: the crossing search halves
-the pieces of the count's partition through the interpolant, and
+nodes of a piecewise principal-logarithm geodesic (``paths.GeodesicPath``)
+and counts it from a partition of r pieces per gap.  Each gap keeps the
+angles theta and vectors Z of the one Schur decomposition that joins its
+end unitaries.  So the arc radius of a piece [tau0, tau1] of a gap is
+exact, (tau1 - tau0) max |theta|, with no norm to compute, and the
+spectrum at a time comes from a matrix similar to U_t, which is not
+formed.  The path holds its nodes only: memory is bounded by the spectra
+of the partition the count settles on, not by the number of samples.  A
+partition may hold at most ``paths.MAX_SAMPLES`` times, so a larger r is
+rejected before anything is built.  unitary-maslov counts its own nodes;
+maslov counts the pair unitaries W(lam, mu_i) of its nodes against the
+reference lam, so no frame is built between the nodes.  crossings,
+reduce and pair-maslov need frames: they interpolate the pair unitaries
+against the horizontal Lagrangian of the standard model, pulled back
+into the input's space, and build a frame with
+``lagrangian_from_souriau`` at each sample and each requested time.
+With the default r = 1 the samples are used as-is and under-resolved
+inputs fail with an ambiguity error rather than being silently
+interpolated: a gap counts only when its unitaries are within 0.5 in
+spectral norm and their eigenphases leave an admissible test angle.  The
+crossings and reduce subcommands always interpolate: the crossing search
+halves the pieces of the count's partition through the interpolant, and
 reduction marches along the path.
 """
 
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -61,8 +65,8 @@ from .paths import (
     MAX_SAMPLES,
     LagrangianPath,
     UnitaryPath,
+    geodesic_path,
     maslov,
-    unitary_geodesic,
     unitary_maslov,
 )
 from .pairs import gamma_reduce_path, pair_maslov, polarized_pair
@@ -121,13 +125,26 @@ def _real_number(x, where):
 
 
 def _float_array(obj, reason, where):
+    """Nested lists of one shape whose leaves are JSON numbers, as a float
+    array; ``reason`` names a ragged or mixed nesting.  The lists are
+    flattened a level at a time, so the leaves are typed in one pass."""
+    shape, items = [], [obj]
+    while items and all(type(x) is list for x in items):
+        size = len(items[0])
+        if any(len(x) != size for x in items):
+            _fail(reason, where)
+        shape.append(size)
+        items = list(chain.from_iterable(items))
+    # JSON numbers only: strings and booleans are not coerced
+    if not set(map(type, items)) <= {int, float}:
+        if not shape or any(type(x) is list for x in items):
+            _fail(reason, where)
+        _fail("matrix entries must be numbers", where)
     try:
-        return np.array(obj, dtype=float)
+        return np.array(items, dtype=float).reshape(shape)
     except OverflowError:
         # an integer past the float range
         _fail("matrix entries must be finite", where)
-    except (TypeError, ValueError):
-        _fail(reason, where)
 
 
 def _real_matrix(obj, shape, where):
@@ -246,36 +263,12 @@ def _segment_times(ts, factor):
     return out
 
 
-def _geodesic_refiner(ts, nodes, tol):
-    """Piecewise principal-log geodesic through the unitaries ``nodes``."""
-    segs = []
-    for i in range(len(nodes) - 1):
-        seg = unitary_geodesic(nodes[i], nodes[i + 1], tol)
-        if seg is None:
-            raise PreconditionError(
-                "adjacent samples are antipodal in the unitary model; "
-                "supply intermediate samples",
-                where=f"path[{i}]",
-            )
-        segs.append(seg)
-
-    def refiner(t):
-        i = min(
-            max(int(np.searchsorted(ts, t, side="right")) - 1, 0),
-            len(segs) - 1,
-        )
-        tau = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return segs[i](min(max(tau, 0.0), 1.0))
-
-    return refiner
-
-
 def _lagrangian_path(ts, frames, factor, tol):
     if factor <= 1:
         return LagrangianPath(
             samples=tuple(zip(ts, frames)), refiner=None
         )
-    nodes = _segment_times(ts, factor)
+    grid = _segment_times(ts, factor)
     # the horizontal frame of a general space need not be Lagrangian, so
     # the reference is built in the standard model and pulled back
     space = frames[0].space
@@ -283,24 +276,22 @@ def _lagrangian_path(ts, frames, factor, tol):
     ref = horizontal_frame(std.target)
     if not space.is_standard:
         ref = std.pull_frame(ref)
-    geodesic = _geodesic_refiner(ts, [souriau(ref, f) for f in frames], tol)
+    geodesic = geodesic_path(
+        ts, [souriau(ref, f) for f in frames], grid, tol
+    )
 
     def refiner(t):
-        return lagrangian_from_souriau(ref, geodesic(t))
+        return lagrangian_from_souriau(ref, geodesic.at(t))
 
     return LagrangianPath(
-        samples=tuple((t, refiner(t)) for t in nodes), refiner=refiner
+        samples=tuple((t, refiner(t)) for t in grid), refiner=refiner
     )
 
 
 def _unitary_cli_path(ts, mats, factor, tol):
     if factor <= 1:
         return UnitaryPath(samples=tuple(zip(ts, mats)), refiner=None)
-    nodes = _segment_times(ts, factor)
-    refiner = _geodesic_refiner(ts, mats, tol)
-    return UnitaryPath(
-        samples=tuple((t, refiner(t)) for t in nodes), refiner=refiner
-    )
+    return geodesic_path(ts, mats, _segment_times(ts, factor), tol)
 
 
 # --------------------------------------------------------------------------

@@ -84,8 +84,6 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
 
     def offsets(t):
         if t not in spectra:
-            if t not in mats:
-                mats[t] = upath.at(t)
             spectra[t] = minus_one_offsets(mats[t])
         return spectra[t]
 

@@ -17,7 +17,9 @@ within the arc radius r of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
 balls of that radius around the offsets at t_j block everything the
 piece can reach, and eps_j is the midpoint of the widest gap they leave
 in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
-that is an AmbiguityError.  ``_arc_radius`` says how r is read.
+that is an AmbiguityError.  On a ``GeodesicPath`` r is exact and read off
+the angles each gap carries; elsewhere ``_arc_radius`` says how it is
+read.
 
 Lagrangian paths are converted through the pair unitary with a fixed
 reference and the same machinery applies.  ``_pair_partition`` hands the
@@ -29,6 +31,7 @@ counting loop: ``spectral.spectral_flow`` runs it on the real line, with
 Weyl balls around the eigenvalues of the boundary problem.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,7 +40,7 @@ from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
 
 from .core import DEFAULT_TOL, LagrangianFrame, _norm2_exceeds
-from .errors import AmbiguityError, ValidationError
+from .errors import AmbiguityError, PreconditionError, ValidationError
 from .souriau import souriau
 
 __all__ = [
@@ -50,6 +53,8 @@ __all__ = [
     "catenate",
     "reverse",
     "unitary_geodesic",
+    "GeodesicPath",
+    "geodesic_path",
     "PhaseTrace",
     "IndexReport",
     "unitary_maslov",
@@ -87,6 +92,27 @@ def _check_times(times, where):
     return times
 
 
+def _unitaries(samples):
+    """The matrices of (t, U) samples as complex arrays of one size, each
+    checked to be unitary."""
+    mats = []
+    dim = None
+    for t, U in samples:
+        U = np.asarray(U, dtype=complex)
+        if dim is None:
+            dim = U.shape[0]
+        if U.shape != (dim, dim):
+            raise ValidationError(
+                "inconsistent matrix sizes", where="UnitaryPath"
+            )
+        if _norm2_exceeds(U.conj().T @ U - np.eye(dim), 1e-9):
+            raise ValidationError(
+                f"sample at t={t} not unitary", where="UnitaryPath"
+            )
+        mats.append(U)
+    return mats
+
+
 def _at(path, t, where):
     """The sample at t, or the refiner's value when there is one."""
     if path.refiner is not None:
@@ -114,23 +140,8 @@ class UnitaryPath:
 
     def __post_init__(self):
         ts = _check_times([t for t, _ in self.samples], "UnitaryPath")
-        mats = []
-        dim = None
-        for t, U in self.samples:
-            U = np.asarray(U, dtype=complex)
-            if dim is None:
-                dim = U.shape[0]
-            if U.shape != (dim, dim):
-                raise ValidationError(
-                    "inconsistent matrix sizes", where="UnitaryPath"
-                )
-            if _norm2_exceeds(U.conj().T @ U - np.eye(dim), 1e-9):
-                raise ValidationError(
-                    f"sample at t={t} not unitary", where="UnitaryPath"
-                )
-            mats.append(U)
         object.__setattr__(
-            self, "samples", tuple(zip(ts.tolist(), mats))
+            self, "samples", tuple(zip(ts.tolist(), _unitaries(self.samples)))
         )
 
     @property
@@ -228,6 +239,51 @@ def reverse(path):
     return type(path)(samples=samples, refiner=refiner)
 
 
+@dataclass(frozen=True, eq=False)
+class _GeodesicPiece:
+    """U_tau = U0 Z diag(exp(i tau theta)) Z^H on tau in [0, 1], where
+    U0^H U1 = Z diag(exp(i theta)) Z^H is the complex Schur form, theta in
+    (-pi, pi].
+
+    The eigenvalues of U_tau are those of M diag(exp(i tau theta)) with
+    M = Z^H U0 Z, which is similar to U_tau; and ||U_tau - U_tau0||_2 =
+    2 max_k |sin((tau - tau0) theta_k / 2)|, so on [tau0, tau1] no
+    eigenvalue moves by an arc longer than (tau1 - tau0) max_k |theta_k|.
+    """
+
+    U0: np.ndarray
+    theta: np.ndarray
+    Z: np.ndarray
+
+    @cached_property
+    def speed(self):
+        return float(np.abs(self.theta).max())
+
+    @cached_property
+    def M(self):
+        return self.Z.conj().T @ self.U0 @ self.Z
+
+    def at(self, tau):
+        return self.U0 @ (
+            (self.Z * np.exp(1j * tau * self.theta)) @ self.Z.conj().T
+        )
+
+    def eigvals(self, tau):
+        return np.linalg.eigvals(self.M * np.exp(1j * tau * self.theta))
+
+
+def _geodesic_piece(U0, U1, tol):
+    """The principal-log geodesic from U0 to U1 as a ``_GeodesicPiece``,
+    or None when an eigenvalue of U0^H U1 lies within ``tol.log_cut`` of
+    the logarithm cut at -1 (the endpoints are antipodal in that
+    direction)."""
+    T, Z = schur(U0.conj().T @ U1, output="complex")
+    vals = np.diag(T)
+    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
+        return None
+    return _GeodesicPiece(U0=U0, theta=np.angle(vals), Z=Z)
+
+
 def unitary_geodesic(U0, U1, tol=DEFAULT_TOL):
     """Principal-logarithm geodesic t -> U0 exp(t log(U0^H U1)), t in [0, 1].
 
@@ -235,16 +291,101 @@ def unitary_geodesic(U0, U1, tol=DEFAULT_TOL):
     eigenvalue of U0^H U1 lies within ``tol.log_cut`` of the logarithm cut
     at -1 (the endpoints are antipodal in that direction).
     """
-    T, Z = schur(U0.conj().T @ U1, output="complex")
-    vals = np.diag(T)
-    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-        return None
-    theta = np.angle(vals)
+    piece = _geodesic_piece(U0, U1, tol)
+    return None if piece is None else piece.at
 
-    def at(t):
-        return U0 @ ((Z * np.exp(1j * t * theta)) @ Z.conj().T)
 
-    return at
+class _GridSamples(Sequence):
+    """The (t, U_t) samples of a ``GeodesicPath`` at its grid times, each
+    formed when read."""
+
+    def __init__(self, path):
+        self._path = path
+
+    def __len__(self):
+        return len(self._path.grid)
+
+    def __getitem__(self, i):
+        t = self._path.grid[i]
+        return t, self._path.at(t)
+
+
+@dataclass(frozen=True, eq=False)
+class GeodesicPath:
+    """Piecewise principal-log geodesic through unitaries at node times.
+
+    Gap i, [times[i], times[i + 1]], is ``pieces[i]`` at tau = (t -
+    times[i]) / (times[i + 1] - times[i]); the nodes are the only matrices
+    the path holds.  ``unitary_maslov`` counts it from the partition
+    ``grid`` (a refinement of the node times) with the exact radius
+    ``radius`` and the spectra ``eigvals``, and forms no U_t; ``samples``
+    and ``at`` form U_t when read.
+    """
+
+    times: np.ndarray
+    pieces: tuple
+    grid: tuple
+
+    @property
+    def samples(self):
+        return _GridSamples(self)
+
+    @property
+    def refiner(self):
+        return self.at
+
+    def _gap(self, t):
+        return min(
+            max(int(np.searchsorted(self.times, t, side="right")) - 1, 0),
+            len(self.pieces) - 1,
+        )
+
+    def _locate(self, t):
+        i = self._gap(t)
+        tau = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
+        return self.pieces[i], min(max(tau, 0.0), 1.0)
+
+    def at(self, t):
+        piece, tau = self._locate(t)
+        return piece.at(tau)
+
+    def eigvals(self, t):
+        piece, tau = self._locate(t)
+        return piece.eigvals(tau)
+
+    def radius(self, t0, t1):
+        """Largest arc any eigenvalue moves on [t0, t1], a piece of one
+        gap."""
+        i = self._gap(t0)
+        span = (t1 - t0) / (self.times[i + 1] - self.times[i])
+        return span * self.pieces[i].speed
+
+
+def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
+    """The ``GeodesicPath`` through the unitaries ``nodes`` at ``times``,
+    counted from ``grid``.
+
+    ValidationError when the grid times are not an increasing cover of
+    [0, 1] or a node is not unitary; PreconditionError (where
+    ``path[i]``) when nodes i and i + 1 are antipodal.
+    """
+    _check_times(grid, "UnitaryPath")
+    nodes = _unitaries(zip(times, nodes))
+    pieces = []
+    for i in range(len(nodes) - 1):
+        piece = _geodesic_piece(nodes[i], nodes[i + 1], tol)
+        if piece is None:
+            raise PreconditionError(
+                "adjacent samples are antipodal in the unitary model; "
+                "supply intermediate samples",
+                where=f"path[{i}]",
+            )
+        pieces.append(piece)
+    return GeodesicPath(
+        times=np.asarray(times, dtype=float),
+        pieces=tuple(pieces),
+        grid=tuple(grid),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +409,8 @@ class IndexReport:
     epsilons: np.ndarray
     k_counts: tuple
     diagnostics: dict
-    # (unitaries, spectra, offsets) the count read, keyed by time
+    # (unitaries, spectra, offsets) the count read, keyed by time; on a
+    # GeodesicPath the count reads no unitary, and each is formed when read
     _reads: tuple = field(repr=False, compare=False)
 
     @cached_property
@@ -351,18 +493,31 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
     return total, epsilons, k_counts
 
 
-def _arc_radius(path, mats, t0, t1, tol):
-    """Arc radius r = 2 arcsin(||U_t1 - U_t0||_2 / 2) of the piece [t0, t1].
+class _Reads(dict):
+    """Unitaries keyed by time, each formed by ``at`` when first read."""
 
-    ``mats`` maps times to the unitaries read so far; a midpoint read
-    here is added to it.  The radius is exact on a principal-log geodesic,
-    where ||U_t - U_t0||_2 = 2 max_k |sin(tau theta_k / 2)| peaks at t1
-    and grows linearly in tau: every piece of a CLI path with
-    ``--refine-factor`` >= 2.  Elsewhere it is a heuristic, so a piece
-    with chord above ``_END_CHORD`` gets radius inf unless its midpoint,
-    read through the refiner, is the geodesic one; samples alone are read
-    as gaps of chord at most ``_END_CHORD``.  A phase that turns by nearly
-    whole turns between the points read goes unseen.
+    def __init__(self, at):
+        super().__init__()
+        self._at = at
+
+    def __missing__(self, t):
+        U = self[t] = self._at(t)
+        return U
+
+
+def _arc_radius(path, mats, t0, t1, tol):
+    """Arc radius r = 2 arcsin(||U_t1 - U_t0||_2 / 2) of the piece [t0, t1]
+    of a path given by samples and a refiner; a ``GeodesicPath`` (the CLI's
+    paths with ``--refine-factor`` >= 2) carries its exact radius instead.
+
+    ``mats`` is the count's ``_Reads``.  The radius is exact on a
+    principal-log geodesic, where ||U_t - U_t0||_2 = 2 max_k |sin(tau
+    theta_k / 2)| peaks at t1 and grows linearly in tau.  Elsewhere it is
+    a heuristic, so a piece with chord above ``_END_CHORD`` gets radius
+    inf unless its midpoint, read through the refiner, is the geodesic
+    one; samples alone are read as gaps of chord at most ``_END_CHORD``.
+    A phase that turns by nearly whole turns between the points read goes
+    unseen.
     """
     U0, U1 = mats[t0], mats[t1]
     chord = np.linalg.norm(U1 - U0, 2)
@@ -371,10 +526,7 @@ def _arc_radius(path, mats, t0, t1, tol):
             return np.inf
         # the geodesic midpoint is U0 M, M the principal square root
         # of U0^H U1: every eigenphase of M within pi / 2 of 0
-        tm = 0.5 * (t0 + t1)
-        if tm not in mats:
-            mats[tm] = path.at(tm)
-        Um = mats[tm]
+        Um = mats[0.5 * (t0 + t1)]
         if _norm2_exceeds(Um - U0, np.sqrt(2.0)) or _norm2_exceeds(
             Um @ U0.conj().T @ Um - U1, tol.angular
         ):
@@ -388,28 +540,40 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     when it is read.
 
     Phillips' count (``_phillips``) of the offsets angle(-lambda), from
-    the sampled partition, with the radius ``_arc_radius``.  While
+    the sampled partition (a ``GeodesicPath``: its grid), with the radius
+    ``_arc_radius`` (a ``GeodesicPath``: its exact ``radius``).  While
     r <= pi - EPS_CAP no ball around a signed offset wraps past +-pi into
     the test arc, and U is normal, so by Bauer-Fike a gap between the
     balls around the offsets at t0 is admissible.  Other pieces are
     halved; AmbiguityError when that is impossible or refinement runs
     out.
     """
-    mats = dict(path.samples)
+    mats = _Reads(path.at)
+    if isinstance(path, GeodesicPath):
+        ts = list(path.grid)
+        eigvals, radius = path.eigvals, path.radius
+    else:
+        mats.update(path.samples)
+        ts = [t for t, _ in path.samples]
+
+        def eigvals(t):
+            return np.linalg.eigvals(mats[t])
+
+        def radius(t0, t1):
+            return _arc_radius(path, mats, t0, t1, tol)
+
+    start = len(ts)
     spectra = {}
     offsets = {}
 
     def spec(t):
         if t not in offsets:
-            spectra[t] = np.linalg.eigvals(mats[t])
+            spectra[t] = eigvals(t)
             offsets[t] = np.angle(-spectra[t])
         return offsets[t]
 
-    def radius(t0, t1):
-        return _arc_radius(path, mats, t0, t1, tol)
-
     def split(ts, i):
-        if len(ts) - len(path.samples) >= 4000:
+        if len(ts) - start >= 4000:
             raise AmbiguityError(
                 "no admissible test angle after maximal refinement",
                 where="unitary_maslov",
@@ -422,12 +586,8 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
             )
         if len(ts) >= MAX_SAMPLES:
             raise AmbiguityError("refinement exploded", where="unitary_maslov")
-        tm = 0.5 * (ts[i] + ts[i + 1])
-        if tm not in mats:
-            mats[tm] = path.at(tm)
-        ts.insert(i + 1, tm)
+        ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
 
-    ts = [t for t, _ in path.samples]
     total, epsilons, k_counts = _phillips(
         ts, spec, radius, np.pi - EPS_CAP, split, tol.clustering, tol
     )

@@ -188,6 +188,20 @@ def random_unitary_curve(space, rng, num=33, max_rate=1.7):
     return lagrangian_path_from_function(frame_at, num=num), ref
 
 
+def geodesic_nodes(n, rng, gaps, turn):
+    """Unitary nodes at even times in [0, 1].  Each gap turns the
+    eigenphases by up to ``turn`` about random axes; the first eigenphase
+    of every other gap turns by exactly +-``turn``."""
+    nodes = [haar_unitary(n, rng)]
+    for i in range(gaps):
+        phases = rng.uniform(-turn, turn, n)
+        if i % 2 == 0:
+            phases[0] = turn * rng.choice([-1.0, 1.0])
+        V = haar_unitary(n, rng)
+        nodes.append(nodes[-1] @ (V * np.exp(1j * phases)) @ V.conj().T)
+    return np.linspace(0.0, 1.0, gaps + 1).tolist(), nodes
+
+
 def transversal_pair(space, rng, margin=0.3):
     """Two random Lagrangians staying clear of each other."""
     for _ in range(200):

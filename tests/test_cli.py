@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from masidx import (
     vertical_frame,
 )
 from conftest import (
+    geodesic_nodes,
     ladder_body,
     random_structure_space,
     spinner_expected,
@@ -572,6 +574,80 @@ def test_segment_times_stop_at_the_sample_cap():
     )
     with pytest.raises(cli.ValidationError):
         cli._segment_times([0.0, 1.0], cli.MAX_SAMPLES)
+
+
+def test_refined_unitary_path_forms_samples_only_when_read():
+    """3001 geodesic samples at n = 32 hold about 50 MB.  The count reads
+    spectra only, so the path forms none of them."""
+    n = 32
+    ts, nodes = geodesic_nodes(n, np.random.default_rng(5), 1, 2.5)
+    tol = cli.DEFAULT_TOL
+    tracemalloc.start()
+    try:
+        path = cli._unitary_cli_path(ts, nodes, 3000, tol)
+        lazy = paths.unitary_maslov(path, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    # the path holds its node, the Schur vectors and angles, and M
+    (piece,) = path.pieces
+    held = [piece.U0, piece.Z, piece.theta, piece.M]
+    assert sum(a.nbytes for a in held) <= 3 * nodes[0].nbytes + 8 * n
+    assert len(path.samples) == len(lazy.partition) == 3001
+    eager = paths.unitary_maslov(
+        paths.unitary_path(tuple(path.samples), refiner=path.at), tol
+    )
+    assert lazy.value == eager.value
+    np.testing.assert_array_equal(lazy.partition, eager.partition)
+
+
+def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
+    """On a refined CLI path the radius is exact: the count makes no
+    spectral-norm or SVD call, the path one Schur decomposition per gap,
+    and the count at most one eigvals per partition time."""
+    counts = dict.fromkeys(("norm2", "svd", "eigvals", "schur"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    norm = np.linalg.norm
+
+    def norm_counted(x, ord=None, *args, **kwargs):
+        counts["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm_counted)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(
+        np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals)
+    )
+    monkeypatch.setattr(paths, "schur", counting("schur", paths.schur))
+    ts, nodes = geodesic_nodes(6, np.random.default_rng(11), 5, 2.8)
+    tol = cli.DEFAULT_TOL
+    path = cli._unitary_cli_path(ts, nodes, 2, tol)
+    assert counts["schur"] == len(ts) - 1
+    counts.update(dict.fromkeys(counts, 0))
+    report = paths.unitary_maslov(path, tol)
+    assert len(report.partition) > len(path.grid)
+    assert counts["norm2"] == counts["svd"] == counts["schur"] == 0
+    assert 0 < counts["eigvals"] <= len(report.partition)
+
+
+def test_refined_unitary_path_checks_every_node(tmp_path, capsys):
+    # a geodesic ends on a unitary whatever its last node is, so the node
+    # itself must be checked
+    body = _scalar_unitary_body(0.2)
+    body["path"][-1]["U"] = _complex([[2.0]])
+    code, out, _ = _run(
+        tmp_path, capsys, "unitary-maslov", body, "--refine-factor", "2"
+    )
+    assert code == 2
+    assert out == {"reason": "sample at t=1.0 not unitary",
+                   "where": "UnitaryPath"}
 
 
 def _source(tmp_path, data):

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from masidx import (
     DEFAULT_TOL,
     AmbiguityError,
+    UnitaryPath,
     ValidationError,
     catenate,
     find_crossings,
@@ -24,13 +25,15 @@ from masidx import (
     vertical_frame,
 )
 from conftest import (
+    geodesic_nodes,
     line_path,
     random_spinner,
     rotating_block_loop,
     spinner_expected,
     spinner_path,
 )
-from masidx.paths import EPS_CAP, _test_value
+from masidx import cli
+from masidx.paths import EPS_CAP, _test_value, geodesic_path
 from oracles import unitary_oracle
 
 SP1 = standard_space(1)
@@ -368,3 +371,41 @@ def test_overtaking_eigenvalues_count_without_matching():
     )
     assert expected == -10
     assert maslov(path, ref).value == expected
+
+
+# --------------------------------------------------------------------------
+# geodesic pieces against the same geodesic read through a refiner
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("turn, factor", [(2.9, 1), (2.9, 2), (0.9, 3)])
+def test_geodesic_pieces_count_as_their_refiner(n, turn, factor):
+    """A GeodesicPath (exact radius, spectra of M diag(exp(i tau theta)))
+    counts as the same geodesic given by samples and a refiner, whose
+    radius is read by ``_arc_radius``.  Gaps that turn by 2.9 > pi -
+    EPS_CAP must be split when the grid is the nodes alone."""
+    rng = np.random.default_rng(1000 * n + factor)
+    ts, nodes = geodesic_nodes(n, rng, 6, turn)
+    grid = cli._segment_times(ts, factor)
+    path = geodesic_path(ts, nodes, grid)
+    plain = unitary_path([(t, path.at(t)) for t in grid], refiner=path.at)
+    got, want = unitary_maslov(path), unitary_maslov(plain)
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
+    assert got.k_counts == want.k_counts
+    np.testing.assert_allclose(got.epsilons, want.epsilons, rtol=0, atol=1e-12)
+    if turn > np.pi - EPS_CAP and factor == 1:
+        assert len(got.partition) > len(grid)
+
+
+def test_factor_one_counts_the_samples_as_given():
+    rng = np.random.default_rng(7)
+    ts, nodes = geodesic_nodes(4, rng, 12, 0.2)
+    path = cli._unitary_cli_path(ts, nodes, 1, DEFAULT_TOL)
+    assert isinstance(path, UnitaryPath) and path.refiner is None
+    got = unitary_maslov(path)
+    want = unitary_maslov(unitary_path(list(zip(ts, nodes))))
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
+    assert got.k_counts == want.k_counts
+    np.testing.assert_array_equal(got.epsilons, want.epsilons)
