@@ -23,10 +23,13 @@ partition may hold at most ``paths.MAX_SAMPLES`` times, so a larger r is
 rejected before anything is built.  unitary-maslov counts its own nodes;
 maslov counts the pair unitaries W(lam, mu_i) of its nodes against the
 reference lam, so no frame is built between the nodes.  crossings,
-reduce and pair-maslov need frames: they interpolate the pair unitaries
-against the horizontal Lagrangian of the standard model, pulled back
-into the input's space, and build a frame with
-``lagrangian_from_souriau`` at each sample and each requested time.
+reduce and pair-maslov interpolate the pair unitaries against the
+horizontal Lagrangian h of the standard model, pulled back into the
+input's space.  Their counts and the crossing search read the pair
+unitaries against any other Lagrangian off the same pieces, by the
+cocycle W(lam, mu) = -W(h, mu) W(lam, h), so a frame is built with
+``lagrangian_from_souriau`` only where one is read: by the crossing
+forms, and by the reduction at its samples and marching steps.
 With the default r = 1 the samples are used as-is and under-resolved
 inputs fail with an ambiguity error rather than being silently
 interpolated: a gap counts only when its unitaries are within 0.5 in
@@ -38,6 +41,7 @@ reduction marches along the path.
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -70,7 +74,7 @@ from .paths import (
     unitary_maslov,
 )
 from .pairs import gamma_reduce_path, pair_maslov, polarized_pair
-from .souriau import lagrangian_from_souriau, souriau
+from .souriau import souriau
 from .spectral import (
     boundary_problem,
     eigenvalue_trace,
@@ -264,6 +268,11 @@ def _segment_times(ts, factor):
 
 
 def _lagrangian_path(ts, frames, factor, tol):
+    """The samples as given (factor 1), or the Lagrangian path whose pair
+    unitaries against a fixed reference h are the piecewise geodesic
+    through those of the nodes (``GeodesicPath.lagrangian``).  A frame,
+    lagrangian_from_souriau(h, U_t), is formed only where it is read; the
+    counts read the pair unitaries off the geodesic pieces instead."""
     if factor <= 1:
         return LagrangianPath(
             samples=tuple(zip(ts, frames)), refiner=None
@@ -279,13 +288,7 @@ def _lagrangian_path(ts, frames, factor, tol):
     geodesic = geodesic_path(
         ts, [souriau(ref, f) for f in frames], grid, tol
     )
-
-    def refiner(t):
-        return lagrangian_from_souriau(ref, geodesic.at(t))
-
-    return LagrangianPath(
-        samples=tuple((t, refiner(t)) for t in grid), refiner=refiner
-    )
+    return geodesic.lagrangian(ref)
 
 
 def _unitary_cli_path(ts, mats, factor, tol):
@@ -315,6 +318,13 @@ def _fmt(obj):
         return "null"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
+        if items and all(type(x) is float for x in items):
+            # the rows of a frame: the float case above, in one join
+            if not all(map(math.isfinite, items)):
+                raise ValidationError(
+                    "non-finite value in report", where="emit"
+                )
+            return "[" + ",".join(["%.17g" % x for x in items]) + "]"
         return "[" + ",".join(_fmt(x) for x in items) + "]"
     if isinstance(obj, dict):
         parts = (

@@ -21,7 +21,7 @@ from scipy.linalg import schur
 
 from .core import DEFAULT_TOL, complexify_vectors
 from .errors import AmbiguityError, PreconditionError
-from .paths import EPS_CAP, _arc_radius, _pair_partition
+from .paths import EPS_CAP, _pair_partition
 from .souriau import minus_one_offsets, souriau
 
 __all__ = [
@@ -55,8 +55,11 @@ class Crossing:
 def find_crossings(path, lam, tol=DEFAULT_TOL):
     """All parameter values where the path meets the reference.
 
-    Reads the pieces of the counting partition (``paths._pair_partition``)
-    and their arc radius r (``paths._arc_radius``).  A zero of an
+    Reads the pieces of the counting partition (``paths._pair_partition``),
+    the offsets of the pair unitaries and the arc radius r of a piece by
+    the count's own rule (``paths._Reads``): exact on a CLI path, whose
+    pair unitaries are geodesic pieces, and the chord heuristic
+    ``paths._arc_radius`` elsewhere.  A zero of an
     eigenphase offset at t in [t0, t1] lies within r (t - t0) / (t1 - t0)
     of the offsets at t0 and within r (t1 - t) / (t1 - t0) of those at t1
     where the radius grows linearly (geodesic pieces; elsewhere this is
@@ -80,12 +83,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         raise AmbiguityError(
             "crossing localization requires a refiner", where="find_crossings"
         )
-    upath, ts, mats, spectra = _pair_partition(path, lam, tol)
-
-    def offsets(t):
-        if t not in spectra:
-            spectra[t] = minus_one_offsets(mats[t])
-        return spectra[t]
+    ts, reads = _pair_partition(path, lam, tol)
+    offsets = reads.offsets
 
     def gap(t):
         return float(np.abs(offsets(t)).min())
@@ -101,7 +100,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         while stack:
             t0, t1 = stack.pop()
             a0, a1 = gap(t0), gap(t1)
-            r = _arc_radius(upath, mats, t0, t1, tol)
+            r = reads.radius(t0, t1)
             # a zero on a geodesic piece makes the sum equal r: the slack
             # is rounding only, so pieces beside a crossing still drop
             if a0 + a1 > r * (1.0 + 1e-9) + 1e-13:

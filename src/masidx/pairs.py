@@ -28,7 +28,12 @@ from .core import (
     lagrangian,
 )
 from .errors import AmbiguityError, ValidationError
-from .paths import LagrangianPath, UnitaryPath, unitary_maslov
+from .paths import (
+    LagrangianPath,
+    UnitaryPath,
+    to_unitary_path,
+    unitary_maslov,
+)
 from .souriau import souriau
 
 __all__ = [
@@ -74,19 +79,39 @@ def _resample(path, times, where):
 def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     """Index of a path of pairs: ``unitary_maslov`` of its pair unitaries
     t -> souriau(lam_t, mu_t) (HLS 2017), on the union of both legs' sample
-    times, refinable when both legs are."""
+    times, refinable when both legs are.
+
+    Legs built by ``GeodesicPath.lagrangian`` (the CLI's refined paths)
+    are converted by ``to_unitary_path`` against the reference h of the mu
+    leg, and their pair unitaries are read by the cocycle
+    W(lam_t, mu_t) = -W(h, mu_t) W(h, lam_t)^H: two geodesic reads and
+    one product per time, and no frame.
+    """
     _require_same_space(mu_path.space, lam_path.space, "pair_maslov")
-    times = sorted(
-        {t for t, _ in mu_path.samples} | {t for t, _ in lam_path.samples}
-    )
-    mus = _resample(mu_path, times, "pair_maslov")
-    lams = _resample(lam_path, times, "pair_maslov")
-    samples = tuple(
-        (t, souriau(l, m)) for t, m, l in zip(times, mus, lams)
-    )
-    refiner = None
-    if mu_path.refiner is not None and lam_path.refiner is not None:
-        refiner = lambda t: souriau(lam_path.refiner(t), mu_path.refiner(t))
+    if mu_path._geodesic is not None and lam_path._geodesic is not None:
+        h = mu_path._geodesic[0]
+        mu_u = to_unitary_path(mu_path, h)
+        lam_u = to_unitary_path(lam_path, h)
+        times = sorted(set(mu_u.grid) | set(lam_u.grid))
+
+        def refiner(t):
+            return -mu_u.at(t) @ lam_u.at(t).conj().T
+
+        pairs = [refiner(t) for t in times]
+    else:
+        times = sorted(
+            {t for t, _ in mu_path.samples}
+            | {t for t, _ in lam_path.samples}
+        )
+        mus = _resample(mu_path, times, "pair_maslov")
+        lams = _resample(lam_path, times, "pair_maslov")
+        pairs = [souriau(l, m) for m, l in zip(mus, lams)]
+        refiner = None
+        if mu_path.refiner is not None and lam_path.refiner is not None:
+            refiner = lambda t: souriau(
+                lam_path.refiner(t), mu_path.refiner(t)
+            )
+    samples = tuple(zip(times, pairs))
     return unitary_maslov(UnitaryPath(samples=samples, refiner=refiner), tol)
 
 

@@ -21,14 +21,19 @@ that is an AmbiguityError.  On a ``GeodesicPath`` r is exact and read off
 the angles each gap carries; elsewhere ``_arc_radius`` says how it is
 read.
 
-Lagrangian paths are converted through the pair unitary with a fixed
-reference and the same machinery applies.  ``_pair_partition`` hands the
-partition the count settles on, with every unitary and offset it read, to
-the crossing search and the endpoint lifts: one partition per path, and
-no time evaluated or decomposed twice.  ``IndexReport.trace`` matches
-eigenphases only when read (``--trace``).  ``_phillips`` is the one
-counting loop: ``spectral.spectral_flow`` runs it on the real line, with
-Weyl balls around the eigenvalues of the boundary problem.
+Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
+the reference lam (``to_unitary_path``).  A path built from a
+``GeodesicPath`` of pair unitaries against some h (the CLI's refined
+paths) converts by the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same
+geodesic pieces times one constant unitary, with the exact radius and no
+frame formed.  ``_pair_partition`` hands the partition the count settles
+on, with its reads (``_Reads``: every unitary and offset read, and the
+one radius rule), to the crossing search and the endpoint lifts: one
+partition per path, and no time evaluated or decomposed twice.
+``IndexReport.trace`` matches eigenphases only when read (``--trace``).
+``_phillips`` is the one counting loop: ``spectral.spectral_flow`` runs it
+on the real line, with Weyl balls around the eigenvalues of the boundary
+problem.
 """
 
 from collections.abc import Sequence
@@ -41,7 +46,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import DEFAULT_TOL, LagrangianFrame, _norm2_exceeds
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .souriau import souriau
+from .souriau import lagrangian_from_souriau, souriau
 
 __all__ = [
     "UnitaryPath",
@@ -154,12 +159,22 @@ class UnitaryPath:
 
 @dataclass(frozen=True, eq=False)
 class LagrangianPath:
-    """Sampled path of Lagrangian frames on [0, 1]."""
+    """Sampled path of Lagrangian frames on [0, 1].
+
+    ``_geodesic`` is (h, G) on a path built by ``G.lagrangian(h)``: its
+    pair unitaries W(h, mu_t) against the reference h are the
+    ``GeodesicPath`` G, and its samples are G's grid, each frame formed
+    when first read.
+    """
 
     samples: tuple
     refiner: object = field(default=None, repr=False)
+    _geodesic: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self._geodesic is not None:
+            # frames of lagrangian_from_souriau on a checked grid
+            return
         _check_times([t for t, _ in self.samples], "LagrangianPath")
         space = None
         for _, f in self.samples:
@@ -179,6 +194,8 @@ class LagrangianPath:
 
     @property
     def space(self):
+        if self._geodesic is not None:
+            return self._geodesic[0].space
         return self.samples[0][1].space
 
     def at(self, t):
@@ -271,6 +288,13 @@ class _GeodesicPiece:
     def eigvals(self, tau):
         return np.linalg.eigvals(self.M * np.exp(1j * tau * self.theta))
 
+    def __matmul__(self, C):
+        """The piece U_tau C for a constant unitary C: (U0 C, theta, C^H Z),
+        with the same angles and so the same radius."""
+        return _GeodesicPiece(
+            U0=self.U0 @ C, theta=self.theta, Z=C.conj().T @ self.Z
+        )
+
 
 def _geodesic_piece(U0, U1, tol):
     """The principal-log geodesic from U0 to U1 as a ``_GeodesicPiece``,
@@ -296,18 +320,21 @@ def unitary_geodesic(U0, U1, tol=DEFAULT_TOL):
 
 
 class _GridSamples(Sequence):
-    """The (t, U_t) samples of a ``GeodesicPath`` at its grid times, each
-    formed when read."""
+    """The samples (t, at(t)) of a path at its grid times, each formed when
+    read."""
 
-    def __init__(self, path):
-        self._path = path
+    def __init__(self, grid, at):
+        self._grid = grid
+        self._at = at
 
     def __len__(self):
-        return len(self._path.grid)
+        return len(self._grid)
 
     def __getitem__(self, i):
-        t = self._path.grid[i]
-        return t, self._path.at(t)
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        t = self._grid[i]
+        return t, self._at(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +346,8 @@ class GeodesicPath:
     the path holds.  ``unitary_maslov`` counts it from the partition
     ``grid`` (a refinement of the node times) with the exact radius
     ``radius`` and the spectra ``eigvals``, and forms no U_t; ``samples``
-    and ``at`` form U_t when read.
+    and ``at`` form U_t when read.  ``G @ C`` is the path U_t C for a
+    constant unitary C, with the same grid and radius.
     """
 
     times: np.ndarray
@@ -328,7 +356,7 @@ class GeodesicPath:
 
     @property
     def samples(self):
-        return _GridSamples(self)
+        return _GridSamples(self.grid, self.at)
 
     @property
     def refiner(self):
@@ -359,6 +387,28 @@ class GeodesicPath:
         i = self._gap(t0)
         span = (t1 - t0) / (self.times[i + 1] - self.times[i])
         return span * self.pieces[i].speed
+
+    def __matmul__(self, C):
+        return GeodesicPath(
+            times=self.times,
+            pieces=tuple(piece @ C for piece in self.pieces),
+            grid=self.grid,
+        )
+
+    def lagrangian(self, reference):
+        """The Lagrangian path mu_t = lagrangian_from_souriau(reference,
+        U_t), whose pair unitaries W(reference, mu_t) are this path.  Its
+        grid frames are formed when first read, and ``to_unitary_path``
+        converts it with no frame."""
+
+        def refiner(t):
+            return lagrangian_from_souriau(reference, self.at(t))
+
+        return LagrangianPath(
+            samples=_GridSamples(self.grid, _Formed(refiner).__getitem__),
+            refiner=refiner,
+            _geodesic=(reference, self),
+        )
 
 
 def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
@@ -409,15 +459,14 @@ class IndexReport:
     epsilons: np.ndarray
     k_counts: tuple
     diagnostics: dict
-    # (unitaries, spectra, offsets) the count read, keyed by time; on a
-    # GeodesicPath the count reads no unitary, and each is formed when read
-    _reads: tuple = field(repr=False, compare=False)
+    # the count's ``_Reads`` of its path
+    _reads: object = field(repr=False, compare=False)
 
     @cached_property
     def trace(self):
         """Eigenphases matched across the partition, each row to the last
         by least total circular distance; built on first read."""
-        spectra = self._reads[1]
+        spectra = self._reads.spectra
         rows = [np.angle(spectra[self.partition[0]])]
         for t in self.partition[1:]:
             cur = np.angle(spectra[t])
@@ -493,27 +542,62 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
     return total, epsilons, k_counts
 
 
-class _Reads(dict):
-    """Unitaries keyed by time, each formed by ``at`` when first read."""
+class _Formed(dict):
+    """Values keyed by time, each formed by ``at`` when first read."""
 
     def __init__(self, at):
         super().__init__()
         self._at = at
 
     def __missing__(self, t):
-        U = self[t] = self._at(t)
-        return U
+        value = self[t] = self._at(t)
+        return value
+
+
+class _Reads:
+    """What a count reads of a unitary path, keyed by time and formed when
+    first read: the unitaries ``mats``, the ``spectra`` and their offsets
+    angle(-lambda) (``offsets(t)``).  ``radius(t0, t1)`` is the arc radius
+    of a piece, the one rule that the count and the crossing search share:
+    exact on a ``GeodesicPath``, which forms no unitary for its spectra,
+    and ``_arc_radius`` elsewhere.  It holds no reference to itself, so
+    what it read is freed with the last report that holds it."""
+
+    def __init__(self, path, tol):
+        self.mats = _Formed(path.at)
+        self.spectra = {}
+        self._offsets = {}
+        self._path = path
+        self._tol = tol
+        self._exact = isinstance(path, GeodesicPath)
+        if not self._exact:
+            self.mats.update(path.samples)
+
+    def radius(self, t0, t1):
+        if self._exact:
+            return self._path.radius(t0, t1)
+        return _arc_radius(self._path, self.mats, t0, t1, self._tol)
+
+    def offsets(self, t):
+        if t not in self._offsets:
+            if self._exact:
+                self.spectra[t] = self._path.eigvals(t)
+            else:
+                self.spectra[t] = np.linalg.eigvals(self.mats[t])
+            self._offsets[t] = np.angle(-self.spectra[t])
+        return self._offsets[t]
 
 
 def _arc_radius(path, mats, t0, t1, tol):
     """Arc radius r = 2 arcsin(||U_t1 - U_t0||_2 / 2) of the piece [t0, t1]
     of a path given by samples and a refiner; a ``GeodesicPath`` (the CLI's
-    paths with ``--refine-factor`` >= 2) carries its exact radius instead.
+    refined paths, and the pair unitaries of their Lagrangian paths)
+    carries its exact radius instead.
 
-    ``mats`` is the count's ``_Reads``.  The radius is exact on a
-    principal-log geodesic, where ||U_t - U_t0||_2 = 2 max_k |sin(tau
-    theta_k / 2)| peaks at t1 and grows linearly in tau.  Elsewhere it is
-    a heuristic, so a piece with chord above ``_END_CHORD`` gets radius
+    ``mats`` is the count's unitaries (``_Reads.mats``).  The radius is
+    exact on a principal-log geodesic, where ||U_t - U_t0||_2 = 2 max_k
+    |sin(tau theta_k / 2)| peaks at t1 and grows linearly in tau.
+    Elsewhere it is a heuristic, so a piece with chord above ``_END_CHORD`` gets radius
     inf unless its midpoint, read through the refiner, is the geodesic
     one; samples alone are read as gaps of chord at most ``_END_CHORD``.
     A phase that turns by nearly whole turns between the points read goes
@@ -548,29 +632,12 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     halved; AmbiguityError when that is impossible or refinement runs
     out.
     """
-    mats = _Reads(path.at)
+    reads = _Reads(path, tol)
     if isinstance(path, GeodesicPath):
         ts = list(path.grid)
-        eigvals, radius = path.eigvals, path.radius
     else:
-        mats.update(path.samples)
         ts = [t for t, _ in path.samples]
-
-        def eigvals(t):
-            return np.linalg.eigvals(mats[t])
-
-        def radius(t0, t1):
-            return _arc_radius(path, mats, t0, t1, tol)
-
     start = len(ts)
-    spectra = {}
-    offsets = {}
-
-    def spec(t):
-        if t not in offsets:
-            spectra[t] = eigvals(t)
-            offsets[t] = np.angle(-spectra[t])
-        return offsets[t]
 
     def split(ts, i):
         if len(ts) - start >= 4000:
@@ -589,7 +656,8 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
 
     total, epsilons, k_counts = _phillips(
-        ts, spec, radius, np.pi - EPS_CAP, split, tol.clustering, tol
+        ts, reads.offsets, reads.radius, np.pi - EPS_CAP, split,
+        tol.clustering, tol,
     )
     return IndexReport(
         value=int(total),
@@ -597,12 +665,24 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
         epsilons=np.array(epsilons),
         k_counts=tuple(k_counts),
         diagnostics={"samples": len(ts)},
-        _reads=(mats, spectra, offsets),
+        _reads=reads,
     )
 
 
 def to_unitary_path(path, lam):
-    """Pair-unitary conversion of a Lagrangian path against a reference."""
+    """The pair unitaries t -> W(lam, mu_t) = souriau(lam, mu_t) of a
+    Lagrangian path.
+
+    A path built by ``GeodesicPath.lagrangian(h)`` converts by the cocycle
+    W(lam, mu) = -W(h, mu) W(lam, h) of the pair unitary (Howard,
+    Latushkin and Sukhtayev, JMAA 451, 2017): its geodesic times the
+    constant -souriau(lam, h), again a ``GeodesicPath`` with exact radius,
+    and no frame is formed.  Other paths convert sample by sample and
+    through the refiner.
+    """
+    if path._geodesic is not None:
+        h, geodesic = path._geodesic
+        return geodesic @ -souriau(lam, h)
     usamples = tuple((t, souriau(lam, f)) for t, f in path.samples)
     refiner = None
     if path.refiner is not None:
@@ -611,15 +691,13 @@ def to_unitary_path(path, lam):
 
 
 def _pair_partition(path, lam, tol):
-    """The pair-unitary path of ``path`` against ``lam``, the partition
-    its count settles on, and the unitaries and offsets the count read,
-    keyed by time: (upath, ts, mats, offsets).  Every partition time is in
-    both, and every piece has arc radius at most pi - EPS_CAP.
+    """The partition that the count of ``path`` against ``lam`` settles
+    on, and the count's ``_Reads`` of the pair-unitary path: (ts, reads).
+    Every partition time has been read, and every piece has arc radius at
+    most pi - EPS_CAP.
     """
-    upath = to_unitary_path(path, lam)
-    report = unitary_maslov(upath, tol)
-    mats, _, offsets = report._reads
-    return upath, report.partition.tolist(), mats, offsets
+    report = unitary_maslov(to_unitary_path(path, lam), tol)
+    return report.partition.tolist(), report._reads
 
 
 def maslov(path, lam, tol=DEFAULT_TOL):

@@ -1,6 +1,7 @@
 """Record the golden CLI outputs that ``test_golden.py`` compares against.
 
     PYTHONPATH=src python tests/record_golden.py
+    PYTHONPATH=src python tests/record_golden.py --check
 
 Builds the ``crossings``, ``reduce``, ``maslov``, ``unitary-maslov`` and
 ``pair-maslov`` inputs from closed-form spinner paths, the
@@ -11,8 +12,14 @@ unitaries.  Runs each through ``masidx.cli.run`` and writes input,
 arguments, exit code and stdout to ``tests/golden/cli.json``.  Rerun it
 only when an output is meant to change, and say why in the change that
 does.
+
+``--check`` writes nothing: it reruns every recorded case and prints, per
+case, "identical" (same exit code and bytes), "within 1e-12 (max diff
+d)" (the tolerance ``test_golden.py`` allows) or "differs", and exits 1
+when any case differs.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -259,7 +266,57 @@ def run_case(command, args, body):
     return code, buf.getvalue()
 
 
+def compare(got, want, where="$"):
+    """(largest difference between the numbers, where it is) of two parsed
+    outputs; inf where a key, a length, a string or a boolean differs.
+    The emitter writes 0.0 as 0, so a float may parse as an int."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return np.inf, where
+        pairs = [(got[k], want[k], f"{where}.{k}") for k in want]
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return np.inf, where
+        pairs = [(g, w, f"{where}[{k}]")
+                 for k, (g, w) in enumerate(zip(got, want))]
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        if not isinstance(got, (int, float)) or isinstance(got, bool):
+            return np.inf, where
+        return abs(got - want), where
+    else:
+        return (0.0 if type(got) is type(want) and got == want
+                else np.inf), where
+    return max((compare(g, w, loc) for g, w, loc in pairs),
+               key=lambda d: d[0], default=(0.0, where))
+
+
+def check():
+    """Rerun every recorded case; 1 when any differs beyond 1e-12."""
+    status = 0
+    for case in json.loads(GOLDEN.read_text()):
+        code, stdout = run_case(case["command"], case["args"], case["input"])
+        if code == case["exit"] and stdout == case["stdout"]:
+            verdict = "identical"
+        else:
+            diff, where = compare(json.loads(stdout),
+                                  json.loads(case["stdout"]))
+            if code == case["exit"] and diff <= 1e-12:
+                verdict = f"within 1e-12 (max diff {diff:.3g} at {where})"
+            else:
+                verdict = "differs"
+                status = 1
+        print(f"{case['id']}: {verdict}")
+    return status
+
+
 def main():
+    ap = argparse.ArgumentParser(description="Record or check the golden "
+                                 "CLI outputs.")
+    ap.add_argument("--check", action="store_true",
+                    help="rerun every case against the recording, write "
+                    "nothing, exit 1 when one differs")
+    if ap.parse_args().check:
+        sys.exit(check())
     records = []
     for cid, command, args, body in cases():
         code, stdout = run_case(command, args, body)

@@ -24,6 +24,7 @@ from conftest import (
     geodesic_nodes,
     ladder_body,
     random_structure_space,
+    spinner_crossings,
     spinner_expected,
     spinner_path,
 )
@@ -343,10 +344,11 @@ def test_refined_maslov_builds_no_frames(n, general, rng, tmp_path, capsys,
                                          monkeypatch):
     space = random_structure_space(n, rng) if general else None
     body, expected = _spinner_body(n, 5, rng, space)
-    # the package re-exports the function under the module's name
+    # the package re-exports the function under the module's name; the
+    # CLI's refined Lagrangian paths form their frames in ``paths``
     souriau_module = importlib.import_module("masidx.souriau")
     calls = _recorded(
-        monkeypatch, "lagrangian_from_souriau", souriau_module, cli
+        monkeypatch, "lagrangian_from_souriau", souriau_module, paths
     )
     code, out, _ = _run(
         tmp_path, capsys, "maslov", body, "--refine-factor", "2"
@@ -635,6 +637,63 @@ def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
     assert len(report.partition) > len(path.grid)
     assert counts["norm2"] == counts["svd"] == counts["schur"] == 0
     assert 0 < counts["eigvals"] <= len(report.partition)
+
+
+def test_refined_lagrangian_paths_form_frames_only_where_read(monkeypatch):
+    """A 2-node spinner at n = 8 refined 3000 times once held 3001 frames
+    (10.9 MB) before anything was counted.  The crossing search and the
+    pair count read the pair unitaries off the geodesic pieces: they form
+    no frame, and the search makes no spectral-norm or SVD call."""
+    n = 8
+    phases = np.linspace(-2.6, 2.8, n)
+    rates = 0.85 * np.cos(np.arange(n) + 0.5)
+    path, ref = spinner_path(standard_space(n), phases, rates,
+                             rng=np.random.default_rng(3), num=2)
+    ts, frames = (list(x) for x in zip(*path.samples))
+    tol = cli.DEFAULT_TOL
+    counts = dict.fromkeys(("frames", "norm2", "svd"), 0)
+    check = paths.LagrangianFrame.__post_init__
+
+    def counted_check(self):
+        counts["frames"] += 1
+        check(self)
+
+    norm, svd = np.linalg.norm, np.linalg.svd
+
+    def norm_counted(x, ord=None, *args, **kwargs):
+        counts["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    def svd_counted(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(paths.LagrangianFrame, "__post_init__",
+                        counted_check)
+    monkeypatch.setattr(np.linalg, "norm", norm_counted)
+    monkeypatch.setattr(np.linalg, "svd", svd_counted)
+    mu = cli._lagrangian_path(ts, frames, 3000, tol)
+    lam = cli._lagrangian_path(ts, [ref, ref], 3000, tol)
+    assert len(mu.samples) == 3001
+    counts.update(dict.fromkeys(counts, 0))
+    tracemalloc.start()
+    try:
+        found = crossings.find_crossings(mu, ref, tol)
+        search_peak = tracemalloc.get_traced_memory()[1]
+        assert counts == {"frames": 0, "norm2": 0, "svd": 0}
+        tracemalloc.reset_peak()
+        value = pairs.pair_maslov(mu, lam, tol).value
+        pair_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["frames"] == 0
+    # both peaks were above 27 MB with the frames formed up front
+    assert search_peak < 3e6 and pair_peak < 8e6
+    want = spinner_crossings(phases, rates)
+    np.testing.assert_allclose(found, [t for t, _ in want], atol=1e-8)
+    assert value == spinner_expected(phases, rates) == sum(
+        sign for _, sign in want
+    )
 
 
 def test_refined_unitary_path_checks_every_node(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 ``golden/cli.json`` holds each input with the exit code and stdout it
 gave when recorded (``record_golden.py``).  Keys, booleans and strings
-must match exactly and numbers to within 1e-12: exact for the integers,
-and room for BLAS rounding, nothing more, in crossing times and reduced
-frames.
+must match exactly and numbers to within 1e-12 (``record_golden.compare``):
+exact for the integers, and room for BLAS rounding in crossing times.
+
+A reduced frame has no such room.  Its basis is the one LAPACK picks
+inside a numerically null singular cluster (``pairs.gamma_reduce``), so
+a rounding change in the input's projector can move the printed frame by
+O(1) while its span agrees to 1e-15.  The reduce case passes only while
+the frames that reach that SVD are bitwise the recorded ones.
 """
 
 import json
@@ -13,34 +18,17 @@ import pathlib
 import pytest
 
 from conftest import spinner_crossings
-from record_golden import CROSSINGS_SPINNERS, GOLDEN, run_case
+from record_golden import CROSSINGS_SPINNERS, GOLDEN, compare, run_case
 
 CASES = json.loads(pathlib.Path(GOLDEN).read_text())
-
-
-def _assert_matches(got, want, where="$"):
-    if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key in want:
-            _assert_matches(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for k, (g, w) in enumerate(zip(got, want)):
-            _assert_matches(g, w, f"{where}[{k}]")
-    elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        # the emitter writes 0.0 as 0, so a float may parse as an int;
-        # integers within 1e-12 of each other are equal
-        assert isinstance(got, (int, float)) and not isinstance(got, bool)
-        assert abs(got - want) <= 1e-12, where
-    else:
-        assert type(got) is type(want) and got == want, where
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
 def test_cli_output_matches_golden(case):
     code, stdout = run_case(case["command"], case["args"], case["input"])
     assert code == case["exit"]
-    _assert_matches(json.loads(stdout), json.loads(case["stdout"]))
+    diff, where = compare(json.loads(stdout), json.loads(case["stdout"]))
+    assert diff <= 1e-12, where
 
 
 @pytest.mark.parametrize(
@@ -57,3 +45,20 @@ def test_golden_crossing_times_are_the_closed_form(case):
         assert abs(row["t_star"] - t) <= 1e-8
         p, q = row["signature"]
         assert p - q == sign
+
+
+@pytest.mark.parametrize(
+    "got, want, diff, where",
+    [
+        ({"a": [1, 2.5]}, {"a": [1.0, 2.5]}, 0.0, "$.a[0]"),
+        ({"a": [0, 1.0 + 3e-13]}, {"a": [0, 1.0]}, 3e-13, "$.a[1]"),
+        ({"a": [1, True]}, {"a": [1, 1]}, float("inf"), "$.a[1]"),
+        ({"a": "x"}, {"a": "y"}, float("inf"), "$.a"),
+        ({"a": []}, {"a": [0]}, float("inf"), "$.a"),
+        ({"b": 0}, {"a": 0}, float("inf"), "$"),
+    ],
+)
+def test_compare_reports_the_largest_difference(got, want, diff, where):
+    got_diff, got_where = compare(got, want)
+    assert got_diff == pytest.approx(diff, rel=1e-3)
+    assert got_where == where

@@ -307,6 +307,20 @@ def test_graphs_reduce_to_rescaled_graphs(rng):
         assert same_span(red, want)
 
 
+def test_reduction_depends_on_the_span_only(rng):
+    """Two bases of mu reduce to one span.  The reduced frame itself is
+    the basis LAPACK picks in an n-dimensional numerically null singular
+    cluster, so it can move by O(1) when P_mu moves by rounding; only its
+    projector is compared."""
+    pp = coordinate_pair(2, [0.7, 1.6])
+    for _ in range(6):
+        mu = random_lagrangian(SP2, rng)
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        other = lagrangian(SP2, mu.F @ Q)
+        a, b = gamma_reduce(pp, mu), gamma_reduce(pp, other)
+        np.testing.assert_allclose(a.P, b.P, rtol=0, atol=1e-12)
+
+
 def test_new_polarization_rank_arithmetic(rng):
     """Splitting the minus factor splits the plus factor through the
     annihilators: matching dimensions, joint spanning, and the annihilator

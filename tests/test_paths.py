@@ -15,9 +15,12 @@ from masidx import (
     horizontal_frame,
     lagrangian_path,
     maslov,
+    pair_maslov,
+    random_lagrangian,
     reverse,
     souriau,
     standard_space,
+    to_unitary_path,
     unitary_geodesic,
     unitary_maslov,
     unitary_path,
@@ -28,13 +31,15 @@ from conftest import (
     geodesic_nodes,
     line_path,
     random_spinner,
+    random_structure_space,
+    random_unitary_curve,
     rotating_block_loop,
     spinner_expected,
     spinner_path,
 )
 from masidx import cli
-from masidx.paths import EPS_CAP, _test_value, geodesic_path
-from oracles import unitary_oracle
+from masidx.paths import EPS_CAP, GeodesicPath, _test_value, geodesic_path
+from oracles import boxed_pair_maslov, unitary_oracle
 
 SP1 = standard_space(1)
 SP3 = standard_space(3)
@@ -409,3 +414,73 @@ def test_factor_one_counts_the_samples_as_given():
     np.testing.assert_array_equal(got.partition, want.partition)
     assert got.k_counts == want.k_counts
     np.testing.assert_array_equal(got.epsilons, want.epsilons)
+
+
+# --------------------------------------------------------------------------
+# CLI Lagrangian paths: pair unitaries off the geodesic pieces
+
+
+def _cli_lagrangian_path(space, rng, num=7, factor=3):
+    """A CLI path (``GeodesicPath.lagrangian``) through the node frames of
+    a random unitary curve of the standard model, pulled into ``space``."""
+    curve, _ = random_unitary_curve(standard_space(space.n), rng, num=num,
+                                    max_rate=3.0)
+    ts, frames = zip(*curve.samples)
+    if not space.is_standard:
+        frames = [space.standardization.pull_frame(f) for f in frames]
+    return cli._lagrangian_path(list(ts), list(frames), factor, DEFAULT_TOL)
+
+
+def _space(n, general, rng):
+    return random_structure_space(n, rng) if general else standard_space(n)
+
+
+def _frame_path(path):
+    """The same frames with no geodesic: counted through the frames."""
+    return lagrangian_path(list(path.samples), refiner=path.refiner)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("against", ["random", "reference"])
+def test_cli_path_counts_as_its_frames(n, general, against):
+    """``to_unitary_path`` reads the pair unitaries of a CLI path off its
+    geodesic pieces, by the cocycle W(lam, mu) = -W(h, mu) W(lam, h).  It
+    counts as souriau(lam, frame(t)) read through the frames, whose radius
+    is the chord heuristic ``_arc_radius``."""
+    rng = np.random.default_rng(100 * n + 10 * general + len(against))
+    path = _cli_lagrangian_path(_space(n, general, rng), rng)
+    lam = path._geodesic[0]
+    if against == "random":
+        lam = random_lagrangian(path.space, rng)
+    upath = to_unitary_path(path, lam)
+    assert isinstance(upath, GeodesicPath)
+    got = unitary_maslov(upath)
+    want = unitary_maslov(to_unitary_path(_frame_path(path), lam))
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
+    assert got.k_counts == want.k_counts
+    for t in np.linspace(0.0, 1.0, 10):
+        np.testing.assert_allclose(
+            upath.at(t), souriau(lam, path.at(t)), rtol=0, atol=1e-12
+        )
+    # its frames, reversed and sliced, make plain paths
+    assert maslov(reverse(path), lam).value == -got.value
+    assert maslov(catenate(reverse(path), path), lam).value == 0
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("general", [False, True])
+def test_cli_pair_path_counts_as_the_box(n, general):
+    """Two CLI legs on different node times: the cocycle count
+    -W(h, mu_t) W(h, lam_t)^H agrees with the box construction and with
+    the count of souriau(lam_t, mu_t) read through the frames."""
+    rng = np.random.default_rng(40 + 10 * n + general)
+    space = _space(n, general, rng)
+    mu = _cli_lagrangian_path(space, rng, num=5, factor=2)
+    lam = _cli_lagrangian_path(space, rng, num=4, factor=2)
+    got = pair_maslov(mu, lam)
+    assert got.value == boxed_pair_maslov(mu, lam)
+    want = pair_maslov(_frame_path(mu), _frame_path(lam))
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
