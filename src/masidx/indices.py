@@ -28,14 +28,8 @@ from .core import (
     standard_space,
 )
 from .errors import PreconditionError, ValidationError
-from .paths import (
-    _pair_partition,
-    catenate,
-    lagrangian_path_from_function,
-    maslov,
-    unitary_geodesic,
-)
-from .souriau import lagrangian_from_souriau, souriau
+from .paths import _pair_partition, geodesic_path, maslov
+from .souriau import souriau
 
 __all__ = [
     "SignatureResult",
@@ -273,26 +267,16 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
 # --------------------------------------------------------------------------
 
 
-def _souriau_segment(ref, w0, w1, tol):
-    """Path of symmetric unitaries w0 -> w1 along the principal geodesic.
-
-    Sampled at 9 points, which ``hormander`` counts on; None at the
-    logarithm cut.
-    """
-    geodesic = unitary_geodesic(w0, w1, tol)
-    if geodesic is None:
-        return None
-    return lagrangian_path_from_function(
-        lambda t: lagrangian_from_souriau(ref, geodesic(t)), num=9
-    )
-
-
 def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):
     """Lagrangian path from ell0 to ell1 (standard-model coordinates).
 
-    Synthesized through the pair map against the horizontal reference;
-    when the direct geodesic hits the logarithm cut the path is routed
-    through a random intermediate (up to 20 seeded retries).
+    Its pair unitaries against the horizontal reference are the principal
+    geodesic from those of ell0 to those of ell1 (``geodesic_path``, 9
+    grid times), and ``GeodesicPath.lagrangian`` turns it into a path
+    that counts on the geodesic with no frame formed.  When the direct
+    geodesic hits the logarithm cut it is routed through the pair unitary
+    of a random intermediate at t = 1/2 (17 grid times, up to 20 seeded
+    retries).
     """
     _require_same_space(ell0.space, ell1.space, "connecting_path")
     std = ell0.space.standardization
@@ -301,17 +285,21 @@ def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):
     model = e0.space
     ref = horizontal_frame(model)
     w0, w1 = souriau(ref, e0), souriau(ref, e1)
-    direct = _souriau_segment(ref, w0, w1, tol)
-    if direct is not None:
-        return direct
+    try:
+        return geodesic_path(
+            [0.0, 1.0], [w0, w1], np.linspace(0.0, 1.0, 9), tol
+        ).lagrangian(ref)
+    except PreconditionError:
+        pass
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        mid = random_lagrangian(model, rng)
-        wm = souriau(ref, mid)
-        first = _souriau_segment(ref, w0, wm, tol)
-        second = _souriau_segment(ref, wm, w1, tol)
-        if first is not None and second is not None:
-            return catenate(first, second)
+        wm = souriau(ref, random_lagrangian(model, rng))
+        try:
+            return geodesic_path(
+                [0.0, 0.5, 1.0], [w0, wm, w1], np.linspace(0.0, 1.0, 17), tol
+            ).lagrangian(ref)
+        except PreconditionError:
+            continue
     raise PreconditionError(
         "could not synthesize a connecting path clear of the logarithm cut",
         where="connecting_path",

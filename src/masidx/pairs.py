@@ -7,12 +7,15 @@
   and -omega on the right, the diagonal is Lagrangian, and the boxed path
   mu_t ⊞ lam_t has the same index against the diagonal;
 * polarized reduction: given matched polarizations of a big and a small
-  space and an injection of the plus factors, every Lagrangian of the big
-  space reduces to one of the small space, and the index against the minus
-  factor is preserved.
+  space and an injection of the plus factors, every Lagrangian mu of the
+  big space reduces to Gamma mu in the small space, for one linear
+  symplectic map Gamma, and the index against the minus factor is
+  preserved.  The reduced frame is Gamma F_mu, G-orthonormalized, so its
+  basis follows the basis of mu.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +175,23 @@ class PolarizedPair:
     i_plus: np.ndarray
     i_minus: np.ndarray
 
+    @cached_property
+    def _gamma(self):
+        """The reduction as one linear symplectic map Gamma of the big
+        space onto the small one.
+
+        In (lam_plus, lam_minus) coordinates a point (u, v) maps to
+        (i_plus^{-1} u, i_minus v) in (ell_plus, ell_minus) coordinates.
+        """
+        basis = np.hstack([self.lam_plus.F, self.lam_minus.F])
+        image = np.hstack(
+            [
+                self.ell_plus.F @ np.linalg.inv(self.i_plus),
+                self.ell_minus.F @ self.i_minus,
+            ]
+        )
+        return np.linalg.solve(basis.T, image.T).T
+
 
 def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
     """Validated PolarizedPair; computes i_minus from compatibility.
@@ -234,45 +254,15 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
 
 
 def gamma_reduce(pp, mu, tol=DEFAULT_TOL):
-    """Reduced Lagrangian in the small space.
+    """Reduced Lagrangian gamma(mu) = Gamma mu in the small space.
 
-    gamma(mu) = {(x, y) : exists b with (i_plus x, b) in mu, y = i_minus b},
-    computed as one kernel problem: (I - P_mu)[F_{lam+} D | F_{lam-}] has
-    nullity exactly n, and solution pairs (xi, beta) map to
-    F_{ell+} xi + F_{ell-} M beta.
+    gamma(mu) = {(x, y) : exists b with (i_plus x, b) in mu, y = i_minus b}
+    is the image of mu under the one linear symplectic map Gamma of the
+    pair (``PolarizedPair._gamma``), so the reduced frame is Gamma F_mu,
+    G-orthonormalized: its basis follows the basis of mu.
     """
     _require_same_space(mu.space, pp.big, "gamma_reduce")
-    n = pp.big.n
-    K = np.hstack([pp.lam_plus.F @ pp.i_plus, pp.lam_minus.F])
-    scales = np.linalg.norm(K, axis=0)
-    A = (K - mu.P @ K) / scales
-    _, sv, Vt = np.linalg.svd(A)
-    if sv[n] > 1e-7 * max(1.0, sv[0]):
-        raise ValidationError(
-            "reduction kernel collapsed (unexpected rank)",
-            where="gamma_reduce",
-        )
-    coeff = Vt[-n:].T / scales[:, None]
-    xi, beta = coeff[:n], coeff[n:]
-    out = pp.ell_plus.F @ xi + pp.ell_minus.F @ (pp.i_minus @ beta)
-    return lagrangian(pp.small, out, tol)
-
-
-def _gamma_matrix(pp):
-    """The reduction as one linear map on the big space.
-
-    In (lam_plus, lam_minus) coordinates a point (u, v) maps to
-    (i_plus^{-1} u, i_minus v) in (ell_plus, ell_minus) coordinates; this
-    is the same map gamma_reduce extracts pointwise.
-    """
-    basis = np.hstack([pp.lam_plus.F, pp.lam_minus.F])
-    image = np.hstack(
-        [
-            pp.ell_plus.F @ np.linalg.inv(pp.i_plus),
-            pp.ell_minus.F @ pp.i_minus,
-        ]
-    )
-    return np.linalg.solve(basis.T, image.T).T
+    return lagrangian(pp.small, pp._gamma @ mu.F, tol)
 
 
 def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
@@ -293,7 +283,7 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
         )
         return LagrangianPath(samples=samples, refiner=None)
 
-    gamma = _gamma_matrix(pp)
+    gamma = pp._gamma
     speed = 4.0 * np.linalg.norm(gamma, 2) * max(_probe_rate(path), 1e-2)
     beta = 0.2
     knots = [t for t, _ in path.samples]

@@ -44,7 +44,12 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.optimize import linear_sum_assignment
 
-from .core import DEFAULT_TOL, LagrangianFrame, _norm2_exceeds
+from .core import (
+    DEFAULT_TOL,
+    LagrangianFrame,
+    _norm2_exceeds,
+    _spaces_match,
+)
 from .errors import AmbiguityError, PreconditionError, ValidationError
 from .souriau import lagrangian_from_souriau, souriau
 
@@ -57,7 +62,6 @@ __all__ = [
     "lagrangian_path_from_function",
     "catenate",
     "reverse",
-    "unitary_geodesic",
     "GeodesicPath",
     "geodesic_path",
     "PhaseTrace",
@@ -184,10 +188,7 @@ class LagrangianPath:
                 )
             if space is None:
                 space = f.space
-            elif f.space is not space and not (
-                np.allclose(f.space.J, space.J)
-                and np.allclose(f.space.G, space.G)
-            ):
+            elif not _spaces_match(f.space, space):
                 raise ValidationError(
                     "samples from different spaces", where="LagrangianPath"
                 )
@@ -230,13 +231,23 @@ def _gap(a, b):
 
 
 def catenate(first, second, tol=1e-8):
-    """Concatenate two paths of the same kind; junction must match."""
+    """Concatenate two paths of the same kind; junction must match.  Two
+    ``GeodesicPath``s join piece by piece into one."""
     if type(first) is not type(second):
         raise ValidationError("cannot catenate different path kinds", "catenate")
     end = first.samples[-1][1]
     start = second.samples[0][1]
     if _norm2_exceeds(_gap(end, start), tol):
         raise ValidationError("junction mismatch", where="catenate")
+    if isinstance(first, GeodesicPath):
+        return GeodesicPath(
+            times=np.concatenate(
+                [0.5 * first.times, 0.5 + 0.5 * second.times[1:]]
+            ),
+            pieces=first.pieces + second.pieces,
+            grid=tuple(0.5 * t for t in first.grid)
+            + tuple(0.5 + 0.5 * t for t in second.grid[1:]),
+        )
     samples = [(0.5 * t, v) for t, v in first.samples]
     samples += [(0.5 + 0.5 * t, v) for t, v in second.samples[1:]]
     f1, f2 = first.refiner, second.refiner
@@ -248,6 +259,14 @@ def catenate(first, second, tol=1e-8):
 
 
 def reverse(path):
+    """The path run backwards, t -> path(1 - t); a ``GeodesicPath`` stays
+    one, each piece reversed."""
+    if isinstance(path, GeodesicPath):
+        return GeodesicPath(
+            times=1.0 - path.times[::-1],
+            pieces=tuple(piece.reverse() for piece in reversed(path.pieces)),
+            grid=tuple(1.0 - t for t in reversed(path.grid)),
+        )
     samples = tuple(
         (1.0 - t, v) for t, v in reversed(path.samples)
     )
@@ -295,6 +314,10 @@ class _GeodesicPiece:
             U0=self.U0 @ C, theta=self.theta, Z=C.conj().T @ self.Z
         )
 
+    def reverse(self):
+        """The piece U_{1 - tau}: (U1, -theta, Z), with the same radius."""
+        return _GeodesicPiece(U0=self.at(1.0), theta=-self.theta, Z=self.Z)
+
 
 def _geodesic_piece(U0, U1, tol):
     """The principal-log geodesic from U0 to U1 as a ``_GeodesicPiece``,
@@ -306,17 +329,6 @@ def _geodesic_piece(U0, U1, tol):
     if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
         return None
     return _GeodesicPiece(U0=U0, theta=np.angle(vals), Z=Z)
-
-
-def unitary_geodesic(U0, U1, tol=DEFAULT_TOL):
-    """Principal-logarithm geodesic t -> U0 exp(t log(U0^H U1)), t in [0, 1].
-
-    Returns the callable, which evaluates lazily, or None when an
-    eigenvalue of U0^H U1 lies within ``tol.log_cut`` of the logarithm cut
-    at -1 (the endpoints are antipodal in that direction).
-    """
-    piece = _geodesic_piece(U0, U1, tol)
-    return None if piece is None else piece.at
 
 
 class _GridSamples(Sequence):
@@ -415,11 +427,22 @@ def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
     """The ``GeodesicPath`` through the unitaries ``nodes`` at ``times``,
     counted from ``grid``.
 
-    ValidationError when the grid times are not an increasing cover of
-    [0, 1] or a node is not unitary; PreconditionError (where
-    ``path[i]``) when nodes i and i + 1 are antipodal.
+    ValidationError when the grid or the node times are not an increasing
+    cover of [0, 1], there is not one node per time, the grid misses a
+    node time (a piece's radius is read from its own gap) or a node is not
+    unitary; PreconditionError (where ``path[i]``) when nodes i and i + 1
+    are antipodal.
     """
     _check_times(grid, "UnitaryPath")
+    times = _check_times(times, "geodesic_path")
+    if len(nodes) != len(times):
+        raise ValidationError(
+            "need one node per node time", where="geodesic_path"
+        )
+    if not np.isin(times, grid).all():
+        raise ValidationError(
+            "the grid must contain every node time", where="geodesic_path"
+        )
     nodes = _unitaries(zip(times, nodes))
     pieces = []
     for i in range(len(nodes) - 1):
@@ -432,7 +455,7 @@ def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
             )
         pieces.append(piece)
     return GeodesicPath(
-        times=np.asarray(times, dtype=float),
+        times=times,
         pieces=tuple(pieces),
         grid=tuple(grid),
     )

@@ -152,3 +152,24 @@ def boxed_pair_maslov(mu_path, lam_path, tol=None):
 
     path = lagrangian_path([(t, boxed(t)) for t in times], refiner=boxed)
     return maslov(path, bs.delta, tol or DEFAULT_TOL).value
+
+
+def kernel_reduce(pp, mu):
+    """Polarized reduction gamma(mu) = {(x, y) : exists b with
+    (i_plus x, b) in mu, y = i_minus b} solved from its definition, with
+    no use of the linear map that ``gamma_reduce`` applies: the kernel of
+    (I - P_mu)[F_{lam+} D | F_{lam-}] (columns scaled to unit norm) has
+    dimension n, and its solution pairs (xi, beta) span the reduction as
+    F_{ell+} xi + F_{ell-} M beta."""
+    from masidx import lagrangian
+
+    n = pp.big.n
+    K = np.hstack([pp.lam_plus.F @ pp.i_plus, pp.lam_minus.F])
+    scales = np.linalg.norm(K, axis=0)
+    _, sv, Vt = np.linalg.svd((K - mu.P @ K) / scales)
+    assert sv[n] <= 1e-7 * max(1.0, sv[0]), "kernel of unexpected rank"
+    coeff = Vt[-n:].T / scales[:, None]
+    xi, beta = coeff[:n], coeff[n:]
+    return lagrangian(
+        pp.small, pp.ell_plus.F @ xi + pp.ell_minus.F @ (pp.i_minus @ beta)
+    )

@@ -5,11 +5,13 @@ gave when recorded (``record_golden.py``).  Keys, booleans and strings
 must match exactly and numbers to within 1e-12 (``record_golden.compare``):
 exact for the integers, and room for BLAS rounding in crossing times.
 
-A reduced frame has no such room.  Its basis is the one LAPACK picks
-inside a numerically null singular cluster (``pairs.gamma_reduce``), so
-a rounding change in the input's projector can move the printed frame by
-O(1) while its span agrees to 1e-15.  The reduce case passes only while
-the frames that reach that SVD are bitwise the recorded ones.
+A reduced frame has no such room.  It is Gamma F of its marching frame,
+G-orthonormalized (``pairs.gamma_reduce``), so it follows that frame's
+basis, and the marching frame is the basis LAPACK picks inside a
+numerically null singular cluster (``souriau.lagrangian_from_souriau``):
+a rounding change there can move the printed frame by O(1) while its
+span agrees to 1e-14.  The reduce case passes only while the marching
+frames are bitwise the recorded ones.
 """
 
 import json

@@ -1,5 +1,7 @@
 """Triple-signature, lifted-pair, and four-Lagrangian difference indices."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,16 @@ from masidx import (
     LiftedUnitary,
     PreconditionError,
     ValidationError,
+    catenate,
     complex_kashiwara,
+    connecting_path,
     haar_unitary,
     hormander,
     horizontal_frame,
     kashiwara,
     lagrangian,
     lagrangian_path,
+    lagrangian_path_from_function,
     leray,
     leray_general,
     lift_path_endpoints,
@@ -24,6 +29,8 @@ from masidx import (
     standard_space,
     transition_function,
 )
+from masidx import paths
+from masidx.paths import geodesic_path
 from conftest import line_frame, line_path, spinner_path, transversal_pair
 
 DEG = np.pi / 180.0
@@ -314,6 +321,69 @@ def test_difference_index_is_path_independent(rng):
         l0, l1, lam, mu = (random_lagrangian(SP2, rng) for _ in range(4))
         vals = {hormander(l0, l1, lam, mu, seed=s) for s in (0, 1, 2)}
         assert len(vals) == 1
+
+
+def _frame_route_hormander(ell0, ell1, lam, mu, seed=0):
+    """sigma(ell0, ell1; lam, mu) counted through frames: each principal
+    geodesic of pair unitaries against the horizontal reference is
+    sampled at 9 frames lagrangian_from_souriau(ref, U_t), routed through
+    the pair unitary of a seeded random intermediate when the direct one
+    hits the cut (standard spaces only)."""
+    lagrangian_from_souriau = importlib.import_module(
+        "masidx.souriau"
+    ).lagrangian_from_souriau
+    ref = horizontal_frame(ell0.space)
+
+    def segment(wa, wb):
+        try:
+            g = geodesic_path([0.0, 1.0], [wa, wb], [0.0, 1.0])
+        except PreconditionError:
+            return None
+        return lagrangian_path_from_function(
+            lambda t: lagrangian_from_souriau(ref, g.at(t)), num=9
+        )
+
+    w0, w1 = souriau(ref, ell0), souriau(ref, ell1)
+    path = segment(w0, w1)
+    rng = np.random.default_rng(seed)
+    while path is None:
+        wm = souriau(ref, random_lagrangian(ell0.space, rng))
+        first, second = segment(w0, wm), segment(wm, w1)
+        if first is not None and second is not None:
+            path = catenate(first, second)
+    return maslov(path, lam).value - maslov(path, mu).value
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_hormander_forms_no_frames(routed, rng, monkeypatch):
+    """The connecting path counts on its geodesic of pair unitaries, so
+    ``hormander`` forms no frame through lagrangian_from_souriau, on a
+    direct path and on one routed around the cut (ell1 = J ell0); it
+    gives the integers of the sampled frame route."""
+    souriau_module = importlib.import_module("masidx.souriau")
+    original = souriau_module.lagrangian_from_souriau
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for n in (1, 2, 3):
+        sp = standard_space(n)
+        for _ in range(4):
+            l0, l1, lam, mu = (random_lagrangian(sp, rng) for _ in range(4))
+            if routed:
+                l1 = l0.j_image()
+            nodes = connecting_path(l0, l1)._geodesic[1].times
+            assert len(nodes) == (3 if routed else 2)
+            want = _frame_route_hormander(l0, l1, lam, mu)
+            with monkeypatch.context() as patch:
+                for module in (souriau_module, paths):
+                    patch.setattr(
+                        module, "lagrangian_from_souriau", recording
+                    )
+                assert hormander(l0, l1, lam, mu) == want
+            assert calls == []
 
 
 def test_transition_functions_form_a_cocycle(rng):

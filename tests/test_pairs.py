@@ -38,11 +38,12 @@ from masidx import (
 )
 from conftest import (
     random_spinner,
+    random_structure_space,
     rotating_block_loop,
     spinner_expected,
     spinner_path,
 )
-from oracles import boxed_pair_maslov
+from oracles import boxed_pair_maslov, kernel_reduce
 
 SP2 = standard_space(2)
 SP3 = standard_space(3)
@@ -308,10 +309,9 @@ def test_graphs_reduce_to_rescaled_graphs(rng):
 
 
 def test_reduction_depends_on_the_span_only(rng):
-    """Two bases of mu reduce to one span.  The reduced frame itself is
-    the basis LAPACK picks in an n-dimensional numerically null singular
-    cluster, so it can move by O(1) when P_mu moves by rounding; only its
-    projector is compared."""
+    """Two bases of mu reduce to one span.  The reduced frame is Gamma F_mu
+    G-orthonormalized, so it follows the basis of mu and differs between
+    the two; only its projector is compared."""
     pp = coordinate_pair(2, [0.7, 1.6])
     for _ in range(6):
         mu = random_lagrangian(SP2, rng)
@@ -319,6 +319,29 @@ def test_reduction_depends_on_the_span_only(rng):
         other = lagrangian(SP2, mu.F @ Q)
         a, b = gamma_reduce(pp, mu), gamma_reduce(pp, other)
         np.testing.assert_allclose(a.P, b.P, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scales", [[0.7, 1.6], [1e3, 1e-3]])
+@pytest.mark.parametrize("general", [False, True])
+def test_reduction_is_the_kernel_problem(scales, general, rng):
+    """Gamma F_mu spans the reduction of the definition, solved as a
+    kernel problem (``oracles.kernel_reduce``), also for an injection of
+    condition number 1e6 and a general small space."""
+    B = standard_space(2)
+    if general:
+        H = random_structure_space(2, rng)
+        ell_plus, ell_minus = (random_lagrangian(H, rng) for _ in range(2))
+    else:
+        H = standard_space(2)
+        ell_plus, ell_minus = vertical_frame(H), horizontal_frame(H)
+    pp = polarized_pair(
+        vertical_frame(B), horizontal_frame(B), ell_plus, ell_minus, scales
+    )
+    for _ in range(10):
+        mu = random_lagrangian(B, rng)
+        np.testing.assert_allclose(
+            gamma_reduce(pp, mu).P, kernel_reduce(pp, mu).P, rtol=0, atol=1e-12
+        )
 
 
 def test_new_polarization_rank_arithmetic(rng):

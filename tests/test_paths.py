@@ -21,7 +21,6 @@ from masidx import (
     souriau,
     standard_space,
     to_unitary_path,
-    unitary_geodesic,
     unitary_maslov,
     unitary_path,
     unitary_path_from_function,
@@ -37,7 +36,7 @@ from conftest import (
     spinner_expected,
     spinner_path,
 )
-from masidx import cli
+from masidx import PreconditionError, cli
 from masidx.paths import EPS_CAP, GeodesicPath, _test_value, geodesic_path
 from oracles import boxed_pair_maslov, unitary_oracle
 
@@ -91,13 +90,15 @@ def test_unitary_geodesic_joins_its_endpoints(rng):
     phases = np.array([0.3, -1.1, 2.0, -2.9])
     U0 = haar_unitary(4, rng)
     U1 = U0 @ (V * np.exp(1j * phases)) @ V.conj().T
-    g = unitary_geodesic(U0, U1)
-    np.testing.assert_allclose(g(0.0), U0, atol=1e-12)
-    np.testing.assert_allclose(g(1.0), U1, atol=1e-12)
+    g = geodesic_path([0.0, 1.0], [U0, U1], [0.0, 1.0])
+    np.testing.assert_allclose(g.at(0.0), U0, atol=1e-12)
+    np.testing.assert_allclose(g.at(1.0), U1, atol=1e-12)
     # constant speed: the midpoint carries half of every principal angle
     mid = U0 @ (V * np.exp(0.5j * phases)) @ V.conj().T
-    np.testing.assert_allclose(g(0.5), mid, atol=1e-12)
-    assert unitary_geodesic(U0, -U0) is None
+    np.testing.assert_allclose(g.at(0.5), mid, atol=1e-12)
+    with pytest.raises(PreconditionError) as err:
+        geodesic_path([0.0, 1.0], [U0, -U0], [0.0, 1.0])
+    assert err.value.where == "path[0]"
 
 
 def test_catenate_checks_junctions():
@@ -120,6 +121,12 @@ def test_reverse_flips_time():
     r = reverse(p)
     np.testing.assert_allclose(r.at(0.0), p.at(1.0))
     np.testing.assert_allclose(r.at(0.3), p.at(0.7))
+
+
+def test_lagrangian_samples_must_share_one_space():
+    one, two = horizontal_frame(SP1), horizontal_frame(standard_space(2))
+    with pytest.raises(ValidationError, match="samples from different"):
+        lagrangian_path([(0.0, one), (1.0, two)])
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +421,53 @@ def test_factor_one_counts_the_samples_as_given():
     np.testing.assert_array_equal(got.partition, want.partition)
     assert got.k_counts == want.k_counts
     np.testing.assert_array_equal(got.epsilons, want.epsilons)
+
+
+def test_geodesic_grid_must_hold_every_node_time():
+    """A piece's radius is read from its own gap, so a grid that steps
+    over a node time would count the second gap at the first one's speed:
+    phases 2.0, 2.1, 4.3 at times 0, 0.9, 1 pass -1 once."""
+    nodes = [np.array([[np.exp(1j * a)]]) for a in (2.0, 2.1, 4.3)]
+    times = [0.0, 0.9, 1.0]
+    assert unitary_maslov(geodesic_path(times, nodes, times)).value == 1
+    with pytest.raises(ValidationError, match="node time"):
+        geodesic_path(times, nodes, [0.0, 1.0])
+    for bad in ([0.0, 0.9, 0.95], [0.0, 0.9, 0.9, 1.0], [0.1, 0.9, 1.0]):
+        with pytest.raises(ValidationError):
+            geodesic_path(bad, nodes, [0.0, 0.9, 1.0])
+    # two nodes at three times would stop at the second node at t = 0.9
+    with pytest.raises(ValidationError, match="one node per"):
+        geodesic_path(times, nodes[:2], times)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_reversed_and_catenated_geodesics_stay_geodesic(n):
+    """``reverse`` runs each piece backwards and counts -value;
+    ``catenate`` joins two halves into the whole path, whose count is the
+    sum of theirs."""
+    rng = np.random.default_rng(50 + n)
+    ts, nodes = geodesic_nodes(n, rng, 6, 2.0)
+    path = geodesic_path(ts, nodes, cli._segment_times(ts, 2))
+    value = unitary_maslov(path).value
+    back = reverse(path)
+    assert isinstance(back, GeodesicPath)
+    for t in (0.0, 0.3, 0.5, 1.0):
+        np.testing.assert_allclose(
+            back.at(t), path.at(1.0 - t), rtol=0, atol=1e-12
+        )
+    assert unitary_maslov(back).value == -value
+    assert unitary_maslov(catenate(path, back)).value == 0
+    half = np.linspace(0.0, 1.0, 4).tolist()
+    first, second = (
+        geodesic_path(half, part, cli._segment_times(half, 2))
+        for part in (nodes[:4], nodes[3:])
+    )
+    whole = catenate(first, second)
+    assert isinstance(whole, GeodesicPath)
+    for t in (0.25, 0.5, 0.9):
+        np.testing.assert_allclose(whole.at(t), path.at(t), atol=1e-12)
+    parts = unitary_maslov(first).value + unitary_maslov(second).value
+    assert unitary_maslov(whole).value == parts == value
 
 
 # --------------------------------------------------------------------------
