@@ -5,20 +5,23 @@ JJ = [[0, I], [-I, 0]], B symmetric and anticommuting with JJ (so JJ B is
 symmetric), C_t symmetric, and boundary conditions u(0) in lambda0,
 u(1) in lambda1.  s is an eigenvalue iff the constant-coefficient flow
 Phi_{t,s} = expm(-B + JJ C_t - s JJ) moves lambda0 onto a subspace
-meeting lambda1.  ``eigenvalues_near`` shoots through one ``_Shooter``
-per family time, which forms -B + JJ C_t once and shoots each s once.
+meeting lambda1.
 
-The flow of eigenvalues through 0 as t sweeps [0, 1] is counted by the
-same loop as the unitary index (``paths._phillips``): a partition of
-[0, 1] with one admissible test value per interval, and the arc [0, eps]
-on the real axis (closed at 0).  Only the radius of a piece differs.  Two
-family members differ by the bounded symmetric multiplication
-C_t - C_t', so no eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl):
-a ball of the piece's radius around every eigenvalue at the start of the
-piece blocks all the spectrum the piece can reach, and no eigenvalue is
-matched across samples.  The coincidence theorem equates the flow with
-the index of the Cauchy-data path in the doubled space against
-lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
+Both counts here are Phillips' count (``paths._phillips``).  At a fixed
+family time t, the eigenvalues in (a, b] are the index of the shooting
+path s -> Phi_{t,s} lambda0 against lambda1 over [a, b] (Arnold, Funct.
+Anal. Appl. 19, 1985; Chardard, Dias and Bridges, Physica D 238, 2009), a
+positive path: its crossing form is the L^2 norm of the eigenfunction.
+``eigenvalues_near`` counts it with a chord radius read at the ends of a
+piece, a heuristic on this path.  The flow through 0 as t sweeps [0, 1]
+counts the spectra that ``eigenvalues_near`` returns.  Two family members
+differ by the bounded symmetric multiplication C_t - C_t', so no
+eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl): balls of a piece's
+radius around the eigenvalues at its start block all the spectrum the
+piece can reach, and no eigenvalue is matched across samples.  The
+coincidence theorem equates the flow with the index of the Cauchy-data
+path in the doubled space against lambda0 ⊞ lambda1, and
+``verify_coincidence`` computes both sides.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .core import (
     DEFAULT_TOL,
@@ -36,7 +39,16 @@ from .core import (
     standard_space,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .paths import MAX_SAMPLES, LagrangianPath, _phillips, maslov
+from .paths import (
+    _END_CHORD,
+    EPS_CAP,
+    MAX_SAMPLES,
+    LagrangianPath,
+    _check_times,
+    _Formed,
+    _phillips,
+    maslov,
+)
 
 __all__ = [
     "BoundaryProblem",
@@ -58,8 +70,9 @@ _DETECT_HI = 1.55
 # window is therefore farther than _REACH from every test value and
 # cannot reach one on a piece whose radius is at most _REACH.
 _REACH = 0.5
-_GRID = 0.29
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# The shooting path's eigenphases turn 2 rad per unit s on a ladder, so a
+# piece of this width has chord 2 sin(0.25) < _END_CHORD there.
+_GRID = 0.25
 
 
 @lru_cache(maxsize=8)
@@ -142,17 +155,7 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
             "(otherwise the flow is not symplectic)",
             where="boundary_problem",
         )
-    ts = np.array([float(t) for t, _ in family])
-    if (
-        ts.size < 2
-        or not np.all(np.isfinite(ts))
-        or abs(ts[0]) > 1e-12
-        or abs(ts[-1] - 1.0) > 1e-12
-        or np.any(np.diff(ts) <= 0)
-    ):
-        raise ValidationError(
-            "family times must increase from 0 to 1", where="boundary_problem"
-        )
+    ts = _check_times([float(t) for t, _ in family], "boundary_problem")
     cs = []
     for _, C in family:
         C = np.asarray(C, dtype=float)
@@ -209,102 +212,124 @@ def fundamental_solution(B, C, s):
 
 
 class _Shooter:
-    """Shooting matrix [Phi_s lambda0, lambda1] of ``bp`` at one family
-    time, with (det, singular values) kept for every s already shot."""
+    """The shooting path s -> Phi_s lambda0 of ``bp`` at one family time.
+
+    Per s it keeps the frame F = Phi_s lambda0, det[F, lambda1] and the
+    offsets angle(-w) of the pair unitary (``souriau.souriau``)
+    W(lambda1, F) = -Z conj(Z)^-1 conj(U1 U1^T), Z = F_top + i F_bottom,
+    U1 the unitary of lambda1.  With F = F_o R, F_o orthonormal with
+    unitary U, Z conj(Z)^-1 = U U^T = Z (F^T F)^-1 Z^T: the first form has
+    the condition number of F, the last its square.  s is an eigenvalue
+    iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.
+    """
 
     def __init__(self, bp, t):
-        self._gen, self._jj = _generator(bp.B, bp.c_at(t))
-        self._lambda0 = bp.lambda0
-        self._lambda1 = bp.lambda1
-        self._shots = {}
+        gen, jj = _generator(bp.B, bp.c_at(t))
+        self._lambda1 = lambda1 = bp.lambda1
+        self._n = n = bp.N
+        U1 = lambda1[:n] + 1j * lambda1[n:]
+        self._conj1 = np.conj(U1 @ U1.T)
+        self._frames = _Formed(lambda s: _flow(gen, jj, s) @ bp.lambda0)
+        self._dets = {}
+        self._pairs = {}
+        self._offsets = {}
 
-    def singular_values(self, s):
-        return self._shot(s)[1]
+    def read(self, ss):
+        """Form the pair unitaries, offsets and determinants at the s in
+        ``ss`` not read yet: one call on the stack of them for each kind,
+        which for these small matrices costs little more than one call."""
+        ss = [s for s in ss if s not in self._pairs]
+        if not ss:
+            return
+        F = np.array([self._frames[s] for s in ss])
+        n = self._n
+        ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
+        W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2) @ self._conj1
+        self._pairs.update(zip(ss, W))
+        self._offsets.update(zip(ss, np.angle(-np.linalg.eigvals(W))))
+        self._dets.update(zip(ss, self._stacked_dets(F)))
 
-    def __call__(self, s):
-        """(det, smallest singular value) at s."""
-        det, sv = self._shot(s)
-        return det, float(sv[-1])
+    def _stacked_dets(self, F):
+        """det[F_k, lambda1] for a stack of frames F_k, as floats."""
+        L = np.broadcast_to(self._lambda1, F.shape)
+        return np.linalg.det(np.concatenate([F, L], axis=2)).tolist()
 
-    def _shot(self, s):
-        s = float(s)
-        if s not in self._shots:
-            Phi = _flow(self._gen, self._jj, s)
-            M = np.hstack([Phi @ self._lambda0, self._lambda1])
-            self._shots[s] = (
-                float(np.linalg.det(M)),
-                np.linalg.svd(M, compute_uv=False),
-            )
-        return self._shots[s]
+    def det(self, s):
+        if s not in self._dets:
+            self._dets[s] = self._stacked_dets(self._frames[s][None])[0]
+        return self._dets[s]
 
+    def offsets(self, s):
+        self.read([s])
+        return self._offsets[s]
 
-def _multiplicity(shoot, s, thresh=1e-6):
-    sv = shoot.singular_values(s)
-    return max(1, int(np.count_nonzero(sv < thresh)))
+    def radius(self, s0, s1):
+        """Arc radius 2 arcsin(c / 2) of [s0, s1], c the chord
+        ||W(s1) - W(s0)||_F, or its spectral norm when that exceeds
+        ``_END_CHORD``; inf past that, so the piece is halved.  A heuristic
+        read at the ends: nearly whole turns inside go unseen here
+        (``_count_roots`` checks the determinant's sign).  At ladder speed,
+        2 rad per unit s, a ``_GRID`` piece turns by at most 0.5.
+        """
+        self.read([s0, s1])
+        D = self._pairs[s1] - self._pairs[s0]
+        c = np.linalg.norm(D)
+        if c > _END_CHORD:
+            c = np.sqrt(np.linalg.eigvalsh(D.conj().T @ D)[-1])
+            if c > _END_CHORD:
+                return np.inf
+        return 2.0 * np.arcsin(c / 2.0)
 
 
 def _bracketed_root(shoot, a, b, tol):
     """The root of the shooting determinant between a sign change."""
-    return float(brentq(lambda s: shoot(s)[0], a, b, xtol=tol.bisect_t))
+    return float(brentq(shoot.det, a, b, xtol=tol.bisect_t))
 
 
-def _scan_cell(shoot, lo, hi, flo, fhi, slope, tol, depth, found):
-    """Collect zeros of the shooting determinant inside (lo, hi).
+def _count_roots(shoot, ss, split, tol, out):
+    """Append the roots in (ss[0], ss[-1]] to ``out``, with multiplicity.
 
-    Sign change: one bracketed root.  No sign change: the cell can only
-    hide roots if the smallest singular value could descend to zero and
-    come back inside it.  With that value ``slope``-Lipschitz in s, a zero
-    at x in the cell forces mlo <= slope (x - lo) and mhi <= slope (hi - x),
-    so the edges *together* reach at most ``slope * width``; a cell whose
-    edges sum past that holds none.  Otherwise split until individual
-    roots show up as sign changes or the dip search resolves a genuine
-    tangency.
-    A dip root of odd multiplicity changes the sign of the determinant,
-    so between edges of one sign it has a partner, bracketed beside it.
+    Phillips' count (``paths._phillips``) of the offsets over the
+    partition ``ss``, which it refines in place, gives each piece its
+    number k1 - k0 of roots.  A piece with one root and a determinant sign
+    change is bracketed, and one with neither holds no root.  Any other
+    piece is halved and counted again, down to ``tol.bisect_t``, where its
+    count is the multiplicity.  A root of multiplicity k is a zero of
+    order k of the determinant, and the path is positive, so a sign change
+    without roots or a negative count shows a turn that the chord radius
+    did not see.  AmbiguityError when a count is still negative there.
     """
-    (dlo, mlo), (dhi, mhi) = flo, fhi
-    if (dlo < 0.0) != (dhi < 0.0):
-        found.append(_bracketed_root(shoot, lo, hi, tol))
-        return
-    if mlo + mhi > slope * (hi - lo):
-        return
-    if depth > 0:
-        mid = 0.5 * (lo + hi)
-        fmid = shoot(mid)
-        if fmid[1] < 1e-9:
-            found.append(mid)
-            return
-        _scan_cell(shoot, lo, mid, flo, fmid, slope, tol, depth - 1, found)
-        _scan_cell(shoot, mid, hi, fmid, fhi, slope, tol, depth - 1, found)
-        return
-    if min(mlo, mhi) < 0.15:
-        res = minimize_scalar(
-            lambda s: shoot(s)[1],
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": tol.bisect_t},
-        )
-        if res.fun < 1e-6:
-            x = float(res.x)
-            found.append(x)
-            if _multiplicity(shoot, x) % 2:
-                # the edges share a sign, so an odd root has a partner
-                w = _merge_window(x, tol)
-                for a, b in ((lo, x - w), (x + w, hi)):
-                    if a < b and (shoot(a)[0] < 0.0) != (shoot(b)[0] < 0.0):
-                        found.append(_bracketed_root(shoot, a, b, tol))
+    shoot.read(ss)
+    _, _, k_counts = _phillips(
+        ss, shoot.offsets, shoot.radius, np.pi - EPS_CAP, split, 0.0, tol
+    )
+    for s0, s1, (k0, k1) in zip(ss, ss[1:], k_counts):
+        n = k1 - k0
+        flips = (shoot.det(s0) < 0.0) != (shoot.det(s1) < 0.0)
+        if n == 1 and flips:
+            out.append(_bracketed_root(shoot, s0, s1, tol))
+        elif (n or flips) and s1 - s0 > tol.bisect_t:
+            _count_roots(shoot, [s0, 0.5 * (s0 + s1), s1], split, tol, out)
+        elif n < 0:
+            raise AmbiguityError(
+                f"the shooting path turned clockwise on ({s0}, {s1}]",
+                where="eigenvalues_near",
+            )
+        else:
+            out.extend([0.5 * (s0 + s1)] * n)
 
 
 def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
-    """Eigenvalues in [lo, hi] at family time t, with multiplicity.
+    """Eigenvalues in (lo, hi] at family time t, with multiplicity.
 
-    Bracketed on determinant sign changes over a grid finer than the
-    ladder spacing, refined to ``tol.bisect_t`` in s, with recursive
-    subdivision of cells whose edges look near-singular (close root
-    pairs, roots next to grid points).  ValidationError when that grid
-    has fewer than two distinct points: [lo, hi] is a single point, or
-    lies so far from 0 that the float spacing swallows the grid step; and
-    when it would hold more than ``paths.MAX_SAMPLES`` points.
+    Counted by ``_count_roots`` from a partition of (lo, hi] into pieces
+    of at most ``_GRID``, each root bracketed to ``tol.bisect_t`` in s,
+    with the chord radius of ``_Shooter.radius``, a heuristic read on the
+    s-path.  AmbiguityError when a count is negative down to
+    ``tol.bisect_t``, which the positive shooting path rules out.
+    ValidationError when lo < hi fails ([lo, hi] is a single point, also
+    when the float spacing swallows its width) and when the partition
+    would hold more than ``paths.MAX_SAMPLES`` points.
     """
     if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
         raise ValidationError(
@@ -312,58 +337,26 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
             f"{MAX_SAMPLES} points",
             where="eigenvalues_near",
         )
-    grid = np.arange(lo, hi + _GRID, _GRID)
-    if np.unique(grid).size < 2:
+    if not lo < hi:
         raise ValidationError(
             f"the shooting grid on [{lo}, {hi}] has fewer than two "
             "distinct points",
             where="eigenvalues_near",
         )
-    shoot = _Shooter(bp, t)
-    vals = [shoot(float(s)) for s in grid]
-    # empirical bound on how fast the smallest singular value can move;
-    # V-shaped cells understate their own slope, so take the global max
-    slope = max(
-        2.0,
-        3.0
-        * max(
-            abs(vals[i + 1][1] - vals[i][1]) / (grid[i + 1] - grid[i])
-            for i in range(len(grid) - 1)
-        ),
-    )
-    found = [float(s) for s, (_, m) in zip(grid, vals) if m < 1e-9]
-    for i in range(len(grid) - 1):
-        _scan_cell(
-            shoot,
-            float(grid[i]),
-            float(grid[i + 1]),
-            vals[i],
-            vals[i + 1],
-            slope,
-            tol,
-            5,
-            found,
-        )
-    found.sort()
-    roots = []
-    for s in found:
-        if roots and s - roots[-1] <= _merge_window(s, tol):
-            if shoot(s)[1] < shoot(roots[-1])[1]:
-                roots[-1] = s
-            continue
-        roots.append(s)
-    out = [s for s in roots for _ in range(_multiplicity(shoot, s))]
-    return np.array([s for s in out if lo - 1e-12 <= s <= hi + 1e-12])
 
+    def split(ss, i):
+        s0, s1 = ss[i], ss[i + 1]
+        if s1 - s0 <= tol.bisect_t or len(ss) >= MAX_SAMPLES:
+            raise AmbiguityError(
+                f"no admissible test angle on ({s0}, {s1}]",
+                where="eigenvalues_near",
+            )
+        ss.insert(i + 1, 0.5 * (s0 + s1))
 
-def _merge_window(s, tol):
-    """Distance below which two found roots are one.
-
-    The bounded dip search stops within 4 (sqrt(eps) |s| + xatol / 3) of
-    its minimum (scipy's fminbound rule), so away from s = 0 it resolves
-    a root that sits on a grid point more coarsely than ``bisect_t``.
-    """
-    return 100.0 * tol.bisect_t + 4.0 * _SQRT_EPS * abs(s)
+    ss = np.linspace(lo, hi, int(np.ceil((hi - lo) / _GRID)) + 1).tolist()
+    out = []
+    _count_roots(_Shooter(bp, t), ss, split, tol, out)
+    return np.array(out)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +454,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
 
 def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
-    """Per-family-sample eigenvalue lists inside [-window, window]."""
+    """Per-family-sample eigenvalue lists inside (-window, window]."""
     return tuple(
         (float(t), tuple(eigenvalues_near(bp, float(t), -window, window, tol)))
         for t in bp.ts

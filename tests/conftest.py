@@ -6,6 +6,8 @@ closed form (see oracles.floor_count) instead of being re-derived by the
 code under test.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -231,23 +233,48 @@ def rotation_problem(samples=41):
     )
 
 
-def ladder_body(a0, r, nodes=5):
-    """spectral-flow input: B = 0, C_t = blockdiag(a_t, a_t) with
-    a_t = diag(a0 + r t), horizontal boundary conditions at both ends.
-
-    Each scalar block rotates the boundary line at speed s - a_j, so the
-    eigenvalues are the decoupled ladders s = a_j(t) + k pi.
-    """
+def _ladder_family(a0, r, nodes):
+    """(t, C_t) at ``nodes`` even times, C_t = blockdiag(a_t, a_t) with
+    a_t = diag(a0 + r t)."""
     N = len(a0)
     z = np.zeros((N, N))
     family = []
     for t in np.linspace(0.0, 1.0, nodes):
         a = np.diag(np.add(a0, np.multiply(r, t)))
-        C = np.block([[a, z], [z, a]])
-        family.append({"t": float(t), "C": C.tolist()})
-    lam = np.vstack([np.eye(N), z]).tolist()
+        family.append((float(t), np.block([[a, z], [z, a]])))
+    return family
+
+
+def ladder_problem(a0, r, nodes=5):
+    """B = 0, C_t = blockdiag(a_t, a_t) with a_t = diag(a0 + r t), sampled
+    at ``nodes`` times, horizontal boundary conditions at both ends.
+
+    Each scalar block rotates the boundary line at speed s - a_j, so the
+    eigenvalues are the decoupled ladders s = a_j(t) + k pi.
+    """
+    N = len(a0)
+    lam = np.vstack([np.eye(N), np.zeros((N, N))])
+    return boundary_problem(
+        N, np.zeros((2 * N, 2 * N)), _ladder_family(a0, r, nodes), lam, lam
+    )
+
+
+def ladder_body(a0, r, nodes=5):
+    """The spectral-flow input of ``ladder_problem``."""
+    N = len(a0)
+    lam = np.vstack([np.eye(N), np.zeros((N, N))]).tolist()
+    family = [
+        {"t": t, "C": C.tolist()} for t, C in _ladder_family(a0, r, nodes)
+    ]
     return {"version": 1, "N": N, "B": np.zeros((2 * N, 2 * N)).tolist(),
             "family": family, "lambda0": lam, "lambda1": lam}
+
+
+def ladder_flow(a0, r):
+    """Closed-form flow of ``ladder_problem``: the net upward passages
+    through 0 of the ladders s = a_j(t) + k pi."""
+    return sum(math.floor((a + v) / math.pi) - math.floor(a / math.pi)
+               for a, v in zip(a0, r))
 
 
 def random_admissible(N, rng, scale=0.5):

@@ -23,6 +23,7 @@ from masidx import (
 from conftest import (
     geodesic_nodes,
     ladder_body,
+    ladder_flow,
     random_structure_space,
     spinner_crossings,
     spinner_expected,
@@ -270,12 +271,6 @@ def test_rerun_is_byte_identical(rng, tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
-def _ladder_flow(a0, r):
-    """Net upward passages through 0 of the ladders s = a_j(t) + k pi."""
-    return sum(math.floor((a + v) / math.pi) - math.floor(a / math.pi)
-               for a, v in zip(a0, r))
-
-
 @pytest.mark.parametrize(
     "a0, r, flow",
     [
@@ -295,7 +290,7 @@ def _ladder_flow(a0, r):
 )
 def test_spectral_flow_counts_decoupled_ladders(a0, r, flow, tmp_path,
                                                 capsys):
-    assert _ladder_flow(a0, r) == flow
+    assert ladder_flow(a0, r) == flow
     code, out, _ = _run(tmp_path, capsys, "spectral-flow", ladder_body(a0, r))
     assert code == 0, out
     assert out["value"] == flow
@@ -319,7 +314,7 @@ def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
         tmp_path, capsys, "verify-coincidence", ladder_body(a0, r)
     )
     assert code == 0, out
-    assert out["sf"] == out["mas"] == _ladder_flow(a0, r)
+    assert out["sf"] == out["mas"] == ladder_flow(a0, r)
     assert out["equal"] is True
 
 

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from masidx import spectral
 from masidx import (
     JJ,
+    AmbiguityError,
     PreconditionError,
     ValidationError,
     boundary_problem,
@@ -27,26 +28,14 @@ from masidx import (
     verify_coincidence,
 )
 from conftest import (
+    ladder_flow,
+    ladder_problem,
     random_admissible,
     random_boundary_family,
     random_lagrangian,
     random_symmetric,
     rotation_problem,
 )
-
-
-def _ladder_problem(a0, r, nodes=5):
-    """B = 0, C_t = blockdiag(a_t, a_t) with a_t = diag(a0 + r t), sampled
-    at ``nodes`` times, horizontal boundary conditions: the eigenvalues
-    are the decoupled ladders s = a_j(t) + k pi."""
-    N = len(a0)
-    z = np.zeros((N, N))
-    family = []
-    for t in np.linspace(0.0, 1.0, nodes):
-        a = np.diag(np.add(a0, np.multiply(r, t)))
-        family.append((float(t), np.block([[a, z], [z, a]])))
-    lam = np.vstack([np.eye(N), z])
-    return boundary_problem(N, np.zeros((2 * N, 2 * N)), family, lam, lam)
 
 
 def _piecewise_linear_family(N, nodes, rng):
@@ -240,9 +229,9 @@ def test_rotation_spectrum_is_the_exact_ladder(t):
 
 
 def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
-    """brentq's bracket ends and the multiplicity count reuse earlier
-    shots instead of exponentiating the same matrix again, and no cell
-    whose edges together clear the slope bound is split: 50 shots."""
+    """brentq's bracket ends and the determinant signs of a counted piece
+    reuse the count's shots instead of exponentiating the same matrix
+    again, and no piece without roots is halved: 50 shots."""
     args = []
 
     def counted(A):
@@ -257,99 +246,139 @@ def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
 
 
 def test_root_on_a_grid_point_is_reported_once():
-    # the grid starts at -0.55 with step 0.29, so 0.61 is a grid point
-    C = 0.61 * np.eye(2)
+    # the second value is a point of the partition the count starts from
     lam = np.array([[1.0], [0.0]])
-    bp = boundary_problem(1, np.zeros((2, 2)), [(0.0, C), (1.0, C)], lam, lam)
-    np.testing.assert_allclose(
-        eigenvalues_near(bp, 0.5, -0.55, 1.55), [0.61], atol=1e-8
-    )
-
-
-def test_cell_whose_edges_together_clear_the_slope_bound_is_not_shot():
-    """A zero inside would need 0.01 + 0.6 <= slope * width = 0.58, so the
-    cell cannot hide one, though its lower edge alone is far below 0.58."""
-    calls = []
-
-    def shoot(s):
-        calls.append(s)
-        return 1.0, 1.0
-
-    found = []
-    spectral._scan_cell(
-        shoot, 0.0, 0.29, (1.0, 0.01), (1.0, 0.6), 2.0,
-        spectral.DEFAULT_TOL, 5, found,
-    )
-    assert calls == [] and found == []
+    for a in (0.61, float(np.linspace(-0.55, 1.55, 10)[5])):
+        C = a * np.eye(2)
+        bp = boundary_problem(
+            1, np.zeros((2, 2)), [(0.0, C), (1.0, C)], lam, lam
+        )
+        np.testing.assert_allclose(
+            eigenvalues_near(bp, 0.5, -0.55, 1.55), [a], atol=1e-8
+        )
 
 
 def test_a_one_point_shooting_grid_is_rejected():
-    # arange(0, 0 + step, step) is the single point 0
+    # (0, 0] is empty
     with pytest.raises(ValidationError) as exc:
         eigenvalues_near(rotation_problem(), 0.3, 0.0, 0.0)
     assert exc.value.where == "eigenvalues_near"
 
 
 def _ladder_roots(a0, r, t, lo, hi):
-    """Closed form of ``_ladder_problem``'s spectrum inside [lo, hi]."""
+    """Closed form of ``ladder_problem``'s spectrum inside (lo, hi]."""
     a = np.add(a0, np.multiply(r, t))
     s = (a[:, None] + np.pi * np.arange(-3, 4)).ravel()
-    return np.sort(s[(s >= lo) & (s <= hi)])
-
-
-def _most_roots_in_a_grid_cell(roots, lo, hi):
-    grid = np.arange(lo, hi + spectral._GRID, spectral._GRID)
-    return np.histogram(roots, grid)[0].max()
+    return np.sort(s[(s > lo) & (s <= hi)])
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_ladder_roots_match_the_closed_form(N):
-    """Random ladders at 41 times, drawn so that some cell of the shooting
-    grid holds two roots and none holds three (see the xfail tests
-    below)."""
+    """Random ladders at 41 times."""
     lo, hi = -0.55, 1.55
-    ts = np.linspace(0.0, 1.0, 41)
     rng = np.random.default_rng(20261018 + N)
-    while True:
-        a0 = rng.uniform(-1.6, 1.6, N)
-        r = rng.uniform(-3.5, 3.5, N)
-        wants = [_ladder_roots(a0, r, t, lo, hi) for t in ts]
-        if max(_most_roots_in_a_grid_cell(w, lo, hi) for w in wants) == 2:
-            break
-    bp = _ladder_problem(a0, r)
-    for t, want in zip(ts, wants):
+    a0 = rng.uniform(-1.6, 1.6, N)
+    r = rng.uniform(-3.5, 3.5, N)
+    bp = ladder_problem(a0, r)
+    for t in np.linspace(0.0, 1.0, 41):
         np.testing.assert_allclose(
-            eigenvalues_near(bp, t, lo, hi), want, atol=1e-8
+            eigenvalues_near(bp, t, lo, hi),
+            _ladder_roots(a0, r, t, lo, hi),
+            atol=1e-8,
         )
 
 
-_THREE_ROOT_CELL = (
-    "the sign change of a grid cell brackets one root, so a cell "
-    "holding three loses two"
-)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_THREE_ROOT_CELL)
 def test_three_roots_in_one_grid_cell_are_reported():
-    bp = _ladder_problem((0.1, 0.2, 0.3), (0.0, 0.0, 0.0), nodes=2)
+    bp = ladder_problem((0.1, 0.2, 0.3), (0.0, 0.0, 0.0), nodes=2)
     np.testing.assert_allclose(
         eigenvalues_near(bp, 0.5, -0.55, 1.55), [0.1, 0.2, 0.3], atol=1e-8
     )
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_THREE_ROOT_CELL)
 def test_flow_through_a_three_root_cell_is_the_closed_form():
     # ladders from 0.1, 0.2, 0.3 at rates 1, -2, 0.5: only the second
     # passes 0, downward
-    bp = _ladder_problem((0.1, 0.2, 0.3), (1.0, -2.0, 0.5), nodes=2)
+    bp = ladder_problem((0.1, 0.2, 0.3), (1.0, -2.0, 0.5), nodes=2)
     assert spectral_flow(bp).value == -1
+
+
+def _clustered_ladders(rng):
+    """N = 3 or 4 ladders that start within 0.27 of each other, about one
+    cell of the shooting grid, with both ends at least 0.05 from every
+    k pi."""
+    while True:
+        N = int(rng.integers(3, 5))
+        a0 = rng.uniform(-1.6, 1.6) + rng.uniform(0.0, 0.27, N)
+        r = rng.uniform(-3.5, 3.5, N)
+        ends = np.concatenate([a0, a0 + r])
+        if np.all(np.abs(ends - np.pi * np.round(ends / np.pi)) >= 0.05):
+            return a0, r
+
+
+def test_clustered_ladders_flow_is_the_closed_form():
+    """Roots of these families share cells of the shooting grid; a scanner
+    that bracketed one root per determinant sign change miscounted 5 of
+    the 32."""
+    rng = np.random.default_rng(978)
+    for _ in range(32):
+        a0, r = _clustered_ladders(rng)
+        got = spectral_flow(ladder_problem(a0, r)).value
+        assert got == ladder_flow(a0, r), (a0, r)
+
+
+def test_a_clockwise_shooting_path_is_ambiguous(monkeypatch):
+    """The shooting path turns counterclockwise through every eigenvalue,
+    so a piece whose count falls is an error, never a negative count."""
+
+    class Clockwise(spectral._Shooter):
+        def offsets(self, s):
+            return -super().offsets(s)
+
+    monkeypatch.setattr(spectral, "_Shooter", Clockwise)
+    with pytest.raises(AmbiguityError) as exc:
+        eigenvalues_near(rotation_problem(), 0.3, -4.0, 4.0)
+    assert exc.value.where == "eigenvalues_near"
+
+
+def _strong_family(N, rng):
+    """Random admissible family with a strong B: its shooting path turns
+    fast and unevenly in s."""
+    space = standard_space(N)
+    return boundary_problem(
+        N,
+        random_admissible(N, rng, 2.0),
+        [(0.0, random_symmetric(2 * N, rng, 6.0)),
+         (1.0, random_symmetric(2 * N, rng, 6.0))],
+        random_lagrangian(space, rng).F,
+        random_lagrangian(space, rng).F,
+    )
+
+
+@pytest.mark.parametrize("seed, t", [(2, 0.5), (10, 0.0), (21, 0.5)])
+def test_turns_that_the_chords_miss_are_counted(seed, t):
+    """Inside one grid piece an eigenphase of these shooting paths turns
+    by nearly a whole turn, which the chord at the ends of the piece does
+    not show: the count misses a root (seeds 10 and 21) or falls (seed 2).
+    The determinant's sign, and positivity, send the piece to be halved.
+    The reference is the determinant's sign on a 1e-3 grid."""
+    bp = _strong_family(2, np.random.default_rng(seed))
+    gen, jj = spectral._generator(bp.B, bp.c_at(t))
+    ss = np.linspace(-0.55, 1.55, 2101)
+    dets = [
+        np.linalg.det(np.hstack([expm(gen - s * jj) @ bp.lambda0, bp.lambda1]))
+        for s in ss
+    ]
+    want = ss[1:][np.diff(np.sign(dets)) != 0]
+    np.testing.assert_allclose(
+        eigenvalues_near(bp, t, -0.55, 1.55), want, atol=1.1e-3
+    )
 
 
 def test_close_root_pair_without_a_sign_change_is_reported():
     """Two simple roots 3.5e-3 apart inside one grid cell leave its edges
-    of one sign; the dip search finds one and the other is bracketed
-    beside it."""
-    bp = _ladder_problem((1.789, 1.368), (1.708, 2.192))
+    of one sign; the piece counts two and is halved until each root has a
+    piece of its own."""
+    bp = ladder_problem((1.789, 1.368), (1.708, 2.192))
     np.testing.assert_allclose(
         eigenvalues_near(bp, 0.8625, -0.55, 1.55),
         [0.117007, 0.120557],
@@ -436,7 +465,7 @@ def test_test_values_are_admissible_inside_their_pieces(rng):
     "make, value, samples",
     [
         (rotation_problem, 1, 9),
-        (lambda: _ladder_problem((0.3, -0.3), (3.5, 3.2)), 2, 10),
+        (lambda: ladder_problem((0.3, -0.3), (3.5, 3.2)), 2, 10),
     ],
     ids=["rotation", "ladders"],
 )
