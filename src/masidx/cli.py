@@ -12,17 +12,20 @@ Real matrices are row-major nested arrays; complex matrices use an
 
 --refine-factor r (r > 1) treats sampled Lagrangian or unitary paths as
 nodes of a piecewise principal-logarithm geodesic (``paths.GeodesicPath``)
-and counts it from a partition of r pieces per gap.  Each gap keeps the
-angles theta and vectors Z of the one Schur decomposition that joins its
-end unitaries.  So the arc radius of a piece [tau0, tau1] of a gap is
-exact, (tau1 - tau0) max |theta|, with no norm to compute, and the
+on a grid of r pieces per gap.  Each gap keeps the angles theta and
+vectors Z of the one Schur decomposition that joins its end unitaries.
+A count of such a path takes its index from the path's determinant
+lift: the sum of every gap's theta and the spectra at t = 0 and 1, with
+no partition.  Phillips' count runs from the grid only when its
+partition is read (--trace, the crossing search); there the arc radius
+of a piece [tau0, tau1] of a gap is exact, (tau1 - tau0) max |theta|, with no norm to compute, and the
 spectrum at a time comes from a matrix similar to U_t, which is not
 formed.  The path holds its nodes only: memory is bounded by the spectra
-of the partition the count settles on, not by the number of samples.  A
-partition may hold at most ``paths.MAX_SAMPLES`` times, so a larger r is
-rejected before anything is built.  unitary-maslov counts its own nodes;
-maslov counts the pair unitaries W(lam, mu_i) of its nodes against the
-reference lam, so no frame is built between the nodes.  crossings,
+the count reads, not by the number of samples.  A grid may hold at most
+``paths.MAX_SAMPLES`` times, so a larger r is rejected before anything
+is built.  unitary-maslov counts its own nodes; maslov counts the pair
+unitaries W(lam, mu_i) of its nodes against the reference lam, so no
+frame is built between the nodes.  crossings,
 reduce and pair-maslov interpolate the pair unitaries against the
 horizontal Lagrangian h of the standard model, pulled back into the
 input's space.  Their counts and the crossing search read the pair

@@ -21,6 +21,12 @@ that is an AmbiguityError.  On a ``GeodesicPath`` r is exact and read off
 the angles each gap carries; elsewhere ``_arc_radius`` says how it is
 read.
 
+On a ``GeodesicPath`` det U_t gains exp(i tau sum(theta)) along each gap,
+so the count collapses to the Souriau-Leray determinant lift
+(``_lift_value``): the index comes from the gaps' angles and the two end
+spectra, and Phillips' count runs only when its partition is read, where
+it must agree.
+
 Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
 the reference lam (``to_unitary_path``).  A path built from a
 ``GeodesicPath`` of pair unitaries against some h (the CLI's refined
@@ -77,6 +83,11 @@ EPS_CAP = 1.0
 MAX_SAMPLES = 60000
 # longest chord ||U_t1 - U_t0||_2 of a piece that need not look geodesic
 _END_CHORD = 0.5
+# farthest the determinant lift of a GeodesicPath may lie from an integer:
+# its angles and end spectra carry rounding only (at most 1.4e-14 on the
+# benchmark's paths, n up to 64), so a larger distance is a fault, not a
+# near crossing
+_LIFT_ROUND = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +243,8 @@ def _gap(a, b):
 
 def catenate(first, second, tol=1e-8):
     """Concatenate two paths of the same kind; junction must match.  Two
-    ``GeodesicPath``s join piece by piece into one."""
+    ``GeodesicPath``s join piece by piece into one, whose ``jumps`` add
+    the determinant phase of the junction's mismatch."""
     if type(first) is not type(second):
         raise ValidationError("cannot catenate different path kinds", "catenate")
     end = first.samples[-1][1]
@@ -247,6 +259,8 @@ def catenate(first, second, tol=1e-8):
             pieces=first.pieces + second.pieces,
             grid=tuple(0.5 * t for t in first.grid)
             + tuple(0.5 + 0.5 * t for t in second.grid[1:]),
+            jumps=first.jumps + second.jumps
+            + float(np.angle(np.linalg.det(end.conj().T @ start))),
         )
     samples = [(0.5 * t, v) for t, v in first.samples]
     samples += [(0.5 + 0.5 * t, v) for t, v in second.samples[1:]]
@@ -266,6 +280,7 @@ def reverse(path):
             times=1.0 - path.times[::-1],
             pieces=tuple(piece.reverse() for piece in reversed(path.pieces)),
             grid=tuple(1.0 - t for t in reversed(path.grid)),
+            jumps=-path.jumps,
         )
     samples = tuple(
         (1.0 - t, v) for t, v in reversed(path.samples)
@@ -355,16 +370,21 @@ class GeodesicPath:
 
     Gap i, [times[i], times[i + 1]], is ``pieces[i]`` at tau = (t -
     times[i]) / (times[i + 1] - times[i]); the nodes are the only matrices
-    the path holds.  ``unitary_maslov`` counts it from the partition
-    ``grid`` (a refinement of the node times) with the exact radius
-    ``radius`` and the spectra ``eigvals``, and forms no U_t; ``samples``
-    and ``at`` form U_t when read.  ``G @ C`` is the path U_t C for a
-    constant unitary C, with the same grid and radius.
+    the path holds.  ``unitary_maslov`` takes its index from the
+    determinant lift, the pieces' angles (``phase``) and the spectra
+    ``eigvals`` at t = 0 and 1.  When its partition is read, Phillips'
+    count runs from ``grid`` (a refinement of the node times) with the
+    exact radius ``radius`` and the spectra ``eigvals``, and forms no U_t;
+    ``samples`` and ``at`` form U_t when read.  ``G @ C`` is the path
+    U_t C for a constant unitary C, with the same grid, radius and phase.
     """
 
     times: np.ndarray
     pieces: tuple
     grid: tuple
+    # phase of det U_t gained across the junctions ``catenate`` joined,
+    # where a piece's end may miss the next piece's start by its tolerance
+    jumps: float = 0.0
 
     @property
     def samples(self):
@@ -393,6 +413,15 @@ class GeodesicPath:
         piece, tau = self._locate(t)
         return piece.eigvals(tau)
 
+    @cached_property
+    def phase(self):
+        """Increase of the continuous phase of det U_t over [0, 1]: on a
+        gap det U_tau = det U0 exp(i tau sum(theta)), so it is the sum of
+        every piece's angles, plus the ``jumps`` at its junctions."""
+        return float(sum(piece.theta.sum() for piece in self.pieces)) + (
+            self.jumps
+        )
+
     def radius(self, t0, t1):
         """Largest arc any eigenvalue moves on [t0, t1], a piece of one
         gap."""
@@ -405,6 +434,7 @@ class GeodesicPath:
             times=self.times,
             pieces=tuple(piece @ C for piece in self.pieces),
             grid=self.grid,
+            jumps=self.jumps,
         )
 
     def lagrangian(self, reference):
@@ -477,13 +507,49 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class IndexReport:
+    """The index ``value`` of a unitary path and Phillips' count of it:
+    the ``partition`` it settled on, the test angle of each piece
+    (``epsilons``), the arc counts at each piece's ends (``k_counts``) and
+    ``diagnostics``.
+
+    ``_count`` runs ``_phillips`` on the report's ``_reads`` and returns
+    (total, partition, epsilons, k_counts).  On a ``GeodesicPath`` the
+    value is the determinant lift and the count runs when one of its
+    fields is first read; its total must equal the value, or the read
+    raises AmbiguityError.  On other paths the count ran for the value.
+    """
+
     value: int
-    partition: np.ndarray
-    epsilons: np.ndarray
-    k_counts: tuple
-    diagnostics: dict
     # the count's ``_Reads`` of its path
     _reads: object = field(repr=False, compare=False)
+    _count: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _counted(self):
+        total, *counted = self._count()
+        if total != self.value:
+            raise AmbiguityError(
+                f"Phillips' count {total} differs from the determinant "
+                f"lift {self.value}",
+                where="unitary_maslov",
+            )
+        return counted
+
+    @property
+    def partition(self):
+        return self._counted[0]
+
+    @property
+    def epsilons(self):
+        return self._counted[1]
+
+    @property
+    def k_counts(self):
+        return self._counted[2]
+
+    @property
+    def diagnostics(self):
+        return {"samples": len(self.partition)}
 
     @cached_property
     def trace(self):
@@ -641,6 +707,37 @@ def _arc_radius(path, mats, t0, t1, tol):
     return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
 
 
+def _lift_value(path, reads, tol):
+    """The index of a ``GeodesicPath`` by its determinant lift
+    (Souriau-Leray; Cappell, Lee and Miller, CPAM 47, 1994).
+
+    Each eigenvalue's offset o = angle(-lambda) lifts to a continuous
+    phase along the path, and the offsets' lifts gain Delta =
+    ``path.phase`` in all.  An offset whose lift gains d passes through
+    0 mod 2 pi net (d + m(o(0)) - m(o(1))) / 2 pi times, with m(o) = o mod
+    2 pi; Phillips' closed arc counts an offset within ``tol.clustering``
+    below 0 as at 0.  So, with W = (Delta + sum o(0) - sum o(1)) / 2 pi,
+    the index is W plus the number of offsets below -``tol.clustering``
+    at t = 0, less that at t = 1.  The offsets are read through
+    ``reads``, at the ends of the grid; AmbiguityError when W is not an
+    integer up to rounding.
+    """
+    o0 = reads.offsets(path.grid[0])
+    o1 = reads.offsets(path.grid[-1])
+    w = (path.phase + float(o0.sum()) - float(o1.sum())) / (2.0 * np.pi)
+    if abs(w - round(w)) > _LIFT_ROUND:
+        raise AmbiguityError(
+            f"determinant lift {w!r} is not an integer",
+            where="unitary_maslov",
+        )
+    snap = tol.clustering
+    return (
+        round(w)
+        + int(np.count_nonzero(o0 < -snap))
+        - int(np.count_nonzero(o1 < -snap))
+    )
+
+
 def unitary_maslov(path, tol=DEFAULT_TOL):
     """Counting index of a path of unitaries, as an IndexReport with the
     partition, test angles and arc counts; its eigenphase trace is matched
@@ -654,6 +751,12 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     balls around the offsets at t0 is admissible.  Other pieces are
     halved; AmbiguityError when that is impossible or refinement runs
     out.
+
+    A ``GeodesicPath`` takes its value from its determinant lift
+    (``_lift_value``): its pieces' angles and its two end spectra.  The
+    count runs only when the report's partition, test angles, arc counts
+    or diagnostics are read, and must then agree; refinement running out
+    raises on that read, not here.
     """
     reads = _Reads(path, tol)
     if isinstance(path, GeodesicPath):
@@ -678,17 +781,20 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
             raise AmbiguityError("refinement exploded", where="unitary_maslov")
         ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
 
-    total, epsilons, k_counts = _phillips(
-        ts, reads.offsets, reads.radius, np.pi - EPS_CAP, split,
-        tol.clustering, tol,
-    )
+    def count():
+        total, epsilons, k_counts = _phillips(
+            ts, reads.offsets, reads.radius, np.pi - EPS_CAP, split,
+            tol.clustering, tol,
+        )
+        return total, np.array(ts), np.array(epsilons), tuple(k_counts)
+
+    if isinstance(path, GeodesicPath):
+        return IndexReport(
+            value=_lift_value(path, reads, tol), _reads=reads, _count=count
+        )
+    counted = count()
     return IndexReport(
-        value=int(total),
-        partition=np.array(ts),
-        epsilons=np.array(epsilons),
-        k_counts=tuple(k_counts),
-        diagnostics={"samples": len(ts)},
-        _reads=reads,
+        value=int(counted[0]), _reads=reads, _count=lambda: counted
     )
 
 

@@ -1,5 +1,6 @@
 """The JSON command line, driven in-process through ``cli.run``."""
 
+import functools
 import importlib
 import json
 import math
@@ -583,6 +584,8 @@ def test_refined_unitary_path_forms_samples_only_when_read():
     try:
         path = cli._unitary_cli_path(ts, nodes, 3000, tol)
         lazy = paths.unitary_maslov(path, tol)
+        # the value reads two spectra; Phillips' count runs when read
+        samples = len(lazy.partition)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -591,7 +594,7 @@ def test_refined_unitary_path_forms_samples_only_when_read():
     (piece,) = path.pieces
     held = [piece.U0, piece.Z, piece.theta, piece.M]
     assert sum(a.nbytes for a in held) <= 3 * nodes[0].nbytes + 8 * n
-    assert len(path.samples) == len(lazy.partition) == 3001
+    assert len(path.samples) == samples == 3001
     eager = paths.unitary_maslov(
         paths.unitary_path(tuple(path.samples), refiner=path.at), tol
     )
@@ -599,18 +602,21 @@ def test_refined_unitary_path_forms_samples_only_when_read():
     np.testing.assert_array_equal(lazy.partition, eager.partition)
 
 
+def _counting(counts, name, fn):
+    """``fn``, adding one to ``counts[name]`` per call."""
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
     """On a refined CLI path the radius is exact: the count makes no
-    spectral-norm or SVD call, the path one Schur decomposition per gap,
-    and the count at most one eigvals per partition time."""
+    spectral-norm or SVD call, the path one Schur decomposition per gap.
+    The value reads the two end spectra, and Phillips' count, run when
+    the partition is read, shares them: one eigvals per partition time."""
     counts = dict.fromkeys(("norm2", "svd", "eigvals", "schur"), 0)
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
+    counting = functools.partial(_counting, counts)
     norm = np.linalg.norm
 
     def norm_counted(x, ord=None, *args, **kwargs):
@@ -629,9 +635,48 @@ def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
     assert counts["schur"] == len(ts) - 1
     counts.update(dict.fromkeys(counts, 0))
     report = paths.unitary_maslov(path, tol)
+    assert counts["eigvals"] == 2
     assert len(report.partition) > len(path.grid)
     assert counts["norm2"] == counts["svd"] == counts["schur"] == 0
-    assert 0 < counts["eigvals"] <= len(report.partition)
+    assert counts["eigvals"] == len(report.partition)
+
+
+@pytest.mark.parametrize("command", ["maslov", "unitary-maslov"])
+def test_cli_geodesic_count_runs_phillips_only_when_read(command, rng,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    """At --refine-factor 2 the CLI counts by the determinant lift: no
+    ``_phillips`` call, and the two end spectra are its only eigvals.
+    Reading the report's partition runs Phillips' count once, and its arc
+    counts sum to the value; reading it again, or the other fields, runs
+    none."""
+    if command == "maslov":
+        body, _ = _spinner_body(4, 5, rng)
+    else:
+        ts, nodes = geodesic_nodes(4, rng, 4, 2.8)
+        body = {"version": 1, "n": 4, "path": [
+            {"t": t, "U": _complex(U)} for t, U in zip(ts, nodes)
+        ]}
+    counts = dict.fromkeys(("phillips", "eigvals"), 0)
+    counting = functools.partial(_counting, counts)
+    monkeypatch.setattr(paths, "_phillips",
+                        counting("phillips", paths._phillips))
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        counting("eigvals", np.linalg.eigvals))
+    reports = _recorded(monkeypatch, "unitary_maslov", cli)
+    code, out, _ = _run(
+        tmp_path, capsys, command, body, "--refine-factor", "2"
+    )
+    assert code == 0, out
+    assert counts == {"phillips": 0, "eigvals": 2}
+    ((_, report),) = reports
+    partition = report.partition
+    assert counts == {"phillips": 1, "eigvals": len(partition)}
+    assert sum(hi - lo for lo, hi in report.k_counts) == out["value"]
+    assert report.partition is partition
+    assert report.diagnostics == {"samples": len(partition)}
+    assert len(report.epsilons) == len(partition) - 1
+    assert counts == {"phillips": 1, "eigvals": len(partition)}
 
 
 def test_refined_lagrangian_paths_form_frames_only_where_read(monkeypatch):

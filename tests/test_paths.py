@@ -38,7 +38,7 @@ from conftest import (
 )
 from masidx import PreconditionError, cli
 from masidx.paths import EPS_CAP, GeodesicPath, _test_value, geodesic_path
-from oracles import boxed_pair_maslov, unitary_oracle
+from oracles import boxed_pair_maslov, floor_count, unitary_oracle
 
 SP1 = standard_space(1)
 SP3 = standard_space(3)
@@ -468,6 +468,95 @@ def test_reversed_and_catenated_geodesics_stay_geodesic(n):
         np.testing.assert_allclose(whole.at(t), path.at(t), atol=1e-12)
     parts = unitary_maslov(first).value + unitary_maslov(second).value
     assert unitary_maslov(whole).value == parts == value
+
+
+# --------------------------------------------------------------------------
+# the determinant lift of a geodesic path against Phillips' count
+
+# offsets of end eigenvalues -exp(i delta) from -1: on it, inside every
+# profile's snap, between the strict and the default snap, and on the
+# loose snap
+_END_DELTAS = (0.0, 1e-12, -1e-12, 5e-8, -5e-8, 1e-6, -1e-6)
+
+
+def _end_node(n, rng):
+    """A unitary with a random eigenbasis whose eigenvalues are each
+    -exp(i delta), delta in ``_END_DELTAS``, or a random phase."""
+    phases = rng.uniform(-np.pi, np.pi, n)
+    near = rng.random(n) < 0.6
+    phases[near] = np.pi + rng.choice(_END_DELTAS, int(near.sum()))
+    V = haar_unitary(n, rng)
+    return (V * np.exp(1j * phases)) @ V.conj().T
+
+
+@pytest.mark.parametrize("profile", sorted(cli._PROFILES))
+def test_geodesic_lift_is_the_phillips_count(profile):
+    """The value of a ``GeodesicPath`` is its determinant lift, which
+    must equal Phillips' count on every path: n = 1-5, 2-5 nodes, end
+    eigenvalues on -1 or within and around each profile's snap, and the
+    ``reverse`` and ``catenate`` of such paths.  Reading the report's
+    arc counts runs that count, which raises unless its total is the
+    value."""
+    tol = DEFAULT_TOL.scaled(cli._PROFILES[profile])
+    rng = np.random.default_rng(len(profile))
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        num = int(rng.integers(2, 6))
+        nodes = [_end_node(n, rng)]
+        nodes += [haar_unitary(n, rng) for _ in range(num - 2)]
+        nodes.append(_end_node(n, rng))
+        ts = np.linspace(0.0, 1.0, num).tolist()
+        path = geodesic_path(
+            ts, nodes, cli._segment_times(ts, int(rng.integers(1, 4))), tol
+        )
+        tail = geodesic_path(
+            [0.0, 1.0], [path.at(1.0), _end_node(n, rng)], [0.0, 0.5, 1.0],
+            tol,
+        )
+        for p in (path, reverse(path), catenate(path, tail)):
+            report = unitary_maslov(p, tol)
+            assert sum(hi - lo for lo, hi in report.k_counts) == report.value
+            checked += 1
+    assert checked == 120
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_catenated_geodesics_carry_their_junction_phase(n):
+    """``catenate`` accepts a junction that misses by up to its tolerance
+    1e-8.  Here the tail starts at the head's end times exp(i 8e-9), so
+    det turns by 8e-9 n at the junction, which the pieces' angles miss by
+    more than the lift's rounding bound.  The joined path's ``jumps``
+    carry that turn: it and its reverse count as Phillips' count and as
+    the sum of their parts."""
+    rng = np.random.default_rng(70 + n)
+    ts, nodes = geodesic_nodes(n, rng, 4, 2.0)
+    head = geodesic_path(ts, nodes, cli._segment_times(ts, 2))
+    tail = geodesic_path(
+        [0.0, 1.0], [head.at(1.0) * np.exp(8e-9j), haar_unitary(n, rng)],
+        [0.0, 0.5, 1.0],
+    )
+    whole = catenate(head, tail)
+    assert abs(whole.jumps - 8e-9 * n) <= 1e-15
+    parts = unitary_maslov(head).value + unitary_maslov(tail).value
+    for p, sign in ((whole, 1), (reverse(whole), -1)):
+        report = unitary_maslov(p)
+        assert report.value == sign * parts
+        assert sum(hi - lo for lo, hi in report.k_counts) == report.value
+
+
+def test_geodesic_value_needs_no_refinement():
+    """4001 gaps each turn one eigenphase by 2.5 > pi - EPS_CAP, so
+    Phillips' count must insert a point into every gap, past its cap of
+    4000.  The lift gives the value; only reading the partition raises."""
+    gaps, turn, phase0 = 4001, 2.5, 0.3
+    phases = phase0 + turn * np.arange(gaps + 1)
+    nodes = [np.array([[np.exp(1j * a)]]) for a in phases]
+    times = np.linspace(0.0, 1.0, gaps + 1).tolist()
+    report = unitary_maslov(geodesic_path(times, nodes, times))
+    assert report.value == floor_count(phases[0] - np.pi, phases[-1] - np.pi)
+    with pytest.raises(AmbiguityError, match="maximal refinement"):
+        report.partition
 
 
 # --------------------------------------------------------------------------
