@@ -14,32 +14,33 @@ Real matrices are row-major nested arrays; complex matrices use an
 nodes of a piecewise principal-logarithm geodesic (``paths.GeodesicPath``)
 on a grid of r pieces per gap.  Each gap keeps the angles theta and
 vectors Z of the one Schur decomposition that joins its end unitaries.
+unitary-maslov interpolates its own nodes.  maslov, crossings, reduce
+and pair-maslov interpolate the pair unitaries W(h, mu_i) of their nodes
+against the horizontal Lagrangian h of the standard model, pulled back
+into the input's space, and read the pair unitaries against any other
+Lagrangian off the same pieces, by the cocycle W(lam, mu) =
+-W(h, mu) W(lam, h).  A frame is built with ``lagrangian_from_souriau``
+only where one is read: by the crossing forms, and by the reduction at
+its samples and marching steps.
+
 A count of such a path takes its index from the path's determinant
 lift: the sum of every gap's theta and the spectra at t = 0 and 1, with
 no partition.  Phillips' count runs from the grid only when its
-partition is read (--trace, the crossing search); there the arc radius
-of a piece [tau0, tau1] of a gap is exact, (tau1 - tau0) max |theta|, with no norm to compute, and the
-spectrum at a time comes from a matrix similar to U_t, which is not
-formed.  The path holds its nodes only: memory is bounded by the spectra
-the count reads, not by the number of samples.  A grid may hold at most
-``paths.MAX_SAMPLES`` times, so a larger r is rejected before anything
-is built.  unitary-maslov counts its own nodes; maslov counts the pair
-unitaries W(lam, mu_i) of its nodes against the reference lam, so no
-frame is built between the nodes.  crossings,
-reduce and pair-maslov interpolate the pair unitaries against the
-horizontal Lagrangian h of the standard model, pulled back into the
-input's space.  Their counts and the crossing search read the pair
-unitaries against any other Lagrangian off the same pieces, by the
-cocycle W(lam, mu) = -W(h, mu) W(lam, h), so a frame is built with
-``lagrangian_from_souriau`` only where one is read: by the crossing
-forms, and by the reduction at its samples and marching steps.
+partition is read (--trace); there, and in the crossing search, the arc
+radius of a piece [tau0, tau1] of a gap is exact, (tau1 - tau0)
+max |theta|, with no norm to compute, and the spectrum at a time comes
+from a matrix similar to U_t, which is not formed.  The path holds its
+nodes only: memory is bounded by the spectra read, not by the number of
+samples.  A grid may hold at most ``paths.MAX_SAMPLES`` times, so a
+larger r is rejected before anything is built.
+
 With the default r = 1 the samples are used as-is and under-resolved
 inputs fail with an ambiguity error rather than being silently
 interpolated: a gap counts only when its unitaries are within 0.5 in
 spectral norm and their eigenphases leave an admissible test angle.  The
 crossings and reduce subcommands always interpolate: the crossing search
-halves the pieces of the count's partition through the interpolant, and
-reduction marches along the path.
+halves the pieces of the grid through the interpolant, and reduction
+marches along the path.
 """
 
 import argparse
@@ -283,11 +284,8 @@ def _lagrangian_path(ts, frames, factor, tol):
     grid = _segment_times(ts, factor)
     # the horizontal frame of a general space need not be Lagrangian, so
     # the reference is built in the standard model and pulled back
-    space = frames[0].space
-    std = space.standardization
-    ref = horizontal_frame(std.target)
-    if not space.is_standard:
-        ref = std.pull_frame(ref)
+    std = frames[0].space.standardization
+    ref = std.pull_frame(horizontal_frame(std.target))
     geodesic = geodesic_path(
         ts, [souriau(ref, f) for f in frames], grid, tol
     )
@@ -381,27 +379,23 @@ def _eigen_trace_rows(trace):
 # --------------------------------------------------------------------------
 
 
-def _count_unitary(ts, mats, args, tol):
-    path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
-    report = unitary_maslov(path, tol)
-    return {"value": int(report.value)}, report
-
-
 def _cmd_maslov(obj, args, tol):
     _check_keys(
         obj, ["version", "n", "reference", "path"], ["space"], "input"
     )
     lam, ts, frames = _reference_and_path(obj, tol)
-    # the index of mu_t against lam is that of its pair unitary
-    # W(lam, mu_t), so the path is interpolated and counted as unitaries
-    return _count_unitary(ts, [souriau(lam, f) for f in frames], args, tol)
+    path = _lagrangian_path(ts, frames, args.refine_factor, tol)
+    report = maslov(path, lam, tol)
+    return {"value": int(report.value)}, report
 
 
 def _cmd_unitary_maslov(obj, args, tol):
     _check_keys(obj, ["version", "n", "path"], [], "input")
     n = _positive_int(obj, "n")
     ts, mats = _unitary_nodes(obj["path"], n, "input.path")
-    return _count_unitary(ts, mats, args, tol)
+    path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
+    report = unitary_maslov(path, tol)
+    return {"value": int(report.value)}, report
 
 
 def _cmd_crossings(obj, args, tol):

@@ -349,8 +349,10 @@ def lagrangian(space, M, tol=None):
     Raises
     ------
     ValidationError
-        Rank-deficient input, or isotropy violated beyond 1e-8 after
-        orthonormalization.
+        Rank-deficient input, or isotropy violated after
+        orthonormalization: beyond 1e-8 here ("subspace is not
+        isotropic"), beyond 1e-10 at ``LagrangianFrame`` ("frame not
+        isotropic").
     """
     tol = tol or space.tol
     M = _as_matrix(M, "frame", (2 * space.n, space.n))
@@ -529,7 +531,11 @@ def realify_vectors(Z):
 
 @dataclass(frozen=True, eq=False)
 class Standardization:
-    """Linear map onto the standard model preserving omega and <.,.>_G."""
+    """Linear map onto the standard model preserving omega and <.,.>_G.
+
+    On a standard source it is the identity, and ``push_frame`` and
+    ``pull_frame`` return the frame itself.
+    """
 
     source: SymplecticSpace
     target: SymplecticSpace
@@ -537,9 +543,13 @@ class Standardization:
     inverse: np.ndarray
 
     def push_frame(self, frame):
+        if self.source.is_standard:
+            return frame
         return lagrangian(self.target, self.matrix @ frame.F)
 
     def pull_frame(self, frame):
+        if self.source.is_standard:
+            return frame
         return lagrangian(self.source, self.inverse @ frame.F)
 
 

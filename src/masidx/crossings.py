@@ -8,10 +8,10 @@ restricted to the intersection.  Regular crossings (nondegenerate form)
 localize the index: summing signatures with boundary corrections
 reproduces the counting index.
 
-The search for crossings reads the partition of that count, with the
-unitaries and offsets it read (``paths._pair_partition``), and halves
-only the pieces whose arc radius lets an eigenvalue reach -1, so it
-needs no sampling of its own.
+The search for crossings reads the pair-unitary path as that count does,
+with the count's radius rule (``paths._Reads``), from the path's own
+times, and halves only the pieces whose arc radius lets an eigenvalue
+reach -1: it runs no count and needs no sampling of its own.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from scipy.linalg import schur
 
 from .core import DEFAULT_TOL, complexify_vectors
 from .errors import AmbiguityError, PreconditionError
-from .paths import EPS_CAP, _pair_partition
+from .paths import EPS_CAP, _Reads, _sample_times, to_unitary_path
 from .souriau import minus_one_offsets, souriau
 
 __all__ = [
@@ -55,11 +55,12 @@ class Crossing:
 def find_crossings(path, lam, tol=DEFAULT_TOL):
     """All parameter values where the path meets the reference.
 
-    Reads the pieces of the counting partition (``paths._pair_partition``),
-    the offsets of the pair unitaries and the arc radius r of a piece by
-    the count's own rule (``paths._Reads``): exact on a CLI path, whose
-    pair unitaries are geodesic pieces, and the chord heuristic
-    ``paths._arc_radius`` elsewhere.  A zero of an
+    Starts from the own times of the pair-unitary path
+    (``paths.to_unitary_path``): the grid of a CLI path, whose pair
+    unitaries are geodesic pieces, else its sample times.  Reads the
+    offsets of the pair unitaries and the arc radius r of a piece by the
+    count's own rule (``paths._Reads``): exact on geodesic pieces, and the
+    chord heuristic ``paths._arc_radius`` elsewhere.  A zero of an
     eigenphase offset at t in [t0, t1] lies within r (t - t0) / (t1 - t0)
     of the offsets at t0 and within r (t1 - t) / (t1 - t0) of those at t1
     where the radius grows linearly (geodesic pieces; elsewhere this is
@@ -83,7 +84,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         raise AmbiguityError(
             "crossing localization requires a refiner", where="find_crossings"
         )
-    ts, reads = _pair_partition(path, lam, tol)
+    upath = to_unitary_path(path, lam)
+    ts, reads = _sample_times(upath), _Reads(upath, tol)
     offsets = reads.offsets
 
     def gap(t):

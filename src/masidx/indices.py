@@ -28,7 +28,7 @@ from .core import (
     standard_space,
 )
 from .errors import PreconditionError, ValidationError
-from .paths import _pair_partition, geodesic_path, maslov
+from .paths import geodesic_path, maslov, to_unitary_path, unitary_maslov
 from .souriau import souriau
 
 __all__ = [
@@ -107,8 +107,7 @@ def _graph_frame(lam, U):
     the graph spans the columns of E+ - E- conj(U).  Returned orthonormal,
     in standard-model coordinates.
     """
-    std = lam.space.standardization
-    lam_s = lam if lam.space.is_standard else std.push_frame(lam)
+    lam_s = lam.space.standardization.push_frame(lam)
     F = lam_s.F
     J = lam_s.space.J
     Ep = (F - 1j * J @ F) / np.sqrt(2.0)
@@ -280,8 +279,7 @@ def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):
     """
     _require_same_space(ell0.space, ell1.space, "connecting_path")
     std = ell0.space.standardization
-    e0 = ell0 if ell0.space.is_standard else std.push_frame(ell0)
-    e1 = ell1 if ell1.space.is_standard else std.push_frame(ell1)
+    e0, e1 = std.push_frame(ell0), std.push_frame(ell1)
     model = e0.space
     ref = horizontal_frame(model)
     w0, w1 = souriau(ref, e0), souriau(ref, e1)
@@ -315,10 +313,8 @@ def hormander(ell0, ell1, lam, mu, seed=0, tol=DEFAULT_TOL):
         _require_same_space(ell0.space, f.space, "hormander")
     path = connecting_path(ell0, ell1, seed=seed, tol=tol)
     std = ell0.space.standardization
-    lam_s = lam if lam.space.is_standard else std.push_frame(lam)
-    mu_s = mu if mu.space.is_standard else std.push_frame(mu)
-    a = maslov(path, lam_s, tol).value
-    b = maslov(path, mu_s, tol).value
+    a = maslov(path, std.push_frame(lam), tol).value
+    b = maslov(path, std.push_frame(mu), tol).value
     return int(a - b)
 
 
@@ -345,14 +341,16 @@ def lift_path_endpoints(path, lam, tol=DEFAULT_TOL):
     """Continuous determinant-phase lifts of the pair unitaries at t=0, 1.
 
     The start lift takes the principal determinant phase.  The end lift
-    adds, over the pieces [t_j, t_{j+1}] of the counting partition
-    (``paths._pair_partition``), the sum of the principal arguments of
-    the eigenvalues of U_{t_j}^H U_{t_{j+1}}.  A piece has arc radius at
-    most pi - EPS_CAP, so -1 never enters that spectrum along the piece
-    and the sum is the exact increment of the continuous phase.
+    adds, over the pieces [t_j, t_{j+1}] of the partition of the count of
+    the pair unitaries (``unitary_maslov`` of ``to_unitary_path``), the
+    sum of the principal arguments of the eigenvalues of
+    U_{t_j}^H U_{t_{j+1}}, read off the unitaries the count read.  A piece
+    has arc radius at most pi - EPS_CAP, so -1 never enters that spectrum
+    along the piece and the sum is the exact increment of the continuous
+    phase.
     """
-    ts, reads = _pair_partition(path, lam, tol)
-    mats = reads.mats
+    report = unitary_maslov(to_unitary_path(path, lam), tol)
+    ts, mats = report.partition.tolist(), report._reads.mats
     alpha0 = float(np.angle(np.linalg.det(mats[ts[0]])))
     alpha1 = alpha0 + sum(
         float(np.sum(np.angle(np.linalg.eigvals(mats[a].conj().T @ mats[b]))))

@@ -32,12 +32,13 @@ from .core import (
 )
 from .errors import AmbiguityError, ValidationError
 from .paths import (
+    GeodesicPath,
     LagrangianPath,
     UnitaryPath,
+    _sample_times,
     to_unitary_path,
     unitary_maslov,
 )
-from .souriau import souriau
 
 __all__ = [
     "PolarizedPair",
@@ -64,56 +65,52 @@ def box(mu, lam):
 
 
 def _resample(path, times, where):
-    lookup = {t: f for t, f in path.samples}
-    out = []
+    """The values of a unitary path at ``times``, formed one at a time:
+    its sample where it has one, else its refiner's.  The samples of a
+    ``GeodesicPath`` are its refiner's values, so none is formed ahead."""
+    lookup = {} if isinstance(path, GeodesicPath) else dict(path.samples)
     for t in times:
         if t in lookup:
-            out.append(lookup[t])
+            yield lookup[t]
         elif path.refiner is not None:
-            out.append(path.refiner(t))
+            yield path.refiner(t)
         else:
             raise AmbiguityError(
                 "pair paths sample different times and one has no refiner",
                 where=where,
             )
-    return out
 
 
 def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     """Index of a path of pairs: ``unitary_maslov`` of its pair unitaries
-    t -> souriau(lam_t, mu_t) (HLS 2017), on the union of both legs' sample
+    t -> W(lam_t, mu_t) (HLS 2017), on the union of both legs' sample
     times, refinable when both legs are.
 
-    Legs built by ``GeodesicPath.lagrangian`` (the CLI's refined paths)
-    are converted by ``to_unitary_path`` against the reference h of the mu
-    leg, and their pair unitaries are read by the cocycle
-    W(lam_t, mu_t) = -W(h, mu_t) W(h, lam_t)^H: two geodesic reads and
-    one product per time, and no frame.
+    Both legs are converted by ``to_unitary_path`` against one reference
+    h: the reference of the mu leg when it was built by
+    ``GeodesicPath.lagrangian`` (the CLI's refined paths), else its first
+    frame.  The pair unitaries are read by the cocycle W(lam_t, mu_t) =
+    -W(h, mu_t) W(h, lam_t)^H: one product per time, and no frame formed
+    on a geodesic leg.
     """
     _require_same_space(mu_path.space, lam_path.space, "pair_maslov")
-    if mu_path._geodesic is not None and lam_path._geodesic is not None:
+    if mu_path._geodesic is not None:
         h = mu_path._geodesic[0]
-        mu_u = to_unitary_path(mu_path, h)
-        lam_u = to_unitary_path(lam_path, h)
-        times = sorted(set(mu_u.grid) | set(lam_u.grid))
-
-        def refiner(t):
-            return -mu_u.at(t) @ lam_u.at(t).conj().T
-
-        pairs = [refiner(t) for t in times]
     else:
-        times = sorted(
-            {t for t, _ in mu_path.samples}
-            | {t for t, _ in lam_path.samples}
+        h = mu_path.samples[0][1]
+    mu_u = to_unitary_path(mu_path, h)
+    lam_u = to_unitary_path(lam_path, h)
+    times = sorted(set(_sample_times(mu_u)) | set(_sample_times(lam_u)))
+    pairs = [
+        -m @ l.conj().T
+        for m, l in zip(
+            _resample(mu_u, times, "pair_maslov"),
+            _resample(lam_u, times, "pair_maslov"),
         )
-        mus = _resample(mu_path, times, "pair_maslov")
-        lams = _resample(lam_path, times, "pair_maslov")
-        pairs = [souriau(l, m) for m, l in zip(mus, lams)]
-        refiner = None
-        if mu_path.refiner is not None and lam_path.refiner is not None:
-            refiner = lambda t: souriau(
-                lam_path.refiner(t), mu_path.refiner(t)
-            )
+    ]
+    refiner = None
+    if mu_u.refiner is not None and lam_u.refiner is not None:
+        refiner = lambda t: -mu_u.refiner(t) @ lam_u.refiner(t).conj().T
     samples = tuple(zip(times, pairs))
     return unitary_maslov(UnitaryPath(samples=samples, refiner=refiner), tol)
 

@@ -32,10 +32,9 @@ the reference lam (``to_unitary_path``).  A path built from a
 ``GeodesicPath`` of pair unitaries against some h (the CLI's refined
 paths) converts by the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same
 geodesic pieces times one constant unitary, with the exact radius and no
-frame formed.  ``_pair_partition`` hands the partition the count settles
-on, with its reads (``_Reads``: every unitary and offset read, and the
-one radius rule), to the crossing search and the endpoint lifts: one
-partition per path, and no time evaluated or decomposed twice.
+frame formed.  The crossing search reads that unitary path as the count
+does (``_Reads``: every unitary and offset read, and the one radius
+rule), from the path's own times (``_sample_times``), and runs no count.
 ``IndexReport.trace`` matches eigenphases only when read (``--trace``).
 ``_phillips`` is the one counting loop: ``spectral.spectral_flow`` runs it
 on the real line, with Weyl balls around the eigenvalues of the boundary
@@ -707,6 +706,14 @@ def _arc_radius(path, mats, t0, t1, tol):
     return 2.0 * np.arcsin(min(chord / 2.0, 1.0))
 
 
+def _sample_times(path):
+    """The times a unitary path is sampled at: a ``GeodesicPath``'s grid,
+    read without forming its samples."""
+    if isinstance(path, GeodesicPath):
+        return list(path.grid)
+    return [t for t, _ in path.samples]
+
+
 def _lift_value(path, reads, tol):
     """The index of a ``GeodesicPath`` by its determinant lift
     (Souriau-Leray; Cappell, Lee and Miller, CPAM 47, 1994).
@@ -759,10 +766,7 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     raises on that read, not here.
     """
     reads = _Reads(path, tol)
-    if isinstance(path, GeodesicPath):
-        ts = list(path.grid)
-    else:
-        ts = [t for t, _ in path.samples]
+    ts = _sample_times(path)
     start = len(ts)
 
     def split(ts, i):
@@ -817,16 +821,6 @@ def to_unitary_path(path, lam):
     if path.refiner is not None:
         refiner = lambda t: souriau(lam, path.refiner(t))
     return UnitaryPath(samples=usamples, refiner=refiner)
-
-
-def _pair_partition(path, lam, tol):
-    """The partition that the count of ``path`` against ``lam`` settles
-    on, and the count's ``_Reads`` of the pair-unitary path: (ts, reads).
-    Every partition time has been read, and every piece has arc radius at
-    most pi - EPS_CAP.
-    """
-    report = unitary_maslov(to_unitary_path(path, lam), tol)
-    return report.partition.tolist(), report._reads
 
 
 def maslov(path, lam, tol=DEFAULT_TOL):

@@ -35,15 +35,6 @@ from .errors import ValidationError
 __all__ = ["souriau", "kernel_dim_minus_one", "lagrangian_from_souriau"]
 
 
-def _standard_pair(lam, mu=None):
-    std = lam.space.standardization
-    lam_s = lam if lam.space.is_standard else std.push_frame(lam)
-    if mu is None:
-        return std, lam_s
-    mu_s = mu if mu.space.is_standard else std.push_frame(mu)
-    return std, lam_s, mu_s
-
-
 def _symmetric_unitary(frame):
     """U U^T for U = X + iY, the unitary of a standard-model frame."""
     n = frame.space.n
@@ -71,7 +62,8 @@ def souriau(lam, mu):
     the complexified intersection, and W(lam, mu)^H = W(mu, lam).
     """
     _require_same_space(lam.space, mu.space, "souriau")
-    _, lam_s, mu_s = _standard_pair(lam, mu)
+    std = lam.space.standardization
+    lam_s, mu_s = std.push_frame(lam), std.push_frame(mu)
     n = lam_s.space.n
     W = -_symmetric_unitary(mu_s) @ np.conj(_symmetric_unitary(lam_s))
     if _norm2_exceeds(W.conj().T @ W - np.eye(n), 1e-10):
@@ -114,7 +106,8 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
         raise ValidationError(
             "matrix not unitary", where="lagrangian_from_souriau"
         )
-    std, lam_s = _standard_pair(lam)
+    std = lam.space.standardization
+    lam_s = std.push_frame(lam)
     A = realify(W) @ lam_s.tau + np.eye(2 * n)
     _, sv, Vt = np.linalg.svd(A)
     if sv[n - 1] <= 1e-8:
@@ -127,7 +120,4 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
             "kernel smaller than n: not symmetric relative to the base",
             where="lagrangian_from_souriau",
         )
-    mu_s = lagrangian(lam_s.space, Vt[n:].T)
-    if std.source.is_standard:
-        return mu_s
-    return std.pull_frame(mu_s)
+    return std.pull_frame(lagrangian(lam_s.space, Vt[n:].T))

@@ -265,19 +265,17 @@ class _Shooter:
 
     def radius(self, s0, s1):
         """Arc radius 2 arcsin(c / 2) of [s0, s1], c the chord
-        ||W(s1) - W(s0)||_F, or its spectral norm when that exceeds
-        ``_END_CHORD``; inf past that, so the piece is halved.  A heuristic
-        read at the ends: nearly whole turns inside go unseen here
-        (``_count_roots`` checks the determinant's sign).  At ladder speed,
-        2 rad per unit s, a ``_GRID`` piece turns by at most 0.5.
+        ||W(s1) - W(s0)||_2; inf when c exceeds ``_END_CHORD``, so the
+        piece is halved.  A heuristic read at the ends: nearly whole turns
+        inside go unseen here (``_count_roots`` checks the determinant's
+        sign).  At ladder speed, 2 rad per unit s, a ``_GRID`` piece turns
+        by at most 0.5.
         """
         self.read([s0, s1])
         D = self._pairs[s1] - self._pairs[s0]
-        c = np.linalg.norm(D)
+        c = np.sqrt(np.linalg.eigvalsh(D.conj().T @ D)[-1])
         if c > _END_CHORD:
-            c = np.sqrt(np.linalg.eigvalsh(D.conj().T @ D)[-1])
-            if c > _END_CHORD:
-                return np.inf
+            return np.inf
         return 2.0 * np.arcsin(c / 2.0)
 
 

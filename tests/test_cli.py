@@ -92,10 +92,13 @@ def test_general_space_maslov_gives_spinner_value(n, rng, tmp_path, capsys):
     assert out["value"] == expected
 
 
-def test_general_space_crossings_give_spinner_value(rng, tmp_path, capsys):
+def test_general_space_crossings_give_spinner_value(rng, tmp_path, capsys,
+                                                    monkeypatch):
+    counts = _recorded(monkeypatch, "_phillips", paths)
     body, expected = _spinner_body(1, 5, rng, random_structure_space(1, rng))
     code, out, _ = _run(tmp_path, capsys, "crossings", body)
     assert code == 0, out
+    assert counts == []
     assert out["value"] == expected == 1
     (crossing,) = out["crossings"]
     phase, rate = SPINNERS[1][0][0], SPINNERS[1][1][0]
@@ -125,6 +128,8 @@ def _recorded(monkeypatch, name, *modules):
 def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
                                              capsys, monkeypatch):
     calls = _recorded(monkeypatch, "find_crossings", crossings, cli)
+    # the search starts from the grid and runs no count
+    counts = _recorded(monkeypatch, "_phillips", paths)
     body, expected = _spinner_body(3, 5, rng)
     body["richardson"] = richardson
     code, out, _ = _run(tmp_path, capsys, "crossings", body)
@@ -132,6 +137,7 @@ def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
     assert out["value"] == expected
     assert len(out["crossings"]) == 3
     assert len(calls) == 1
+    assert counts == []
 
 
 def test_richardson_crossings_report_the_plain_crossing_sum(
@@ -332,7 +338,7 @@ def test_commuting_b_exits_2(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# maslov counts the pair unitaries W(lam, mu_t) directly
+# maslov counts the interpolated frame path on its pair unitaries
 
 
 @pytest.mark.parametrize("n, general", [(3, False), (4, True)])
@@ -361,7 +367,7 @@ def test_refined_maslov_builds_no_frames(n, general, rng, tmp_path, capsys,
 def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
     """The report the CLI's maslov counts on ``body`` at factor 2, and the
     library ``maslov`` report on the interpolated frame path."""
-    calls = _recorded(monkeypatch, "unitary_maslov", cli)
+    calls = _recorded(monkeypatch, "maslov", cli)
     code, out, _ = _run(
         tmp_path, capsys, "maslov", body, "--refine-factor", "2"
     )
@@ -385,9 +391,10 @@ def test_refined_maslov_counts_on_the_frame_path_partition(n, general_seed,
                                                            rng, tmp_path,
                                                            capsys,
                                                            monkeypatch):
-    """The CLI's unitary path is the frame path's pair-unitary path times a
-    constant unitary, and both counts read only those unitaries, so both
-    refine to the same partition, in a general space too."""
+    """The CLI's maslov counts the interpolated frame path against the
+    reference, so the library count of that path gives the same
+    partition, test angles, arc counts and trace, in a general space
+    too."""
     space = None
     if general_seed is not None:
         rng = np.random.default_rng(general_seed)
@@ -452,6 +459,22 @@ def test_nan_times_exit_2(command, body, flags, where, tmp_path, capsys):
     code, out, _ = _run(tmp_path, capsys, command, body, *flags)
     assert code == 2
     assert out == {"reason": "number must be finite", "where": where}
+
+
+@pytest.mark.parametrize("command", ["maslov", "pair-maslov"])
+def test_unordered_lagrangian_samples_exit_2(command, tmp_path, capsys):
+    # at --refine-factor 1 both commands take the samples as a
+    # LagrangianPath, which checks their times
+    nodes = [{"t": t, "frame": _LINE} for t in (0.0, 0.7, 0.5, 1.0)]
+    body = {"version": 1, "n": 1}
+    if command == "maslov":
+        body |= {"reference": _LINE, "path": nodes}
+    else:
+        body |= {"mu_path": nodes, "lambda_path": nodes}
+    code, out, _ = _run(tmp_path, capsys, command, body)
+    assert code == 2
+    assert out == {"reason": "sample times must be strictly increasing",
+                   "where": "LagrangianPath"}
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e400"])
@@ -663,7 +686,9 @@ def test_cli_geodesic_count_runs_phillips_only_when_read(command, rng,
                         counting("phillips", paths._phillips))
     monkeypatch.setattr(np.linalg, "eigvals",
                         counting("eigvals", np.linalg.eigvals))
-    reports = _recorded(monkeypatch, "unitary_maslov", cli)
+    # each command hands its count's report back from the function it
+    # is named after
+    reports = _recorded(monkeypatch, command.replace("-", "_"), cli)
     code, out, _ = _run(
         tmp_path, capsys, command, body, "--refine-factor", "2"
     )

@@ -168,6 +168,15 @@ def test_lagrangian_rejects_non_isotropic_spans():
         lagrangian(sp, M)
     with pytest.raises(ValidationError):
         lagrangian(sp, np.zeros((4, 2)))  # rank deficient
+    # omega(e1, e2 + 5e-9 Je1) = 5e-9 passes the span's 1e-8 check and
+    # fails the frame's 1e-10
+    M = np.eye(4)[:, [0, 1]]
+    M[2, 1] = 5e-9
+    with pytest.raises(ValidationError) as err:
+        lagrangian(sp, M)
+    assert (err.value.reason, err.value.where) == (
+        "frame not isotropic", "LagrangianFrame"
+    )
 
 
 def test_frame_constructor_requires_orthonormal_columns():

@@ -5,10 +5,12 @@ import pytest
 from scipy.linalg import expm, null_space
 
 from masidx import (
+    DEFAULT_TOL,
     AmbiguityError,
     ValidationError,
     box,
     catenate,
+    cli,
     direct_sum_frame,
     direct_sum_space,
     embed_path,
@@ -173,6 +175,20 @@ def test_pair_index_is_the_boxed_count(n, rng):
         mu, lam, expected = turned_spinner_pair(n, rng, meet, nums)
         assert pair_maslov(mu, lam).value == boxed_pair_maslov(mu, lam)
         assert pair_maslov(mu, lam).value == expected, (meet, nums)
+    # mixed legs: the CLI's geodesic interpolation of a spinner's nodes,
+    # which is that spinner, against a constant leg sampled at other times
+    # with a refiner; each order takes its reference from its mu leg
+    phases = rng.uniform(-np.pi, np.pi, n)
+    rates = rng.uniform(0.3, 2.5, n) * rng.choice([-1.0, 1.0], n)
+    spin, ref = spinner_path(standard_space(n), phases, rates, rng=rng,
+                             num=9)
+    ts, frames = (list(x) for x in zip(*spin.samples))
+    geo = cli._lagrangian_path(ts, frames, 2, DEFAULT_TOL)
+    fixed = lagrangian_path_from_function(lambda t: ref, num=7)
+    value = pair_maslov(geo, fixed).value
+    assert value == boxed_pair_maslov(geo, fixed)
+    assert value == spinner_expected(phases, rates)
+    assert pair_maslov(fixed, geo).value == boxed_pair_maslov(fixed, geo)
 
 
 def test_pair_index_builds_no_box_frames(rng, monkeypatch):
