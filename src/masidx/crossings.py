@@ -65,7 +65,9 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     of the offsets at t0 and within r (t1 - t) / (t1 - t0) of those at t1
     where the radius grows linearly (geodesic pieces; elsewhere this is
     the count's heuristic), so a piece can hold one only when the nearest
-    offsets at its ends sum to at most r.  Other pieces are dropped, the
+    offsets at its ends sum to at most r.  A piece with r above pi -
+    EPS_CAP is halved, as the count splits it: its chord may hide a
+    longer arc.  Of the others, those with a larger sum are dropped, the
     rest halved until they are ``tol.bisect_t`` wide or both ends lie
     within ``tol.angular`` of -1.  Touching leaves form one crossing.  A
     cluster at t = 0 or 1 reports that end.  Elsewhere the first leaf
@@ -74,7 +76,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     (a touch, or passages that cancel) reports its end nearest -1.  A
     crossing whose offset stays below the angular tolerance 1000
     ``tol.crossing_width`` to both sides raises AmbiguityError
-    (non-isolated).
+    (non-isolated), and so does a piece ``tol.bisect_t`` wide whose r
+    is still above pi - EPS_CAP, where the count runs out of refinement.
 
     The pieces that the count reads as geodesic are searched exactly.  On
     other pieces a touch of -1 that no read point comes near can go
@@ -87,6 +90,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     upath = to_unitary_path(path, lam)
     ts, reads = _sample_times(upath), _Reads(upath, tol)
     offsets = reads.offsets
+    reach = np.pi - EPS_CAP
 
     def gap(t):
         return float(np.abs(offsets(t)).min())
@@ -103,11 +107,19 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
             t0, t1 = stack.pop()
             a0, a1 = gap(t0), gap(t1)
             r = reads.radius(t0, t1)
+            if r > reach:
+                # the count splits this piece: a chord read as a short
+                # arc may hide a phase that turns the long way
+                if t1 - t0 <= tol.bisect_t:
+                    raise AmbiguityError(
+                        f"no arc radius below pi - EPS_CAP around t={t0}",
+                        where="find_crossings",
+                    )
             # a zero on a geodesic piece makes the sum equal r: the slack
             # is rounding only, so pieces beside a crossing still drop
-            if a0 + a1 > r * (1.0 + 1e-9) + 1e-13:
+            elif a0 + a1 > r * (1.0 + 1e-9) + 1e-13:
                 continue
-            if t1 - t0 <= tol.bisect_t or max(a0, a1) <= tol.angular:
+            elif t1 - t0 <= tol.bisect_t or max(a0, a1) <= tol.angular:
                 leaves.append((t0, t1))
                 continue
             tm = 0.5 * (t0 + t1)

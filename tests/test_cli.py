@@ -13,11 +13,13 @@ import pytest
 from masidx import (
     cli,
     crossings,
+    haar_unitary,
     horizontal_frame,
     maslov,
     maslov_via_crossings,
     pairs,
     paths,
+    souriau,
     standard_space,
     vertical_frame,
 )
@@ -58,12 +60,15 @@ def _run(tmp_path, capsys, command, body, *flags):
     return code, json.loads(out), out
 
 
-def _spinner_body(n, nodes, rng, space=None):
+def _spinner_body(n, nodes, rng, space=None, turned=False):
     """maslov input for the spinner of SPINNERS[n], sampled at ``nodes``.
 
     The path is built in the standard model and pulled back into
     ``space`` by its standardization, which ``souriau`` undoes, so the
-    index stays the closed-form spinner value.
+    index stays the closed-form spinner value.  ``turned`` first moves
+    the reference and the path by one random unitary of the standard
+    model, which keeps the index but takes the reference off the
+    horizontal.
     """
     phases, rates = SPINNERS[n]
     path, ref = spinner_path(
@@ -71,8 +76,11 @@ def _spinner_body(n, nodes, rng, space=None):
     )
     body = {"version": 1, "n": n}
     pull = np.eye(2 * n)
+    if turned:
+        U = haar_unitary(n, rng)
+        pull = np.block([[U.real, -U.imag], [U.imag, U.real]])
     if space is not None:
-        pull = space.standardization.inverse
+        pull = space.standardization.inverse @ pull
         body["space"] = {"J": _real(space.J), "G": _real(space.G)}
     body["reference"] = _real(pull @ ref.F)
     body["path"] = [
@@ -364,9 +372,10 @@ def test_refined_maslov_builds_no_frames(n, general, rng, tmp_path, capsys,
     assert calls
 
 
-def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
+def _cli_and_direct_geodesic_reports(body, monkeypatch, tmp_path, capsys):
     """The report the CLI's maslov counts on ``body`` at factor 2, and the
-    library ``maslov`` report on the interpolated frame path."""
+    count of the geodesic through the pair unitaries W(lam, mu_i) of the
+    nodes themselves, with no cocycle."""
     calls = _recorded(monkeypatch, "maslov", cli)
     code, out, _ = _run(
         tmp_path, capsys, "maslov", body, "--refine-factor", "2"
@@ -375,7 +384,10 @@ def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
     ((_, got),) = calls
     tol = cli.DEFAULT_TOL
     lam, ts, frames = cli._reference_and_path(body, tol)
-    want = maslov(cli._lagrangian_path(ts, frames, 2, tol), lam, tol)
+    direct = paths.geodesic_path(
+        ts, [souriau(lam, f) for f in frames], cli._segment_times(ts, 2), tol
+    )
+    want = paths.unitary_maslov(direct, tol)
     assert got.value == want.value == out["value"]
     return got, want
 
@@ -383,25 +395,38 @@ def _cli_and_frame_path_reports(body, monkeypatch, tmp_path, capsys):
 # a general space from seed 0 at n = 3 and seed 4 at n = 4 once made the
 # frame path refine further than the unitary count
 @pytest.mark.parametrize(
-    "n, general_seed",
-    [(1, None), (3, None), (4, None), (3, 0), (4, 4)],
-    ids=["1", "3", "4", "3-general-seed0", "4-general-seed4"],
+    "n, general_seed, turned",
+    [
+        (1, None, False),
+        (3, None, False),
+        (4, None, False),
+        (3, 0, False),
+        (4, 4, False),
+        (4, None, True),
+        (3, 0, True),
+    ],
+    ids=[
+        "1", "3", "4", "3-general-seed0", "4-general-seed4", "4-turned",
+        "3-general-seed0-turned",
+    ],
 )
 def test_refined_maslov_counts_on_the_frame_path_partition(n, general_seed,
-                                                           rng, tmp_path,
-                                                           capsys,
+                                                           turned, rng,
+                                                           tmp_path, capsys,
                                                            monkeypatch):
-    """The CLI's maslov counts the interpolated frame path against the
-    reference, so the library count of that path gives the same
-    partition, test angles, arc counts and trace, in a general space
-    too."""
+    """The CLI's maslov reads the pair unitaries of its refined path by
+    the cocycle W(lam, mu) = -W(h, mu) W(lam, h) off the geodesic through
+    the W(h, mu_i).  The geodesic through U_i C is the one through U_i,
+    times C, so the count of the geodesic through the W(lam, mu_i)
+    themselves gives the same value, partition, test angles, arc counts
+    and trace, in a general space too."""
     space = None
     if general_seed is not None:
         rng = np.random.default_rng(general_seed)
         space = random_structure_space(n, rng)
-    body, expected = _spinner_body(n, 5, rng, space)
-    got, want = _cli_and_frame_path_reports(body, monkeypatch, tmp_path,
-                                            capsys)
+    body, expected = _spinner_body(n, 5, rng, space, turned)
+    got, want = _cli_and_direct_geodesic_reports(body, monkeypatch,
+                                                 tmp_path, capsys)
     assert got.value == expected
     np.testing.assert_array_equal(got.partition, want.partition)
     np.testing.assert_allclose(got.epsilons, want.epsilons, atol=1e-12)

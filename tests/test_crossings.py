@@ -11,6 +11,7 @@ from masidx import (
     cli,
     horizontal_frame,
     lagrangian,
+    lagrangian_from_souriau,
     lagrangian_path,
     lagrangian_path_from_function,
     crossing_form,
@@ -299,6 +300,33 @@ def test_close_crossings_match_the_closed_form(rng):
         for t, (t_want, sign) in zip(ts, want):
             assert abs(t - t_want) < T_STAR_TOL
             assert crossing_form(path, ref, t).sign == sign
+
+
+def test_search_splits_the_pieces_that_the_count_splits():
+    """Two samples whose offsets 1.6 and -1.56 are 3.123 apart the short
+    way, through +1, with the refiner's midpoint on that short arc: the
+    chord rule accepts the piece with r = 3.123 > pi - EPS_CAP, and its
+    ends sum to 3.16 > r.  The phase runs the long way, through -1, so the
+    count splits the piece, and so must the search."""
+    sp = standard_space(1)
+    ref = horizontal_frame(sp)
+    o0, o1 = 1.6, -1.56
+    om = 0.5 * (o0 + o1) + np.pi
+    # offset o0 + b t + a t^2 through om at t = 1/2 and o1 at t = 1: up
+    # through +1 and back, then down through -1 where it meets 0
+    a = 2.0 * (o1 - o0) - 4.0 * (om - o0)
+    b = o1 - o0 - a
+
+    def frame_at(t):
+        w = -np.exp(1j * (o0 + b * t + a * t * t))
+        return lagrangian_from_souriau(ref, np.array([[w]]))
+
+    path = lagrangian_path_from_function(frame_at, num=2)
+    t_star = (-b - np.sqrt(b * b - 4.0 * a * o0)) / (2.0 * a)
+    ts = find_crossings(path, ref)
+    assert len(ts) == 1
+    assert abs(ts[0] - t_star) < T_STAR_TOL
+    assert maslov_via_crossings(path, ref) == maslov(path, ref).value == -1
 
 
 def test_search_and_lift_evaluate_no_time_twice():
