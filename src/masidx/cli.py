@@ -13,15 +13,19 @@ Real matrices are row-major nested arrays; complex matrices use an
 --refine-factor r (r > 1) treats sampled Lagrangian or unitary paths as
 nodes of a piecewise principal-logarithm geodesic (``paths.GeodesicPath``)
 on a grid of r pieces per gap.  Each gap keeps the angles theta and
-vectors Z of the one Schur decomposition that joins its end unitaries.
-unitary-maslov interpolates its own nodes.  maslov, crossings, reduce
-and pair-maslov interpolate the pair unitaries W(h, mu_i) of their nodes
-against the horizontal Lagrangian h of the standard model, pulled back
-into the input's space, and read the pair unitaries against any other
-Lagrangian off the same pieces, by the cocycle W(lam, mu) =
--W(h, mu) W(lam, h).  A frame is built with ``lagrangian_from_souriau``
-only where one is read: by the crossing forms, and by the reduction at
-its samples and marching steps.
+vectors Z that join its end unitaries.  unitary-maslov interpolates its
+own nodes, one complex Schur decomposition per gap.  maslov, crossings,
+reduce and pair-maslov interpolate the pair unitaries W(h, mu_i) =
+-U_i U_i^T of their nodes against the horizontal Lagrangian h of the
+standard model, pulled back into the input's space
+(``paths.lagrangian_geodesic``; U = X + iY of the standardized frame).
+That is a geodesic of Lambda(n) = U(n)/O(n): each gap is diagonalized by
+one real orthogonal matrix, found by one real symmetric eigensolve, and
+its frame at any time is written down from it.  The pair unitaries
+against any other Lagrangian are read off the same pieces, by the
+cocycle W(lam, mu) = -W(h, mu) W(lam, h).  A frame is formed only where
+one is read: by the crossing forms, and by the reduction at its samples
+and marching steps.
 
 A count of such a path takes its index from the path's determinant
 lift: the sum of every gap's theta and the spectra at t = 0 and 1, with
@@ -55,7 +59,6 @@ from . import __version__
 from .core import (
     DEFAULT_TOL,
     SymplecticSpace,
-    horizontal_frame,
     lagrangian,
     standard_space,
 )
@@ -74,11 +77,11 @@ from .paths import (
     LagrangianPath,
     UnitaryPath,
     geodesic_path,
+    lagrangian_geodesic,
     maslov,
     unitary_maslov,
 )
 from .pairs import gamma_reduce_path, pair_maslov, polarized_pair
-from .souriau import souriau
 from .spectral import (
     boundary_problem,
     eigenvalue_trace,
@@ -273,23 +276,15 @@ def _segment_times(ts, factor):
 
 def _lagrangian_path(ts, frames, factor, tol):
     """The samples as given (factor 1), or the Lagrangian path whose pair
-    unitaries against a fixed reference h are the piecewise geodesic
-    through those of the nodes (``GeodesicPath.lagrangian``).  A frame,
-    lagrangian_from_souriau(h, U_t), is formed only where it is read; the
-    counts read the pair unitaries off the geodesic pieces instead."""
+    unitaries against the horizontal reference h are the piecewise
+    geodesic through those of the nodes (``lagrangian_geodesic``).  A
+    frame is formed only where it is read; the counts read the pair
+    unitaries off the geodesic pieces instead."""
     if factor <= 1:
         return LagrangianPath(
             samples=tuple(zip(ts, frames)), refiner=None
         )
-    grid = _segment_times(ts, factor)
-    # the horizontal frame of a general space need not be Lagrangian, so
-    # the reference is built in the standard model and pulled back
-    std = frames[0].space.standardization
-    ref = std.pull_frame(horizontal_frame(std.target))
-    geodesic = geodesic_path(
-        ts, [souriau(ref, f) for f in frames], grid, tol
-    )
-    return geodesic.lagrangian(ref)
+    return lagrangian_geodesic(ts, frames, _segment_times(ts, factor), tol)
 
 
 def _unitary_cli_path(ts, mats, factor, tol):

@@ -28,8 +28,12 @@ from .core import (
     standard_space,
 )
 from .errors import PreconditionError, ValidationError
-from .paths import geodesic_path, maslov, to_unitary_path, unitary_maslov
-from .souriau import souriau
+from .paths import (
+    lagrangian_geodesic,
+    maslov,
+    to_unitary_path,
+    unitary_maslov,
+)
 
 __all__ = [
     "SignatureResult",
@@ -270,32 +274,29 @@ def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):
     """Lagrangian path from ell0 to ell1 (standard-model coordinates).
 
     Its pair unitaries against the horizontal reference are the principal
-    geodesic from those of ell0 to those of ell1 (``geodesic_path``, 9
-    grid times), and ``GeodesicPath.lagrangian`` turns it into a path
-    that counts on the geodesic with no frame formed.  When the direct
-    geodesic hits the logarithm cut it is routed through the pair unitary
-    of a random intermediate at t = 1/2 (17 grid times, up to 20 seeded
+    geodesic from those of ell0 to those of ell1 (``lagrangian_geodesic``,
+    9 grid times), which counts on the geodesic with no frame formed.
+    When the direct geodesic hits the logarithm cut it is routed through a
+    random intermediate at t = 1/2 (17 grid times, up to 20 seeded
     retries).
     """
     _require_same_space(ell0.space, ell1.space, "connecting_path")
     std = ell0.space.standardization
     e0, e1 = std.push_frame(ell0), std.push_frame(ell1)
     model = e0.space
-    ref = horizontal_frame(model)
-    w0, w1 = souriau(ref, e0), souriau(ref, e1)
     try:
-        return geodesic_path(
-            [0.0, 1.0], [w0, w1], np.linspace(0.0, 1.0, 9), tol
-        ).lagrangian(ref)
+        return lagrangian_geodesic(
+            [0.0, 1.0], [e0, e1], np.linspace(0.0, 1.0, 9), tol
+        )
     except PreconditionError:
         pass
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        wm = souriau(ref, random_lagrangian(model, rng))
+        em = random_lagrangian(model, rng)
         try:
-            return geodesic_path(
-                [0.0, 0.5, 1.0], [w0, wm, w1], np.linspace(0.0, 1.0, 17), tol
-            ).lagrangian(ref)
+            return lagrangian_geodesic(
+                [0.0, 0.5, 1.0], [e0, em, e1], np.linspace(0.0, 1.0, 17), tol
+            )
         except PreconditionError:
             continue
     raise PreconditionError(

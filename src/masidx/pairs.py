@@ -88,7 +88,7 @@ def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
 
     Both legs are converted by ``to_unitary_path`` against one reference
     h: the reference of the mu leg when it was built by
-    ``GeodesicPath.lagrangian`` (the CLI's refined paths), else its first
+    ``lagrangian_geodesic`` (the CLI's refined paths), else its first
     frame.  The pair unitaries are read by the cocycle W(lam_t, mu_t) =
     -W(h, mu_t) W(h, lam_t)^H: one product per time, and no frame formed
     on a geodesic leg.

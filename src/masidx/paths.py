@@ -28,9 +28,12 @@ spectra, and Phillips' count runs only when its partition is read, where
 it must agree.
 
 Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
-the reference lam (``to_unitary_path``).  A path built from a
-``GeodesicPath`` of pair unitaries against some h (the CLI's refined
-paths) converts by the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same
+the reference lam (``to_unitary_path``).  The CLI's refined paths
+(``lagrangian_geodesic``) are geodesics of Lambda(n) = U(n)/O(n): their
+pair unitaries against the horizontal h form a ``GeodesicPath`` whose
+gaps are each diagonalized by one real orthogonal matrix, from one real
+symmetric eigensolve, which also writes down the frame at any time.  Such
+a path converts by the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same
 geodesic pieces times one constant unitary, with the exact radius and no
 frame formed.  The crossing search reads that unitary path as the count
 does (``_Reads``: every unitary and offset read, and the one radius
@@ -54,9 +57,10 @@ from .core import (
     LagrangianFrame,
     _norm2_exceeds,
     _spaces_match,
+    horizontal_frame,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
-from .souriau import lagrangian_from_souriau, souriau
+from .souriau import souriau
 
 __all__ = [
     "UnitaryPath",
@@ -69,6 +73,7 @@ __all__ = [
     "reverse",
     "GeodesicPath",
     "geodesic_path",
+    "lagrangian_geodesic",
     "PhaseTrace",
     "IndexReport",
     "unitary_maslov",
@@ -87,6 +92,14 @@ _END_CHORD = 0.5
 # benchmark's paths, n up to 64), so a larger distance is a fault, not a
 # near crossing
 _LIFT_ROUND = 1e-9
+# Re X + _PENCIL Im X: the one real symmetric matrix whose eigenvectors
+# diagonalize a symmetric unitary X, up to clusters of its eigenvalues
+# closer than _PENCIL_GAP; O^T X O may miss its diagonal by
+# _PENCIL_RESIDUAL (a pencil gap just above _PENCIL_GAP mixes two
+# eigenvectors by rounding / gap, and a cluster's split by up to the gap)
+_PENCIL = 0.618
+_PENCIL_GAP = 1e-7
+_PENCIL_RESIDUAL = 1e-7
 
 
 # --------------------------------------------------------------------------
@@ -175,10 +188,10 @@ class UnitaryPath:
 class LagrangianPath:
     """Sampled path of Lagrangian frames on [0, 1].
 
-    ``_geodesic`` is (h, G) on a path built by ``G.lagrangian(h)``: its
-    pair unitaries W(h, mu_t) against the reference h are the
-    ``GeodesicPath`` G, and its samples are G's grid, each frame formed
-    when first read.
+    ``_geodesic`` is (h, G) on a path built by ``lagrangian_geodesic``:
+    its pair unitaries W(h, mu_t) against the horizontal reference h are
+    the ``GeodesicPath`` G, and its samples are G's grid, each frame
+    formed when first read.
     """
 
     samples: tuple
@@ -187,7 +200,7 @@ class LagrangianPath:
 
     def __post_init__(self):
         if self._geodesic is not None:
-            # frames of lagrangian_from_souriau on a checked grid
+            # frames of lagrangian_geodesic on a checked grid
             return
         _check_times([t for t, _ in self.samples], "LagrangianPath")
         space = None
@@ -292,8 +305,11 @@ def reverse(path):
 @dataclass(frozen=True, eq=False)
 class _GeodesicPiece:
     """U_tau = U0 Z diag(exp(i tau theta)) Z^H on tau in [0, 1], where
-    U0^H U1 = Z diag(exp(i theta)) Z^H is the complex Schur form, theta in
-    (-pi, pi].
+    U0^H U1 = Z diag(exp(i theta)) Z^H with Z unitary, theta in (-pi, pi]:
+    the complex Schur form (``geodesic_path``), or, on a gap of pair
+    unitaries against the horizontal Lagrangian (``lagrangian_geodesic``),
+    (U0, theta, Z) = (-V V^T, phi, conj V) from one real eigenbasis, so
+    that the frame at tau is [Re; Im] of V diag(exp(i tau phi / 2)).
 
     The eigenvalues of U_tau are those of M diag(exp(i tau theta)) with
     M = Z^H U0 Z, which is similar to U_tau; and ||U_tau - U_tau0||_2 =
@@ -436,20 +452,37 @@ class GeodesicPath:
             jumps=self.jumps,
         )
 
-    def lagrangian(self, reference):
-        """The Lagrangian path mu_t = lagrangian_from_souriau(reference,
-        U_t), whose pair unitaries W(reference, mu_t) are this path.  Its
-        grid frames are formed when first read, and ``to_unitary_path``
-        converts it with no frame."""
 
-        def refiner(t):
-            return lagrangian_from_souriau(reference, self.at(t))
-
-        return LagrangianPath(
-            samples=_GridSamples(self.grid, _Formed(refiner).__getitem__),
-            refiner=refiner,
-            _geodesic=(reference, self),
+def _node_times(times, nodes, grid):
+    """The node times of a geodesic through ``nodes`` counted from
+    ``grid``, checked as ``geodesic_path`` says."""
+    _check_times(grid, "UnitaryPath")
+    times = _check_times(times, "geodesic_path")
+    if len(nodes) != len(times):
+        raise ValidationError(
+            "need one node per node time", where="geodesic_path"
         )
+    if not np.isin(times, grid).all():
+        raise ValidationError(
+            "the grid must contain every node time", where="geodesic_path"
+        )
+    return times
+
+
+def _joined(times, grid, pieces):
+    """The ``GeodesicPath`` of ``pieces``, one per gap, built in order;
+    PreconditionError (where ``path[i]``) at the first gap i whose piece
+    is None, its ends antipodal."""
+    joined = []
+    for i, piece in enumerate(pieces):
+        if piece is None:
+            raise PreconditionError(
+                "adjacent samples are antipodal in the unitary model; "
+                "supply intermediate samples",
+                where=f"path[{i}]",
+            )
+        joined.append(piece)
+    return GeodesicPath(times=times, pieces=tuple(joined), grid=tuple(grid))
 
 
 def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
@@ -462,31 +495,110 @@ def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
     unitary; PreconditionError (where ``path[i]``) when nodes i and i + 1
     are antipodal.
     """
-    _check_times(grid, "UnitaryPath")
-    times = _check_times(times, "geodesic_path")
-    if len(nodes) != len(times):
-        raise ValidationError(
-            "need one node per node time", where="geodesic_path"
-        )
-    if not np.isin(times, grid).all():
-        raise ValidationError(
-            "the grid must contain every node time", where="geodesic_path"
-        )
+    times = _node_times(times, nodes, grid)
     nodes = _unitaries(zip(times, nodes))
-    pieces = []
-    for i in range(len(nodes) - 1):
-        piece = _geodesic_piece(nodes[i], nodes[i + 1], tol)
-        if piece is None:
-            raise PreconditionError(
-                "adjacent samples are antipodal in the unitary model; "
-                "supply intermediate samples",
-                where=f"path[{i}]",
-            )
-        pieces.append(piece)
-    return GeodesicPath(
-        times=times,
-        pieces=tuple(pieces),
-        grid=tuple(grid),
+    return _joined(
+        times,
+        grid,
+        (_geodesic_piece(a, b, tol) for a, b in zip(nodes, nodes[1:])),
+    )
+
+
+def _lagrangian_piece(U0, U1, tol):
+    """The gap of pair unitaries against the horizontal Lagrangian from
+    -U0 U0^T to -U1 U1^T (U = X + iY of standardized frames), as a
+    ``_GeodesicPiece``, or None when its ends are antipodal.
+
+    X = U0^H (U1 U1^T) conj(U0) is similar to the gap's W0^H W1 and is a
+    symmetric unitary, so Re X and Im X are commuting real symmetric
+    matrices (Lambda(n) = U(n)/O(n)): X = O diag(exp(i phi)) O^T for a
+    real orthogonal O, the eigenvectors of the pencil Re X + _PENCIL Im X.
+    Distinct phi share a pencil value where phi_2 = 2 atan(_PENCIL) -
+    phi_1; Im X - _PENCIL Re X tells them apart, so each cluster of pencil
+    values is split by its eigenvectors.  AmbiguityError when O^T X O
+    misses diag(exp(i phi)) by more than _PENCIL_RESIDUAL.
+
+    With V = U0 O, the piece is (-V V^T, phi, conj V): W0^H W_tau =
+    conj(V) diag(exp(i tau phi)) V^T.  Each column of V is signed so that
+    the entry of largest modulus of [Re; Im] of it is positive, so V
+    follows the span of the node frame, not LAPACK's signs; a repeated
+    phi still leaves a basis of its eigenspace to LAPACK.
+    """
+    X = U0.conj().T @ (U1 @ U1.T) @ U0.conj()
+    A, B = X.real, X.imag
+    pencil, O = np.linalg.eigh(A + _PENCIL * B)
+    apart = pencil[1:] - pencil[:-1] > _PENCIL_GAP
+    if not apart.all():
+        other = B - _PENCIL * A
+        cuts = np.flatnonzero(apart) + 1
+        for block in np.split(np.arange(len(pencil)), cuts):
+            Ob = O[:, block]
+            O[:, block] = Ob @ np.linalg.eigh(Ob.T @ other @ Ob)[1]
+    D = O.T @ X @ O
+    vals = np.diag(D)
+    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
+        return None
+    if _norm2_exceeds(D - np.diag(vals), _PENCIL_RESIDUAL):
+        raise AmbiguityError(
+            "gap has no real eigenbasis", where="lagrangian_geodesic"
+        )
+    V = U0 @ O
+    F = np.vstack([V.real, V.imag])
+    V = V * np.sign(F[np.abs(F).argmax(axis=0), np.arange(len(vals))])
+    return _GeodesicPiece(U0=-V @ V.T, theta=np.angle(vals), Z=V.conj())
+
+
+def _geodesic_frame(std, piece, tau):
+    """The frame at tau of a piece of ``lagrangian_geodesic``: [Re; Im] of
+    V diag(exp(i tau phi / 2)), V = conj Z, pulled back by ``std``."""
+    U = piece.Z.conj() * np.exp(0.5j * tau * piece.theta)
+    return std.pull_frame(
+        LagrangianFrame(std.target, np.vstack([U.real, U.imag]))
+    )
+
+
+def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
+    """The Lagrangian path through the frames ``frames`` at ``times``
+    whose pair unitaries W(h, mu_t) against the horizontal Lagrangian h
+    are the piecewise principal-log geodesic through those of the nodes,
+    counted from ``grid``.
+
+    With U_i = X_i + iY_i of the standardized node frames, W(h, mu_i) =
+    -U_i U_i^T, and each gap is diagonalized by one real orthogonal matrix
+    (``_lagrangian_piece``), so its frames are written down directly
+    (``_geodesic_frame``), each formed when first read.  The path's
+    ``_geodesic`` is (h, G), G the ``GeodesicPath`` of its pair unitaries
+    against h, which ``to_unitary_path`` converts with no frame.  h is
+    the horizontal frame of the standard model pulled back, since that of
+    a general space need not be Lagrangian.
+
+    ValidationError as ``geodesic_path``, or when the frames lie in
+    different spaces; PreconditionError (where ``path[i]``) when nodes i
+    and i + 1 are antipodal; AmbiguityError when a gap's real eigenbasis
+    leaves a residual above 1e-7.
+    """
+    times = _node_times(times, frames, grid)
+    space = frames[0].space
+    if not all(_spaces_match(f.space, space) for f in frames):
+        raise ValidationError(
+            "samples from different spaces", where="lagrangian_geodesic"
+        )
+    std = space.standardization
+    n = space.n
+    us = [f.F[:n] + 1j * f.F[n:] for f in map(std.push_frame, frames)]
+    geodesic = _joined(
+        times,
+        grid,
+        (_lagrangian_piece(a, b, tol) for a, b in zip(us, us[1:])),
+    )
+
+    def refiner(t):
+        return _geodesic_frame(std, *geodesic._locate(t))
+
+    return LagrangianPath(
+        samples=_GridSamples(geodesic.grid, _Formed(refiner).__getitem__),
+        refiner=refiner,
+        _geodesic=(std.pull_frame(horizontal_frame(std.target)), geodesic),
     )
 
 
@@ -806,7 +918,7 @@ def to_unitary_path(path, lam):
     """The pair unitaries t -> W(lam, mu_t) = souriau(lam, mu_t) of a
     Lagrangian path.
 
-    A path built by ``GeodesicPath.lagrangian(h)`` converts by the cocycle
+    A path built by ``lagrangian_geodesic`` converts by the cocycle
     W(lam, mu) = -W(h, mu) W(lam, h) of the pair unitary (Howard,
     Latushkin and Sukhtayev, JMAA 451, 2017): its geodesic times the
     constant -souriau(lam, h), again a ``GeodesicPath`` with exact radius,

@@ -96,7 +96,11 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
     """Invert the pair map: recover mu with souriau(lam, mu) = W.
 
     mu is the real kernel of (realify(W) tau_lam + Id), which is exactly
-    n-dimensional when W is in the image of the pair map for lam.
+    n-dimensional when W is in the image of the pair map for lam.  Its
+    basis is the one the SVD picks inside that kernel.  No index calls
+    it: frames along refined paths are written down by
+    ``paths.lagrangian_geodesic``, for which this is the reference, and
+    it builds frames from closed-form pair unitaries.
     """
     W = np.asarray(W, dtype=complex)
     n = lam.space.n

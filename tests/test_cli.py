@@ -1,7 +1,6 @@
 """The JSON command line, driven in-process through ``cli.run``."""
 
 import functools
-import importlib
 import json
 import math
 import time
@@ -266,6 +265,49 @@ def test_antipodal_samples_under_refinement_exit_4(tmp_path, capsys):
     assert "antipodal" in out["reason"]
 
 
+def _turned_frame(U, psi, rng):
+    """The unitary U1 of a standard-model frame whose gap from U, X =
+    U^H (U1 U1^T) conj(U), has the angles ``psi`` about a random real
+    eigenbasis."""
+    Q, _ = np.linalg.qr(rng.standard_normal((len(psi), len(psi))))
+    return U @ (Q * np.exp(0.5j * np.asarray(psi)))
+
+
+@pytest.mark.parametrize("command", ["maslov", "crossings"])
+@pytest.mark.parametrize(
+    "offset, code", [(0.5e-6, 4), (-0.5e-6, 4), (2e-6, 0)]
+)
+def test_lagrangian_gap_within_the_log_cut_exits_4(command, offset, code,
+                                                   rng, tmp_path, capsys):
+    """A gap of a refined Lagrangian path with an angle within
+    ``log_cut`` = 1e-6 of pi (either side) is antipodal: exit 4 at the
+    gap's index with the reason of every geodesic; 2e-6 away it counts."""
+    n = 3
+    U0 = haar_unitary(n, rng)
+    U1 = _turned_frame(U0, [0.4, -0.7, 1.0], rng)
+    psi = math.copysign(np.pi - abs(offset), offset)
+    U2 = _turned_frame(U1, [psi, -0.2, 0.5], rng)
+    body = {
+        "version": 1,
+        "n": n,
+        "reference": _real(vertical_frame(standard_space(n)).F),
+        "path": [
+            {"t": t, "frame": _real(np.vstack([U.real, U.imag]))}
+            for t, U in zip((0.0, 0.5, 1.0), (U0, U1, U2))
+        ],
+    }
+    got, out, _ = _run(
+        tmp_path, capsys, command, body, "--refine-factor", "2"
+    )
+    assert got == code, out
+    if code == 4:
+        assert out == {
+            "reason": "adjacent samples are antipodal in the unitary model; "
+            "supply intermediate samples",
+            "where": "path[1]",
+        }
+
+
 def test_rerun_is_byte_identical(rng, tmp_path, capsys):
     body, _ = _spinner_body(4, 5, rng, random_structure_space(4, rng))
     runs = []
@@ -354,12 +396,8 @@ def test_refined_maslov_builds_no_frames(n, general, rng, tmp_path, capsys,
                                          monkeypatch):
     space = random_structure_space(n, rng) if general else None
     body, expected = _spinner_body(n, 5, rng, space)
-    # the package re-exports the function under the module's name; the
-    # CLI's refined Lagrangian paths form their frames in ``paths``
-    souriau_module = importlib.import_module("masidx.souriau")
-    calls = _recorded(
-        monkeypatch, "lagrangian_from_souriau", souriau_module, paths
-    )
+    # the CLI's refined Lagrangian paths form their frames in ``paths``
+    calls = _recorded(monkeypatch, "_geodesic_frame", paths)
     code, out, _ = _run(
         tmp_path, capsys, "maslov", body, "--refine-factor", "2"
     )

@@ -5,22 +5,31 @@ gave when recorded (``record_golden.py``).  Keys, booleans and strings
 must match exactly and numbers to within 1e-12 (``record_golden.compare``):
 exact for the integers, and room for BLAS rounding in crossing times.
 
-A reduced frame has no such room.  It is Gamma F of its marching frame,
-G-orthonormalized (``pairs.gamma_reduce``), so it follows that frame's
-basis, and the marching frame is the basis LAPACK picks inside a
-numerically null singular cluster (``souriau.lagrangian_from_souriau``):
-a rounding change there can move the printed frame by O(1) while its
-span agrees to 1e-14.  The reduce case passes only while the marching
-frames are bitwise the recorded ones.
+A reduced frame is Gamma F of its marching frame, G-orthonormalized
+(``pairs.gamma_reduce``), so it follows that frame's basis.  The marching
+frame at time tau of a gap is [Re; Im] of V diag(exp(i tau phi / 2)),
+with V = U O for the node's U = X + iY and the real eigenbasis O of the
+gap, each column signed by a fixed rule (``paths._lagrangian_piece``).
+So where the gap's angles phi are distinct, the printed frame follows
+the spans of the node frames alone, to rounding: a node frame given in
+another basis prints the same reduced path.  A repeated phi still
+leaves LAPACK a basis inside its eigenspace.
 """
 
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from conftest import spinner_crossings
-from record_golden import CROSSINGS_SPINNERS, GOLDEN, compare, run_case
+from record_golden import (
+    CROSSINGS_SPINNERS,
+    GOLDEN,
+    _reduce_body,
+    compare,
+    run_case,
+)
 
 CASES = json.loads(pathlib.Path(GOLDEN).read_text())
 
@@ -47,6 +56,33 @@ def test_golden_crossing_times_are_the_closed_form(case):
         assert abs(row["t_star"] - t) <= 1e-8
         p, q = row["signature"]
         assert p - q == sign
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        next(c["input"] for c in CASES if c["id"] == "reduce-standard-2"),
+        _reduce_body(3, [0.3, -2.5, 1.2], [1.5, -0.6, 0.9],
+                     np.random.default_rng(3), [0.5, 1.0, 2.5]),
+    ],
+    ids=["reduce-standard-2", "reduce-standard-3"],
+)
+def test_reduce_output_follows_the_node_spans(body):
+    """Each node frame F given as F Q, Q a random rotation, reduces to
+    the same printed path to 1e-12: the gaps' angles are distinct."""
+    rng = np.random.default_rng(19)
+    code, want = run_case("reduce", ["--refine-factor", "2"], body)
+    assert code == 0
+    turned = dict(body, path=[])
+    for node in body["path"]:
+        n = len(node["frame"][0])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        frame = (np.array(node["frame"]) @ Q).tolist()
+        turned["path"].append(dict(node, frame=frame))
+    code, got = run_case("reduce", ["--refine-factor", "2"], turned)
+    assert code == 0
+    diff, where = compare(json.loads(got), json.loads(want))
+    assert diff <= 1e-12, where
 
 
 @pytest.mark.parametrize(

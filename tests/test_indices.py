@@ -357,11 +357,10 @@ def _frame_route_hormander(ell0, ell1, lam, mu, seed=0):
 @pytest.mark.parametrize("routed", [False, True])
 def test_hormander_forms_no_frames(routed, rng, monkeypatch):
     """The connecting path counts on its geodesic of pair unitaries, so
-    ``hormander`` forms no frame through lagrangian_from_souriau, on a
-    direct path and on one routed around the cut (ell1 = J ell0); it
-    gives the integers of the sampled frame route."""
-    souriau_module = importlib.import_module("masidx.souriau")
-    original = souriau_module.lagrangian_from_souriau
+    ``hormander`` forms no frame (``paths._geodesic_frame``), on a direct
+    path and on one routed around the cut (ell1 = J ell0); it gives the
+    integers of the sampled frame route."""
+    original = paths._geodesic_frame
     calls = []
 
     def recording(*args):
@@ -378,10 +377,7 @@ def test_hormander_forms_no_frames(routed, rng, monkeypatch):
             assert len(nodes) == (3 if routed else 2)
             want = _frame_route_hormander(l0, l1, lam, mu)
             with monkeypatch.context() as patch:
-                for module in (souriau_module, paths):
-                    patch.setattr(
-                        module, "lagrangian_from_souriau", recording
-                    )
+                patch.setattr(paths, "_geodesic_frame", recording)
                 assert hormander(l0, l1, lam, mu) == want
             assert calls == []
 

@@ -13,6 +13,7 @@ from masidx import (
     find_crossings,
     haar_unitary,
     horizontal_frame,
+    lagrangian,
     lagrangian_path,
     maslov,
     pair_maslov,
@@ -33,11 +34,19 @@ from conftest import (
     random_structure_space,
     random_unitary_curve,
     rotating_block_loop,
+    schur_lagrangian_route,
     spinner_expected,
     spinner_path,
 )
 from masidx import PreconditionError, cli
-from masidx.paths import EPS_CAP, GeodesicPath, _test_value, geodesic_path
+from masidx.paths import (
+    _PENCIL,
+    EPS_CAP,
+    GeodesicPath,
+    _test_value,
+    geodesic_path,
+    lagrangian_geodesic,
+)
 from oracles import boxed_pair_maslov, floor_count, unitary_oracle
 
 SP1 = standard_space(1)
@@ -564,7 +573,7 @@ def test_geodesic_value_needs_no_refinement():
 
 
 def _cli_lagrangian_path(space, rng, num=7, factor=3):
-    """A CLI path (``GeodesicPath.lagrangian``) through the node frames of
+    """A CLI path (``lagrangian_geodesic``) through the node frames of
     a random unitary curve of the standard model, pulled into ``space``."""
     curve, _ = random_unitary_curve(standard_space(space.n), rng, num=num,
                                     max_rate=3.0)
@@ -627,3 +636,93 @@ def test_cli_pair_path_counts_as_the_box(n, general):
     want = pair_maslov(_frame_path(mu), _frame_path(lam))
     assert got.value == want.value
     np.testing.assert_array_equal(got.partition, want.partition)
+
+
+# --------------------------------------------------------------------------
+# CLI Lagrangian paths: one real eigenbasis per gap against the Schur route
+
+
+def _assert_same_frames(path, frame_at, times, atol):
+    for t in times:
+        np.testing.assert_allclose(
+            path.at(t).P, frame_at(t).P, rtol=0, atol=atol
+        )
+
+
+def test_lagrangian_geodesic_is_the_schur_route():
+    """On random node paths, n = 1-8, in standard and general spaces,
+    every gap of ``lagrangian_geodesic`` carries the angles of the complex
+    Schur form of its pair unitaries, its frames span those that
+    lagrangian_from_souriau recovers on the Schur geodesic, and the two
+    count alike against random references."""
+    rng = np.random.default_rng(19)
+    for k in range(24):
+        n = 1 + k % 8
+        space = (random_structure_space(n, rng) if k % 3 == 0
+                 else standard_space(n))
+        num = int(rng.integers(2, 6))
+        ts = np.linspace(0.0, 1.0, num).tolist()
+        frames = [random_lagrangian(space, rng) for _ in range(num)]
+        grid = cli._segment_times(ts, 2)
+        path = lagrangian_geodesic(ts, frames, grid)
+        h, schur, frame_at = schur_lagrangian_route(ts, frames, grid)
+        for got, want in zip(path._geodesic[1].pieces, schur.pieces):
+            np.testing.assert_allclose(
+                np.sort(got.theta), np.sort(want.theta), rtol=0, atol=1e-12
+            )
+        _assert_same_frames(
+            path, frame_at, grid + rng.random(3).tolist(), 1e-10
+        )
+        for lam in (h, random_lagrangian(space, rng)):
+            want = unitary_maslov(schur @ -souriau(lam, h)).value
+            assert maslov(path, lam).value == want
+
+
+def test_lagrangian_geodesic_needs_one_space(rng):
+    n = 2
+    frames = [random_lagrangian(standard_space(n), rng),
+              random_lagrangian(random_structure_space(n, rng), rng)]
+    with pytest.raises(ValidationError, match="different spaces"):
+        lagrangian_geodesic([0.0, 1.0], frames, [0.0, 1.0])
+
+
+def _gap_frames(phi, rng):
+    """Two node frames of the standard model whose gap is X = U0^H (U1
+    U1^T) conj(U0) = Q diag(exp(i phi)) Q^T, Q a random rotation."""
+    n = len(phi)
+    U0 = haar_unitary(n, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    U1 = U0 @ (Q * np.exp(0.5j * np.asarray(phi)))
+    sp = standard_space(n)
+    return [lagrangian(sp, np.vstack([U.real, U.imag])) for U in (U0, U1)]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        # distinct angles on one value of the pencil Re X + 0.618 Im X
+        [-1.5, 2.0 * np.arctan(_PENCIL) + 1.5, 0.3],
+        [-1.5, 2.0 * np.arctan(_PENCIL) + 1.5, 0.3, -1.5],
+        # a repeated angle
+        [1.1, 1.1, -2.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+    ids=["pencil", "pencil-repeated", "repeated", "still"],
+)
+def test_lagrangian_geodesic_splits_pencil_clusters(phi):
+    """A gap whose distinct angles share a pencil value is split by its
+    second eigensolve; a repeated angle leaves a basis choice inside its
+    eigenspace that no frame's span sees.  Angles and frame projectors
+    are the Schur route's."""
+    rng = np.random.default_rng(len(phi))
+    pencil = np.cos(phi) + _PENCIL * np.sin(phi)
+    assert abs(pencil[0] - pencil[1]) < 1e-15
+    frames = _gap_frames(phi, rng)
+    ts, grid = [0.0, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]
+    path = lagrangian_geodesic(ts, frames, grid)
+    (piece,) = path._geodesic[1].pieces
+    np.testing.assert_allclose(
+        np.sort(piece.theta), np.sort(phi), rtol=0, atol=1e-12
+    )
+    _, _, frame_at = schur_lagrangian_route(ts, frames, grid)
+    _assert_same_frames(path, frame_at, grid + [0.1, 0.6], 1e-12)
