@@ -40,8 +40,8 @@ does (``_Reads``: every unitary and offset read, and the one radius
 rule), from the path's own times (``_sample_times``), and runs no count.
 ``IndexReport.trace`` matches eigenphases only when read (``--trace``).
 ``_phillips`` is the one counting loop: ``spectral.spectral_flow`` runs it
-on the real line, with Weyl balls around the eigenvalues of the boundary
-problem.
+on the real line, with Weyl balls around brackets of the eigenvalues of
+the boundary problem.
 """
 
 from collections.abc import Sequence
@@ -702,9 +702,26 @@ def _test_value(blocked, tol):
     return (lo + hi) / 2.0
 
 
-def _count_on_arc(s, eps, snap):
-    """Number of offsets in the closed test arc [0, eps], up to ``snap``."""
-    return int(np.count_nonzero((s >= -snap) & (s <= eps + snap)))
+def _free_value(values, r, tol):
+    """Test value of a piece of radius r that starts at ``values``, or None.
+
+    ``values`` is an array of offsets, blocked by the balls (a - r, a + r),
+    or a spectrum held as brackets (``spectral._Spectrum``), which blocks
+    and narrows its own balls.
+    """
+    if isinstance(values, np.ndarray):
+        return _test_value([(a - r, a + r) for a in values], tol)
+    return values.test_value(r, tol)
+
+
+def _count_on_arc(values, eps, snap):
+    """Number of ``values`` in the closed test arc [0, eps], up to ``snap``;
+    a spectrum held as brackets counts itself."""
+    if isinstance(values, np.ndarray):
+        return int(
+            np.count_nonzero((values >= -snap) & (values <= eps + snap))
+        )
+    return values.count(-snap, eps + snap)
 
 
 def _phillips(ts, spec, radius, reach, split, snap, tol):
@@ -712,7 +729,8 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
 
     A piece [t0, t1] with r = radius(t0, t1) <= ``reach`` takes as test
     value eps the midpoint of the widest gap that the balls (a - r, a + r)
-    around the values a of spec(t0) leave in (0, EPS_CAP].  No value on
+    around the values a of spec(t0) leave in (0, EPS_CAP] (``_free_value``;
+    around a bracket (s0, s1] the ball is (s0 - r, s1 + r)).  No value on
     the piece moves farther than r, so none reaches eps, and the piece
     adds the change in the number of values in [0, eps] between its ends.
     Any other piece goes to split(ts, i), which inserts a point into it
@@ -729,7 +747,7 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
         r = radius(t0, t1)
         eps = None
         if r <= reach:
-            eps = _test_value([(a - r, a + r) for a in spec(t0)], tol)
+            eps = _free_value(spec(t0), r, tol)
         if eps is None:
             split(ts, i)
             continue

@@ -12,16 +12,21 @@ family time t, the eigenvalues in (a, b] are the index of the shooting
 path s -> Phi_{t,s} lambda0 against lambda1 over [a, b] (Arnold, Funct.
 Anal. Appl. 19, 1985; Chardard, Dias and Bridges, Physica D 238, 2009), a
 positive path: its crossing form is the L^2 norm of the eigenfunction.
-``eigenvalues_near`` counts it with a chord radius read at the ends of a
-piece, a heuristic on this path.  The flow through 0 as t sweeps [0, 1]
-counts the spectra that ``eigenvalues_near`` returns.  Two family members
-differ by the bounded symmetric multiplication C_t - C_t', so no
-eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl): balls of a piece's
-radius around the eigenvalues at its start block all the spectrum the
-piece can reach, and no eigenvalue is matched across samples.  The
-coincidence theorem equates the flow with the index of the Cauchy-data
-path in the doubled space against lambda0 ⊞ lambda1, and
-``verify_coincidence`` computes both sides.
+``_count_roots`` counts it with a chord radius read at the ends of a
+piece, a heuristic on this path, and keeps the pieces that count
+isolates: brackets of one simple root, and points of multiplicity k
+(``_Spectrum``).  The flow through 0 as t sweeps [0, 1] reads those
+brackets and never locates a root: how many lie in [0, eps] costs one
+determinant sign at each end of the arc that a bracket straddles.  Two
+family members differ by the bounded symmetric multiplication
+C_t - C_t', so no eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl):
+balls of a piece's radius around the brackets at its start block all
+the spectrum the piece can reach, and no eigenvalue is matched across
+samples.  Only ``eigenvalues_near`` and ``eigenvalue_trace`` locate the
+roots, by ``brentq`` on the brackets.  The coincidence theorem equates
+the flow with the index of the Cauchy-data path in the doubled space
+against lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both
+sides.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +52,7 @@ from .paths import (
     _check_times,
     _Formed,
     _phillips,
+    _test_value,
     maslov,
 )
 
@@ -73,6 +79,18 @@ _REACH = 0.5
 # The shooting path's eigenphases turn 2 rad per unit s on a ladder, so a
 # piece of this width has chord 2 sin(0.25) < _END_CHORD there.
 _GRID = 0.25
+# A bracket narrower than this share of a piece's radius r widens its
+# ball by at most r / 4; past that, halving the time piece shrinks the
+# balls faster than halving brackets, so this is a fixed rate of the
+# search, not a threshold an answer depends on.
+_NARROW = 0.25
+# Shortest time piece the flow count halves to.  A fixed floor of the
+# search, not a tolerance: a piece this short with no free test value is
+# a tangential crossing under every tolerance profile.
+_FLOW_MIN_PIECE = 1e-9
+# Most time samples one flow count may take: a bound on its work, like
+# paths.MAX_SAMPLES, which no tolerance profile should move.
+_FLOW_MAX_SAMPLES = 5000
 
 
 @lru_cache(maxsize=8)
@@ -279,23 +297,21 @@ class _Shooter:
         return 2.0 * np.arcsin(c / 2.0)
 
 
-def _bracketed_root(shoot, a, b, tol):
-    """The root of the shooting determinant between a sign change."""
-    return float(brentq(shoot.det, a, b, xtol=tol.bisect_t))
-
-
-def _count_roots(shoot, ss, split, tol, out):
-    """Append the roots in (ss[0], ss[-1]] to ``out``, with multiplicity.
+def _count_roots(shoot, ss, split, tol, brackets, points):
+    """Collect the roots in (ss[0], ss[-1]] as the pieces that Phillips'
+    count isolates, without locating any.
 
     Phillips' count (``paths._phillips``) of the offsets over the
     partition ``ss``, which it refines in place, gives each piece its
     number k1 - k0 of roots.  A piece with one root and a determinant sign
-    change is bracketed, and one with neither holds no root.  Any other
-    piece is halved and counted again, down to ``tol.bisect_t``, where its
-    count is the multiplicity.  A root of multiplicity k is a zero of
-    order k of the determinant, and the path is positive, so a sign change
-    without roots or a negative count shows a turn that the chord radius
-    did not see.  AmbiguityError when a count is still negative there.
+    change is a simple bracket, appended to ``brackets`` as [s0, s1], and
+    one with neither holds no root.  Any other piece is halved and counted
+    again, down to ``tol.bisect_t``, where it is a point: its midpoint,
+    appended to ``points`` k times for its count k.  A root of
+    multiplicity k is a zero of order k of the determinant, and the path
+    is positive, so a sign change without roots or a negative count shows
+    a turn that the chord radius did not see.  AmbiguityError when a count
+    is still negative there.
     """
     shoot.read(ss)
     _, _, k_counts = _phillips(
@@ -305,56 +321,132 @@ def _count_roots(shoot, ss, split, tol, out):
         n = k1 - k0
         flips = (shoot.det(s0) < 0.0) != (shoot.det(s1) < 0.0)
         if n == 1 and flips:
-            out.append(_bracketed_root(shoot, s0, s1, tol))
+            brackets.append([s0, s1])
         elif (n or flips) and s1 - s0 > tol.bisect_t:
-            _count_roots(shoot, [s0, 0.5 * (s0 + s1), s1], split, tol, out)
+            _count_roots(
+                shoot, [s0, 0.5 * (s0 + s1), s1], split, tol, brackets, points
+            )
         elif n < 0:
             raise AmbiguityError(
                 f"the shooting path turned clockwise on ({s0}, {s1}]",
                 where="eigenvalues_near",
             )
         else:
-            out.extend([0.5 * (s0 + s1)] * n)
+            points.extend([0.5 * (s0 + s1)] * n)
+
+
+class _Spectrum:
+    """The eigenvalues in (lo, hi] at one family time, as ``_count_roots``
+    leaves them: simple ``brackets`` [s0, s1], each holding one root in
+    (s0, s1] and a determinant sign change, and ``points`` with
+    multiplicity.
+
+    A question about the side of q on which a bracket's root lies costs
+    one determinant sign at q, and only when q is inside the bracket.
+    """
+
+    def __init__(self, bp, t, lo, hi, tol):
+        if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
+            raise ValidationError(
+                f"the shooting grid on [{lo}, {hi}] would hold more than "
+                f"{MAX_SAMPLES} points",
+                where="eigenvalues_near",
+            )
+        if not lo < hi:
+            raise ValidationError(
+                f"the shooting grid on [{lo}, {hi}] has fewer than two "
+                "distinct points",
+                where="eigenvalues_near",
+            )
+
+        def split(ss, i):
+            s0, s1 = ss[i], ss[i + 1]
+            if s1 - s0 <= tol.bisect_t or len(ss) >= MAX_SAMPLES:
+                raise AmbiguityError(
+                    f"no admissible test angle on ({s0}, {s1}]",
+                    where="eigenvalues_near",
+                )
+            ss.insert(i + 1, 0.5 * (s0 + s1))
+
+        ss = np.linspace(lo, hi, int(np.ceil((hi - lo) / _GRID)) + 1)
+        self._shoot = _Shooter(bp, t)
+        self.brackets = []
+        self.points = []
+        _count_roots(
+            self._shoot, ss.tolist(), split, tol, self.brackets, self.points
+        )
+
+    def _side(self, bracket, q):
+        """sign(root - q) for the root of ``bracket``."""
+        s0, s1 = bracket
+        if q <= s0:
+            return 1
+        if q > s1:
+            return -1
+        d = self._shoot.det(q)
+        if d == 0.0:
+            return 0
+        return -1 if (d < 0.0) != (self._shoot.det(s0) < 0.0) else 1
+
+    def count(self, lo, hi):
+        """Number of eigenvalues in [lo, hi], with multiplicity."""
+        return sum(lo <= a <= hi for a in self.points) + sum(
+            self._side(b, lo) >= 0 and self._side(b, hi) <= 0
+            for b in self.brackets
+        )
+
+    def test_value(self, r, tol):
+        """``paths._test_value`` of the balls of radius r around the
+        spectrum, (s0 - r, s1 + r) around a bracket.  While none is free,
+        the widest bracket whose ball meets [0, EPS_CAP] is halved, down
+        to max(``_NARROW`` r, ``tol.clearance``)."""
+        while True:
+            eps = _test_value(
+                [(s0 - r, s1 + r) for s0, s1 in self.brackets]
+                + [(a - r, a + r) for a in self.points],
+                tol,
+            )
+            if eps is not None:
+                return eps
+            near = [
+                b for b in self.brackets if b[1] > -r and b[0] < EPS_CAP + r
+            ]
+            if not near:
+                return None
+            b = max(near, key=lambda b: b[1] - b[0])
+            if b[1] - b[0] <= max(_NARROW * r, tol.clearance):
+                return None
+            m = 0.5 * (b[0] + b[1])
+            if self._side(b, m) > 0:
+                b[0] = m
+            else:
+                b[1] = m
+
+    def located(self, tol):
+        """The eigenvalues, each bracket's root found by ``brentq`` to
+        ``tol.bisect_t``, in increasing order."""
+        roots = [
+            brentq(self._shoot.det, s0, s1, xtol=tol.bisect_t)
+            for s0, s1 in self.brackets
+        ]
+        return np.sort(np.array(roots + self.points, dtype=float))
 
 
 def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     """Eigenvalues in (lo, hi] at family time t, with multiplicity.
 
-    Counted by ``_count_roots`` from a partition of (lo, hi] into pieces
-    of at most ``_GRID``, each root bracketed to ``tol.bisect_t`` in s,
-    with the chord radius of ``_Shooter.radius``, a heuristic read on the
-    s-path.  AmbiguityError when a count is negative down to
-    ``tol.bisect_t``, which the positive shooting path rules out.
+    Collected by ``_count_roots`` (``_Spectrum``) from a partition of
+    (lo, hi] into pieces of at most ``_GRID``, with the chord radius of
+    ``_Shooter.radius``, a heuristic read on the s-path; then each simple
+    bracket's root is located to ``tol.bisect_t`` in s by ``brentq``.
+    Only this function and ``eigenvalue_trace`` locate roots: the flow
+    count reads the brackets.  AmbiguityError when a count is negative
+    down to ``tol.bisect_t``, which the positive shooting path rules out.
     ValidationError when lo < hi fails ([lo, hi] is a single point, also
     when the float spacing swallows its width) and when the partition
     would hold more than ``paths.MAX_SAMPLES`` points.
     """
-    if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
-        raise ValidationError(
-            f"the shooting grid on [{lo}, {hi}] would hold more than "
-            f"{MAX_SAMPLES} points",
-            where="eigenvalues_near",
-        )
-    if not lo < hi:
-        raise ValidationError(
-            f"the shooting grid on [{lo}, {hi}] has fewer than two "
-            "distinct points",
-            where="eigenvalues_near",
-        )
-
-    def split(ss, i):
-        s0, s1 = ss[i], ss[i + 1]
-        if s1 - s0 <= tol.bisect_t or len(ss) >= MAX_SAMPLES:
-            raise AmbiguityError(
-                f"no admissible test angle on ({s0}, {s1}]",
-                where="eigenvalues_near",
-            )
-        ss.insert(i + 1, 0.5 * (s0 + s1))
-
-    ss = np.linspace(lo, hi, int(np.ceil((hi - lo) / _GRID)) + 1).tolist()
-    out = []
-    _count_roots(_Shooter(bp, t), ss, split, tol, out)
-    return np.array(out)
+    return _Spectrum(bp, t, lo, hi, tol).located(tol)
 
 
 # --------------------------------------------------------------------------
@@ -397,13 +489,18 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
     Phillips' count (``paths._phillips``) from the partition {0, 1}, with
     the radius ``_radius`` and the reach ``_REACH``: by Weyl no eigenvalue
-    moves farther than the radius on a piece.
+    moves farther than the radius on a piece.  Each spectrum it reads is a
+    ``_Spectrum`` of brackets, and no root is located: the balls around
+    the brackets at t0 choose the test value, narrowed by halving only
+    when they leave none free, and the counts at both ends are read from
+    determinant signs.  The window-edge guard counts the brackets of
+    (edge - 0.5, edge + 0.5] inside (edge - guard, edge + guard).
     """
     spectra = {}
 
     def spec(t):
         if t not in spectra:
-            spectra[t] = eigenvalues_near(bp, t, _DETECT_LO, _DETECT_HI, tol)
+            spectra[t] = _Spectrum(bp, t, _DETECT_LO, _DETECT_HI, tol)
         return spectra[t]
 
     # the detection window checks the flow of C_0 and C_1 first, so a guard
@@ -412,8 +509,11 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
         spec(t_end)
         for edge in (-window, window):
             try:
-                near = eigenvalues_near(
-                    bp, t_end, edge - 0.5, edge + 0.5, tol
+                near = _Spectrum(bp, t_end, edge - 0.5, edge + 0.5, tol)
+                # the open interval (edge - guard, edge + guard)
+                guarded = near.count(
+                    np.nextafter(edge - tol.flow_guard, np.inf),
+                    np.nextafter(edge + tol.flow_guard, -np.inf),
                 )
             except ValidationError as exc:
                 if exc.where != "fundamental_solution":
@@ -423,7 +523,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
                     "is not accurate enough to guard the window edge",
                     where="spectral_flow",
                 ) from exc
-            if near.size and np.min(np.abs(near - edge)) < tol.flow_guard:
+            if guarded:
                 raise PreconditionError(
                     f"eigenvalue within guard of {edge} at t={t_end}",
                     where="spectral_flow",
@@ -431,7 +531,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
     def split(ts, i):
         t0, t1 = ts[i], ts[i + 1]
-        if t1 - t0 <= 1e-9 or len(ts) > 5000:
+        if t1 - t0 <= _FLOW_MIN_PIECE or len(ts) > _FLOW_MAX_SAMPLES:
             raise AmbiguityError(
                 "no admissible test value (tangential crossing?)",
                 where="spectral_flow",

@@ -1,6 +1,7 @@
 """Record the golden CLI outputs that ``test_golden.py`` compares against.
 
     PYTHONPATH=src python tests/record_golden.py
+    PYTHONPATH=src python tests/record_golden.py --only ID [--only ID ...]
     PYTHONPATH=src python tests/record_golden.py --check
 
 Builds the ``crossings``, ``reduce``, ``maslov``, ``unitary-maslov`` and
@@ -12,6 +13,12 @@ unitaries.  Runs each through ``masidx.cli.run`` and writes input,
 arguments, exit code and stdout to ``tests/golden/cli.json``.  Rerun it
 only when an output is meant to change, and say why in the change that
 does.
+
+``--only ID`` (repeatable) re-records the named cases alone, in place, and
+appends a named case that is not recorded yet.  Every other case keeps
+its recorded input and stdout byte for byte: the seeded random inputs go
+through LAPACK QR, whose last bits depend on the BLAS build and its
+threads, so a full re-record can rewrite inputs it was not meant to.
 
 ``--check`` writes nothing: it reruns every recorded case and prints, per
 case, "identical" (same exit code and bytes), "within 1e-12 (max diff
@@ -309,19 +316,39 @@ def check():
     return status
 
 
-def main():
+def _record(cid, command, args, body):
+    code, stdout = run_case(command, args, body)
+    return {"id": cid, "command": command, "args": args, "input": body,
+            "exit": code, "stdout": stdout}
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description="Record or check the golden "
                                  "CLI outputs.")
     ap.add_argument("--check", action="store_true",
                     help="rerun every case against the recording, write "
                     "nothing, exit 1 when one differs")
-    if ap.parse_args().check:
+    ap.add_argument("--only", action="append", metavar="ID",
+                    help="re-record this case alone and keep every other "
+                    "recorded case as it is (repeatable)")
+    opts = ap.parse_args(argv)
+    if opts.check:
         sys.exit(check())
-    records = []
-    for cid, command, args, body in cases():
-        code, stdout = run_case(command, args, body)
-        records.append({"id": cid, "command": command, "args": args,
-                        "input": body, "exit": code, "stdout": stdout})
+    built = {cid: rest for cid, *rest in cases()}
+    if opts.only:
+        unknown = sorted(set(opts.only) - built.keys())
+        if unknown:
+            ap.error(f"no case with id {', '.join(unknown)}")
+        records = json.loads(GOLDEN.read_text())
+        where = {rec["id"]: i for i, rec in enumerate(records)}
+        for cid in dict.fromkeys(opts.only):
+            rec = _record(cid, *built[cid])
+            if cid in where:
+                records[where[cid]] = rec
+            else:
+                records.append(rec)
+    else:
+        records = [_record(cid, *rest) for cid, rest in built.items()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

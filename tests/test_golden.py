@@ -22,6 +22,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import record_golden
 from conftest import spinner_crossings
 from record_golden import (
     CROSSINGS_SPINNERS,
@@ -100,3 +101,21 @@ def test_compare_reports_the_largest_difference(got, want, diff, where):
     got_diff, got_where = compare(got, want)
     assert got_diff == pytest.approx(diff, rel=1e-3)
     assert got_where == where
+
+
+def test_only_rerecords_the_named_case_alone(tmp_path, monkeypatch):
+    """``record_golden.py --only ID`` on a copy whose every stdout is
+    stale restores the named spectral case and leaves each other case,
+    stale stdout included, byte for byte as it was."""
+    target = "spectral-flow-ladder-1-up"
+    stale = [dict(case, stdout="stale\n") for case in CASES]
+    copy = tmp_path / "cli.json"
+    copy.write_text(json.dumps(stale, indent=1) + "\n")
+    monkeypatch.setattr(record_golden, "GOLDEN", copy)
+    record_golden.main(["--only", target])
+    want = [
+        next(c for c in CASES if c["id"] == target) if s["id"] == target
+        else s
+        for s in stale
+    ]
+    assert copy.read_text() == json.dumps(want, indent=1) + "\n"

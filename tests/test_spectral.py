@@ -231,7 +231,9 @@ def test_rotation_spectrum_is_the_exact_ladder(t):
 def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     """brentq's bracket ends and the determinant signs of a counted piece
     reuse the count's shots instead of exponentiating the same matrix
-    again, and no piece without roots is halved: 50 shots."""
+    again, and no piece without roots is halved: 50 shots.  A whole flow
+    count exponentiates no (t, s) pair twice either: each family time's
+    brackets, narrowed or counted, reuse its shots."""
     args = []
 
     def counted(A):
@@ -243,6 +245,9 @@ def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     np.testing.assert_allclose(got, ladder(0.3, -4.0, 4.0), atol=1e-8)
     assert args and len(set(args)) == len(args)
     assert len(args) <= 50
+    args.clear()
+    assert spectral_flow(rotation_problem()).value == 1
+    assert args and len(set(args)) == len(args)
 
 
 def test_root_on_a_grid_point_is_reported_once():
@@ -315,15 +320,54 @@ def _clustered_ladders(rng):
             return a0, r
 
 
-def test_clustered_ladders_flow_is_the_closed_form():
+@pytest.fixture
+def no_root_location(monkeypatch):
+    """The flow count reads brackets: locating a root is an error."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(spectral, "brentq", refused)
+
+
+def test_clustered_ladders_flow_is_the_closed_form(no_root_location):
     """Roots of these families share cells of the shooting grid; a scanner
     that bracketed one root per determinant sign change miscounted 5 of
-    the 32."""
+    the 32.  No root is located."""
     rng = np.random.default_rng(978)
     for _ in range(32):
         a0, r = _clustered_ladders(rng)
         got = spectral_flow(ladder_problem(a0, r)).value
         assert got == ladder_flow(a0, r), (a0, r)
+
+
+def test_flow_and_coincidence_locate_no_root(no_root_location):
+    assert spectral_flow(rotation_problem()).value == 1
+    assert verify_coincidence(rotation_problem()) == {
+        "sf": 1, "mas": 1, "equal": True
+    }
+    ladders = ladder_problem((0.3, -0.3), (3.5, 3.2))
+    assert spectral_flow(ladders).value == 2
+    assert verify_coincidence(ladders) == {"sf": 2, "mas": 2, "equal": True}
+    with pytest.raises(AssertionError, match="brentq called"):
+        eigenvalues_near(rotation_problem(), 0.3, -1.0, 0.0)
+
+
+def test_bracket_counts_answer_as_the_located_root():
+    """(-0.75, -0.5] brackets the rotation root -0.2 pi at t = 0.3 with a
+    sign change; question points 1e-9 either side of the located root
+    fall inside it, and one determinant sign at each answers as the root
+    does."""
+    bp = rotation_problem()
+    tol = spectral.DEFAULT_TOL
+    spectrum = spectral._Spectrum(bp, 0.3, -1.0, 0.0, tol)
+    assert spectrum.brackets == [[-0.75, -0.5]] and spectrum.points == []
+    (root,) = eigenvalues_near(bp, 0.3, -1.0, 0.0)
+    assert -0.75 < root < -0.5
+    for q in (root - 1e-9, root + 1e-9):
+        assert spectrum.count(-1.0, q) == int(root <= q)
+        assert spectrum.count(q, 0.0) == int(root >= q)
+    assert spectrum.count(root - 1e-9, root + 1e-9) == 1
 
 
 def test_a_clockwise_shooting_path_is_ambiguous(monkeypatch):
@@ -508,6 +552,16 @@ def test_window_edge_guard():
     # the t = 0 spectrum contains +-pi/2 exactly
     with pytest.raises(PreconditionError):
         spectral_flow(bp, window=np.pi / 2)
+
+
+def test_window_edge_guard_boundary():
+    """An eigenvalue strictly closer than ``flow_guard`` to the window
+    edge is refused; one at twice that distance is not."""
+    bp = rotation_problem()
+    guard = spectral.DEFAULT_TOL.flow_guard
+    with pytest.raises(PreconditionError):
+        spectral_flow(bp, window=np.pi / 2 + 0.5 * guard)
+    assert spectral_flow(bp, window=np.pi / 2 + 2.0 * guard).value == 1
 
 
 def test_flow_is_additive_over_halves(rng):
