@@ -11,31 +11,14 @@ Real matrices are row-major nested arrays; complex matrices use an
 [re, im] pair per entry; Lagrangian frames are 2n rows by n columns.
 
 --refine-factor r (r > 1) treats sampled Lagrangian or unitary paths as
-nodes of a piecewise principal-logarithm geodesic (``paths.GeodesicPath``)
-on a grid of r pieces per gap.  Each gap keeps the angles theta and
-vectors Z that join its end unitaries.  unitary-maslov interpolates its
-own nodes, one complex Schur decomposition per gap.  maslov, crossings,
-reduce and pair-maslov interpolate the pair unitaries W(h, mu_i) =
--U_i U_i^T of their nodes against the horizontal Lagrangian h of the
-standard model, pulled back into the input's space
-(``paths.lagrangian_geodesic``; U = X + iY of the standardized frame).
-That is a geodesic of Lambda(n) = U(n)/O(n): each gap is diagonalized by
-one real orthogonal matrix, found by one real symmetric eigensolve, and
-its frame at any time is written down from it.  The pair unitaries
-against any other Lagrangian are read off the same pieces, by the
-cocycle W(lam, mu) = -W(h, mu) W(lam, h).  A frame is formed only where
-one is read: by the crossing forms, and by the reduction at its samples
-and marching steps.
-
-A count of such a path takes its index from the path's determinant
-lift: the sum of every gap's theta and the spectra at t = 0 and 1, with
-no partition.  Phillips' count runs from the grid only when its
-partition is read (--trace); there, and in the crossing search, the arc
-radius of a piece [tau0, tau1] of a gap is exact, (tau1 - tau0)
-max |theta|, with no norm to compute, and the spectrum at a time comes
-from a matrix similar to U_t, which is not formed.  The path holds its
-nodes only: memory is bounded by the spectra read, not by the number of
-samples.  A grid may hold at most ``paths.MAX_SAMPLES`` times, so a
+nodes of a piecewise principal-logarithm geodesic on a grid of r pieces
+per gap: ``paths.geodesic_path`` of the unitaries for unitary-maslov, and
+for maslov, crossings, reduce and pair-maslov ``paths.lagrangian_geodesic``,
+a geodesic of Lambda(n) = U(n)/O(n) through the node frames.  The paths
+module says how such a path is counted from its determinant lift, with
+Phillips' count run only when its partition is read (--trace), and why a
+frame or a unitary is formed only where one is read.  The path holds its
+nodes only, and a grid may hold at most ``paths.MAX_SAMPLES`` times, so a
 larger r is rejected before anything is built.
 
 With the default r = 1 the samples are used as-is and under-resolved

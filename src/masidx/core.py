@@ -10,7 +10,14 @@ so for the standard space (J = [[0, -I], [I, 0]], G = Id) we get
 omega(e_1, e_{n+1}) = +1 and J e_i = e_{n+i}.
 
 Lagrangian subspaces are carried around as G-orthonormal frames (2n x n
-matrices whose columns span the subspace).
+matrices whose columns span the subspace), checked once where they enter
+(``LagrangianFrame``).  As Lambda(n) = U(n)/O(n), F = [X; Y] is one in the
+standard space iff U = X + iY is unitary: the check is one n x n residual
+R = (F^T G F - Id) + i F^T (J^T G) F, U^H U - Id there.  With P = F F^T G
+and Q = [F, JF], J - JP - PJ = (Id - Q Q^T G) J has norm ||R||_2 there and
+at most cond(G)^{1/2} ||R||_2 in general: J = JP + PJ follows.  Frames
+written by an isometry from checked frames (``j_image``, the standard
+horizontal frame, ``paths.lagrangian_geodesic``) are not checked again.
 """
 
 from dataclasses import dataclass, field, replace
@@ -90,6 +97,11 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Bounds on a frame's residual R and on the isotropy ``lagrangian`` lets
+# a span keep: fixed invariants, not tolerances (no profile moves them).
+_FRAME_RESIDUAL = 1e-10
+_SPAN_ISOTROPY = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -272,11 +284,10 @@ def _require_same_space(a, b, where):
 
 @dataclass(frozen=True, eq=False)
 class LagrangianFrame:
-    """G-orthonormal frame of a Lagrangian subspace.
-
-    Invariants checked on construction: F^T G F = Id to 1e-10, isotropy
-    |F^T (J^T G) F| <= 1e-10, and the associated projection P = F F^T G
-    satisfies J = J P + P J to 1e-9.
+    """G-orthonormal frame of a Lagrangian subspace: U = X + iY unitary,
+    ||R||_2 <= 1e-10 (module docstring), checked on construction.  A
+    failure is "frame not G-orthonormal" when Re R = F^T G F - Id exceeds
+    the bound, else "frame not isotropic".  ``_exact`` skips the check.
     """
 
     space: SymplecticSpace
@@ -286,20 +297,23 @@ class LagrangianFrame:
         sp = self.space
         F = _as_matrix(self.F, "F", (2 * sp.n, sp.n))
         object.__setattr__(self, "F", F)
-        if _norm2_exceeds(F.T @ sp.G @ F - np.eye(sp.n), 1e-10):
-            raise ValidationError(
-                "frame not G-orthonormal", where="LagrangianFrame"
-            )
-        if _norm2_exceeds(F.T @ sp.gram @ F, 1e-10):
+        GF = sp.G @ F
+        R = F.T @ GF - np.eye(sp.n) + 1j * ((sp.J @ F).T @ GF)
+        if _norm2_exceeds(R, _FRAME_RESIDUAL):
+            if _norm2_exceeds(R.real, _FRAME_RESIDUAL):
+                raise ValidationError(
+                    "frame not G-orthonormal", where="LagrangianFrame"
+                )
             raise ValidationError(
                 "frame not isotropic", where="LagrangianFrame"
             )
-        P = self.P
-        if _norm2_exceeds(sp.J - sp.J @ P - P @ sp.J, 1e-9):
-            raise ValidationError(
-                "projection does not split J (J != JP + PJ)",
-                where="LagrangianFrame",
-            )
+
+    @classmethod
+    def _exact(cls, space, F):
+        """F unchecked, for F written by an isometry from checked frames."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(space=space, F=F)
+        return frame
 
     @cached_property
     def P(self):
@@ -311,9 +325,14 @@ class LagrangianFrame:
         """Reflection through the subspace: 2P - Id."""
         return 2.0 * self.P - np.eye(2 * self.space.n)
 
+    @cached_property
+    def _standard(self):
+        """The frame on the standard model, pushed at most once."""
+        return self.space.standardization.push_frame(self)
+
     def j_image(self):
-        """The G-orthogonal Lagrangian complement J(span F)."""
-        return LagrangianFrame(self.space, self.space.J @ self.F)
+        """The G-orthogonal complement J(span F); J keeps R: unchecked."""
+        return LagrangianFrame._exact(self.space, self.space.J @ self.F)
 
 
 def _orthonormalize(space, M, tol, where):
@@ -349,24 +368,28 @@ def lagrangian(space, M, tol=None):
     Raises
     ------
     ValidationError
-        Rank-deficient input, or isotropy violated after
-        orthonormalization: beyond 1e-8 here ("subspace is not
-        isotropic"), beyond 1e-10 at ``LagrangianFrame`` ("frame not
-        isotropic").
+        Rank-deficient input, or the orthonormalized frame fails the
+        check of ``LagrangianFrame``: named "subspace is not isotropic"
+        here when its isotropy part, formed only then, exceeds 1e-8.
     """
     tol = tol or space.tol
     M = _as_matrix(M, "frame", (2 * space.n, space.n))
     F = _orthonormalize(space, M, tol, "lagrangian")
-    if _norm2_exceeds(F.T @ space.gram @ F, 1e-8):
-        raise ValidationError(
-            "subspace is not isotropic", where="lagrangian"
-        )
-    return LagrangianFrame(space, F)
+    try:
+        return LagrangianFrame(space, F)
+    except ValidationError:
+        if _norm2_exceeds(F.T @ space.gram @ F, _SPAN_ISOTROPY):
+            raise ValidationError(
+                "subspace is not isotropic", where="lagrangian"
+            ) from None
+        raise
 
 
 def horizontal_frame(space):
-    """span(e_1 .. e_n) in the standard space (G-orthonormalized otherwise)."""
+    """span(e_1 .. e_n): U = Id unchecked if standard, else checked."""
     M = np.vstack([np.eye(space.n), np.zeros((space.n, space.n))])
+    if space.is_standard:
+        return LagrangianFrame._exact(space, M)
     return lagrangian(space, M)
 
 
@@ -687,7 +710,5 @@ def random_symmetric(n, rng, scale=1.0):
 def random_lagrangian(space, rng):
     """Uniform (Haar) random Lagrangian frame."""
     std = space.standardization
-    U = haar_unitary(space.n, rng)
-    R = realify(U)
-    F = R @ horizontal_frame(std.target).F
+    F = realify_vectors(haar_unitary(space.n, rng))
     return std.pull_frame(lagrangian(std.target, F))

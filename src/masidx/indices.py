@@ -111,7 +111,7 @@ def _graph_frame(lam, U):
     the graph spans the columns of E+ - E- conj(U).  Returned orthonormal,
     in standard-model coordinates.
     """
-    lam_s = lam.space.standardization.push_frame(lam)
+    lam_s = lam._standard
     F = lam_s.F
     J = lam_s.space.J
     Ep = (F - 1j * J @ F) / np.sqrt(2.0)
@@ -281,8 +281,7 @@ def connecting_path(ell0, ell1, seed=0, tol=DEFAULT_TOL):
     retries).
     """
     _require_same_space(ell0.space, ell1.space, "connecting_path")
-    std = ell0.space.standardization
-    e0, e1 = std.push_frame(ell0), std.push_frame(ell1)
+    e0, e1 = ell0._standard, ell1._standard
     model = e0.space
     try:
         return lagrangian_geodesic(
@@ -313,9 +312,8 @@ def hormander(ell0, ell1, lam, mu, seed=0, tol=DEFAULT_TOL):
     for f in (ell1, lam, mu):
         _require_same_space(ell0.space, f.space, "hormander")
     path = connecting_path(ell0, ell1, seed=seed, tol=tol)
-    std = ell0.space.standardization
-    a = maslov(path, std.push_frame(lam), tol).value
-    b = maslov(path, std.push_frame(mu), tol).value
+    a = maslov(path, lam._standard, tol).value
+    b = maslov(path, mu._standard, tol).value
     return int(a - b)
 
 

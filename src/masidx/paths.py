@@ -57,6 +57,7 @@ from .core import (
     LagrangianFrame,
     _norm2_exceeds,
     _spaces_match,
+    complexify_vectors,
     horizontal_frame,
 )
 from .errors import AmbiguityError, PreconditionError, ValidationError
@@ -550,10 +551,12 @@ def _lagrangian_piece(U0, U1, tol):
 
 def _geodesic_frame(std, piece, tau):
     """The frame at tau of a piece of ``lagrangian_geodesic``: [Re; Im] of
-    V diag(exp(i tau phi / 2)), V = conj Z, pulled back by ``std``."""
+    V diag(exp(i tau phi / 2)), V = conj Z, pulled back by ``std``.  V is
+    U0 O for the U0 of a checked node frame and a real orthogonal O, so
+    the frame keeps the node's residual and is not checked."""
     U = piece.Z.conj() * np.exp(0.5j * tau * piece.theta)
     return std.pull_frame(
-        LagrangianFrame(std.target, np.vstack([U.real, U.imag]))
+        LagrangianFrame._exact(std.target, np.vstack([U.real, U.imag]))
     )
 
 
@@ -584,8 +587,7 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
             "samples from different spaces", where="lagrangian_geodesic"
         )
     std = space.standardization
-    n = space.n
-    us = [f.F[:n] + 1j * f.F[n:] for f in map(std.push_frame, frames)]
+    us = [complexify_vectors(f._standard.F) for f in frames]
     geodesic = _joined(
         times,
         grid,

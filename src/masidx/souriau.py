@@ -27,6 +27,7 @@ from .core import (
     DEFAULT_TOL,
     _norm2_exceeds,
     _require_same_space,
+    complexify_vectors,
     lagrangian,
     realify,
 )
@@ -37,8 +38,7 @@ __all__ = ["souriau", "kernel_dim_minus_one", "lagrangian_from_souriau"]
 
 def _symmetric_unitary(frame):
     """U U^T for U = X + iY, the unitary of a standard-model frame."""
-    n = frame.space.n
-    U = frame.F[:n] + 1j * frame.F[n:]
+    U = complexify_vectors(frame.F)
     return U @ U.T
 
 
@@ -57,18 +57,15 @@ def souriau(lam, mu):
 
     Returns
     -------
-    (n, n) complex ndarray, unitary to 1e-10.  Key facts (all covered by
-    tests): W(lam, J lam) = Id, W(lam, lam) = -Id, the -1-eigenspace is
-    the complexified intersection, and W(lam, mu)^H = W(mu, lam).
+    (n, n) complex ndarray, unitary to (1 + 1e-10)^4 - 1 ~ 4e-10 unchecked:
+    W is a product of four U with U^H U - Id within 1e-10.  Key facts (all
+    covered by tests): W(lam, J lam) = Id, W(lam, lam) = -Id, the
+    -1-eigenspace is the complexified intersection, and W(lam, mu)^H =
+    W(mu, lam).
     """
     _require_same_space(lam.space, mu.space, "souriau")
-    std = lam.space.standardization
-    lam_s, mu_s = std.push_frame(lam), std.push_frame(mu)
-    n = lam_s.space.n
-    W = -_symmetric_unitary(mu_s) @ np.conj(_symmetric_unitary(lam_s))
-    if _norm2_exceeds(W.conj().T @ W - np.eye(n), 1e-10):
-        raise ValidationError("pair unitary drifted", where="souriau")
-    return W
+    lam_s, mu_s = lam._standard, mu._standard
+    return -_symmetric_unitary(mu_s) @ np.conj(_symmetric_unitary(lam_s))
 
 
 def kernel_dim_minus_one(W, tol=1e-7):
@@ -98,9 +95,8 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
     mu is the real kernel of (realify(W) tau_lam + Id), which is exactly
     n-dimensional when W is in the image of the pair map for lam.  Its
     basis is the one the SVD picks inside that kernel.  No index calls
-    it: frames along refined paths are written down by
-    ``paths.lagrangian_geodesic``, for which this is the reference, and
-    it builds frames from closed-form pair unitaries.
+    it: it is the reference for the frames ``paths.lagrangian_geodesic``
+    writes down.
     """
     W = np.asarray(W, dtype=complex)
     n = lam.space.n
@@ -111,7 +107,7 @@ def lagrangian_from_souriau(lam, W, tol=DEFAULT_TOL):
             "matrix not unitary", where="lagrangian_from_souriau"
         )
     std = lam.space.standardization
-    lam_s = std.push_frame(lam)
+    lam_s = lam._standard
     A = realify(W) @ lam_s.tau + np.eye(2 * n)
     _, sv, Vt = np.linalg.svd(A)
     if sv[n - 1] <= 1e-8:

@@ -37,6 +37,7 @@ from masidx import (
     vertical_frame,
 )
 from masidx.core import _norm2_exceeds
+from masidx.paths import lagrangian_geodesic
 from conftest import random_structure_space
 
 
@@ -181,8 +182,108 @@ def test_lagrangian_rejects_non_isotropic_spans():
 
 def test_frame_constructor_requires_orthonormal_columns():
     sp = standard_space(1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         LagrangianFrame(sp, np.array([[2.0], [0.0]]))
+    assert (err.value.reason, err.value.where) == (
+        "frame not G-orthonormal", "LagrangianFrame"
+    )
+
+
+def _frame_residual(space, F):
+    """||R||_2 of the frame check, R = (F^T G F - Id) + i F^T (J^T G) F."""
+    R = F.T @ space.G @ F - np.eye(space.n) + 1j * (F.T @ space.gram @ F)
+    return np.linalg.norm(R, 2)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.integers(1, 4),
+    st.booleans(),
+    st.floats(0.25, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_residual_covers_the_deleted_checks(n, general, scale, draw):
+    """A frame is checked by ||R||_2 <= 1e-10 alone.  Frames perturbed to
+    a residual of about ``scale`` * 1e-10 that pass keep both parts of R,
+    F^T G F - Id and F^T (J^T G) F, within 1e-10, and the splitting
+    J = JP + PJ within cond(G)^{1/2} 1e-10 (J - JP - PJ = (Id - Q Q^T G) J
+    with Q = [F, JF]); on the standard space ||J - JP - PJ||_2 = ||R||_2.
+    Frames that fail have a residual above the bound."""
+    rng = np.random.default_rng(draw)
+    sp = _structure_space(n, rng) if general else standard_space(n)
+    F0 = random_lagrangian(sp, rng).F
+    E = rng.standard_normal(F0.shape)
+    # the part of R linear in E, so that R(F0 + d E) is about d ||L||_2
+    L = E.T @ sp.G @ F0 + F0.T @ sp.G @ E
+    L = L + 1j * (E.T @ sp.gram @ F0 + F0.T @ sp.gram @ E)
+    F = F0 + scale * 1e-10 / np.linalg.norm(L, 2) * E
+    res = _frame_residual(sp, F)
+    try:
+        LagrangianFrame(sp, F)
+    except ValidationError as err:
+        assert err.where == "LagrangianFrame"
+        assert res > 1e-10 * (1.0 - 1e-6)
+        return
+    assert res <= 1e-10 * (1.0 + 1e-6)
+    assert np.linalg.norm(F.T @ sp.G @ F - np.eye(n), 2) <= 1e-10
+    assert np.linalg.norm(F.T @ sp.gram @ F, 2) <= 1e-10
+    P = F @ F.T @ sp.G
+    split = np.linalg.norm(sp.J - sp.J @ P - P @ sp.J, 2)
+    cond = np.linalg.cond(sp.G)
+    assert split <= np.sqrt(cond) * res + 1e-15 * cond
+    if not general:
+        assert abs(split - res) <= 1e-15
+
+
+def _counted_checks(monkeypatch):
+    """The frames ``LagrangianFrame.__post_init__`` checks from now on."""
+    checked = []
+    check = LagrangianFrame.__post_init__
+
+    def counting(frame):
+        checked.append(frame)
+        check(frame)
+
+    monkeypatch.setattr(LagrangianFrame, "__post_init__", counting)
+    return checked
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("general", [False, True])
+def test_exact_builders_keep_the_residual(n, general, monkeypatch):
+    """``j_image``, the frames of ``lagrangian_geodesic`` and its reference
+    h are written down by isometries from checked frames, unchecked, and
+    keep R at rounding: within 1e-13 in the standard model.  Frames of a
+    general space also carry the rounding of its congruence, which
+    ``pull_frame`` checks and which grows with cond(G)."""
+    rng = np.random.default_rng(20261019 + n)
+    sp = _structure_space(n, rng) if general else standard_space(n)
+    frames = [random_lagrangian(sp, rng) for _ in range(3)]
+    model = [f._standard for f in frames]
+    grid = np.linspace(0.0, 1.0, 9)
+    for nodes in (frames, model):
+        standard = nodes[0].space.is_standard
+        checked = _counted_checks(monkeypatch)
+        path = lagrangian_geodesic([0.0, 0.5, 1.0], nodes, grid)
+        written = [path._geodesic[0]]
+        written += [path.refiner(t) for t in rng.random(5)]
+        written += [f.j_image() for f in nodes]
+        limit = 1e-13 * (1.0 if standard else np.linalg.cond(sp.G))
+        for f in written:
+            assert _frame_residual(f.space, f.F) <= limit
+        assert checked == [] or not standard
+        monkeypatch.undo()
+
+
+def _structure_space(n, rng):
+    """``random_structure_space``, drawn again when the polar split of the
+    form misses J^2 = -Id by more than the space check allows."""
+    while True:
+        try:
+            return random_structure_space(n, rng)
+        except ValidationError:
+            pass
 
 
 def test_j_image_of_horizontal_is_vertical():

@@ -18,9 +18,12 @@ leaves LAPACK a basis inside its eigenspace.
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
+
+from masidx import LagrangianFrame, core, paths
 
 import record_golden
 from conftest import spinner_crossings
@@ -119,3 +122,38 @@ def test_only_rerecords_the_named_case_alone(tmp_path, monkeypatch):
         for s in stale
     ]
     assert copy.read_text() == json.dumps(want, indent=1) + "\n"
+
+
+def test_refined_reduce_checks_only_frames_from_lagrangian(monkeypatch):
+    """A refined ``reduce`` checks a frame only where ``lagrangian`` builds
+    one (its input frames and each reduced frame, a QR of Gamma F).  The
+    marching frames its geodesic writes down, and their reference h, are
+    not checked."""
+    (case,) = [c for c in CASES if c["command"] == "reduce"]
+    checked, built, written = [], [], []
+    check, build = LagrangianFrame.__post_init__, core.lagrangian
+    write = paths._geodesic_frame
+
+    def counting_check(frame):
+        checked.append(frame)
+        check(frame)
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counting_write(*args):
+        written.append(write(*args))
+        return written[-1]
+
+    monkeypatch.setattr(LagrangianFrame, "__post_init__", counting_check)
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("masidx") and vars(module).get("lagrangian") \
+                is build:
+            monkeypatch.setattr(module, "lagrangian", counting_build)
+    monkeypatch.setattr(paths, "_geodesic_frame", counting_write)
+    code, _ = run_case(case["command"], case["args"], case["input"])
+    assert code == case["exit"] == 0
+    assert written and built
+    assert len(checked) == len(built)
+    assert all(c is b for c, b in zip(checked, built))

@@ -12,6 +12,7 @@ from masidx import (
     JJ,
     AmbiguityError,
     PreconditionError,
+    Standardization,
     ValidationError,
     boundary_problem,
     box_space,
@@ -339,6 +340,32 @@ def test_clustered_ladders_flow_is_the_closed_form(no_root_location):
         a0, r = _clustered_ladders(rng)
         got = spectral_flow(ladder_problem(a0, r)).value
         assert got == ladder_flow(a0, r), (a0, r)
+
+
+def test_coincidence_pushes_each_frame_once(monkeypatch):
+    """The boundary frame lives in the box space, which is not standard;
+    ``souriau`` reads its standardized frame at every sample of the Cauchy
+    data path, and it is pushed once, as is each other frame."""
+    pushed, boundaries = [], []
+    push = Standardization.push_frame
+    cauchy = spectral.cauchy_data_path
+
+    def recording_push(std, frame):
+        pushed.append(frame)
+        return push(std, frame)
+
+    def recording_cauchy(*args, **kwargs):
+        path, boundary = cauchy(*args, **kwargs)
+        boundaries.append(boundary)
+        return path, boundary
+
+    monkeypatch.setattr(Standardization, "push_frame", recording_push)
+    monkeypatch.setattr(spectral, "cauchy_data_path", recording_cauchy)
+    assert verify_coincidence(rotation_problem())["equal"]
+    (boundary,) = boundaries
+    assert not boundary.space.is_standard
+    assert sum(f is boundary for f in pushed) == 1
+    assert len({id(f) for f in pushed}) == len(pushed)
 
 
 def test_flow_and_coincidence_locate_no_root(no_root_location):
