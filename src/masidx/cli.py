@@ -547,9 +547,9 @@ def _cmd_reduce(obj, args, tol):
         *_frames(big, big_mats), *_frames(small, small_mats), weights
     )
     frames = _frames(big, mats)
-    # Reduction stretches frames by the diagonal weights, so the reduced
-    # path can need samples between nodes that resolve the input path;
-    # always build a refinable path.
+    # The march of ``gamma_reduce_path`` picks its own times between the
+    # nodes, stepping on the exact frame speed of each gap of a
+    # ``lagrangian_geodesic``; a factor of at least 2 builds that path.
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
     reduced = gamma_reduce_path(pp, path, tol)
     big_report = maslov(path, pp.lam_minus, tol)

@@ -235,9 +235,11 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
     """Split a nondegenerate skew form operator into (J, G).
 
     Omega acts as the operator of the form, omega(x, y) = (Omega x, y).
-    Polar-decompose: G = |Omega| = (Omega^T Omega)^{1/2} and
-    J = |Omega|^{-1} Omega.  Then J^T G = Omega^T exactly, J^2 = -Id, and
-    G is the compatible inner product.
+    Polar-decompose by the SVD Omega = U Sigma V^T: G = V Sigma V^T =
+    |Omega| and J = U V^T, the orthogonal polar factor.  Omega is normal,
+    so J = |Omega|^{-1} Omega, J^T G = Omega^T, J^2 = -Id, and G is the
+    compatible inner product.  J is orthogonal to rounding, so J^2 + Id =
+    J (J + J^T) misses zero by rounding times cond(Omega), not its square.
     """
     A = _as_matrix(Omega, "Omega")
     m = A.shape[0]
@@ -250,18 +252,14 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
         raise ValidationError(
             "Omega not antisymmetric", where="compatible_structure"
         )
-    sv = np.linalg.svd(A, compute_uv=False)
+    U, sv, Vt = np.linalg.svd(A)
     if sv.min() <= 1e-10 * sv.max():
         raise PreconditionError(
             "Omega is degenerate (smallest singular value below 1e-10)",
             where="compatible_structure",
         )
-    w, V = np.linalg.eigh(A.T @ A)
-    w = np.maximum(w, 0.0)
-    G = (V * np.sqrt(w)) @ V.T
-    G_inv = (V / np.sqrt(w)) @ V.T
-    J = G_inv @ A
-    return SymplecticSpace(n=m // 2, J=J, G=G, tol=tol)
+    G = (Vt.T * sv) @ Vt
+    return SymplecticSpace(n=m // 2, J=U @ Vt, G=G, tol=tol)
 
 
 def _spaces_match(a, b, tol=1e-10):

@@ -12,6 +12,14 @@
   symplectic map Gamma, and the index against the minus factor is
   preserved.  The reduced frame is Gamma F_mu, G-orthonormalized, so its
   basis follows the basis of mu.
+
+The count of a reduced path reads one of the three radius sources of
+``paths``: exact on the geodesic pieces of its input, which the big count
+reads; certified on the reduced path of a ``lagrangian_geodesic`` on
+standard spaces, by the input's exact frame speed and the march's own
+sigma_min(Gamma F) (``gamma_reduce_path``: Wedin's sin Theta bound, then
+Bauer-Fike on the pair unitary); and the chord heuristic on any other
+refinable input, such as a user refiner.
 """
 
 from dataclasses import dataclass
@@ -35,6 +43,7 @@ from .paths import (
     GeodesicPath,
     LagrangianPath,
     UnitaryPath,
+    _Formed,
     _sample_times,
     to_unitary_path,
     unitary_maslov,
@@ -50,6 +59,13 @@ __all__ = [
     "gamma_reduce",
     "gamma_reduce_path",
 ]
+
+# Largest arc r that one marched step of a geodesic input lets any
+# eigenvalue of the reduced pair unitary move (``gamma_reduce_path``): a
+# fixed invariant, not a tolerance.  A larger arc takes fewer steps, and
+# the count then splits more pieces whose balls of radius r leave no test
+# angle free in (0, EPS_CAP].
+_STEP_ARC = 0.5
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +128,7 @@ def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     if mu_u.refiner is not None and lam_u.refiner is not None:
         refiner = lambda t: -mu_u.refiner(t) @ lam_u.refiner(t).conj().T
     samples = tuple(zip(times, pairs))
-    return unitary_maslov(UnitaryPath(samples=samples, refiner=refiner), tol)
+    return unitary_maslov(UnitaryPath._exact(samples, refiner), tol)
 
 
 # --------------------------------------------------------------------------
@@ -268,11 +284,29 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
     A badly scaled injection rotates the reduced span much faster than
     the input moves wherever the input passes near the squeezed
     directions; on a fixed grid those transits alias into small steps
-    and the counters miss them.  The local rotation rate is bounded by
-    (input rate) * ||gamma|| / sigma_min(gamma F(t)), so when the path
-    has a refiner the samples are regenerated by marching with the step
-    proportional to that smallest singular value.  The cost of a transit
-    is logarithmic in its depth.
+    and the counters miss them.  So when the path has a refiner the
+    samples are regenerated by a march whose step is proportional to
+    sigma(t) = sigma_min(Gamma F(t)), one SVD per time read.  The cost of
+    a transit is logarithmic in its depth.
+
+    Certified route: a ``lagrangian_geodesic`` on standard spaces (the
+    CLI's).  On gap i its frame moves at exactly omega_i = max|phi_i| / 2
+    / (t_{i+1} - t_i), so on a piece [t0, t1] of one gap ||Gamma F(t) -
+    Gamma F(t0)|| <= d = ||Gamma|| omega_i (t1 - t0).  Wedin's sin Theta
+    bound with sigma_min(Gamma F(t)) >= sigma(t0) - d turns the reduced
+    span by at most theta with sin theta <= d / (sigma(t0) - d), and the
+    pair unitary then moves by a chord 2 sin theta, so by Bauer-Fike no
+    eigenvalue moves farther than the arc r = 2 arcsin(min(1, d /
+    (sigma(t0) - d))) (inf when sigma(t0) <= d).  The march stops at the
+    node times and steps so that d <= sigma s / (1 + s), s =
+    sin(_STEP_ARC / 2), so r <= _STEP_ARC on each step; the reduced path
+    carries r as its radius, which the count reads in place of the chord,
+    with sigma cached by t for the points the count inserts.
+
+    Heuristic route: any other refinable path.  The step is 0.2 sigma /
+    (4 ||Gamma|| rate), the rate estimated from midpoint reads
+    (``_probe_rate``), the march stops at the sample times, and the count
+    reads the chord radius (``paths._arc_radius``).
     """
     if path.refiner is None:
         samples = tuple(
@@ -281,33 +315,70 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
         return LagrangianPath(samples=samples, refiner=None)
 
     gamma = pp._gamma
-    speed = 4.0 * np.linalg.norm(gamma, 2) * max(_probe_rate(path), 1e-2)
-    beta = 0.2
-    knots = [t for t, _ in path.samples]
-    frame = path.at(0.0)
-    out = [(0.0, gamma_reduce(pp, frame, tol))]
+    frames = _Formed(path.at)
+    reduced = _Formed(lambda t: gamma_reduce(pp, frames[t], tol))
+    sigma = _Formed(
+        lambda t: np.linalg.svd(gamma @ frames[t].F, compute_uv=False).min()
+    )
+    norm = np.linalg.norm(gamma, 2)
+    radius = None
+    if (
+        path._geodesic is not None
+        and path.space.is_standard
+        and pp.small.is_standard
+    ):
+        geodesic = path._geodesic[1]
+        knots = geodesic.times.tolist()
+        rates = [
+            norm * piece.speed / 2.0 / (b - a)
+            for piece, a, b in zip(geodesic.pieces, knots, knots[1:])
+        ]
+        s = np.sin(0.5 * _STEP_ARC)
+
+        def step(t):
+            rate = rates[geodesic._gap(t)]
+            return sigma[t] * s / (1.0 + s) / rate if rate > 0 else np.inf
+
+        def radius(t0, t1):
+            d = rates[geodesic._gap(t0)] * (t1 - t0)
+            if sigma[t0] <= d:
+                return np.inf
+            return 2.0 * np.arcsin(min(1.0, d / (sigma[t0] - d)))
+
+    else:
+        speed = 4.0 * norm * max(_probe_rate(path), 1e-2)
+        knots = [t for t, _ in path.samples]
+
+        def step(t):
+            return 0.2 * sigma[t] / speed
+
+    samples = tuple((t, reduced[t]) for t in _march(step, knots))
+    return LagrangianPath(
+        samples=samples, refiner=reduced.__getitem__, _radius=radius
+    )
+
+
+def _march(step, knots):
+    """Times from 0 to 1, each step(t) (at least 1e-12) past the last and
+    stopping at every knot."""
+    out = [0.0]
     t = 0.0
     next_knot = 1
-    steps = 0
     while t < 1.0:
-        steps += 1
-        if steps > 200_000:
+        if len(out) > 200_000:
             raise AmbiguityError(
                 "reduction conditioning defeats resampling",
                 where="gamma_reduce_path",
             )
-        sigma = np.linalg.svd(gamma @ frame.F, compute_uv=False).min()
-        h = max(beta * sigma / speed, 1e-12)
+        h = max(step(t), 1e-12)
         while next_knot < len(knots) and knots[next_knot] <= t:
             next_knot += 1
         t2 = min(1.0, t + h)
         if next_knot < len(knots):
             t2 = min(t2, knots[next_knot])
-        frame = path.at(t2)
-        out.append((t2, gamma_reduce(pp, frame, tol)))
+        out.append(t2)
         t = t2
-    refiner = lambda s: gamma_reduce(pp, path.refiner(s), tol)
-    return LagrangianPath(samples=tuple(out), refiner=refiner)
+    return out
 
 
 def _probe_rate(path):

@@ -17,9 +17,11 @@ within the arc radius r of ||U(t) - U(t_j)||_2 of an eigenvalue at t_j:
 balls of that radius around the offsets at t_j block everything the
 piece can reach, and eps_j is the midpoint of the widest gap they leave
 in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
-that is an AmbiguityError.  On a ``GeodesicPath`` r is exact and read off
-the angles each gap carries; elsewhere ``_arc_radius`` says how it is
-read.
+that is an AmbiguityError.  r has three sources (``_Reads``): exact on a
+``GeodesicPath``, read off the angles each gap carries; certified on a
+path that carries its own bound (the reduced path of a geodesic,
+``pairs.gamma_reduce_path``); and elsewhere the chord heuristic, which
+``_arc_radius`` describes.
 
 On a ``GeodesicPath`` det U_t gains exp(i tau sum(theta)) along each gap,
 so the count collapses to the Souriau-Leray determinant lift
@@ -170,12 +172,26 @@ class UnitaryPath:
 
     samples: tuple
     refiner: object = field(default=None, repr=False)
+    # certified arc radius (t0, t1) -> r of a piece, or None (``_Reads``)
+    _radius: object = field(default=None, repr=False)
 
     def __post_init__(self):
         ts = _check_times([t for t, _ in self.samples], "UnitaryPath")
         object.__setattr__(
             self, "samples", tuple(zip(ts.tolist(), _unitaries(self.samples)))
         )
+
+    @classmethod
+    def _exact(cls, samples, refiner=None, radius=None):
+        """Samples unchecked, for the pair unitaries of checked frames on
+        checked times: ``souriau`` bounds each to about 4e-10."""
+        path = object.__new__(cls)
+        path.__dict__.update(
+            samples=tuple((float(t), U) for t, U in samples),
+            refiner=refiner,
+            _radius=radius,
+        )
+        return path
 
     @property
     def dim(self):
@@ -192,12 +208,15 @@ class LagrangianPath:
     ``_geodesic`` is (h, G) on a path built by ``lagrangian_geodesic``:
     its pair unitaries W(h, mu_t) against the horizontal reference h are
     the ``GeodesicPath`` G, and its samples are G's grid, each frame
-    formed when first read.
+    formed when first read.  ``_radius`` is a certified arc radius (t0,
+    t1) -> r of its pair unitaries against any fixed reference, on a
+    path that carries one (``pairs.gamma_reduce_path``).
     """
 
     samples: tuple
     refiner: object = field(default=None, repr=False)
     _geodesic: tuple = field(default=None, repr=False)
+    _radius: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._geodesic is not None:
@@ -778,10 +797,12 @@ class _Reads:
     """What a count reads of a unitary path, keyed by time and formed when
     first read: the unitaries ``mats``, the ``spectra`` and their offsets
     angle(-lambda) (``offsets(t)``).  ``radius(t0, t1)`` is the arc radius
-    of a piece, the one rule that the count and the crossing search share:
-    exact on a ``GeodesicPath``, which forms no unitary for its spectra,
-    and ``_arc_radius`` elsewhere.  It holds no reference to itself, so
-    what it read is freed with the last report that holds it."""
+    of a piece, the one rule that the count and the crossing search share.
+    It has three sources: exact on a ``GeodesicPath``, which forms no
+    unitary for its spectra; certified where the path carries one
+    (``UnitaryPath._radius``, a reduced path's); and the chord heuristic
+    ``_arc_radius`` elsewhere.  It holds no reference to itself, so what
+    it read is freed with the last report that holds it."""
 
     def __init__(self, path, tol):
         self.mats = _Formed(path.at)
@@ -790,12 +811,13 @@ class _Reads:
         self._path = path
         self._tol = tol
         self._exact = isinstance(path, GeodesicPath)
+        self._radius = path.radius if self._exact else path._radius
         if not self._exact:
             self.mats.update(path.samples)
 
     def radius(self, t0, t1):
-        if self._exact:
-            return self._path.radius(t0, t1)
+        if self._radius is not None:
+            return self._radius(t0, t1)
         return _arc_radius(self._path, self.mats, t0, t1, self._tol)
 
     def offsets(self, t):
@@ -810,9 +832,11 @@ class _Reads:
 
 def _arc_radius(path, mats, t0, t1, tol):
     """Arc radius r = 2 arcsin(||U_t1 - U_t0||_2 / 2) of the piece [t0, t1]
-    of a path given by samples and a refiner; a ``GeodesicPath`` (the CLI's
-    refined paths, and the pair unitaries of their Lagrangian paths)
-    carries its exact radius instead.
+    of a path given by samples and a refiner: the heuristic one of the
+    three radius sources.  A ``GeodesicPath`` (the CLI's refined paths,
+    and the pair unitaries of their Lagrangian paths) carries its exact
+    radius instead, and a reduced path of a geodesic its certified one
+    (``pairs.gamma_reduce_path``).
 
     ``mats`` is the count's unitaries (``_Reads.mats``).  The radius is
     exact on a principal-log geodesic, where ||U_t - U_t0||_2 = 2 max_k
@@ -883,13 +907,15 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     when it is read.
 
     Phillips' count (``_phillips``) of the offsets angle(-lambda), from
-    the sampled partition (a ``GeodesicPath``: its grid), with the radius
-    ``_arc_radius`` (a ``GeodesicPath``: its exact ``radius``).  While
-    r <= pi - EPS_CAP no ball around a signed offset wraps past +-pi into
-    the test arc, and U is normal, so by Bauer-Fike a gap between the
-    balls around the offsets at t0 is admissible.  Other pieces are
-    halved; AmbiguityError when that is impossible or refinement runs
-    out.
+    the sampled partition (a ``GeodesicPath``: its grid), with one of
+    three radii (``_Reads``): exact on a ``GeodesicPath`` (its
+    ``radius``), certified where the path carries one (the reduced path
+    of a geodesic, ``pairs.gamma_reduce_path``), else the chord heuristic
+    ``_arc_radius``.  While r <= pi - EPS_CAP no ball around a signed
+    offset wraps past +-pi into the test arc, and U is normal, so by
+    Bauer-Fike a gap between the balls around the offsets at t0 is
+    admissible.  Other pieces are halved; AmbiguityError when that is
+    impossible or refinement runs out.
 
     A ``GeodesicPath`` takes its value from its determinant lift
     (``_lift_value``): its pieces' angles and its two end spectra.  The
@@ -943,7 +969,9 @@ def to_unitary_path(path, lam):
     Latushkin and Sukhtayev, JMAA 451, 2017): its geodesic times the
     constant -souriau(lam, h), again a ``GeodesicPath`` with exact radius,
     and no frame is formed.  Other paths convert sample by sample and
-    through the refiner.
+    through the refiner, carrying the path's certified radius if it has
+    one; the frames are checked, so their pair unitaries are not checked
+    again (``UnitaryPath._exact``).
     """
     if path._geodesic is not None:
         h, geodesic = path._geodesic
@@ -952,7 +980,7 @@ def to_unitary_path(path, lam):
     refiner = None
     if path.refiner is not None:
         refiner = lambda t: souriau(lam, path.refiner(t))
-    return UnitaryPath(samples=usamples, refiner=refiner)
+    return UnitaryPath._exact(usamples, refiner, path._radius)
 
 
 def maslov(path, lam, tol=DEFAULT_TOL):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from masidx import (
+    ValidationError,
     cli,
     crossings,
     haar_unitary,
@@ -20,6 +21,7 @@ from masidx import (
     paths,
     souriau,
     standard_space,
+    verify_coincidence,
     vertical_frame,
 )
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     ladder_body,
     ladder_flow,
     random_structure_space,
+    rotation_problem,
     spinner_crossings,
     spinner_expected,
     spinner_path,
@@ -835,6 +838,57 @@ def test_refined_unitary_path_checks_every_node(tmp_path, capsys):
     assert code == 2
     assert out == {"reason": "sample at t=1.0 not unitary",
                    "where": "UnitaryPath"}
+
+
+def test_pair_unitaries_of_checked_frames_are_not_checked_again(
+        tmp_path, capsys, monkeypatch):
+    """``souriau`` bounds the pair unitary of two checked frames to about
+    4e-10, so a sampled Lagrangian path converts with no second check:
+    ``verify_coincidence`` and a refined ``reduce`` check no pair unitary
+    (41 and 101 were).  Unitaries a caller supplies are still checked."""
+    checked = _recorded(monkeypatch, "_unitaries", paths)
+    assert verify_coincidence(rotation_problem())["equal"]
+    case = _golden_case("reduce")
+    code, _, _ = _run(tmp_path, capsys, "reduce", case["input"],
+                      *case["args"])
+    assert code == 0
+    assert checked == []
+    with pytest.raises(ValidationError, match="not unitary"):
+        paths.unitary_path([(0.0, np.eye(2)), (1.0, 2.0 * np.eye(2))])
+
+
+def test_reduce_counts_on_the_certified_radius(tmp_path, capsys,
+                                               monkeypatch):
+    """A refined ``reduce`` marches on the exact frame speed of its
+    geodesic and counts the reduced path with the march's certified
+    radius: no rate probe, no chord radius, and one SVD of Gamma F(t) per
+    time the count reads, save t = 1, where no piece starts."""
+
+    def refuse(*args):
+        raise AssertionError("heuristic route taken")
+
+    monkeypatch.setattr(pairs, "_probe_rate", refuse)
+    monkeypatch.setattr(paths, "_arc_radius", refuse)
+    case = _golden_case("reduce")
+    n = case["input"]["n_small"]
+    sigmas = []
+    svd = np.linalg.svd
+
+    def svd_recorded(a, *args, **kwargs):
+        if np.shape(a) == (2 * n, n):
+            sigmas.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_recorded)
+    reports = _recorded(monkeypatch, "maslov", cli)
+    code, out, _ = _run(tmp_path, capsys, "reduce", case["input"],
+                        *case["args"])
+    assert code == 0
+    (_, big), (_, small) = reports
+    assert small.value == big.value == out["value"]
+    marched = [row["t"] for row in out["reduced_path"]]
+    assert set(marched) <= set(small.partition.tolist())
+    assert len(sigmas) == len(small.partition) - 1
 
 
 def _source(tmp_path, data):

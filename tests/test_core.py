@@ -88,6 +88,26 @@ def test_compatible_structure_gram_orientation(rng):
     np.testing.assert_allclose(sp.gram, Omega.T, atol=1e-12)
 
 
+def test_compatible_structure_passes_its_own_space_check():
+    """J is the orthogonal polar factor U V^T of Omega = U Sigma V^T, so
+    J^2 = -Id holds to rounding: every ``random_structure_space`` form
+    (seeds 0-99, n in {1, 2, 3, 4, 8, 16}) builds a space, with J^T G =
+    Omega^T to 1e-14 relative.  J = G^{-1} Omega, with G from an eigh of
+    Omega^T Omega, missed J^2 = -Id by cond(Omega)^2 eps and refused 26."""
+    for draw in range(100):
+        for n in (1, 2, 3, 4, 8, 16):
+            rng = np.random.default_rng(draw)
+            while True:
+                M = rng.standard_normal((2 * n, 2 * n))
+                Omega = M - M.T
+                if np.linalg.svd(Omega, compute_uv=False).min() > 1e-3:
+                    break
+            sp = compatible_structure(Omega)
+            assert np.linalg.norm(sp.J.T @ sp.G - Omega.T, 2) <= (
+                1e-14 * np.linalg.norm(Omega, 2)
+            )
+
+
 def test_compatible_structure_rejects_bad_forms(rng):
     with pytest.raises(ValidationError):
         compatible_structure(rng.standard_normal((4, 4)))
@@ -211,7 +231,7 @@ def test_one_residual_covers_the_deleted_checks(n, general, scale, draw):
     with Q = [F, JF]); on the standard space ||J - JP - PJ||_2 = ||R||_2.
     Frames that fail have a residual above the bound."""
     rng = np.random.default_rng(draw)
-    sp = _structure_space(n, rng) if general else standard_space(n)
+    sp = random_structure_space(n, rng) if general else standard_space(n)
     F0 = random_lagrangian(sp, rng).F
     E = rng.standard_normal(F0.shape)
     # the part of R linear in E, so that R(F0 + d E) is about d ||L||_2
@@ -258,7 +278,7 @@ def test_exact_builders_keep_the_residual(n, general, monkeypatch):
     general space also carry the rounding of its congruence, which
     ``pull_frame`` checks and which grows with cond(G)."""
     rng = np.random.default_rng(20261019 + n)
-    sp = _structure_space(n, rng) if general else standard_space(n)
+    sp = random_structure_space(n, rng) if general else standard_space(n)
     frames = [random_lagrangian(sp, rng) for _ in range(3)]
     model = [f._standard for f in frames]
     grid = np.linspace(0.0, 1.0, 9)
@@ -274,16 +294,6 @@ def test_exact_builders_keep_the_residual(n, general, monkeypatch):
             assert _frame_residual(f.space, f.F) <= limit
         assert checked == [] or not standard
         monkeypatch.undo()
-
-
-def _structure_space(n, rng):
-    """``random_structure_space``, drawn again when the polar split of the
-    form misses J^2 = -Id by more than the space check allows."""
-    while True:
-        try:
-            return random_structure_space(n, rng)
-        except ValidationError:
-            pass
 
 
 def test_j_image_of_horizontal_is_vertical():

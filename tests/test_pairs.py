@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, null_space
 
 from masidx import (
@@ -28,6 +30,7 @@ from masidx import (
     lagrangian_path_from_function,
     maslov,
     pair_maslov,
+    pairs,
     polarized_pair,
     random_lagrangian,
     random_symmetric,
@@ -41,9 +44,11 @@ from masidx import (
 from conftest import (
     random_spinner,
     random_structure_space,
+    random_unitary_curve,
     rotating_block_loop,
     spinner_expected,
     spinner_path,
+    transversal_pair,
 )
 from oracles import boxed_pair_maslov, kernel_reduce
 
@@ -517,3 +522,54 @@ def test_reduction_survives_bad_conditioning(rng):
         reduced = gamma_reduce_path(pp, path)
         assert maslov(path, pp.lam_minus).value == expected
         assert maslov(reduced, pp.ell_minus).value == expected
+
+
+def _reduced_spectra(pp, path, times):
+    """Spectra of the pair unitaries W(ell_minus, span Gamma F(t)) at
+    ``times``, from a QR of Gamma F(t) and the closed form
+    -(U U^T) conj(U_ell U_ell^T), U = X + iY, on the standard model."""
+    n = pp.small.n
+    A = np.stack([pp._gamma @ path.at(t).F for t in times])
+    Q = np.linalg.qr(A)[0]
+    U = Q[:, :n] + 1j * Q[:, n:]
+    ell = pp.ell_minus.F[:n] + 1j * pp.ell_minus.F[n:]
+    W = -(U @ np.swapaxes(U, 1, 2)) @ np.conj(ell @ ell.T)
+    return np.linalg.eigvals(W)
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_certified_radius_holds_on_every_marched_piece(n, coordinate, draw):
+    """The reduced path of a ``lagrangian_geodesic`` carries the march's
+    certified radius r(t0, t): at 8 interior points t of every marched
+    piece [t0, t1], each eigenvalue of the small pair unitary lies within
+    the arc r(t0, t) of spec(t0), and r(t0, t1) <= ``_STEP_ARC`` up to
+    the rounding of t1 - t0.  The weights i_plus are log-uniform in
+    [0.02, 50], on coordinate or random transversal polarizations."""
+    rng = np.random.default_rng(draw)
+    B, H = standard_space(n), standard_space(n)
+    scales = np.exp(rng.uniform(np.log(0.02), np.log(50.0), n))
+    if coordinate:
+        pp = coordinate_pair(n, scales)
+    else:
+        pp = polarized_pair(
+            *transversal_pair(B, rng), *transversal_pair(H, rng), scales
+        )
+    curve, _ = random_unitary_curve(B, rng, num=5, max_rate=3.0)
+    ts, frames = (list(x) for x in zip(*curve.samples))
+    path = cli._lagrangian_path(ts, frames, 2, DEFAULT_TOL)
+    reduced = gamma_reduce_path(pp, path)
+    assert reduced._radius is not None
+    marched = np.array([t for t, _ in reduced.samples])
+    t0, t1 = marched[:-1], marched[1:]
+    inner = t0[:, None] + (t1 - t0)[:, None] * np.arange(1, 9) / 9.0
+    spec0 = _reduced_spectra(pp, path, t0)
+    spec = _reduced_spectra(pp, path, inner.ravel()).reshape(*inner.shape, n)
+    arcs = np.abs(np.angle(spec[..., :, None] / spec0[:, None, None, :]))
+    moved = arcs.min(axis=-1).max(axis=-1)
+    radii = np.array([[reduced._radius(a, t) for t in row]
+                      for a, row in zip(t0, inner)])
+    assert (moved <= radii + 1e-9).all()
+    ends = [reduced._radius(a, b) for a, b in zip(t0, t1)]
+    assert max(ends) <= pairs._STEP_ARC + 1e-9
