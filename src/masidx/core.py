@@ -102,6 +102,9 @@ DEFAULT_TOL = Tolerances()
 # a span keep: fixed invariants, not tolerances (no profile moves them).
 _FRAME_RESIDUAL = 1e-10
 _SPAN_ISOTROPY = 1e-8
+# Relative margin by which a Frobenius norm must clear a bound before it
+# stands in for the spectral norm (``_norm2_exceeds``).
+_FROBENIUS_MARGIN = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -113,12 +116,16 @@ def _norm2_exceeds(X, bound):
     """``np.linalg.norm(X, 2) > bound``, skipping the SVD when it can.
 
     ||X||_2 <= ||X||_F, so a Frobenius norm below the bound already proves
-    the check passes.  The relative margin of 1e-8 keeps rounding in the
-    two norms from letting the shortcut answer differently from the SVD,
-    and bounds below 1e-140 always go to the SVD: squares of entries that
-    small underflow, so the Frobenius norm can come out below ||X||_2.
+    the check passes.  The relative margin ``_FROBENIUS_MARGIN`` keeps
+    rounding in the two norms from letting the shortcut answer
+    differently from the SVD, and bounds below 1e-140 always go to the
+    SVD: squares of entries that small underflow, so the Frobenius norm
+    can come out below ||X||_2.
     """
-    if bound >= 1e-140 and np.linalg.norm(X) * (1.0 + 1e-8) <= bound:
+    if (
+        bound >= 1e-140
+        and np.linalg.norm(X) * (1.0 + _FROBENIUS_MARGIN) <= bound
+    ):
         return False
     return bool(np.linalg.norm(X, 2) > bound)
 

@@ -588,7 +588,8 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
     With U_i = X_i + iY_i of the standardized node frames, W(h, mu_i) =
     -U_i U_i^T, and each gap is diagonalized by one real orthogonal matrix
     (``_lagrangian_piece``), so its frames are written down directly
-    (``_geodesic_frame``), each formed when first read.  The path's
+    (``_geodesic_frame``), each formed when first read; ``samples``, ``at``
+    and ``refiner`` share the frames of the grid times.  The path's
     ``_geodesic`` is (h, G), G the ``GeodesicPath`` of its pair unitaries
     against h, which ``to_unitary_path`` converts with no frame.  h is
     the horizontal frame of the standard model pulled back, since that of
@@ -613,11 +614,18 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
         (_lagrangian_piece(a, b, tol) for a, b in zip(us, us[1:])),
     )
 
-    def refiner(t):
+    def frame_at(t):
         return _geodesic_frame(std, *geodesic._locate(t))
 
+    formed = _Formed(frame_at)
+    grid_times = frozenset(geodesic.grid)
+
+    def refiner(t):
+        # a grid time reads the frame its sample holds
+        return formed[t] if t in grid_times else frame_at(t)
+
     return LagrangianPath(
-        samples=_GridSamples(geodesic.grid, _Formed(refiner).__getitem__),
+        samples=_GridSamples(geodesic.grid, formed.__getitem__),
         refiner=refiner,
         _geodesic=(std.pull_frame(horizontal_frame(std.target)), geodesic),
     )
@@ -701,10 +709,20 @@ def _test_value(blocked, tol):
     """Admissible test value for one subinterval, or None.
 
     ``blocked`` lists the closed offset intervals that the spectrum may
-    sweep on the subinterval.  Each is clamped to [0, EPS_CAP]; one that
-    clamps to nothing or to {0} blocks nothing.  The test value is the
-    midpoint of the widest free gap in (0, EPS_CAP], and None when the
+    sweep on the subinterval.  The test value is the midpoint of the
+    widest free gap in (0, EPS_CAP] (``_widest_gap``), and None when the
     clearance (half its width) is below ``tol.clearance``.
+    """
+    width, lo, hi = _widest_gap(blocked)
+    if width <= 0.0 or width / 2.0 < tol.clearance:
+        return None
+    return (lo + hi) / 2.0
+
+
+def _widest_gap(blocked):
+    """(width, lo, hi) of the widest gap that the closed intervals
+    ``blocked`` leave free in (0, EPS_CAP].  Each is clamped to
+    [0, EPS_CAP]; one that clamps to nothing or to {0} blocks nothing.
     """
     gaps = []
     cursor = 0.0
@@ -717,10 +735,7 @@ def _test_value(blocked, tol):
             gaps.append((lo - cursor, cursor, lo))
         cursor = max(cursor, hi)
     gaps.append((EPS_CAP - cursor, cursor, EPS_CAP))
-    width, lo, hi = max(gaps)
-    if width <= 0.0 or width / 2.0 < tol.clearance:
-        return None
-    return (lo + hi) / 2.0
+    return max(gaps)
 
 
 def _free_value(values, r, tol):

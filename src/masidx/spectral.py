@@ -15,18 +15,22 @@ positive path: its crossing form is the L^2 norm of the eigenfunction.
 ``_count_roots`` counts it with a chord radius read at the ends of a
 piece, a heuristic on this path, and keeps the pieces that count
 isolates: brackets of one simple root, and points of multiplicity k
-(``_Spectrum``).  The flow through 0 as t sweeps [0, 1] reads those
-brackets and never locates a root: how many lie in [0, eps] costs one
-determinant sign at each end of the arc that a bracket straddles.  Two
-family members differ by the bounded symmetric multiplication
-C_t - C_t', so no eigenvalue moves farther than ||C_t - C_t'||_2 (Weyl):
-balls of a piece's radius around the brackets at its start block all
-the spectrum the piece can reach, and no eigenvalue is matched across
-samples.  Only ``eigenvalues_near`` and ``eigenvalue_trace`` locate the
-roots, by ``brentq`` on the brackets.  The coincidence theorem equates
-the flow with the index of the Cauchy-data path in the doubled space
-against lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both
-sides.
+(``_Spectrum``).  Each s-grid is shot in one stacked ``expm`` call,
+every flow of the stack passing the symplectic check (``_flows``, the
+one route of every shot), and the chords of its pieces come from one
+stacked ``eigvalsh``.  The flow
+through 0 as t sweeps [0, 1] reads those brackets and never locates a
+root: how many lie in [0, eps] costs one determinant sign at each end of
+the arc that a bracket straddles.  Two family members differ by the
+bounded symmetric multiplication C_t - C_t', so no eigenvalue moves
+farther than ||C_t - C_t'||_2 (Weyl): balls of a piece's radius around
+the brackets at its start block all the spectrum the piece can reach,
+and no eigenvalue is matched across samples.  The window-edge guard
+counts one piece of a few ``flow_guard`` around each edge.  Only
+``eigenvalues_near`` and ``eigenvalue_trace`` locate the roots, by
+``brentq`` on the brackets.  The coincidence theorem equates the flow
+with the index of the Cauchy-data path in the doubled space against
+lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +41,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from .core import (
+    _FROBENIUS_MARGIN,
     DEFAULT_TOL,
     _norm2_exceeds,
     box_space,
@@ -53,6 +58,7 @@ from .paths import (
     _Formed,
     _phillips,
     _test_value,
+    _widest_gap,
     maslov,
 )
 
@@ -79,11 +85,6 @@ _REACH = 0.5
 # The shooting path's eigenphases turn 2 rad per unit s on a ladder, so a
 # piece of this width has chord 2 sin(0.25) < _END_CHORD there.
 _GRID = 0.25
-# A bracket narrower than this share of a piece's radius r widens its
-# ball by at most r / 4; past that, halving the time piece shrinks the
-# balls faster than halving brackets, so this is a fixed rate of the
-# search, not a threshold an answer depends on.
-_NARROW = 0.25
 # Shortest time piece the flow count halves to.  A fixed floor of the
 # search, not a tolerance: a piece this short with no free test value is
 # a tangential crossing under every tolerance profile.
@@ -91,6 +92,17 @@ _FLOW_MIN_PIECE = 1e-9
 # Most time samples one flow count may take: a bound on its work, like
 # paths.MAX_SAMPLES, which no tolerance profile should move.
 _FLOW_MAX_SAMPLES = 5000
+# The window-edge guard counts on (edge - _GUARD_SPAN guard, edge +
+# _GUARD_SPAN guard], one shooting piece that holds the guarded interval.
+_GUARD_SPAN = 2.0
+# Bounds of the problem's own checks, fixed invariants and not tolerances
+# (no profile moves them): the symmetry of B and C_t and the
+# anticommutation of B with JJ, relative to max(1, ||B||_2) or
+# max(1, ||C_t||_2), and the symplectic residual of every shot Phi,
+# relative to max(1, ||Phi||_2^2).
+_SYMMETRY = 1e-10
+_ANTICOMMUTATION = 1e-9
+_SYMPLECTIC = 1e-9
 
 
 @lru_cache(maxsize=8)
@@ -164,10 +176,10 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     B = np.asarray(B, dtype=float)
     if B.shape != (m, m):
         raise ValidationError("B has wrong shape", where="boundary_problem")
-    if _exceeds(B - B.T, 1e-10, B):
+    if _exceeds(B - B.T, _SYMMETRY, B):
         raise ValidationError("B not symmetric", where="boundary_problem")
     jj = _jj(N)
-    if _exceeds(jj @ B + B @ jj, 1e-9, B):
+    if _exceeds(jj @ B + B @ jj, _ANTICOMMUTATION, B):
         raise ValidationError(
             "B must anticommute with the structure matrix "
             "(otherwise the flow is not symplectic)",
@@ -181,7 +193,7 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
             raise ValidationError(
                 "C has wrong shape", where="boundary_problem"
             )
-        if _exceeds(C - C.T, 1e-10, C):
+        if _exceeds(C - C.T, _SYMMETRY, C):
             raise ValidationError("C not symmetric", where="boundary_problem")
         cs.append(C)
     space = standard_space(N)
@@ -205,23 +217,44 @@ def _generator(B, C):
     return -B + jj @ np.asarray(C, dtype=float), jj
 
 
-def _flow(gen, jj, s):
-    """expm(gen - s JJ), checked symplectic for the JJ-form to 1e-9.
+def _check_symplectic(Phi, res):
+    """ValidationError unless the residual ``res`` = Phi^T JJ Phi - JJ of
+    a flow Phi has ||res||_2 at most ``_SYMPLECTIC`` max(1, ||Phi||_2^2).
 
     The check runs on every flow: it is the only validation of C_t
-    values from ``c_func``.
+    values from ``c_func``.  A residual that is not finite (a NaN in
+    C_t, or a flow that overflows) fails it.
     """
-    Phi = expm(gen - s * jj)
-    if _exceeds(Phi.T @ jj @ Phi - jj, 1e-9, Phi, power=2):
+    if not np.isfinite(res).all() or _exceeds(
+        res, _SYMPLECTIC, Phi, power=2
+    ):
         raise ValidationError(
             "flow not symplectic (check B, C)", where="fundamental_solution"
         )
+
+
+def _flows(gen, jj, ss):
+    """expm(gen - s JJ) for every s in ``ss``, one stacked call, each
+    flow checked symplectic for the JJ-form by ``_check_symplectic``.
+
+    scipy's ``expm`` exponentiates a stack slice by slice, so each flow
+    is bitwise the one a call on it alone gives.  The residuals'
+    Frobenius norms clear the stack at once (||X||_2 <= ||X||_F, with
+    the margin of ``core._norm2_exceeds``); every residual they do not
+    clear, a non-finite one too, takes the exact test.
+    """
+    Phi = expm(gen[None] - np.asarray(ss, dtype=float)[:, None, None] * jj)
+    res = np.swapaxes(Phi, 1, 2) @ jj @ Phi - jj
+    cleared = np.linalg.norm(res, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
+    for k in np.flatnonzero(~(cleared <= _SYMPLECTIC)):
+        _check_symplectic(Phi[k], res[k])
     return Phi
 
 
 def fundamental_solution(B, C, s):
-    """expm(-B + JJ C - s JJ); symplectic for the JJ-form to 1e-9."""
-    return _flow(*_generator(B, C), s)
+    """expm(-B + JJ C - s JJ); symplectic for the JJ-form to
+    ``_SYMPLECTIC``."""
+    return _flows(*_generator(B, C), [s])[0]
 
 
 # --------------------------------------------------------------------------
@@ -238,34 +271,58 @@ class _Shooter:
     U1 the unitary of lambda1.  With F = F_o R, F_o orthonormal with
     unitary U, Z conj(Z)^-1 = U U^T = Z (F^T F)^-1 Z^T: the first form has
     the condition number of F, the last its square.  s is an eigenvalue
-    iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.
+    iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.  Per piece
+    (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.
     """
 
     def __init__(self, bp, t):
         gen, jj = _generator(bp.B, bp.c_at(t))
+
+        def shoot(ss):
+            """The frames Phi_s lambda0 for the s in ``ss``."""
+            return _flows(gen, jj, ss) @ bp.lambda0
+
+        self._shoot = shoot
         self._lambda1 = lambda1 = bp.lambda1
         self._n = n = bp.N
         U1 = lambda1[:n] + 1j * lambda1[n:]
         self._conj1 = np.conj(U1 @ U1.T)
-        self._frames = _Formed(lambda s: _flow(gen, jj, s) @ bp.lambda0)
+        self._frames = _Formed(lambda s: shoot([s])[0])
         self._dets = {}
         self._pairs = {}
         self._offsets = {}
+        self._chords = {}
 
     def read(self, ss):
-        """Form the pair unitaries, offsets and determinants at the s in
-        ``ss`` not read yet: one call on the stack of them for each kind,
-        which for these small matrices costs little more than one call."""
-        ss = [s for s in ss if s not in self._pairs]
-        if not ss:
-            return
-        F = np.array([self._frames[s] for s in ss])
-        n = self._n
-        ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
-        W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2) @ self._conj1
-        self._pairs.update(zip(ss, W))
-        self._offsets.update(zip(ss, np.angle(-np.linalg.eigvals(W))))
-        self._dets.update(zip(ss, self._stacked_dets(F)))
+        """Read the s in ``ss`` and the pieces between neighbours in it.
+
+        The s not shot yet are shot in one stacked ``_flows`` call, and
+        those not read yet get their pair unitaries, offsets and
+        determinants, one call on the stack for each kind; the pieces
+        with no chord yet get theirs from one stacked ``eigvalsh``.  Each
+        value is bitwise the one a single read gives, and for these small
+        matrices a stacked call costs little more than one.
+        """
+        new = [s for s in ss if s not in self._pairs]
+        if new:
+            shots = [s for s in new if s not in self._frames]
+            if shots:
+                self._frames.update(zip(shots, self._shoot(shots)))
+            F = np.array([self._frames[s] for s in new])
+            n = self._n
+            ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
+            W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2)
+            W = W @ self._conj1
+            self._pairs.update(zip(new, W))
+            self._offsets.update(zip(new, np.angle(-np.linalg.eigvals(W))))
+            self._dets.update(zip(new, self._stacked_dets(F)))
+        pieces = [p for p in zip(ss, ss[1:]) if p not in self._chords]
+        if pieces:
+            D = np.array([self._pairs[b] - self._pairs[a] for a, b in pieces])
+            DD = np.swapaxes(D.conj(), 1, 2) @ D
+            self._chords.update(
+                zip(pieces, np.sqrt(np.linalg.eigvalsh(DD)[:, -1]))
+            )
 
     def _stacked_dets(self, F):
         """det[F_k, lambda1] for a stack of frames F_k, as floats."""
@@ -278,7 +335,8 @@ class _Shooter:
         return self._dets[s]
 
     def offsets(self, s):
-        self.read([s])
+        if s not in self._offsets:
+            self.read([s])
         return self._offsets[s]
 
     def radius(self, s0, s1):
@@ -287,11 +345,12 @@ class _Shooter:
         piece is halved.  A heuristic read at the ends: nearly whole turns
         inside go unseen here (``_count_roots`` checks the determinant's
         sign).  At ladder speed, 2 rad per unit s, a ``_GRID`` piece turns
-        by at most 0.5.
+        by at most 0.5.  The chord of a piece that ``read`` saw comes
+        from its stack; only a piece that a split inserts is read here.
         """
-        self.read([s0, s1])
-        D = self._pairs[s1] - self._pairs[s0]
-        c = np.sqrt(np.linalg.eigvalsh(D.conj().T @ D)[-1])
+        if (s0, s1) not in self._chords:
+            self.read([s0, s1])
+        c = self._chords[s0, s1]
         if c > _END_CHORD:
             return np.inf
         return 2.0 * np.arcsin(c / 2.0)
@@ -397,25 +456,36 @@ class _Spectrum:
 
     def test_value(self, r, tol):
         """``paths._test_value`` of the balls of radius r around the
-        spectrum, (s0 - r, s1 + r) around a bracket.  While none is free,
-        the widest bracket whose ball meets [0, EPS_CAP] is halved, down
-        to max(``_NARROW`` r, ``tol.clearance``)."""
+        spectrum, (s0 - r, s1 + r) around a bracket.
+
+        While none is free, the bracket whose ball closes the widest gap
+        is halved.  Shrunk to its root, a bracket's ball still covers its
+        core (s1 - r, s0 + r), so the widest gap (x, y) that the cores and
+        the points' balls leave is the most halving can free; the widest
+        bracket whose ball meets (x, y) is halved, while it is wider than
+        ``tol.clearance``.  None when (x, y) is too narrow for a test
+        value or no such bracket is left: the piece is then split in time.
+        """
+        points = [(a - r, a + r) for a in self.points]
         while True:
             eps = _test_value(
-                [(s0 - r, s1 + r) for s0, s1 in self.brackets]
-                + [(a - r, a + r) for a in self.points],
-                tol,
+                [(s0 - r, s1 + r) for s0, s1 in self.brackets] + points, tol
             )
             if eps is not None:
                 return eps
-            near = [
-                b for b in self.brackets if b[1] > -r and b[0] < EPS_CAP + r
+            width, x, y = _widest_gap(
+                [(s1 - r, s0 + r) for s0, s1 in self.brackets] + points
+            )
+            closing = [
+                b
+                for b in self.brackets
+                if b[1] - b[0] > tol.clearance
+                and b[0] - r < y
+                and b[1] + r > x
             ]
-            if not near:
+            if width < 2.0 * tol.clearance or not closing:
                 return None
-            b = max(near, key=lambda b: b[1] - b[0])
-            if b[1] - b[0] <= max(_NARROW * r, tol.clearance):
-                return None
+            b = max(closing, key=lambda b: b[1] - b[0])
             m = 0.5 * (b[0] + b[1])
             if self._side(b, m) > 0:
                 b[0] = m
@@ -477,6 +547,20 @@ def _radius(bp, t0, t1):
     )
 
 
+def _guard_spectrum(bp, t, edge, tol):
+    """The spectrum that the window-edge guard counts: on (edge - span,
+    edge + span] with span ``_GUARD_SPAN`` ``tol.flow_guard``, one piece
+    of two shots.  When the float spacing at ``edge`` swallows that
+    interval, on (edge - 0.5, edge + 0.5], as far as the spacing lets it
+    resolve: a grid that has fewer than two distinct points, or flows too
+    far out to pass the symplectic check, raises ValidationError there.
+    """
+    span = _GUARD_SPAN * tol.flow_guard
+    if not edge - span < edge + span:
+        span = 0.5
+    return _Spectrum(bp, t, edge - span, edge + span, tol)
+
+
 def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
@@ -494,7 +578,9 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
     the brackets at t0 choose the test value, narrowed by halving only
     when they leave none free, and the counts at both ends are read from
     determinant signs.  The window-edge guard counts the brackets of
-    (edge - 0.5, edge + 0.5] inside (edge - guard, edge + guard).
+    (edge - 2 guard, edge + 2 guard], one piece, inside (edge - guard,
+    edge + guard); only where the float spacing at the edge swallows that
+    interval does it shoot the 0.5 grid (``_guard_spectrum``).
     """
     spectra = {}
 
@@ -509,9 +595,8 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
         spec(t_end)
         for edge in (-window, window):
             try:
-                near = _Spectrum(bp, t_end, edge - 0.5, edge + 0.5, tol)
                 # the open interval (edge - guard, edge + guard)
-                guarded = near.count(
+                guarded = _guard_spectrum(bp, t_end, edge, tol).count(
                     np.nextafter(edge - tol.flow_guard, np.inf),
                     np.nextafter(edge + tol.flow_guard, -np.inf),
                 )

@@ -38,7 +38,7 @@ from conftest import (
     spinner_expected,
     spinner_path,
 )
-from masidx import PreconditionError, cli
+from masidx import PreconditionError, cli, paths
 from masidx.paths import (
     _PENCIL,
     EPS_CAP,
@@ -726,3 +726,31 @@ def test_lagrangian_geodesic_splits_pencil_clusters(phi):
     )
     _, _, frame_at = schur_lagrangian_route(ts, frames, grid)
     _assert_same_frames(path, frame_at, grid + [0.1, 0.6], 1e-12)
+
+
+def test_geodesic_samples_and_at_share_their_frames(rng, monkeypatch):
+    """A ``lagrangian_geodesic`` forms each grid frame once, whether
+    ``samples``, ``at`` or ``refiner`` reads it: reading every sample and
+    then ``at`` at the 9 grid times of a 5-node path forms 9 frames, and
+    a time between grid points forms its own."""
+    space = standard_space(2)
+    ts = np.linspace(0.0, 1.0, 5).tolist()
+    frames = [random_lagrangian(space, rng) for _ in ts]
+    grid = cli._segment_times(ts, 2)
+    path = lagrangian_geodesic(ts, frames, grid)
+    formed = []
+    original = paths._geodesic_frame
+
+    def counting(*args):
+        formed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(paths, "_geodesic_frame", counting)
+    samples = list(path.samples)
+    assert len(samples) == len(grid) == 9
+    for t, frame in samples:
+        assert path.at(t) is frame
+        assert path.refiner(t) is frame
+    assert len(formed) == 9
+    path.at(0.3)
+    assert len(formed) == 10

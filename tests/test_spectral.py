@@ -28,6 +28,7 @@ from masidx import (
     standard_space,
     verify_coincidence,
 )
+from masidx.paths import _phillips
 from conftest import (
     ladder_flow,
     ladder_problem,
@@ -149,11 +150,17 @@ def _passes_two_svd_check(B, C, s):
     return bool(res <= 1e-9 * max(1.0, np.linalg.norm(Phi, 2) ** 2))
 
 
-def _raises_not_symplectic(B, C, s):
+def _raises_not_symplectic(B, C, s, stacked=False):
+    """Whether the flow at s fails the check, shot alone or, ``stacked``,
+    as the last of a stack of three."""
     try:
-        fundamental_solution(B, C, s)
+        if stacked:
+            spectral._flows(*spectral._generator(B, C), [s - 1.0, 0.0, s])
+        else:
+            fundamental_solution(B, C, s)
     except ValidationError as exc:
         assert exc.reason == "flow not symplectic (check B, C)"
+        assert exc.where == "fundamental_solution"
         return True
     return False
 
@@ -168,7 +175,8 @@ def _raises_not_symplectic(B, C, s):
     st.floats(-3.0, 3.0),
 )
 def test_symplectic_check_decides_like_two_svds(N, draw, scale, skew, s):
-    """Frobenius first, exact fallback: the same decision as two SVDs.
+    """Frobenius first, exact fallback: the same decision as two SVDs,
+    for a flow shot alone and for one shot in a stack.
 
     Admissible B up to a large norm (flows far from orthogonal), and C
     symmetric up to a skew part of size ``skew``, which puts the residual
@@ -179,8 +187,11 @@ def test_symplectic_check_decides_like_two_svds(N, draw, scale, skew, s):
     K = rng.standard_normal((2 * N, 2 * N))
     C = random_symmetric(2 * N, rng, 1.0) + skew * (K - K.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _raises_not_symplectic(B, C, s) != _passes_two_svd_check(
-            B, C, s
+        passes = _passes_two_svd_check(B, C, s)
+        others = all(_passes_two_svd_check(B, C, x) for x in (s - 1.0, 0.0))
+        assert _raises_not_symplectic(B, C, s) != passes
+        assert _raises_not_symplectic(B, C, s, stacked=True) != (
+            passes and others
         )
 
 
@@ -202,6 +213,108 @@ def test_large_flow_passes_through_the_exact_fallback():
     assert np.linalg.norm(Phi, 2) > 1e5
     assert np.linalg.norm(Phi.T @ jj @ Phi - jj, 2) > 1e-7
     assert _passes_two_svd_check(B, C, 0.3)
+
+
+def _single_reads(bp, t, ss):
+    """Frames, determinants, offsets and piece chords of the shooting path
+    at t, each formed on its own from ``fundamental_solution``."""
+    n = bp.N
+    U1 = bp.lambda1[:n] + 1j * bp.lambda1[n:]
+    conj1 = np.conj(U1 @ U1.T)
+    frames, dets, offsets, pairs = [], [], [], []
+    for s in ss:
+        F = fundamental_solution(bp.B, bp.c_at(t), s) @ bp.lambda0
+        ZT = (F[:n] + 1j * F[n:]).T
+        W = -np.linalg.solve(ZT.conj(), ZT).T @ conj1
+        frames.append(F)
+        dets.append(np.linalg.det(np.hstack([F, bp.lambda1])))
+        offsets.append(np.angle(-np.linalg.eigvals(W)))
+        pairs.append(W)
+    chords = []
+    for W0, W1 in zip(pairs, pairs[1:]):
+        D = W1 - W0
+        chords.append(np.sqrt(np.linalg.eigvalsh(D.conj().T @ D)[-1]))
+    return frames, dets, offsets, chords
+
+
+def test_stacked_reads_are_single_reads_bitwise(rng):
+    """``_Shooter.read`` shoots a grid in one stacked call; every frame,
+    determinant, offset and piece chord equals the one formed alone."""
+    problems = [
+        rotation_problem(),
+        random_boundary_family(2, rng, samples=20),
+        random_boundary_family(3, rng, samples=20),
+        ladder_problem((0.1, 0.2, 0.3, 1.2), (1.0, -2.0, 0.5, 3.0)),
+    ]
+    ss = np.linspace(-0.55, 1.55, 10).tolist()
+    for bp in problems:
+        for t in (0.0, 0.3, 1.0):
+            shoot = spectral._Shooter(bp, t)
+            shoot.read(ss)
+            frames, dets, offsets, chords = _single_reads(bp, t, ss)
+            for k, s in enumerate(ss):
+                np.testing.assert_array_equal(shoot._frames[s], frames[k])
+                assert shoot.det(s) == dets[k]
+                np.testing.assert_array_equal(shoot.offsets(s), offsets[k])
+            for k, piece in enumerate(zip(ss, ss[1:])):
+                assert shoot._chords[piece] == chords[k]
+
+
+def test_a_non_symplectic_family_fails_a_stacked_shot(monkeypatch):
+    """C_t of a ``c_func`` family is checked only by the flows shot at t:
+    a skew part inside [0, 1] fails the check on a stacked grid with the
+    error of a single flow."""
+    N = 1
+    lam = np.array([[1.0], [0.0]])
+    K = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def c_func(t):
+        return 3.0 * t * np.eye(2) + 4.0 * t * (1.0 - t) * K
+
+    bp = boundary_problem(
+        N, np.zeros((2, 2)), [(t, c_func(t)) for t in (0.0, 1.0)], lam, lam,
+        c_func=c_func,
+    )
+    stacks = []
+
+    def counted(A):
+        stacks.append(len(A) if A.ndim == 3 else 1)
+        return expm(A)
+
+    monkeypatch.setattr(spectral, "expm", counted)
+    for call in (
+        lambda: eigenvalues_near(bp, 0.5, -0.55, 1.55),
+        lambda: spectral_flow(bp),
+    ):
+        stacks.clear()
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.reason == "flow not symplectic (check B, C)"
+        assert info.value.where == "fundamental_solution"
+        assert stacks[-1] > 1
+
+
+def test_a_non_finite_flow_fails_the_check_stacked_or_alone():
+    """A flow that is not finite, from a NaN in C_t or from an admissible
+    B large enough to overflow ``expm``, fails the symplectic check, shot
+    alone or anywhere in a stack, where no norm can clear it."""
+    z = np.zeros((2, 2))
+    nan_c = np.full((2, 2), np.nan)
+    huge_b = 1e3 * np.array([[0.6, 0.8], [0.8, -0.6]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for B, C in ((z, nan_c), (huge_b, z)):
+            assert _raises_not_symplectic(B, C, 0.3)
+            assert _raises_not_symplectic(B, C, 0.3, stacked=True)
+
+        lam = np.array([[1.0], [0.0]])
+        bp = boundary_problem(
+            1, z, [(0.0, z), (1.0, z)], lam, lam,
+            c_func=lambda t: nan_c if t == 0.5 else 3.0 * t * np.eye(2),
+        )
+        with pytest.raises(ValidationError) as info:
+            eigenvalues_near(bp, 0.5, -0.55, 1.55)
+        assert info.value.reason == "flow not symplectic (check B, C)"
+        assert info.value.where == "fundamental_solution"
 
 
 def test_structure_matrix_copies_are_private():
@@ -238,7 +351,8 @@ def test_each_shooting_parameter_is_exponentiated_once(monkeypatch):
     args = []
 
     def counted(A):
-        args.append(np.ascontiguousarray(A).tobytes())
+        # a stacked call shoots each matrix of its stack
+        args.extend(a.tobytes() for a in A.reshape(-1, *A.shape[-2:]))
         return expm(A)
 
     monkeypatch.setattr(spectral, "expm", counted)
@@ -549,6 +663,53 @@ def test_pieces_block_balls_around_their_start_only(make, value, samples):
     assert len(rep.partition) == samples
 
 
+def _located_partition(bp, tol=spectral.DEFAULT_TOL):
+    """Phillips' count of the flow on located eigenvalues: the balls
+    (a - r, a + r) around each root of ``eigenvalues_near`` at t0.
+    Returns (value, partition)."""
+    spectra = {}
+
+    def spec(t):
+        if t not in spectra:
+            spectra[t] = eigenvalues_near(
+                bp, t, spectral._DETECT_LO, spectral._DETECT_HI, tol
+            )
+        return spectra[t]
+
+    def split(ts, i):
+        ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
+
+    ts = [0.0, 1.0]
+    total, _, _ = _phillips(
+        ts, spec, lambda t0, t1: spectral._radius(bp, t0, t1),
+        spectral._REACH, split, tol.flow_snap, tol,
+    )
+    return total, ts
+
+
+@pytest.mark.parametrize(
+    "a0, r, nodes",
+    [
+        ((-0.668, -0.377, 1.279), (2.451, 1.047, -3.948), 6),
+        ((1.417, 0.219, -1.047), (-3.571, 2.015, -3.74), 4),
+        ((0.298, 0.421, 0.004), (-3.282, 3.004, 1.209), 2),
+        ((0.311, -0.494, -0.234), (-2.918, -2.836, -0.099), 6),
+    ],
+)
+def test_brackets_certify_what_located_roots_certify(a0, r, nodes):
+    """When the balls around the brackets leave no test value, halving
+    the brackets whose balls close the widest gap frees one wherever the
+    located roots' balls would: the flow takes the time samples of a
+    count on located roots.  Each family took one or two more when the
+    widest bracket was halved down to a quarter of the radius; in the
+    last, two brackets must both be halved before its gap opens."""
+    bp = ladder_problem(a0, r, nodes=nodes)
+    value, partition = _located_partition(bp)
+    rep = spectral_flow(bp)
+    assert rep.value == value == ladder_flow(a0, r)
+    assert rep.partition.tolist() == partition
+
+
 def test_reversed_rotation_flows_down():
     def c_func(t):
         return (0.5 - t) * np.pi * np.eye(2)
@@ -589,6 +750,34 @@ def test_window_edge_guard_boundary():
     with pytest.raises(PreconditionError):
         spectral_flow(bp, window=np.pi / 2 + 0.5 * guard)
     assert spectral_flow(bp, window=np.pi / 2 + 2.0 * guard).value == 1
+
+
+def test_each_window_edge_guard_shoots_a_handful(monkeypatch):
+    """The guard counts on (edge - 2 guard, edge + 2 guard]: two shots in
+    one call, and one determinant at each end of the guarded interval
+    when a bracket holds a root there.  The t = 0 spectrum of the
+    rotation holds +-pi/2 and not +-8."""
+    shots = []
+
+    def counted(A):
+        shots.append(len(A) if A.ndim == 3 else 1)
+        return expm(A)
+
+    monkeypatch.setattr(spectral, "expm", counted)
+    bp = rotation_problem()
+    guard = spectral.DEFAULT_TOL.flow_guard
+    for edge, t, want in [
+        (8.0, 0.0, 0), (-8.0, 1.0, 0), (np.pi / 2, 0.0, 1),
+        (-np.pi / 2, 0.0, 1), (np.pi / 2, 1.0, 1), (np.pi / 2, 0.5, 0),
+    ]:
+        shots.clear()
+        near = spectral._guard_spectrum(bp, t, edge, spectral.DEFAULT_TOL)
+        got = near.count(
+            np.nextafter(edge - guard, np.inf),
+            np.nextafter(edge + guard, -np.inf),
+        )
+        assert got == want
+        assert shots[0] == 2 and len(shots) <= 3 and sum(shots) <= 4
 
 
 def test_flow_is_additive_over_halves(rng):
