@@ -27,28 +27,21 @@ from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
     Standardization,
-    SymmetricGenerator,
     SymplecticSpace,
     Tolerances,
     box_frame,
     box_space,
-    cayley_unitary,
     compatible_structure,
-    complexify,
     complexify_vectors,
     direct_sum_frame,
     direct_sum_space,
-    graph_lagrangian,
     haar_unitary,
     horizontal_frame,
     intersection_dim,
-    kato_pair_transform,
     lagrangian,
     random_lagrangian,
     random_symmetric,
     realify,
-    realify_vectors,
-    same_span,
     standard_space,
     standardize,
     vertical_frame,
@@ -60,7 +53,6 @@ from .errors import (
     ValidationError,
 )
 from .souriau import (
-    kernel_dim_minus_one,
     lagrangian_from_souriau,
     minus_one_offsets,
     souriau,
@@ -83,7 +75,6 @@ from .paths import (
 from .crossings import (
     Crossing,
     crossing_form,
-    crossing_form_phase,
     crossing_sum,
     find_crossings,
     maslov_via_crossings,
@@ -141,7 +132,6 @@ __all__ = [
     "SignatureResult",
     "SpectralFlowReport",
     "Standardization",
-    "SymmetricGenerator",
     "SymplecticSpace",
     "Tolerances",
     "UnitaryPath",
@@ -152,14 +142,11 @@ __all__ = [
     "box_space",
     "catenate",
     "cauchy_data_path",
-    "cayley_unitary",
     "compatible_structure",
     "complex_kashiwara",
-    "complexify",
     "complexify_vectors",
     "connecting_path",
     "crossing_form",
-    "crossing_form_phase",
     "crossing_sum",
     "direct_sum_frame",
     "direct_sum_space",
@@ -171,14 +158,11 @@ __all__ = [
     "fundamental_solution",
     "gamma_reduce",
     "gamma_reduce_path",
-    "graph_lagrangian",
     "haar_unitary",
     "hormander",
     "horizontal_frame",
     "intersection_dim",
     "kashiwara",
-    "kato_pair_transform",
-    "kernel_dim_minus_one",
     "lagrangian",
     "lagrangian_from_souriau",
     "lagrangian_path",
@@ -194,9 +178,7 @@ __all__ = [
     "random_lagrangian",
     "random_symmetric",
     "realify",
-    "realify_vectors",
     "reverse",
-    "same_span",
     "souriau",
     "spectral_flow",
     "standard_space",

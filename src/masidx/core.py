@@ -18,13 +18,17 @@ and Q = [F, JF], J - JP - PJ = (Id - Q Q^T G) J has norm ||R||_2 there and
 at most cond(G)^{1/2} ||R||_2 in general: J = JP + PJ follows.  Frames
 written by an isometry from checked frames (``j_image``, the standard
 horizontal frame, ``paths.lagrangian_geodesic``) are not checked again.
+A matrix taken in as unitary (path samples, ``indices.LiftedUnitary``,
+the argument of ``souriau.lagrangian_from_souriau``) is checked by one
+residual, ||U^H U - Id||_2 <= 1e-9 (``_not_unitary``).  The paper's
+graph (Cayley) chart of Lambda(n) and Kato's transform of a pair of
+projections compute no index: they are test oracles.
 """
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import PreconditionError, ValidationError
 
@@ -38,15 +42,9 @@ __all__ = [
     "lagrangian",
     "horizontal_frame",
     "vertical_frame",
-    "SymmetricGenerator",
-    "graph_lagrangian",
-    "cayley_unitary",
-    "kato_pair_transform",
     "intersection_dim",
-    "complexify",
     "realify",
     "complexify_vectors",
-    "realify_vectors",
     "Standardization",
     "standardize",
     "BoxSpace",
@@ -57,7 +55,6 @@ __all__ = [
     "haar_unitary",
     "random_lagrangian",
     "random_symmetric",
-    "same_span",
 ]
 
 
@@ -105,6 +102,12 @@ _SPAN_ISOTROPY = 1e-8
 # Relative margin by which a Frobenius norm must clear a bound before it
 # stands in for the spectral norm (``_norm2_exceeds``).
 _FROBENIUS_MARGIN = 1e-8
+# Bound on ||U^H U - Id||_2 for a matrix taken in as unitary.
+_UNITARY_RESIDUAL = 1e-9
+# Entrywise distance at which two spaces' J and G count as the same.
+_SPACE_MATCH = 1e-10
+# Singular values of P_mu + P_nu below this count as dim(mu ∩ nu).
+_INTERSECTION_SV = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +131,11 @@ def _norm2_exceeds(X, bound):
     ):
         return False
     return bool(np.linalg.norm(X, 2) > bound)
+
+
+def _not_unitary(U):
+    """||U^H U - Id||_2 > ``_UNITARY_RESIDUAL`` for a square U."""
+    return _norm2_exceeds(U.conj().T @ U - np.eye(len(U)), _UNITARY_RESIDUAL)
 
 
 def _as_matrix(M, name, shape=None, allow_complex=False):
@@ -219,9 +227,6 @@ class SymplecticSpace:
     def omega(self, u, v):
         return np.asarray(u).T @ self.gram @ np.asarray(v)
 
-    def inner(self, u, v):
-        return np.asarray(u).T @ self.G @ np.asarray(v)
-
     @cached_property
     def standardization(self):
         return standardize(self)
@@ -269,11 +274,11 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
     return SymplecticSpace(n=m // 2, J=U @ Vt, G=G, tol=tol)
 
 
-def _spaces_match(a, b, tol=1e-10):
+def _spaces_match(a, b):
     return a is b or (
         a.n == b.n
-        and np.allclose(a.J, b.J, atol=tol)
-        and np.allclose(a.G, b.G, atol=tol)
+        and np.allclose(a.J, b.J, atol=_SPACE_MATCH)
+        and np.allclose(a.G, b.G, atol=_SPACE_MATCH)
     )
 
 
@@ -402,107 +407,15 @@ def vertical_frame(space):
     return horizontal_frame(space).j_image()
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricGenerator:
-    """Symmetric matrix A generating a graph over a base Lagrangian."""
-
-    base: LagrangianFrame
-    A: np.ndarray
-
-    def __post_init__(self):
-        n = self.base.space.n
-        A = _as_matrix(self.A, "A", (n, n))
-        object.__setattr__(self, "A", A)
-        if _norm2_exceeds(A - A.T, 1e-10 * max(1.0, np.linalg.norm(A, 2))):
-            raise ValidationError(
-                "generator not symmetric", where="SymmetricGenerator"
-            )
-
-
-def graph_lagrangian(gen):
-    """Lagrangian {u + J A u : u in base}, for symmetric A on the base."""
-    base = gen.base
-    sp = base.space
-    M = base.F + sp.J @ base.F @ gen.A
-    return lagrangian(sp, M)
-
-
-def cayley_unitary(gen, tol=DEFAULT_TOL):
-    """Unitary U_A = (Id + iA)(Id + A^2)^{-1/2} for the graph of A.
-
-    Applying U_A to the base Lagrangian (as a real operator through the
-    block expansion in the adapted basis) spans graph_lagrangian(gen), and
-    U_A^2 = (i Id - A)(i Id + A)^{-1}.
-    """
-    A = gen.A
-    w, V = np.linalg.eigh(A)
-    inv_root = (V / np.sqrt(1.0 + w**2)) @ V.T
-    U = (np.eye(A.shape[0]) + 1j * A) @ inv_root
-    if _norm2_exceeds(U.conj().T @ U - np.eye(A.shape[0]), 1e-10):
-        raise ValidationError("Cayley image not unitary", where="cayley_unitary")
-    return U
-
-
-def kato_pair_transform(P, Q, tol=DEFAULT_TOL):
-    """Orthogonal W with W Q = P W, for orthogonal projections P, Q.
-
-    W = D ((Id - P)(Id - Q) + P Q) with D = (Id - (P - Q)^2)^{-1/2}.
-
-    Raises PreconditionError when ||P - Q|| > 1 - 1e-6 (the interpolation
-    degenerates) and ValidationError for non-projections.
-    """
-    P = _as_matrix(P, "P")
-    Q = _as_matrix(Q, "Q", P.shape)
-    for name, M in (("P", P), ("Q", Q)):
-        if _norm2_exceeds(M @ M - M, 1e-8) or _norm2_exceeds(M - M.T, 1e-8):
-            raise ValidationError(
-                f"{name} is not a symmetric projection",
-                where="kato_pair_transform",
-            )
-    if _norm2_exceeds(P - Q, 1.0 - 1e-6):
-        gap = np.linalg.norm(P - Q, 2)
-        raise PreconditionError(
-            f"projections too far apart (||P - Q|| = {gap:.6f} > 1 - 1e-6)",
-            where="kato_pair_transform",
-        )
-    S = np.eye(P.shape[0]) - (P - Q) @ (P - Q)
-    w, V = np.linalg.eigh(S)
-    D = (V / np.sqrt(w)) @ V.T
-    W = D @ ((np.eye(P.shape[0]) - P) @ (np.eye(P.shape[0]) - Q) + P @ Q)
-    if _norm2_exceeds(W.T @ W - np.eye(W.shape[0]), 1e-10):
-        raise ValidationError(
-            "transform drifted from orthogonality", where="kato_pair_transform"
-        )
-    if _norm2_exceeds(W @ Q - P @ W, 1e-9):
-        raise ValidationError(
-            "intertwining residual above 1e-9", where="kato_pair_transform"
-        )
-    return W
-
-
-def intersection_dim(mu, nu, tol=1e-8):
+def intersection_dim(mu, nu):
     """dim(mu ∩ nu), counted from the projector sum.
 
-    Counts singular values of (P_mu + P_nu) below ``tol``; agrees with
-    2n - rank[F_mu | F_nu].
+    Counts singular values of (P_mu + P_nu) below ``_INTERSECTION_SV``;
+    agrees with 2n - rank[F_mu | F_nu].
     """
-    if not (0.0 < tol < 0.1):
-        raise ValidationError(
-            "tol must lie in (0, 0.1)", where="intersection_dim"
-        )
     _require_same_space(mu.space, nu.space, "intersection_dim")
     sv = np.linalg.svd(mu.P + nu.P, compute_uv=False)
-    return int(np.count_nonzero(sv < tol))
-
-
-def same_span(a, b, tol=1e-8):
-    """True when two frames span the same subspace (max principal angle)."""
-    if isinstance(a, LagrangianFrame):
-        a = a.F
-    if isinstance(b, LagrangianFrame):
-        b = b.F
-    angles = subspace_angles(np.asarray(a), np.asarray(b))
-    return bool(angles.max(initial=0.0) <= tol)
+    return int(np.count_nonzero(sv < _INTERSECTION_SV))
 
 
 # --------------------------------------------------------------------------
@@ -510,31 +423,9 @@ def same_span(a, b, tol=1e-8):
 # --------------------------------------------------------------------------
 
 
-def complexify(T, tol=1e-9):
-    """Complex n x n matrix of a real 2n x 2n operator commuting with J.
-
-    Block convention: T = [[A, -B], [B, A]] represents A + iB acting on
-    z = x + iy with x the first n and y the last n real coordinates.
-    """
-    T = np.asarray(T, dtype=float)
-    m = T.shape[0]
-    if T.ndim != 2 or T.shape[1] != m or m % 2 != 0:
-        raise ValidationError("expected square even-sized matrix", where="complexify")
-    n = m // 2
-    A, B = T[:n, :n], T[n:, :n]
-    scale = max(1.0, np.linalg.norm(T, 2))
-    if _norm2_exceeds(T[:n, n:] + B, tol * scale) or _norm2_exceeds(
-        T[n:, n:] - A, tol * scale
-    ):
-        raise ValidationError(
-            "operator does not commute with the complex structure",
-            where="complexify",
-        )
-    return A + 1j * B
-
-
 def realify(M):
-    """Inverse of complexify."""
+    """Real 2n x 2n operator [[A, -B], [B, A]] of M = A + iB, acting on
+    z = x + iy with x the first n and y the last n real coordinates."""
     M = np.asarray(M, dtype=complex)
     A, B = M.real, M.imag
     return np.block([[A, -B], [B, A]])
@@ -545,11 +436,6 @@ def complexify_vectors(V):
     V = np.asarray(V, dtype=float)
     n = V.shape[0] // 2
     return V[:n] + 1j * V[n:]
-
-
-def realify_vectors(Z):
-    Z = np.asarray(Z, dtype=complex)
-    return np.vstack([Z.real, Z.imag])
 
 
 # --------------------------------------------------------------------------
@@ -715,5 +601,6 @@ def random_symmetric(n, rng, scale=1.0):
 def random_lagrangian(space, rng):
     """Uniform (Haar) random Lagrangian frame."""
     std = space.standardization
-    F = realify_vectors(haar_unitary(space.n, rng))
+    U = haar_unitary(space.n, rng)
+    F = np.vstack([U.real, U.imag])
     return std.pull_frame(lagrangian(std.target, F))

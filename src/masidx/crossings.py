@@ -4,9 +4,11 @@ A crossing of a Lagrangian path {mu_t} against a reference lam is an
 instant where mu_t ∩ lam is nontrivial, i.e. where the pair unitary has an
 eigenvalue at -1.  At a crossing the path is a graph over mu_{t*} with a
 symmetric generator A_t; the crossing form is the derivative of A_t
-restricted to the intersection.  Regular crossings (nondegenerate form)
-localize the index: summing signatures with boundary corrections
-reproduces the counting index.
+restricted to the intersection, differentiated with the one step
+``tol.diff_step``.  Regular crossings (nondegenerate form) localize the
+index: summing signatures with boundary corrections reproduces the
+counting index.  The tests check these forms against a second one, the
+phase velocity of the pair unitary on the complexified kernel.
 
 The search for crossings reads the pair-unitary path as that count does,
 with the count's radius rule (``paths._Reads``), from the path's own
@@ -17,9 +19,8 @@ reach -1: it runs no count and needs no sampling of its own.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
-from .core import DEFAULT_TOL, complexify_vectors
+from .core import DEFAULT_TOL
 from .errors import AmbiguityError, PreconditionError
 from .paths import EPS_CAP, _Reads, _sample_times, to_unitary_path
 from .souriau import minus_one_offsets, souriau
@@ -28,7 +29,6 @@ __all__ = [
     "Crossing",
     "find_crossings",
     "crossing_form",
-    "crossing_form_phase",
     "crossing_sum",
     "maslov_via_crossings",
 ]
@@ -193,10 +193,10 @@ def _generator(space, base, frame):
     return D @ np.linalg.inv(C)
 
 
-def crossing_form(path, lam, t_star, h=None, tol=DEFAULT_TOL, richardson=False):
+def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
     """Crossing form at t_star, via graph coordinates over mu_{t*}.
 
-    Central difference with step ``h`` (default 1e-4, one-sided at the
+    Central difference with step ``tol.diff_step`` (one-sided at the
     endpoints); set ``richardson`` for fourth-order extrapolation.
 
     Returns a Crossing carrying the kernel basis (columns, original
@@ -208,8 +208,6 @@ def crossing_form(path, lam, t_star, h=None, tol=DEFAULT_TOL, richardson=False):
         raise AmbiguityError(
             "crossing form requires a refiner", where="crossing_form"
         )
-    if h is None:
-        h = tol.diff_step
     mu_star, vecs = _kernel_basis(path, lam, t_star, tol)
     space = mu_star.space
 
@@ -237,9 +235,9 @@ def crossing_form(path, lam, t_star, h=None, tol=DEFAULT_TOL, richardson=False):
             )
         return diff / w
 
-    dA = derivative(h)
+    dA = derivative(tol.diff_step)
     if richardson:
-        dA = (4.0 * dA - derivative(2.0 * h)) / 3.0
+        dA = (4.0 * dA - derivative(2.0 * tol.diff_step)) / 3.0
     K = mu_star.F.T @ space.G @ vecs
     Q = K.T @ dA @ K
     Q = 0.5 * (Q + Q.T)
@@ -259,45 +257,6 @@ def _package(t_star, vecs, Q, tol):
         signature=(p, q),
         regular=bool(regular),
     )
-
-
-def crossing_form_phase(path, lam, t_star, h=None, tol=DEFAULT_TOL):
-    """Phase-velocity version of the crossing form (Hermitian).
-
-    R_t = -i Log(W(t*)^H W(t)) with the principal logarithm; the form is
-    the derivative of zeta^H R_t zeta on the complexified kernel.  Errors
-    when an eigenvalue of the argument sits within tolerance of the cut.
-    """
-    if h is None:
-        h = tol.diff_step
-    mu_star, vecs = _kernel_basis(path, lam, t_star, tol)
-    std = mu_star.space.standardization
-    V = vecs if std.source.is_standard else std.matrix @ vecs
-    zeta = complexify_vectors(V)
-    W_star = souriau(lam, mu_star)
-
-    def m_at(t):
-        W = souriau(lam, path.at(t))
-        arg = W_star.conj().T @ W
-        T, Z = schur(arg, output="complex")
-        vals = np.diag(T)
-        if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-            raise PreconditionError(
-                "logarithm argument touches the branch cut",
-                where="crossing_form_phase",
-            )
-        R = (Z * np.angle(vals)) @ Z.conj().T
-        return zeta.conj().T @ R @ zeta
-
-    lo, hi = t_star - h, t_star + h
-    if lo < 0.0:
-        diff = (m_at(t_star + h) - m_at(t_star)) / h
-    elif hi > 1.0:
-        diff = (m_at(t_star) - m_at(t_star - h)) / h
-    else:
-        diff = (m_at(hi) - m_at(lo)) / (2.0 * h)
-    Q = 0.5 * (diff + diff.conj().T)
-    return Q
 
 
 def crossing_sum(crossings):
@@ -324,7 +283,7 @@ def crossing_sum(crossings):
     return total
 
 
-def maslov_via_crossings(path, lam, tol=DEFAULT_TOL, h=None):
+def maslov_via_crossings(path, lam, tol=DEFAULT_TOL):
     """Index as ``crossing_sum`` over the crossing forms of the path.
 
     All crossings must be regular.  Each form is built only after the
@@ -332,6 +291,6 @@ def maslov_via_crossings(path, lam, tol=DEFAULT_TOL, h=None):
     before later forms are differentiated.
     """
     return crossing_sum(
-        crossing_form(path, lam, t_star, h=h, tol=tol)
+        crossing_form(path, lam, t_star, tol=tol)
         for t_star in find_crossings(path, lam, tol)
     )

@@ -12,6 +12,14 @@ Three failure families, mapped to distinct CLI exit codes:
 """
 
 
+__all__ = [
+    "MasidxError",
+    "ValidationError",
+    "AmbiguityError",
+    "PreconditionError",
+]
+
+
 class MasidxError(Exception):
     """Base class for all package errors."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    _norm2_exceeds,
+    _not_unitary,
     _require_same_space,
     haar_unitary,
     horizontal_frame,
@@ -42,6 +42,7 @@ __all__ = [
     "LiftedUnitary",
     "leray",
     "leray_general",
+    "connecting_path",
     "hormander",
     "transition_function",
     "lift_path_endpoints",
@@ -59,11 +60,15 @@ class SignatureResult:
         return self.positives - self.negatives
 
 
-def _signature_of(M, rel_tol=1e-8):
+# Relative floor below which an eigenvalue of a triple form counts as null.
+_SIGNATURE_FLOOR = 1e-8
+
+
+def _signature_of(M):
     # frames are G-orthonormal, so genuine pairings are O(1); the floor
     # keeps roundoff from registering as signs when the form vanishes
     w = np.linalg.eigvalsh(M)
-    thresh = rel_tol * max(1.0, np.abs(w).max(initial=0.0))
+    thresh = _SIGNATURE_FLOOR * max(1.0, np.abs(w).max(initial=0.0))
     p = int(np.count_nonzero(w > thresh))
     q = int(np.count_nonzero(w < -thresh))
     return SignatureResult(positives=p, negatives=q, nulls=len(w) - p - q)
@@ -121,11 +126,11 @@ def _graph_frame(lam, U):
     return Q, lam_s.space.gram
 
 
-def _check_unitary(U, where, tol=1e-9):
+def _check_unitary(U, where):
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValidationError("expected a square matrix", where=where)
-    if _norm2_exceeds(U.conj().T @ U - np.eye(U.shape[0]), tol):
+    if _not_unitary(U):
         raise ValidationError("matrix not unitary", where=where)
     return U
 

@@ -58,6 +58,7 @@ from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
     _norm2_exceeds,
+    _not_unitary,
     _spaces_match,
     complexify_vectors,
     horizontal_frame,
@@ -74,15 +75,11 @@ __all__ = [
     "lagrangian_path_from_function",
     "catenate",
     "reverse",
-    "GeodesicPath",
-    "geodesic_path",
-    "lagrangian_geodesic",
+    "to_unitary_path",
     "PhaseTrace",
     "IndexReport",
     "unitary_maslov",
     "maslov",
-    "EPS_CAP",
-    "MAX_SAMPLES",
 ]
 
 EPS_CAP = 1.0
@@ -90,6 +87,8 @@ EPS_CAP = 1.0
 MAX_SAMPLES = 60000
 # longest chord ||U_t1 - U_t0||_2 of a piece that need not look geodesic
 _END_CHORD = 0.5
+# farthest the two samples at a ``catenate`` junction may lie apart
+_JUNCTION = 1e-8
 # farthest the determinant lift of a GeodesicPath may lie from an integer:
 # its angles and end spectra carry rounding only (at most 1.4e-14 on the
 # benchmark's paths, n up to 64), so a larger distance is a fault, not a
@@ -140,7 +139,7 @@ def _unitaries(samples):
             raise ValidationError(
                 "inconsistent matrix sizes", where="UnitaryPath"
             )
-        if _norm2_exceeds(U.conj().T @ U - np.eye(dim), 1e-9):
+        if _not_unitary(U):
             raise ValidationError(
                 f"sample at t={t} not unitary", where="UnitaryPath"
             )
@@ -273,7 +272,7 @@ def _gap(a, b):
     return np.asarray(a) - np.asarray(b)
 
 
-def catenate(first, second, tol=1e-8):
+def catenate(first, second):
     """Concatenate two paths of the same kind; junction must match.  Two
     ``GeodesicPath``s join piece by piece into one, whose ``jumps`` add
     the determinant phase of the junction's mismatch."""
@@ -281,7 +280,7 @@ def catenate(first, second, tol=1e-8):
         raise ValidationError("cannot catenate different path kinds", "catenate")
     end = first.samples[-1][1]
     start = second.samples[0][1]
-    if _norm2_exceeds(_gap(end, start), tol):
+    if _norm2_exceeds(_gap(end, start), _JUNCTION):
         raise ValidationError("junction mismatch", where="catenate")
     if isinstance(first, GeodesicPath):
         return GeodesicPath(

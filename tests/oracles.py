@@ -13,9 +13,16 @@ exactly on a multiple of 2pi are snapped first, which reproduces the
 closed-arc convention (arriving at -1 counts, departing upward does not).
 Label swaps at eigenvalue collisions shift two floors by opposite amounts,
 so the total is insensitive to matching mistakes at degeneracies.
+
+The other oracles build what the engine computes by a second route: the
+pair unitary as a reflection product, the paper's graph (Cayley) chart of
+Lambda(n) and Kato's transform of a pair of projections, the crossing form
+as a phase velocity, and the polarized reduction from its definition.
+Their inputs come from tests only, so they validate nothing.
 """
 
 import numpy as np
+from scipy.linalg import schur, subspace_angles
 
 TWO_PI = 2.0 * np.pi
 _STEP_LIMIT = 0.4
@@ -99,6 +106,98 @@ def trajectory_count(u_of_t, base_times, factor=16, max_rounds=8):
     raise RuntimeError("trajectory oracle did not stabilize")
 
 
+def complexify(T):
+    """Complex n x n matrix A + iB of a real 2n x 2n operator
+    T = [[A, -B], [B, A]] commuting with the standard J: the inverse of
+    ``masidx.realify``."""
+    n = T.shape[0] // 2
+    return T[:n, :n] + 1j * T[n:, :n]
+
+
+def realify_vectors(Z):
+    """Complex n-vectors as the columns [Re; Im] of a real 2n x k matrix:
+    the inverse of ``masidx.complexify_vectors``."""
+    return np.vstack([Z.real, Z.imag])
+
+
+def same_span(a, b, tol=1e-8):
+    """True when two frames (or matrices) span the same subspace: their
+    largest principal angle is at most ``tol``."""
+    a, b = (np.asarray(getattr(x, "F", x)) for x in (a, b))
+    return bool(subspace_angles(a, b).max(initial=0.0) <= tol)
+
+
+def kernel_dim_minus_one(W):
+    """Multiplicity of the eigenvalue -1 of a unitary: the eigenvalues
+    within angle 1e-7 of it."""
+    from masidx import minus_one_offsets
+
+    return int(np.count_nonzero(np.abs(minus_one_offsets(W)) < 1e-7))
+
+
+def graph_lagrangian(base, A):
+    """The Lagrangian {u + J A u : u in base} for a symmetric A on the
+    base: the graph chart of Lambda(n) around ``base``."""
+    from masidx import lagrangian
+
+    J = base.space.J
+    return lagrangian(base.space, base.F + J @ base.F @ A)
+
+
+def cayley_unitary(A):
+    """U_A = (Id + iA)(Id + A^2)^{-1/2} of a symmetric A.
+
+    Applied to the base frame (U = X + iY acting on [Re; Im]) it spans
+    ``graph_lagrangian(base, A)``, and U_A^2 = (Id + iA)(Id - iA)^{-1}.
+    """
+    w, V = np.linalg.eigh(A)
+    return (np.eye(len(A)) + 1j * A) @ ((V / np.sqrt(1.0 + w**2)) @ V.T)
+
+
+def kato_pair_transform(P, Q):
+    """Orthogonal W with W Q = P W, for orthogonal projections with
+    ||P - Q|| < 1: W = D ((Id - P)(Id - Q) + P Q) with
+    D = (Id - (P - Q)^2)^{-1/2}."""
+    eye = np.eye(len(P))
+    w, V = np.linalg.eigh(eye - (P - Q) @ (P - Q))
+    return ((V / np.sqrt(w)) @ V.T) @ ((eye - P) @ (eye - Q) + P @ Q)
+
+
+def crossing_form_phase(path, lam, t_star):
+    """Phase-velocity crossing form (Hermitian) at a crossing.
+
+    R_t = -i Log(W(t*)^H W(t)) with the principal logarithm; the form is
+    the derivative of zeta^H R_t zeta on the complexified kernel, by
+    central differences with the step ``crossing_form`` takes (one-sided
+    at the ends).
+    """
+    from masidx import DEFAULT_TOL, complexify_vectors, souriau
+    from masidx.crossings import _kernel_basis
+
+    tol = DEFAULT_TOL
+    h = tol.diff_step
+    mu_star, vecs = _kernel_basis(path, lam, t_star, tol)
+    std = mu_star.space.standardization
+    V = vecs if std.source.is_standard else std.matrix @ vecs
+    zeta = complexify_vectors(V)
+    W_star = souriau(lam, mu_star)
+
+    def m_at(t):
+        arg = W_star.conj().T @ souriau(lam, path.at(t))
+        T, Z = schur(arg, output="complex")
+        vals = np.diag(T)
+        assert np.min(np.abs(np.angle(-vals))) >= tol.log_cut, "branch cut"
+        return zeta.conj().T @ ((Z * np.angle(vals)) @ Z.conj().T) @ zeta
+
+    if t_star - h < 0.0:
+        diff = (m_at(t_star + h) - m_at(t_star)) / h
+    elif t_star + h > 1.0:
+        diff = (m_at(t_star) - m_at(t_star - h)) / h
+    else:
+        diff = (m_at(t_star + h) - m_at(t_star - h)) / (2.0 * h)
+    return 0.5 * (diff + diff.conj().T)
+
+
 def souriau_reflection_product(lam, mu):
     """Pair unitary built as complexify((Id - 2 P_mu) tau_lam).
 
@@ -106,8 +205,6 @@ def souriau_reflection_product(lam, mu):
     construction the closed form in ``souriau`` replaced; general metrics
     are pushed through the same standardization first.
     """
-    from masidx import complexify
-
     if not lam.space.is_standard:
         std = lam.space.standardization
         lam, mu = std.push_frame(lam), std.push_frame(mu)

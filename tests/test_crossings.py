@@ -1,5 +1,7 @@
 """Crossing localization, crossing forms, and the signature-sum index."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from masidx import (
     lagrangian_path,
     lagrangian_path_from_function,
     crossing_form,
-    crossing_form_phase,
     crossing_sum,
     find_crossings,
     lift_path_endpoints,
@@ -33,7 +34,7 @@ from conftest import (
     spinner_crossings,
     spinner_path,
 )
-from oracles import signature_brute
+from oracles import crossing_form_phase, signature_brute
 
 SP1 = standard_space(1)
 T_STAR_TOL = 1e-8
@@ -229,7 +230,9 @@ def test_richardson_and_step_overrides_agree():
     t_star = find_crossings(path, ref)[0]
     plain = crossing_form(path, ref, t_star)
     rich = crossing_form(path, ref, t_star, richardson=True)
-    fine = crossing_form(path, ref, t_star, h=1e-5)
+    fine = crossing_form(
+        path, ref, t_star, tol=replace(DEFAULT_TOL, diff_step=1e-5)
+    )
     np.testing.assert_allclose(rich.form, plain.form, atol=1e-6)
     assert rich.signature == plain.signature == fine.signature
 

@@ -1,13 +1,15 @@
 """Static checks on the imports of the package modules.
 
 Every imported name is used (a name listed in ``__all__`` counts as a
-re-export), every name listed in ``__all__`` is bound in its module, every
-private top-level name is referenced somewhere in the package, every
+re-export), every name listed in ``__all__`` is bound in its module, the
+package exports exactly the names its modules list, every private
+top-level name is referenced somewhere in the package, every
 ``Tolerances`` field is read somewhere in it, and the CLI reaches the
 other modules through their public names only.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -81,6 +83,22 @@ def test_every_imported_name_is_used(path):
 def test_every_exported_name_is_bound(path):
     tree = ast.parse(path.read_text())
     assert sorted(_exported(tree) - _module_bindings(tree)) == []
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    """One public surface: ``masidx.__all__`` lists each name that a module
+    lists in its own ``__all__``, once, and nothing else."""
+    import masidx
+
+    listed = [
+        name
+        for path in MODULES
+        if path.stem != "__init__"
+        for name in getattr(
+            importlib.import_module(f"masidx.{path.stem}"), "__all__", []
+        )
+    ]
+    assert sorted(masidx.__all__) == sorted(listed)
 
 
 def test_cli_imports_no_private_names_from_sibling_modules():

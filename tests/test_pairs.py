@@ -36,7 +36,6 @@ from masidx import (
     random_symmetric,
     realify,
     reverse,
-    same_span,
     souriau,
     standard_space,
     vertical_frame,
@@ -50,7 +49,7 @@ from conftest import (
     spinner_path,
     transversal_pair,
 )
-from oracles import boxed_pair_maslov, kernel_reduce
+from oracles import boxed_pair_maslov, kernel_reduce, same_span
 
 SP2 = standard_space(2)
 SP3 = standard_space(3)

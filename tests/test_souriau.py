@@ -10,18 +10,22 @@ from masidx import (
     haar_unitary,
     horizontal_frame,
     intersection_dim,
-    kernel_dim_minus_one,
     lagrangian,
     lagrangian_from_souriau,
     minus_one_offsets,
     random_lagrangian,
-    same_span,
     souriau,
     standard_space,
     vertical_frame,
 )
 from conftest import random_structure_space, spinner_path
-from oracles import souriau_reflection_product
+from oracles import (
+    cayley_unitary,
+    graph_lagrangian,
+    kernel_dim_minus_one,
+    same_span,
+    souriau_reflection_product,
+)
 
 MATRIX_TOL = 1e-10
 KERNEL_TOL = 1e-7
@@ -157,13 +161,34 @@ def test_kernel_dimension_counts_the_intersection(rng):
         assert kernel_dim_minus_one(souriau(a, b)) == intersection_dim(a, b)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_pair_unitary_of_a_graph_is_minus_its_cayley_square(n, rng):
+    """On the graph chart over the horizontal h, souriau(h, graph(A)) =
+    -U_A^2 = -(Id + iA)(Id - iA)^{-1} with U_A the Cayley unitary of A, so
+    -1 has multiplicity n - rank A, for random symmetric A of each rank."""
+    h = horizontal_frame(standard_space(n))
+    eye = np.eye(n)
+    for k in range(n + 1):
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(0.2, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        w[:k] = 0.0
+        A = (V * w) @ V.T
+        W = souriau(h, graph_lagrangian(h, A))
+        U = cayley_unitary(A)
+        np.testing.assert_allclose(W, -U @ U, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            W,
+            -(eye + 1j * A) @ np.linalg.inv(eye - 1j * A),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert kernel_dim_minus_one(W) == k
+
+
 def test_kernel_tolerance_bounds():
-    W = -np.eye(2)
-    assert kernel_dim_minus_one(W, tol=KERNEL_TOL) == 2
-    with pytest.raises(ValidationError):
-        kernel_dim_minus_one(W, tol=0.7)
-    with pytest.raises(ValidationError):
-        kernel_dim_minus_one(W, tol=0.0)
+    """Eigenvalues within angle KERNEL_TOL of -1 count, farther ones not."""
+    offsets = KERNEL_TOL * np.array([0.0, -0.5, 0.5, -2.0, 2.0])
+    assert kernel_dim_minus_one(np.diag(-np.exp(1j * offsets))) == 3
 
 
 def test_offsets_are_principal_angles():

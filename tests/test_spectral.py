@@ -23,7 +23,6 @@ from masidx import (
     find_crossings,
     fundamental_solution,
     maslov,
-    same_span,
     spectral_flow,
     standard_space,
     verify_coincidence,
@@ -38,6 +37,7 @@ from conftest import (
     random_symmetric,
     rotation_problem,
 )
+from oracles import same_span
 
 
 def _piecewise_linear_family(N, nodes, rng):
