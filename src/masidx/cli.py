@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -73,6 +74,7 @@ from .spectral import (
 )
 
 _PROFILES = {"strict": 0.1, "default": 1.0, "loose": 10.0}
+_EXIT_CODES = {ValidationError: 2, AmbiguityError: 3, PreconditionError: 4}
 
 
 # --------------------------------------------------------------------------
@@ -200,20 +202,21 @@ def _frames(space, mats):
     return [lagrangian(space, M) for M in mats]
 
 
-def _time_samples(obj, where):
+def _unitary_matrix(obj, n, where):
+    return _complex_matrix(obj, (n, n), where)
+
+
+def _nodes(obj, n, where, key="frame", read=_frame_matrix):
+    """Times and matrices of a path's nodes {"t": .., key: ..}, each
+    matrix read by ``read`` and checked against n."""
     if not isinstance(obj, list) or len(obj) < 2:
         _fail("path needs at least two samples", where)
-    return obj
-
-
-def _lagrangian_nodes(obj, n, where):
-    """Times and frame matrices of a path, each checked against n."""
     ts, mats = [], []
-    for i, item in enumerate(_time_samples(obj, where)):
+    for i, item in enumerate(obj):
         loc = f"{where}[{i}]"
-        _check_keys(item, ["t", "frame"], [], loc)
+        _check_keys(item, ["t", key], [], loc)
         ts.append(_real_number(item["t"], loc + ".t"))
-        mats.append(_frame_matrix(item["frame"], n, loc + ".frame"))
+        mats.append(read(item[key], n, f"{loc}.{key}"))
     return ts, mats
 
 
@@ -222,19 +225,9 @@ def _reference_and_path(obj, tol):
     crossings input."""
     n = _positive_int(obj, "n")
     ref = _frame_matrix(obj["reference"], n, "input.reference")
-    ts, mats = _lagrangian_nodes(obj["path"], n, "input.path")
+    ts, mats = _nodes(obj["path"], n, "input.path")
     space = _space_of(obj, tol)
     return lagrangian(space, ref), ts, _frames(space, mats)
-
-
-def _unitary_nodes(obj, n, where):
-    ts, mats = [], []
-    for i, item in enumerate(_time_samples(obj, where)):
-        loc = f"{where}[{i}]"
-        _check_keys(item, ["t", "U"], [], loc)
-        ts.append(_real_number(item["t"], loc + ".t"))
-        mats.append(_complex_matrix(item["U"], (n, n), loc + ".U"))
-    return ts, mats
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def _cmd_maslov(obj, args, tol):
 def _cmd_unitary_maslov(obj, args, tol):
     _check_keys(obj, ["version", "n", "path"], [], "input")
     n = _positive_int(obj, "n")
-    ts, mats = _unitary_nodes(obj["path"], n, "input.path")
+    ts, mats = _nodes(obj["path"], n, "input.path", "U", _unitary_matrix)
     path = _unitary_cli_path(ts, mats, args.refine_factor, tol)
     report = unitary_maslov(path, tol)
     return {"value": int(report.value)}, report
@@ -423,7 +416,7 @@ def _cmd_kashiwara(obj, args, tol):
         _frame_matrix(f, n, f"input.frames[{i}]") for i, f in enumerate(fr)
     ]
     f1, f2, f3 = _frames(_space_of(obj, tol), mats)
-    sig = kashiwara(f1, f2, f3, tol)
+    sig = kashiwara(f1, f2, f3)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
 
 
@@ -439,21 +432,21 @@ def _cmd_complex_kashiwara(obj, args, tol):
             "input.unitaries",
         )
     u1, u2, u3 = (
-        _complex_matrix(u, (n, n), f"input.unitaries[{i}]")
+        _unitary_matrix(u, n, f"input.unitaries[{i}]")
         for i, u in enumerate(us)
     )
     lam = None
     if "reference" in obj:
         ref = _frame_matrix(obj["reference"], n, "input.reference")
         lam = lagrangian(_space_of(obj, tol), ref)
-    sig = complex_kashiwara(u1, u2, u3, lam=lam, tol=tol)
+    sig = complex_kashiwara(u1, u2, u3, lam=lam)
     return {"index": int(sig.signature), "nulls": int(sig.nulls)}, None
 
 
 def _lift(obj, n, where):
     _check_keys(obj, ["U", "alpha"], [], where)
     return LiftedUnitary(
-        U=_complex_matrix(obj["U"], (n, n), where + ".U"),
+        U=_unitary_matrix(obj["U"], n, where + ".U"),
         alpha=_real_number(obj["alpha"], where + ".alpha"),
     )
 
@@ -467,7 +460,7 @@ def _cmd_leray(obj, args, tol):
     l2 = _lift(obj["lift2"], n, "input.lift2")
     probe = None
     if "probe" in obj:
-        probe = _complex_matrix(obj["probe"], (n, n), "input.probe")
+        probe = _unitary_matrix(obj["probe"], n, "input.probe")
     if probe is None:
         # leray raises exactly when the transversality margin is at most
         # tol.transversal; only then is a probe drawn
@@ -501,10 +494,8 @@ def _cmd_pair_maslov(obj, args, tol):
         "input",
     )
     n = _positive_int(obj, "n")
-    mts, mmats = _lagrangian_nodes(obj["mu_path"], n, "input.mu_path")
-    lts, lmats = _lagrangian_nodes(
-        obj["lambda_path"], n, "input.lambda_path"
-    )
+    mts, mmats = _nodes(obj["mu_path"], n, "input.mu_path")
+    lts, lmats = _nodes(obj["lambda_path"], n, "input.lambda_path")
     space = _space_of(obj, tol)
     mu_path = _lagrangian_path(
         mts, _frames(space, mmats), args.refine_factor, tol
@@ -541,7 +532,7 @@ def _cmd_reduce(obj, args, tol):
     weights = [
         _real_number(x, "input.i_plus_diag") for x in obj["i_plus_diag"]
     ]
-    ts, mats = _lagrangian_nodes(obj["path"], nb, "input.path")
+    ts, mats = _nodes(obj["path"], nb, "input.path")
     big, small = standard_space(nb, tol), standard_space(nh, tol)
     pp = polarized_pair(
         *_frames(big, big_mats), *_frames(small, small_mats), weights
@@ -551,7 +542,7 @@ def _cmd_reduce(obj, args, tol):
     # nodes, stepping on the exact frame speed of each gap of a
     # ``lagrangian_geodesic``; a factor of at least 2 builds that path.
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
-    reduced = gamma_reduce_path(pp, path, tol)
+    reduced = gamma_reduce_path(pp, path)
     big_report = maslov(path, pp.lam_minus, tol)
     small_report = maslov(reduced, pp.ell_minus, tol)
     out = {
@@ -600,22 +591,23 @@ def _boundary_problem(obj):
     )
 
 
+def _eigen_trace(bp, args, tol):
+    """The eigenvalue trace when --trace asks for one, else None."""
+    if args.trace is None:
+        return None
+    return eigenvalue_trace(bp, window=args.window, tol=tol)
+
+
 def _cmd_spectral_flow(obj, args, tol):
     bp = _boundary_problem(obj)
     report = spectral_flow(bp, window=args.window, tol=tol)
-    trace = None
-    if args.trace is not None:
-        trace = eigenvalue_trace(bp, window=args.window, tol=tol)
-    return {"value": int(report.value)}, trace
+    return {"value": int(report.value)}, _eigen_trace(bp, args, tol)
 
 
 def _cmd_verify_coincidence(obj, args, tol):
     bp = _boundary_problem(obj)
     out = verify_coincidence(bp, window=args.window, tol=tol)
-    trace = None
-    if args.trace is not None:
-        trace = eigenvalue_trace(bp, window=args.window, tol=tol)
-    return out, trace
+    return out, _eigen_trace(bp, args, tol)
 
 
 _HANDLERS = {
@@ -633,7 +625,9 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)
 def _parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="masidx",
         description="Maslov-type indices of Lagrangian paths, "
@@ -714,15 +708,9 @@ def run(argv=None):
         report.update(values)
         _emit(report)
         return 0
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         _emit({"reason": exc.reason, "where": exc.where})
-        return 2
-    except AmbiguityError as exc:
-        _emit({"reason": exc.reason, "where": exc.where})
-        return 3
-    except PreconditionError as exc:
-        _emit({"reason": exc.reason, "where": exc.where})
-        return 4
+        return _EXIT_CODES[type(exc)]
 
 
 def main():

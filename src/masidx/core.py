@@ -20,7 +20,11 @@ written by an isometry from checked frames (``j_image``, the standard
 horizontal frame, ``paths.lagrangian_geodesic``) are not checked again.
 A matrix taken in as unitary (path samples, ``indices.LiftedUnitary``,
 the argument of ``souriau.lagrangian_from_souriau``) is checked by one
-residual, ||U^H U - Id||_2 <= 1e-9 (``_not_unitary``).  The paper's
+residual, ||U^H U - Id||_2 <= 1e-9 (``_not_unitary``).  A frame reads
+one tolerance, the rank bound of ``lagrangian``, and reads it from its
+space (``SymplecticSpace.tol``), so a tolerance profile reaches frames
+only through the spaces they are built in.  Every other bound here is a
+fixed module constant, which no profile moves.  The paper's
 graph (Cayley) chart of Lambda(n) and Kato's transform of a pair of
 projections compute no index: they are test oracles.
 """
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import PreconditionError, ValidationError
 
@@ -100,14 +105,25 @@ DEFAULT_TOL = Tolerances()
 _FRAME_RESIDUAL = 1e-10
 _SPAN_ISOTROPY = 1e-8
 # Relative margin by which a Frobenius norm must clear a bound before it
-# stands in for the spectral norm (``_norm2_exceeds``).
+# stands in for the spectral norm (``_norm2_exceeds``), and the smallest
+# bound it does so for: squares of entries below it underflow.
 _FROBENIUS_MARGIN = 1e-8
+_FROBENIUS_UNDERFLOW = 1e-140
 # Bound on ||U^H U - Id||_2 for a matrix taken in as unitary.
 _UNITARY_RESIDUAL = 1e-9
 # Entrywise distance at which two spaces' J and G count as the same.
 _SPACE_MATCH = 1e-10
 # Singular values of P_mu + P_nu below this count as dim(mu ∩ nu).
 _INTERSECTION_SV = 1e-8
+# Rounding allowed in the identities J^2 = -Id and gram^T = -gram of a
+# space, relative to max(1, n) and max(1, ||gram||_2).
+_STRUCTURE_ROUNDING = 1e-12
+# Relative singular value below which a skew form counts as degenerate.
+_DEGENERATE_FORM = 1e-10
+# Norm below which ``standardize`` skips a swept column as already
+# spanned, and the bound on ||S J S^-1 - J_std||_2 of its result.
+_SWEEP_RESIDUAL = 1e-3
+_STANDARDIZATION_DRIFT = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -121,12 +137,12 @@ def _norm2_exceeds(X, bound):
     ||X||_2 <= ||X||_F, so a Frobenius norm below the bound already proves
     the check passes.  The relative margin ``_FROBENIUS_MARGIN`` keeps
     rounding in the two norms from letting the shortcut answer
-    differently from the SVD, and bounds below 1e-140 always go to the
-    SVD: squares of entries that small underflow, so the Frobenius norm
-    can come out below ||X||_2.
+    differently from the SVD, and bounds below ``_FROBENIUS_UNDERFLOW``
+    always go to the SVD: squares of entries that small underflow, so the
+    Frobenius norm can come out below ||X||_2.
     """
     if (
-        bound >= 1e-140
+        bound >= _FROBENIUS_UNDERFLOW
         and np.linalg.norm(X) * (1.0 + _FROBENIUS_MARGIN) <= bound
     ):
         return False
@@ -176,7 +192,7 @@ class SymplecticSpace:
         object.__setattr__(self, "G", G)
         t = self.tol.validation
         eye = np.eye(2 * n)
-        if _norm2_exceeds(J @ J + eye, 1e-12 * max(1.0, float(n))):
+        if _norm2_exceeds(J @ J + eye, _STRUCTURE_ROUNDING * max(1, n)):
             raise ValidationError("J^2 != -Id", where="SymplecticSpace.J")
         if _norm2_exceeds(G - G.T, t):
             raise ValidationError("G not symmetric", where="SymplecticSpace.G")
@@ -189,9 +205,8 @@ class SymplecticSpace:
                 "J not G-compatible (J^T G J != G)", where="SymplecticSpace"
             )
         gram = J.T @ G
-        if _norm2_exceeds(
-            gram + gram.T, 1e-12 * max(1.0, np.linalg.norm(gram, 2))
-        ):
+        scale = max(1.0, np.linalg.norm(gram, 2))
+        if _norm2_exceeds(gram + gram.T, _STRUCTURE_ROUNDING * scale):
             raise ValidationError(
                 "form Gram not antisymmetric", where="SymplecticSpace"
             )
@@ -265,7 +280,7 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
             "Omega not antisymmetric", where="compatible_structure"
         )
     U, sv, Vt = np.linalg.svd(A)
-    if sv.min() <= 1e-10 * sv.max():
+    if sv.min() <= _DEGENERATE_FORM * sv.max():
         raise PreconditionError(
             "Omega is degenerate (smallest singular value below 1e-10)",
             where="compatible_structure",
@@ -359,17 +374,18 @@ def _orthonormalize(space, M, tol, where):
     return Q
 
 
-def lagrangian(space, M, tol=None):
+def lagrangian(space, M):
     """Validated Lagrangian frame from a (possibly raw) spanning matrix.
 
     Parameters
     ----------
     space : SymplecticSpace
+        Its ``tol.rank``, relative to the largest QR diagonal entry (or
+        1), is the frame's rank tolerance: a profile sets it on the space.
     M : (2n, n) array
         Columns spanning the candidate subspace.  They are
         re-orthonormalized (thin QR against the metric, R diagonal forced
         positive) before the isotropy check.
-    tol : Tolerances, optional
 
     Returns
     -------
@@ -382,9 +398,8 @@ def lagrangian(space, M, tol=None):
         check of ``LagrangianFrame``: named "subspace is not isotropic"
         here when its isotropy part, formed only then, exceeds 1e-8.
     """
-    tol = tol or space.tol
     M = _as_matrix(M, "frame", (2 * space.n, space.n))
-    F = _orthonormalize(space, M, tol, "lagrangian")
+    F = _orthonormalize(space, M, space.tol, "lagrangian")
     try:
         return LagrangianFrame(space, F)
     except ValidationError:
@@ -488,7 +503,7 @@ def standardize(space):
         for b in basis:
             r -= (b @ r) * b
         nr = np.linalg.norm(r)
-        if nr < 1e-3:
+        if nr < _SWEEP_RESIDUAL:
             continue
         u = r / nr
         v = Jp @ u
@@ -502,7 +517,7 @@ def standardize(space):
     S = T.T @ W
     target = standard_space(n, tol=space.tol)
     check = S @ space.J @ np.linalg.inv(S)
-    if _norm2_exceeds(check - target.J, 1e-9):
+    if _norm2_exceeds(check - target.J, _STANDARDIZATION_DRIFT):
         raise ValidationError("standardization drifted", where="standardize")
     return Standardization(space, target, S, np.linalg.inv(S))
 
@@ -514,31 +529,13 @@ def standardize(space):
 
 def direct_sum_space(a, b):
     """Plain direct sum: J = diag(J_a, J_b), G = diag(G_a, G_b)."""
-    J = np.block(
-        [
-            [a.J, np.zeros((2 * a.n, 2 * b.n))],
-            [np.zeros((2 * b.n, 2 * a.n)), b.J],
-        ]
-    )
-    G = np.block(
-        [
-            [a.G, np.zeros((2 * a.n, 2 * b.n))],
-            [np.zeros((2 * b.n, 2 * a.n)), b.G],
-        ]
-    )
+    J, G = block_diag(a.J, b.J), block_diag(a.G, b.G)
     return SymplecticSpace(n=a.n + b.n, J=J, G=G, tol=a.tol)
 
 
 def direct_sum_frame(space_sum, fa, fb):
     """blockdiag(F_a, F_b) as a Lagrangian frame of the direct sum."""
-    na, nb = fa.space.n, fb.space.n
-    M = np.block(
-        [
-            [fa.F, np.zeros((2 * na, nb))],
-            [np.zeros((2 * nb, na)), fb.F],
-        ]
-    )
-    return lagrangian(space_sum, M)
+    return lagrangian(space_sum, block_diag(fa.F, fb.F))
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,10 +553,7 @@ class BoxSpace:
 
 
 def box_space(base):
-    m = 2 * base.n
-    z = np.zeros((m, m))
-    J = np.block([[base.J, z], [z, -base.J]])
-    G = np.block([[base.G, z], [z, base.G]])
+    J, G = block_diag(base.J, -base.J), block_diag(base.G, base.G)
     sp = SymplecticSpace(n=2 * base.n, J=J, G=G, tol=base.tol)
     E = base.g_half_inv
     delta = lagrangian(sp, np.vstack([E, E]) / np.sqrt(2.0))
@@ -570,14 +564,7 @@ def box_frame(bs, mu, lam):
     """mu ⊞ lam = blockdiag frame in the box space."""
     _require_same_space(mu.space, bs.base, "box_frame")
     _require_same_space(lam.space, bs.base, "box_frame")
-    m = 2 * bs.base.n
-    M = np.block(
-        [
-            [mu.F, np.zeros((m, bs.base.n))],
-            [np.zeros((m, bs.base.n)), lam.F],
-        ]
-    )
-    return lagrangian(bs.space, M)
+    return lagrangian(bs.space, block_diag(mu.F, lam.F))
 
 
 # --------------------------------------------------------------------------

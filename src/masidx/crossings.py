@@ -33,6 +33,14 @@ __all__ = [
     "maslov_via_crossings",
 ]
 
+# Relative and absolute rounding slack of the search's drop test.
+_DROP_SLACK = 1e-9
+_DROP_FLOOR = 1e-13
+# Relative noise floor of a generator difference in ``crossing_form``.
+_DIFF_FLOOR = 1e-12
+# Distance from 0 or 1 within which a crossing counts as at that end.
+_END_MATCH = 1e-9
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -117,7 +125,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
                     )
             # a zero on a geodesic piece makes the sum equal r: the slack
             # is rounding only, so pieces beside a crossing still drop
-            elif a0 + a1 > r * (1.0 + 1e-9) + 1e-13:
+            elif a0 + a1 > r * (1.0 + _DROP_SLACK) + _DROP_FLOOR:
                 continue
             elif t1 - t0 <= tol.bisect_t or max(a0, a1) <= tol.angular:
                 leaves.append((t0, t1))
@@ -224,7 +232,7 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
             a, b, w = gen_at(lo), gen_at(hi), 2.0 * step
         diff = b - a
         norm = np.linalg.norm(diff, 2)
-        floor = 1e-12 * max(
+        floor = _DIFF_FLOOR * max(
             1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2)
         )
         if norm <= floor:
@@ -274,9 +282,9 @@ def crossing_sum(crossings):
                 where="maslov_via_crossings",
             )
         p, q = c.signature
-        if c.t_star <= 1e-9:
+        if c.t_star <= _END_MATCH:
             total -= q
-        elif c.t_star >= 1.0 - 1e-9:
+        elif c.t_star >= 1.0 - _END_MATCH:
             total += p
         else:
             total += p - q

@@ -62,6 +62,11 @@ class SignatureResult:
 
 # Relative floor below which an eigenvalue of a triple form counts as null.
 _SIGNATURE_FLOOR = 1e-8
+# Farthest det U may lie from exp(i alpha) for a lifted unitary.
+_DET_PHASE = 1e-9
+# Smallest sigma_min(Id - U V^H) of a random probe U against either lift V
+# that ``leray_general`` draws.
+_PROBE_MARGIN = 1e-3
 
 
 def _signature_of(M):
@@ -79,12 +84,13 @@ def _signature_of(M):
 # --------------------------------------------------------------------------
 
 
-def kashiwara(f1, f2, f3, tol=DEFAULT_TOL):
+def kashiwara(f1, f2, f3):
     """Signature of the triple form of three Lagrangian frames.
 
     Returns a SignatureResult; ``signature`` is antisymmetric under
     transpositions of the arguments, vanishes when two arguments
-    coincide, and is invariant under symplectic maps.
+    coincide, and is invariant under symplectic maps.  Eigenvalues below
+    the fixed relative floor ``_SIGNATURE_FLOOR`` count as nulls.
     """
     _require_same_space(f1.space, f2.space, "kashiwara")
     _require_same_space(f1.space, f3.space, "kashiwara")
@@ -121,9 +127,7 @@ def _graph_frame(lam, U):
     J = lam_s.space.J
     Ep = (F - 1j * J @ F) / np.sqrt(2.0)
     Em = (F + 1j * J @ F) / np.sqrt(2.0)
-    L = Ep - Em @ np.conj(U)
-    Q, _ = np.linalg.qr(L)
-    return Q, lam_s.space.gram
+    return np.linalg.qr(Ep - Em @ np.conj(U))[0]
 
 
 def _check_unitary(U, where):
@@ -135,7 +139,7 @@ def _check_unitary(U, where):
     return U
 
 
-def complex_kashiwara(u1, u2, u3, lam=None, tol=DEFAULT_TOL):
+def complex_kashiwara(u1, u2, u3, lam=None):
     """Hermitian triple signature of three unitaries via their graphs.
 
     ``lam`` is the reference Lagrangian used to build the graphs (default:
@@ -153,8 +157,8 @@ def complex_kashiwara(u1, u2, u3, lam=None, tol=DEFAULT_TOL):
         raise ValidationError(
             "reference dimension mismatch", where="complex_kashiwara"
         )
-    frames = [_graph_frame(lam, U)[0] for U in mats]
-    gram = _graph_frame(lam, mats[0])[1]
+    frames = [_graph_frame(lam, U) for U in mats]
+    gram = lam._standard.space.gram
     B = {
         (i, j): frames[i].conj().T @ gram @ frames[j]
         for i in range(3)
@@ -188,7 +192,7 @@ class LiftedUnitary:
         U = _check_unitary(self.U, "LiftedUnitary")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "alpha", float(self.alpha))
-        if abs(np.linalg.det(U) - np.exp(1j * self.alpha)) > 1e-9:
+        if abs(np.linalg.det(U) - np.exp(1j * self.alpha)) > _DET_PHASE:
             raise ValidationError(
                 "alpha is not a determinant phase", where="LiftedUnitary"
             )
@@ -240,8 +244,8 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
         for _ in range(20):
             U = haar_unitary(n, rng)
             if (
-                _transversality_margin(U, l1.U) > 1e-3
-                and _transversality_margin(U, l2.U) > 1e-3
+                _transversality_margin(U, l1.U) > _PROBE_MARGIN
+                and _transversality_margin(U, l2.U) > _PROBE_MARGIN
             ):
                 probe = LiftedUnitary(
                     U=U, alpha=float(np.angle(np.linalg.det(U)))
@@ -264,7 +268,7 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
                 raise PreconditionError(
                     f"probe not transversal to {name}", where="leray_general"
                 )
-    sig = complex_kashiwara(l1.U, l2.U, probe.U, tol=tol).signature
+    sig = complex_kashiwara(l1.U, l2.U, probe.U).signature
     return float(
         leray(probe, l2, tol) - leray(probe, l1, tol) - 0.5 * sig
     )

@@ -66,6 +66,12 @@ __all__ = [
 # the count then splits more pieces whose balls of radius r leave no test
 # angle free in (0, EPS_CAP].
 _STEP_ARC = 0.5
+# Smallest singular value of a pairing F_+^T gram F_- and largest relative
+# compatibility residual of i_minus that ``polarized_pair`` accepts.
+_PAIRING_SV = 1e-10
+_COMPATIBILITY_RESIDUAL = 1e-10
+# Shortest step of the reduction march (``_march``).
+_MIN_STEP = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -241,16 +247,15 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
     W_B = lam_plus.F.T @ big.gram @ lam_minus.F
     W_H = ell_plus.F.T @ small.gram @ ell_minus.F
     if (
-        np.linalg.svd(W_B, compute_uv=False).min() < 1e-10
-        or np.linalg.svd(W_H, compute_uv=False).min() < 1e-10
+        np.linalg.svd(W_B, compute_uv=False).min() < _PAIRING_SV
+        or np.linalg.svd(W_H, compute_uv=False).min() < _PAIRING_SV
     ):
         raise ValidationError(
             "degenerate polarization pairing", where="polarized_pair"
         )
     M = np.linalg.solve(W_H, D.T @ W_B)
-    if np.linalg.norm(D.T @ W_B - W_H @ M, 2) > 1e-10 * max(
-        1.0, np.linalg.norm(W_B, 2)
-    ):
+    residual = np.linalg.norm(D.T @ W_B - W_H @ M, 2)
+    if residual > _COMPATIBILITY_RESIDUAL * max(1.0, np.linalg.norm(W_B, 2)):
         raise ValidationError(
             "compatibility residual above 1e-10", where="polarized_pair"
         )
@@ -266,19 +271,20 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
     )
 
 
-def gamma_reduce(pp, mu, tol=DEFAULT_TOL):
+def gamma_reduce(pp, mu):
     """Reduced Lagrangian gamma(mu) = Gamma mu in the small space.
 
     gamma(mu) = {(x, y) : exists b with (i_plus x, b) in mu, y = i_minus b}
     is the image of mu under the one linear symplectic map Gamma of the
     pair (``PolarizedPair._gamma``), so the reduced frame is Gamma F_mu,
-    G-orthonormalized: its basis follows the basis of mu.
+    G-orthonormalized: its basis follows the basis of mu.  Its rank
+    tolerance is that of the small space (``core.lagrangian``).
     """
     _require_same_space(mu.space, pp.big, "gamma_reduce")
-    return lagrangian(pp.small, pp._gamma @ mu.F, tol)
+    return lagrangian(pp.small, pp._gamma @ mu.F)
 
 
-def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
+def gamma_reduce_path(pp, path):
     """Reduced path, resampled finely enough to be countable.
 
     A badly scaled injection rotates the reduced span much faster than
@@ -307,16 +313,19 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
     (4 ||Gamma|| rate), the rate estimated from midpoint reads
     (``_probe_rate``), the march stops at the sample times, and the count
     reads the chord radius (``paths._arc_radius``).
+
+    Every reduced frame is ``gamma_reduce``'s, whose rank tolerance is the
+    small space's ``tol``: nothing here takes a tolerance of its own.
     """
     if path.refiner is None:
         samples = tuple(
-            (t, gamma_reduce(pp, f, tol)) for t, f in path.samples
+            (t, gamma_reduce(pp, f)) for t, f in path.samples
         )
         return LagrangianPath(samples=samples, refiner=None)
 
     gamma = pp._gamma
     frames = _Formed(path.at)
-    reduced = _Formed(lambda t: gamma_reduce(pp, frames[t], tol))
+    reduced = _Formed(lambda t: gamma_reduce(pp, frames[t]))
     sigma = _Formed(
         lambda t: np.linalg.svd(gamma @ frames[t].F, compute_uv=False).min()
     )
@@ -359,8 +368,8 @@ def gamma_reduce_path(pp, path, tol=DEFAULT_TOL):
 
 
 def _march(step, knots):
-    """Times from 0 to 1, each step(t) (at least 1e-12) past the last and
-    stopping at every knot."""
+    """Times from 0 to 1, each step(t) (at least ``_MIN_STEP``) past the
+    last and stopping at every knot."""
     out = [0.0]
     t = 0.0
     next_knot = 1
@@ -370,7 +379,7 @@ def _march(step, knots):
                 "reduction conditioning defeats resampling",
                 where="gamma_reduce_path",
             )
-        h = max(step(t), 1e-12)
+        h = max(step(t), _MIN_STEP)
         while next_knot < len(knots) and knots[next_knot] <= t:
             next_knot += 1
         t2 = min(1.0, t + h)

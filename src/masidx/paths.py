@@ -89,6 +89,8 @@ MAX_SAMPLES = 60000
 _END_CHORD = 0.5
 # farthest the two samples at a ``catenate`` junction may lie apart
 _JUNCTION = 1e-8
+# farthest a time may lie from 0, 1 or a sample time and still match it
+_TIME_MATCH = 1e-12
 # farthest the determinant lift of a GeodesicPath may lie from an integer:
 # its angles and end spectra carry rounding only (at most 1.4e-14 on the
 # benchmark's paths, n up to 64), so a larger distance is a fault, not a
@@ -115,7 +117,7 @@ def _check_times(times, where):
         raise ValidationError("need at least two samples", where=where)
     if not np.all(np.isfinite(times)):
         raise ValidationError("sample times must be finite", where=where)
-    if abs(times[0]) > 1e-12 or abs(times[-1] - 1.0) > 1e-12:
+    if abs(times[0]) > _TIME_MATCH or abs(times[-1] - 1.0) > _TIME_MATCH:
         raise ValidationError(
             "parameter range must be [0, 1]", where=where
         )
@@ -152,7 +154,7 @@ def _at(path, t, where):
     if path.refiner is not None:
         return path.refiner(t)
     for ts, v in path.samples:
-        if abs(ts - t) <= 1e-12:
+        if abs(ts - t) <= _TIME_MATCH:
             return v
     raise AmbiguityError(
         "path has no refiner and needs evaluation between samples",
@@ -639,7 +641,6 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
 class PhaseTrace:
     """Matched trajectories for CSV export: ts (m,), values (m, n)."""
 
-    kind: str
     ts: np.ndarray
     values: np.ndarray
 
@@ -701,7 +702,7 @@ class IndexReport:
             step = np.angle(np.exp(1j * (cur[None, :] - rows[-1][:, None])))
             rows.append(cur[linear_sum_assignment(np.abs(step))[1]])
         values = np.mod(np.array(rows), 2.0 * np.pi)
-        return PhaseTrace(kind="eigenphase", ts=self.partition, values=values)
+        return PhaseTrace(ts=self.partition, values=values)
 
 
 def _test_value(blocked, tol):

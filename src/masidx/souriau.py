@@ -37,6 +37,10 @@ from .errors import ValidationError
 
 __all__ = ["souriau", "minus_one_offsets", "lagrangian_from_souriau"]
 
+# Singular values of realify(W) tau_lam + Id at most this count toward its
+# real kernel (``lagrangian_from_souriau``).
+_KERNEL_SV = 1e-8
+
 
 def _symmetric_unitary(frame):
     """U U^T for U = X + iY, the unitary of a standard-model frame."""
@@ -96,12 +100,12 @@ def lagrangian_from_souriau(lam, W):
     lam_s = lam._standard
     A = realify(W) @ lam_s.tau + np.eye(2 * n)
     _, sv, Vt = np.linalg.svd(A)
-    if sv[n - 1] <= 1e-8:
+    if sv[n - 1] <= _KERNEL_SV:
         raise ValidationError(
             "kernel larger than n: not a pair unitary for this base",
             where="lagrangian_from_souriau",
         )
-    if sv[n] > 1e-8:
+    if sv[n] > _KERNEL_SV:
         raise ValidationError(
             "kernel smaller than n: not symmetric relative to the base",
             where="lagrangian_from_souriau",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.optimize import brentq
 
 from .core import (
@@ -649,7 +649,7 @@ def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
 # --------------------------------------------------------------------------
 
 
-def cauchy_data_path(bp, tol=DEFAULT_TOL):
+def cauchy_data_path(bp):
     """Path of graph Lagrangians {(v, Phi_t v)} in the doubled space.
 
     Returns (path, boundary) where ``boundary`` is the lambda0 ⊞ lambda1
@@ -665,18 +665,14 @@ def cauchy_data_path(bp, tol=DEFAULT_TOL):
 
     samples = tuple((float(t), frame_at(float(t))) for t in bp.ts)
     path = LagrangianPath(samples=samples, refiner=frame_at)
-    z = np.zeros((2 * bp.N, bp.N))
-    boundary = lagrangian(
-        bs.space,
-        np.block([[bp.lambda0, z], [z, bp.lambda1]]),
-    )
+    boundary = lagrangian(bs.space, block_diag(bp.lambda0, bp.lambda1))
     return path, boundary
 
 
 def verify_coincidence(bp, window=8.0, tol=DEFAULT_TOL):
     """Both sides of the coincidence theorem: {sf, mas, equal}."""
     sf = spectral_flow(bp, window=window, tol=tol)
-    path, boundary = cauchy_data_path(bp, tol)
+    path, boundary = cauchy_data_path(bp)
     mas = maslov(path, boundary, tol)
     return {
         "sf": int(sf.value),

@@ -201,6 +201,23 @@ def test_lagrangian_rejects_non_isotropic_spans():
     )
 
 
+def test_lagrangian_reads_its_rank_tolerance_from_the_space():
+    """The one route of a frame's rank tolerance: the space's ``tol``.  A
+    QR diagonal of relative size 5e-8 clears DEFAULT_TOL.rank = 1e-8 and
+    falls below the loose profile's 1e-7."""
+    M = np.eye(4)[:, [0, 1]]
+    M[1, 1] = 5e-8
+    d = np.abs(np.diag(np.linalg.qr(M)[1]))
+    assert 1e-8 < d.min() / d.max() < 1e-7
+    fr = lagrangian(standard_space(2, DEFAULT_TOL), M)
+    assert same_span(fr, horizontal_frame(standard_space(2)))
+    with pytest.raises(ValidationError) as err:
+        lagrangian(standard_space(2, DEFAULT_TOL.scaled(10)), M)
+    assert (err.value.reason, err.value.where) == (
+        "rank-deficient frame", "lagrangian"
+    )
+
+
 def test_frame_constructor_requires_orthonormal_columns():
     sp = standard_space(1)
     with pytest.raises(ValidationError) as err:

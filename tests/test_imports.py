@@ -4,8 +4,9 @@ Every imported name is used (a name listed in ``__all__`` counts as a
 re-export), every name listed in ``__all__`` is bound in its module, the
 package exports exactly the names its modules list, every private
 top-level name is referenced somewhere in the package, every
-``Tolerances`` field is read somewhere in it, and the CLI reaches the
-other modules through their public names only.
+``Tolerances`` field is read somewhere in it, every function parameter
+is read by its function, no bound below 1e-2 is a bare literal, and the
+CLI reaches the other modules through their public names only.
 """
 
 import ast
@@ -169,3 +170,69 @@ def test_every_tolerance_field_is_read():
     fields = _tolerance_fields()
     assert fields
     assert sorted(fields - read) == []
+
+
+def _parameters(fn):
+    """The names of a function's parameters."""
+    a = fn.args
+    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function's body never names changes nothing.
+    The CLI's ``_cmd_*`` handlers share the dispatch signature (obj, args,
+    tol), so they are exempt."""
+    unread = []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(
+                fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if name.startswith("_cmd_"):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            named = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)
+            }
+            unread += [
+                f"{path.stem}.{name}({p}) line {fn.lineno}"
+                for p in _parameters(fn)
+                if p not in named
+            ]
+    assert unread == []
+
+
+def _named_bound_nodes(tree):
+    """Nodes of the module-level assignments and of the ``Tolerances``
+    class body: where a fixed bound gets its name."""
+    nodes = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) or (
+            isinstance(stmt, ast.ClassDef) and stmt.name == "Tolerances"
+        ):
+            nodes |= {id(n) for n in ast.walk(stmt)}
+    return nodes
+
+
+def test_no_small_float_literal_outside_named_bounds():
+    """A float literal in (0, 1e-2) is a bound: it is a module constant or
+    a ``Tolerances`` default, never written inline."""
+    bare = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        named = _named_bound_nodes(tree)
+        bare += [
+            f"{path.name}:{n.lineno} {n.value!r}"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant)
+            and type(n.value) is float
+            and 0.0 < n.value < 1e-2
+            and id(n) not in named
+        ]
+    assert bare == []

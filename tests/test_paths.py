@@ -298,7 +298,6 @@ def test_report_internals_are_consistent(rng):
     total = sum(hi - lo for lo, hi in rep.k_counts)
     assert total == rep.value
     assert rep.trace.values.shape[1] == 3
-    assert rep.trace.kind == "eigenphase"
 
 
 def _matched_phases(spectra):
