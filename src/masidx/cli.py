@@ -26,7 +26,8 @@ inputs fail with an ambiguity error rather than being silently
 interpolated: a gap counts only when its unitaries are within 0.5 in
 spectral norm and their eigenphases leave an admissible test angle.  The
 crossings and reduce subcommands always interpolate: the crossing search
-halves the pieces of the grid through the interpolant, and reduction
+reads the geodesic pieces of the grid, where every crossing form is exact
+(so the crossings input's "richardson" changes nothing), and reduction
 marches along the path.
 """
 
@@ -396,12 +397,8 @@ def _cmd_crossings(obj, args, tol):
     ]
     out = {"crossings": rows, "value": None}
     if all(c.regular for c in forms):
-        # the value is the one maslov_via_crossings gives, from forms
-        # without the Richardson step even when the rows report them
-        if richardson:
-            forms = (
-                crossing_form(path, lam, c.t_star, tol=tol) for c in forms
-            )
+        # every form on a geodesic path is exact and ``richardson`` changes
+        # none: the value is the one maslov_via_crossings gives
         out["value"] = int(crossing_sum(forms))
     return out, None
 

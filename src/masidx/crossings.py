@@ -4,15 +4,24 @@ A crossing of a Lagrangian path {mu_t} against a reference lam is an
 instant where mu_t ∩ lam is nontrivial, i.e. where the pair unitary has an
 eigenvalue at -1.  At a crossing the path is a graph over mu_{t*} with a
 symmetric generator A_t; the crossing form is the derivative of A_t
-restricted to the intersection, differentiated with the one step
-``tol.diff_step``.  Regular crossings (nondegenerate form) localize the
-index: summing signatures with boundary corrections reproduces the
-counting index.  The tests check these forms against a second one, the
-phase velocity of the pair unitary on the complexified kernel.
+restricted to the intersection (Robbin and Salamon, Topology 32, 1993).
+Regular crossings (nondegenerate form) localize the index: summing
+signatures with boundary corrections reproduces the counting index.
+
+On a path of ``paths.lagrangian_geodesic`` (the CLI's paths) both steps
+read the geodesic pieces.  The frame of a gap moves as d/dtau F = J F
+diag(phi / 2), so the form on kernel coordinates a in the frame is a^T
+diag(phi / 2) a / (t_{i+1} - t_i), with no differencing; and a simple
+eigenvalue of the pair unitary turns at a rate read off one eigenvector,
+so the search takes Newton steps to a crossing that only one eigenphase
+can reach.  On other paths (user refiners) the form is differentiated
+with the one step ``tol.diff_step`` and the search halves.  The tests
+check these forms against a second one, the phase velocity of the pair
+unitary on the complexified kernel.
 
 The search for crossings reads the pair-unitary path as that count does,
 with the count's radius rule (``paths._Reads``), from the path's own
-times, and halves only the pieces whose arc radius lets an eigenvalue
+times, and steps only into the pieces whose arc radius lets an eigenvalue
 reach -1: it runs no count and needs no sampling of its own.
 """
 
@@ -22,7 +31,13 @@ import numpy as np
 
 from .core import DEFAULT_TOL
 from .errors import AmbiguityError, PreconditionError
-from .paths import EPS_CAP, _Reads, _sample_times, to_unitary_path
+from .paths import (
+    EPS_CAP,
+    GeodesicPath,
+    _Reads,
+    _sample_times,
+    to_unitary_path,
+)
 from .souriau import minus_one_offsets, souriau
 
 __all__ = [
@@ -36,6 +51,8 @@ __all__ = [
 # Relative and absolute rounding slack of the search's drop test.
 _DROP_SLACK = 1e-9
 _DROP_FLOOR = 1e-13
+# Newton step in t below which the search takes the crossing as found.
+_NEWTON_STEP = 1e-13
 # Relative noise floor of a generator difference in ``crossing_form``.
 _DIFF_FLOOR = 1e-12
 # Distance from 0 or 1 within which a crossing counts as at that end.
@@ -60,6 +77,26 @@ class Crossing:
         return self.kernel.shape[1]
 
 
+def _piece_at(geodesic, t):
+    """The piece of a ``GeodesicPath`` at t, tau there, and the width in t
+    of its gap."""
+    i = geodesic._gap(t)
+    piece, tau = geodesic._locate(t)
+    return piece, tau, geodesic.times[i + 1] - geodesic.times[i]
+
+
+def _nearest_offset(geodesic, t):
+    """The offset angle(-lambda) nearest 0 of a ``GeodesicPath`` at t and
+    the rate in t at which it turns, read off one eigenvector
+    (``_GeodesicPiece.eig``); the rate is exact for a simple lambda."""
+    piece, tau, width = _piece_at(geodesic, t)
+    vals, vecs = piece.eig(tau)
+    offsets = np.angle(-vals)
+    k = int(np.abs(offsets).argmin())
+    rate = float(np.abs(vecs[:, k]) ** 2 @ piece.theta) / width
+    return float(offsets[k]), rate
+
+
 def find_crossings(path, lam, tol=DEFAULT_TOL):
     """All parameter values where the path meets the reference.
 
@@ -77,15 +114,28 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     EPS_CAP is halved, as the count splits it: its chord may hide a
     longer arc.  Of the others, those with a larger sum are dropped, the
     rest halved until they are ``tol.bisect_t`` wide or both ends lie
-    within ``tol.angular`` of -1.  Touching leaves form one crossing.  A
-    cluster at t = 0 or 1 reports that end.  Elsewhere the first leaf
-    across which the number of offsets in (0, EPS_CAP] changes is bisected
-    on that number to ``tol.bisect_t``; a cluster where it never changes
-    (a touch, or passages that cancel) reports its end nearest -1.  A
-    crossing whose offset stays below the angular tolerance 1000
-    ``tol.crossing_width`` to both sides raises AmbiguityError
-    (non-isolated), and so does a piece ``tol.bisect_t`` wide whose r
-    is still above pi - EPS_CAP, where the count runs out of refinement.
+    within ``tol.angular`` of -1.
+
+    The step rule differs on a geodesic piece where one eigenphase alone
+    can pass -1 and does: both ends lie farther than ``tol.angular`` from
+    -1, the nearest offset changes sign between them, and every other
+    offset at t0 lies beyond |nearest| + 2r (with the drop test's slack),
+    so no other eigenphase reaches 0 or the nearest one's offsets.  Such a
+    piece holds one crossing, found by safeguarded Newton steps on that
+    offset, whose rate is read off one eigenvector: the first step is the
+    secant, a step that would leave the bracket (kept by the offset's
+    sign) is a halving, and the search stops at a step below 1e-13 or a
+    bracket ``tol.bisect_t`` wide.
+
+    Touching leaves form one crossing.  A cluster at t = 0 or 1 reports
+    that end.  Elsewhere the first leaf across which the number of
+    offsets in (0, EPS_CAP] changes is bisected on that number to
+    ``tol.bisect_t``; a cluster where it never changes (a touch, or
+    passages that cancel) reports its end nearest -1.  A crossing whose
+    offset stays below the angular tolerance 1000 ``tol.crossing_width``
+    to both sides raises AmbiguityError (non-isolated), and so does a
+    piece ``tol.bisect_t`` wide whose r is still above pi - EPS_CAP,
+    where the count runs out of refinement.
 
     The pieces that the count reads as geodesic are searched exactly.  On
     other pieces a touch of -1 that no read point comes near can go
@@ -99,6 +149,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     ts, reads = _sample_times(upath), _Reads(upath, tol)
     offsets = reads.offsets
     reach = np.pi - EPS_CAP
+    geodesic = isinstance(upath, GeodesicPath)
 
     def gap(t):
         return float(np.abs(offsets(t)).min())
@@ -108,7 +159,41 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         s = offsets(t)
         return int(np.count_nonzero((s > 0.0) & (s <= EPS_CAP)))
 
-    leaves = []
+    def passage(t0, t1, r):
+        """The nearest offsets (f0, f1) at the ends of a geodesic piece
+        that one eigenphase alone can pass 0 on, and does; else None."""
+        s0, s1 = offsets(t0), offsets(t1)
+        f0 = float(s0[np.abs(s0).argmin()])
+        f1 = float(s1[np.abs(s1).argmin()])
+        if min(abs(f0), abs(f1)) <= tol.angular or (f0 > 0.0) == (f1 > 0.0):
+            return None
+        # any other offset stays beyond |f0| + r on the piece, and the
+        # nearest one within it: the nearest at each end is one eigenphase
+        rest = np.sort(np.abs(s0))[1:2]
+        bound = (abs(f0) + 2.0 * r) * (1.0 + _DROP_SLACK) + _DROP_FLOOR
+        if rest.size and rest[0] <= bound:
+            return None
+        return f0, f1
+
+    def newton(a, b, fa, fb):
+        """The zero in [a, b] of the offset ``passage`` found, with the
+        offsets fa at a and fb at b."""
+        t = a + (b - a) * fa / (fa - fb)
+        while True:
+            f, rate = _nearest_offset(upath, t)
+            if (f > 0.0) == (fa > 0.0):
+                a = t
+            else:
+                b = t
+            step = -f / rate if rate else np.inf
+            if abs(step) <= _NEWTON_STEP:
+                return t + step
+            # a step that would leave the bracket is a halving
+            t = t + step if a < t + step < b else 0.5 * (a + b)
+            if b - a <= tol.bisect_t:
+                return t
+
+    hits, leaves = [], []
     for piece in zip(ts[:-1], ts[1:]):
         stack = [piece]
         while stack:
@@ -130,6 +215,9 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
             elif t1 - t0 <= tol.bisect_t or max(a0, a1) <= tol.angular:
                 leaves.append((t0, t1))
                 continue
+            elif geodesic and (ends := passage(t0, t1, r)) is not None:
+                hits.append(newton(t0, t1, *ends))
+                continue
             tm = 0.5 * (t0 + t1)
             stack += [(tm, t1), (t0, tm)]
 
@@ -139,7 +227,6 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
             clusters[-1].append(t1)
         else:
             clusters.append([t0, t1])
-    hits = []
     for ends in clusters:
         if ends[0] == ts[0] or ends[-1] == ts[-1]:
             hits.append(ends[0] if ends[0] == ts[0] else ends[-1])
@@ -159,6 +246,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
             else:
                 b = tm
         hits.append(0.5 * (a + b))
+    hits.sort()
 
     # non-isolated means dwelling on the cycle, not a flat tangency: probe
     # well outside any C^2 graze of ordinary curvature
@@ -204,8 +292,13 @@ def _generator(space, base, frame):
 def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
     """Crossing form at t_star, via graph coordinates over mu_{t*}.
 
-    Central difference with step ``tol.diff_step`` (one-sided at the
-    endpoints); set ``richardson`` for fourth-order extrapolation.
+    On a path of ``paths.lagrangian_geodesic`` (every CLI path) the frame
+    of the gap at t_star moves as J F diag(phi / 2) / (t_{i+1} - t_i), so
+    the generator's derivative is that diagonal and the form is exact.
+    Elsewhere (user refiners) it is a central difference with step
+    ``tol.diff_step`` (one-sided at the endpoints); set ``richardson``
+    for fourth-order extrapolation.  ``richardson`` and ``diff_step`` act
+    on those paths only.
 
     Returns a Crossing carrying the kernel basis (columns, original
     coordinates), the symmetric form on that basis, its signature (p, q)
@@ -217,10 +310,23 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
             "crossing form requires a refiner", where="crossing_form"
         )
     mu_star, vecs = _kernel_basis(path, lam, t_star, tol)
-    space = mu_star.space
+    if path._geodesic is not None:
+        piece, _, width = _piece_at(path._geodesic[1], t_star)
+        dA = np.diag(0.5 * piece.theta / width)
+    else:
+        dA = _generator_rate(path, mu_star, t_star, tol, richardson)
+    # the kernel's coordinates in the frame of mu_{t*}
+    K = mu_star.F.T @ mu_star.space.G @ vecs
+    Q = K.T @ dA @ K
+    Q = 0.5 * (Q + Q.T)
+    return _package(t_star, vecs, Q, tol)
+
+
+def _generator_rate(path, mu_star, t_star, tol, richardson):
+    """d/dt of the generator over mu_{t*} at t_star by differences."""
 
     def gen_at(t):
-        return _generator(space, mu_star, path.at(t))
+        return _generator(mu_star.space, mu_star, path.at(t))
 
     def derivative(step):
         lo, hi = t_star - step, t_star + step
@@ -246,10 +352,7 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
     dA = derivative(tol.diff_step)
     if richardson:
         dA = (4.0 * dA - derivative(2.0 * tol.diff_step)) / 3.0
-    K = mu_star.F.T @ space.G @ vecs
-    Q = K.T @ dA @ K
-    Q = 0.5 * (Q + Q.T)
-    return _package(t_star, vecs, Q, tol)
+    return dA
 
 
 def _package(t_star, vecs, Q, tol):

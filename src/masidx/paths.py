@@ -358,6 +358,13 @@ class _GeodesicPiece:
     def eigvals(self, tau):
         return np.linalg.eigvals(self.M * np.exp(1j * tau * self.theta))
 
+    def eig(self, tau):
+        """Eigenvalues and unit eigenvectors y of M diag(exp(i tau theta)).
+        Z y is an eigenvector of U_tau, so a simple eigenvalue lambda moves
+        as d lambda / d tau = i lambda y^H diag(theta) y: its phase turns
+        at y^H diag(theta) y."""
+        return np.linalg.eig(self.M * np.exp(1j * tau * self.theta))
+
     def __matmul__(self, C):
         """The piece U_tau C for a constant unitary C: (U0 C, theta, C^H Z),
         with the same angles and so the same radius."""

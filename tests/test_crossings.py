@@ -22,6 +22,8 @@ from masidx import (
     lift_path_endpoints,
     maslov,
     maslov_via_crossings,
+    paths,
+    random_lagrangian,
     standard_space,
     vertical_frame,
 )
@@ -332,6 +334,15 @@ def test_search_splits_the_pieces_that_the_count_splits():
     assert maslov_via_crossings(path, ref) == maslov(path, ref).value == -1
 
 
+def _cli_path(spin):
+    """The CLI's path through the samples of ``spin``: geodesic pieces at
+    refine factor 2."""
+    return cli._lagrangian_path(
+        [t for t, _ in spin.samples], [f for _, f in spin.samples], 2,
+        DEFAULT_TOL,
+    )
+
+
 def test_search_and_lift_evaluate_no_time_twice():
     """find_crossings and lift_path_endpoints read the unitaries the count
     read, so neither passes a time to the refiner twice; the CLI path of
@@ -341,10 +352,7 @@ def test_search_and_lift_evaluate_no_time_twice():
     spin, ref = spinner_path(
         sp, *_CLOSE_PAIR, rng=np.random.default_rng(0), num=5
     )
-    nodes = [t for t, _ in spin.samples]
-    path = cli._lagrangian_path(
-        nodes, [f for _, f in spin.samples], 2, DEFAULT_TOL
-    )
+    path = _cli_path(spin)
     for search in (find_crossings, lift_path_endpoints):
         asked = []
 
@@ -355,3 +363,86 @@ def test_search_and_lift_evaluate_no_time_twice():
         search(lagrangian_path(path.samples, refiner=refiner), ref)
         assert asked
         assert len(asked) == len(set(asked)), search.__name__
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_geodesic_search_lands_on_the_closed_form(n, rng):
+    """On the geodesic pieces of a CLI path the search takes Newton steps,
+    so it finds each crossing of a spinner to rounding, where halving
+    stops at ``tol.bisect_t``."""
+    sp = standard_space(n)
+    if n == 4:
+        spinners = list(_close_spinners(rng, 3))
+    else:
+        spinners = [
+            (rng.uniform(-np.pi, np.pi, 1), rng.uniform(0.5, 2.5, 1) * sign)
+            for sign in (1.0, -1.0, 1.0, -1.0)
+        ]
+    for phases, rates in spinners:
+        spin, ref = spinner_path(sp, phases, rates, rng=rng, num=5)
+        want = spinner_crossings(phases, rates)
+        ts = find_crossings(_cli_path(spin), ref)
+        assert len(ts) == len(want), (phases, rates)
+        for t, (t_want, _) in zip(ts, want):
+            assert abs(t - t_want) < 1e-12
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_exact_form_matches_two_independent_forms(general, rng):
+    """The form a geodesic CLI path reads off its piece's angles against
+    the phase-velocity oracle and against differences of the same path
+    handed over as a plain refiner."""
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            sp = random_structure_space(n, rng) if general else (
+                standard_space(n)
+            )
+            frames = [random_lagrangian(sp, rng) for _ in range(5)]
+            path = cli._lagrangian_path(
+                np.linspace(0.0, 1.0, 5), frames, 2, DEFAULT_TOL
+            )
+            ref = random_lagrangian(sp, rng)
+            plain = lagrangian_path(path.samples, refiner=path.refiner)
+            for t_star in find_crossings(path, ref):
+                exact = crossing_form(path, ref, t_star)
+                phase = crossing_form_phase(path, ref, t_star)
+                assert signature_brute(phase) == exact.signature
+                assert phase.shape[0] == exact.dim
+                diff = crossing_form(plain, ref, t_star)
+                assert (diff.signature, diff.regular, diff.dim) == (
+                    exact.signature, exact.regular, exact.dim
+                )
+                w = np.linalg.eigvalsh(exact.form)
+                np.testing.assert_allclose(
+                    np.linalg.eigvalsh(diff.form), w, rtol=0.0,
+                    atol=1e-5 * np.abs(w).max(),
+                )
+                checked += 1
+    assert checked >= 10
+
+
+def test_search_reads_few_spectra_per_crossing(monkeypatch):
+    """The spectra the search of the _CLOSE_PAIR CLI path reads: offsets
+    (each a ``GeodesicPath.eigvals``) and Newton's eigenvectors (each a
+    ``_GeodesicPiece.eig``).  Halving every crossing to ``tol.bisect_t``
+    took 189 reads for its 5 crossings."""
+    reads = []
+    for cls, name in (
+        (paths.GeodesicPath, "eigvals"),
+        (paths._GeodesicPiece, "eig"),
+    ):
+        original = getattr(cls, name)
+
+        def counted(self, t, _original=original):
+            reads.append(t)
+            return _original(self, t)
+
+        monkeypatch.setattr(cls, name, counted)
+    sp = standard_space(4)
+    spin, ref = spinner_path(
+        sp, *_CLOSE_PAIR, rng=np.random.default_rng(0), num=5
+    )
+    ts = find_crossings(_cli_path(spin), ref)
+    assert len(ts) == 5
+    assert len(reads) <= 12 * len(ts)
