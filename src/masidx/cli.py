@@ -200,7 +200,9 @@ def _frame_matrices(obj, keys, n):
 
 
 def _frames(space, mats):
-    return [lagrangian(space, M) for M in mats]
+    """The frames of ``mats`` in ``space``, from one stacked ``lagrangian``
+    call, which raises the error of the first matrix that fails."""
+    return lagrangian(space, np.stack(mats))
 
 
 def _unitary_matrix(obj, n, where):
@@ -227,8 +229,8 @@ def _reference_and_path(obj, tol):
     n = _positive_int(obj, "n")
     ref = _frame_matrix(obj["reference"], n, "input.reference")
     ts, mats = _nodes(obj["path"], n, "input.path")
-    space = _space_of(obj, tol)
-    return lagrangian(space, ref), ts, _frames(space, mats)
+    lam, *frames = _frames(_space_of(obj, tol), [ref] + mats)
+    return lam, ts, frames
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +277,18 @@ def _unitary_cli_path(ts, mats, factor, tol):
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _row_format(k):
+    """The format of a row of k floats: one ``%`` formats the row."""
+    return "[" + ",".join(["%.17g"] * k) + "]"
+
+
+@lru_cache(maxsize=256)
+def _key(name):
+    """A report key, escaped once."""
+    return json.dumps(name)
+
+
 def _fmt(obj):
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -282,7 +296,7 @@ def _fmt(obj):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise ValidationError("non-finite value in report", where="emit")
         return "%.17g" % x
     if isinstance(obj, str):
@@ -292,17 +306,16 @@ def _fmt(obj):
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if items and all(type(x) is float for x in items):
-            # the rows of a frame: the float case above, in one join
+            # the rows of a frame: the float case above, in one format
             if not all(map(math.isfinite, items)):
                 raise ValidationError(
                     "non-finite value in report", where="emit"
                 )
-            return "[" + ",".join(["%.17g" % x for x in items]) + "]"
+            return _row_format(len(items)) % tuple(items)
         return "[" + ",".join(_fmt(x) for x in items) + "]"
     if isinstance(obj, dict):
         parts = (
-            json.dumps(str(k)) + ":" + _fmt(v)
-            for k, v in sorted(obj.items())
+            _key(str(k)) + ":" + _fmt(v) for k, v in sorted(obj.items())
         )
         return "{" + ",".join(parts) + "}"
     raise ValidationError(

@@ -30,7 +30,7 @@ projections compute no index: they are test oracles.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -157,7 +157,9 @@ def _not_unitary(U):
     return _norm2_exceeds(U.conj().T @ U - np.eye(len(U)), _UNITARY_RESIDUAL)
 
 
-def _as_matrix(M, name, shape=None, allow_complex=False):
+def _as_matrix(M, name, shape=None, allow_complex=False, stack=False):
+    """M as a float (or complex) matrix of ``shape``, or as a stack of
+    such matrices, (k,) + ``shape``, when ``stack`` is set."""
     A = np.asarray(M)
     if allow_complex:
         if not np.issubdtype(A.dtype, np.number):
@@ -167,11 +169,12 @@ def _as_matrix(M, name, shape=None, allow_complex=False):
         if np.iscomplexobj(A):
             raise ValidationError(f"{name} must be real", where=name)
         A = A.astype(float)
-    if A.ndim != 2:
+    if A.ndim != 2 + stack:
         raise ValidationError(f"{name} must be a matrix", where=name)
-    if shape is not None and A.shape != shape:
+    if shape is not None and A.shape[-2:] != shape:
         raise ValidationError(
-            f"{name} has shape {A.shape}, expected {shape}", where=name
+            f"{name} has shape {A.shape[-2:]}, expected {shape}",
+            where=name,
         )
     return A
 
@@ -257,8 +260,17 @@ def _standard_J(n):
 
 
 def standard_space(n, tol=DEFAULT_TOL):
-    """The model space: J = [[0, -I], [I, 0]], G = Id."""
-    return SymplecticSpace(n=n, J=_standard_J(n), G=np.eye(2 * n), tol=tol)
+    """The model space: J = [[0, -I], [I, 0]], G = Id.  One space is built
+    per (n, tol) and shared, its J and G read-only."""
+    return _standard_space(n, tol)
+
+
+@lru_cache(maxsize=64)
+def _standard_space(n, tol):
+    space = SymplecticSpace(n=n, J=_standard_J(n), G=np.eye(2 * n), tol=tol)
+    space.J.setflags(write=False)
+    space.G.setflags(write=False)
+    return space
 
 
 def compatible_structure(Omega, tol=DEFAULT_TOL):
@@ -313,9 +325,10 @@ def _require_same_space(a, b, where):
 @dataclass(frozen=True, eq=False)
 class LagrangianFrame:
     """G-orthonormal frame of a Lagrangian subspace: U = X + iY unitary,
-    ||R||_2 <= 1e-10 (module docstring), checked on construction.  A
-    failure is "frame not G-orthonormal" when Re R = F^T G F - Id exceeds
-    the bound, else "frame not isotropic".  ``_exact`` skips the check.
+    ||R||_2 <= 1e-10 (module docstring), checked on construction as a
+    stack of one (``_frame_errors``).  A failure is "frame not
+    G-orthonormal" when Re R = F^T G F - Id exceeds the bound, else
+    "frame not isotropic".  ``_exact`` skips the check.
     """
 
     space: SymplecticSpace
@@ -325,16 +338,8 @@ class LagrangianFrame:
         sp = self.space
         F = _as_matrix(self.F, "F", (2 * sp.n, sp.n))
         object.__setattr__(self, "F", F)
-        GF = sp.G @ F
-        R = F.T @ GF - np.eye(sp.n) + 1j * ((sp.J @ F).T @ GF)
-        if _norm2_exceeds(R, _FRAME_RESIDUAL):
-            if _norm2_exceeds(R.real, _FRAME_RESIDUAL):
-                raise ValidationError(
-                    "frame not G-orthonormal", where="LagrangianFrame"
-                )
-            raise ValidationError(
-                "frame not isotropic", where="LagrangianFrame"
-            )
+        for _, err in _frame_errors(sp, F[None]):
+            raise err
 
     @classmethod
     def _exact(cls, space, F):
@@ -363,54 +368,87 @@ class LagrangianFrame:
         return LagrangianFrame._exact(self.space, self.space.J @ self.F)
 
 
-def _orthonormalize(space, M, tol, where):
-    """G-orthonormalize columns; raise on rank deficiency."""
-    W = space.g_half @ M if not space.is_standard else M
-    Q, R = np.linalg.qr(W)
-    d = np.diag(R)
-    bad = np.abs(d) <= tol.rank * max(1.0, np.abs(d).max(initial=0.0))
-    if bad.any():
-        raise ValidationError("rank-deficient frame", where=where)
-    Q = Q * np.sign(d)
-    if not space.is_standard:
-        Q = space.g_half_inv @ Q
-    return Q
+def _frame_errors(space, F):
+    """(k, error) for each frame F[k] of a stack (k, 2n, n) that fails the
+    check of ``LagrangianFrame``, in order of k.
+
+    The residuals R = F^T G F - Id + i (JF)^T G F are formed in one
+    stacked product, and their Frobenius norms clear the stack at once
+    (||R||_2 <= ||R||_F, with the margin of ``_norm2_exceeds``); only a
+    residual they do not clear, a non-finite one too, takes the exact
+    test, which says which part failed.
+    """
+    GF = space.G @ F
+    R = np.swapaxes(F, 1, 2) @ GF - np.eye(space.n) + 1j * (
+        np.swapaxes(space.J @ F, 1, 2) @ GF
+    )
+    cleared = np.linalg.norm(R, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
+    for k in np.flatnonzero(~(cleared <= _FRAME_RESIDUAL)):
+        if _norm2_exceeds(R[k], _FRAME_RESIDUAL):
+            if _norm2_exceeds(R[k].real, _FRAME_RESIDUAL):
+                reason = "frame not G-orthonormal"
+            else:
+                reason = "frame not isotropic"
+            yield int(k), ValidationError(reason, where="LagrangianFrame")
 
 
 def lagrangian(space, M):
-    """Validated Lagrangian frame from a (possibly raw) spanning matrix.
+    """Validated Lagrangian frames from (possibly raw) spanning matrices.
 
     Parameters
     ----------
     space : SymplecticSpace
         Its ``tol.rank``, relative to the largest QR diagonal entry (or
         1), is the frame's rank tolerance: a profile sets it on the space.
-    M : (2n, n) array
+    M : (2n, n) array, or a (k, 2n, n) stack of them
         Columns spanning the candidate subspace.  They are
         re-orthonormalized (thin QR against the metric, R diagonal forced
-        positive) before the isotropy check.
+        positive) before the check of ``LagrangianFrame``.  A matrix is
+        a stack of one: one QR runs on the whole stack, and its residuals
+        are cleared at once (``_frame_errors``).  numpy factors a stack
+        slice by slice, so each frame is bitwise the one a call on its
+        matrix alone gives.
 
     Returns
     -------
-    LagrangianFrame
+    LagrangianFrame, or a tuple of k of them for a stack.
 
     Raises
     ------
     ValidationError
-        Rank-deficient input, or the orthonormalized frame fails the
-        check of ``LagrangianFrame``: named "subspace is not isotropic"
-        here when its isotropy part, formed only then, exceeds 1e-8.
+        The error of the first matrix of the stack that fails, as a call
+        on each matrix in turn would raise it: rank-deficient input, or
+        the orthonormalized frame fails the check of ``LagrangianFrame``,
+        named "subspace is not isotropic" here when its isotropy part,
+        formed only then, exceeds 1e-8.
     """
-    M = _as_matrix(M, "frame", (2 * space.n, space.n))
-    F = _orthonormalize(space, M, space.tol, "lagrangian")
-    try:
-        return LagrangianFrame(space, F)
-    except ValidationError:
-        if _norm2_exceeds(F.T @ space.gram @ F, _SPAN_ISOTROPY):
+    single = np.ndim(M) != 3
+    Ms = _as_matrix(M, "frame", (2 * space.n, space.n), stack=not single)
+    if single:
+        Ms = Ms[None]
+    W = Ms if space.is_standard else space.g_half @ Ms
+    Q, R = np.linalg.qr(W)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    scale = np.maximum(1.0, np.abs(d).max(axis=1, initial=0.0))
+    tol = space.tol
+    deficient = np.flatnonzero(
+        (np.abs(d) <= tol.rank * scale[:, None]).any(axis=1)
+    )
+    F = Q * np.sign(d)[:, None, :]
+    if not space.is_standard:
+        F = space.g_half_inv @ F
+    # frames past the first rank-deficient one are never reached
+    reached = F[: deficient[0]] if deficient.size else F
+    for k, err in _frame_errors(space, reached):
+        if _norm2_exceeds(F[k].T @ space.gram @ F[k], _SPAN_ISOTROPY):
             raise ValidationError(
                 "subspace is not isotropic", where="lagrangian"
-            ) from None
-        raise
+            )
+        raise err
+    if deficient.size:
+        raise ValidationError("rank-deficient frame", where="lagrangian")
+    frames = tuple(LagrangianFrame._exact(space, f) for f in F)
+    return frames[0] if single else frames
 
 
 def horizontal_frame(space):

@@ -86,15 +86,58 @@ def _piece_at(geodesic, t):
 
 
 def _nearest_offset(geodesic, t):
-    """The offset angle(-lambda) nearest 0 of a ``GeodesicPath`` at t and
-    the rate in t at which it turns, read off one eigenvector
-    (``_GeodesicPiece.eig``); the rate is exact for a simple lambda."""
+    """The offsets angle(-lambda) of a ``GeodesicPath`` at t, the index k
+    of the one nearest 0, and the rate in t at which it turns, read off
+    one eigenvector (``_GeodesicPiece.eig``); the rate is exact for a
+    simple lambda."""
     piece, tau, width = _piece_at(geodesic, t)
     vals, vecs = piece.eig(tau)
     offsets = np.angle(-vals)
     k = int(np.abs(offsets).argmin())
     rate = float(np.abs(vecs[:, k]) ** 2 @ piece.theta) / width
-    return float(offsets[k]), rate
+    return offsets, k, rate
+
+
+def _clear_at(geodesic, read, p, angular):
+    """Whether every offset of a ``GeodesicPath`` at p is proven farther
+    than ``angular`` from 0 by one Newton read (t, offsets, k, rate) at t
+    (``_nearest_offset``), with t and p in one gap.
+
+    Within one gap U_p is similar to U_t exp(i (p - t) H), H Hermitian
+    with ||H|| = S, the speed of the gap's piece in t, so no eigenphase
+    moves farther than rho = S |p - t| between t and p.  The other
+    offsets at p thus lie beyond min_j |o_j| - rho, and the k-th phase
+    stays simple, every other phase beyond delta = (its least circular
+    distance to them at t) - 2 rho.  A simple phase has phi'' =
+    sum_j |H_jk|^2 cot((phi_k - phi_j) / 2), so |phi''| <= S^2 cot(delta
+    / 2), and by Taylor |o_k(p)| >= |o_k + rate (p - t)| - S^2 cot(delta
+    / 2) (p - t)^2 / 2 while |o_k| + rho < pi.  Both lower bounds, less a
+    rounding slack, must exceed ``angular``; False where either does not,
+    or p lies in another gap.
+    """
+    t, offsets, k, rate = read
+    i = geodesic._gap(t)
+    if geodesic._gap(p) != i:
+        return False
+    speed = geodesic.pieces[i].speed / (
+        geodesic.times[i + 1] - geodesic.times[i]
+    )
+    dt = p - t
+    rho = speed * abs(dt)
+    f = offsets[k]
+    others = np.delete(offsets, k)
+    slack = _DROP_SLACK * (abs(f) + rho) + _DROP_FLOOR
+    curve = 0.0
+    if others.size:
+        if np.abs(others).min() - rho - slack <= angular:
+            return False
+        delta = np.abs(np.angle(np.exp(1j * (others - f)))).min() - 2 * rho
+        if delta <= 0.0:
+            return False
+        curve = speed**2 / np.tan(0.5 * delta)
+    if abs(f) + rho >= np.pi:
+        return False
+    return abs(f + rate * dt) - 0.5 * curve * dt**2 - slack > angular
 
 
 def find_crossings(path, lam, tol=DEFAULT_TOL):
@@ -135,7 +178,10 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     offset stays below the angular tolerance 1000 ``tol.crossing_width``
     to both sides raises AmbiguityError (non-isolated), and so does a
     piece ``tol.bisect_t`` wide whose r is still above pi - EPS_CAP,
-    where the count runs out of refinement.
+    where the count runs out of refinement.  A Newton hit answers each
+    of its two probe points from its last read where ``_clear_at``
+    proves every offset there beyond the angular tolerance, and reads
+    the spectrum there only where that bound does not hold.
 
     The pieces that the count reads as geodesic are searched exactly.  On
     other pieces a touch of -1 that no read point comes near can go
@@ -177,23 +223,29 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
 
     def newton(a, b, fa, fb):
         """The zero in [a, b] of the offset ``passage`` found, with the
-        offsets fa at a and fb at b."""
+        offsets fa at a and fb at b; its last read is kept in ``reads_at``
+        for the isolation probe."""
         t = a + (b - a) * fa / (fa - fb)
         while True:
-            f, rate = _nearest_offset(upath, t)
+            offsets_t, k, rate = _nearest_offset(upath, t)
+            f = float(offsets_t[k])
             if (f > 0.0) == (fa > 0.0):
                 a = t
             else:
                 b = t
             step = -f / rate if rate else np.inf
+            read = (t, offsets_t, k, rate)
             if abs(step) <= _NEWTON_STEP:
-                return t + step
+                t = t + step
+                reads_at[t] = read
+                return t
             # a step that would leave the bracket is a halving
             t = t + step if a < t + step < b else 0.5 * (a + b)
             if b - a <= tol.bisect_t:
+                reads_at[t] = read
                 return t
 
-    hits, leaves = [], []
+    hits, leaves, reads_at = [], [], {}
     for piece in zip(ts[:-1], ts[1:]):
         stack = [piece]
         while stack:
@@ -251,14 +303,17 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     # non-isolated means dwelling on the cycle, not a flat tangency: probe
     # well outside any C^2 graze of ordinary curvature
     dwell = 1000.0 * tol.crossing_width
+
+    def clear(t, p):
+        # a Newton hit answers the probe from its last read where it can
+        return (
+            t in reads_at
+            and _clear_at(upath, reads_at[t], p, tol.angular)
+        ) or gap(p) > tol.angular
+
     for t in hits:
         lo, hi = t - dwell, t + dwell
-        if (
-            lo >= 0.0
-            and hi <= 1.0
-            and gap(lo) <= tol.angular
-            and gap(hi) <= tol.angular
-        ):
+        if lo >= 0.0 and hi <= 1.0 and not clear(t, lo) and not clear(t, hi):
             raise AmbiguityError(
                 f"non-isolated crossing around t={t}", where="find_crossings"
             )

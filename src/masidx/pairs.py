@@ -280,8 +280,16 @@ def gamma_reduce(pp, mu):
     G-orthonormalized: its basis follows the basis of mu.  Its rank
     tolerance is that of the small space (``core.lagrangian``).
     """
-    _require_same_space(mu.space, pp.big, "gamma_reduce")
-    return lagrangian(pp.small, pp._gamma @ mu.F)
+    return _reduced(pp, [mu])[0]
+
+
+def _reduced(pp, frames):
+    """``gamma_reduce`` of each of ``frames``, as a tuple: the products
+    Gamma F and their frames each formed in one stacked call."""
+    for mu in frames:
+        _require_same_space(mu.space, pp.big, "gamma_reduce")
+    stack = np.stack([mu.F for mu in frames])
+    return lagrangian(pp.small, pp._gamma @ stack)
 
 
 def gamma_reduce_path(pp, path):
@@ -314,12 +322,18 @@ def gamma_reduce_path(pp, path):
     (``_probe_rate``), the march stops at the sample times, and the count
     reads the chord radius (``paths._arc_radius``).
 
-    Every reduced frame is ``gamma_reduce``'s, whose rank tolerance is the
-    small space's ``tol``: nothing here takes a tolerance of its own.
+    The reduced frames of the march times are formed after the march,
+    all in one stacked ``lagrangian`` call; a point the count inserts
+    forms its own when first read.  Every reduced frame is
+    ``gamma_reduce``'s, whose rank tolerance is the small space's
+    ``tol``: nothing here takes a tolerance of its own.
     """
     if path.refiner is None:
         samples = tuple(
-            (t, gamma_reduce(pp, f)) for t, f in path.samples
+            zip(
+                [t for t, _ in path.samples],
+                _reduced(pp, [f for _, f in path.samples]),
+            )
         )
         return LagrangianPath(samples=samples, refiner=None)
 
@@ -361,7 +375,9 @@ def gamma_reduce_path(pp, path):
         def step(t):
             return 0.2 * sigma[t] / speed
 
-    samples = tuple((t, reduced[t]) for t in _march(step, knots))
+    times = _march(step, knots)
+    reduced.update(zip(times, _reduced(pp, [frames[t] for t in times])))
+    samples = tuple((t, reduced[t]) for t in times)
     return LagrangianPath(
         samples=samples, refiner=reduced.__getitem__, _radius=radius
     )

@@ -532,19 +532,23 @@ def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
     )
 
 
-def _lagrangian_piece(U0, U1, tol):
-    """The gap of pair unitaries against the horizontal Lagrangian from
-    -U0 U0^T to -U1 U1^T (U = X + iY of standardized frames), as a
-    ``_GeodesicPiece``, or None when its ends are antipodal.
+def _lagrangian_pieces(us, tol):
+    """The gaps of pair unitaries against the horizontal Lagrangian from
+    -U_i U_i^T to -U_{i+1} U_{i+1}^T (``us``: the stack of the U = X + iY
+    of standardized node frames), each a ``_GeodesicPiece``, or None when
+    its ends are antipodal, built in order of the gaps.
 
     X = U0^H (U1 U1^T) conj(U0) is similar to the gap's W0^H W1 and is a
     symmetric unitary, so Re X and Im X are commuting real symmetric
     matrices (Lambda(n) = U(n)/O(n)): X = O diag(exp(i phi)) O^T for a
     real orthogonal O, the eigenvectors of the pencil Re X + _PENCIL Im X.
-    Distinct phi share a pencil value where phi_2 = 2 atan(_PENCIL) -
-    phi_1; Im X - _PENCIL Re X tells them apart, so each cluster of pencil
-    values is split by its eigenvectors.  AmbiguityError when O^T X O
-    misses diag(exp(i phi)) by more than _PENCIL_RESIDUAL.
+    X and the pencil's eigensolve run once on the stack of all gaps;
+    numpy solves a stack slice by slice, so each gap is bitwise the one
+    a call on it alone gives.  Distinct phi share a pencil value where
+    phi_2 = 2 atan(_PENCIL) - phi_1; Im X - _PENCIL Re X tells them
+    apart, so each cluster of pencil values is split by its eigenvectors,
+    gap by gap.  AmbiguityError when O^T X O misses diag(exp(i phi)) by
+    more than _PENCIL_RESIDUAL.
 
     With V = U0 O, the piece is (-V V^T, phi, conj V): W0^H W_tau =
     conj(V) diag(exp(i tau phi)) V^T.  Each column of V is signed so that
@@ -552,28 +556,33 @@ def _lagrangian_piece(U0, U1, tol):
     follows the span of the node frame, not LAPACK's signs; a repeated
     phi still leaves a basis of its eigenspace to LAPACK.
     """
-    X = U0.conj().T @ (U1 @ U1.T) @ U0.conj()
-    A, B = X.real, X.imag
-    pencil, O = np.linalg.eigh(A + _PENCIL * B)
-    apart = pencil[1:] - pencil[:-1] > _PENCIL_GAP
-    if not apart.all():
-        other = B - _PENCIL * A
-        cuts = np.flatnonzero(apart) + 1
-        for block in np.split(np.arange(len(pencil)), cuts):
-            Ob = O[:, block]
-            O[:, block] = Ob @ np.linalg.eigh(Ob.T @ other @ Ob)[1]
-    D = O.T @ X @ O
-    vals = np.diag(D)
-    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-        return None
-    if _norm2_exceeds(D - np.diag(vals), _PENCIL_RESIDUAL):
-        raise AmbiguityError(
-            "gap has no real eigenbasis", where="lagrangian_geodesic"
-        )
-    V = U0 @ O
-    F = np.vstack([V.real, V.imag])
-    V = V * np.sign(F[np.abs(F).argmax(axis=0), np.arange(len(vals))])
-    return _GeodesicPiece(U0=-V @ V.T, theta=np.angle(vals), Z=V.conj())
+    U0s, U1s = us[:-1], us[1:]
+    Xs = np.swapaxes(U0s.conj(), 1, 2) @ (U1s @ np.swapaxes(U1s, 1, 2)) @ (
+        U0s.conj()
+    )
+    pencils, Os = np.linalg.eigh(Xs.real + _PENCIL * Xs.imag)
+    for U0, X, pencil, O in zip(U0s, Xs, pencils, Os):
+        A, B = X.real, X.imag
+        apart = pencil[1:] - pencil[:-1] > _PENCIL_GAP
+        if not apart.all():
+            other = B - _PENCIL * A
+            cuts = np.flatnonzero(apart) + 1
+            for block in np.split(np.arange(len(pencil)), cuts):
+                Ob = O[:, block]
+                O[:, block] = Ob @ np.linalg.eigh(Ob.T @ other @ Ob)[1]
+        D = O.T @ X @ O
+        vals = np.diag(D)
+        if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
+            yield None
+            continue
+        if _norm2_exceeds(D - np.diag(vals), _PENCIL_RESIDUAL):
+            raise AmbiguityError(
+                "gap has no real eigenbasis", where="lagrangian_geodesic"
+            )
+        V = U0 @ O
+        F = np.vstack([V.real, V.imag])
+        V = V * np.sign(F[np.abs(F).argmax(axis=0), np.arange(len(vals))])
+        yield _GeodesicPiece(U0=-V @ V.T, theta=np.angle(vals), Z=V.conj())
 
 
 def _geodesic_frame(std, piece, tau):
@@ -595,7 +604,7 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
 
     With U_i = X_i + iY_i of the standardized node frames, W(h, mu_i) =
     -U_i U_i^T, and each gap is diagonalized by one real orthogonal matrix
-    (``_lagrangian_piece``), so its frames are written down directly
+    (``_lagrangian_pieces``), so its frames are written down directly
     (``_geodesic_frame``), each formed when first read; ``samples``, ``at``
     and ``refiner`` share the frames of the grid times.  The path's
     ``_geodesic`` is (h, G), G the ``GeodesicPath`` of its pair unitaries
@@ -615,12 +624,8 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
             "samples from different spaces", where="lagrangian_geodesic"
         )
     std = space.standardization
-    us = [complexify_vectors(f._standard.F) for f in frames]
-    geodesic = _joined(
-        times,
-        grid,
-        (_lagrangian_piece(a, b, tol) for a, b in zip(us, us[1:])),
-    )
+    us = np.stack([complexify_vectors(f._standard.F) for f in frames])
+    geodesic = _joined(times, grid, _lagrangian_pieces(us, tol))
 
     def frame_at(t):
         return _geodesic_frame(std, *geodesic._locate(t))
@@ -816,15 +821,20 @@ class _Formed(dict):
 
 
 class _Reads:
-    """What a count reads of a unitary path, keyed by time and formed when
-    first read: the unitaries ``mats``, the ``spectra`` and their offsets
-    angle(-lambda) (``offsets(t)``).  ``radius(t0, t1)`` is the arc radius
-    of a piece, the one rule that the count and the crossing search share.
-    It has three sources: exact on a ``GeodesicPath``, which forms no
-    unitary for its spectra; certified where the path carries one
-    (``UnitaryPath._radius``, a reduced path's); and the chord heuristic
-    ``_arc_radius`` elsewhere.  It holds no reference to itself, so what
-    it read is freed with the last report that holds it."""
+    """What a count reads of a unitary path, keyed by time: the unitaries
+    ``mats``, the ``spectra`` and their offsets angle(-lambda)
+    (``offsets(t)``).  The spectra of a sampled path's samples are read
+    in one stacked ``eigvals`` when the reads are made, since Phillips'
+    count reads every one of them; numpy solves a stack slice by slice,
+    so each spectrum is bitwise the one a call on its unitary alone
+    gives.  Every other value is formed when first read.
+    ``radius(t0, t1)`` is the arc radius of a piece, the one rule that
+    the count and the crossing search share.  It has three sources: exact
+    on a ``GeodesicPath``, which forms no unitary for its spectra;
+    certified where the path carries one (``UnitaryPath._radius``, a
+    reduced path's); and the chord heuristic ``_arc_radius`` elsewhere.
+    It holds no reference to itself, so what it read is freed with the
+    last report that holds it."""
 
     def __init__(self, path, tol):
         self.mats = _Formed(path.at)
@@ -836,6 +846,12 @@ class _Reads:
         self._radius = path.radius if self._exact else path._radius
         if not self._exact:
             self.mats.update(path.samples)
+            times = [t for t, _ in path.samples]
+            spectra = np.linalg.eigvals(
+                np.stack([U for _, U in path.samples])
+            )
+            self.spectra.update(zip(times, spectra))
+            self._offsets.update(zip(times, np.angle(-spectra)))
 
     def radius(self, t0, t1):
         if self._radius is not None:
@@ -990,15 +1006,21 @@ def to_unitary_path(path, lam):
     W(lam, mu) = -W(h, mu) W(lam, h) of the pair unitary (Howard,
     Latushkin and Sukhtayev, JMAA 451, 2017): its geodesic times the
     constant -souriau(lam, h), again a ``GeodesicPath`` with exact radius,
-    and no frame is formed.  Other paths convert sample by sample and
-    through the refiner, carrying the path's certified radius if it has
-    one; the frames are checked, so their pair unitaries are not checked
-    again (``UnitaryPath._exact``).
+    and no frame is formed.  Other paths convert their samples in one
+    stacked ``souriau`` call, and other times through the refiner,
+    carrying the path's certified radius if it has one; the frames are
+    checked, so their pair unitaries are not checked again
+    (``UnitaryPath._exact``).
     """
     if path._geodesic is not None:
         h, geodesic = path._geodesic
         return geodesic @ -souriau(lam, h)
-    usamples = tuple((t, souriau(lam, f)) for t, f in path.samples)
+    usamples = tuple(
+        zip(
+            [t for t, _ in path.samples],
+            souriau(lam, [f for _, f in path.samples]),
+        )
+    )
     refiner = None
     if path.refiner is not None:
         refiner = lambda t: souriau(lam, path.refiner(t))

@@ -27,9 +27,9 @@ squares to minus the pair unitary against the base, are test oracles.
 import numpy as np
 
 from .core import (
+    LagrangianFrame,
     _not_unitary,
     _require_same_space,
-    complexify_vectors,
     lagrangian,
     realify,
 )
@@ -42,36 +42,49 @@ __all__ = ["souriau", "minus_one_offsets", "lagrangian_from_souriau"]
 _KERNEL_SV = 1e-8
 
 
-def _symmetric_unitary(frame):
-    """U U^T for U = X + iY, the unitary of a standard-model frame."""
-    U = complexify_vectors(frame.F)
-    return U @ U.T
+def _symmetric_unitaries(frames):
+    """U U^T for each U = X + iY of a sequence of standard-model frames,
+    as one (k, n, n) stack."""
+    F = np.stack([f.F for f in frames])
+    n = F.shape[2]
+    U = F[:, :n] + 1j * F[:, n:]
+    return U @ np.swapaxes(U, 1, 2)
 
 
 def souriau(lam, mu):
-    """Unitary of the ordered pair (lam, mu).
+    """Unitary of the ordered pair (lam, mu), or of lam and each frame of a
+    sequence mu.
 
     Computed in closed form on n x n matrices,
     W = -(U_mu U_mu^T) conj(U_lam U_lam^T) with U = X + iY taken from the
     standardized frames (Howard, Latushkin and Sukhtayev, JMAA 451, 2017).
+    A single mu is a sequence of one: the products run once on the stack
+    of all the mu, and numpy multiplies a stack slice by slice, so each W
+    is bitwise the one a call on its mu alone gives.
 
     Parameters
     ----------
-    lam, mu : LagrangianFrame
-        Frames in the same space.  A non-standard metric is converted by
-        congruence first.
+    lam : LagrangianFrame
+    mu : LagrangianFrame, or a sequence of k of them
+        Frames in the space of lam.  A non-standard metric is converted
+        by congruence first.
 
     Returns
     -------
-    (n, n) complex ndarray, unitary to (1 + 1e-10)^4 - 1 ~ 4e-10 unchecked:
-    W is a product of four U with U^H U - Id within 1e-10.  Key facts (all
-    covered by tests): W(lam, J lam) = Id, W(lam, lam) = -Id, the
-    -1-eigenspace is the complexified intersection, and W(lam, mu)^H =
-    W(mu, lam).
+    (n, n) complex ndarray, or a (k, n, n) stack for a sequence; each
+    unitary to (1 + 1e-10)^4 - 1 ~ 4e-10 unchecked: W is a product of
+    four U with U^H U - Id within 1e-10.  Key facts (all covered by
+    tests): W(lam, J lam) = Id, W(lam, lam) = -Id, the -1-eigenspace is
+    the complexified intersection, and W(lam, mu)^H = W(mu, lam).
     """
-    _require_same_space(lam.space, mu.space, "souriau")
-    lam_s, mu_s = lam._standard, mu._standard
-    return -_symmetric_unitary(mu_s) @ np.conj(_symmetric_unitary(lam_s))
+    single = isinstance(mu, LagrangianFrame)
+    mus = (mu,) if single else tuple(mu)
+    for m in mus:
+        _require_same_space(lam.space, m.space, "souriau")
+    W = -_symmetric_unitaries([m._standard for m in mus]) @ np.conj(
+        _symmetric_unitaries([lam._standard])[0]
+    )
+    return W[0] if single else W
 
 
 def minus_one_offsets(W):

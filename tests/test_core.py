@@ -218,6 +218,87 @@ def test_lagrangian_reads_its_rank_tolerance_from_the_space():
     )
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+def test_stacked_lagrangian_is_bitwise_the_per_matrix_frames(n, general):
+    """A (k, 2n, n) stack gives the tuple of the frames that a call on
+    each matrix alone gives, byte for byte; a list of matrices is a
+    stack."""
+    rng = np.random.default_rng(28 + n)
+    sp = random_structure_space(n, rng) if general else standard_space(n)
+    mats = [
+        random_lagrangian(sp, rng).F @ rng.standard_normal((n, n))
+        for _ in range(6)
+    ]
+    stacked = lagrangian(sp, np.stack(mats))
+    assert isinstance(stacked, tuple) and len(stacked) == len(mats)
+    assert all(f.space is sp for f in stacked)
+    for f, M in zip(stacked, mats):
+        assert f.F.tobytes() == lagrangian(sp, M).F.tobytes()
+    listed = lagrangian(sp, mats)
+    assert [f.F.tobytes() for f in listed] == [f.F.tobytes() for f in stacked]
+
+
+def _failing_spans():
+    """Spanning matrices of R^4 that fail ``lagrangian`` in three ways."""
+    e = np.eye(4)
+    return {
+        # omega(e1, e3) = 1
+        "not isotropic": np.column_stack([e[:, 0], e[:, 2]]),
+        # omega = 1e-9: below the span bound, above the frame residual
+        "nearly isotropic": np.column_stack(
+            [e[:, 0], e[:, 1] + 1e-9 * e[:, 2]]
+        ),
+        "rank-deficient": np.column_stack([e[:, 0], np.zeros(4)]),
+    }
+
+
+@pytest.mark.parametrize(
+    "first, second, error",
+    [
+        ("not isotropic", "rank-deficient",
+         ("subspace is not isotropic", "lagrangian")),
+        ("nearly isotropic", "rank-deficient",
+         ("frame not isotropic", "LagrangianFrame")),
+        ("rank-deficient", "not isotropic",
+         ("rank-deficient frame", "lagrangian")),
+    ],
+)
+def test_stacked_lagrangian_raises_the_first_failing_frame(
+    first, second, error
+):
+    """A stack raises the error of its first failing matrix, the one a
+    call on each matrix in turn raises first, whatever fails after it."""
+    sp = standard_space(2)
+    spans = _failing_spans()
+    good = horizontal_frame(sp).F
+    for k in (0, 2):
+        mats = [good, good]
+        mats[k:k] = [spans[first], spans[second]]
+        with pytest.raises(ValidationError) as err:
+            lagrangian(sp, np.stack(mats))
+        assert (err.value.reason, err.value.where) == error
+        with pytest.raises(ValidationError) as alone:
+            lagrangian(sp, spans[first])
+        assert (alone.value.reason, alone.value.where) == error
+
+
+def test_standard_space_is_one_read_only_space_per_profile():
+    """``standard_space`` builds one space per (n, tol): the same profile
+    gives the same space, another profile another space, and J and G
+    are read-only."""
+    sp = standard_space(2)
+    assert standard_space(2) is sp
+    assert standard_space(2, tol=DEFAULT_TOL) is sp
+    assert standard_space(2, DEFAULT_TOL.scaled(1.0)) is sp
+    loose = standard_space(2, DEFAULT_TOL.scaled(10))
+    assert loose is not sp and loose.tol.rank == DEFAULT_TOL.rank * 10
+    assert standard_space(3) is not sp
+    for M in (sp.J, sp.G):
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
 def test_frame_constructor_requires_orthonormal_columns():
     sp = standard_space(1)
     with pytest.raises(ValidationError) as err:

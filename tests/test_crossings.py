@@ -1,5 +1,6 @@
 """Crossing localization, crossing forms, and the signature-sum index."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from masidx import (
     vertical_frame,
 )
 from conftest import (
+    geodesic_nodes,
     line_frame,
     line_path,
     random_spinner,
@@ -446,3 +448,57 @@ def test_search_reads_few_spectra_per_crossing(monkeypatch):
     ts = find_crossings(_cli_path(spin), ref)
     assert len(ts) == 5
     assert len(reads) <= 12 * len(ts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_newton_read_never_bounds_past_the_true_offsets(n, rng):
+    """The isolation probe of a Newton hit is answered from the hit's last
+    read where ``crossings._clear_at`` proves the least |offset| at the
+    probe point above ``tol.angular``.  On random geodesic paths its
+    bound never exceeds the true least |offset|, from 1e-6 to 0.1 away
+    from the read, and proves most points within 1e-3."""
+    from masidx.crossings import _clear_at, _nearest_offset
+
+    near = proven = 0
+    for _ in range(6):
+        ts, nodes = geodesic_nodes(n, rng, 4, 2.0)
+        geo = paths.geodesic_path(ts, nodes, ts)
+        for t in rng.uniform(0.0, 1.0, 6):
+            read = (t, *_nearest_offset(geo, t))
+            for dt in 10.0 ** -np.arange(1, 7):
+                for p in (t - dt, t + dt):
+                    if not 0.0 <= p <= 1.0:
+                        continue
+                    true = float(np.abs(np.angle(-geo.eigvals(p))).min())
+                    assert not _clear_at(geo, read, p, true)
+                    if dt <= 1e-3:
+                        near += 1
+                        proven += _clear_at(geo, read, p, 0.5 * true)
+    assert proven >= 0.5 * near
+
+
+def test_isolation_probe_reads_no_spectrum_after_a_proven_hit(monkeypatch):
+    """On the _CLOSE_PAIR CLI path every crossing is a Newton hit whose
+    probe the bound answers: the search reads one spectrum fewer per
+    crossing than with every probe read, and finds the same times."""
+    sp = standard_space(4)
+    spin, ref = spinner_path(
+        sp, *_CLOSE_PAIR, rng=np.random.default_rng(0), num=5
+    )
+    path = _cli_path(spin)
+    reads = []
+    original = paths.GeodesicPath.eigvals
+
+    def counted(self, t):
+        reads.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(paths.GeodesicPath, "eigvals", counted)
+    ts = find_crossings(path, ref)
+    bounded = len(reads)
+    reads.clear()
+    monkeypatch.setattr(
+        sys.modules["masidx.crossings"], "_clear_at", lambda *args: False
+    )
+    assert find_crossings(path, ref) == ts
+    assert len(reads) == bounded + len(ts)

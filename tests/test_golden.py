@@ -9,7 +9,7 @@ A reduced frame is Gamma F of its marching frame, G-orthonormalized
 (``pairs.gamma_reduce``), so it follows that frame's basis.  The marching
 frame at time tau of a gap is [Re; Im] of V diag(exp(i tau phi / 2)),
 with V = U O for the node's U = X + iY and the real eigenbasis O of the
-gap, each column signed by a fixed rule (``paths._lagrangian_piece``).
+gap, each column signed by a fixed rule (``paths._lagrangian_pieces``).
 So where the gap's angles phi are distinct, the printed frame follows
 the spans of the node frames alone, to rounding: a node frame given in
 another basis prints the same reduced path.  A repeated phi still
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from masidx import LagrangianFrame, core, paths
+from masidx import core, pairs, paths
 
 import record_golden
 from conftest import spinner_crossings
@@ -124,36 +124,86 @@ def test_only_rerecords_the_named_case_alone(tmp_path, monkeypatch):
     assert copy.read_text() == json.dumps(want, indent=1) + "\n"
 
 
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind ``replacement`` in every masidx module that binds ``original``
+    under its name."""
+    name = original.__name__
+    for modname, module in sorted(sys.modules.items()):
+        if modname.startswith("masidx") and vars(module).get(name) \
+                is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def test_refined_reduce_checks_only_frames_from_lagrangian(monkeypatch):
     """A refined ``reduce`` checks a frame only where ``lagrangian`` builds
-    one (its input frames and each reduced frame, a QR of Gamma F).  The
-    marching frames its geodesic writes down, and their reference h, are
-    not checked."""
+    one (its input frames and each reduced frame, a QR of Gamma F), each
+    exactly once, in the stacked check ``core._frame_errors`` of the
+    stack it was built in.  The marching frames its geodesic writes down,
+    and their reference h, are not checked."""
     (case,) = [c for c in CASES if c["command"] == "reduce"]
     checked, built, written = [], [], []
-    check, build = LagrangianFrame.__post_init__, core.lagrangian
+    check, build = core._frame_errors, core.lagrangian
     write = paths._geodesic_frame
 
-    def counting_check(frame):
-        checked.append(frame)
-        check(frame)
+    def counting_check(space, F):
+        checked.extend(F)
+        return check(space, F)
 
     def counting_build(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
+        out = build(*args, **kwargs)
+        built.extend(out if isinstance(out, tuple) else [out])
+        return out
 
     def counting_write(*args):
         written.append(write(*args))
         return written[-1]
 
-    monkeypatch.setattr(LagrangianFrame, "__post_init__", counting_check)
-    for name, module in sorted(sys.modules.items()):
-        if name.startswith("masidx") and vars(module).get("lagrangian") \
-                is build:
-            monkeypatch.setattr(module, "lagrangian", counting_build)
+    monkeypatch.setattr(core, "_frame_errors", counting_check)
+    _patch_everywhere(monkeypatch, build, counting_build)
     monkeypatch.setattr(paths, "_geodesic_frame", counting_write)
     code, _ = run_case(case["command"], case["args"], case["input"])
     assert code == case["exit"] == 0
     assert written and built
     assert len(checked) == len(built)
-    assert all(c is b for c, b in zip(checked, built))
+    # each built frame is the slice of the stack checked for it
+    assert all(np.shares_memory(c, b.F) for c, b in zip(checked, built))
+    assert not any(
+        np.may_share_memory(c, w.F) for c in checked for w in written
+    )
+
+
+@pytest.mark.parametrize("arc", [0.25, 0.125])
+def test_reduce_factors_and_pairs_do_not_grow_with_the_march(
+    monkeypatch, arc
+):
+    """The reduced frames of the march are formed in one stacked QR and
+    their pair unitaries in one stacked ``souriau``: a shorter march step
+    (``pairs._STEP_ARC``) gives the golden ``reduce`` case more reduced
+    samples, and no more ``np.linalg.qr`` or ``souriau`` calls."""
+    (case,) = [c for c in CASES if c["command"] == "reduce"]
+    calls = {"qr": 0, "souriau": 0}
+    qr, souriau = np.linalg.qr, sys.modules["masidx.souriau"].souriau
+
+    def counting_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_souriau(*args, **kwargs):
+        calls["souriau"] += 1
+        return souriau(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    _patch_everywhere(monkeypatch, souriau, counting_souriau)
+
+    def run_counted():
+        calls.update(qr=0, souriau=0)
+        code, out = run_case(case["command"], case["args"], case["input"])
+        assert code == 0
+        return len(json.loads(out)["reduced_path"]), dict(calls)
+
+    samples, counted = run_counted()
+    monkeypatch.setattr(pairs, "_STEP_ARC", arc)
+    finer_samples, finer_counted = run_counted()
+    assert finer_samples > samples
+    assert finer_counted["qr"] <= counted["qr"]
+    assert finer_counted["souriau"] <= counted["souriau"]

@@ -753,3 +753,53 @@ def test_geodesic_samples_and_at_share_their_frames(rng, monkeypatch):
     assert len(formed) == 9
     path.at(0.3)
     assert len(formed) == 10
+
+
+def test_sampled_path_forms_its_pair_unitaries_and_spectra_in_one_stack(
+    rng, monkeypatch
+):
+    """A sampled Lagrangian path converts in one stacked ``souriau`` call,
+    and its count reads the samples' spectra in one stacked ``eigvals``;
+    each is bitwise the per-sample value."""
+    space = standard_space(3)
+    frames = [random_lagrangian(space, rng) for _ in range(6)]
+    ts = np.linspace(0.0, 1.0, len(frames)).tolist()
+    lam = random_lagrangian(space, rng)
+    path = lagrangian_path(zip(ts, frames))
+    upath = to_unitary_path(path, lam)
+    for (t, W), frame in zip(upath.samples, frames):
+        assert W.tobytes() == souriau(lam, frame).tobytes()
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    reads = paths._Reads(upath, DEFAULT_TOL)
+    assert calls == [(6, 3, 3)]
+    for t, W in upath.samples:
+        assert reads.spectra[t].tobytes() == eigvals(W).tobytes()
+        assert reads.offsets(t).tobytes() == (
+            np.angle(-eigvals(W)).tobytes()
+        )
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_lagrangian_geodesic_gaps_are_bitwise_those_built_alone(n, rng):
+    """The gaps of a node path, whose pencils are solved in one stack, are
+    byte for byte those of the two-node path of each gap alone."""
+    space = standard_space(n)
+    frames = [random_lagrangian(space, rng) for _ in range(5)]
+    ts = np.linspace(0.0, 1.0, 5).tolist()
+    path = lagrangian_geodesic(ts, frames, ts)
+    for i, piece in enumerate(path._geodesic[1].pieces):
+        (alone,) = lagrangian_geodesic(
+            [0.0, 1.0], frames[i : i + 2], [0.0, 1.0]
+        )._geodesic[1].pieces
+        for name in ("U0", "theta", "Z"):
+            assert getattr(piece, name).tobytes() == (
+                getattr(alone, name).tobytes()
+            )

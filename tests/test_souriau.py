@@ -279,3 +279,19 @@ def test_pair_unitary_gaps_are_twice_the_projection_gaps(n, rng):
         dW = np.linalg.norm(souriau(lam, a) - souriau(lam, b), 2)
         dP = np.linalg.norm(a.P - b.P, 2)
         assert dW == pytest.approx(2.0 * dP, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_souriau_of_a_sequence_is_bitwise_each_pair(n, general, rng):
+    """``souriau(lam, mus)`` stacks the pair unitaries that a call on each
+    mu alone gives, byte for byte."""
+    sp = random_structure_space(n, rng) if general else standard_space(n)
+    lam = random_lagrangian(sp, rng)
+    mus = [random_lagrangian(sp, rng) for _ in range(5)]
+    W = souriau(lam, mus)
+    assert W.shape == (5, n, n)
+    for w, mu in zip(W, mus):
+        assert w.tobytes() == souriau(lam, mu).tobytes()
+    with pytest.raises(ValidationError, match="different spaces"):
+        souriau(lam, [mus[0], random_lagrangian(standard_space(n + 1), rng)])
