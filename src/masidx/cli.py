@@ -26,9 +26,9 @@ inputs fail with an ambiguity error rather than being silently
 interpolated: a gap counts only when its unitaries are within 0.5 in
 spectral norm and their eigenphases leave an admissible test angle.  The
 crossings and reduce subcommands always interpolate: the crossing search
-reads the geodesic pieces of the grid, where every crossing form is exact
-(so the crossings input's "richardson" changes nothing), and reduction
-marches along the path.
+reads the geodesic pieces of the grid, where every crossing form is exact,
+and reduction marches along the path.  The crossings input's optional
+"richardson" boolean is checked and ignored: no form is differenced.
 """
 
 import argparse
@@ -392,11 +392,10 @@ def _cmd_crossings(obj, args, tol):
     )
     lam, ts, frames = _reference_and_path(obj, tol)
     path = _lagrangian_path(ts, frames, max(2, args.refine_factor), tol)
-    richardson = obj.get("richardson", False)
-    if not isinstance(richardson, bool):
+    if not isinstance(obj.get("richardson", False), bool):
         _fail('"richardson" must be a boolean', "input.richardson")
     forms = [
-        crossing_form(path, lam, t_star, tol=tol, richardson=richardson)
+        crossing_form(path, lam, t_star, tol=tol)
         for t_star in find_crossings(path, lam, tol)
     ]
     rows = [
@@ -410,8 +409,7 @@ def _cmd_crossings(obj, args, tol):
     ]
     out = {"crossings": rows, "value": None}
     if all(c.regular for c in forms):
-        # every form on a geodesic path is exact and ``richardson`` changes
-        # none: the value is the one maslov_via_crossings gives
+        # the value maslov_via_crossings gives
         out["value"] = int(crossing_sum(forms))
     return out, None
 

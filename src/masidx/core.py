@@ -74,9 +74,8 @@ class Tolerances:
 
     ``scaled`` multiplies every field by one factor: the strict and loose
     profiles of the CLI.  Each field is read somewhere in the package.
-    ``diff_step`` (and the ``richardson`` flag of ``crossing_form``) acts
-    on crossing forms of user refiners only: on a geodesic path, and so on
-    every CLI path, the form is exact.
+    ``diff_step`` acts on crossing forms of user refiners only: on a
+    geodesic path, and so on every CLI path, the form is exact.
     """
 
     validation: float = 1e-10

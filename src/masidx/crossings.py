@@ -22,7 +22,9 @@ unitary on the complexified kernel.
 The search for crossings reads the pair-unitary path as that count does,
 with the count's radius rule (``paths._Reads``), from the path's own
 times, and steps only into the pieces whose arc radius lets an eigenvalue
-reach -1: it runs no count and needs no sampling of its own.
+reach -1: it runs no count and needs no sampling of its own.  Every
+crossing it finds, by Newton steps or by halving, passes one isolation
+probe: a spectrum read to each side, both of which must be clear of -1.
 """
 
 from dataclasses import dataclass
@@ -98,48 +100,6 @@ def _nearest_offset(geodesic, t):
     return offsets, k, rate
 
 
-def _clear_at(geodesic, read, p, angular):
-    """Whether every offset of a ``GeodesicPath`` at p is proven farther
-    than ``angular`` from 0 by one Newton read (t, offsets, k, rate) at t
-    (``_nearest_offset``), with t and p in one gap.
-
-    Within one gap U_p is similar to U_t exp(i (p - t) H), H Hermitian
-    with ||H|| = S, the speed of the gap's piece in t, so no eigenphase
-    moves farther than rho = S |p - t| between t and p.  The other
-    offsets at p thus lie beyond min_j |o_j| - rho, and the k-th phase
-    stays simple, every other phase beyond delta = (its least circular
-    distance to them at t) - 2 rho.  A simple phase has phi'' =
-    sum_j |H_jk|^2 cot((phi_k - phi_j) / 2), so |phi''| <= S^2 cot(delta
-    / 2), and by Taylor |o_k(p)| >= |o_k + rate (p - t)| - S^2 cot(delta
-    / 2) (p - t)^2 / 2 while |o_k| + rho < pi.  Both lower bounds, less a
-    rounding slack, must exceed ``angular``; False where either does not,
-    or p lies in another gap.
-    """
-    t, offsets, k, rate = read
-    i = geodesic._gap(t)
-    if geodesic._gap(p) != i:
-        return False
-    speed = geodesic.pieces[i].speed / (
-        geodesic.times[i + 1] - geodesic.times[i]
-    )
-    dt = p - t
-    rho = speed * abs(dt)
-    f = offsets[k]
-    others = np.delete(offsets, k)
-    slack = _DROP_SLACK * (abs(f) + rho) + _DROP_FLOOR
-    curve = 0.0
-    if others.size:
-        if np.abs(others).min() - rho - slack <= angular:
-            return False
-        delta = np.abs(np.angle(np.exp(1j * (others - f)))).min() - 2 * rho
-        if delta <= 0.0:
-            return False
-        curve = speed**2 / np.tan(0.5 * delta)
-    if abs(f) + rho >= np.pi:
-        return False
-    return abs(f + rate * dt) - 0.5 * curve * dt**2 - slack > angular
-
-
 def find_crossings(path, lam, tol=DEFAULT_TOL):
     """All parameter values where the path meets the reference.
 
@@ -174,14 +134,14 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     that end.  Elsewhere the first leaf across which the number of
     offsets in (0, EPS_CAP] changes is bisected on that number to
     ``tol.bisect_t``; a cluster where it never changes (a touch, or
-    passages that cancel) reports its end nearest -1.  A crossing whose
-    offset stays below the angular tolerance 1000 ``tol.crossing_width``
-    to both sides raises AmbiguityError (non-isolated), and so does a
-    piece ``tol.bisect_t`` wide whose r is still above pi - EPS_CAP,
-    where the count runs out of refinement.  A Newton hit answers each
-    of its two probe points from its last read where ``_clear_at``
-    proves every offset there beyond the angular tolerance, and reads
-    the spectrum there only where that bound does not hold.
+    passages that cancel) reports its end nearest -1.  Each crossing
+    reads the spectrum once at each probe point 1000
+    ``tol.crossing_width`` to either side, and raises AmbiguityError
+    (non-isolated) where either lies within ``tol.angular`` of -1:
+    isolation needs both sides clear, and a bisection on the count can
+    land on the edge of a dwell, where one side is.  So does a piece
+    ``tol.bisect_t`` wide whose r is still above pi - EPS_CAP, where the
+    count runs out of refinement.
 
     The pieces that the count reads as geodesic are searched exactly.  On
     other pieces a touch of -1 that no read point comes near can go
@@ -223,8 +183,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
 
     def newton(a, b, fa, fb):
         """The zero in [a, b] of the offset ``passage`` found, with the
-        offsets fa at a and fb at b; its last read is kept in ``reads_at``
-        for the isolation probe."""
+        offsets fa at a and fb at b."""
         t = a + (b - a) * fa / (fa - fb)
         while True:
             offsets_t, k, rate = _nearest_offset(upath, t)
@@ -234,18 +193,14 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
             else:
                 b = t
             step = -f / rate if rate else np.inf
-            read = (t, offsets_t, k, rate)
             if abs(step) <= _NEWTON_STEP:
-                t = t + step
-                reads_at[t] = read
-                return t
+                return t + step
             # a step that would leave the bracket is a halving
             t = t + step if a < t + step < b else 0.5 * (a + b)
             if b - a <= tol.bisect_t:
-                reads_at[t] = read
                 return t
 
-    hits, leaves, reads_at = [], [], {}
+    hits, leaves = [], []
     for piece in zip(ts[:-1], ts[1:]):
         stack = [piece]
         while stack:
@@ -303,17 +258,9 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     # non-isolated means dwelling on the cycle, not a flat tangency: probe
     # well outside any C^2 graze of ordinary curvature
     dwell = 1000.0 * tol.crossing_width
-
-    def clear(t, p):
-        # a Newton hit answers the probe from its last read where it can
-        return (
-            t in reads_at
-            and _clear_at(upath, reads_at[t], p, tol.angular)
-        ) or gap(p) > tol.angular
-
     for t in hits:
         lo, hi = t - dwell, t + dwell
-        if lo >= 0.0 and hi <= 1.0 and not clear(t, lo) and not clear(t, hi):
+        if lo >= 0.0 and hi <= 1.0 and min(gap(lo), gap(hi)) <= tol.angular:
             raise AmbiguityError(
                 f"non-isolated crossing around t={t}", where="find_crossings"
             )
@@ -344,16 +291,15 @@ def _generator(space, base, frame):
     return D @ np.linalg.inv(C)
 
 
-def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
+def crossing_form(path, lam, t_star, tol=DEFAULT_TOL):
     """Crossing form at t_star, via graph coordinates over mu_{t*}.
 
     On a path of ``paths.lagrangian_geodesic`` (every CLI path) the frame
     of the gap at t_star moves as J F diag(phi / 2) / (t_{i+1} - t_i), so
     the generator's derivative is that diagonal and the form is exact.
-    Elsewhere (user refiners) it is a central difference with step
-    ``tol.diff_step`` (one-sided at the endpoints); set ``richardson``
-    for fourth-order extrapolation.  ``richardson`` and ``diff_step`` act
-    on those paths only.
+    Elsewhere (user refiners) it is one central difference with step
+    ``tol.diff_step`` (one-sided at the endpoints), which acts on those
+    paths only.
 
     Returns a Crossing carrying the kernel basis (columns, original
     coordinates), the symmetric form on that basis, its signature (p, q)
@@ -369,7 +315,7 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
         piece, _, width = _piece_at(path._geodesic[1], t_star)
         dA = np.diag(0.5 * piece.theta / width)
     else:
-        dA = _generator_rate(path, mu_star, t_star, tol, richardson)
+        dA = _generator_rate(path, mu_star, t_star, tol)
     # the kernel's coordinates in the frame of mu_{t*}
     K = mu_star.F.T @ mu_star.space.G @ vecs
     Q = K.T @ dA @ K
@@ -377,45 +323,39 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL, richardson=False):
     return _package(t_star, vecs, Q, tol)
 
 
-def _generator_rate(path, mu_star, t_star, tol, richardson):
-    """d/dt of the generator over mu_{t*} at t_star by differences."""
+def _generator_rate(path, mu_star, t_star, tol):
+    """d/dt of the generator over mu_{t*} at t_star, by one difference
+    with step ``tol.diff_step``."""
 
     def gen_at(t):
         return _generator(mu_star.space, mu_star, path.at(t))
 
-    def derivative(step):
-        lo, hi = t_star - step, t_star + step
-        if lo < 0.0:
-            a, b, w = gen_at(t_star), gen_at(t_star + step), step
-        elif hi > 1.0:
-            a, b, w = gen_at(t_star - step), gen_at(t_star), step
-        else:
-            a, b, w = gen_at(lo), gen_at(hi), 2.0 * step
-        diff = b - a
-        norm = np.linalg.norm(diff, 2)
-        floor = _DIFF_FLOOR * max(
-            1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+    step = tol.diff_step
+    lo, hi = t_star - step, t_star + step
+    if lo < 0.0:
+        a, b, w = gen_at(t_star), gen_at(hi), step
+    elif hi > 1.0:
+        a, b, w = gen_at(lo), gen_at(t_star), step
+    else:
+        a, b, w = gen_at(lo), gen_at(hi), 2.0 * step
+    diff = b - a
+    norm = np.linalg.norm(diff, 2)
+    floor = _DIFF_FLOOR * max(1.0, np.linalg.norm(a, 2), np.linalg.norm(b, 2))
+    if norm <= floor:
+        raise AmbiguityError(
+            "degenerate differentiation: sampled generator difference "
+            "at noise floor",
+            where="crossing_form",
         )
-        if norm <= floor:
-            raise AmbiguityError(
-                "degenerate differentiation: sampled generator difference "
-                "at noise floor",
-                where="crossing_form",
-            )
-        return diff / w
-
-    dA = derivative(tol.diff_step)
-    if richardson:
-        dA = (4.0 * dA - derivative(2.0 * tol.diff_step)) / 3.0
-    return dA
+    return diff / w
 
 
 def _package(t_star, vecs, Q, tol):
     w = np.linalg.eigvalsh(Q)
-    thresh = tol.regularity * max(np.abs(w).max(initial=0.0), 0.0)
+    thresh = tol.regularity * np.abs(w).max(initial=0.0)
     p = int(np.count_nonzero(w > thresh))
     q = int(np.count_nonzero(w < -thresh))
-    regular = (p + q == len(w)) and len(w) > 0 and np.abs(w).min() > thresh
+    regular = len(w) > 0 and p + q == len(w)
     return Crossing(
         t_star=float(t_star),
         kernel=vecs,

@@ -142,12 +142,16 @@ def test_crossings_searches_once_per_request(richardson, rng, tmp_path,
     counts = _recorded(monkeypatch, "_phillips", paths)
     body, expected = _spinner_body(3, 5, rng)
     body["richardson"] = richardson
-    code, out, _ = _run(tmp_path, capsys, "crossings", body)
+    code, out, text = _run(tmp_path, capsys, "crossings", body)
     assert code == 0, out
     assert out["value"] == expected
     assert len(out["crossings"]) == 3
     assert len(calls) == 1
     assert counts == []
+    # the field is checked and ignored: the other value prints the same
+    body["richardson"] = not richardson
+    code, _, again = _run(tmp_path, capsys, "crossings", body)
+    assert (code, again) == (0, text)
 
 
 def test_richardson_crossings_report_the_plain_crossing_sum(

@@ -1,6 +1,5 @@
 """Crossing localization, crossing forms, and the signature-sum index."""
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +28,6 @@ from masidx import (
     vertical_frame,
 )
 from conftest import (
-    geodesic_nodes,
     line_frame,
     line_path,
     random_spinner,
@@ -233,12 +231,11 @@ def test_richardson_and_step_overrides_agree():
     path, ref = sweep(5 * np.pi / 6, 7 * np.pi / 6)
     t_star = find_crossings(path, ref)[0]
     plain = crossing_form(path, ref, t_star)
-    rich = crossing_form(path, ref, t_star, richardson=True)
     fine = crossing_form(
         path, ref, t_star, tol=replace(DEFAULT_TOL, diff_step=1e-5)
     )
-    np.testing.assert_allclose(rich.form, plain.form, atol=1e-6)
-    assert rich.signature == plain.signature == fine.signature
+    np.testing.assert_allclose(fine.form, plain.form, atol=1e-6)
+    assert fine.signature == plain.signature
 
 
 def test_no_crossing_at_requested_time():
@@ -450,55 +447,38 @@ def test_search_reads_few_spectra_per_crossing(monkeypatch):
     assert len(reads) <= 12 * len(ts)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_newton_read_never_bounds_past_the_true_offsets(n, rng):
-    """The isolation probe of a Newton hit is answered from the hit's last
-    read where ``crossings._clear_at`` proves the least |offset| at the
-    probe point above ``tol.angular``.  On random geodesic paths its
-    bound never exceeds the true least |offset|, from 1e-6 to 0.1 away
-    from the read, and proves most points within 1e-3."""
-    from masidx.crossings import _clear_at, _nearest_offset
-
-    near = proven = 0
-    for _ in range(6):
-        ts, nodes = geodesic_nodes(n, rng, 4, 2.0)
-        geo = paths.geodesic_path(ts, nodes, ts)
-        for t in rng.uniform(0.0, 1.0, 6):
-            read = (t, *_nearest_offset(geo, t))
-            for dt in 10.0 ** -np.arange(1, 7):
-                for p in (t - dt, t + dt):
-                    if not 0.0 <= p <= 1.0:
-                        continue
-                    true = float(np.abs(np.angle(-geo.eigvals(p))).min())
-                    assert not _clear_at(geo, read, p, true)
-                    if dt <= 1e-3:
-                        near += 1
-                        proven += _clear_at(geo, read, p, 0.5 * true)
-    assert proven >= 0.5 * near
+def _dwell_before_after(t):
+    # on the cycle over [0.45, 0.55], crossing it there
+    return min(t - 0.45, 0.0) + max(t - 0.55, 0.0)
 
 
-def test_isolation_probe_reads_no_spectrum_after_a_proven_hit(monkeypatch):
-    """On the _CLOSE_PAIR CLI path every crossing is a Newton hit whose
-    probe the bound answers: the search reads one spectrum fewer per
-    crossing than with every probe read, and finds the same times."""
-    sp = standard_space(4)
-    spin, ref = spinner_path(
-        sp, *_CLOSE_PAIR, rng=np.random.default_rng(0), num=5
+def _dwell_touch(t):
+    # on the cycle over [0.45, 0.55], reached and left from one side
+    return min(0.05 - abs(t - 0.5), 0.0)
+
+
+@pytest.mark.parametrize("theta", [_dwell_before_after, _dwell_touch])
+def test_dwell_on_the_cycle_is_not_isolated(theta):
+    """Halving on the count lands on an edge of the dwell, where only one
+    probe point lies on the cycle: that side alone makes the hit
+    non-isolated."""
+    path = lagrangian_path_from_function(
+        lambda t: line_frame(SP1, theta(t)), num=17
     )
-    path = _cli_path(spin)
-    reads = []
-    original = paths.GeodesicPath.eigvals
+    with pytest.raises(AmbiguityError) as err:
+        find_crossings(path, horizontal_frame(SP1))
+    assert err.value.where == "find_crossings"
 
-    def counted(self, t):
-        reads.append(t)
-        return original(self, t)
 
-    monkeypatch.setattr(paths.GeodesicPath, "eigvals", counted)
-    ts = find_crossings(path, ref)
-    bounded = len(reads)
-    reads.clear()
-    monkeypatch.setattr(
-        sys.modules["masidx.crossings"], "_clear_at", lambda *args: False
+@pytest.mark.xfail(
+    strict=True,
+    reason="the chord radius at a piece's ends misses a touch of -1 that "
+    "turns back inside the piece",
+)
+def test_touch_inside_a_piece_is_found():
+    path = lagrangian_path_from_function(
+        lambda t: line_frame(SP1, 0.8 * (t - 0.37) ** 2), num=33
     )
-    assert find_crossings(path, ref) == ts
-    assert len(reads) == bounded + len(ts)
+    ts = find_crossings(path, horizontal_frame(SP1))
+    assert len(ts) == 1
+    assert abs(ts[0] - 0.37) < 1e-3

@@ -803,3 +803,17 @@ def test_lagrangian_geodesic_gaps_are_bitwise_those_built_alone(n, rng):
             assert getattr(piece, name).tobytes() == (
                 getattr(alone, name).tobytes()
             )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a piece's radius is read at its ends, so a phase that turns "
+    "by nearly a whole turn between the points read goes unseen",
+)
+def test_fast_turning_refiner_counts_every_turn():
+    """exp(i (0.3 + 18.79 t^2)) passes -1 at 0.3 + 18.79 t^2 = pi, 3 pi
+    and 5 pi on (0, 1]: the index is 3."""
+    path = unitary_path_from_function(
+        lambda t: np.array([[np.exp(1j * (0.3 + 18.79 * t * t))]]), num=6
+    )
+    assert unitary_maslov(path).value == 3

@@ -921,3 +921,18 @@ def test_skew_pairing_of_the_operator_is_the_boundary_form(rng):
     G = box_space(standard_space(N)).space.gram
     np.testing.assert_allclose(G, form, atol=1e-14)
     np.testing.assert_allclose(green, bu @ G @ bv, atol=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the Maslov side reads the chord radius of a Cauchy data path "
+    "sampled at the family nodes, which misses whole turns within a gap",
+)
+def test_coincidence_on_a_fast_family():
+    """With B = 0, both boundary conditions horizontal and C_t going
+    linearly from 0.1 I to 6 I, one eigenvalue crosses 0 for each
+    multiple of pi that the scale passes: one, at pi."""
+    lam = np.array([[1.0], [0.0]])
+    family = [(0.0, 0.1 * np.eye(2)), (1.0, 6.0 * np.eye(2))]
+    bp = boundary_problem(1, np.zeros((2, 2)), family, lam, lam)
+    assert verify_coincidence(bp) == {"sf": 1, "mas": 1, "equal": True}
