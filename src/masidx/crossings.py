@@ -24,7 +24,8 @@ with the count's radius rule (``paths._Reads``), from the path's own
 times, and steps only into the pieces whose arc radius lets an eigenvalue
 reach -1: it runs no count and needs no sampling of its own.  Every
 crossing it finds, by Newton steps or by halving, passes one isolation
-probe: a spectrum read to each side, both of which must be clear of -1.
+probe: a spectrum read to each side that lies in [0, 1], each of which
+must be clear of -1.
 """
 
 from dataclasses import dataclass
@@ -136,10 +137,11 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     ``tol.bisect_t``; a cluster where it never changes (a touch, or
     passages that cancel) reports its end nearest -1.  Each crossing
     reads the spectrum once at each probe point 1000
-    ``tol.crossing_width`` to either side, and raises AmbiguityError
-    (non-isolated) where either lies within ``tol.angular`` of -1:
-    isolation needs both sides clear, and a bisection on the count can
-    land on the edge of a dwell, where one side is.  So does a piece
+    ``tol.crossing_width`` to either side that lies in [0, 1], and raises
+    AmbiguityError (non-isolated) where one lies within ``tol.angular``
+    of -1: isolation needs every side clear, and a bisection on the count
+    can land on the edge of a dwell, where one side is, as can a cluster
+    that reaches an end and reports it.  So does a piece
     ``tol.bisect_t`` wide whose r is still above pi - EPS_CAP, where the
     count runs out of refinement.
 
@@ -259,8 +261,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     # well outside any C^2 graze of ordinary curvature
     dwell = 1000.0 * tol.crossing_width
     for t in hits:
-        lo, hi = t - dwell, t + dwell
-        if lo >= 0.0 and hi <= 1.0 and min(gap(lo), gap(hi)) <= tol.angular:
+        probes = [p for p in (t - dwell, t + dwell) if 0.0 <= p <= 1.0]
+        if probes and min(map(gap, probes)) <= tol.angular:
             raise AmbiguityError(
                 f"non-isolated crossing around t={t}", where="find_crossings"
             )

@@ -755,21 +755,23 @@ def _free_value(values, r, tol):
 
     ``values`` is an array of offsets, blocked by the balls (a - r, a + r),
     or a spectrum held as brackets (``spectral._Spectrum``), which blocks
-    and narrows its own balls.
+    and narrows its own balls.  An array is read as Python floats, the
+    same double arithmetic without a numpy scalar per operation.
     """
     if isinstance(values, np.ndarray):
-        return _test_value([(a - r, a + r) for a in values], tol)
+        r = float(r)
+        return _test_value([(a - r, a + r) for a in values.tolist()], tol)
     return values.test_value(r, tol)
 
 
-def _count_on_arc(values, eps, snap):
+def _count_on_arc(values, eps, snap, r):
     """Number of ``values`` in the closed test arc [0, eps], up to ``snap``;
-    a spectrum held as brackets counts itself."""
+    a spectrum held as brackets counts itself, read by a piece of radius
+    r."""
+    lo, hi = -snap, eps + snap
     if isinstance(values, np.ndarray):
-        return int(
-            np.count_nonzero((values >= -snap) & (values <= eps + snap))
-        )
-    return values.count(-snap, eps + snap)
+        return len([a for a in values.tolist() if lo <= a <= hi])
+    return values.count(lo, hi, r)
 
 
 def _phillips(ts, spec, radius, reach, split, snap, tol):
@@ -799,8 +801,8 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
         if eps is None:
             split(ts, i)
             continue
-        k = (_count_on_arc(spec(t0), eps, snap),
-             _count_on_arc(spec(t1), eps, snap))
+        k = (_count_on_arc(spec(t0), eps, snap, r),
+             _count_on_arc(spec(t1), eps, snap, r))
         epsilons.append(eps)
         k_counts.append(k)
         total += k[1] - k[0]

@@ -25,16 +25,27 @@ the arc that a bracket straddles.  Two family members differ by the
 bounded symmetric multiplication C_t - C_t', so no eigenvalue moves
 farther than ||C_t - C_t'||_2 (Weyl): balls of a piece's radius around
 the brackets at its start block all the spectrum the piece can reach,
-and no eigenvalue is matched across samples.  The window-edge guard
-counts one piece of a few ``flow_guard`` around each edge.  Only
-``eigenvalues_near`` and ``eigenvalue_trace`` locate the roots, by
-``brentq`` on the brackets.  The coincidence theorem equates the flow
-with the index of the Cauchy-data path in the doubled space against
-lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides.
+and no eigenvalue is matched across samples.  On a sampled family that
+radius is read off the slope of the node gap that holds the piece.
+
+Each family time costs only the shots its pieces read.  It has one
+``_Shooter``, and its ``_Spectrum`` counts only the pieces of the
+detection grid that a piece of radius r can reach, [-r, EPS_CAP + r],
+and grows when a wider piece reads it; a grid piece resolves on its own,
+so what the cover holds is what the whole window holds there.  At t = 0
+and 1 the window is counted in whole, and the window-edge guard counts
+one piece of a few ``flow_guard`` around each edge on the same shooter,
+its shots riding the window's stack.  Only ``eigenvalues_near`` and
+``eigenvalue_trace`` locate the roots, by ``brentq`` on the brackets.
+The coincidence theorem equates the flow with the index of the
+Cauchy-data path in the doubled space against lambda0 ⊞ lambda1, and
+``verify_coincidence`` computes both sides; the path's node flows and
+frames are each formed in one stacked call.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag, expm
@@ -164,6 +175,12 @@ class BoundaryProblem:
     def solution(self, t, s):
         return fundamental_solution(self.B, self.c_at(t), s)
 
+    @cached_property
+    def _gap_norms(self):
+        """||C_{i+1} - C_i||_2 for each gap between nodes, in one
+        stacked call."""
+        return np.linalg.norm(np.diff(self.cs, axis=0), 2, axis=(1, 2))
+
 
 def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     """Validated BoundaryProblem.
@@ -236,14 +253,15 @@ def _check_symplectic(Phi, res):
 def _flows(gen, jj, ss):
     """expm(gen - s JJ) for every s in ``ss``, one stacked call, each
     flow checked symplectic for the JJ-form by ``_check_symplectic``.
+    ``gen`` is one generator or a stack of one per s.
 
     scipy's ``expm`` exponentiates a stack slice by slice, so each flow
     is bitwise the one a call on it alone gives.  The residuals'
     Frobenius norms clear the stack at once (||X||_2 <= ||X||_F, with
     the margin of ``core._norm2_exceeds``); every residual they do not
-    clear, a non-finite one too, takes the exact test.
+    clear, a non-finite one too, takes the exact test, in stack order.
     """
-    Phi = expm(gen[None] - np.asarray(ss, dtype=float)[:, None, None] * jj)
+    Phi = expm(gen - np.asarray(ss, dtype=float)[:, None, None] * jj)
     res = np.swapaxes(Phi, 1, 2) @ jj @ Phi - jj
     cleared = np.linalg.norm(res, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
     for k in np.flatnonzero(~(cleared <= _SYMPLECTIC)):
@@ -272,42 +290,50 @@ class _Shooter:
     unitary U, Z conj(Z)^-1 = U U^T = Z (F^T F)^-1 Z^T: the first form has
     the condition number of F, the last its square.  s is an eigenvalue
     iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.  Per piece
-    (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.
+    (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.  Every spectrum read
+    at this time shares it: the flow's detection window and, at t = 0 and
+    1, both window-edge guards.
     """
 
     def __init__(self, bp, t):
-        gen, jj = _generator(bp.B, bp.c_at(t))
-
-        def shoot(ss):
-            """The frames Phi_s lambda0 for the s in ``ss``."""
-            return _flows(gen, jj, ss) @ bp.lambda0
-
-        self._shoot = shoot
+        self._gen, self._jj = _generator(bp.B, bp.c_at(t))
+        self._lambda0 = bp.lambda0
         self._lambda1 = lambda1 = bp.lambda1
         self._n = n = bp.N
         U1 = lambda1[:n] + 1j * lambda1[n:]
         self._conj1 = np.conj(U1 @ U1.T)
-        self._frames = _Formed(lambda s: shoot([s])[0])
+        self._frames = _Formed(lambda s: self._shots([s])[0])
         self._dets = {}
         self._pairs = {}
         self._offsets = {}
         self._chords = {}
 
-    def read(self, ss):
-        """Read the s in ``ss`` and the pieces between neighbours in it.
+    def _shots(self, ss):
+        """The frames Phi_s lambda0 for the s in ``ss``."""
+        return _flows(self._gen, self._jj, ss) @ self._lambda0
 
-        The s not shot yet are shot in one stacked ``_flows`` call, and
-        those not read yet get their pair unitaries, offsets and
-        determinants, one call on the stack for each kind; the pieces
-        with no chord yet get theirs from one stacked ``eigvalsh``.  Each
-        value is bitwise the one a single read gives, and for these small
-        matrices a stacked call costs little more than one.
+    def shoot(self, ss):
+        """Shoot the s in ``ss`` not shot yet, in one stacked ``_flows``
+        call, in the order given: a failing flow raises the error of the
+        first one that fails."""
+        shots = [s for s in ss if s not in self._frames]
+        if shots:
+            self._frames.update(zip(shots, self._shots(shots)))
+
+    def read(self, *runs):
+        """Read the s in each run of ``runs`` and the pieces between
+        neighbours in it.
+
+        The s not shot yet are shot in one stacked ``_flows`` call, in the
+        order given, and those not read yet get their pair unitaries,
+        offsets and determinants, one call on the stack for each kind; the
+        pieces with no chord yet get theirs from one stacked ``eigvalsh``.
+        Each value is bitwise the one a single read gives, and for these
+        small matrices a stacked call costs little more than one.
         """
-        new = [s for s in ss if s not in self._pairs]
+        new = [s for ss in runs for s in ss if s not in self._pairs]
         if new:
-            shots = [s for s in new if s not in self._frames]
-            if shots:
-                self._frames.update(zip(shots, self._shoot(shots)))
+            self.shoot(new)
             F = np.array([self._frames[s] for s in new])
             n = self._n
             ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
@@ -316,7 +342,9 @@ class _Shooter:
             self._pairs.update(zip(new, W))
             self._offsets.update(zip(new, np.angle(-np.linalg.eigvals(W))))
             self._dets.update(zip(new, self._stacked_dets(F)))
-        pieces = [p for p in zip(ss, ss[1:]) if p not in self._chords]
+        pieces = [
+            p for ss in runs for p in zip(ss, ss[1:]) if p not in self._chords
+        ]
         if pieces:
             D = np.array([self._pairs[b] - self._pairs[a] for a, b in pieces])
             DD = np.swapaxes(D.conj(), 1, 2) @ D
@@ -370,7 +398,8 @@ def _count_roots(shoot, ss, split, tol, brackets, points):
     multiplicity k is a zero of order k of the determinant, and the path
     is positive, so a sign change without roots or a negative count shows
     a turn that the chord radius did not see.  AmbiguityError when a count
-    is still negative there.
+    is still negative there.  Each piece of ``ss`` is resolved on its own:
+    what it leaves does not depend on the other pieces.
     """
     shoot.read(ss)
     _, _, k_counts = _phillips(
@@ -394,46 +423,100 @@ def _count_roots(shoot, ss, split, tol, brackets, points):
             points.extend([0.5 * (s0 + s1)] * n)
 
 
+def _grid(lo, hi):
+    """The shooting grid on [lo, hi], pieces of at most ``_GRID``, as a
+    list.  ValidationError when it would hold more than
+    ``paths.MAX_SAMPLES`` points or fewer than two distinct ones."""
+    if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
+        raise ValidationError(
+            f"the shooting grid on [{lo}, {hi}] would hold more than "
+            f"{MAX_SAMPLES} points",
+            where="eigenvalues_near",
+        )
+    if not lo < hi:
+        raise ValidationError(
+            f"the shooting grid on [{lo}, {hi}] has fewer than two "
+            "distinct points",
+            where="eigenvalues_near",
+        )
+    return np.linspace(lo, hi, int(np.ceil((hi - lo) / _GRID)) + 1).tolist()
+
+
 class _Spectrum:
-    """The eigenvalues in (lo, hi] at one family time, as ``_count_roots``
-    leaves them: simple ``brackets`` [s0, s1], each holding one root in
-    (s0, s1] and a determinant sign change, and ``points`` with
-    multiplicity.
+    """The eigenvalues at one family time inside the pieces of a shooting
+    ``grid`` that its reads reach, as ``_count_roots`` leaves them: simple
+    ``brackets`` [s0, s1], each holding one root in (s0, s1] and a
+    determinant sign change, and ``points`` with multiplicity, both in
+    s order.
+
+    The cover grows on demand.  ``count(lo, hi)`` counts the grid pieces
+    that meet [lo, hi], ``test_value(r)`` those that meet [-r, EPS_CAP +
+    r], and ``located`` all of them; a piece outside the cover holds
+    nothing that the read could see.  The cover stays one run of pieces:
+    a read that reaches past it counts the pieces missing on either side,
+    shot in one stacked call.  ``_count_roots`` resolves each grid piece
+    on its own, so the brackets and points inside the cover are the ones
+    a cover of the whole grid finds, in the same order.
 
     A question about the side of q on which a bracket's root lies costs
     one determinant sign at q, and only when q is inside the bracket.
     """
 
-    def __init__(self, bp, t, lo, hi, tol):
-        if (hi - lo) / _GRID + 1.0 > MAX_SAMPLES:
-            raise ValidationError(
-                f"the shooting grid on [{lo}, {hi}] would hold more than "
-                f"{MAX_SAMPLES} points",
-                where="eigenvalues_near",
-            )
-        if not lo < hi:
-            raise ValidationError(
-                f"the shooting grid on [{lo}, {hi}] has fewer than two "
-                "distinct points",
-                where="eigenvalues_near",
-            )
-
-        def split(ss, i):
-            s0, s1 = ss[i], ss[i + 1]
-            if s1 - s0 <= tol.bisect_t or len(ss) >= MAX_SAMPLES:
-                raise AmbiguityError(
-                    f"no admissible test angle on ({s0}, {s1}]",
-                    where="eigenvalues_near",
-                )
-            ss.insert(i + 1, 0.5 * (s0 + s1))
-
-        ss = np.linspace(lo, hi, int(np.ceil((hi - lo) / _GRID)) + 1)
-        self._shoot = _Shooter(bp, t)
+    def __init__(self, shoot, grid, tol):
+        self._shoot = shoot
+        self._grid = grid
+        self._tol = tol
+        self._span = None
         self.brackets = []
         self.points = []
-        _count_roots(
-            self._shoot, ss.tolist(), split, tol, self.brackets, self.points
-        )
+
+    def _split(self, ss, i):
+        s0, s1 = ss[i], ss[i + 1]
+        if s1 - s0 <= self._tol.bisect_t or len(ss) >= MAX_SAMPLES:
+            raise AmbiguityError(
+                f"no admissible test angle on ({s0}, {s1}]",
+                where="eigenvalues_near",
+            )
+        ss.insert(i + 1, 0.5 * (s0 + s1))
+
+    def _counted(self, ss):
+        brackets, points = [], []
+        _count_roots(self._shoot, ss, self._split, self._tol, brackets, points)
+        return brackets, points
+
+    def _cover(self, lo, hi):
+        """Count the grid pieces that meet [lo, hi] and are not counted
+        yet, with those between them and the cover."""
+        g = self._grid
+        # pieces i..j-1, piece k = [g[k], g[k + 1]]
+        i = max(bisect_left(g, lo) - 1, 0)
+        j = min(bisect_right(g, hi), len(g) - 1)
+        if i >= j:
+            return
+        if self._span is None:
+            self._span = (i, j)
+            self.brackets, self.points = self._counted(g[i:j + 1])
+            return
+        a, b = self._span
+        if a <= i and j <= b:
+            return
+        i, j = min(i, a), max(j, b)
+        self._span = (i, j)
+        left, right = g[i:a + 1], g[b:j + 1]
+        self._shoot.read(left, right)
+        if len(left) > 1:
+            brackets, points = self._counted(left)
+            self.brackets[:0] = brackets
+            self.points[:0] = points
+        if len(right) > 1:
+            brackets, points = self._counted(right)
+            self.brackets += brackets
+            self.points += points
+
+    def whole(self):
+        """Count every piece of the grid; returns the spectrum."""
+        self._cover(self._grid[0], self._grid[-1])
+        return self
 
     def _side(self, bracket, q):
         """sign(root - q) for the root of ``bracket``."""
@@ -447,8 +530,15 @@ class _Spectrum:
             return 0
         return -1 if (d < 0.0) != (self._shoot.det(s0) < 0.0) else 1
 
-    def count(self, lo, hi):
-        """Number of eigenvalues in [lo, hi], with multiplicity."""
+    def count(self, lo, hi, r=None):
+        """Number of eigenvalues in [lo, hi], with multiplicity.  Read by
+        a flow piece of radius r, the cover also takes in what
+        ``test_value(r)`` reads, which the next piece from this time is
+        likely to ask for."""
+        if r is None:
+            self._cover(lo, hi)
+        else:
+            self._cover(min(lo, -r), max(hi, EPS_CAP + r))
         return sum(lo <= a <= hi for a in self.points) + sum(
             self._side(b, lo) >= 0 and self._side(b, hi) <= 0
             for b in self.brackets
@@ -465,7 +555,10 @@ class _Spectrum:
         bracket whose ball meets (x, y) is halved, while it is wider than
         ``tol.clearance``.  None when (x, y) is too narrow for a test
         value or no such bracket is left: the piece is then split in time.
+        Only a ball that meets (0, EPS_CAP] can block or close a gap, so
+        the cover reaches r past both ends of it.
         """
+        self._cover(-r, EPS_CAP + r)
         points = [(a - r, a + r) for a in self.points]
         while True:
             eps = _test_value(
@@ -493,8 +586,9 @@ class _Spectrum:
                 b[1] = m
 
     def located(self, tol):
-        """The eigenvalues, each bracket's root found by ``brentq`` to
-        ``tol.bisect_t``, in increasing order."""
+        """The eigenvalues on the whole grid, each bracket's root found by
+        ``brentq`` to ``tol.bisect_t``, in increasing order."""
+        self.whole()
         roots = [
             brentq(self._shoot.det, s0, s1, xtol=tol.bisect_t)
             for s0, s1 in self.brackets
@@ -516,7 +610,8 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     when the float spacing swallows its width) and when the partition
     would hold more than ``paths.MAX_SAMPLES`` points.
     """
-    return _Spectrum(bp, t, lo, hi, tol).located(tol)
+    grid = _grid(lo, hi)
+    return _Spectrum(_Shooter(bp, t), grid, tol).located(tol)
 
 
 # --------------------------------------------------------------------------
@@ -535,30 +630,83 @@ class SpectralFlowReport:
 def _radius(bp, t0, t1):
     """Largest ||C_t - C_{t0}||_2 over the piece [t0, t1].
 
-    Read at t1 and at the family nodes inside the piece.  For a sampled
-    family C_t is linear between nodes, where the norm is convex in t, so
-    the value is the exact supremum.  A ``c_func`` family is read at the
-    same points, and between them the value is a heuristic.
+    For a sampled family C_t is linear between nodes, where the norm is
+    convex in t, so the value is the exact supremum read at t1 and at the
+    family nodes inside the piece, in one stacked norm.  A piece inside
+    one node gap [t_i, t_{i+1}] reads it off the gap's slope, (t1 - t0)
+    ||C_{i+1} - C_i||_2 / (t_{i+1} - t_i), from the gap norms that a
+    problem computes once (``BoundaryProblem._gap_norms``), and takes no
+    norm of its own; it agrees with the read at t1 up to rounding.  A
+    ``c_func`` family is read at t1 and the nodes inside, and between them
+    the value is a heuristic.
     """
-    c0 = bp.c_at(t0)
-    inner = bp.ts[(bp.ts > t0) & (bp.ts < t1)]
-    return max(
-        float(np.linalg.norm(bp.c_at(t) - c0, 2)) for t in (*inner, t1)
-    )
+    ts = bp.ts
+    i0, i1 = np.searchsorted(ts, t0, "right"), np.searchsorted(ts, t1)
+    if bp.c_func is None and i0 == i1:
+        i = i1 - 1
+        return float((t1 - t0) * bp._gap_norms[i] / (ts[i1] - ts[i]))
+    shifts = np.array([bp.c_at(t) for t in (*ts[i0:i1], t1)]) - bp.c_at(t0)
+    return float(np.linalg.norm(shifts, 2, axis=(1, 2)).max())
 
 
-def _guard_spectrum(bp, t, edge, tol):
-    """The spectrum that the window-edge guard counts: on (edge - span,
-    edge + span] with span ``_GUARD_SPAN`` ``tol.flow_guard``, one piece
-    of two shots.  When the float spacing at ``edge`` swallows that
-    interval, on (edge - 0.5, edge + 0.5], as far as the spacing lets it
-    resolve: a grid that has fewer than two distinct points, or flows too
-    far out to pass the symplectic check, raises ValidationError there.
+def _guard_spectrum(shoot, edge, tol):
+    """The spectrum that the window-edge guard counts, on the shooter of
+    the detection window at its family time: on (edge - span, edge +
+    span] with span ``_GUARD_SPAN`` ``tol.flow_guard``, one piece of two
+    shots.  When the float spacing at ``edge`` swallows that interval, on
+    (edge - 0.5, edge + 0.5], as far as the spacing lets it resolve: a
+    grid that has fewer than two distinct points raises ValidationError.
     """
     span = _GUARD_SPAN * tol.flow_guard
     if not edge - span < edge + span:
         span = 0.5
-    return _Spectrum(bp, t, edge - span, edge + span, tol)
+    return _Spectrum(shoot, _grid(edge - span, edge + span), tol)
+
+
+def _guard_edges(spectrum, t, window, tol):
+    """Count the detection window ``spectrum`` at the family end t in
+    whole, then guard both window edges there.
+
+    The guards share the window's shooter, and their four shots join the
+    window's stacked call after the window's own, so a failing window
+    shot raises the window's own error.  When a guard shot fails there,
+    the window is shot alone and each guard shoots again on its count, so
+    the first guard that fails names its edge: ValidationError "window is
+    too wide".  PreconditionError when an eigenvalue lies in the open
+    interval (edge - guard, edge + guard).
+    """
+    shoot = spectrum._shoot
+    edges = (-window, window)
+    try:
+        guards = [_guard_spectrum(shoot, edge, tol) for edge in edges]
+    except ValidationError:
+        # the window's shots and count come before a guard's grid
+        spectrum.whole()
+        raise
+    try:
+        shoot.read(spectrum._grid, *(g._grid for g in guards))
+    except ValidationError:
+        shoot.shoot(spectrum._grid)
+    spectrum.whole()
+    for edge, guard in zip(edges, guards):
+        try:
+            guarded = guard.whole().count(
+                np.nextafter(edge - tol.flow_guard, np.inf),
+                np.nextafter(edge + tol.flow_guard, -np.inf),
+            )
+        except ValidationError as exc:
+            if exc.where != "fundamental_solution":
+                raise
+            raise ValidationError(
+                f"window {window:g} is too wide: the flow at s = {edge:g} "
+                "is not accurate enough to guard the window edge",
+                where="spectral_flow",
+            ) from exc
+        if guarded:
+            raise PreconditionError(
+                f"eigenvalue within guard of {edge} at t={t}",
+                where="spectral_flow",
+            )
 
 
 def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
@@ -573,46 +721,30 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
     Phillips' count (``paths._phillips``) from the partition {0, 1}, with
     the radius ``_radius`` and the reach ``_REACH``: by Weyl no eigenvalue
-    moves farther than the radius on a piece.  Each spectrum it reads is a
-    ``_Spectrum`` of brackets, and no root is located: the balls around
-    the brackets at t0 choose the test value, narrowed by halving only
-    when they leave none free, and the counts at both ends are read from
-    determinant signs.  The window-edge guard counts the brackets of
-    (edge - 2 guard, edge + 2 guard], one piece, inside (edge - guard,
-    edge + guard); only where the float spacing at the edge swallows that
-    interval does it shoot the 0.5 grid (``_guard_spectrum``).
+    moves farther than the radius on a piece.  Each family time has one
+    ``_Shooter`` and one ``_Spectrum`` of brackets on the detection grid,
+    and no root is located: the balls around the brackets at t0 choose
+    the test value, narrowed by halving only when they leave none free,
+    and the counts at both ends are read from determinant signs.  A
+    spectrum counts only the grid pieces that the pieces reading it can
+    reach, [-R, EPS_CAP + R] with R = max(r, snap) for the largest radius
+    r among them, and grows when a wider piece reads it.  At t = 0 and 1 the
+    window is counted in whole, and the window-edge guard counts the
+    brackets of (edge - 2 guard, edge + 2 guard], one piece on the same
+    shooter, inside (edge - guard, edge + guard) (``_guard_edges``); only
+    where the float spacing at the edge swallows that interval does it
+    shoot the 0.5 grid (``_guard_spectrum``).
     """
+    grid = _grid(_DETECT_LO, _DETECT_HI)
     spectra = {}
 
     def spec(t):
         if t not in spectra:
-            spectra[t] = _Spectrum(bp, t, _DETECT_LO, _DETECT_HI, tol)
+            spectra[t] = _Spectrum(_Shooter(bp, t), grid, tol)
         return spectra[t]
 
-    # the detection window checks the flow of C_0 and C_1 first, so a guard
-    # shot that fails the symplectic check can only blame the window
     for t_end in (0.0, 1.0):
-        spec(t_end)
-        for edge in (-window, window):
-            try:
-                # the open interval (edge - guard, edge + guard)
-                guarded = _guard_spectrum(bp, t_end, edge, tol).count(
-                    np.nextafter(edge - tol.flow_guard, np.inf),
-                    np.nextafter(edge + tol.flow_guard, -np.inf),
-                )
-            except ValidationError as exc:
-                if exc.where != "fundamental_solution":
-                    raise
-                raise ValidationError(
-                    f"window {window:g} is too wide: the flow at s = {edge:g} "
-                    "is not accurate enough to guard the window edge",
-                    where="spectral_flow",
-                ) from exc
-            if guarded:
-                raise PreconditionError(
-                    f"eigenvalue within guard of {edge} at t={t_end}",
-                    where="spectral_flow",
-                )
+        _guard_edges(spec(t_end), t_end, window, tol)
 
     def split(ts, i):
         t0, t1 = ts[i], ts[i + 1]
@@ -649,23 +781,41 @@ def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _doubled(N):
+    """The box space of ``standard_space(N)``, built once per N and shared
+    like the standard space itself."""
+    return box_space(standard_space(N))
+
+
 def cauchy_data_path(bp):
     """Path of graph Lagrangians {(v, Phi_t v)} in the doubled space.
 
     Returns (path, boundary) where ``boundary`` is the lambda0 ⊞ lambda1
-    frame the coincidence theorem pairs the path with.
+    frame the coincidence theorem pairs the path with.  The flows of all
+    family nodes are shot in one stacked ``_flows`` call, and their graph
+    frames, with the boundary frame last, are formed in one ``lagrangian``
+    stack; each is bitwise the one formed node by node.  The refiner
+    forms the times that the count inserts one at a time.
     """
-    base = standard_space(bp.N)
-    bs = box_space(base)
+    bs = _doubled(bp.N)
     eye = np.eye(2 * bp.N)
 
-    def frame_at(t):
-        Phi = bp.solution(t, 0.0)
-        return lagrangian(bs.space, np.vstack([eye, Phi]))
+    def graphs(Phi):
+        """The graph frames [I; Phi_k] of a stack of flows."""
+        return np.concatenate([np.broadcast_to(eye, Phi.shape), Phi], axis=1)
 
-    samples = tuple((float(t), frame_at(float(t))) for t in bp.ts)
-    path = LagrangianPath(samples=samples, refiner=frame_at)
-    boundary = lagrangian(bs.space, block_diag(bp.lambda0, bp.lambda1))
+    def frame_at(t):
+        return lagrangian(bs.space, graphs(bp.solution(t, 0.0)[None]))[0]
+
+    ts = bp.ts.tolist()
+    gens, jj = _generator(bp.B, [bp.c_at(t) for t in ts])
+    stack = np.concatenate([
+        graphs(_flows(gens, jj, np.zeros(len(ts)))),
+        block_diag(bp.lambda0, bp.lambda1)[None],
+    ])
+    *frames, boundary = lagrangian(bs.space, stack)
+    path = LagrangianPath(samples=tuple(zip(ts, frames)), refiner=frame_at)
     return path, boundary
 
 

@@ -457,11 +457,27 @@ def _dwell_touch(t):
     return min(0.05 - abs(t - 0.5), 0.0)
 
 
-@pytest.mark.parametrize("theta", [_dwell_before_after, _dwell_touch])
+def _dwell_to_the_end(t):
+    # on the cycle over [0.5, 1]: the cluster reports t = 1
+    return min(t - 0.5, 0.0)
+
+
+def _dwell_from_the_start(t):
+    # on the cycle over [0, 0.5]: the cluster reports t = 0
+    return max(t - 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [_dwell_before_after, _dwell_touch, _dwell_to_the_end,
+     _dwell_from_the_start],
+)
 def test_dwell_on_the_cycle_is_not_isolated(theta):
     """Halving on the count lands on an edge of the dwell, where only one
     probe point lies on the cycle: that side alone makes the hit
-    non-isolated."""
+    non-isolated.  A dwell that reaches an end is reported at that end,
+    where only the probe inside [0, 1] is read, and it lies on the
+    cycle."""
     path = lagrangian_path_from_function(
         lambda t: line_frame(SP1, theta(t)), num=17
     )

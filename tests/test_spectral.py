@@ -501,7 +501,10 @@ def test_bracket_counts_answer_as_the_located_root():
     does."""
     bp = rotation_problem()
     tol = spectral.DEFAULT_TOL
-    spectrum = spectral._Spectrum(bp, 0.3, -1.0, 0.0, tol)
+    spectrum = spectral._Spectrum(
+        spectral._Shooter(bp, 0.3), spectral._grid(-1.0, 0.0), tol
+    )
+    assert spectrum.count(-1.0, 0.0) == 1
     assert spectrum.brackets == [[-0.75, -0.5]] and spectrum.points == []
     (root,) = eigenvalues_near(bp, 0.3, -1.0, 0.0)
     assert -0.75 < root < -0.5
@@ -604,6 +607,9 @@ def test_rotation_flow_is_one():
 
 
 def test_radius_is_the_largest_weyl_shift_on_the_piece(rng):
+    """A piece across nodes reads C at t1 and at the nodes inside it; a
+    piece inside one gap takes the gap's slope, which agrees with the read
+    at t1 to rounding."""
     bp = _piecewise_linear_family(2, 7, rng)
     nodes = bp.ts
     pieces = [
@@ -623,11 +629,14 @@ def test_radius_is_the_largest_weyl_shift_on_the_piece(rng):
         want = max(
             np.linalg.norm(bp.c_at(t) - c0, 2) for t in (*inner, t1)
         )
-        assert r == want
+        if inner.size:
+            assert r == want
+        else:
+            assert abs(r - want) <= 1e-12 * want
         grid = np.linspace(t0, t1, 401)
         worst = max(np.linalg.norm(bp.c_at(t) - c0, 2) for t in grid)
         assert worst <= r + 1e-12
-    assert 0 in counts and max(counts) >= 2
+    assert counts.count(0) == 2 and max(counts) >= 2
 
 
 def test_test_values_are_admissible_inside_their_pieces(rng):
@@ -753,10 +762,11 @@ def test_window_edge_guard_boundary():
 
 
 def test_each_window_edge_guard_shoots_a_handful(monkeypatch):
-    """The guard counts on (edge - 2 guard, edge + 2 guard]: two shots in
-    one call, and one determinant at each end of the guarded interval
-    when a bracket holds a root there.  The t = 0 spectrum of the
-    rotation holds +-pi/2 and not +-8."""
+    """The guard counts on (edge - 2 guard, edge + 2 guard]: its two shots
+    ride the window's stack on the shared shooter, and its count takes one
+    determinant at each end of the guarded interval when a bracket holds
+    a root there.  The t = 0 spectrum of the rotation holds +-pi/2 and
+    not +-8."""
     shots = []
 
     def counted(A):
@@ -765,19 +775,163 @@ def test_each_window_edge_guard_shoots_a_handful(monkeypatch):
 
     monkeypatch.setattr(spectral, "expm", counted)
     bp = rotation_problem()
-    guard = spectral.DEFAULT_TOL.flow_guard
+    tol = spectral.DEFAULT_TOL
+    guard = tol.flow_guard
+    window = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
     for edge, t, want in [
         (8.0, 0.0, 0), (-8.0, 1.0, 0), (np.pi / 2, 0.0, 1),
         (-np.pi / 2, 0.0, 1), (np.pi / 2, 1.0, 1), (np.pi / 2, 0.5, 0),
     ]:
+        shoot = spectral._Shooter(bp, t)
+        near = spectral._guard_spectrum(shoot, edge, tol)
         shots.clear()
-        near = spectral._guard_spectrum(bp, t, edge, spectral.DEFAULT_TOL)
-        got = near.count(
+        shoot.read(window, near._grid)
+        assert shots == [len(window) + 2]
+        shots.clear()
+        got = near.whole().count(
             np.nextafter(edge - guard, np.inf),
             np.nextafter(edge + guard, -np.inf),
         )
         assert got == want
-        assert shots[0] == 2 and len(shots) <= 3 and sum(shots) <= 4
+        assert len(shots) <= 2 and sum(shots) <= 2
+
+
+def _inside(spectrum, full):
+    """The brackets and points of ``full`` inside the grid pieces that
+    ``spectrum`` covers, in order."""
+    i, j = spectrum._span
+    lo, hi = spectrum._grid[i], spectrum._grid[j]
+    return (
+        [b for b in full.brackets if lo <= b[0] and b[1] <= hi],
+        [a for a in full.points if lo < a < hi],
+    )
+
+
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_a_window_on_demand_reads_as_the_whole_window(N):
+    """A flow spectrum counts only the grid pieces that its reads reach,
+    and grows when a read reaches farther.  At each read it answers as a
+    spectrum counted over the whole window on the same grid: the same
+    test value, the same count on the test arc, and the same brackets and
+    points, in the same order, inside the pieces it covers."""
+    rng = np.random.default_rng(20261020 + N)
+    tol = spectral.DEFAULT_TOL
+    snap = tol.flow_snap
+    grid = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
+    families = [
+        ladder_problem(rng.uniform(-1.6, 1.6, N), rng.uniform(-3.5, 3.5, N)),
+        _piecewise_linear_family(N, 6, rng),
+    ]
+    grew = 0
+    for bp in families:
+        for t in rng.uniform(0.0, 1.0, 6):
+            lazy = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
+            full = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
+            full.whole()
+            # growing radii grow the cover on both sides
+            radii = np.sort(rng.uniform(0.0, spectral._REACH, 4))
+            for k, r in enumerate(radii):
+                span = lazy._span
+                if k % 2 == 0:
+                    # a count reads first, as at the end of a piece
+                    q = rng.uniform(0.0, 1.0)
+                    assert lazy.count(-snap, q + snap, r) == full.count(
+                        -snap, q + snap
+                    )
+                eps = lazy.test_value(r, tol)
+                assert eps == full.test_value(r, tol)
+                if eps is not None:
+                    assert lazy.count(-snap, eps + snap, r) == full.count(
+                        -snap, eps + snap
+                    )
+                grew += span is not None and lazy._span != span
+                assert (lazy.brackets, lazy.points) == _inside(lazy, full)
+    assert grew > 0
+
+
+def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
+    """One ``_Shooter`` per partition time, none more for the guards; the
+    window and both guards at t = 0 and 1 take one ``_flows`` call each,
+    the window's ten shots first and then the guards' four; the Cauchy
+    data path takes one ``_flows`` and one ``lagrangian`` call at any
+    number of nodes; and on a sampled family a single-gap piece's radius
+    takes no spectral norm of its own."""
+    built, calls = [], []
+    init, flows, frames = (
+        spectral._Shooter.__init__, spectral._flows, spectral.lagrangian
+    )
+
+    def counted_init(self, bp, t):
+        built.append(t)
+        init(self, bp, t)
+
+    def counted_flows(gen, jj, ss):
+        calls.append((np.asarray(gen).tobytes(), list(ss)))
+        return flows(gen, jj, ss)
+
+    def counted_frames(space, M):
+        calls.append(("lagrangian", np.shape(M)))
+        return frames(space, M)
+
+    monkeypatch.setattr(spectral._Shooter, "__init__", counted_init)
+    monkeypatch.setattr(spectral, "_flows", counted_flows)
+    monkeypatch.setattr(spectral, "lagrangian", counted_frames)
+    bp = rotation_problem()
+    tol = spectral.DEFAULT_TOL
+    rep = spectral_flow(bp, window=8.0, tol=tol)
+    assert sorted(built) == sorted(rep.partition.tolist())
+    window = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
+    span = spectral._GUARD_SPAN * tol.flow_guard
+    guards = [-8.0 - span, -8.0 + span, 8.0 - span, 8.0 + span]
+    for t in (0.0, 1.0):
+        gen = spectral._generator(bp.B, bp.c_at(t))[0].tobytes()
+        assert [ss for g, ss in calls if g == gen] == [window + guards]
+
+    for nodes in (2, 9, 33):
+        many = rotation_problem(samples=nodes)
+        calls.clear()
+        cauchy_data_path(many)
+        assert [c[0] == "lagrangian" for c in calls] == [False, True]
+        assert len(calls[0][1]) == nodes and calls[1][1][0] == nodes + 1
+
+    norms = []
+    norm = np.linalg.norm
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        norms.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    sampled = _piecewise_linear_family(2, 5, np.random.default_rng(3))
+    ts = sampled.ts
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    for i in range(len(ts) - 1):
+        a, b = ts[i], ts[i + 1]
+        spectral._radius(sampled, a, b)
+        spectral._radius(sampled, a + 0.25 * (b - a), a + 0.5 * (b - a))
+    # the gap norms, once per problem in one stacked call
+    assert norms == [2]
+    spectral._radius(sampled, ts[1], ts[3])
+    assert norms == [2, 2]
+
+
+def test_a_window_shot_that_fails_at_an_end_is_the_windows_error():
+    """The window's shots lead the stack that the guards join, so a C_0
+    that is not finite raises the flow's own ValidationError, not the
+    guard's "too wide"."""
+    lam = np.array([[1.0], [0.0]])
+    z = np.zeros((2, 2))
+
+    def c_func(t):
+        return np.full((2, 2), np.nan) if t == 0.0 else 3.0 * t * np.eye(2)
+
+    bp = boundary_problem(
+        1, z, [(0.0, z), (1.0, 3.0 * np.eye(2))], lam, lam, c_func=c_func
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValidationError) as info:
+            spectral_flow(bp)
+    assert info.value.reason == "flow not symplectic (check B, C)"
+    assert info.value.where == "fundamental_solution"
 
 
 def test_flow_is_additive_over_halves(rng):
