@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import PreconditionError, ValidationError
 
@@ -141,14 +140,14 @@ def _norm2_exceeds(X, bound):
     rounding in the two norms from letting the shortcut answer
     differently from the SVD, and bounds below ``_FROBENIUS_UNDERFLOW``
     always go to the SVD: squares of entries that small underflow, so the
-    Frobenius norm can come out below ||X||_2.
+    Frobenius norm can come out below ||X||_2; a non-finite X exceeds.
     """
     if (
         bound >= _FROBENIUS_UNDERFLOW
         and np.linalg.norm(X) * (1.0 + _FROBENIUS_MARGIN) <= bound
     ):
         return False
-    return bool(np.linalg.norm(X, 2) > bound)
+    return not np.isfinite(X).all() or bool(np.linalg.norm(X, 2) > bound)
 
 
 def _not_unitary(U):
@@ -567,15 +566,21 @@ def standardize(space):
 # --------------------------------------------------------------------------
 
 
+def _block_diag(a, b):
+    """The block-diagonal matrix diag(a, b) of two matrices."""
+    za, zb = np.zeros((len(a), b.shape[1])), np.zeros((len(b), a.shape[1]))
+    return np.block([[a, za], [zb, b]])
+
+
 def direct_sum_space(a, b):
     """Plain direct sum: J = diag(J_a, J_b), G = diag(G_a, G_b)."""
-    J, G = block_diag(a.J, b.J), block_diag(a.G, b.G)
+    J, G = _block_diag(a.J, b.J), _block_diag(a.G, b.G)
     return SymplecticSpace(n=a.n + b.n, J=J, G=G, tol=a.tol)
 
 
 def direct_sum_frame(space_sum, fa, fb):
     """blockdiag(F_a, F_b) as a Lagrangian frame of the direct sum."""
-    return lagrangian(space_sum, block_diag(fa.F, fb.F))
+    return lagrangian(space_sum, _block_diag(fa.F, fb.F))
 
 
 @dataclass(frozen=True, eq=False)
@@ -593,7 +598,7 @@ class BoxSpace:
 
 
 def box_space(base):
-    J, G = block_diag(base.J, -base.J), block_diag(base.G, base.G)
+    J, G = _block_diag(base.J, -base.J), _block_diag(base.G, base.G)
     sp = SymplecticSpace(n=2 * base.n, J=J, G=G, tol=base.tol)
     E = base.g_half_inv
     delta = lagrangian(sp, np.vstack([E, E]) / np.sqrt(2.0))
@@ -604,7 +609,7 @@ def box_frame(bs, mu, lam):
     """mu ⊞ lam = blockdiag frame in the box space."""
     _require_same_space(mu.space, bs.base, "box_frame")
     _require_same_space(lam.space, bs.base, "box_frame")
-    return lagrangian(bs.space, block_diag(mu.F, lam.F))
+    return lagrangian(bs.space, _block_diag(mu.F, lam.F))
 
 
 # --------------------------------------------------------------------------

@@ -33,13 +33,14 @@ Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
 the reference lam (``to_unitary_path``).  The CLI's refined paths
 (``lagrangian_geodesic``) are geodesics of Lambda(n) = U(n)/O(n): their
 pair unitaries against the horizontal h form a ``GeodesicPath`` whose
-gaps are each diagonalized by one real orthogonal matrix, from one real
-symmetric eigensolve, which also writes down the frame at any time.  Such
-a path converts by the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same
-geodesic pieces times one constant unitary, with the exact radius and no
-frame formed.  The crossing search reads that unitary path as the count
-does (``_Reads``: every unitary and offset read, and the one radius
-rule), from the path's own times (``_sample_times``), and runs no count.
+gaps are each diagonalized by one real orthogonal matrix, from the
+stacked eigensolve of every geodesic (``_pencil_bases``), which also
+writes down the frame at any time.  Such a path converts by the cocycle
+W(lam, mu) = -W(h, mu) W(lam, h): the same geodesic pieces times one
+constant unitary, with the exact radius and no frame formed.  The
+crossing search reads that unitary path as the count does (``_Reads``:
+every unitary and offset read, and the one radius rule), from the path's
+own times (``_sample_times``), and runs no count.
 ``IndexReport.trace`` matches eigenphases only when read (``--trace``).
 ``_phillips`` is the one counting loop: ``spectral.spectral_flow`` runs it
 on the real line, with Weyl balls around brackets of the eigenvalues of
@@ -51,8 +52,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     DEFAULT_TOL,
@@ -96,14 +95,15 @@ _TIME_MATCH = 1e-12
 # benchmark's paths, n up to 64), so a larger distance is a fault, not a
 # near crossing
 _LIFT_ROUND = 1e-9
-# Re X + _PENCIL Im X: the one real symmetric matrix whose eigenvectors
-# diagonalize a symmetric unitary X, up to clusters of its eigenvalues
-# closer than _PENCIL_GAP; O^T X O may miss its diagonal by
-# _PENCIL_RESIDUAL (a pencil gap just above _PENCIL_GAP mixes two
-# eigenvectors by rounding / gap, and a cluster's split by up to the gap)
+# A + _PENCIL B: the one Hermitian matrix whose eigenvectors diagonalize a
+# normal unitary X = A + iB, up to clusters of its values closer than
+# _PENCIL_GAP; Z^H X Z may miss its diagonal by _PENCIL_RESIDUAL before
+# the first-order correction, which skips eigenvalues closer than
+# _CORRECTION_GAP, where rounding over their difference is not small
 _PENCIL = 0.618
 _PENCIL_GAP = 1e-7
 _PENCIL_RESIDUAL = 1e-7
+_CORRECTION_GAP = 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -327,10 +327,10 @@ def reverse(path):
 class _GeodesicPiece:
     """U_tau = U0 Z diag(exp(i tau theta)) Z^H on tau in [0, 1], where
     U0^H U1 = Z diag(exp(i theta)) Z^H with Z unitary, theta in (-pi, pi]:
-    the complex Schur form (``geodesic_path``), or, on a gap of pair
-    unitaries against the horizontal Lagrangian (``lagrangian_geodesic``),
-    (U0, theta, Z) = (-V V^T, phi, conj V) from one real eigenbasis, so
-    that the frame at tau is [Re; Im] of V diag(exp(i tau phi / 2)).
+    its eigenbasis (``_pencil_bases``), or, on a gap of pair unitaries
+    against the horizontal Lagrangian (``lagrangian_geodesic``), (U0,
+    theta, Z) = (-V V^T, phi, conj V) from one real eigenbasis, so that
+    the frame at tau is [Re; Im] of V diag(exp(i tau phi / 2)).
 
     The eigenvalues of U_tau are those of M diag(exp(i tau theta)) with
     M = Z^H U0 Z, which is similar to U_tau; and ||U_tau - U_tau0||_2 =
@@ -375,18 +375,6 @@ class _GeodesicPiece:
     def reverse(self):
         """The piece U_{1 - tau}: (U1, -theta, Z), with the same radius."""
         return _GeodesicPiece(U0=self.at(1.0), theta=-self.theta, Z=self.Z)
-
-
-def _geodesic_piece(U0, U1, tol):
-    """The principal-log geodesic from U0 to U1 as a ``_GeodesicPiece``,
-    or None when an eigenvalue of U0^H U1 lies within ``tol.log_cut`` of
-    the logarithm cut at -1 (the endpoints are antipodal in that
-    direction)."""
-    T, Z = schur(U0.conj().T @ U1, output="complex")
-    vals = np.diag(T)
-    if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-        return None
-    return _GeodesicPiece(U0=U0, theta=np.angle(vals), Z=Z)
 
 
 class _GridSamples(Sequence):
@@ -497,92 +485,95 @@ def _node_times(times, nodes, grid):
     return times
 
 
-def _joined(times, grid, pieces):
-    """The ``GeodesicPath`` of ``pieces``, one per gap, built in order;
-    PreconditionError (where ``path[i]``) at the first gap i whose piece
-    is None, its ends antipodal."""
-    joined = []
-    for i, piece in enumerate(pieces):
-        if piece is None:
-            raise PreconditionError(
-                "adjacent samples are antipodal in the unitary model; "
-                "supply intermediate samples",
-                where=f"path[{i}]",
-            )
-        joined.append(piece)
-    return GeodesicPath(times=times, pieces=tuple(joined), grid=tuple(grid))
-
-
 def geodesic_path(times, nodes, grid, tol=DEFAULT_TOL):
     """The ``GeodesicPath`` through the unitaries ``nodes`` at ``times``,
-    counted from ``grid``.
+    counted from ``grid``; every gap W = U_i^H U_{i+1} is normal, so
+    ``_pencil_bases`` diagonalizes all of them on their Hermitian parts.
 
     ValidationError when the grid or the node times are not an increasing
     cover of [0, 1], there is not one node per time, the grid misses a
     node time (a piece's radius is read from its own gap) or a node is not
     unitary; PreconditionError (where ``path[i]``) when nodes i and i + 1
-    are antipodal.
+    are antipodal; AmbiguityError when a gap leaves a residual above 1e-7.
     """
     times = _node_times(times, nodes, grid)
-    nodes = _unitaries(zip(times, nodes))
-    return _joined(
-        times,
-        grid,
-        (_geodesic_piece(a, b, tol) for a, b in zip(nodes, nodes[1:])),
+    us = np.stack(_unitaries(zip(times, nodes)))
+    Ws = us[:-1].conj().swapaxes(1, 2) @ us[1:]
+    Hs = Ws.conj().swapaxes(1, 2)
+    thetas, Zs = _pencil_bases(
+        Ws, (Ws + Hs) / 2, (Ws - Hs) / 2j, tol, "geodesic_path"
     )
+    pieces = tuple(map(_GeodesicPiece, us, thetas, Zs))
+    return GeodesicPath(times=times, pieces=pieces, grid=tuple(grid))
+
+
+def _pencil_bases(Xs, As, Bs, tol, where):
+    """(theta, Z), stacked, with Z^H X Z = diag(exp(i theta)), Z unitary
+    and theta in (-pi, pi], for a stack of normal unitaries X = A + iB, A
+    and B their commuting Hermitian parts: the eigenvectors of A + _PENCIL
+    B from one ``eigh``, real where A and B are, with each cluster of
+    pencil values (where theta_2 = 2 atan(_PENCIL) - theta_1) split by B -
+    _PENCIL A.  Such a column is accurate only to rounding over its gap,
+    so Z takes one first-order step Z (I + K), K_jk = D_jk / (d_k - d_j)
+    for D = Z^H X Z, d its diagonal and |d_k - d_j| > _CORRECTION_GAP
+    (real on a real Z), and one Newton-Schulz step Z - Z (Z^H Z - I) / 2.
+    At the first gap i with an eigenvalue within ``tol.log_cut`` of -1
+    (antipodal ends), PreconditionError (where ``path[i]``), or with D
+    farther than _PENCIL_RESIDUAL from diag(d), AmbiguityError.
+    """
+    pencils, Zs = np.linalg.eigh(As + _PENCIL * Bs)
+    apart = np.diff(pencils, axis=1) > _PENCIL_GAP
+    for k in np.flatnonzero(~apart.all(axis=1)):
+        Z, other = Zs[k], Bs[k] - _PENCIL * As[k]
+        cuts = np.flatnonzero(apart[k]) + 1
+        for block in np.split(np.arange(len(Z)), cuts):
+            Zb = Z[:, block]
+            Z[:, block] = Zb @ np.linalg.eigh(Zb.conj().T @ other @ Zb)[1]
+    Ds = Zs.conj().swapaxes(1, 2) @ Xs @ Zs
+    vals = np.diagonal(Ds, axis1=1, axis2=2)
+    eye = np.eye(vals.shape[1])
+    off = Ds * (1.0 - eye)
+    cut = np.abs(np.angle(-vals)).min(axis=1) < tol.log_cut
+    for i, res in enumerate(off):
+        if cut[i]:
+            raise PreconditionError(
+                "adjacent samples are antipodal in the unitary model; "
+                "supply intermediate samples",
+                where=f"path[{i}]",
+            )
+        if _norm2_exceeds(res, _PENCIL_RESIDUAL):
+            raise AmbiguityError("gap has no eigenbasis", where=where)
+    diffs = vals[:, None, :] - vals[:, :, None]
+    far = np.abs(diffs) > _CORRECTION_GAP
+    K = np.divide(off, diffs, out=np.zeros_like(off), where=far)
+    Zs = Zs + Zs @ (K if np.iscomplexobj(Zs) else K.real)
+    Zs = Zs - 0.5 * Zs @ (Zs.conj().swapaxes(1, 2) @ Zs - eye)
+    return np.angle(vals), Zs
 
 
 def _lagrangian_pieces(us, tol):
-    """The gaps of pair unitaries against the horizontal Lagrangian from
-    -U_i U_i^T to -U_{i+1} U_{i+1}^T (``us``: the stack of the U = X + iY
-    of standardized node frames), each a ``_GeodesicPiece``, or None when
-    its ends are antipodal, built in order of the gaps.
+    """The pieces of the gaps of pair unitaries against the horizontal
+    Lagrangian from -U_i U_i^T to -U_{i+1} U_{i+1}^T (``us``: the stack
+    of the U = X + iY of standardized node frames).
 
     X = U0^H (U1 U1^T) conj(U0) is similar to the gap's W0^H W1 and is a
     symmetric unitary, so Re X and Im X are commuting real symmetric
-    matrices (Lambda(n) = U(n)/O(n)): X = O diag(exp(i phi)) O^T for a
-    real orthogonal O, the eigenvectors of the pencil Re X + _PENCIL Im X.
-    X and the pencil's eigensolve run once on the stack of all gaps;
-    numpy solves a stack slice by slice, so each gap is bitwise the one
-    a call on it alone gives.  Distinct phi share a pencil value where
-    phi_2 = 2 atan(_PENCIL) - phi_1; Im X - _PENCIL Re X tells them
-    apart, so each cluster of pencil values is split by its eigenvectors,
-    gap by gap.  AmbiguityError when O^T X O misses diag(exp(i phi)) by
-    more than _PENCIL_RESIDUAL.
-
-    With V = U0 O, the piece is (-V V^T, phi, conj V): W0^H W_tau =
-    conj(V) diag(exp(i tau phi)) V^T.  Each column of V is signed so that
-    the entry of largest modulus of [Re; Im] of it is positive, so V
-    follows the span of the node frame, not LAPACK's signs; a repeated
-    phi still leaves a basis of its eigenspace to LAPACK.
+    matrices (Lambda(n) = U(n)/O(n)): X = O diag(exp(i phi)) O^T, O real
+    orthogonal (``_pencil_bases``).  With V = U0 O, the piece is (-V V^T,
+    phi, conj V): W0^H W_tau = conj(V) diag(exp(i tau phi)) V^T.  Each
+    column of V is signed so that the entry of largest modulus of [Re; Im]
+    of it is positive, so V follows the span of the node frame, not
+    LAPACK's signs; a repeated phi still leaves a basis of its eigenspace
+    to LAPACK.
     """
     U0s, U1s = us[:-1], us[1:]
-    Xs = np.swapaxes(U0s.conj(), 1, 2) @ (U1s @ np.swapaxes(U1s, 1, 2)) @ (
-        U0s.conj()
-    )
-    pencils, Os = np.linalg.eigh(Xs.real + _PENCIL * Xs.imag)
-    for U0, X, pencil, O in zip(U0s, Xs, pencils, Os):
-        A, B = X.real, X.imag
-        apart = pencil[1:] - pencil[:-1] > _PENCIL_GAP
-        if not apart.all():
-            other = B - _PENCIL * A
-            cuts = np.flatnonzero(apart) + 1
-            for block in np.split(np.arange(len(pencil)), cuts):
-                Ob = O[:, block]
-                O[:, block] = Ob @ np.linalg.eigh(Ob.T @ other @ Ob)[1]
-        D = O.T @ X @ O
-        vals = np.diag(D)
-        if np.min(np.abs(np.angle(-vals))) < tol.log_cut:
-            yield None
-            continue
-        if _norm2_exceeds(D - np.diag(vals), _PENCIL_RESIDUAL):
-            raise AmbiguityError(
-                "gap has no real eigenbasis", where="lagrangian_geodesic"
-            )
-        V = U0 @ O
-        F = np.vstack([V.real, V.imag])
-        V = V * np.sign(F[np.abs(F).argmax(axis=0), np.arange(len(vals))])
-        yield _GeodesicPiece(U0=-V @ V.T, theta=np.angle(vals), Z=V.conj())
+    Xs = U0s.conj().swapaxes(1, 2) @ (U1s @ U1s.swapaxes(1, 2)) @ U0s.conj()
+    phis, Os = _pencil_bases(Xs, Xs.real, Xs.imag, tol, "lagrangian_geodesic")
+    Vs = U0s @ Os
+    Fs = np.concatenate([Vs.real, Vs.imag], axis=1)
+    tops = np.take_along_axis(Fs, np.abs(Fs).argmax(axis=1)[:, None], 1)
+    Vs = Vs * np.sign(tops)
+    return tuple(map(_GeodesicPiece, -Vs @ Vs.swapaxes(1, 2), phis, Vs.conj()))
 
 
 def _geodesic_frame(std, piece, tau):
@@ -625,7 +616,9 @@ def lagrangian_geodesic(times, frames, grid, tol=DEFAULT_TOL):
         )
     std = space.standardization
     us = np.stack([complexify_vectors(f._standard.F) for f in frames])
-    geodesic = _joined(times, grid, _lagrangian_pieces(us, tol))
+    geodesic = GeodesicPath(
+        times=times, pieces=_lagrangian_pieces(us, tol), grid=tuple(grid)
+    )
 
     def frame_at(t):
         return _geodesic_frame(std, *geodesic._locate(t))
@@ -715,6 +708,13 @@ class IndexReport:
             rows.append(cur[linear_sum_assignment(np.abs(step))[1]])
         values = np.mod(np.array(rows), 2.0 * np.pi)
         return PhaseTrace(ts=self.partition, values=values)
+
+
+def linear_sum_assignment(cost):
+    """scipy's ``linear_sum_assignment``, imported when a first trace is
+    matched."""
+    from scipy.optimize import linear_sum_assignment as assign
+    return assign(cost)
 
 
 def _test_value(blocked, tol):

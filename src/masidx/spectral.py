@@ -48,12 +48,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag, expm
-from scipy.optimize import brentq
 
 from .core import (
     _FROBENIUS_MARGIN,
     DEFAULT_TOL,
+    _block_diag,
     _norm2_exceeds,
     box_space,
     lagrangian,
@@ -126,6 +125,18 @@ def _jj(N):
     return jj
 
 
+def expm(A):
+    """scipy's ``expm``, imported when a first flow is shot."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
+
+
+def brentq(*args, **kwargs):
+    """scipy's ``brentq``, imported when a first root is located."""
+    from scipy.optimize import brentq as scipy_brentq
+    return scipy_brentq(*args, **kwargs)
+
+
 def JJ(N):
     """The structure matrix [[0, I], [-I, 0]] of size 2N, as a new array."""
     return _jj(N).copy()
@@ -136,11 +147,12 @@ def _exceeds(res, tol, scale, power=1):
 
     The bound is at least ``tol``, so a residual that ``_norm2_exceeds``
     clears against ``tol`` passes without any SVD; only the others take
-    the exact test.
+    the exact test.  A residual that is not finite exceeds it.
     """
-    return _norm2_exceeds(res, tol) and bool(
-        np.linalg.norm(res, 2)
-        > tol * max(1.0, np.linalg.norm(scale, 2) ** power)
+    return _norm2_exceeds(res, tol) and not (
+        np.isfinite(res).all()
+        and np.linalg.norm(res, 2)
+        <= tol * max(1.0, np.linalg.norm(scale, 2) ** power)
     )
 
 
@@ -242,9 +254,7 @@ def _check_symplectic(Phi, res):
     values from ``c_func``.  A residual that is not finite (a NaN in
     C_t, or a flow that overflows) fails it.
     """
-    if not np.isfinite(res).all() or _exceeds(
-        res, _SYMPLECTIC, Phi, power=2
-    ):
+    if _exceeds(res, _SYMPLECTIC, Phi, power=2):
         raise ValidationError(
             "flow not symplectic (check B, C)", where="fundamental_solution"
         )
@@ -812,7 +822,7 @@ def cauchy_data_path(bp):
     gens, jj = _generator(bp.B, [bp.c_at(t) for t in ts])
     stack = np.concatenate([
         graphs(_flows(gens, jj, np.zeros(len(ts)))),
-        block_diag(bp.lambda0, bp.lambda1)[None],
+        _block_diag(bp.lambda0, bp.lambda1)[None],
     ])
     *frames, boundary = lagrangian(bs.space, stack)
     path = LagrangianPath(samples=tuple(zip(ts, frames)), refiner=frame_at)

@@ -25,8 +25,7 @@ from masidx import (
     souriau,
     standard_space,
 )
-from masidx.paths import geodesic_path
-from oracles import TWO_PI, floor_count
+from oracles import TWO_PI, floor_count, schur_geodesic_path
 
 ENDPOINT_CLEARANCE = 0.05
 
@@ -194,12 +193,14 @@ def random_unitary_curve(space, rng, num=33, max_rate=1.7):
 def schur_lagrangian_route(ts, frames, grid):
     """The reference for ``paths.lagrangian_geodesic``: the geodesic of
     pair unitaries W(h, mu_i) against the horizontal reference h through
-    one complex Schur form per gap (``geodesic_path``), and its frame at t
-    recovered from W(h, mu_t) by ``lagrangian_from_souriau``.  Returns
-    (h, geodesic, frame_at)."""
+    one complex Schur form per gap (``oracles.schur_geodesic_path``), and
+    its frame at t recovered from W(h, mu_t) by
+    ``lagrangian_from_souriau``.  Returns (h, geodesic, frame_at)."""
     std = frames[0].space.standardization
     h = std.pull_frame(horizontal_frame(std.target))
-    geodesic = geodesic_path(ts, [souriau(h, f) for f in frames], grid)
+    geodesic = schur_geodesic_path(
+        ts, [souriau(h, f) for f in frames], grid
+    )
 
     def frame_at(t):
         return lagrangian_from_souriau(h, geodesic.at(t))

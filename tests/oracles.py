@@ -15,7 +15,8 @@ Label swaps at eigenvalue collisions shift two floors by opposite amounts,
 so the total is insensitive to matching mistakes at degeneracies.
 
 The other oracles build what the engine computes by a second route: the
-pair unitary as a reflection product, the paper's graph (Cayley) chart of
+geodesic through unitary nodes by complex Schur forms, the pair unitary
+as a reflection product, the paper's graph (Cayley) chart of
 Lambda(n) and Kato's transform of a pair of projections, the crossing form
 as a phase velocity, and the polarized reduction from its definition.
 Their inputs come from tests only, so they validate nothing.
@@ -196,6 +197,25 @@ def crossing_form_phase(path, lam, t_star):
     else:
         diff = (m_at(t_star + h) - m_at(t_star - h)) / (2.0 * h)
     return 0.5 * (diff + diff.conj().T)
+
+
+def schur_geodesic_path(times, nodes, grid):
+    """The piecewise principal-log geodesic through the unitaries
+    ``nodes`` by a second route: one complex Schur form U0^H U1 = Z T Z^H
+    per gap, its angles read off the diagonal of T."""
+    from masidx.paths import GeodesicPath, _GeodesicPiece
+
+    pieces = []
+    for U0, U1 in zip(nodes, nodes[1:]):
+        T, Z = schur(U0.conj().T @ U1, output="complex")
+        pieces.append(
+            _GeodesicPiece(U0=U0, theta=np.angle(np.diag(T)), Z=Z)
+        )
+    return GeodesicPath(
+        times=np.asarray(times, dtype=float),
+        pieces=tuple(pieces),
+        grid=tuple(grid),
+    )
 
 
 def souriau_reflection_product(lam, mu):

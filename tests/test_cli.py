@@ -705,10 +705,11 @@ def _counting(counts, name, fn):
 
 def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
     """On a refined CLI path the radius is exact: the count makes no
-    spectral-norm or SVD call, the path one Schur decomposition per gap.
-    The value reads the two end spectra, and Phillips' count, run when
-    the partition is read, shares them: one eigvals per partition time."""
-    counts = dict.fromkeys(("norm2", "svd", "eigvals", "schur"), 0)
+    spectral-norm or SVD call, and the path is built by one stacked
+    Hermitian eigensolve for all its gaps.  The value reads the two end
+    spectra, and Phillips' count, run when the partition is read, shares
+    them: one eigvals per partition time."""
+    counts = dict.fromkeys(("norm2", "svd", "eigvals", "eigh"), 0)
     counting = functools.partial(_counting, counts)
     norm = np.linalg.norm
 
@@ -717,20 +718,20 @@ def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", norm_counted)
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(
-        np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals)
-    )
-    monkeypatch.setattr(paths, "schur", counting("schur", paths.schur))
+    for name in ("svd", "eigvals", "eigh"):
+        monkeypatch.setattr(
+            np.linalg, name, counting(name, getattr(np.linalg, name))
+        )
     ts, nodes = geodesic_nodes(6, np.random.default_rng(11), 5, 2.8)
     tol = cli.DEFAULT_TOL
     path = cli._unitary_cli_path(ts, nodes, 2, tol)
-    assert counts["schur"] == len(ts) - 1
+    assert len(path.pieces) == len(ts) - 1
+    assert counts["eigh"] == 1
     counts.update(dict.fromkeys(counts, 0))
     report = paths.unitary_maslov(path, tol)
     assert counts["eigvals"] == 2
     assert len(report.partition) > len(path.grid)
-    assert counts["norm2"] == counts["svd"] == counts["schur"] == 0
+    assert counts["norm2"] == counts["svd"] == counts["eigh"] == 0
     assert counts["eigvals"] == len(report.partition)
 
 

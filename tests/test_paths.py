@@ -83,6 +83,17 @@ def test_non_finite_sample_times_are_rejected(bad):
         unitary_path([(0.0, U), (bad, U), (1.0, U)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geodesic_path_rejects_a_non_finite_node(bad):
+    node = np.eye(2, dtype=complex)
+    node[0, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValidationError
+    ) as info:
+        geodesic_path([0.0, 1.0], [np.eye(2), node], [0.0, 1.0])
+    assert info.value.where == "UnitaryPath"
+
+
 def test_at_needs_a_refiner_between_samples():
     U0, U1 = np.eye(1), np.array([[np.exp(0.2j)]])
     p = unitary_path([(0.0, U0), (1.0, U1)])
@@ -725,6 +736,70 @@ def test_lagrangian_geodesic_splits_pencil_clusters(phi):
     )
     _, _, frame_at = schur_lagrangian_route(ts, frames, grid)
     _assert_same_frames(path, frame_at, grid + [0.1, 0.6], 1e-12)
+
+
+def _gap_angles(n, kind, rng):
+    """The angles of one gap, all in (-3, 3): random, half of them one
+    repeated angle, in pairs 1e-8 apart, or in pairs on one value of the
+    pencil cos + _PENCIL sin."""
+    theta = rng.uniform(-1.8, 2.9, n)
+    if kind == "repeated":
+        theta[: n // 2] = theta[0]
+    elif kind == "close":
+        theta[1::2] = theta[0::2] + 1e-8
+    elif kind == "pencil":
+        theta[1::2] = 2.0 * np.arctan(_PENCIL) - theta[0::2]
+    return theta
+
+
+def _assert_pieces_meet_their_nodes(angles, rng):
+    """Both routes through nodes whose gaps turn by ``angles`` (one array
+    per gap): each geodesic piece ends on its next node to 1e-12 in the
+    spectral norm.  The unitary route turns U by V diag(exp(i theta))
+    V^H; the Lagrangian one turns U = X + iY of the frame by Q
+    diag(exp(i theta / 2)), Q a rotation, so that its gap is X = Q
+    diag(exp(i theta)) Q^T."""
+    n = len(angles[0])
+    us, ws = [haar_unitary(n, rng)], [haar_unitary(n, rng)]
+    for theta in angles:
+        V = haar_unitary(n, rng)
+        us.append(us[-1] @ (V * np.exp(1j * theta)) @ V.conj().T)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ws.append(ws[-1] @ (Q * np.exp(0.5j * theta)))
+    ts = np.linspace(0.0, 1.0, len(us)).tolist()
+    unitary = geodesic_path(ts, us, ts)
+    space = standard_space(n)
+    frames = [lagrangian(space, np.vstack([W.real, W.imag])) for W in ws]
+    h, lagr = lagrangian_geodesic(ts, frames, ts)._geodesic
+    lagr_nodes = [souriau(h, f) for f in frames]
+    for path, nodes in ((unitary, us), (lagr, lagr_nodes)):
+        for piece, node in zip(path.pieces, nodes[1:]):
+            assert np.linalg.norm(piece.at(1.0) - node, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["random", "repeated", "close", "pencil"])
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_geodesic_pieces_meet_their_nodes(n, kind):
+    """One stacked pencil eigensolve, corrected once to first order,
+    places each piece's end on its node to rounding, on both routes."""
+    rng = np.random.default_rng(n)
+    _assert_pieces_meet_their_nodes(
+        [_gap_angles(n, kind, rng) for _ in range(4)], rng
+    )
+
+
+@pytest.mark.parametrize("delta", [1e-7, 3e-7])
+def test_geodesic_pieces_meet_their_nodes_near_a_pencil_collision(delta):
+    """Two angles whose pencil values lie about ``delta`` apart, just
+    outside a cluster: an uncorrected eigenbasis mixes them by rounding
+    over that gap and missed the end node by up to 8.8e-9."""
+    rng = np.random.default_rng(17)
+    angles = []
+    for theta in rng.uniform(-1.5, 2.5, 6):
+        angles.append(
+            np.array([theta, 2.0 * np.arctan(_PENCIL) - theta + delta])
+        )
+    _assert_pieces_meet_their_nodes(angles, rng)
 
 
 def test_geodesic_samples_and_at_share_their_frames(rng, monkeypatch):

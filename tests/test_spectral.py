@@ -132,6 +132,29 @@ def test_boundary_problem_rejects_a_nan_time():
         boundary_problem(1, z, [(0.0, z), (np.nan, z), (1.0, z)], lam, lam)
 
 
+@pytest.mark.parametrize(
+    "B, family",
+    [
+        (np.zeros((2, 2)),
+         [(0.0, np.full((2, 2), np.nan)), (1.0, 3.0 * np.eye(2))]),
+        (np.zeros((2, 2)),
+         [(0.0, np.zeros((2, 2))), (1.0, np.full((2, 2), np.inf))]),
+        (np.full((2, 2), np.nan), [(0.0, np.eye(2)), (1.0, np.eye(2))]),
+    ],
+    ids=["nan-c", "inf-c", "nan-b"],
+)
+def test_boundary_problem_rejects_a_non_finite_matrix(B, family):
+    """A residual that is not finite exceeds every bound, so the check
+    answers before any SVD sees it (numpy's SVD of a NaN does not
+    converge)."""
+    lam = np.array([[1.0], [0.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValidationError
+    ) as info:
+        boundary_problem(1, B, family, lam, lam)
+    assert info.value.where == "boundary_problem"
+
+
 def test_fundamental_solution_rejects_drifting_flow():
     with pytest.raises(ValidationError):
         fundamental_solution(np.eye(2), np.zeros((2, 2)), 0.0)
