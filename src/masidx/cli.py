@@ -29,10 +29,8 @@ crossings and reduce subcommands always interpolate: the crossing search
 reads the geodesic pieces of the grid, where every crossing form is exact,
 and reduction marches along the path.  The crossings input's optional
 "richardson" boolean is checked and ignored: no form is differenced.
-
-Each scipy routine is imported when first called: only spectral-flow and
-verify-coincidence load ``scipy.linalg`` (``expm``), and only --trace
-loads ``scipy.optimize``.
+scipy loads on first use: ``scipy.linalg`` for spectral-flow and
+verify-coincidence only, ``scipy.optimize`` for --trace only.
 """
 
 import argparse

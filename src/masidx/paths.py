@@ -33,14 +33,13 @@ Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
 the reference lam (``to_unitary_path``).  The CLI's refined paths
 (``lagrangian_geodesic``) are geodesics of Lambda(n) = U(n)/O(n): their
 pair unitaries against the horizontal h form a ``GeodesicPath`` whose
-gaps are each diagonalized by one real orthogonal matrix, from the
-stacked eigensolve of every geodesic (``_pencil_bases``), which also
-writes down the frame at any time.  Such a path converts by the cocycle
-W(lam, mu) = -W(h, mu) W(lam, h): the same geodesic pieces times one
-constant unitary, with the exact radius and no frame formed.  The
-crossing search reads that unitary path as the count does (``_Reads``:
-every unitary and offset read, and the one radius rule), from the path's
-own times (``_sample_times``), and runs no count.
+gaps are each diagonalized by a real orthogonal matrix (``_pencil_bases``),
+which also writes down the frame at any time.  Such a path converts by
+the cocycle W(lam, mu) = -W(h, mu) W(lam, h): the same geodesic pieces
+times one constant unitary, with the exact radius and no frame formed.
+The crossing search reads that unitary path as the count does
+(``_Reads``: every unitary and offset read, and the one radius rule),
+from the path's own times (``_sample_times``), and runs no count.
 ``IndexReport.trace`` matches eigenphases only when read (``--trace``).
 ``_phillips`` is the one counting loop: ``spectral.spectral_flow`` runs it
 on the real line, with Weyl balls around brackets of the eigenvalues of
@@ -98,12 +97,12 @@ _LIFT_ROUND = 1e-9
 # A + _PENCIL B: the one Hermitian matrix whose eigenvectors diagonalize a
 # normal unitary X = A + iB, up to clusters of its values closer than
 # _PENCIL_GAP; Z^H X Z may miss its diagonal by _PENCIL_RESIDUAL before
-# the first-order correction, which skips eigenvalues closer than
-# _CORRECTION_GAP, where rounding over their difference is not small
+# the first-order correction, which rotates a pair of columns only where
+# their off-diagonal is below _FIRST_ORDER times their eigenvalue gap
 _PENCIL = 0.618
 _PENCIL_GAP = 1e-7
 _PENCIL_RESIDUAL = 1e-7
-_CORRECTION_GAP = 1e-11
+_FIRST_ORDER = 1e-2
 
 
 # --------------------------------------------------------------------------
@@ -511,24 +510,27 @@ def _pencil_bases(Xs, As, Bs, tol, where):
     """(theta, Z), stacked, with Z^H X Z = diag(exp(i theta)), Z unitary
     and theta in (-pi, pi], for a stack of normal unitaries X = A + iB, A
     and B their commuting Hermitian parts: the eigenvectors of A + _PENCIL
-    B from one ``eigh``, real where A and B are, with each cluster of
-    pencil values (where theta_2 = 2 atan(_PENCIL) - theta_1) split by B -
-    _PENCIL A.  Such a column is accurate only to rounding over its gap,
-    so Z takes one first-order step Z (I + K), K_jk = D_jk / (d_k - d_j)
-    for D = Z^H X Z, d its diagonal and |d_k - d_j| > _CORRECTION_GAP
-    (real on a real Z), and one Newton-Schulz step Z - Z (Z^H Z - I) / 2.
-    At the first gap i with an eigenvalue within ``tol.log_cut`` of -1
-    (antipodal ends), PreconditionError (where ``path[i]``), or with D
-    farther than _PENCIL_RESIDUAL from diag(d), AmbiguityError.
+    B from one ``eigh`` (real where A and B are), each cluster of pencil
+    values split on its blocks a, b of A, B by cos(alpha) a + sin(alpha)
+    b, the axis its values spread on (2 alpha = arg tr(y^2), y = a + ib
+    centred).  Z (I + K + K^2 / 2), K the skew-Hermitian part of D_jk /
+    (d_k - d_j) for D = Z^H X Z and its diagonal d, and one Newton-Schulz
+    step Z - Z (Z^H Z - I) / 2 take each column from rounding over its
+    gap to rounding; a pair with |D_jk| + |D_kj| above _FIRST_ORDER |d_k
+    - d_j| (near-repeated, or off a node unitary only to its residual)
+    keeps its columns.  At the first gap i with an eigenvalue within
+    ``tol.log_cut`` of -1, PreconditionError (where ``path[i]``), or with
+    D off diag(d) by more than _PENCIL_RESIDUAL, AmbiguityError.
     """
     pencils, Zs = np.linalg.eigh(As + _PENCIL * Bs)
     apart = np.diff(pencils, axis=1) > _PENCIL_GAP
     for k in np.flatnonzero(~apart.all(axis=1)):
-        Z, other = Zs[k], Bs[k] - _PENCIL * As[k]
-        cuts = np.flatnonzero(apart[k]) + 1
-        for block in np.split(np.arange(len(Z)), cuts):
-            Zb = Z[:, block]
-            Z[:, block] = Zb @ np.linalg.eigh(Zb.conj().T @ other @ Zb)[1]
+        for Zb in np.split(Zs[k], np.flatnonzero(apart[k]) + 1, axis=1):
+            a, b = (Zb.conj().T @ M[k] @ Zb for M in (As, Bs))
+            y = a + 1j * b
+            y = y - np.trace(y) / len(y) * np.eye(len(y))
+            turn = np.exp(-0.5j * np.angle(np.sum(y * y.T)))
+            Zb[:] = Zb @ np.linalg.eigh(turn.real * a - turn.imag * b)[1]
     Ds = Zs.conj().swapaxes(1, 2) @ Xs @ Zs
     vals = np.diagonal(Ds, axis1=1, axis2=2)
     eye = np.eye(vals.shape[1])
@@ -544,9 +546,11 @@ def _pencil_bases(Xs, As, Bs, tol, where):
         if _norm2_exceeds(res, _PENCIL_RESIDUAL):
             raise AmbiguityError("gap has no eigenbasis", where=where)
     diffs = vals[:, None, :] - vals[:, :, None]
-    far = np.abs(diffs) > _CORRECTION_GAP
-    K = np.divide(off, diffs, out=np.zeros_like(off), where=far)
-    Zs = Zs + Zs @ (K if np.iscomplexobj(Zs) else K.real)
+    first = abs(off) + abs(off.swapaxes(1, 2)) < _FIRST_ORDER * abs(diffs)
+    K = np.divide(off, diffs, out=np.zeros_like(off), where=first)
+    K = (K - K.conj().swapaxes(1, 2)) / 2
+    K = K if np.iscomplexobj(Zs) else K.real
+    Zs = Zs + Zs @ (K + K @ K / 2)
     Zs = Zs - 0.5 * Zs @ (Zs.conj().swapaxes(1, 2) @ Zs - eye)
     return np.angle(vals), Zs
 
@@ -711,8 +715,7 @@ class IndexReport:
 
 
 def linear_sum_assignment(cost):
-    """scipy's ``linear_sum_assignment``, imported when a first trace is
-    matched."""
+    """scipy's ``linear_sum_assignment``, imported on a first trace."""
     from scipy.optimize import linear_sum_assignment as assign
     return assign(cost)
 

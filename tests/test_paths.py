@@ -10,6 +10,7 @@ from masidx import (
     UnitaryPath,
     ValidationError,
     catenate,
+    complexify_vectors,
     find_crossings,
     haar_unitary,
     horizontal_frame,
@@ -47,7 +48,12 @@ from masidx.paths import (
     geodesic_path,
     lagrangian_geodesic,
 )
-from oracles import boxed_pair_maslov, floor_count, unitary_oracle
+from oracles import (
+    boxed_pair_maslov,
+    floor_count,
+    schur_geodesic_path,
+    unitary_oracle,
+)
 
 SP1 = standard_space(1)
 SP3 = standard_space(3)
@@ -740,13 +746,16 @@ def test_lagrangian_geodesic_splits_pencil_clusters(phi):
 
 def _gap_angles(n, kind, rng):
     """The angles of one gap, all in (-3, 3): random, half of them one
-    repeated angle, in pairs 1e-8 apart, or in pairs on one value of the
-    pencil cos + _PENCIL sin."""
+    repeated angle, in pairs 1e-8 apart, with one such pair where the
+    pencil cos + _PENCIL sin is 0 (so sin - _PENCIL cos is stationary),
+    or in pairs on one value of the pencil."""
     theta = rng.uniform(-1.8, 2.9, n)
     if kind == "repeated":
         theta[: n // 2] = theta[0]
     elif kind == "close":
         theta[1::2] = theta[0::2] + 1e-8
+    elif kind == "stationary":
+        theta[:2] = -np.arctan(1.0 / _PENCIL) + np.array([0.0, 1e-8])
     elif kind == "pencil":
         theta[1::2] = 2.0 * np.arctan(_PENCIL) - theta[0::2]
     return theta
@@ -777,11 +786,17 @@ def _assert_pieces_meet_their_nodes(angles, rng):
             assert np.linalg.norm(piece.at(1.0) - node, 2) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["random", "repeated", "close", "pencil"])
+@pytest.mark.parametrize(
+    "kind", ["random", "repeated", "close", "stationary", "pencil"]
+)
 @pytest.mark.parametrize("n", [2, 4, 16, 64])
 def test_geodesic_pieces_meet_their_nodes(n, kind):
     """One stacked pencil eigensolve, corrected once to first order,
-    places each piece's end on its node to rounding, on both routes."""
+    places each piece's end on its node to rounding, on both routes: at
+    most 3.6e-15 over 40 seeds, against 1.3e-14 for complex Schur.
+    "stationary" needs each cluster split along its own axis: B - _PENCIL
+    A parts two angles theta, theta + 1e-8 by only 1e-8 |cos theta +
+    _PENCIL sin theta|, which is 0 there."""
     rng = np.random.default_rng(n)
     _assert_pieces_meet_their_nodes(
         [_gap_angles(n, kind, rng) for _ in range(4)], rng
@@ -800,6 +815,54 @@ def test_geodesic_pieces_meet_their_nodes_near_a_pencil_collision(delta):
             np.array([theta, 2.0 * np.arctan(_PENCIL) - theta + delta])
         )
     _assert_pieces_meet_their_nodes(angles, rng)
+
+
+def _scaled(M, size):
+    return M * (size / np.linalg.norm(M, 2))
+
+
+@pytest.mark.parametrize("gap", [5e-11, 3e-4])
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_geodesic_pieces_on_nodes_unitary_only_to_their_residual(n, gap):
+    """A gap with two angles ``gap`` apart between nodes unitary only to
+    about 1e-10 (on the Lagrangian route, frames isotropic only to about
+    6e-11).  At 5e-11 that pair's off-diagonal is not small against its
+    gap, so the first-order turn leaves its columns alone; at 3e-4 it
+    turns them, and only the skew-Hermitian part of K keeps Z unitary.
+    Each Z stays unitary (a Lagrangian Z = conj(U0 O) as unitary as its
+    node U0), and each piece ends within the nodes' residual of the
+    Schur route's."""
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(-1.8, 2.9, n)
+    theta[1] = theta[0] + gap
+    U0, V = haar_unitary(n, rng), haar_unitary(n, rng)
+    tilt = _scaled(np.triu(rng.standard_normal((n, n)), 1), 1e-10)
+    us = [U0, U0 @ V @ (np.diag(np.exp(1j * theta)) + tilt) @ V.conj().T]
+    W0 = haar_unitary(n, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    space = standard_space(n)
+    frames = [
+        lagrangian(
+            space,
+            np.vstack([W.real, W.imag])
+            + _scaled(rng.standard_normal((2 * n, n)), 5e-11),
+        )
+        for W in (W0, W0 @ (Q * np.exp(0.5j * theta)))
+    ]
+    ts = [0.0, 1.0]
+    _, lagr = lagrangian_geodesic(ts, frames, ts)._geodesic
+    _, schur_lagr, _ = schur_lagrangian_route(ts, frames, ts)
+    U = complexify_vectors(frames[0]._standard.F)
+    routes = (
+        (geodesic_path(ts, us, ts), schur_geodesic_path(ts, us, ts), 0.0),
+        (lagr, schur_lagr, np.linalg.norm(U.conj().T @ U - np.eye(n), 2)),
+    )
+    for path, oracle, node_residual in routes:
+        (piece,), (ref,) = path.pieces, oracle.pieces
+        Z = piece.Z
+        unitary = np.linalg.norm(Z.conj().T @ Z - np.eye(n), 2)
+        assert unitary <= node_residual + 1e-14
+        assert np.linalg.norm(piece.at(1.0) - ref.at(1.0), 2) <= 3e-10
 
 
 def test_geodesic_samples_and_at_share_their_frames(rng, monkeypatch):
