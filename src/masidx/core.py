@@ -287,6 +287,8 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
         raise ValidationError(
             "Omega must be square of even size", where="compatible_structure"
         )
+    if not np.isfinite(A).all():
+        raise ValidationError("Omega not finite", where="compatible_structure")
     scale = np.linalg.norm(A, 2)
     if scale == 0 or _norm2_exceeds(A + A.T, tol.validation * scale):
         raise ValidationError(

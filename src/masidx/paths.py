@@ -787,7 +787,7 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
     the piece moves farther than r, so none reaches eps, and the piece
     adds the change in the number of values in [0, eps] between its ends.
     Any other piece goes to split(ts, i), which inserts a point into it
-    or raises; only that piece is checked again.
+    or raises (see ``_halve``); only that piece is checked again.
 
     Returns (total, epsilons, k_counts).
     """
@@ -811,6 +811,17 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
         total += k[1] - k[0]
         i += 1
     return total, epsilons, k_counts
+
+
+def _halve(ts, i, shortest, most):
+    """Insert the midpoint of the piece [ts[i], ts[i + 1]], the split rule
+    of every count; False, with ``ts`` unchanged, when the piece is at
+    most ``shortest`` wide or ``ts`` already holds ``most`` times."""
+    t0, t1 = ts[i], ts[i + 1]
+    if t1 - t0 <= shortest or len(ts) >= most:
+        return False
+    ts.insert(i + 1, 0.5 * (t0 + t1))
+    return True
 
 
 class _Formed(dict):
@@ -982,9 +993,8 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
                 "(undersampled) and the path has no refiner",
                 where="unitary_maslov",
             )
-        if len(ts) >= MAX_SAMPLES:
+        if not _halve(ts, i, -np.inf, MAX_SAMPLES):
             raise AmbiguityError("refinement exploded", where="unitary_maslov")
-        ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
 
     def count():
         total, epsilons, k_counts = _phillips(

@@ -44,6 +44,7 @@ frames are each formed in one stacked call.
 """
 
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -65,7 +66,7 @@ from .paths import (
     MAX_SAMPLES,
     LagrangianPath,
     _check_times,
-    _Formed,
+    _halve,
     _phillips,
     _test_value,
     _widest_gap,
@@ -246,36 +247,31 @@ def _generator(B, C):
     return -B + jj @ np.asarray(C, dtype=float), jj
 
 
-def _check_symplectic(Phi, res):
-    """ValidationError unless the residual ``res`` = Phi^T JJ Phi - JJ of
-    a flow Phi has ||res||_2 at most ``_SYMPLECTIC`` max(1, ||Phi||_2^2).
-
-    The check runs on every flow: it is the only validation of C_t
-    values from ``c_func``.  A residual that is not finite (a NaN in
-    C_t, or a flow that overflows) fails it.
-    """
-    if _exceeds(res, _SYMPLECTIC, Phi, power=2):
-        raise ValidationError(
-            "flow not symplectic (check B, C)", where="fundamental_solution"
-        )
-
-
 def _flows(gen, jj, ss):
-    """expm(gen - s JJ) for every s in ``ss``, one stacked call, each
-    flow checked symplectic for the JJ-form by ``_check_symplectic``.
-    ``gen`` is one generator or a stack of one per s.
+    """expm(gen - s JJ) for every s in ``ss``, one stacked call; ``gen``
+    is one generator or a stack of one per s.  ValidationError unless
+    each flow Phi is symplectic for the JJ-form, ||Phi^T JJ Phi - JJ||_2
+    at most ``_SYMPLECTIC`` max(1, ||Phi||_2^2).  The check runs on every
+    flow: past the finiteness that ``_radius`` checks, it is the only
+    validation of C_t values from ``c_func``.  A residual that is not
+    finite (a NaN in C_t, or a flow that overflows) fails it.
 
     scipy's ``expm`` exponentiates a stack slice by slice, so each flow
     is bitwise the one a call on it alone gives.  The residuals'
     Frobenius norms clear the stack at once (||X||_2 <= ||X||_F, with
     the margin of ``core._norm2_exceeds``); every residual they do not
-    clear, a non-finite one too, takes the exact test, in stack order.
+    clear takes the exact test, in stack order: the first flow that
+    fails raises.
     """
     Phi = expm(gen - np.asarray(ss, dtype=float)[:, None, None] * jj)
     res = np.swapaxes(Phi, 1, 2) @ jj @ Phi - jj
     cleared = np.linalg.norm(res, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
     for k in np.flatnonzero(~(cleared <= _SYMPLECTIC)):
-        _check_symplectic(Phi[k], res[k])
+        if _exceeds(res[k], _SYMPLECTIC, Phi[k], power=2):
+            raise ValidationError(
+                "flow not symplectic (check B, C)",
+                where="fundamental_solution",
+            )
     return Phi
 
 
@@ -293,8 +289,8 @@ def fundamental_solution(B, C, s):
 class _Shooter:
     """The shooting path s -> Phi_s lambda0 of ``bp`` at one family time.
 
-    Per s it keeps the frame F = Phi_s lambda0, det[F, lambda1] and the
-    offsets angle(-w) of the pair unitary (``souriau.souriau``)
+    Per s it shoots the frame F = Phi_s lambda0 and keeps det[F, lambda1]
+    and the offsets angle(-w) of the pair unitary (``souriau.souriau``)
     W(lambda1, F) = -Z conj(Z)^-1 conj(U1 U1^T), Z = F_top + i F_bottom,
     U1 the unitary of lambda1.  With F = F_o R, F_o orthonormal with
     unitary U, Z conj(Z)^-1 = U U^T = Z (F^T F)^-1 Z^T: the first form has
@@ -302,7 +298,7 @@ class _Shooter:
     iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.  Per piece
     (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.  Every spectrum read
     at this time shares it: the flow's detection window and, at t = 0 and
-    1, both window-edge guards.
+    1, both window-edge guards.  ``det`` at an s not read shoots it alone.
     """
 
     def __init__(self, bp, t):
@@ -312,39 +308,30 @@ class _Shooter:
         self._n = n = bp.N
         U1 = lambda1[:n] + 1j * lambda1[n:]
         self._conj1 = np.conj(U1 @ U1.T)
-        self._frames = _Formed(lambda s: self._shots([s])[0])
         self._dets = {}
         self._pairs = {}
         self._offsets = {}
         self._chords = {}
 
     def _shots(self, ss):
-        """The frames Phi_s lambda0 for the s in ``ss``."""
+        """The frames Phi_s lambda0 for the s in ``ss``, in one stacked
+        ``_flows`` call."""
         return _flows(self._gen, self._jj, ss) @ self._lambda0
-
-    def shoot(self, ss):
-        """Shoot the s in ``ss`` not shot yet, in one stacked ``_flows``
-        call, in the order given: a failing flow raises the error of the
-        first one that fails."""
-        shots = [s for s in ss if s not in self._frames]
-        if shots:
-            self._frames.update(zip(shots, self._shots(shots)))
 
     def read(self, *runs):
         """Read the s in each run of ``runs`` and the pieces between
         neighbours in it.
 
-        The s not shot yet are shot in one stacked ``_flows`` call, in the
-        order given, and those not read yet get their pair unitaries,
-        offsets and determinants, one call on the stack for each kind; the
-        pieces with no chord yet get theirs from one stacked ``eigvalsh``.
-        Each value is bitwise the one a single read gives, and for these
-        small matrices a stacked call costs little more than one.
+        The s not read yet are shot in one stacked ``_flows`` call, in the
+        order given, and get their pair unitaries, offsets and
+        determinants, one call on the stack for each kind; the pieces
+        with no chord yet get theirs from one stacked ``eigvalsh``.  Each
+        value is bitwise the one a single read gives, and for these small
+        matrices a stacked call costs little more than one.
         """
         new = [s for ss in runs for s in ss if s not in self._pairs]
         if new:
-            self.shoot(new)
-            F = np.array([self._frames[s] for s in new])
+            F = self._shots(new)
             n = self._n
             ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
             W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2)
@@ -369,7 +356,7 @@ class _Shooter:
 
     def det(self, s):
         if s not in self._dets:
-            self._dets[s] = self._stacked_dets(self._frames[s][None])[0]
+            self._dets[s] = self._stacked_dets(self._shots([s]))[0]
         return self._dets[s]
 
     def offsets(self, s):
@@ -394,7 +381,7 @@ class _Shooter:
         return 2.0 * np.arcsin(c / 2.0)
 
 
-def _count_roots(shoot, ss, split, tol, brackets, points):
+def _count_roots(shoot, ss, tol, brackets, points):
     """Collect the roots in (ss[0], ss[-1]] as the pieces that Phillips'
     count isolates, without locating any.
 
@@ -408,9 +395,16 @@ def _count_roots(shoot, ss, split, tol, brackets, points):
     multiplicity k is a zero of order k of the determinant, and the path
     is positive, so a sign change without roots or a negative count shows
     a turn that the chord radius did not see.  AmbiguityError when a count
-    is still negative there.  Each piece of ``ss`` is resolved on its own:
-    what it leaves does not depend on the other pieces.
+    is still negative there, or when a split (``paths._halve``) meets
+    ``tol.bisect_t`` or ``MAX_SAMPLES``.  Each piece of ``ss`` is resolved
+    on its own: what it leaves does not depend on the other pieces.
     """
+
+    def split(ss, i):
+        if not _halve(ss, i, tol.bisect_t, MAX_SAMPLES):
+            raise AmbiguityError(f"no admissible test angle on ({ss[i]}, "
+                                 f"{ss[i + 1]}]", where="eigenvalues_near")
+
     shoot.read(ss)
     _, _, k_counts = _phillips(
         ss, shoot.offsets, shoot.radius, np.pi - EPS_CAP, split, 0.0, tol
@@ -422,7 +416,7 @@ def _count_roots(shoot, ss, split, tol, brackets, points):
             brackets.append([s0, s1])
         elif (n or flips) and s1 - s0 > tol.bisect_t:
             _count_roots(
-                shoot, [s0, 0.5 * (s0 + s1), s1], split, tol, brackets, points
+                shoot, [s0, 0.5 * (s0 + s1), s1], tol, brackets, points
             )
         elif n < 0:
             raise AmbiguityError(
@@ -480,48 +474,29 @@ class _Spectrum:
         self.brackets = []
         self.points = []
 
-    def _split(self, ss, i):
-        s0, s1 = ss[i], ss[i + 1]
-        if s1 - s0 <= self._tol.bisect_t or len(ss) >= MAX_SAMPLES:
-            raise AmbiguityError(
-                f"no admissible test angle on ({s0}, {s1}]",
-                where="eigenvalues_near",
-            )
-        ss.insert(i + 1, 0.5 * (s0 + s1))
-
-    def _counted(self, ss):
-        brackets, points = [], []
-        _count_roots(self._shoot, ss, self._split, self._tol, brackets, points)
-        return brackets, points
-
     def _cover(self, lo, hi):
         """Count the grid pieces that meet [lo, hi] and are not counted
-        yet, with those between them and the cover."""
+        yet, with those between them and the cover; the first read grows
+        an empty cover at its own first piece."""
         g = self._grid
         # pieces i..j-1, piece k = [g[k], g[k + 1]]
         i = max(bisect_left(g, lo) - 1, 0)
         j = min(bisect_right(g, hi), len(g) - 1)
-        if i >= j:
-            return
-        if self._span is None:
-            self._span = (i, j)
-            self.brackets, self.points = self._counted(g[i:j + 1])
-            return
-        a, b = self._span
-        if a <= i and j <= b:
+        a, b = self._span or (i, i)
+        if i >= j or a <= i and j <= b:
             return
         i, j = min(i, a), max(j, b)
         self._span = (i, j)
         left, right = g[i:a + 1], g[b:j + 1]
-        self._shoot.read(left, right)
-        if len(left) > 1:
-            brackets, points = self._counted(left)
-            self.brackets[:0] = brackets
-            self.points[:0] = points
-        if len(right) > 1:
-            brackets, points = self._counted(right)
-            self.brackets += brackets
-            self.points += points
+        # a one-point run has no piece, and its point is read already or
+        # starts the other run
+        self._shoot.read(*(ss for ss in (left, right) if len(ss) > 1))
+        brackets, points = [], []
+        _count_roots(self._shoot, left, self._tol, brackets, points)
+        brackets += self.brackets
+        points += self.points
+        _count_roots(self._shoot, right, self._tol, brackets, points)
+        self.brackets, self.points = brackets, points
 
     def whole(self):
         """Count every piece of the grid; returns the spectrum."""
@@ -648,7 +623,7 @@ def _radius(bp, t0, t1):
     problem computes once (``BoundaryProblem._gap_norms``), and takes no
     norm of its own; it agrees with the read at t1 up to rounding.  A
     ``c_func`` family is read at t1 and the nodes inside, and between them
-    the value is a heuristic.
+    the value is a heuristic; ValidationError when a C_t read is not finite.
     """
     ts = bp.ts
     i0, i1 = np.searchsorted(ts, t0, "right"), np.searchsorted(ts, t1)
@@ -656,6 +631,9 @@ def _radius(bp, t0, t1):
         i = i1 - 1
         return float((t1 - t0) * bp._gap_norms[i] / (ts[i1] - ts[i]))
     shifts = np.array([bp.c_at(t) for t in (*ts[i0:i1], t1)]) - bp.c_at(t0)
+    if not np.isfinite(shifts).all():
+        raise ValidationError(f"C_t not finite on [{t0}, {t1}]",
+                              where="spectral_flow")
     return float(np.linalg.norm(shifts, 2, axis=(1, 2)).max())
 
 
@@ -678,29 +656,22 @@ def _guard_edges(spectrum, t, window, tol):
     whole, then guard both window edges there.
 
     The guards share the window's shooter, and their four shots join the
-    window's stacked call after the window's own, so a failing window
-    shot raises the window's own error.  When a guard shot fails there,
-    the window is shot alone and each guard shoots again on its count, so
-    the first guard that fails names its edge: ValidationError "window is
-    too wide".  PreconditionError when an eigenvalue lies in the open
-    interval (edge - guard, edge + guard).
+    window's stacked call after the window's own.  The error of a failing
+    call is dropped, for the counts meet it again in order: the window's
+    first, then each edge's, -window before +window, from its guard grid
+    or its shots, a failing shot as ValidationError "window is too wide"
+    naming the edge.  PreconditionError when an eigenvalue lies in the
+    open interval (edge - guard, edge + guard).
     """
     shoot = spectrum._shoot
     edges = (-window, window)
-    try:
-        guards = [_guard_spectrum(shoot, edge, tol) for edge in edges]
-    except ValidationError:
-        # the window's shots and count come before a guard's grid
-        spectrum.whole()
-        raise
-    try:
-        shoot.read(spectrum._grid, *(g._grid for g in guards))
-    except ValidationError:
-        shoot.shoot(spectrum._grid)
+    with suppress(ValidationError):
+        shoot.read(spectrum._grid, *(
+            _guard_spectrum(shoot, edge, tol)._grid for edge in edges))
     spectrum.whole()
-    for edge, guard in zip(edges, guards):
+    for edge in edges:
         try:
-            guarded = guard.whole().count(
+            guarded = _guard_spectrum(shoot, edge, tol).whole().count(
                 np.nextafter(edge - tol.flow_guard, np.inf),
                 np.nextafter(edge + tol.flow_guard, -np.inf),
             )
@@ -757,13 +728,9 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
         _guard_edges(spec(t_end), t_end, window, tol)
 
     def split(ts, i):
-        t0, t1 = ts[i], ts[i + 1]
-        if t1 - t0 <= _FLOW_MIN_PIECE or len(ts) > _FLOW_MAX_SAMPLES:
-            raise AmbiguityError(
-                "no admissible test value (tangential crossing?)",
-                where="spectral_flow",
-            )
-        ts.insert(i + 1, 0.5 * (t0 + t1))
+        if not _halve(ts, i, _FLOW_MIN_PIECE, _FLOW_MAX_SAMPLES + 1):
+            raise AmbiguityError("no admissible test value (tangential "
+                                 "crossing?)", where="spectral_flow")
 
     ts = [0.0, 1.0]
     total, epsilons, _ = _phillips(

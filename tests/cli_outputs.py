@@ -1,0 +1,68 @@
+"""Print the CLI output of every benchmark problem, for comparing two trees.
+
+    python tests/cli_outputs.py [--root TREE] [--seed N ...] > outputs.txt
+
+Builds the problems of the workloads ``dense``, ``refine`` and ``flow``
+at each seed (1 and 7 by default) with the workload builders
+of ``TREE/perfbench/run.py``, read and never changed, runs each once
+through ``TREE/src``'s ``masidx.cli.run``, and prints one line per
+problem: seed, workload, problem id, exit code and the JSON-quoted
+stdout.  An exception that escapes ``cli.run`` prints as exit code
+``raised`` followed by its type.  TREE defaults to the checkout that
+holds this script; point it at a second checkout (made with ``git clone``
+or ``git archive``) to print that tree's outputs, then compare::
+
+    python tests/cli_outputs.py --root ../parent > parent.txt
+    python tests/cli_outputs.py > change.txt
+    cmp parent.txt change.txt
+
+Like the benchmark, it pins BLAS to one thread (``run.BLAS_ENV``), and
+it runs every problem in this one process.  Not collected by pytest.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+DEFAULT_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=pathlib.Path, default=DEFAULT_ROOT)
+    ap.add_argument("--seed", type=int, action="append")
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+    import run  # perfbench/run.py: sets BLAS_ENV before numpy loads
+
+    from masidx import cli
+
+    for seed in args.seed or [1, 7]:
+        for workload in ("dense", "refine", "flow"):
+            with tempfile.TemporaryDirectory() as workdir:
+                run.generate(workload, seed, workdir)
+                with open(os.path.join(workdir, "problems.json")) as fh:
+                    manifest = json.load(fh)
+                for problem in manifest:
+                    argv = [problem["command"],
+                            os.path.join(workdir, problem["file"]),
+                            *problem["args"]]
+                    buf = io.StringIO()
+                    try:
+                        with contextlib.redirect_stdout(buf):
+                            code = cli.run(argv)
+                    except Exception as exc:
+                        code = f"raised {type(exc).__name__}"
+                    print(seed, workload, problem["id"], code,
+                          json.dumps(buf.getvalue()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,7 +29,7 @@ from masidx import (
     standardize,
     vertical_frame,
 )
-from masidx.core import _norm2_exceeds
+from masidx.core import _norm2_exceeds, _standard_J
 from masidx.paths import lagrangian_geodesic
 from conftest import random_structure_space
 from oracles import (
@@ -119,6 +119,17 @@ def test_compatible_structure_rejects_bad_forms(rng):
     odd = np.zeros((3, 3))
     with pytest.raises(ValidationError):
         compatible_structure(odd)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compatible_structure_rejects_a_form_that_is_not_finite(bad):
+    """A non-finite entry is a ValidationError of its own, raised before
+    any norm of Omega is taken (an SVD of a NaN does not converge)."""
+    Omega = _standard_J(2)
+    Omega[0, 2] = bad
+    with pytest.raises(ValidationError) as info:
+        compatible_structure(Omega)
+    assert info.value.where == "compatible_structure"
 
 
 def test_tolerance_scaling_scales_every_field():

@@ -584,6 +584,28 @@ def test_geodesic_value_needs_no_refinement():
         report.partition
 
 
+def test_refinement_stops_at_max_samples(monkeypatch):
+    """Phillips' count of a refined path halves pieces while the partition
+    holds fewer than ``MAX_SAMPLES`` times: at the count's own size it
+    gives the same report, one time fewer raises."""
+    phases = lambda t: np.array([6.0 * t + 0.3, 1.0 - 4.0 * t])
+    path = unitary_path_from_function(
+        lambda t: np.diag(np.exp(1j * phases(t))), num=3
+    )
+    want = unitary_maslov(path)
+    size = len(want.partition)
+    assert size > 3
+    monkeypatch.setattr(paths, "MAX_SAMPLES", size)
+    got = unitary_maslov(path)
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
+    monkeypatch.setattr(paths, "MAX_SAMPLES", size - 1)
+    with pytest.raises(AmbiguityError) as info:
+        unitary_maslov(path)
+    assert info.value.reason == "refinement exploded"
+    assert info.value.where == "unitary_maslov"
+
+
 # --------------------------------------------------------------------------
 # CLI Lagrangian paths: pair unitaries off the geodesic pieces
 

@@ -1,5 +1,7 @@
 """Spectral flow of first-order boundary families and the coincidence check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -261,8 +263,9 @@ def _single_reads(bp, t, ss):
 
 
 def test_stacked_reads_are_single_reads_bitwise(rng):
-    """``_Shooter.read`` shoots a grid in one stacked call; every frame,
-    determinant, offset and piece chord equals the one formed alone."""
+    """``_Shooter.read`` shoots a grid in one stacked call; every frame of
+    the stack, determinant, offset and piece chord equals the one formed
+    alone."""
     problems = [
         rotation_problem(),
         random_boundary_family(2, rng, samples=20),
@@ -275,8 +278,8 @@ def test_stacked_reads_are_single_reads_bitwise(rng):
             shoot = spectral._Shooter(bp, t)
             shoot.read(ss)
             frames, dets, offsets, chords = _single_reads(bp, t, ss)
+            np.testing.assert_array_equal(shoot._shots(ss), frames)
             for k, s in enumerate(ss):
-                np.testing.assert_array_equal(shoot._frames[s], frames[k])
                 assert shoot.det(s) == dets[k]
                 np.testing.assert_array_equal(shoot.offsets(s), offsets[k])
             for k, piece in enumerate(zip(ss, ss[1:])):
@@ -955,6 +958,115 @@ def test_a_window_shot_that_fails_at_an_end_is_the_windows_error():
             spectral_flow(bp)
     assert info.value.reason == "flow not symplectic (check B, C)"
     assert info.value.where == "fundamental_solution"
+
+
+@pytest.mark.parametrize(
+    "edges, named", [((8.0,), "8"), ((-8.0, 8.0), "-8")]
+)
+def test_a_failing_guard_shot_names_the_first_edge_that_fails(
+    monkeypatch, edges, named
+):
+    """Every ``_flows`` stack that holds an s within 1e-6 of one of
+    ``edges`` raises the flow's own ValidationError.  The guards' shots
+    ride the window's stack, so that stack fails too; the window then
+    counts alone, and the guards count in turn, -window first: the first
+    edge whose shots fail is the one named."""
+    flows = spectral._flows
+
+    def failing(gen, jj, ss):
+        if any(abs(s - e) < 1e-6 for s in ss for e in edges):
+            raise ValidationError(
+                "flow not symplectic (check B, C)",
+                where="fundamental_solution",
+            )
+        return flows(gen, jj, ss)
+
+    monkeypatch.setattr(spectral, "_flows", failing)
+    with pytest.raises(ValidationError) as info:
+        spectral_flow(rotation_problem(), window=8.0)
+    assert info.value.where == "spectral_flow"
+    assert info.value.reason.startswith(
+        f"window 8 is too wide: the flow at s = {named} "
+    )
+
+
+def test_a_c_func_that_is_not_finite_inside_is_a_validation_error():
+    """A C_t that is not finite inside (0, 1) is named when the flow
+    count reads it, not halved down to an AmbiguityError."""
+    lam = np.array([[1.0], [0.0]])
+    z = np.zeros((2, 2))
+
+    def c_func(t):
+        if 0.0 < t < 1.0:
+            return np.full((2, 2), np.inf)
+        return 3.0 * t * np.eye(2)
+
+    bp = boundary_problem(
+        1, z, [(0.0, z), (1.0, 3.0 * np.eye(2))], lam, lam, c_func=c_func
+    )
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValidationError) as info:
+            spectral_flow(bp)
+    assert info.value.reason.startswith("C_t not finite on [")
+    assert info.value.where == "spectral_flow"
+
+
+def test_the_shooting_count_splits_below_max_samples(monkeypatch):
+    """The count of a shooting grid halves its pieces while it holds
+    fewer than ``MAX_SAMPLES`` points: at the count's own size the roots
+    are the same, one point fewer raises."""
+    bp = ladder_problem((0.1, 0.2, 0.3, 1.2), (1.0, -2.0, 0.5, 3.0))
+    sizes = []
+    phillips = spectral._phillips
+
+    def sized(ts, *args):
+        out = phillips(ts, *args)
+        sizes.append(len(ts))
+        return out
+
+    monkeypatch.setattr(spectral, "_phillips", sized)
+    want = eigenvalues_near(bp, 1.0, -0.55, 1.55)
+    size = max(sizes)
+    window = len(spectral._grid(-0.55, 1.55))
+    assert size > window + 1
+    monkeypatch.setattr(spectral, "MAX_SAMPLES", size)
+    np.testing.assert_array_equal(eigenvalues_near(bp, 1.0, -0.55, 1.55), want)
+    monkeypatch.setattr(spectral, "MAX_SAMPLES", size - 1)
+    with pytest.raises(AmbiguityError) as info:
+        eigenvalues_near(bp, 1.0, -0.55, 1.55)
+    assert info.value.where == "eigenvalues_near"
+    s0, s1 = map(float, re.fullmatch(
+        r"no admissible test angle on \((\S+), (\S+)\]", info.value.reason
+    ).groups())
+    assert -0.55 <= s0 < s1 <= 1.55
+
+
+@pytest.mark.parametrize("cap", ["_FLOW_MAX_SAMPLES", "_FLOW_MIN_PIECE"])
+def test_the_flow_count_splits_up_to_its_caps(monkeypatch, cap):
+    """The flow count halves a piece while the partition holds at most
+    ``_FLOW_MAX_SAMPLES`` times and the piece is wider than
+    ``_FLOW_MIN_PIECE``: at the report's own partition the report is the
+    same, one step tighter raises."""
+    bp = rotation_problem()
+    want = spectral_flow(bp)
+    size = len(want.partition)
+    # every piece that was split is twice as wide as the narrowest one
+    split = 2.0 * np.diff(want.partition).min()
+    assert size > 2
+    met, missed = {
+        "_FLOW_MAX_SAMPLES": (size - 1, size - 2),
+        "_FLOW_MIN_PIECE": (np.nextafter(split, 0.0), split),
+    }[cap]
+    monkeypatch.setattr(spectral, cap, met)
+    got = spectral_flow(bp)
+    assert got.value == want.value
+    np.testing.assert_array_equal(got.partition, want.partition)
+    np.testing.assert_array_equal(got.epsilons, want.epsilons)
+    monkeypatch.setattr(spectral, cap, missed)
+    with pytest.raises(AmbiguityError) as info:
+        spectral_flow(bp)
+    assert info.value.reason == "no admissible test value (tangential crossing?)"
+    assert info.value.where == "spectral_flow"
 
 
 def test_flow_is_additive_over_halves(rng):
