@@ -18,9 +18,14 @@ and Q = [F, JF], J - JP - PJ = (Id - Q Q^T G) J has norm ||R||_2 there and
 at most cond(G)^{1/2} ||R||_2 in general: J = JP + PJ follows.  Frames
 written by an isometry from checked frames (``j_image``, the standard
 horizontal frame, ``paths.lagrangian_geodesic``) are not checked again.
-A matrix taken in as unitary (path samples, ``indices.LiftedUnitary``,
-the argument of ``souriau.lagrangian_from_souriau``) is checked by one
-residual, ||U^H U - Id||_2 <= 1e-9 (``_not_unitary``).  A frame reads
+Every public matrix argument first passes one intake rule,
+``_as_matrix``: ragged nesting, entries that are not numbers, complex
+entries where real ones are due, the wrong ndim or shape, and entries
+that are not finite are each a ValidationError at the caller's
+``where``.  A matrix taken in as unitary (path samples,
+``indices.LiftedUnitary``, the argument of
+``souriau.lagrangian_from_souriau``) then passes one residual,
+||U^H U - Id||_2 <= 1e-9 (``_unitary``).  A frame reads
 one tolerance, the rank bound of ``lagrangian``, and reads it from its
 space (``SymplecticSpace.tol``), so a tolerance profile reaches frames
 only through the spaces they are built in.  Every other bound here is a
@@ -31,6 +36,7 @@ projections compute no index: they are test oracles.
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -132,10 +138,11 @@ _STANDARDIZATION_DRIFT = 1e-9
 # --------------------------------------------------------------------------
 
 
-def _norm2_exceeds(X, bound):
-    """``np.linalg.norm(X, 2) > bound``, skipping the SVD when it can.
+def _norm2_exceeds(X, bound, scale=None, power=1):
+    """``norm(X, 2) > bound``, or ``> bound * max(1, norm(scale, 2) **
+    power)`` with ``scale``, skipping the SVDs when it can.
 
-    ||X||_2 <= ||X||_F, so a Frobenius norm below the bound already proves
+    ||X||_2 <= ||X||_F, so a Frobenius norm below ``bound`` already proves
     the check passes.  The relative margin ``_FROBENIUS_MARGIN`` keeps
     rounding in the two norms from letting the shortcut answer
     differently from the SVD, and bounds below ``_FROBENIUS_UNDERFLOW``
@@ -147,34 +154,65 @@ def _norm2_exceeds(X, bound):
         and np.linalg.norm(X) * (1.0 + _FROBENIUS_MARGIN) <= bound
     ):
         return False
-    return not np.isfinite(X).all() or bool(np.linalg.norm(X, 2) > bound)
+    if not np.isfinite(X).all():
+        return True
+    norm = np.linalg.norm(X, 2)
+    if scale is not None and norm > bound:
+        bound *= max(1.0, np.linalg.norm(scale, 2) ** power)
+    return bool(norm > bound)
 
 
-def _not_unitary(U):
-    """||U^H U - Id||_2 > ``_UNITARY_RESIDUAL`` for a square U."""
-    return _norm2_exceeds(U.conj().T @ U - np.eye(len(U)), _UNITARY_RESIDUAL)
+def _uncleared(R, bound):
+    """Indices k, in order, of a stack of residuals whose Frobenius norms
+    do not clear ``bound`` as in ``_norm2_exceeds``: the stacked clear."""
+    cleared = np.linalg.norm(R, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
+    return np.flatnonzero(~(cleared <= bound))
 
 
-def _as_matrix(M, name, shape=None, allow_complex=False, stack=False):
-    """M as a float (or complex) matrix of ``shape``, or as a stack of
-    such matrices, (k,) + ``shape``, when ``stack`` is set."""
-    A = np.asarray(M)
-    if allow_complex:
-        if not np.issubdtype(A.dtype, np.number):
-            raise ValidationError(f"{name} is not numeric", where=name)
-        A = A.astype(complex)
-    else:
-        if np.iscomplexobj(A):
-            raise ValidationError(f"{name} must be real", where=name)
-        A = A.astype(float)
-    if A.ndim != 2 + stack:
-        raise ValidationError(f"{name} must be a matrix", where=name)
-    if shape is not None and A.shape[-2:] != shape:
+def _dimension(n, name, where):
+    """n, an integer >= 1; ValidationError at ``where`` otherwise."""
+    if not isinstance(n, Integral):
+        raise ValidationError(f"{name} must be an integer", where=where)
+    if n < 1:
+        raise ValidationError(f"{name} must be >= 1", where=where)
+    return n
+
+
+def _as_matrix(M, name, where, shape=None, allow_complex=False, stack=False):
+    """M as a new float (or complex) array, by the intake rule of the
+    module docstring.  ``shape`` is a tuple, "square" or "even" (square of
+    even size); ``stack`` also accepts a stack (k,) + ``shape``."""
+    try:
+        A = np.asarray(M)
+    except ValueError:
+        raise ValidationError(f"{name} is ragged", where=where) from None
+    if A.dtype.kind not in ("iufc" if allow_complex else "iuf"):
+        reason = "must be real" if A.dtype.kind == "c" else "is not numeric"
+        raise ValidationError(f"{name} {reason}", where=where)
+    A = A.astype(complex if allow_complex else float)
+    if A.ndim != 2 and not (stack and A.ndim == 3):
+        raise ValidationError(f"{name} must be a matrix", where=where)
+    m, k = A.shape[-2:]
+    if shape in ("square", "even"):
+        if m != k or shape == "even" and (m % 2 or not m):
+            size = " of even size" if shape == "even" else ""
+            raise ValidationError(f"{name} must be square{size}", where=where)
+    elif shape is not None and (m, k) != shape:
         raise ValidationError(
-            f"{name} has shape {A.shape[-2:]}, expected {shape}",
-            where=name,
+            f"{name} has shape {(m, k)}, expected {shape}", where=where
         )
+    if not np.isfinite(A).all():
+        raise ValidationError(f"{name} not finite", where=where)
     return A
+
+
+def _unitary(U, name, where, shape="square"):
+    """U by ``_as_matrix`` (complex, of ``shape``), then "<name> not
+    unitary" at ``where`` unless ||U^H U - Id||_2 <= ``_UNITARY_RESIDUAL``."""
+    U = _as_matrix(U, name, where, shape, allow_complex=True)
+    if _norm2_exceeds(U.conj().T @ U - np.eye(len(U)), _UNITARY_RESIDUAL):
+        raise ValidationError(f"{name} not unitary", where=where)
+    return U
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +225,9 @@ class SymplecticSpace:
     tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValidationError("n must be >= 1", where="SymplecticSpace.n")
-        J = _as_matrix(self.J, "J", (2 * n, 2 * n))
-        G = _as_matrix(self.G, "G", (2 * n, 2 * n))
+        n = _dimension(self.n, "n", "SymplecticSpace.n")
+        J = _as_matrix(self.J, "J", "SymplecticSpace.J", (2 * n, 2 * n))
+        G = _as_matrix(self.G, "G", "SymplecticSpace.G", (2 * n, 2 * n))
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "G", G)
         t = self.tol.validation
@@ -260,7 +296,7 @@ def _standard_J(n):
 def standard_space(n, tol=DEFAULT_TOL):
     """The model space: J = [[0, -I], [I, 0]], G = Id.  One space is built
     per (n, tol) and shared, its J and G read-only."""
-    return _standard_space(n, tol)
+    return _standard_space(_dimension(n, "n", "SymplecticSpace.n"), tol)
 
 
 @lru_cache(maxsize=64)
@@ -281,14 +317,7 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
     compatible inner product.  J is orthogonal to rounding, so J^2 + Id =
     J (J + J^T) misses zero by rounding times cond(Omega), not its square.
     """
-    A = _as_matrix(Omega, "Omega")
-    m = A.shape[0]
-    if A.shape[1] != m or m % 2 != 0 or m == 0:
-        raise ValidationError(
-            "Omega must be square of even size", where="compatible_structure"
-        )
-    if not np.isfinite(A).all():
-        raise ValidationError("Omega not finite", where="compatible_structure")
+    A = _as_matrix(Omega, "Omega", "compatible_structure", "even")
     scale = np.linalg.norm(A, 2)
     if scale == 0 or _norm2_exceeds(A + A.T, tol.validation * scale):
         raise ValidationError(
@@ -301,7 +330,7 @@ def compatible_structure(Omega, tol=DEFAULT_TOL):
             where="compatible_structure",
         )
     G = (Vt.T * sv) @ Vt
-    return SymplecticSpace(n=m // 2, J=U @ Vt, G=G, tol=tol)
+    return SymplecticSpace(n=len(A) // 2, J=U @ Vt, G=G, tol=tol)
 
 
 def _spaces_match(a, b):
@@ -336,7 +365,7 @@ class LagrangianFrame:
 
     def __post_init__(self):
         sp = self.space
-        F = _as_matrix(self.F, "F", (2 * sp.n, sp.n))
+        F = _as_matrix(self.F, "F", "LagrangianFrame", (2 * sp.n, sp.n))
         object.__setattr__(self, "F", F)
         for _, err in _frame_errors(sp, F[None]):
             raise err
@@ -374,16 +403,15 @@ def _frame_errors(space, F):
 
     The residuals R = F^T G F - Id + i (JF)^T G F are formed in one
     stacked product, and their Frobenius norms clear the stack at once
-    (||R||_2 <= ||R||_F, with the margin of ``_norm2_exceeds``); only a
-    residual they do not clear, a non-finite one too, takes the exact
-    test, which says which part failed.
+    (``_uncleared``, the one stacked clear); only a residual they do not
+    clear, a non-finite one too, takes the exact test, which says which
+    part failed.
     """
     GF = space.G @ F
     R = np.swapaxes(F, 1, 2) @ GF - np.eye(space.n) + 1j * (
         np.swapaxes(space.J @ F, 1, 2) @ GF
     )
-    cleared = np.linalg.norm(R, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
-    for k in np.flatnonzero(~(cleared <= _FRAME_RESIDUAL)):
+    for k in _uncleared(R, _FRAME_RESIDUAL):
         if _norm2_exceeds(R[k], _FRAME_RESIDUAL):
             if _norm2_exceeds(R[k].real, _FRAME_RESIDUAL):
                 reason = "frame not G-orthonormal"
@@ -416,14 +444,16 @@ def lagrangian(space, M):
     Raises
     ------
     ValidationError
-        The error of the first matrix of the stack that fails, as a call
-        on each matrix in turn would raise it: rank-deficient input, or
+        An input the intake rule rejects (``_as_matrix``), else the error
+        of the first matrix of the stack that fails, as a call on each
+        matrix in turn would raise it: rank-deficient input, or
         the orthonormalized frame fails the check of ``LagrangianFrame``,
         named "subspace is not isotropic" here when its isotropy part,
         formed only then, exceeds 1e-8.
     """
-    single = np.ndim(M) != 3
-    Ms = _as_matrix(M, "frame", (2 * space.n, space.n), stack=not single)
+    shape = (2 * space.n, space.n)
+    Ms = _as_matrix(M, "frame", "lagrangian", shape, stack=True)
+    single = Ms.ndim == 2
     if single:
         Ms = Ms[None]
     W = Ms if space.is_standard else space.g_half @ Ms
@@ -482,15 +512,18 @@ def intersection_dim(mu, nu):
 def realify(M):
     """Real 2n x 2n operator [[A, -B], [B, A]] of M = A + iB, acting on
     z = x + iy with x the first n and y the last n real coordinates."""
-    M = np.asarray(M, dtype=complex)
+    M = _as_matrix(M, "M", "realify", allow_complex=True)
     A, B = M.real, M.imag
     return np.block([[A, -B], [B, A]])
 
 
 def complexify_vectors(V):
     """Columns of a real 2n x k matrix as complex n-vectors."""
-    V = np.asarray(V, dtype=float)
-    n = V.shape[0] // 2
+    V = _as_matrix(V, "V", "complexify_vectors")
+    n, odd = divmod(len(V), 2)
+    if odd:
+        raise ValidationError("V has an odd number of rows",
+                              where="complexify_vectors")
     return V[:n] + 1j * V[n:]
 
 

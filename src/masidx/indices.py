@@ -14,13 +14,14 @@
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    _not_unitary,
     _require_same_space,
+    _unitary,
     haar_unitary,
     horizontal_frame,
     intersection_dim,
@@ -130,15 +131,6 @@ def _graph_frame(lam, U):
     return np.linalg.qr(Ep - Em @ np.conj(U))[0]
 
 
-def _check_unitary(U, where):
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValidationError("expected a square matrix", where=where)
-    if _not_unitary(U):
-        raise ValidationError("matrix not unitary", where=where)
-    return U
-
-
 def complex_kashiwara(u1, u2, u3, lam=None):
     """Hermitian triple signature of three unitaries via their graphs.
 
@@ -147,10 +139,10 @@ def complex_kashiwara(u1, u2, u3, lam=None):
     on it.  On triples coming from the pair map the signature equals the
     real Kashiwara signature of the underlying Lagrangians.
     """
-    mats = [_check_unitary(u, "complex_kashiwara") for u in (u1, u2, u3)]
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise ValidationError("size mismatch", where="complex_kashiwara")
+    mats = [_unitary(u1, "u1", "complex_kashiwara")]
+    for u, name in ((u2, "u2"), (u3, "u3")):
+        mats.append(_unitary(u, name, "complex_kashiwara", mats[0].shape))
+    n = len(mats[0])
     if lam is None:
         lam = horizontal_frame(standard_space(n))
     elif lam.space.n != n:
@@ -189,10 +181,12 @@ class LiftedUnitary:
     alpha: float
 
     def __post_init__(self):
-        U = _check_unitary(self.U, "LiftedUnitary")
+        U = _unitary(self.U, "U", "LiftedUnitary")
+        # an alpha that is not a number fails the check as NaN does
+        alpha = float(self.alpha) if isinstance(self.alpha, Real) else np.nan
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if abs(np.linalg.det(U) - np.exp(1j * self.alpha)) > _DET_PHASE:
+        object.__setattr__(self, "alpha", alpha)
+        if not abs(np.linalg.det(U) - np.exp(1j * alpha)) <= _DET_PHASE:
             raise ValidationError(
                 "alpha is not a determinant phase", where="LiftedUnitary"
             )
@@ -259,7 +253,7 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
         if not isinstance(probe, LiftedUnitary):
             # the probe's lift cancels between the two terms, so a bare
             # unitary is enough; use its principal determinant phase
-            U = np.asarray(probe, dtype=complex)
+            U = _unitary(probe, "probe", "leray_general", l1.U.shape)
             probe = LiftedUnitary(
                 U=U, alpha=float(np.angle(np.linalg.det(U)))
             )

@@ -30,6 +30,8 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
+    _as_matrix,
+    _norm2_exceeds,
     _require_same_space,
     box_frame,
     box_space,
@@ -237,13 +239,12 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
         raise ValidationError(
             "small-space factors are not complementary", where="polarized_pair"
         )
-    d = np.asarray(i_plus_diag, dtype=float).reshape(-1)
-    if d.size != n or np.any(d <= 0):
+    d = _as_matrix([i_plus_diag], "i_plus_diag", "polarized_pair", (1, n))
+    if np.any(d <= 0):
         raise ValidationError(
-            "i_plus must be a positive diagonal of length n",
-            where="polarized_pair",
+            "i_plus must be a positive diagonal", where="polarized_pair"
         )
-    D = np.diag(d)
+    D = np.diag(d[0])
     W_B = lam_plus.F.T @ big.gram @ lam_minus.F
     W_H = ell_plus.F.T @ small.gram @ ell_minus.F
     if (
@@ -254,8 +255,7 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
             "degenerate polarization pairing", where="polarized_pair"
         )
     M = np.linalg.solve(W_H, D.T @ W_B)
-    residual = np.linalg.norm(D.T @ W_B - W_H @ M, 2)
-    if residual > _COMPATIBILITY_RESIDUAL * max(1.0, np.linalg.norm(W_B, 2)):
+    if _norm2_exceeds(D.T @ W_B - W_H @ M, _COMPATIBILITY_RESIDUAL, W_B):
         raise ValidationError(
             "compatibility residual above 1e-10", where="polarized_pair"
         )

@@ -55,9 +55,10 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
+    _as_matrix,
     _norm2_exceeds,
-    _not_unitary,
     _spaces_match,
+    _unitary,
     complexify_vectors,
     horizontal_frame,
 )
@@ -128,23 +129,12 @@ def _check_times(times, where):
 
 
 def _unitaries(samples):
-    """The matrices of (t, U) samples as complex arrays of one size, each
-    checked to be unitary."""
+    """The matrices of (t, U) samples as complex arrays of the first one's
+    size, each taken in as unitary (``core._unitary``)."""
     mats = []
-    dim = None
     for t, U in samples:
-        U = np.asarray(U, dtype=complex)
-        if dim is None:
-            dim = U.shape[0]
-        if U.shape != (dim, dim):
-            raise ValidationError(
-                "inconsistent matrix sizes", where="UnitaryPath"
-            )
-        if _not_unitary(U):
-            raise ValidationError(
-                f"sample at t={t} not unitary", where="UnitaryPath"
-            )
-        mats.append(U)
+        shape = mats[0].shape if mats else "square"
+        mats.append(_unitary(U, f"sample at t={t}", "UnitaryPath", shape))
     return mats
 
 
@@ -198,7 +188,10 @@ class UnitaryPath:
         return self.samples[0][1].shape[0]
 
     def at(self, t):
-        return np.asarray(_at(self, t, "UnitaryPath.at"), dtype=complex)
+        return _as_matrix(
+            _at(self, t, "UnitaryPath.at"), f"value at t={t}",
+            "UnitaryPath.at", (self.dim, self.dim), allow_complex=True,
+        )
 
 
 @dataclass(frozen=True, eq=False)

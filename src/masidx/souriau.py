@@ -28,8 +28,9 @@ import numpy as np
 
 from .core import (
     LagrangianFrame,
-    _not_unitary,
+    _as_matrix,
     _require_same_space,
+    _unitary,
     lagrangian,
     realify,
 )
@@ -88,8 +89,9 @@ def souriau(lam, mu):
 
 
 def minus_one_offsets(W):
-    """Signed angular offsets of the spectrum from -1 (no validation)."""
-    return np.angle(-np.linalg.eigvals(np.asarray(W, dtype=complex)))
+    """Signed angular offsets of the spectrum of a square W from -1."""
+    W = _as_matrix(W, "W", "minus_one_offsets", "square", allow_complex=True)
+    return np.angle(-np.linalg.eigvals(W))
 
 
 def lagrangian_from_souriau(lam, W):
@@ -101,14 +103,8 @@ def lagrangian_from_souriau(lam, W):
     it: it is the reference for the frames ``paths.lagrangian_geodesic``
     writes down.
     """
-    W = np.asarray(W, dtype=complex)
     n = lam.space.n
-    if W.shape != (n, n):
-        raise ValidationError("size mismatch", where="lagrangian_from_souriau")
-    if _not_unitary(W):
-        raise ValidationError(
-            "matrix not unitary", where="lagrangian_from_souriau"
-        )
+    W = _unitary(W, "W", "lagrangian_from_souriau", (n, n))
     std = lam.space.standardization
     lam_s = lam._standard
     A = realify(W) @ lam_s.tau + np.eye(2 * n)

@@ -47,14 +47,17 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .core import (
-    _FROBENIUS_MARGIN,
     DEFAULT_TOL,
+    _as_matrix,
     _block_diag,
+    _dimension,
     _norm2_exceeds,
+    _uncleared,
     box_space,
     lagrangian,
     standard_space,
@@ -143,20 +146,6 @@ def JJ(N):
     return _jj(N).copy()
 
 
-def _exceeds(res, tol, scale, power=1):
-    """``norm(res, 2) > tol * max(1, norm(scale, 2) ** power)``.
-
-    The bound is at least ``tol``, so a residual that ``_norm2_exceeds``
-    clears against ``tol`` passes without any SVD; only the others take
-    the exact test.  A residual that is not finite exceeds it.
-    """
-    return _norm2_exceeds(res, tol) and not (
-        np.isfinite(res).all()
-        and np.linalg.norm(res, 2)
-        <= tol * max(1.0, np.linalg.norm(scale, 2) ** power)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryProblem:
     """Sampled family of boundary problems over t in [0, 1].
@@ -200,16 +189,12 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
 
     ``family`` is a sequence of (t, C_t) covering [0, 1].
     """
-    if N < 1:
-        raise ValidationError("N must be >= 1", where="boundary_problem")
-    m = 2 * N
-    B = np.asarray(B, dtype=float)
-    if B.shape != (m, m):
-        raise ValidationError("B has wrong shape", where="boundary_problem")
-    if _exceeds(B - B.T, _SYMMETRY, B):
+    m = 2 * _dimension(N, "N", "boundary_problem")
+    B = _as_matrix(B, "B", "boundary_problem", (m, m))
+    if _norm2_exceeds(B - B.T, _SYMMETRY, B):
         raise ValidationError("B not symmetric", where="boundary_problem")
     jj = _jj(N)
-    if _exceeds(jj @ B + B @ jj, _ANTICOMMUTATION, B):
+    if _norm2_exceeds(jj @ B + B @ jj, _ANTICOMMUTATION, B):
         raise ValidationError(
             "B must anticommute with the structure matrix "
             "(otherwise the flow is not symplectic)",
@@ -218,33 +203,26 @@ def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
     ts = _check_times([float(t) for t, _ in family], "boundary_problem")
     cs = []
     for _, C in family:
-        C = np.asarray(C, dtype=float)
-        if C.shape != (m, m):
-            raise ValidationError(
-                "C has wrong shape", where="boundary_problem"
-            )
-        if _exceeds(C - C.T, _SYMMETRY, C):
+        C = _as_matrix(C, "C", "boundary_problem", (m, m))
+        if _norm2_exceeds(C - C.T, _SYMMETRY, C):
             raise ValidationError("C not symmetric", where="boundary_problem")
         cs.append(C)
     space = standard_space(N)
-    f0 = lagrangian(space, np.asarray(lambda0, dtype=float))
-    f1 = lagrangian(space, np.asarray(lambda1, dtype=float))
     return BoundaryProblem(
         N=N,
         B=B,
         ts=ts,
         cs=np.array(cs),
-        lambda0=f0.F,
-        lambda1=f1.F,
+        lambda0=lagrangian(space, lambda0).F,
+        lambda1=lagrangian(space, lambda1).F,
         c_func=c_func,
     )
 
 
 def _generator(B, C):
     """(-B + JJ C, JJ): the s-independent part of the flow exponent."""
-    B = np.asarray(B, dtype=float)
-    jj = _jj(B.shape[0] // 2)
-    return -B + jj @ np.asarray(C, dtype=float), jj
+    jj = _jj(len(B) // 2)
+    return -B + jj @ C, jj
 
 
 def _flows(gen, jj, ss):
@@ -258,16 +236,15 @@ def _flows(gen, jj, ss):
 
     scipy's ``expm`` exponentiates a stack slice by slice, so each flow
     is bitwise the one a call on it alone gives.  The residuals'
-    Frobenius norms clear the stack at once (||X||_2 <= ||X||_F, with
-    the margin of ``core._norm2_exceeds``); every residual they do not
-    clear takes the exact test, in stack order: the first flow that
-    fails raises.
+    Frobenius norms clear the stack at once (``core._uncleared``, the
+    stacked clear of ``core._frame_errors`` too); every residual they do
+    not clear takes the relative test of ``core._norm2_exceeds``, in
+    stack order: the first flow that fails raises.
     """
     Phi = expm(gen - np.asarray(ss, dtype=float)[:, None, None] * jj)
     res = np.swapaxes(Phi, 1, 2) @ jj @ Phi - jj
-    cleared = np.linalg.norm(res, axis=(1, 2)) * (1.0 + _FROBENIUS_MARGIN)
-    for k in np.flatnonzero(~(cleared <= _SYMPLECTIC)):
-        if _exceeds(res[k], _SYMPLECTIC, Phi[k], power=2):
+    for k in _uncleared(res, _SYMPLECTIC):
+        if _norm2_exceeds(res[k], _SYMPLECTIC, Phi[k], power=2):
             raise ValidationError(
                 "flow not symplectic (check B, C)",
                 where="fundamental_solution",
@@ -277,7 +254,9 @@ def _flows(gen, jj, ss):
 
 def fundamental_solution(B, C, s):
     """expm(-B + JJ C - s JJ); symplectic for the JJ-form to
-    ``_SYMPLECTIC``."""
+    ``_SYMPLECTIC``.  B is 2N x 2N and C of its shape."""
+    B = _as_matrix(B, "B", "fundamental_solution", "even")
+    C = _as_matrix(C, "C", "fundamental_solution", B.shape)
     return _flows(*_generator(B, C), [s])[0]
 
 
@@ -593,8 +572,12 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     down to ``tol.bisect_t``, which the positive shooting path rules out.
     ValidationError when lo < hi fails ([lo, hi] is a single point, also
     when the float spacing swallows its width) and when the partition
-    would hold more than ``paths.MAX_SAMPLES`` points.
+    would hold more than ``paths.MAX_SAMPLES`` points, and unless t is a
+    number in [0, 1].
     """
+    if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
+        raise ValidationError("t must be a number in [0, 1]",
+                              where="eigenvalues_near")
     grid = _grid(lo, hi)
     return _Spectrum(_Shooter(bp, t), grid, tol).located(tol)
 

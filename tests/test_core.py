@@ -14,6 +14,7 @@ from masidx import (
     Tolerances,
     ValidationError,
     box_space,
+    boundary_problem,
     compatible_structure,
     complexify_vectors,
     direct_sum_frame,
@@ -69,6 +70,34 @@ def test_space_rejects_bad_structures():
         SymplecticSpace(1, J, -eye)  # not positive definite
     with pytest.raises(ValidationError):
         SymplecticSpace(2, np.kron(np.eye(2), J), np.diag([1.0, 2.0, 3.0, 4.0]))
+
+
+def test_a_dimension_must_be_an_integer_of_at_least_one():
+    """n of ``standard_space`` and ``SymplecticSpace`` and N of
+    ``boundary_problem`` are integers >= 1: any other value is a
+    ValidationError at the size's own ``where``, not a TypeError from
+    ``np.eye`` or ``<``; 0 keeps its reason, and a numpy integer is
+    accepted."""
+    lam, z = np.array([[1.0], [0.0]]), np.zeros((2, 2))
+    makers = [
+        (standard_space, "n", "SymplecticSpace.n"),
+        (
+            lambda n: SymplecticSpace(n=n, J=_standard_J(1), G=np.eye(2)),
+            "n", "SymplecticSpace.n",
+        ),
+        (
+            lambda n: boundary_problem(n, z, [(0.0, z), (1.0, z)], lam, lam),
+            "N", "boundary_problem",
+        ),
+    ]
+    for make, name, where in makers:
+        for bad in (1.5, "1", None, 0):
+            with pytest.raises(ValidationError) as info:
+                make(bad)
+            reason = "must be >= 1" if bad == 0 else "must be an integer"
+            assert info.value.reason == f"{name} {reason}"
+            assert info.value.where == where
+        make(np.int64(1))
 
 
 def test_compatible_structure_reproduces_the_form(rng):

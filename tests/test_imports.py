@@ -236,3 +236,18 @@ def test_no_small_float_literal_outside_named_bounds():
             and id(n) not in named
         ]
     assert bare == []
+
+
+def test_the_residual_rule_is_read_only_in_core():
+    """One residual rule: the Frobenius margin and underflow of
+    ``_norm2_exceeds`` and the unitary residual of ``_unitary`` are named
+    in ``core.py`` alone; every other module compares its residuals
+    through ``_norm2_exceeds``, ``_uncleared`` and ``_unitary``."""
+    owned = {"_FROBENIUS_MARGIN", "_FROBENIUS_UNDERFLOW", "_UNITARY_RESIDUAL"}
+    named = sorted(
+        f"{path.name}: {name}"
+        for path in MODULES
+        if path.name != "core.py"
+        for name in owned & _references(ast.parse(path.read_text()))
+    )
+    assert named == []

@@ -151,6 +151,19 @@ def test_lift_validation():
     assert ok.alpha == pytest.approx(4.0 * np.pi)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, "a", None, 1j])
+def test_an_alpha_that_is_not_a_finite_number_is_rejected(alpha):
+    """|det U - exp(i alpha)| > 1e-9 is false for a NaN, so the check is
+    that the distance is at most 1e-9, which a NaN fails; an alpha that
+    is not a real number fails it as a NaN, not in ``float``."""
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValidationError
+    ) as info:
+        LiftedUnitary(np.eye(2), alpha)
+    assert info.value.reason == "alpha is not a determinant phase"
+    assert info.value.where == "LiftedUnitary"
+
+
 def test_half_integer_worked_example():
     a = LiftedUnitary(np.array([[1j]]), np.pi / 2)
     b = LiftedUnitary(np.array([[1.0 + 0.0j]]), 0.0)

@@ -1,0 +1,181 @@
+"""Malformed matrix arguments: every library entry point ends in a typed error.
+
+Each entry below is one valid call of a public function or constructor
+that takes matrices in, with its matrix arguments as slots.  Seeded
+hypothesis draws replace one slot by a malformed copy: a NaN or inf
+entry, ragged nesting, string entries, a complex entry where real ones
+are due, a wrong shape or ndim, or (for a frame) a rank-deficient one.
+The call must raise a ``MasidxError`` with a non-empty ``where``: never
+numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from masidx import (
+    LiftedUnitary,
+    SymplecticSpace,
+    boundary_problem,
+    complex_kashiwara,
+    compatible_structure,
+    complexify_vectors,
+    fundamental_solution,
+    haar_unitary,
+    horizontal_frame,
+    lagrangian,
+    lagrangian_from_souriau,
+    leray_general,
+    minus_one_offsets,
+    polarized_pair,
+    realify,
+    standard_space,
+    unitary_maslov,
+    unitary_path,
+    unitary_path_from_function,
+    vertical_frame,
+)
+from masidx.errors import MasidxError
+
+SP1, SP2 = standard_space(1), standard_space(2)
+H2 = horizontal_frame(SP2)
+V2, HF2 = vertical_frame(SP2), horizontal_frame(SP2)
+I2 = np.eye(2)
+Z2 = np.zeros((2, 2))
+LINE = np.array([[1.0], [0.0]])
+FRAME = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+U_A, U_B, U_C = (haar_unitary(2, np.random.default_rng(k)) for k in range(3))
+
+
+def _turn(t):
+    return np.diag(np.exp([2.0j * t, 1.0j * t]))
+
+
+def _refined(U):
+    """The count of the path t -> diag(exp(2it), exp(it)) sampled at 0 and
+    1, whose refiner returns U at t = 1/2: the chord of the one piece is
+    above 0.5, so the count reads its midpoint first."""
+    return unitary_maslov(unitary_path_from_function(
+        lambda t: U if t == 0.5 else _turn(t), num=2
+    ))
+
+
+# name: (call on the slot values, valid slot values, slot kinds), a kind
+# "real", "complex" (complex entries allowed), "frame" (real, may be made
+# rank-deficient) or "any" (a complex matrix of any shape)
+ENTRIES = {
+    "lagrangian": (lambda F: lagrangian(SP2, F), [FRAME], ["frame"]),
+    "SymplecticSpace": (
+        lambda J, G: SymplecticSpace(n=1, J=J, G=G),
+        [SP1.J, I2], ["real", "real"],
+    ),
+    "compatible_structure": (compatible_structure, [SP1.J.T], ["real"]),
+    "unitary_path": (
+        lambda U0, U1: unitary_path([(0.0, U0), (1.0, U1)]),
+        [U_A, U_B], ["complex", "complex"],
+    ),
+    "unitary_maslov refiner": (_refined, [_turn(0.5)], ["complex"]),
+    "lagrangian_from_souriau": (
+        lambda W: lagrangian_from_souriau(H2, W), [-I2], ["complex"]
+    ),
+    "minus_one_offsets": (minus_one_offsets, [U_A], ["complex"]),
+    "complex_kashiwara": (
+        complex_kashiwara, [U_A, U_B, U_C], ["complex"] * 3
+    ),
+    "LiftedUnitary": (
+        lambda U: LiftedUnitary(U=U, alpha=0.0), [I2], ["complex"]
+    ),
+    "leray_general probe": (
+        lambda P: leray_general(
+            LiftedUnitary(U=I2, alpha=0.0),
+            LiftedUnitary(U=-I2, alpha=2.0 * np.pi),
+            probe=P,
+        ),
+        [1j * I2], ["complex"],
+    ),
+    "boundary_problem": (
+        lambda B, C0, C1, l0, l1: boundary_problem(
+            1, B, [(0.0, C0), (1.0, C1)], l0, l1
+        ),
+        [Z2, Z2, 3.0 * I2, LINE, LINE],
+        ["real", "real", "real", "frame", "frame"],
+    ),
+    "fundamental_solution": (
+        lambda B, C: fundamental_solution(B, C, 0.3), [Z2, I2],
+        ["real", "real"],
+    ),
+    "polarized_pair": (
+        lambda d: polarized_pair(V2, HF2, V2, HF2, d),
+        [np.array([1.0, 2.0])], ["real"],
+    ),
+    "realify": (realify, [U_A[:, :1]], ["any"]),
+    "complexify_vectors": (complexify_vectors, [FRAME], ["real"]),
+}
+# the malformations that each slot kind leaves invalid
+_KINDS = {
+    "real": ("nan", "inf", "ragged", "string", "complex", "shape", "ndim"),
+    "complex": ("nan", "inf", "ragged", "string", "shape", "ndim"),
+    "frame": ("nan", "inf", "ragged", "string", "complex", "shape", "ndim",
+              "rank"),
+    "any": ("nan", "inf", "ragged", "string", "ndim"),
+}
+
+
+def _ragged(X):
+    rows = X.tolist()
+    if isinstance(rows[0], list):
+        rows[0].pop()
+    else:
+        rows[-1] = [rows[-1], rows[-1]]
+    return rows
+
+
+def _malformed(draw, X, slot, kind):
+    """A copy of the slot value X made malformed as ``kind`` says."""
+    X = np.array(X)
+    if kind in ("nan", "inf", "complex"):
+        bad = {"nan": np.nan, "inf": draw(st.sampled_from([np.inf, -np.inf])),
+               "complex": 0.5j}[kind]
+        X = X.astype(complex if kind == "complex" else X.dtype)
+        X[np.unravel_index(draw(st.integers(0, X.size - 1)), X.shape)] += bad
+        return X
+    if kind == "ragged":
+        return _ragged(X)
+    if kind == "string":
+        return X.astype(str)
+    if kind == "shape":
+        # one more row (an entry more, for a vector)
+        return np.concatenate([X, np.zeros((1,) + X.shape[1:])])
+    if kind == "ndim":
+        # a single frame may also be a stack of one
+        return X.ravel() if slot == "frame" else X[None]
+    X[:, -1] = 0.0
+    return X
+
+
+@st.composite
+def _malformed_call(draw):
+    name = draw(st.sampled_from(sorted(ENTRIES)))
+    call, values, slots = ENTRIES[name]
+    k = draw(st.integers(0, len(values) - 1))
+    kind = draw(st.sampled_from(_KINDS[slots[k]]))
+    args = list(values)
+    args[k] = _malformed(draw, values[k], slots[k], kind)
+    return name, k, kind, call, args
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_every_entry_accepts_its_valid_call(name):
+    call, values, _ = ENTRIES[name]
+    call(*values)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_malformed_call())
+def test_a_malformed_matrix_argument_is_a_typed_error(case):
+    name, k, kind, call, args = case
+    with np.errstate(all="ignore"), pytest.raises(MasidxError) as info:
+        call(*args)
+    assert info.value.where, (name, k, kind)

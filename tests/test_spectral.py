@@ -146,15 +146,43 @@ def test_boundary_problem_rejects_a_nan_time():
     ids=["nan-c", "inf-c", "nan-b"],
 )
 def test_boundary_problem_rejects_a_non_finite_matrix(B, family):
-    """A residual that is not finite exceeds every bound, so the check
-    answers before any SVD sees it (numpy's SVD of a NaN does not
-    converge)."""
+    """A B or C that is not finite fails the intake rule before any norm
+    is taken (numpy's SVD of a NaN does not converge)."""
     lam = np.array([[1.0], [0.0]])
     with np.errstate(invalid="ignore"), pytest.raises(
         ValidationError
     ) as info:
         boundary_problem(1, B, family, lam, lam)
     assert info.value.where == "boundary_problem"
+
+
+@pytest.mark.parametrize("name", ["B", "C"])
+def test_boundary_problem_rejects_a_complex_b_or_c(name):
+    """A complex B or C is an error, not taken in with its imaginary part
+    dropped."""
+    lam, z = np.array([[1.0], [0.0]]), np.zeros((2, 2))
+    skew = 1j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    B, C = (skew, z) if name == "B" else (z, skew)
+    with pytest.raises(ValidationError) as info:
+        boundary_problem(1, B, [(0.0, C), (1.0, z)], lam, lam)
+    assert info.value.reason == f"{name} must be real"
+    assert info.value.where == "boundary_problem"
+
+
+@pytest.mark.parametrize("t", [5.0, -0.5, np.nan, np.inf, "0.5", None])
+def test_eigenvalues_near_takes_a_time_of_the_family(t):
+    """``c_at`` clamps a time outside [0, 1] to the nearest end, and a NaN
+    sorts past the last node, so such a t read the spectrum of C_1; only
+    a number in [0, 1] is a time of the family."""
+    lam, z = np.array([[1.0], [0.0]]), np.zeros((2, 2))
+    bp = boundary_problem(1, z, [(0.0, z), (1.0, np.pi * np.eye(2))], lam, lam)
+    with pytest.raises(ValidationError) as info:
+        eigenvalues_near(bp, t, -1.0, 1.0)
+    assert info.value.where == "eigenvalues_near"
+    np.testing.assert_allclose(
+        eigenvalues_near(bp, np.float64(1.0), -1.0, 1.0),
+        eigenvalues_near(bp, 1, -1.0, 1.0),
+    )
 
 
 def test_fundamental_solution_rejects_drifting_flow():
@@ -323,14 +351,24 @@ def test_a_non_symplectic_family_fails_a_stacked_shot(monkeypatch):
 def test_a_non_finite_flow_fails_the_check_stacked_or_alone():
     """A flow that is not finite, from a NaN in C_t or from an admissible
     B large enough to overflow ``expm``, fails the symplectic check, shot
-    alone or anywhere in a stack, where no norm can clear it."""
+    alone or anywhere in a stack, where no norm can clear it.  A NaN C
+    given to ``fundamental_solution`` is named by the intake rule before
+    any shot."""
     z = np.zeros((2, 2))
     nan_c = np.full((2, 2), np.nan)
     huge_b = 1e3 * np.array([[0.6, 0.8], [0.8, -0.6]])
     with np.errstate(over="ignore", invalid="ignore"):
         for B, C in ((z, nan_c), (huge_b, z)):
-            assert _raises_not_symplectic(B, C, 0.3)
+            with pytest.raises(ValidationError) as info:
+                spectral._flows(*spectral._generator(B, C), [0.3])
+            assert info.value.reason == "flow not symplectic (check B, C)"
+            assert info.value.where == "fundamental_solution"
             assert _raises_not_symplectic(B, C, 0.3, stacked=True)
+        assert _raises_not_symplectic(huge_b, z, 0.3)
+        with pytest.raises(ValidationError) as info:
+            fundamental_solution(z, nan_c, 0.3)
+        assert info.value.reason == "C not finite"
+        assert info.value.where == "fundamental_solution"
 
         lam = np.array([[1.0], [0.0]])
         bp = boundary_problem(
