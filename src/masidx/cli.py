@@ -15,11 +15,12 @@ nodes of a piecewise principal-logarithm geodesic on a grid of r pieces
 per gap: ``paths.geodesic_path`` of the unitaries for unitary-maslov, and
 for maslov, crossings, reduce and pair-maslov ``paths.lagrangian_geodesic``,
 a geodesic of Lambda(n) = U(n)/O(n) through the node frames.  The paths
-module says how such a path is counted from its determinant lift, with
-Phillips' count run only when its partition is read (--trace), and why a
-frame or a unitary is formed only where one is read.  The path holds its
-nodes only, and a grid may hold at most ``paths.MAX_SAMPLES`` times, so a
-larger r is rejected before anything is built.
+module says how such a path is counted from its determinant lift, as are
+the pair path of pair-maslov and the certified reduced path of reduce,
+with Phillips' count run only when a partition is read (--trace), and
+why a frame or a unitary is formed only where one is read.  The path
+holds its nodes only, and a grid may hold at most ``paths.MAX_SAMPLES``
+times, so a larger r is rejected before anything is built.
 
 With the default r = 1 the samples are used as-is and under-resolved
 inputs fail with an ambiguity error rather than being silently
@@ -280,9 +281,10 @@ def _unitary_cli_path(ts, mats, factor, tol):
 
 
 @lru_cache(maxsize=64)
-def _row_format(k):
-    """The format of a row of k floats: one ``%`` formats the row."""
-    return "[" + ",".join(["%.17g"] * k) + "]"
+def _matrix_format(m, k):
+    """The format of an m x k matrix of floats: one ``%`` formats it."""
+    row = "[" + ",".join(["%.17g"] * k) + "]"
+    return "[" + ",".join([row] * m) + "]"
 
 
 @lru_cache(maxsize=256)
@@ -305,16 +307,13 @@ def _fmt(obj):
         return json.dumps(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == float:
+        # a frame: the float case above, in one format
+        if not np.isfinite(obj).all():
+            raise ValidationError("non-finite value in report", where="emit")
+        return _matrix_format(*obj.shape) % tuple(obj.ravel().tolist())
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if items and all(type(x) is float for x in items):
-            # the rows of a frame: the float case above, in one format
-            if not all(map(math.isfinite, items)):
-                raise ValidationError(
-                    "non-finite value in report", where="emit"
-                )
-            return _row_format(len(items)) % tuple(items)
-        return "[" + ",".join(_fmt(x) for x in items) + "]"
+        return "[" + ",".join(_fmt(x) for x in obj) + "]"
     if isinstance(obj, dict):
         parts = (
             _key(str(k)) + ":" + _fmt(v) for k, v in sorted(obj.items())
@@ -327,10 +326,6 @@ def _fmt(obj):
 
 def _emit(report):
     sys.stdout.write(_fmt(report) + "\n")
-
-
-def _frame_out(frame):
-    return [[float(x) for x in row] for row in frame.F]
 
 
 def _write_trace(path, header, rows):
@@ -563,7 +558,7 @@ def _cmd_reduce(obj, args, tol):
         "n_H": int(nh),
         "i_plus_diag": [float(x) for x in obj["i_plus_diag"]],
         "reduced_path": [
-            {"t": float(t), "frame": _frame_out(f)}
+            {"t": float(t), "frame": f.F}
             for t, f in reduced.samples
         ],
     }

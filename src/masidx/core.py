@@ -18,7 +18,8 @@ and Q = [F, JF], J - JP - PJ = (Id - Q Q^T G) J has norm ||R||_2 there and
 at most cond(G)^{1/2} ||R||_2 in general: J = JP + PJ follows.  Frames
 written by an isometry from checked frames (``j_image``, the standard
 horizontal frame, ``paths.lagrangian_geodesic``) are not checked again.
-Every public matrix argument first passes one intake rule,
+Every public matrix argument, and each vector of
+``SymplecticSpace.omega`` as a row, first passes one intake rule,
 ``_as_matrix``: ragged nesting, entries that are not numbers, complex
 entries where real ones are due, the wrong ndim or shape, and entries
 that are not finite are each a ValidationError at the caller's
@@ -280,7 +281,13 @@ class SymplecticSpace:
         return self._g_factor[1]
 
     def omega(self, u, v):
-        return np.asarray(u).T @ self.gram @ np.asarray(v)
+        """omega(u, v) = u^T J^T G v of two real vectors of length 2n,
+        each taken in by ``_as_matrix`` as a row."""
+        u, v = (
+            _as_matrix([x], name, "SymplecticSpace.omega", (1, 2 * self.n))[0]
+            for x, name in ((u, "u"), (v, "v"))
+        )
+        return u @ self.gram @ v
 
     @cached_property
     def standardization(self):

@@ -155,6 +155,7 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
         )
     upath = to_unitary_path(path, lam)
     ts, reads = _sample_times(upath), _Reads(upath, tol)
+    reads.read_samples()
     offsets = reads.offsets
     reach = np.pi - EPS_CAP
     geodesic = isinstance(upath, GeodesicPath)

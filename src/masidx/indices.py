@@ -192,6 +192,15 @@ class LiftedUnitary:
             )
 
 
+def _check_lifts(lifts, where):
+    """ValidationError at ``where`` unless ``lifts`` are LiftedUnitary of
+    one size."""
+    if not all(isinstance(lift, LiftedUnitary) for lift in lifts):
+        raise ValidationError("expected LiftedUnitary inputs", where=where)
+    if len({lift.U.shape for lift in lifts}) > 1:
+        raise ValidationError("size mismatch", where=where)
+
+
 def _transversality_margin(U1, U2):
     n = U1.shape[0]
     return np.linalg.svd(
@@ -208,10 +217,7 @@ def leray(l1, l2, tol=DEFAULT_TOL):
     from the pair map.  PreconditionError when an eigenvalue of -U1 U2^H
     sits on the negative-real branch cut (non-transversal pair).
     """
-    if not isinstance(l1, LiftedUnitary) or not isinstance(l2, LiftedUnitary):
-        raise ValidationError("expected LiftedUnitary inputs", where="leray")
-    if l1.U.shape != l2.U.shape:
-        raise ValidationError("size mismatch", where="leray")
+    _check_lifts((l1, l2), "leray")
     if _transversality_margin(l1.U, l2.U) <= tol.transversal:
         raise PreconditionError(
             "pair not transversal: eigenvalue of -U1 U2^H on the "
@@ -230,8 +236,10 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
 
     Independent of the admissible probe; reduces to ``leray`` on
     transversal pairs.  Without an explicit probe, 20 seeded random draws
-    are tried; failure raises PreconditionError.
+    are tried; failure raises PreconditionError.  ValidationError "size
+    mismatch" when the lifts, or a lifted probe, differ in size.
     """
+    _check_lifts((l1, l2), "leray_general")
     if probe is None:
         rng = np.random.default_rng(seed)
         n = l1.U.shape[0]
@@ -257,6 +265,7 @@ def leray_general(l1, l2, probe=None, seed=0, tol=DEFAULT_TOL):
             probe = LiftedUnitary(
                 U=U, alpha=float(np.angle(np.linalg.det(U)))
             )
+        _check_lifts((l1, probe), "leray_general")
         for other, name in ((l1, "l1"), (l2, "l2")):
             if _transversality_margin(probe.U, other.U) <= tol.transversal:
                 raise PreconditionError(

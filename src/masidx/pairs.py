@@ -20,6 +20,13 @@ standard spaces, by the input's exact frame speed and the march's own
 sigma_min(Gamma F) (``gamma_reduce_path``: Wedin's sin Theta bound, then
 Bauer-Fike on the pair unitary); and the chord heuristic on any other
 refinable input, such as a user refiner.
+
+Two of these paths take their index from the determinant lift, and run
+Phillips' count only when its partition is read (``paths._Reads.phase``):
+the certified reduced path, by the principal angles of its pieces, and
+the pair path of two geodesic legs, whose det(-A B^H) = (-1)^n det A
+conj(det B) gains the mu leg's phase less the lam leg's.  The pair path
+keeps the chord radius for that count.
 """
 
 from dataclasses import dataclass
@@ -115,7 +122,9 @@ def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     ``lagrangian_geodesic`` (the CLI's refined paths), else its first
     frame.  The pair unitaries are read by the cocycle W(lam_t, mu_t) =
     -W(h, mu_t) W(h, lam_t)^H: one product per time, and no frame formed
-    on a geodesic leg.
+    on a geodesic leg.  When both legs are geodesic the pair path carries
+    its determinant phase, the mu leg's less the lam leg's, and counts by
+    its lift (``paths.unitary_maslov``).
     """
     _require_same_space(mu_path.space, lam_path.space, "pair_maslov")
     if mu_path._geodesic is not None:
@@ -135,8 +144,14 @@ def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     refiner = None
     if mu_u.refiner is not None and lam_u.refiner is not None:
         refiner = lambda t: -mu_u.refiner(t) @ lam_u.refiner(t).conj().T
+    phase = None
+    if isinstance(mu_u, GeodesicPath) and isinstance(lam_u, GeodesicPath):
+        # det(-A B^H) = (-1)^n det A conj(det B)
+        phase = mu_u.phase - lam_u.phase
     samples = tuple(zip(times, pairs))
-    return unitary_maslov(UnitaryPath._exact(samples, refiner), tol)
+    return unitary_maslov(
+        UnitaryPath._exact(samples, refiner, phase=phase), tol
+    )
 
 
 # --------------------------------------------------------------------------

@@ -23,11 +23,16 @@ path that carries its own bound (the reduced path of a geodesic,
 ``pairs.gamma_reduce_path``); and elsewhere the chord heuristic, which
 ``_arc_radius`` describes.
 
-On a ``GeodesicPath`` det U_t gains exp(i tau sum(theta)) along each gap,
-so the count collapses to the Souriau-Leray determinant lift
-(``_lift_value``): the index comes from the gaps' angles and the two end
-spectra, and Phillips' count runs only when its partition is read, where
-it must agree.
+Where the continuous phase of det U_t is known, the count collapses to
+the Souriau-Leray determinant lift (``_lift_value``): the index comes
+from that phase and the two end spectra, and Phillips' count runs only
+when its partition is read, where it must agree.  The phase has three
+sources (``_Reads.phase``): on a ``GeodesicPath`` det U_t gains exp(i tau
+sum(theta)) along each gap; the pair path -A_t B_t^H of two geodesic
+legs gains A's phase less B's (``pairs.pair_maslov``); and on a path with
+a certified radius each piece of radius below pi gains the principal
+angles of U_t0^H U_t1.  Paths whose radius is the chord heuristic run
+the count for their value, reading every sample's spectrum.
 
 Lagrangian paths are counted on their pair unitaries W(lam, mu_t) against
 the reference lam (``to_unitary_path``).  The CLI's refined paths
@@ -164,6 +169,9 @@ class UnitaryPath:
     refiner: object = field(default=None, repr=False)
     # certified arc radius (t0, t1) -> r of a piece, or None (``_Reads``)
     _radius: object = field(default=None, repr=False)
+    # increase of the continuous phase of det U_t over [0, 1] where it is
+    # known, or None (``_Reads.phase``)
+    _phase: object = field(default=None, repr=False)
 
     def __post_init__(self):
         ts = _check_times([t for t, _ in self.samples], "UnitaryPath")
@@ -172,7 +180,7 @@ class UnitaryPath:
         )
 
     @classmethod
-    def _exact(cls, samples, refiner=None, radius=None):
+    def _exact(cls, samples, refiner=None, radius=None, phase=None):
         """Samples unchecked, for the pair unitaries of checked frames on
         checked times: ``souriau`` bounds each to about 4e-10."""
         path = object.__new__(cls)
@@ -180,6 +188,7 @@ class UnitaryPath:
             samples=tuple((float(t), U) for t, U in samples),
             refiner=refiner,
             _radius=radius,
+            _phase=phase,
         )
         return path
 
@@ -655,10 +664,12 @@ class IndexReport:
     ``diagnostics``.
 
     ``_count`` runs ``_phillips`` on the report's ``_reads`` and returns
-    (total, partition, epsilons, k_counts).  On a ``GeodesicPath`` the
-    value is the determinant lift and the count runs when one of its
-    fields is first read; its total must equal the value, or the read
-    raises AmbiguityError.  On other paths the count ran for the value.
+    (total, partition, epsilons, k_counts).  On a path whose determinant
+    phase is known (``_Reads.phase``) the value is the determinant lift
+    and the count runs when one of its fields, or the trace, is first
+    read; its total must equal the value, or the read raises
+    AmbiguityError.  On paths counted by the chord heuristic the count
+    ran for the value.
     """
 
     value: int
@@ -832,18 +843,20 @@ class _Formed(dict):
 class _Reads:
     """What a count reads of a unitary path, keyed by time: the unitaries
     ``mats``, the ``spectra`` and their offsets angle(-lambda)
-    (``offsets(t)``).  The spectra of a sampled path's samples are read
-    in one stacked ``eigvals`` when the reads are made, since Phillips'
-    count reads every one of them; numpy solves a stack slice by slice,
-    so each spectrum is bitwise the one a call on its unitary alone
-    gives.  Every other value is formed when first read.
+    (``offsets(t)``).  Each value is formed when first read, save the
+    spectra of a sampled path's samples: Phillips' count and the crossing
+    search read every one of them, in one stacked ``eigvals``
+    (``read_samples``); numpy solves a stack slice by slice, so each
+    spectrum is bitwise the one a call on its unitary alone gives.
     ``radius(t0, t1)`` is the arc radius of a piece, the one rule that
     the count and the crossing search share.  It has three sources: exact
     on a ``GeodesicPath``, which forms no unitary for its spectra;
     certified where the path carries one (``UnitaryPath._radius``, a
     reduced path's); and the chord heuristic ``_arc_radius`` elsewhere.
-    It holds no reference to itself, so what it read is freed with the
-    last report that holds it."""
+    ``phase`` is the increase of the continuous phase of det U_t, where
+    it is known, which a lifted value reads with the two end spectra in
+    place of every sample's.  It holds no reference to itself, so what it
+    read is freed with the last report that holds it."""
 
     def __init__(self, path, tol):
         self.mats = _Formed(path.at)
@@ -855,12 +868,17 @@ class _Reads:
         self._radius = path.radius if self._exact else path._radius
         if not self._exact:
             self.mats.update(path.samples)
-            times = [t for t, _ in path.samples]
-            spectra = np.linalg.eigvals(
-                np.stack([U for _, U in path.samples])
-            )
-            self.spectra.update(zip(times, spectra))
-            self._offsets.update(zip(times, np.angle(-spectra)))
+
+    def read_samples(self):
+        """The spectra of a sampled path's samples, in one stacked call."""
+        if self._exact:
+            return
+        times = [t for t, _ in self._path.samples]
+        spectra = np.linalg.eigvals(
+            np.stack([U for _, U in self._path.samples])
+        )
+        self.spectra.update(zip(times, spectra))
+        self._offsets.update(zip(times, np.angle(-spectra)))
 
     def radius(self, t0, t1):
         if self._radius is not None:
@@ -875,6 +893,34 @@ class _Reads:
                 self.spectra[t] = np.linalg.eigvals(self.mats[t])
             self._offsets[t] = np.angle(-self.spectra[t])
         return self._offsets[t]
+
+    def phase(self, ts, split, reach):
+        """Increase of the continuous phase of det U_t over [0, 1], or
+        None where it is not known.  It has three sources: the angles of
+        a ``GeodesicPath`` (its ``phase``); the phase a path carries
+        (``UnitaryPath._phase``, the pair path of two geodesic legs,
+        ``pairs.pair_maslov``); and on a path with a certified radius,
+        sum_k sum angle(eig(U_k^H U_k+1)) over its pieces [t_k, t_k+1] of
+        ``ts``.  On a piece of radius r <= ``reach`` < pi every eigenvalue
+        of U_t0^H U_t stays within r of 1, so its principal angles are
+        the continuous ones; a piece of larger radius goes first to
+        split(ts, i), the count's own rule, so the count later starts from
+        the pieces read here.  The pieces are read in one stacked
+        ``eigvals``."""
+        path = self._path
+        if self._exact:
+            return path.phase
+        if path._phase is not None or self._radius is None:
+            return path._phase
+        i = 0
+        while i < len(ts) - 1:
+            if self._radius(ts[i], ts[i + 1]) > reach:
+                split(ts, i)
+            else:
+                i += 1
+        us = np.stack([self.mats[t] for t in ts])
+        steps = us[:-1].conj().swapaxes(1, 2) @ us[1:]
+        return float(np.angle(np.linalg.eigvals(steps)).sum())
 
 
 def _arc_radius(path, mats, t0, t1, tol):
@@ -917,24 +963,24 @@ def _sample_times(path):
     return [t for t, _ in path.samples]
 
 
-def _lift_value(path, reads, tol):
-    """The index of a ``GeodesicPath`` by its determinant lift
-    (Souriau-Leray; Cappell, Lee and Miller, CPAM 47, 1994).
+def _lift_value(phase, t0, t1, reads, tol):
+    """The index of a path whose determinant gains ``phase`` from t0 to
+    t1, by its determinant lift (Souriau-Leray; Cappell, Lee and Miller,
+    CPAM 47, 1994).
 
     Each eigenvalue's offset o = angle(-lambda) lifts to a continuous
-    phase along the path, and the offsets' lifts gain Delta =
-    ``path.phase`` in all.  An offset whose lift gains d passes through
-    0 mod 2 pi net (d + m(o(0)) - m(o(1))) / 2 pi times, with m(o) = o mod
-    2 pi; Phillips' closed arc counts an offset within ``tol.clustering``
-    below 0 as at 0.  So, with W = (Delta + sum o(0) - sum o(1)) / 2 pi,
-    the index is W plus the number of offsets below -``tol.clustering``
-    at t = 0, less that at t = 1.  The offsets are read through
-    ``reads``, at the ends of the grid; AmbiguityError when W is not an
-    integer up to rounding.
+    phase along the path, and the offsets' lifts gain Delta = ``phase``
+    in all.  An offset whose lift gains d passes through 0 mod 2 pi net
+    (d + m(o(t0)) - m(o(t1))) / 2 pi times, with m(o) = o mod 2 pi;
+    Phillips' closed arc counts an offset within ``tol.clustering`` below
+    0 as at 0.  So, with W = (Delta + sum o(t0) - sum o(t1)) / 2 pi, the
+    index is W plus the number of offsets below -``tol.clustering`` at
+    t0, less that at t1.  The offsets are read through ``reads``;
+    AmbiguityError when W is not an integer up to rounding.
     """
-    o0 = reads.offsets(path.grid[0])
-    o1 = reads.offsets(path.grid[-1])
-    w = (path.phase + float(o0.sum()) - float(o1.sum())) / (2.0 * np.pi)
+    o0 = reads.offsets(t0)
+    o1 = reads.offsets(t1)
+    w = (phase + float(o0.sum()) - float(o1.sum())) / (2.0 * np.pi)
     if abs(w - round(w)) > _LIFT_ROUND:
         raise AmbiguityError(
             f"determinant lift {w!r} is not an integer",
@@ -964,15 +1010,19 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     admissible.  Other pieces are halved; AmbiguityError when that is
     impossible or refinement runs out.
 
-    A ``GeodesicPath`` takes its value from its determinant lift
-    (``_lift_value``): its pieces' angles and its two end spectra.  The
-    count runs only when the report's partition, test angles, arc counts
-    or diagnostics are read, and must then agree; refinement running out
-    raises on that read, not here.
+    A path whose determinant phase is known (``_Reads.phase``: a
+    ``GeodesicPath``, the pair path of two geodesic legs, a path with a
+    certified radius) takes its value from its determinant lift
+    (``_lift_value``): that phase and its two end spectra.  The count
+    runs only when the report's partition, test angles, arc counts,
+    diagnostics or trace are read, and must then agree; refinement
+    running out raises on that read, not here.  Other paths, whose
+    radius is the chord heuristic, run the count for their value.
     """
     reads = _Reads(path, tol)
     ts = _sample_times(path)
     start = len(ts)
+    reach = np.pi - EPS_CAP
 
     def split(ts, i):
         if len(ts) - start >= 4000:
@@ -990,16 +1040,17 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
             raise AmbiguityError("refinement exploded", where="unitary_maslov")
 
     def count():
+        reads.read_samples()
         total, epsilons, k_counts = _phillips(
-            ts, reads.offsets, reads.radius, np.pi - EPS_CAP, split,
-            tol.clustering, tol,
+            ts, reads.offsets, reads.radius, reach, split, tol.clustering,
+            tol,
         )
         return total, np.array(ts), np.array(epsilons), tuple(k_counts)
 
-    if isinstance(path, GeodesicPath):
-        return IndexReport(
-            value=_lift_value(path, reads, tol), _reads=reads, _count=count
-        )
+    phase = reads.phase(ts, split, reach)
+    if phase is not None:
+        value = _lift_value(phase, ts[0], ts[-1], reads, tol)
+        return IndexReport(value=value, _reads=reads, _count=count)
     counted = count()
     return IndexReport(
         value=int(counted[0]), _reads=reads, _count=lambda: counted

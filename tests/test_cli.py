@@ -735,44 +735,69 @@ def test_cli_geodesic_count_runs_no_norm_or_svd(monkeypatch):
     assert counts["eigvals"] == len(report.partition)
 
 
-@pytest.mark.parametrize("command", ["maslov", "unitary-maslov"])
+# eigvals calls of each command at --refine-factor 2: two end spectra per
+# count, and one stacked call for the certified pieces of a reduced path
+_LIFTED_EIGVALS = {"maslov": 2, "unitary-maslov": 2, "pair-maslov": 2,
+                   "reduce": 5}
+
+
+@pytest.mark.parametrize("command", sorted(_LIFTED_EIGVALS))
 def test_cli_geodesic_count_runs_phillips_only_when_read(command, rng,
                                                          tmp_path, capsys,
                                                          monkeypatch):
-    """At --refine-factor 2 the CLI counts by the determinant lift: no
-    ``_phillips`` call, and the two end spectra are its only eigvals.
-    Reading the report's partition runs Phillips' count once, and its arc
+    """At --refine-factor 2 every count of these commands knows its path's
+    determinant phase and takes the value from the lift: no
+    ``_phillips`` call, and a pinned number of eigvals calls.  The pair
+    path's legs lie on different node times.  Reading a report's
+    partition runs Phillips' count once: one eigvals per partition time
+    not yet read on a geodesic path, and on a sampled path one stacked
+    call for its samples and one per time the count inserts.  Its arc
     counts sum to the value; reading it again, or the other fields, runs
     none."""
-    if command == "maslov":
-        body, _ = _spinner_body(4, 5, rng)
-    else:
+    if command == "unitary-maslov":
         ts, nodes = geodesic_nodes(4, rng, 4, 2.8)
         body = {"version": 1, "n": 4, "path": [
             {"t": t, "U": _complex(U)} for t, U in zip(ts, nodes)
         ]}
+    elif command == "reduce":
+        body = _golden_case("reduce")["input"]
+    else:
+        body, _ = _spinner_body(4, 5, rng)
+    if command == "pair-maslov":
+        ref = body.pop("reference")
+        body["mu_path"] = body.pop("path")
+        body["lambda_path"] = [{"t": t, "frame": ref} for t in (0.0, 1.0)]
     counts = dict.fromkeys(("phillips", "eigvals"), 0)
     counting = functools.partial(_counting, counts)
     monkeypatch.setattr(paths, "_phillips",
                         counting("phillips", paths._phillips))
     monkeypatch.setattr(np.linalg, "eigvals",
                         counting("eigvals", np.linalg.eigvals))
-    # each command hands its count's report back from the function it
-    # is named after
-    reports = _recorded(monkeypatch, command.replace("-", "_"), cli)
+    # each command hands its count's reports back from the function it
+    # is named after, and reduce from ``maslov``
+    name = "maslov" if command == "reduce" else command.replace("-", "_")
+    reports = _recorded(monkeypatch, name, cli)
     code, out, _ = _run(
         tmp_path, capsys, command, body, "--refine-factor", "2"
     )
     assert code == 0, out
-    assert counts == {"phillips": 0, "eigvals": 2}
-    ((_, report),) = reports
-    partition = report.partition
-    assert counts == {"phillips": 1, "eigvals": len(partition)}
-    assert sum(hi - lo for lo, hi in report.k_counts) == out["value"]
-    assert report.partition is partition
-    assert report.diagnostics == {"samples": len(partition)}
-    assert len(report.epsilons) == len(partition) - 1
-    assert counts == {"phillips": 1, "eigvals": len(partition)}
+    want = {"phillips": 0, "eigvals": _LIFTED_EIGVALS[command]}
+    assert counts == want
+    for _, report in reports:
+        path = report._reads._path
+        partition = report.partition
+        want["phillips"] += 1
+        if isinstance(path, paths.GeodesicPath):
+            want["eigvals"] += len(partition) - 2
+        else:
+            want["eigvals"] += 1 + len(partition) - len(path.samples)
+        assert counts == want
+        assert sum(hi - lo for lo, hi in report.k_counts) == report.value
+        assert report.partition is partition
+        assert report.diagnostics == {"samples": len(partition)}
+        assert len(report.epsilons) == len(partition) - 1
+        assert counts == want
+    assert reports[-1][1].value == out["value"]
 
 
 def test_refined_lagrangian_paths_form_frames_only_where_read(monkeypatch):
@@ -894,6 +919,21 @@ def test_reduce_counts_on_the_certified_radius(tmp_path, capsys,
     marched = [row["t"] for row in out["reduced_path"]]
     assert set(marched) <= set(small.partition.tolist())
     assert len(sigmas) == len(small.partition) - 1
+
+
+def test_frames_emit_in_one_format_as_their_entries():
+    """A frame is formatted by one ``%`` per shape: its text is the float
+    case's, entry by entry, and a non-finite entry is refused."""
+    F = np.random.default_rng(2).standard_normal((4, 2))
+    F[0, 0], F[1, 1], F[2, 0] = -0.0, 1e-300, 1.0 / 3.0
+    rows = (",".join(cli._fmt(float(x)) for x in row) for row in F)
+    want = "[" + ",".join("[" + row + "]" for row in rows) + "]"
+    assert cli._fmt({"frame": F}) == '{"frame":' + want + "}"
+    assert json.loads(want) == F.tolist()
+    for bad in (np.nan, np.inf):
+        F[3, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite value"):
+            cli._fmt(F)
 
 
 def _source(tmp_path, data):

@@ -59,6 +59,31 @@ def test_standard_space_conventions():
     assert sp.is_standard
 
 
+@pytest.mark.parametrize(
+    "u, v, reason",
+    [
+        ([1.0, 0.0, 2.0], [0.0, 1.0], "u has shape (1, 3), expected (1, 2)"),
+        ([1.0, 0.0], [0.0], "v has shape (1, 1), expected (1, 2)"),
+        ("ab", [0.0, 1.0], "u is not numeric"),
+        ([1.0, np.nan], [0.0, 1.0], "u not finite"),
+        ([1.0, 0.0], [0.0, np.inf], "v not finite"),
+        ([1.0, 0.0], [0.0, 1j], "v must be real"),
+        ([1.0, 0.0], [[0.0], [1.0]], "v must be a matrix"),
+    ],
+)
+def test_omega_takes_real_finite_vectors_of_length_2n(u, v, reason):
+    """``omega`` takes its vectors through the intake rule: a wrong length
+    or entries that are not numbers once leaked numpy's errors, and NaN
+    gave NaN."""
+    sp = standard_space(1)
+    assert sp.omega([1, 0], [0, 1]) == 1.0
+    with pytest.raises(ValidationError) as info:
+        sp.omega(u, v)
+    assert (info.value.reason, info.value.where) == (
+        reason, "SymplecticSpace.omega"
+    )
+
+
 def test_space_rejects_bad_structures():
     eye = np.eye(2)
     with pytest.raises(ValidationError):

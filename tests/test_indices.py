@@ -241,6 +241,25 @@ def test_general_form_probe_independence(rng):
         leray_general(a, b, probe=a.U)
 
 
+@pytest.mark.parametrize("probe", [None, "lifted"])
+def test_general_form_rejects_lifts_of_two_sizes(probe):
+    """Lifts of two sizes, or a lifted probe of another size, are a
+    "size mismatch" at ``leray_general``, as at ``leray``; numpy's
+    matmul error once leaked from the transversality margin."""
+    two, three = (LiftedUnitary(np.eye(k), 0.0) for k in (2, 3))
+    pairs = [(two, three), (three, two)]
+    kwargs = {}
+    if probe is not None:
+        pairs = [(two, two)]
+        kwargs["probe"] = three
+    for a, b in pairs:
+        with pytest.raises(ValidationError) as info:
+            leray_general(a, b, **kwargs)
+        assert (info.value.reason, info.value.where) == (
+            "size mismatch", "leray_general"
+        )
+
+
 def test_identical_lifts_vanish(rng):
     a = random_lift(SP2, rng)
     assert leray_general(a, a) == pytest.approx(0.0, abs=1e-10)

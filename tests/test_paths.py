@@ -12,12 +12,14 @@ from masidx import (
     catenate,
     complexify_vectors,
     find_crossings,
+    gamma_reduce_path,
     haar_unitary,
     horizontal_frame,
     lagrangian,
     lagrangian_path,
     maslov,
     pair_maslov,
+    polarized_pair,
     random_lagrangian,
     reverse,
     souriau,
@@ -546,6 +548,114 @@ def test_geodesic_lift_is_the_phillips_count(profile):
     assert checked == 120
 
 
+def _end_frame(lam, rng):
+    """A frame of the standard space whose pair unitary against ``lam``
+    has a random eigenbasis and eigenvalues each -exp(i delta), delta in
+    ``_END_DELTAS``, or a random phase: with U_lam = X + iY and V = U_lam
+    O for a random real orthogonal O, the frame of V diag(exp(i phi / 2))
+    has pair unitary -V diag(exp(i phi)) V^H against lam."""
+    n = lam.space.n
+    phi = np.angle(-np.linalg.eigvals(_end_node(n, rng)))
+    O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    U = complexify_vectors(lam.F) @ O * np.exp(0.5j * phi)
+    return lagrangian(lam.space, np.vstack([U.real, U.imag]))
+
+
+def _end_path(starts, ends, num, rng, tol):
+    """A CLI Lagrangian path (``lagrangian_geodesic``) of ``num`` nodes
+    from an ``_end_frame`` of ``starts`` to one of ``ends``."""
+    space = starts.space
+    frames = [_end_frame(starts, rng)]
+    frames += [random_lagrangian(space, rng) for _ in range(num - 2)]
+    frames.append(_end_frame(ends, rng))
+    ts = np.linspace(0.0, 1.0, num).tolist()
+    grid = cli._segment_times(ts, int(rng.integers(2, 4)))
+    return lagrangian_geodesic(ts, frames, grid, tol)
+
+
+def _ends_near(lam_at, mu_at):
+    """The number of eigenvalues of the pair unitaries at t = 0 and 1
+    within 1e-5 of -1."""
+    return sum(
+        np.count_nonzero(abs(np.angle(-np.linalg.eigvals(W))) < 1e-5)
+        for W in (souriau(lam_at(t), mu_at(t)) for t in (0.0, 1.0))
+    )
+
+
+@pytest.mark.parametrize("profile", sorted(cli._PROFILES))
+def test_pair_and_reduced_lifts_are_the_phillips_count(profile):
+    """The pair path of two CLI legs on different node times takes its
+    determinant phase from the legs', and the reduced path of a CLI path
+    from its certified pieces; either value is the determinant lift,
+    which must equal Phillips' count: n = 1-4, end eigenvalues of the
+    pair unitaries on -1 or within and around each profile's snap.
+    Reading the report's arc counts runs that count, which raises unless
+    its total is the value."""
+    tol = DEFAULT_TOL.scaled(cli._PROFILES[profile])
+    rng = np.random.default_rng(7 + len(profile))
+    near = [0, 0]
+    for _ in range(12):
+        n = int(rng.integers(1, 5))
+        space = standard_space(n, tol)
+        lam = _end_path(*(random_lagrangian(space, rng) for _ in range(2)),
+                        int(rng.integers(2, 5)), rng, tol)
+        mu = _end_path(lam.at(0.0), lam.at(1.0), int(rng.integers(2, 6)),
+                       rng, tol)
+        report = pair_maslov(mu, lam, tol)
+        assert report._reads._path._phase is not None
+        assert sum(hi - lo for lo, hi in report.k_counts) == report.value
+        near[0] += _ends_near(lam.at, mu.at)
+
+        ell = random_lagrangian(space, rng)
+        path = _end_path(ell, ell, int(rng.integers(2, 5)), rng, tol)
+        weights = np.exp(rng.uniform(-0.7, 0.7, n)) if n % 2 else np.ones(n)
+        pp = polarized_pair(ell.j_image(), ell, ell.j_image(), ell, weights)
+        reduced = gamma_reduce_path(pp, path)
+        report = maslov(reduced, pp.ell_minus, tol)
+        assert reduced._radius is not None
+        assert sum(hi - lo for lo, hi in report.k_counts) == report.value
+        near[1] += _ends_near(lambda t: pp.ell_minus, reduced.at)
+    assert min(near) >= 12
+
+
+def test_certified_phase_reads_a_long_piece_only_once_split(monkeypatch):
+    """A piece whose certified radius exceeds pi - EPS_CAP goes to the
+    count's split before the phase reads it.  Here one eigenphase turns
+    by 3.5 > pi on the sample piece [0.5, 1], where the principal angles
+    of U_0.5^H U_1 would take it the short way round, one turn off.  The
+    phase reads the pieces once, in one stack, after [0.5, 1] is halved;
+    the value is the closed form and the chord route's, and Phillips'
+    count, read later, agrees."""
+    phases0, rates = np.array([0.4, 2.0, -1.0]), np.array([7.0, -5.0, 1.0])
+
+    def at(t):
+        return np.diag(np.exp(1j * (phases0 + rates * t)))
+
+    samples = [(t, at(t)) for t in (0.0, 0.25, 0.5, 1.0)]
+    speed = float(np.abs(rates).max())
+    certified = UnitaryPath(
+        samples=tuple(samples), refiner=at,
+        _radius=lambda t0, t1: speed * (t1 - t0),
+    )
+    assert certified._radius(0.5, 1.0) > np.pi - EPS_CAP
+    stacks = []
+    eigvals = np.linalg.eigvals
+
+    def recording(A):
+        if np.ndim(A) == 3:
+            stacks.append(np.shape(A))
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    report = unitary_maslov(certified)
+    assert stacks == [(4, 3, 3)]
+    want = floor_count(phases0 - np.pi, phases0 + rates - np.pi)
+    assert report.value == want != 0
+    assert unitary_maslov(unitary_path(samples, refiner=at)).value == want
+    assert sum(hi - lo for lo, hi in report.k_counts) == want
+    assert {0.75, 1.0} <= set(report.partition.tolist())
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_catenated_geodesics_carry_their_junction_phase(n):
     """``catenate`` accepts a junction that misses by up to its tolerance
@@ -919,8 +1029,9 @@ def test_sampled_path_forms_its_pair_unitaries_and_spectra_in_one_stack(
     rng, monkeypatch
 ):
     """A sampled Lagrangian path converts in one stacked ``souriau`` call,
-    and its count reads the samples' spectra in one stacked ``eigvals``;
-    each is bitwise the per-sample value."""
+    and its count reads the samples' spectra in one stacked ``eigvals``
+    (``_Reads.read_samples``), not before; each is bitwise the per-sample
+    value."""
     space = standard_space(3)
     frames = [random_lagrangian(space, rng) for _ in range(6)]
     ts = np.linspace(0.0, 1.0, len(frames)).tolist()
@@ -938,6 +1049,8 @@ def test_sampled_path_forms_its_pair_unitaries_and_spectra_in_one_stack(
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     reads = paths._Reads(upath, DEFAULT_TOL)
+    assert calls == []
+    reads.read_samples()
     assert calls == [(6, 3, 3)]
     for t, W in upath.samples:
         assert reads.spectra[t].tobytes() == eigvals(W).tobytes()
