@@ -32,6 +32,10 @@ and reduction marches along the path.  The crossings input's optional
 "richardson" boolean is checked and ignored: no form is differenced.
 scipy loads on first use: ``scipy.linalg`` for spectral-flow and
 verify-coincidence only, ``scipy.optimize`` for --trace only.
+
+--window W is the eigenvalue range (-W, W] of the --trace of
+spectral-flow and verify-coincidence and nothing else: the flow count
+reads only the detection window near 0, whatever W.
 """
 
 import argparse
@@ -605,13 +609,13 @@ def _eigen_trace(bp, args, tol):
 
 def _cmd_spectral_flow(obj, args, tol):
     bp = _boundary_problem(obj)
-    report = spectral_flow(bp, window=args.window, tol=tol)
+    report = spectral_flow(bp, tol=tol)
     return {"value": int(report.value)}, _eigen_trace(bp, args, tol)
 
 
 def _cmd_verify_coincidence(obj, args, tol):
     bp = _boundary_problem(obj)
-    out = verify_coincidence(bp, window=args.window, tol=tol)
+    out = verify_coincidence(bp, tol=tol)
     return out, _eigen_trace(bp, args, tol)
 
 
@@ -671,7 +675,8 @@ def _parser():
         "--window",
         type=float,
         default=8.0,
-        help="eigenvalue window for spectral-flow commands (default 8)",
+        help="eigenvalue range of --trace for spectral-flow and "
+        "verify-coincidence (default 8)",
     )
     return p
 

@@ -96,7 +96,6 @@ class Tolerances:
     crossing_width: float = 1e-6
     log_cut: float = 1e-6
     flow_snap: float = 1e-8
-    flow_guard: float = 1e-8
 
     def scaled(self, factor):
         updates = {

@@ -1018,7 +1018,11 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     diagnostics or trace are read, and must then agree; refinement
     running out raises on that read, not here.  Other paths, whose
     radius is the chord heuristic, run the count for their value.
+    ValidationError unless ``path`` is a UnitaryPath or a GeodesicPath.
     """
+    if not isinstance(path, (UnitaryPath, GeodesicPath)):
+        raise ValidationError("expected a unitary path",
+                              where="unitary_maslov")
     reads = _Reads(path, tol)
     ts = _sample_times(path)
     start = len(ts)

@@ -32,10 +32,10 @@ Each family time costs only the shots its pieces read.  It has one
 ``_Shooter``, and its ``_Spectrum`` counts only the pieces of the
 detection grid that a piece of radius r can reach, [-r, EPS_CAP + r],
 and grows when a wider piece reads it; a grid piece resolves on its own,
-so what the cover holds is what the whole window holds there.  At t = 0
-and 1 the window is counted in whole, and the window-edge guard counts
-one piece of a few ``flow_guard`` around each edge on the same shooter,
-its shots riding the window's stack.  Only ``eigenvalues_near`` and
+so what the cover holds is what the whole window holds there.  The
+count reads the detection grid and nothing past it: Phillips' count
+needs test values near 0 only, so no eigenvalue far from 0 is asked
+about, at the ends of [0, 1] or inside.  Only ``eigenvalues_near`` and
 ``eigenvalue_trace`` locate the roots, by ``brentq`` on the brackets.
 The coincidence theorem equates the flow with the index of the
 Cauchy-data path in the doubled space against lambda0 ⊞ lambda1, and
@@ -44,7 +44,6 @@ frames are each formed in one stacked call.
 """
 
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from numbers import Real
@@ -62,7 +61,7 @@ from .core import (
     lagrangian,
     standard_space,
 )
-from .errors import AmbiguityError, PreconditionError, ValidationError
+from .errors import AmbiguityError, ValidationError
 from .paths import (
     _END_CHORD,
     EPS_CAP,
@@ -106,9 +105,6 @@ _FLOW_MIN_PIECE = 1e-9
 # Most time samples one flow count may take: a bound on its work, like
 # paths.MAX_SAMPLES, which no tolerance profile should move.
 _FLOW_MAX_SAMPLES = 5000
-# The window-edge guard counts on (edge - _GUARD_SPAN guard, edge +
-# _GUARD_SPAN guard], one shooting piece that holds the guarded interval.
-_GUARD_SPAN = 2.0
 # Bounds of the problem's own checks, fixed invariants and not tolerances
 # (no profile moves them): the symmetry of B and C_t and the
 # anticommutation of B with JJ, relative to max(1, ||B||_2) or
@@ -150,8 +146,9 @@ def JJ(N):
 class BoundaryProblem:
     """Sampled family of boundary problems over t in [0, 1].
 
-    ``c_func`` (optional) evaluates C_t exactly; otherwise intermediate
-    values are linear interpolations of the samples.
+    ``c_func`` (optional) evaluates C_t exactly, each value taken in by
+    the intake rule of ``core``; otherwise intermediate values are linear
+    interpolations of the samples.
     """
 
     N: int
@@ -164,7 +161,9 @@ class BoundaryProblem:
 
     def c_at(self, t):
         if self.c_func is not None:
-            return np.asarray(self.c_func(t), dtype=float)
+            m = 2 * self.N
+            return _as_matrix(self.c_func(t), f"C_t at t={t}",
+                              "BoundaryProblem.c_at", (m, m))
         i = np.searchsorted(self.ts, t)
         if i == 0:
             return self.cs[0]
@@ -182,6 +181,12 @@ class BoundaryProblem:
         """||C_{i+1} - C_i||_2 for each gap between nodes, in one
         stacked call."""
         return np.linalg.norm(np.diff(self.cs, axis=0), 2, axis=(1, 2))
+
+
+def _check_problem(bp, where):
+    """ValidationError at ``where`` unless ``bp`` is a BoundaryProblem."""
+    if not isinstance(bp, BoundaryProblem):
+        raise ValidationError("expected a BoundaryProblem", where=where)
 
 
 def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
@@ -230,9 +235,9 @@ def _flows(gen, jj, ss):
     is one generator or a stack of one per s.  ValidationError unless
     each flow Phi is symplectic for the JJ-form, ||Phi^T JJ Phi - JJ||_2
     at most ``_SYMPLECTIC`` max(1, ||Phi||_2^2).  The check runs on every
-    flow: past the finiteness that ``_radius`` checks, it is the only
+    flow: past the intake rule of ``BoundaryProblem.c_at``, it is the only
     validation of C_t values from ``c_func``.  A residual that is not
-    finite (a NaN in C_t, or a flow that overflows) fails it.
+    finite (a flow that overflows) fails it.
 
     scipy's ``expm`` exponentiates a stack slice by slice, so each flow
     is bitwise the one a call on it alone gives.  The residuals'
@@ -275,9 +280,9 @@ class _Shooter:
     unitary U, Z conj(Z)^-1 = U U^T = Z (F^T F)^-1 Z^T: the first form has
     the condition number of F, the last its square.  s is an eigenvalue
     iff det[F, lambda1] = 0, iff -1 is an eigenvalue of W.  Per piece
-    (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.  Every spectrum read
-    at this time shares it: the flow's detection window and, at t = 0 and
-    1, both window-edge guards.  ``det`` at an s not read shoots it alone.
+    (s0, s1) it keeps the chord ||W(s1) - W(s0)||_2.  Every read of the
+    spectrum at this time shares it.  ``det`` at an s not read shoots it
+    alone.
     """
 
     def __init__(self, bp, t):
@@ -432,14 +437,14 @@ class _Spectrum:
     determinant sign change, and ``points`` with multiplicity, both in
     s order.
 
-    The cover grows on demand.  ``count(lo, hi)`` counts the grid pieces
-    that meet [lo, hi], ``test_value(r)`` those that meet [-r, EPS_CAP +
-    r], and ``located`` all of them; a piece outside the cover holds
-    nothing that the read could see.  The cover stays one run of pieces:
-    a read that reaches past it counts the pieces missing on either side,
-    shot in one stacked call.  ``_count_roots`` resolves each grid piece
-    on its own, so the brackets and points inside the cover are the ones
-    a cover of the whole grid finds, in the same order.
+    The cover grows on demand.  ``test_value(r)`` counts the grid pieces
+    that meet [-r, EPS_CAP + r], ``count(lo, hi, r)`` those that meet
+    [lo, hi] as well, and ``located`` all of them; a piece outside the
+    cover holds nothing that the read could see.  The cover stays one run
+    of pieces: a read that reaches past it counts the pieces missing on
+    either side, shot in one stacked call.  ``_count_roots`` resolves each
+    grid piece on its own, so the brackets and points inside the cover
+    are the ones a cover of the whole grid finds, in the same order.
 
     A question about the side of q on which a bracket's root lies costs
     one determinant sign at q, and only when q is inside the bracket.
@@ -477,11 +482,6 @@ class _Spectrum:
         _count_roots(self._shoot, right, self._tol, brackets, points)
         self.brackets, self.points = brackets, points
 
-    def whole(self):
-        """Count every piece of the grid; returns the spectrum."""
-        self._cover(self._grid[0], self._grid[-1])
-        return self
-
     def _side(self, bracket, q):
         """sign(root - q) for the root of ``bracket``."""
         s0, s1 = bracket
@@ -494,15 +494,12 @@ class _Spectrum:
             return 0
         return -1 if (d < 0.0) != (self._shoot.det(s0) < 0.0) else 1
 
-    def count(self, lo, hi, r=None):
-        """Number of eigenvalues in [lo, hi], with multiplicity.  Read by
-        a flow piece of radius r, the cover also takes in what
+    def count(self, lo, hi, r):
+        """Number of eigenvalues in [lo, hi], with multiplicity, read by a
+        flow piece of radius r: the cover also takes in what
         ``test_value(r)`` reads, which the next piece from this time is
         likely to ask for."""
-        if r is None:
-            self._cover(lo, hi)
-        else:
-            self._cover(min(lo, -r), max(hi, EPS_CAP + r))
+        self._cover(min(lo, -r), max(hi, EPS_CAP + r))
         return sum(lo <= a <= hi for a in self.points) + sum(
             self._side(b, lo) >= 0 and self._side(b, hi) <= 0
             for b in self.brackets
@@ -552,7 +549,7 @@ class _Spectrum:
     def located(self, tol):
         """The eigenvalues on the whole grid, each bracket's root found by
         ``brentq`` to ``tol.bisect_t``, in increasing order."""
-        self.whole()
+        self._cover(self._grid[0], self._grid[-1])
         roots = [
             brentq(self._shoot.det, s0, s1, xtol=tol.bisect_t)
             for s0, s1 in self.brackets
@@ -573,8 +570,9 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     ValidationError when lo < hi fails ([lo, hi] is a single point, also
     when the float spacing swallows its width) and when the partition
     would hold more than ``paths.MAX_SAMPLES`` points, and unless t is a
-    number in [0, 1].
+    number in [0, 1], and unless ``bp`` is a BoundaryProblem.
     """
+    _check_problem(bp, "eigenvalues_near")
     if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
         raise ValidationError("t must be a number in [0, 1]",
                               where="eigenvalues_near")
@@ -606,7 +604,7 @@ def _radius(bp, t0, t1):
     problem computes once (``BoundaryProblem._gap_norms``), and takes no
     norm of its own; it agrees with the read at t1 up to rounding.  A
     ``c_func`` family is read at t1 and the nodes inside, and between them
-    the value is a heuristic; ValidationError when a C_t read is not finite.
+    the value is a heuristic.
     """
     ts = bp.ts
     i0, i1 = np.searchsorted(ts, t0, "right"), np.searchsorted(ts, t1)
@@ -614,74 +612,15 @@ def _radius(bp, t0, t1):
         i = i1 - 1
         return float((t1 - t0) * bp._gap_norms[i] / (ts[i1] - ts[i]))
     shifts = np.array([bp.c_at(t) for t in (*ts[i0:i1], t1)]) - bp.c_at(t0)
-    if not np.isfinite(shifts).all():
-        raise ValidationError(f"C_t not finite on [{t0}, {t1}]",
-                              where="spectral_flow")
     return float(np.linalg.norm(shifts, 2, axis=(1, 2)).max())
 
 
-def _guard_spectrum(shoot, edge, tol):
-    """The spectrum that the window-edge guard counts, on the shooter of
-    the detection window at its family time: on (edge - span, edge +
-    span] with span ``_GUARD_SPAN`` ``tol.flow_guard``, one piece of two
-    shots.  When the float spacing at ``edge`` swallows that interval, on
-    (edge - 0.5, edge + 0.5], as far as the spacing lets it resolve: a
-    grid that has fewer than two distinct points raises ValidationError.
-    """
-    span = _GUARD_SPAN * tol.flow_guard
-    if not edge - span < edge + span:
-        span = 0.5
-    return _Spectrum(shoot, _grid(edge - span, edge + span), tol)
-
-
-def _guard_edges(spectrum, t, window, tol):
-    """Count the detection window ``spectrum`` at the family end t in
-    whole, then guard both window edges there.
-
-    The guards share the window's shooter, and their four shots join the
-    window's stacked call after the window's own.  The error of a failing
-    call is dropped, for the counts meet it again in order: the window's
-    first, then each edge's, -window before +window, from its guard grid
-    or its shots, a failing shot as ValidationError "window is too wide"
-    naming the edge.  PreconditionError when an eigenvalue lies in the
-    open interval (edge - guard, edge + guard).
-    """
-    shoot = spectrum._shoot
-    edges = (-window, window)
-    with suppress(ValidationError):
-        shoot.read(spectrum._grid, *(
-            _guard_spectrum(shoot, edge, tol)._grid for edge in edges))
-    spectrum.whole()
-    for edge in edges:
-        try:
-            guarded = _guard_spectrum(shoot, edge, tol).whole().count(
-                np.nextafter(edge - tol.flow_guard, np.inf),
-                np.nextafter(edge + tol.flow_guard, -np.inf),
-            )
-        except ValidationError as exc:
-            if exc.where != "fundamental_solution":
-                raise
-            raise ValidationError(
-                f"window {window:g} is too wide: the flow at s = {edge:g} "
-                "is not accurate enough to guard the window edge",
-                where="spectral_flow",
-            ) from exc
-        if guarded:
-            raise PreconditionError(
-                f"eigenvalue within guard of {edge} at t={t}",
-                where="spectral_flow",
-            )
-
-
-def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
+def spectral_flow(bp, tol=DEFAULT_TOL):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
-    Preconditions: no eigenvalue within ``tol.flow_guard`` of +-window
-    at t = 0 or 1.  AmbiguityError when no admissible test value exists at
-    the achievable time resolution (tangential crossing).  ValidationError
-    naming the window when the flow at s = +-window fails the symplectic
-    check: ``expm`` loses about |s| eps there, while C_0 and C_1 have
-    already passed that check inside the detection window.
+    AmbiguityError when no admissible test value exists at the achievable
+    time resolution (tangential crossing); ValidationError unless ``bp``
+    is a BoundaryProblem.
 
     Phillips' count (``paths._phillips``) from the partition {0, 1}, with
     the radius ``_radius`` and the reach ``_REACH``: by Weyl no eigenvalue
@@ -692,13 +631,10 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
     and the counts at both ends are read from determinant signs.  A
     spectrum counts only the grid pieces that the pieces reading it can
     reach, [-R, EPS_CAP + R] with R = max(r, snap) for the largest radius
-    r among them, and grows when a wider piece reads it.  At t = 0 and 1 the
-    window is counted in whole, and the window-edge guard counts the
-    brackets of (edge - 2 guard, edge + 2 guard], one piece on the same
-    shooter, inside (edge - guard, edge + guard) (``_guard_edges``); only
-    where the float spacing at the edge swallows that interval does it
-    shoot the 0.5 grid (``_guard_spectrum``).
+    r among them, and grows when a wider piece reads it.  No s outside the
+    detection grid is shot.
     """
+    _check_problem(bp, "spectral_flow")
     grid = _grid(_DETECT_LO, _DETECT_HI)
     spectra = {}
 
@@ -706,9 +642,6 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
         if t not in spectra:
             spectra[t] = _Spectrum(_Shooter(bp, t), grid, tol)
         return spectra[t]
-
-    for t_end in (0.0, 1.0):
-        _guard_edges(spec(t_end), t_end, window, tol)
 
     def split(ts, i):
         if not _halve(ts, i, _FLOW_MIN_PIECE, _FLOW_MAX_SAMPLES + 1):
@@ -730,6 +663,7 @@ def spectral_flow(bp, window=8.0, tol=DEFAULT_TOL):
 
 def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
     """Per-family-sample eigenvalue lists inside (-window, window]."""
+    _check_problem(bp, "eigenvalue_trace")
     return tuple(
         (float(t), tuple(eigenvalues_near(bp, float(t), -window, window, tol)))
         for t in bp.ts
@@ -758,6 +692,7 @@ def cauchy_data_path(bp):
     stack; each is bitwise the one formed node by node.  The refiner
     forms the times that the count inserts one at a time.
     """
+    _check_problem(bp, "cauchy_data_path")
     bs = _doubled(bp.N)
     eye = np.eye(2 * bp.N)
 
@@ -779,9 +714,10 @@ def cauchy_data_path(bp):
     return path, boundary
 
 
-def verify_coincidence(bp, window=8.0, tol=DEFAULT_TOL):
+def verify_coincidence(bp, tol=DEFAULT_TOL):
     """Both sides of the coincidence theorem: {sf, mas, equal}."""
-    sf = spectral_flow(bp, window=window, tol=tol)
+    _check_problem(bp, "verify_coincidence")
+    sf = spectral_flow(bp, tol=tol)
     path, boundary = cauchy_data_path(bp)
     mas = maslov(path, boundary, tol)
     return {

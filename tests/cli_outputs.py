@@ -7,10 +7,14 @@ at each seed (1 and 7 by default) with the workload builders
 of ``TREE/perfbench/run.py``, read and never changed, runs each once
 through ``TREE/src``'s ``masidx.cli.run``, and prints one line per
 problem: seed, workload, problem id, exit code and the JSON-quoted
-stdout.  An exception that escapes ``cli.run`` prints as exit code
-``raised`` followed by its type.  TREE defaults to the checkout that
-holds this script; point it at a second checkout (made with ``git clone``
-or ``git archive``) to print that tree's outputs, then compare::
+stdout.  A problem whose command emits a trace runs a second time with
+``--trace`` and prints a second line: seed, workload, problem id,
+``trace``, exit code, the JSON-quoted stdout and the JSON-quoted CSV
+(``null`` when none is written).  An exception that escapes ``cli.run``
+prints as exit code ``raised`` followed by its type.  TREE defaults to
+the checkout that holds this script; point it at a second checkout (made
+with ``git clone`` or ``git archive``) to print that tree's outputs, then
+compare::
 
     python tests/cli_outputs.py --root ../parent > parent.txt
     python tests/cli_outputs.py > change.txt
@@ -32,6 +36,17 @@ import tempfile
 DEFAULT_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _run(cli, argv):
+    """Exit code and stdout of one ``cli.run``."""
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.run(argv)
+    except Exception as exc:
+        code = f"raised {type(exc).__name__}"
+    return code, json.dumps(buf.getvalue())
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=pathlib.Path, default=DEFAULT_ROOT)
@@ -49,18 +64,23 @@ def main(argv=None):
                 run.generate(workload, seed, workdir)
                 with open(os.path.join(workdir, "problems.json")) as fh:
                     manifest = json.load(fh)
+                trace = os.path.join(workdir, "trace.csv")
                 for problem in manifest:
                     argv = [problem["command"],
                             os.path.join(workdir, problem["file"]),
                             *problem["args"]]
-                    buf = io.StringIO()
-                    try:
-                        with contextlib.redirect_stdout(buf):
-                            code = cli.run(argv)
-                    except Exception as exc:
-                        code = f"raised {type(exc).__name__}"
-                    print(seed, workload, problem["id"], code,
-                          json.dumps(buf.getvalue()), flush=True)
+                    print(seed, workload, problem["id"], *_run(cli, argv),
+                          flush=True)
+                    if cli._HANDLERS[problem["command"]][1] is None:
+                        continue
+                    run_out = _run(cli, [*argv, "--trace", trace])
+                    csv = None
+                    if os.path.exists(trace):
+                        with open(trace) as fh:
+                            csv = fh.read()
+                        os.remove(trace)
+                    print(seed, workload, problem["id"], "trace", *run_out,
+                          json.dumps(csv), flush=True)
     return 0
 
 

@@ -591,36 +591,44 @@ def test_window_must_be_finite_and_positive(window, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
 def test_window_past_the_float_spacing_exits_2(command, window, tmp_path,
                                                capsys):
-    # window +- 0.5 rounds to one float, so the guard's shooting grid has
-    # a single point
+    # the trace is the window's only reader, and its shooting grid on
+    # (-window, window] would hold far more than the sample cap
     code, out, _ = _run(
         tmp_path, capsys, command, ladder_body([0.3], [3.5]),
-        f"--window={window}",
+        f"--window={window}", "--trace", str(tmp_path / "trace.csv"),
     )
     assert code == 2
     assert out["where"] == "eigenvalues_near"
-    assert out["reason"].endswith("has fewer than two distinct points")
+    assert out["reason"].endswith(
+        f"would hold more than {cli.MAX_SAMPLES} points"
+    )
+    assert not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("window", ["1e6", "1e15"])
+@pytest.mark.parametrize(
+    "window", [repr(0.3 + 2.0 * math.pi), "1e6", "1e15", "1e16"]
+)
 @pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
-def test_window_too_wide_for_the_guard_exits_2(command, window, tmp_path,
-                                               capsys):
-    # the guard shoots at s = +-window, where expm is too inaccurate for
-    # the symplectic check; B and C pass it inside the detection window
+def test_the_window_leaves_the_flow_count_alone(command, window, tmp_path,
+                                                capsys):
+    # the flow count reads the detection window near 0 only: not the
+    # eigenvalue 0.3 + 2 pi of t = 0 on the window's edge, nor the flow
+    # at s = +-window, where expm fails the symplectic check
     code, out, _ = _run(
         tmp_path, capsys, command, ladder_body([0.3], [3.5]),
         f"--window={window}",
     )
-    assert code == 2
-    assert out["where"] == "spectral_flow"
-    assert out["reason"].startswith(f"window {float(window):g} is too wide")
+    assert code == 0, out
+    want = {"value": 1} if command == "spectral-flow" else {
+        "sf": 1, "mas": 1, "equal": True
+    }
+    assert {k: out[k] for k in want} == want
 
 
 @pytest.mark.parametrize("command", ["spectral-flow", "verify-coincidence"])
 def test_trace_grid_beyond_the_sample_cap_exits_2(command, tmp_path, capsys):
-    # window 1e5 passes the flow's guard, but the trace would shoot a grid
-    # of about 690k points at each family node
+    # window 1e5 leaves the flow count alone, but the trace would shoot a
+    # grid of about 690k points at each family node
     body = ladder_body([0.3], [3.5])
     code, _, _ = _run(tmp_path, capsys, command, body, "--window=1e5")
     assert code == 0

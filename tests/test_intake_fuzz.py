@@ -6,7 +6,9 @@ hypothesis draws replace one slot by a malformed copy: a NaN or inf
 entry, ragged nesting, string entries, a complex entry where real ones
 are due, a wrong shape or ndim, or (for a frame) a rank-deficient one.
 The call must raise a ``MasidxError`` with a non-empty ``where``: never
-numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.
+numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.  An
+entry point handed an array where it takes a problem or a path names
+what it expected.
 """
 
 import numpy as np
@@ -18,9 +20,12 @@ from masidx import (
     LiftedUnitary,
     SymplecticSpace,
     boundary_problem,
+    cauchy_data_path,
     complex_kashiwara,
     compatible_structure,
     complexify_vectors,
+    eigenvalue_trace,
+    eigenvalues_near,
     fundamental_solution,
     haar_unitary,
     horizontal_frame,
@@ -30,13 +35,15 @@ from masidx import (
     minus_one_offsets,
     polarized_pair,
     realify,
+    spectral_flow,
     standard_space,
     unitary_maslov,
     unitary_path,
     unitary_path_from_function,
+    verify_coincidence,
     vertical_frame,
 )
-from masidx.errors import MasidxError
+from masidx.errors import MasidxError, ValidationError
 
 SP1, SP2 = standard_space(1), standard_space(2)
 H2 = horizontal_frame(SP2)
@@ -179,3 +186,26 @@ def test_a_malformed_matrix_argument_is_a_typed_error(case):
     with np.errstate(all="ignore"), pytest.raises(MasidxError) as info:
         call(*args)
     assert info.value.where, (name, k, kind)
+
+
+# where: the call on an array in place of its problem or path, and the
+# reason it raises
+WRONG_TYPE = {
+    "spectral_flow": (spectral_flow, "expected a BoundaryProblem"),
+    "verify_coincidence": (verify_coincidence, "expected a BoundaryProblem"),
+    "eigenvalues_near": (
+        lambda bp: eigenvalues_near(bp, 0.5, -1.0, 1.0),
+        "expected a BoundaryProblem",
+    ),
+    "eigenvalue_trace": (eigenvalue_trace, "expected a BoundaryProblem"),
+    "cauchy_data_path": (cauchy_data_path, "expected a BoundaryProblem"),
+    "unitary_maslov": (unitary_maslov, "expected a unitary path"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WRONG_TYPE))
+def test_an_array_in_place_of_a_problem_or_path_is_a_validation_error(where):
+    call, reason = WRONG_TYPE[where]
+    with pytest.raises(ValidationError) as info:
+        call(I2)
+    assert (info.value.reason, info.value.where) == (reason, where)

@@ -13,7 +13,6 @@ from masidx import spectral
 from masidx import (
     JJ,
     AmbiguityError,
-    PreconditionError,
     Standardization,
     ValidationError,
     boundary_problem,
@@ -352,8 +351,8 @@ def test_a_non_finite_flow_fails_the_check_stacked_or_alone():
     """A flow that is not finite, from a NaN in C_t or from an admissible
     B large enough to overflow ``expm``, fails the symplectic check, shot
     alone or anywhere in a stack, where no norm can clear it.  A NaN C
-    given to ``fundamental_solution`` is named by the intake rule before
-    any shot."""
+    given to ``fundamental_solution`` or returned by a ``c_func`` is named
+    by the intake rule before any shot."""
     z = np.zeros((2, 2))
     nan_c = np.full((2, 2), np.nan)
     huge_b = 1e3 * np.array([[0.6, 0.8], [0.8, -0.6]])
@@ -377,8 +376,8 @@ def test_a_non_finite_flow_fails_the_check_stacked_or_alone():
         )
         with pytest.raises(ValidationError) as info:
             eigenvalues_near(bp, 0.5, -0.55, 1.55)
-        assert info.value.reason == "flow not symplectic (check B, C)"
-        assert info.value.where == "fundamental_solution"
+        assert info.value.reason == "C_t at t=0.5 not finite"
+        assert info.value.where == "BoundaryProblem.c_at"
 
 
 def test_structure_matrix_copies_are_private():
@@ -568,14 +567,14 @@ def test_bracket_counts_answer_as_the_located_root():
     spectrum = spectral._Spectrum(
         spectral._Shooter(bp, 0.3), spectral._grid(-1.0, 0.0), tol
     )
-    assert spectrum.count(-1.0, 0.0) == 1
+    assert spectrum.count(-1.0, 0.0, 0.0) == 1
     assert spectrum.brackets == [[-0.75, -0.5]] and spectrum.points == []
     (root,) = eigenvalues_near(bp, 0.3, -1.0, 0.0)
     assert -0.75 < root < -0.5
     for q in (root - 1e-9, root + 1e-9):
-        assert spectrum.count(-1.0, q) == int(root <= q)
-        assert spectrum.count(q, 0.0) == int(root >= q)
-    assert spectrum.count(root - 1e-9, root + 1e-9) == 1
+        assert spectrum.count(-1.0, q, 0.0) == int(root <= q)
+        assert spectrum.count(q, 0.0, 0.0) == int(root >= q)
+    assert spectrum.count(root - 1e-9, root + 1e-9, 0.0) == 1
 
 
 def test_a_clockwise_shooting_path_is_ambiguous(monkeypatch):
@@ -808,58 +807,6 @@ def test_kernel_free_constant_family_has_zero_flow():
     assert out == {"sf": 0, "mas": 0, "equal": True}
 
 
-def test_window_edge_guard():
-    bp = rotation_problem()
-    # the t = 0 spectrum contains +-pi/2 exactly
-    with pytest.raises(PreconditionError):
-        spectral_flow(bp, window=np.pi / 2)
-
-
-def test_window_edge_guard_boundary():
-    """An eigenvalue strictly closer than ``flow_guard`` to the window
-    edge is refused; one at twice that distance is not."""
-    bp = rotation_problem()
-    guard = spectral.DEFAULT_TOL.flow_guard
-    with pytest.raises(PreconditionError):
-        spectral_flow(bp, window=np.pi / 2 + 0.5 * guard)
-    assert spectral_flow(bp, window=np.pi / 2 + 2.0 * guard).value == 1
-
-
-def test_each_window_edge_guard_shoots_a_handful(monkeypatch):
-    """The guard counts on (edge - 2 guard, edge + 2 guard]: its two shots
-    ride the window's stack on the shared shooter, and its count takes one
-    determinant at each end of the guarded interval when a bracket holds
-    a root there.  The t = 0 spectrum of the rotation holds +-pi/2 and
-    not +-8."""
-    shots = []
-
-    def counted(A):
-        shots.append(len(A) if A.ndim == 3 else 1)
-        return expm(A)
-
-    monkeypatch.setattr(spectral, "expm", counted)
-    bp = rotation_problem()
-    tol = spectral.DEFAULT_TOL
-    guard = tol.flow_guard
-    window = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
-    for edge, t, want in [
-        (8.0, 0.0, 0), (-8.0, 1.0, 0), (np.pi / 2, 0.0, 1),
-        (-np.pi / 2, 0.0, 1), (np.pi / 2, 1.0, 1), (np.pi / 2, 0.5, 0),
-    ]:
-        shoot = spectral._Shooter(bp, t)
-        near = spectral._guard_spectrum(shoot, edge, tol)
-        shots.clear()
-        shoot.read(window, near._grid)
-        assert shots == [len(window) + 2]
-        shots.clear()
-        got = near.whole().count(
-            np.nextafter(edge - guard, np.inf),
-            np.nextafter(edge + guard, -np.inf),
-        )
-        assert got == want
-        assert len(shots) <= 2 and sum(shots) <= 2
-
-
 def _inside(spectrum, full):
     """The brackets and points of ``full`` inside the grid pieces that
     ``spectrum`` covers, in order."""
@@ -891,7 +838,7 @@ def test_a_window_on_demand_reads_as_the_whole_window(N):
         for t in rng.uniform(0.0, 1.0, 6):
             lazy = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
             full = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
-            full.whole()
+            full._cover(grid[0], grid[-1])
             # growing radii grow the cover on both sides
             radii = np.sort(rng.uniform(0.0, spectral._REACH, 4))
             for k, r in enumerate(radii):
@@ -900,13 +847,13 @@ def test_a_window_on_demand_reads_as_the_whole_window(N):
                     # a count reads first, as at the end of a piece
                     q = rng.uniform(0.0, 1.0)
                     assert lazy.count(-snap, q + snap, r) == full.count(
-                        -snap, q + snap
+                        -snap, q + snap, r
                     )
                 eps = lazy.test_value(r, tol)
                 assert eps == full.test_value(r, tol)
                 if eps is not None:
                     assert lazy.count(-snap, eps + snap, r) == full.count(
-                        -snap, eps + snap
+                        -snap, eps + snap, r
                     )
                 grew += span is not None and lazy._span != span
                 assert (lazy.brackets, lazy.points) == _inside(lazy, full)
@@ -914,12 +861,11 @@ def test_a_window_on_demand_reads_as_the_whole_window(N):
 
 
 def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
-    """One ``_Shooter`` per partition time, none more for the guards; the
-    window and both guards at t = 0 and 1 take one ``_flows`` call each,
-    the window's ten shots first and then the guards' four; the Cauchy
-    data path takes one ``_flows`` and one ``lagrangian`` call at any
-    number of nodes; and on a sampled family a single-gap piece's radius
-    takes no spectral norm of its own."""
+    """One ``_Shooter`` per partition time, and no ``_flows`` stack that
+    holds an s outside the detection grid; the Cauchy data path takes one
+    ``_flows`` and one ``lagrangian`` call at any number of nodes; and on
+    a sampled family a single-gap piece's radius takes no spectral norm
+    of its own."""
     built, calls = [], []
     init, flows, frames = (
         spectral._Shooter.__init__, spectral._flows, spectral.lagrangian
@@ -942,14 +888,11 @@ def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
     monkeypatch.setattr(spectral, "lagrangian", counted_frames)
     bp = rotation_problem()
     tol = spectral.DEFAULT_TOL
-    rep = spectral_flow(bp, window=8.0, tol=tol)
+    rep = spectral_flow(bp, tol=tol)
     assert sorted(built) == sorted(rep.partition.tolist())
-    window = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
-    span = spectral._GUARD_SPAN * tol.flow_guard
-    guards = [-8.0 - span, -8.0 + span, 8.0 - span, 8.0 + span]
-    for t in (0.0, 1.0):
-        gen = spectral._generator(bp.B, bp.c_at(t))[0].tobytes()
-        assert [ss for g, ss in calls if g == gen] == [window + guards]
+    shot = [s for g, ss in calls if g != "lagrangian" for s in ss]
+    assert shot
+    assert all(spectral._DETECT_LO <= s <= spectral._DETECT_HI for s in shot)
 
     for nodes in (2, 9, 33):
         many = rotation_problem(samples=nodes)
@@ -979,9 +922,8 @@ def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
 
 
 def test_a_window_shot_that_fails_at_an_end_is_the_windows_error():
-    """The window's shots lead the stack that the guards join, so a C_0
-    that is not finite raises the flow's own ValidationError, not the
-    guard's "too wide"."""
+    """A C_0 that is not finite is refused by the intake rule of
+    ``BoundaryProblem.c_at`` before any shot at t = 0."""
     lam = np.array([[1.0], [0.0]])
     z = np.zeros((2, 2))
 
@@ -994,43 +936,14 @@ def test_a_window_shot_that_fails_at_an_end_is_the_windows_error():
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValidationError) as info:
             spectral_flow(bp)
-    assert info.value.reason == "flow not symplectic (check B, C)"
-    assert info.value.where == "fundamental_solution"
-
-
-@pytest.mark.parametrize(
-    "edges, named", [((8.0,), "8"), ((-8.0, 8.0), "-8")]
-)
-def test_a_failing_guard_shot_names_the_first_edge_that_fails(
-    monkeypatch, edges, named
-):
-    """Every ``_flows`` stack that holds an s within 1e-6 of one of
-    ``edges`` raises the flow's own ValidationError.  The guards' shots
-    ride the window's stack, so that stack fails too; the window then
-    counts alone, and the guards count in turn, -window first: the first
-    edge whose shots fail is the one named."""
-    flows = spectral._flows
-
-    def failing(gen, jj, ss):
-        if any(abs(s - e) < 1e-6 for s in ss for e in edges):
-            raise ValidationError(
-                "flow not symplectic (check B, C)",
-                where="fundamental_solution",
-            )
-        return flows(gen, jj, ss)
-
-    monkeypatch.setattr(spectral, "_flows", failing)
-    with pytest.raises(ValidationError) as info:
-        spectral_flow(rotation_problem(), window=8.0)
-    assert info.value.where == "spectral_flow"
-    assert info.value.reason.startswith(
-        f"window 8 is too wide: the flow at s = {named} "
-    )
+    assert info.value.reason == "C_t at t=0.0 not finite"
+    assert info.value.where == "BoundaryProblem.c_at"
 
 
 def test_a_c_func_that_is_not_finite_inside_is_a_validation_error():
     """A C_t that is not finite inside (0, 1) is named when the flow
-    count reads it, not halved down to an AmbiguityError."""
+    count reads it, not halved down to an AmbiguityError: the radius of
+    the first half reads C_0.5."""
     lam = np.array([[1.0], [0.0]])
     z = np.zeros((2, 2))
 
@@ -1045,8 +958,44 @@ def test_a_c_func_that_is_not_finite_inside_is_a_validation_error():
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValidationError) as info:
             spectral_flow(bp)
-    assert info.value.reason.startswith("C_t not finite on [")
-    assert info.value.where == "spectral_flow"
+    assert info.value.reason == "C_t at t=0.5 not finite"
+    assert info.value.where == "BoundaryProblem.c_at"
+
+
+def _c_func_problem(c_func):
+    """The N = 1 family whose C_t is ``c_func``, sampled at t = 0, 1 from
+    the ladder (0.3 + 3.5 t) Id."""
+    lam = np.array([[1.0], [0.0]])
+    return boundary_problem(
+        1, np.zeros((2, 2)),
+        [(t, (0.3 + 3.5 * t) * np.eye(2)) for t in (0.0, 1.0)],
+        lam, lam, c_func=c_func,
+    )
+
+
+@pytest.mark.parametrize(
+    "c_func, reason",
+    [
+        (lambda t: np.eye(3), "C_t at t=1.0 has shape (3, 3), expected (2, 2)"),
+        (lambda t: "C", "C_t at t=1.0 is not numeric"),
+        # once taken as 1 with the imaginary part dropped
+        (lambda t: (0.3 + 3.5 * t) * np.eye(2) + 5j * np.eye(2),
+         "C_t at t=1.0 must be real"),
+    ],
+    ids=["shape", "string", "complex"],
+)
+def test_c_func_values_go_through_the_intake_rule(c_func, reason):
+    """Every C_t that ``c_func`` returns is taken in as a real finite
+    2N x 2N matrix, as the sampled family is."""
+    bp = _c_func_problem(c_func)
+    for call in (spectral_flow, verify_coincidence):
+        with pytest.raises(ValidationError) as info:
+            call(bp)
+        assert info.value.reason == reason
+        assert info.value.where == "BoundaryProblem.c_at"
+    assert spectral_flow(_c_func_problem(
+        lambda t: (0.3 + 3.5 * t) * np.eye(2)
+    )).value == 1
 
 
 def test_the_shooting_count_splits_below_max_samples(monkeypatch):
