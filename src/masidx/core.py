@@ -347,6 +347,15 @@ def _spaces_match(a, b):
     )
 
 
+def _expect(kind, where, *objs):
+    """ValidationError "expected a <kind>" at ``where`` unless each of
+    ``objs`` is a ``kind``: the type check of every argument due as a
+    frame, a path or a problem, run before any attribute of it is read."""
+    for obj in objs:
+        if not isinstance(obj, kind):
+            raise ValidationError(f"expected a {kind.__name__}", where=where)
+
+
 def _require_same_space(a, b, where):
     if not _spaces_match(a, b):
         raise ValidationError("frames live in different spaces", where=where)
@@ -505,6 +514,7 @@ def intersection_dim(mu, nu):
     Counts singular values of (P_mu + P_nu) below ``_INTERSECTION_SV``;
     agrees with 2n - rank[F_mu | F_nu].
     """
+    _expect(LagrangianFrame, "intersection_dim", mu, nu)
     _require_same_space(mu.space, nu.space, "intersection_dim")
     sv = np.linalg.svd(mu.P + nu.P, compute_uv=False)
     return int(np.count_nonzero(sv < _INTERSECTION_SV))

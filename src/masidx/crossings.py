@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, LagrangianFrame, _expect
 from .errors import AmbiguityError, PreconditionError
 from .paths import (
     EPS_CAP,
     GeodesicPath,
+    LagrangianPath,
     _Reads,
     _sample_times,
     to_unitary_path,
@@ -149,6 +150,8 @@ def find_crossings(path, lam, tol=DEFAULT_TOL):
     other pieces a touch of -1 that no read point comes near can go
     unseen, as in the count.
     """
+    _expect(LagrangianPath, "find_crossings", path)
+    _expect(LagrangianFrame, "find_crossings", lam)
     if path.refiner is None:
         raise AmbiguityError(
             "crossing localization requires a refiner", where="find_crossings"
@@ -309,6 +312,8 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL):
     counted outside the relative regularity threshold, and the regularity
     flag.
     """
+    _expect(LagrangianPath, "crossing_form", path)
+    _expect(LagrangianFrame, "crossing_form", lam)
     if path.refiner is None:
         raise AmbiguityError(
             "crossing form requires a refiner", where="crossing_form"

@@ -20,6 +20,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    LagrangianFrame,
+    _expect,
     _require_same_space,
     _unitary,
     haar_unitary,
@@ -93,6 +95,7 @@ def kashiwara(f1, f2, f3):
     coincide, and is invariant under symplectic maps.  Eigenvalues below
     the fixed relative floor ``_SIGNATURE_FLOOR`` count as nulls.
     """
+    _expect(LagrangianFrame, "kashiwara", f1, f2, f3)
     _require_same_space(f1.space, f2.space, "kashiwara")
     _require_same_space(f1.space, f3.space, "kashiwara")
     gram = f1.space.gram
@@ -321,6 +324,7 @@ def hormander(ell0, ell1, lam, mu, seed=0, tol=DEFAULT_TOL):
 
     Path-independent: any path from ell0 to ell1 gives the same integer.
     """
+    _expect(LagrangianFrame, "hormander", ell0, ell1, lam, mu)
     for f in (ell1, lam, mu):
         _require_same_space(ell0.space, f.space, "hormander")
     path = connecting_path(ell0, ell1, seed=seed, tol=tol)

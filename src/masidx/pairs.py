@@ -38,6 +38,7 @@ from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
     _as_matrix,
+    _expect,
     _norm2_exceeds,
     _require_same_space,
     box_frame,
@@ -126,6 +127,7 @@ def pair_maslov(mu_path, lam_path, tol=DEFAULT_TOL):
     its determinant phase, the mu leg's less the lam leg's, and counts by
     its lift (``paths.unitary_maslov``).
     """
+    _expect(LagrangianPath, "pair_maslov", mu_path, lam_path)
     _require_same_space(mu_path.space, lam_path.space, "pair_maslov")
     if mu_path._geodesic is not None:
         h = mu_path._geodesic[0]
@@ -235,6 +237,8 @@ def polarized_pair(lam_plus, lam_minus, ell_plus, ell_minus, i_plus_diag):
     Raises ValidationError when the polarizations fail (non-complementary
     factors), dimensions differ, or the diagonal has non-positive entries.
     """
+    _expect(LagrangianFrame, "polarized_pair", lam_plus, lam_minus,
+            ell_plus, ell_minus)
     big = lam_plus.space
     small = ell_plus.space
     _require_same_space(lam_minus.space, big, "polarized_pair")
@@ -295,6 +299,8 @@ def gamma_reduce(pp, mu):
     G-orthonormalized: its basis follows the basis of mu.  Its rank
     tolerance is that of the small space (``core.lagrangian``).
     """
+    _expect(PolarizedPair, "gamma_reduce", pp)
+    _expect(LagrangianFrame, "gamma_reduce", mu)
     return _reduced(pp, [mu])[0]
 
 
@@ -343,6 +349,8 @@ def gamma_reduce_path(pp, path):
     ``gamma_reduce``'s, whose rank tolerance is the small space's
     ``tol``: nothing here takes a tolerance of its own.
     """
+    _expect(PolarizedPair, "gamma_reduce_path", pp)
+    _expect(LagrangianPath, "gamma_reduce_path", path)
     if path.refiner is None:
         samples = tuple(
             zip(

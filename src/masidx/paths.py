@@ -61,6 +61,7 @@ from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
     _as_matrix,
+    _expect,
     _norm2_exceeds,
     _spaces_match,
     _unitary,
@@ -1075,6 +1076,8 @@ def to_unitary_path(path, lam):
     checked, so their pair unitaries are not checked again
     (``UnitaryPath._exact``).
     """
+    _expect(LagrangianPath, "to_unitary_path", path)
+    _expect(LagrangianFrame, "to_unitary_path", lam)
     if path._geodesic is not None:
         h, geodesic = path._geodesic
         return geodesic @ -souriau(lam, h)
@@ -1092,8 +1095,6 @@ def to_unitary_path(path, lam):
 
 def maslov(path, lam, tol=DEFAULT_TOL):
     """Index of a Lagrangian path against a fixed reference Lagrangian."""
-    if not isinstance(path, LagrangianPath):
-        raise ValidationError("expected a LagrangianPath", where="maslov")
-    if not isinstance(lam, LagrangianFrame):
-        raise ValidationError("expected a LagrangianFrame", where="maslov")
+    _expect(LagrangianPath, "maslov", path)
+    _expect(LagrangianFrame, "maslov", lam)
     return unitary_maslov(to_unitary_path(path, lam), tol)

@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     LagrangianFrame,
     _as_matrix,
+    _expect,
     _require_same_space,
     _unitary,
     lagrangian,
@@ -80,6 +81,7 @@ def souriau(lam, mu):
     """
     single = isinstance(mu, LagrangianFrame)
     mus = (mu,) if single else tuple(mu)
+    _expect(LagrangianFrame, "souriau", lam, *mus)
     for m in mus:
         _require_same_space(lam.space, m.space, "souriau")
     W = -_symmetric_unitaries([m._standard for m in mus]) @ np.conj(

@@ -32,20 +32,30 @@ Each family time costs only the shots its pieces read.  It has one
 ``_Shooter``, and its ``_Spectrum`` counts only the pieces of the
 detection grid that a piece of radius r can reach, [-r, EPS_CAP + r],
 and grows when a wider piece reads it; a grid piece resolves on its own,
-so what the cover holds is what the whole window holds there.  The
-count reads the detection grid and nothing past it: Phillips' count
-needs test values near 0 only, so no eigenvalue far from 0 is asked
-about, at the ends of [0, 1] or inside.  Only ``eigenvalues_near`` and
-``eigenvalue_trace`` locate the roots, by ``brentq`` on the brackets.
-The coincidence theorem equates the flow with the index of the
-Cauchy-data path in the doubled space against lambda0 ⊞ lambda1, and
-``verify_coincidence`` computes both sides; the path's node flows and
-frames are each formed in one stacked call.
+so what the cover holds is what the whole window holds there, whatever
+the order in which it grew.  The count reads the detection grid and
+nothing past it: Phillips' count needs test values near 0 only, so no
+eigenvalue far from 0 is asked about, at the ends of [0, 1] or inside.
+The radius reads C_t alone, so most times the count reads are known
+before anything is shot: those of the Weyl partition, [0, 1] halved
+until no piece's radius exceeds ``_REACH``.  Their covers are shot up
+front in one stacked read (``_read``: one ``_flows`` call on a stack of
+generators, and one stacked call of each kind after it), and the count
+then reads them as counted.  numpy and scipy work on a stack slice by
+slice, so every shot, determinant, offset and chord is bitwise the one a
+read at its time alone gives, and the report does not change.
+
+Only ``eigenvalues_near`` and ``eigenvalue_trace`` locate the roots, by
+``brentq`` on the brackets.  The coincidence theorem equates the flow
+with the index of the Cauchy-data path in the doubled space against
+lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides; the
+path's node flows and frames are each formed in one stacked call.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from numbers import Real
 
 import numpy as np
@@ -55,13 +65,14 @@ from .core import (
     _as_matrix,
     _block_diag,
     _dimension,
+    _expect,
     _norm2_exceeds,
     _uncleared,
     box_space,
     lagrangian,
     standard_space,
 )
-from .errors import AmbiguityError, ValidationError
+from .errors import AmbiguityError, MasidxError, ValidationError
 from .paths import (
     _END_CHORD,
     EPS_CAP,
@@ -174,7 +185,9 @@ class BoundaryProblem:
         return (1.0 - w) * self.cs[i - 1] + w * self.cs[i]
 
     def solution(self, t, s):
-        return fundamental_solution(self.B, self.c_at(t), s)
+        """The flow Phi_{t,s}; B and C_t were taken in already, so it is
+        shot by ``_flows`` with no intake of its own."""
+        return _flows(*_generator(self.B, self.c_at(t)), [s])[0]
 
     @cached_property
     def _gap_norms(self):
@@ -182,11 +195,13 @@ class BoundaryProblem:
         stacked call."""
         return np.linalg.norm(np.diff(self.cs, axis=0), 2, axis=(1, 2))
 
-
-def _check_problem(bp, where):
-    """ValidationError at ``where`` unless ``bp`` is a BoundaryProblem."""
-    if not isinstance(bp, BoundaryProblem):
-        raise ValidationError("expected a BoundaryProblem", where=where)
+    @cached_property
+    def _conj1(self):
+        """conj(U1 U1^T), U1 the unitary of lambda1: the right factor of
+        every pair unitary that a shooter of this problem forms."""
+        n = self.N
+        U1 = self.lambda1[:n] + 1j * self.lambda1[n:]
+        return np.conj(U1 @ U1.T)
 
 
 def boundary_problem(N, B, family, lambda0, lambda1, c_func=None):
@@ -286,12 +301,8 @@ class _Shooter:
     """
 
     def __init__(self, bp, t):
+        self._bp = bp
         self._gen, self._jj = _generator(bp.B, bp.c_at(t))
-        self._lambda0 = bp.lambda0
-        self._lambda1 = lambda1 = bp.lambda1
-        self._n = n = bp.N
-        U1 = lambda1[:n] + 1j * lambda1[n:]
-        self._conj1 = np.conj(U1 @ U1.T)
         self._dets = {}
         self._pairs = {}
         self._offsets = {}
@@ -300,47 +311,19 @@ class _Shooter:
     def _shots(self, ss):
         """The frames Phi_s lambda0 for the s in ``ss``, in one stacked
         ``_flows`` call."""
-        return _flows(self._gen, self._jj, ss) @ self._lambda0
+        return _flows(self._gen, self._jj, ss) @ self._bp.lambda0
 
     def read(self, *runs):
         """Read the s in each run of ``runs`` and the pieces between
-        neighbours in it.
-
-        The s not read yet are shot in one stacked ``_flows`` call, in the
-        order given, and get their pair unitaries, offsets and
-        determinants, one call on the stack for each kind; the pieces
-        with no chord yet get theirs from one stacked ``eigvalsh``.  Each
-        value is bitwise the one a single read gives, and for these small
-        matrices a stacked call costs little more than one.
-        """
-        new = [s for ss in runs for s in ss if s not in self._pairs]
-        if new:
-            F = self._shots(new)
-            n = self._n
-            ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
-            W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2)
-            W = W @ self._conj1
-            self._pairs.update(zip(new, W))
-            self._offsets.update(zip(new, np.angle(-np.linalg.eigvals(W))))
-            self._dets.update(zip(new, self._stacked_dets(F)))
-        pieces = [
-            p for ss in runs for p in zip(ss, ss[1:]) if p not in self._chords
-        ]
-        if pieces:
-            D = np.array([self._pairs[b] - self._pairs[a] for a, b in pieces])
-            DD = np.swapaxes(D.conj(), 1, 2) @ D
-            self._chords.update(
-                zip(pieces, np.sqrt(np.linalg.eigvalsh(DD)[:, -1]))
-            )
-
-    def _stacked_dets(self, F):
-        """det[F_k, lambda1] for a stack of frames F_k, as floats."""
-        L = np.broadcast_to(self._lambda1, F.shape)
-        return np.linalg.det(np.concatenate([F, L], axis=2)).tolist()
+        neighbours in it: the one-shooter case of ``_read``, the one
+        route of every read, so a time that the flow count read ahead
+        in a stack with other times holds the values this read gives,
+        bitwise."""
+        _read([(self, runs)])
 
     def det(self, s):
         if s not in self._dets:
-            self._dets[s] = self._stacked_dets(self._shots([s]))[0]
+            self._dets[s] = _dets(self._shots([s]), self._bp.lambda1)[0]
         return self._dets[s]
 
     def offsets(self, s):
@@ -363,6 +346,66 @@ class _Shooter:
         if c > _END_CHORD:
             return np.inf
         return 2.0 * np.arcsin(c / 2.0)
+
+
+def _dets(F, lambda1):
+    """det[F_k, lambda1] for a stack of frames F_k, as floats."""
+    L = np.broadcast_to(lambda1, F.shape)
+    return np.linalg.det(np.concatenate([F, L], axis=2)).tolist()
+
+
+def _slices(sizes):
+    """Consecutive slices of the given sizes."""
+    return [slice(end - k, end) for k, end in zip(sizes, accumulate(sizes))]
+
+
+def _read(reads):
+    """Read, for each (shooter, runs) of ``reads``, the s in each run and
+    the pieces between neighbours in it; the shooters are of one problem
+    and may be at different family times.
+
+    The s that its shooter has not read yet are shot, for all shooters,
+    in one stacked ``_flows`` call, each with its own time's generator,
+    in the order given; they get their pair unitaries, offsets and
+    determinants, one call on the whole stack for each kind.  The pieces
+    with no chord yet get theirs from one stacked ``eigvalsh``.  numpy
+    and scipy work on a stack slice by slice, so each value is bitwise the
+    one a read of its shooter alone gives, and for these small matrices a
+    stacked call costs little more than one.
+    """
+    news = [
+        [s for ss in runs for s in ss if s not in shoot._pairs]
+        for shoot, runs in reads
+    ]
+    sizes = [len(new) for new in news]
+    if any(sizes):
+        bp = reads[0][0]._bp
+        n = bp.N
+        gens = np.repeat([shoot._gen for shoot, _ in reads], sizes, axis=0)
+        F = _flows(gens, _jj(n), [s for new in news for s in new]) @ bp.lambda0
+        ZT = np.swapaxes(F[:, :n] + 1j * F[:, n:], 1, 2)
+        W = -np.swapaxes(np.linalg.solve(ZT.conj(), ZT), 1, 2) @ bp._conj1
+        offsets = np.angle(-np.linalg.eigvals(W))
+        dets = _dets(F, bp.lambda1)
+        for (shoot, _), new, k in zip(reads, news, _slices(sizes)):
+            shoot._pairs.update(zip(new, W[k]))
+            shoot._offsets.update(zip(new, offsets[k]))
+            shoot._dets.update(zip(new, dets[k]))
+    pieces = [
+        [p for ss in runs for p in zip(ss, ss[1:]) if p not in shoot._chords]
+        for shoot, runs in reads
+    ]
+    sizes = [len(todo) for todo in pieces]
+    if any(sizes):
+        D = np.array([
+            shoot._pairs[b] - shoot._pairs[a]
+            for (shoot, _), todo in zip(reads, pieces)
+            for a, b in todo
+        ])
+        DD = np.swapaxes(D.conj(), 1, 2) @ D
+        chords = np.sqrt(np.linalg.eigvalsh(DD)[:, -1])
+        for (shoot, _), todo, k in zip(reads, pieces, _slices(sizes)):
+            shoot._chords.update(zip(todo, chords[k]))
 
 
 def _count_roots(shoot, ss, tol, brackets, points):
@@ -460,21 +503,29 @@ class _Spectrum:
 
     def _cover(self, lo, hi):
         """Count the grid pieces that meet [lo, hi] and are not counted
-        yet, with those between them and the cover; the first read grows
-        an empty cover at its own first piece."""
+        yet (``_cover``)."""
+        _cover([(self, lo, hi)])
+
+    def _grow(self, lo, hi):
+        """The runs (left, right) of grid points that grow the cover to
+        the pieces that meet [lo, hi], with those between them and the
+        cover, or None when it holds them all; the first read grows an
+        empty cover at its own first piece.  The grown cover is kept:
+        ``_count`` must count the runs."""
         g = self._grid
         # pieces i..j-1, piece k = [g[k], g[k + 1]]
         i = max(bisect_left(g, lo) - 1, 0)
         j = min(bisect_right(g, hi), len(g) - 1)
         a, b = self._span or (i, i)
         if i >= j or a <= i and j <= b:
-            return
+            return None
         i, j = min(i, a), max(j, b)
         self._span = (i, j)
-        left, right = g[i:a + 1], g[b:j + 1]
-        # a one-point run has no piece, and its point is read already or
-        # starts the other run
-        self._shoot.read(*(ss for ss in (left, right) if len(ss) > 1))
+        return g[i:a + 1], g[b:j + 1]
+
+    def _count(self, left, right):
+        """Count the runs that ``_grow`` returned, on either side of what
+        the cover held."""
         brackets, points = [], []
         _count_roots(self._shoot, left, self._tol, brackets, points)
         brackets += self.brackets
@@ -557,6 +608,23 @@ class _Spectrum:
         return np.sort(np.array(roots + self.points, dtype=float))
 
 
+def _cover(reads):
+    """Grow the cover of each (spectrum, lo, hi) of ``reads``, spectra of
+    one problem, to the grid pieces that meet [lo, hi], and count the
+    pieces it gains.  The grid points of every spectrum's new runs are
+    shot in one stacked read (``_read``) before any is counted."""
+    grown = [(spec, spec._grow(lo, hi)) for spec, lo, hi in reads]
+    grown = [(spec, runs) for spec, runs in grown if runs is not None]
+    # a one-point run has no piece, and its point is read already or
+    # starts the other run
+    _read([
+        (spec._shoot, [ss for ss in runs if len(ss) > 1])
+        for spec, runs in grown
+    ])
+    for spec, runs in grown:
+        spec._count(*runs)
+
+
 def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     """Eigenvalues in (lo, hi] at family time t, with multiplicity.
 
@@ -572,7 +640,7 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     would hold more than ``paths.MAX_SAMPLES`` points, and unless t is a
     number in [0, 1], and unless ``bp`` is a BoundaryProblem.
     """
-    _check_problem(bp, "eigenvalues_near")
+    _expect(BoundaryProblem, "eigenvalues_near", bp)
     if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
         raise ValidationError("t must be a number in [0, 1]",
                               where="eigenvalues_near")
@@ -615,6 +683,28 @@ def _radius(bp, t0, t1):
     return float(np.linalg.norm(shifts, 2, axis=(1, 2)).max())
 
 
+def _read_ahead(spec, radius, split, snap):
+    """Cover, in one stacked read (``_cover``), the spectrum ``spec(t)``
+    at every time t of the Weyl partition: [0, 1] halved by ``split``
+    until ``radius`` is at most ``_REACH`` on every piece, as the flow
+    count halves it before any test value is sought.  Each time's cover
+    is [-R, EPS_CAP + R], R the larger radius of its two pieces, at least
+    ``snap``: what those pieces read of it.
+    """
+    ts = [0.0, 1.0]
+    i = 0
+    while i < len(ts) - 1:
+        if radius(ts[i], ts[i + 1]) > _REACH:
+            split(ts, i)
+        else:
+            i += 1
+    reach = [snap, *(max(radius(*p), snap) for p in zip(ts, ts[1:])), snap]
+    _cover([
+        (spec(t), -R, EPS_CAP + R)
+        for t, R in zip(ts, map(max, reach, reach[1:]))
+    ])
+
+
 def spectral_flow(bp, tol=DEFAULT_TOL):
     """Net count of eigenvalues crossing 0 as t sweeps [0, 1].
 
@@ -633,25 +723,46 @@ def spectral_flow(bp, tol=DEFAULT_TOL):
     reach, [-R, EPS_CAP + R] with R = max(r, snap) for the largest radius
     r among them, and grows when a wider piece reads it.  No s outside the
     detection grid is shot.
+
+    The radius reads only C_t, and the count halves every piece whose
+    radius exceeds ``_REACH`` before it looks for a test value, so the
+    times of that Weyl partition are known before anything is shot: they
+    are covered in one stacked read first (``_read_ahead``), and the
+    count then reads their spectra as counted, growing a cover or
+    shooting a new time only where a test value needs it.  A spectrum's
+    counts inside its cover do not depend on the order in which it grew,
+    and every stacked value is bitwise the one a single read gives, so
+    the report is the one the count gives on its own.  Each piece's
+    radius is computed once.  A read ahead that fails is dropped: the
+    count meets the failure in its own order.
     """
-    _check_problem(bp, "spectral_flow")
+    _expect(BoundaryProblem, "spectral_flow", bp)
     grid = _grid(_DETECT_LO, _DETECT_HI)
     spectra = {}
+    radii = {}
 
     def spec(t):
         if t not in spectra:
             spectra[t] = _Spectrum(_Shooter(bp, t), grid, tol)
         return spectra[t]
 
+    def radius(t0, t1):
+        if (t0, t1) not in radii:
+            radii[t0, t1] = _radius(bp, t0, t1)
+        return radii[t0, t1]
+
     def split(ts, i):
         if not _halve(ts, i, _FLOW_MIN_PIECE, _FLOW_MAX_SAMPLES + 1):
             raise AmbiguityError("no admissible test value (tangential "
                                  "crossing?)", where="spectral_flow")
 
+    try:
+        _read_ahead(spec, radius, split, tol.flow_snap)
+    except MasidxError:
+        spectra.clear()
     ts = [0.0, 1.0]
     total, epsilons, _ = _phillips(
-        ts, spec, lambda t0, t1: _radius(bp, t0, t1), _REACH, split,
-        tol.flow_snap, tol,
+        ts, spec, radius, _REACH, split, tol.flow_snap, tol
     )
     return SpectralFlowReport(
         value=int(total),
@@ -663,7 +774,7 @@ def spectral_flow(bp, tol=DEFAULT_TOL):
 
 def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
     """Per-family-sample eigenvalue lists inside (-window, window]."""
-    _check_problem(bp, "eigenvalue_trace")
+    _expect(BoundaryProblem, "eigenvalue_trace", bp)
     return tuple(
         (float(t), tuple(eigenvalues_near(bp, float(t), -window, window, tol)))
         for t in bp.ts
@@ -692,7 +803,7 @@ def cauchy_data_path(bp):
     stack; each is bitwise the one formed node by node.  The refiner
     forms the times that the count inserts one at a time.
     """
-    _check_problem(bp, "cauchy_data_path")
+    _expect(BoundaryProblem, "cauchy_data_path", bp)
     bs = _doubled(bp.N)
     eye = np.eye(2 * bp.N)
 
@@ -716,7 +827,7 @@ def cauchy_data_path(bp):
 
 def verify_coincidence(bp, tol=DEFAULT_TOL):
     """Both sides of the coincidence theorem: {sf, mas, equal}."""
-    _check_problem(bp, "verify_coincidence")
+    _expect(BoundaryProblem, "verify_coincidence", bp)
     sf = spectral_flow(bp, tol=tol)
     path, boundary = cauchy_data_path(bp)
     mas = maslov(path, boundary, tol)

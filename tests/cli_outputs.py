@@ -10,8 +10,13 @@ problem: seed, workload, problem id, exit code and the JSON-quoted
 stdout.  A problem whose command emits a trace runs a second time with
 ``--trace`` and prints a second line: seed, workload, problem id,
 ``trace``, exit code, the JSON-quoted stdout and the JSON-quoted CSV
-(``null`` when none is written).  An exception that escapes ``cli.run``
-prints as exit code ``raised`` followed by its type.  TREE defaults to
+(``null`` when none is written).  A ``spectral-flow`` or
+``verify-coincidence`` problem prints one more line: seed, workload,
+problem id, ``report``, the flow value and the JSON of the partition and
+test values of that tree's ``spectral_flow`` report, which the CLI does
+not print (or ``raised``, the error's type and its JSON-quoted reason).
+An exception that escapes ``cli.run`` prints as exit code ``raised``
+followed by its type.  TREE defaults to
 the checkout that holds this script; point it at a second checkout (made
 with ``git clone`` or ``git archive``) to print that tree's outputs, then
 compare::
@@ -34,6 +39,7 @@ import sys
 import tempfile
 
 DEFAULT_ROOT = pathlib.Path(__file__).resolve().parent.parent
+FLOW_COMMANDS = ("spectral-flow", "verify-coincidence")
 
 
 def _run(cli, argv):
@@ -45,6 +51,25 @@ def _run(cli, argv):
     except Exception as exc:
         code = f"raised {type(exc).__name__}"
     return code, json.dumps(buf.getvalue())
+
+
+def _flow_report(cli, argv):
+    """Value and JSON-quoted partition and test values of the
+    ``spectral_flow`` report of a flow problem, read with the CLI's own
+    input reader and tolerance profile."""
+    from masidx import DEFAULT_TOL, MasidxError, spectral_flow
+
+    args = cli._parser().parse_args(argv)
+    tol = DEFAULT_TOL.scaled(cli._PROFILES[args.tolerance_profile])
+    try:
+        bp = cli._boundary_problem(cli._load_input(args.input))
+        rep = spectral_flow(bp, tol=tol)
+    except MasidxError as exc:
+        return f"raised {type(exc).__name__}", json.dumps(exc.reason)
+    return rep.value, json.dumps({
+        "partition": rep.partition.tolist(),
+        "epsilons": rep.epsilons.tolist(),
+    })
 
 
 def main(argv=None):
@@ -71,6 +96,9 @@ def main(argv=None):
                             *problem["args"]]
                     print(seed, workload, problem["id"], *_run(cli, argv),
                           flush=True)
+                    if problem["command"] in FLOW_COMMANDS:
+                        print(seed, workload, problem["id"], "report",
+                              *_flow_report(cli, argv), flush=True)
                     if cli._HANDLERS[problem["command"]][1] is None:
                         continue
                     run_out = _run(cli, [*argv, "--trace", trace])

@@ -7,8 +7,8 @@ entry, ragged nesting, string entries, a complex entry where real ones
 are due, a wrong shape or ndim, or (for a frame) a rank-deficient one.
 The call must raise a ``MasidxError`` with a non-empty ``where``: never
 numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.  An
-entry point handed an array where it takes a problem or a path names
-what it expected.
+entry point handed an array where it takes a problem, a path or a frame
+names what it expected.
 """
 
 import numpy as np
@@ -24,19 +24,31 @@ from masidx import (
     complex_kashiwara,
     compatible_structure,
     complexify_vectors,
+    crossing_form,
     eigenvalue_trace,
     eigenvalues_near,
+    find_crossings,
     fundamental_solution,
+    gamma_reduce,
+    gamma_reduce_path,
     haar_unitary,
+    hormander,
     horizontal_frame,
+    intersection_dim,
+    kashiwara,
     lagrangian,
     lagrangian_from_souriau,
+    lagrangian_path,
     leray_general,
+    maslov,
     minus_one_offsets,
+    pair_maslov,
     polarized_pair,
     realify,
+    souriau,
     spectral_flow,
     standard_space,
+    to_unitary_path,
     unitary_maslov,
     unitary_path,
     unitary_path_from_function,
@@ -188,7 +200,10 @@ def test_a_malformed_matrix_argument_is_a_typed_error(case):
     assert info.value.where, (name, k, kind)
 
 
-# where: the call on an array in place of its problem or path, and the
+PATH2 = lagrangian_path([(0.0, H2), (1.0, V2)])
+PP2 = polarized_pair(V2, HF2, V2, HF2, np.array([1.0, 2.0]))
+# name (the where, then the argument when more than one can be wrong):
+# the call on an array in place of its problem, path or frame, and the
 # reason it raises
 WRONG_TYPE = {
     "spectral_flow": (spectral_flow, "expected a BoundaryProblem"),
@@ -200,6 +215,46 @@ WRONG_TYPE = {
     "eigenvalue_trace": (eigenvalue_trace, "expected a BoundaryProblem"),
     "cauchy_data_path": (cauchy_data_path, "expected a BoundaryProblem"),
     "unitary_maslov": (unitary_maslov, "expected a unitary path"),
+    "maslov path": (lambda x: maslov(x, H2), "expected a LagrangianPath"),
+    "maslov lam": (lambda x: maslov(PATH2, x), "expected a LagrangianFrame"),
+    "kashiwara": (
+        lambda x: kashiwara(H2, V2, x), "expected a LagrangianFrame"
+    ),
+    "souriau": (lambda x: souriau(H2, x), "expected a LagrangianFrame"),
+    "hormander": (
+        lambda x: hormander(H2, V2, x, H2), "expected a LagrangianFrame"
+    ),
+    "intersection_dim": (
+        lambda x: intersection_dim(x, H2), "expected a LagrangianFrame"
+    ),
+    "find_crossings path": (
+        lambda x: find_crossings(x, H2), "expected a LagrangianPath"
+    ),
+    "find_crossings lam": (
+        lambda x: find_crossings(PATH2, x), "expected a LagrangianFrame"
+    ),
+    "crossing_form": (
+        lambda x: crossing_form(x, H2, 0.5), "expected a LagrangianPath"
+    ),
+    "pair_maslov": (
+        lambda x: pair_maslov(PATH2, x), "expected a LagrangianPath"
+    ),
+    "to_unitary_path": (
+        lambda x: to_unitary_path(PATH2, x), "expected a LagrangianFrame"
+    ),
+    "gamma_reduce": (
+        lambda x: gamma_reduce(PP2, x), "expected a LagrangianFrame"
+    ),
+    "gamma_reduce pp": (
+        lambda x: gamma_reduce(x, H2), "expected a PolarizedPair"
+    ),
+    "gamma_reduce_path": (
+        lambda x: gamma_reduce_path(PP2, x), "expected a LagrangianPath"
+    ),
+    "polarized_pair": (
+        lambda x: polarized_pair(V2, HF2, x, HF2, np.array([1.0, 2.0])),
+        "expected a LagrangianFrame",
+    ),
 }
 
 
@@ -208,4 +263,6 @@ def test_an_array_in_place_of_a_problem_or_path_is_a_validation_error(where):
     call, reason = WRONG_TYPE[where]
     with pytest.raises(ValidationError) as info:
         call(I2)
-    assert (info.value.reason, info.value.where) == (reason, where)
+    assert (info.value.reason, info.value.where) == (
+        reason, where.split()[0]
+    )

@@ -289,10 +289,22 @@ def _single_reads(bp, t, ss):
     return frames, dets, offsets, chords
 
 
-def test_stacked_reads_are_single_reads_bitwise(rng):
-    """``_Shooter.read`` shoots a grid in one stacked call; every frame of
-    the stack, determinant, offset and piece chord equals the one formed
-    alone."""
+def _assert_single_reads(shoot, bp, t, ss):
+    """Every value that ``shoot`` read on ``ss`` is the one formed alone."""
+    frames, dets, offsets, chords = _single_reads(bp, t, ss)
+    np.testing.assert_array_equal(shoot._shots(ss), frames)
+    for k, s in enumerate(ss):
+        assert shoot.det(s) == dets[k]
+        np.testing.assert_array_equal(shoot.offsets(s), offsets[k])
+    for k, piece in enumerate(zip(ss, ss[1:])):
+        assert shoot._chords[piece] == chords[k]
+
+
+def test_stacked_reads_are_single_reads_bitwise(rng, monkeypatch):
+    """``_Shooter.read`` shoots a grid in one stacked call, and ``_read``
+    the grids of several family times in one, each time a run of its own
+    length; every frame of the stack, determinant, offset and piece chord
+    equals the one formed alone."""
     problems = [
         rotation_problem(),
         random_boundary_family(2, rng, samples=20),
@@ -300,17 +312,28 @@ def test_stacked_reads_are_single_reads_bitwise(rng):
         ladder_problem((0.1, 0.2, 0.3, 1.2), (1.0, -2.0, 0.5, 3.0)),
     ]
     ss = np.linspace(-0.55, 1.55, 10).tolist()
+    times = (0.0, 0.3, 1.0)
+    runs = (ss, ss[2:7], ss[::3])
+    stacks = []
+    flows = spectral._flows
+
+    def counted(gen, jj, ss):
+        stacks.append(len(ss))
+        return flows(gen, jj, ss)
+
     for bp in problems:
-        for t in (0.0, 0.3, 1.0):
+        for t in times:
             shoot = spectral._Shooter(bp, t)
             shoot.read(ss)
-            frames, dets, offsets, chords = _single_reads(bp, t, ss)
-            np.testing.assert_array_equal(shoot._shots(ss), frames)
-            for k, s in enumerate(ss):
-                assert shoot.det(s) == dets[k]
-                np.testing.assert_array_equal(shoot.offsets(s), offsets[k])
-            for k, piece in enumerate(zip(ss, ss[1:])):
-                assert shoot._chords[piece] == chords[k]
+            _assert_single_reads(shoot, bp, t, ss)
+        shooters = [spectral._Shooter(bp, t) for t in times]
+        monkeypatch.setattr(spectral, "_flows", counted)
+        spectral._read([(shoot, (run,)) for shoot, run in zip(shooters, runs)])
+        monkeypatch.setattr(spectral, "_flows", flows)
+        assert stacks.pop() == sum(map(len, runs)) and not stacks
+        for shoot, t, run in zip(shooters, times, runs):
+            assert sorted(shoot._pairs) == sorted(run)
+            _assert_single_reads(shoot, bp, t, run)
 
 
 def test_a_non_symplectic_family_fails_a_stacked_shot(monkeypatch):
@@ -919,6 +942,108 @@ def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
     assert norms == [2]
     spectral._radius(sampled, ts[1], ts[3])
     assert norms == [2, 2]
+
+
+def test_the_read_ahead_leaves_the_report_bitwise_alone(monkeypatch):
+    """The flow count reads the times of the Weyl partition ahead, in one
+    stacked read (``_read_ahead``).  Without it, each time read when the
+    count reaches it, the report is bitwise the same, value, partition
+    and epsilons, on sampled families with B != 0, ``c_func`` families
+    and ladders; the read ahead takes fewer ``_flows`` calls.  A read
+    ahead that fails is dropped, what it covered with it: the report is
+    still the same."""
+    rng = np.random.default_rng(20261021)
+    problems = [rotation_problem()]
+    for N in (1, 2, 3):
+        problems += [
+            _piecewise_linear_family(N, 5, rng),
+            random_boundary_family(N, rng, samples=12, c_bound=4.0),
+            ladder_problem(rng.uniform(-1.6, 1.6, N),
+                           rng.uniform(-3.5, 3.5, N)),
+        ]
+    calls = []
+    flows = spectral._flows
+
+    def counted(gen, jj, ss):
+        calls.append(len(ss))
+        return flows(gen, jj, ss)
+
+    monkeypatch.setattr(spectral, "_flows", counted)
+    ahead = [spectral_flow(bp) for bp in problems]
+    stacked = len(calls)
+    calls.clear()
+    read_ahead = spectral._read_ahead
+
+    def failing(*args):
+        read_ahead(*args)
+        raise AmbiguityError("failed after its read", where="spectral_flow")
+
+    for replaced in (lambda *args: None, failing):
+        monkeypatch.setattr(spectral, "_read_ahead", replaced)
+        for bp, want in zip(problems, ahead):
+            got = spectral_flow(bp)
+            assert got.value == want.value
+            assert got.partition.tobytes() == want.partition.tobytes()
+            assert got.epsilons.tobytes() == want.epsilons.tobytes()
+        assert stacked < len(calls)
+        calls.clear()
+    assert any(rep.value != 0 for rep in ahead)
+    assert any(np.any(bp.B) for bp in problems)
+
+
+def test_a_read_ahead_that_fails_leaves_the_counts_own_error():
+    """The read ahead halves all of [0, 1] before it shoots, so it reads
+    a C_t that the count reaches only after it has shot t = 0.  The count
+    raises what it meets first: the flows at t = 0 are not symplectic (a
+    skew C_0 from ``c_func``), before C_0.75, which is not finite, is
+    read."""
+    lam = np.array([[1.0], [0.0]])
+    z = np.zeros((2, 2))
+    skew = 0.1 * spectral._jj(1)
+
+    def c_func(t):
+        if t == 0.75:
+            return np.full((2, 2), np.nan)
+        return skew if t == 0.0 else 3.0 * t * np.eye(2)
+
+    bp = boundary_problem(
+        1, z, [(0.0, z), (1.0, 3.0 * np.eye(2))], lam, lam, c_func=c_func
+    )
+    with pytest.raises(ValidationError) as info:
+        spectral._radius(bp, 0.5, 0.75)
+    assert info.value.reason == "C_t at t=0.75 not finite"
+    with pytest.raises(ValidationError) as info:
+        spectral_flow(bp)
+    assert info.value.reason == "flow not symplectic (check B, C)"
+    assert info.value.where == "fundamental_solution"
+
+
+def test_one_stack_shoots_every_time_of_the_weyl_partition(monkeypatch):
+    """On the rotation family C_t = (t - 1/2) pi I the radius of a piece
+    is pi times its width, so the Weyl partition halves [0, 1] down to
+    eighths, and the count needs no other time.  The first ``_flows``
+    call holds the generators of all nine times; after it only the two
+    determinant signs that place a bracket's root are shot, one s each.
+    No shot lies outside the detection grid."""
+    calls = []
+    flows = spectral._flows
+
+    def counted(gen, jj, ss):
+        gens = np.broadcast_to(gen, (len(ss), *np.shape(gen)[-2:]))
+        calls.append(({g.tobytes() for g in gens}, list(ss)))
+        return flows(gen, jj, ss)
+
+    monkeypatch.setattr(spectral, "_flows", counted)
+    bp = rotation_problem()
+    rep = spectral_flow(bp)
+    weyl = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(rep.partition, weyl)
+    assert calls[0][0] == {
+        spectral._generator(bp.B, bp.c_at(t))[0].tobytes() for t in weyl
+    }
+    assert [len(ss) for _, ss in calls[1:]] == [1, 1]
+    shot = [s for _, ss in calls for s in ss]
+    assert all(spectral._DETECT_LO <= s <= spectral._DETECT_HI for s in shot)
 
 
 def test_a_window_shot_that_fails_at_an_end_is_the_windows_error():
