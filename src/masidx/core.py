@@ -37,7 +37,7 @@ projections compute no index: they are test oracles.
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -349,11 +349,21 @@ def _spaces_match(a, b):
 
 def _expect(kind, where, *objs):
     """ValidationError "expected a <kind>" at ``where`` unless each of
-    ``objs`` is a ``kind``: the type check of every argument due as a
-    frame, a path or a problem, run before any attribute of it is read."""
+    ``objs`` is a ``kind``, a class or a tuple of classes (named "<A> or
+    <B>"): the type check of every argument due as a frame, a path, a
+    problem or a number, run before any attribute of it is read."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     for obj in objs:
-        if not isinstance(obj, kind):
-            raise ValidationError(f"expected a {kind.__name__}", where=where)
+        if not isinstance(obj, kinds):
+            name = " or ".join(k.__name__ for k in kinds)
+            raise ValidationError(f"expected a {name}", where=where)
+
+
+def _expect_time(t, where):
+    """ValidationError "t must be a number in [0, 1]" at ``where`` unless
+    t is one: the check of every single family or path time argument."""
+    if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
+        raise ValidationError("t must be a number in [0, 1]", where=where)
 
 
 def _require_same_space(a, b, where):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, LagrangianFrame, _expect
+from .core import DEFAULT_TOL, LagrangianFrame, _expect, _expect_time
 from .errors import AmbiguityError, PreconditionError
 from .paths import (
     EPS_CAP,
@@ -310,10 +310,11 @@ def crossing_form(path, lam, t_star, tol=DEFAULT_TOL):
     Returns a Crossing carrying the kernel basis (columns, original
     coordinates), the symmetric form on that basis, its signature (p, q)
     counted outside the relative regularity threshold, and the regularity
-    flag.
+    flag.  ValidationError unless t_star is a number in [0, 1].
     """
     _expect(LagrangianPath, "crossing_form", path)
     _expect(LagrangianFrame, "crossing_form", lam)
+    _expect_time(t_star, "crossing_form")
     if path.refiner is None:
         raise AmbiguityError(
             "crossing form requires a refiner", where="crossing_form"

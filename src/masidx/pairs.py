@@ -91,6 +91,7 @@ _MIN_STEP = 1e-12
 
 def box(mu, lam):
     """mu ⊞ lam in the box space of their common base. Returns (BoxSpace, frame)."""
+    _expect(LagrangianFrame, "box", mu, lam)
     _require_same_space(mu.space, lam.space, "box")
     bs = box_space(mu.space)
     return bs, box_frame(bs, mu, lam)
@@ -167,6 +168,8 @@ def embed_path(path, ell0, ell1):
     The index against ell0 (+) ell1 equals the index of the original path
     against ell0 (``embed_reference`` builds that frame).
     """
+    _expect(LagrangianPath, "embed_path", path)
+    _expect(LagrangianFrame, "embed_path", ell0, ell1)
     space0 = path.space
     _require_same_space(ell0.space, space0, "embed_path")
     space1 = ell1.space
@@ -187,6 +190,7 @@ def embed_path(path, ell0, ell1):
 
 def embed_reference(ell0, ell1):
     """ell0 (+) ell1 in the direct sum, to pair with embed_path output."""
+    _expect(LagrangianFrame, "embed_reference", ell0, ell1)
     big = direct_sum_space(ell0.space, ell1.space)
     return direct_sum_frame(big, ell0, ell1)
 

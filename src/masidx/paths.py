@@ -61,6 +61,7 @@ from .core import (
     DEFAULT_TOL,
     LagrangianFrame,
     _as_matrix,
+    _dimension,
     _expect,
     _norm2_exceeds,
     _spaces_match,
@@ -257,22 +258,33 @@ def lagrangian_path(samples, refiner=None):
     return LagrangianPath(samples=tuple(samples), refiner=refiner)
 
 
-def _sampled(f, num):
+def _sampled(f, num, where):
+    """(t, f(t)) at ``num`` even times on [0, 1]; ValidationError unless
+    ``num`` is an integer (``core._dimension``)."""
+    num = _dimension(num, "num", where)
     return [(float(t), f(float(t))) for t in np.linspace(0.0, 1.0, num)]
 
 
 def unitary_path_from_function(f, num=17):
-    return unitary_path(_sampled(f, num), refiner=f)
+    return unitary_path(
+        _sampled(f, num, "unitary_path_from_function"), refiner=f
+    )
 
 
 def lagrangian_path_from_function(f, num=17):
-    return lagrangian_path(_sampled(f, num), refiner=f)
+    return lagrangian_path(
+        _sampled(f, num, "lagrangian_path_from_function"), refiner=f
+    )
 
 
 def _gap(a, b):
-    """Difference of two samples whose spectral norm is their distance."""
+    """Difference of two samples whose spectral norm is their distance;
+    ValidationError "size mismatch" at ``catenate`` when their sizes
+    differ."""
     if isinstance(a, LagrangianFrame):
-        return a.P - b.P
+        a, b = a.P, b.P
+    if np.shape(a) != np.shape(b):
+        raise ValidationError("size mismatch", where="catenate")
     return np.asarray(a) - np.asarray(b)
 
 
@@ -280,6 +292,8 @@ def catenate(first, second):
     """Concatenate two paths of the same kind; junction must match.  Two
     ``GeodesicPath``s join piece by piece into one, whose ``jumps`` add
     the determinant phase of the junction's mismatch."""
+    _expect((UnitaryPath, LagrangianPath, GeodesicPath), "catenate",
+            first, second)
     if type(first) is not type(second):
         raise ValidationError("cannot catenate different path kinds", "catenate")
     end = first.samples[-1][1]
@@ -310,6 +324,7 @@ def catenate(first, second):
 def reverse(path):
     """The path run backwards, t -> path(1 - t); a ``GeodesicPath`` stays
     one, each piece reversed."""
+    _expect((UnitaryPath, LagrangianPath, GeodesicPath), "reverse", path)
     if isinstance(path, GeodesicPath):
         return GeodesicPath(
             times=1.0 - path.times[::-1],
@@ -772,14 +787,13 @@ def _free_value(values, r, tol):
     return values.test_value(r, tol)
 
 
-def _count_on_arc(values, eps, snap, r):
+def _count_on_arc(values, eps, snap):
     """Number of ``values`` in the closed test arc [0, eps], up to ``snap``;
-    a spectrum held as brackets counts itself, read by a piece of radius
-    r."""
+    a spectrum held as brackets counts itself."""
     lo, hi = -snap, eps + snap
     if isinstance(values, np.ndarray):
         return len([a for a in values.tolist() if lo <= a <= hi])
-    return values.count(lo, hi, r)
+    return values.count(lo, hi)
 
 
 def _phillips(ts, spec, radius, reach, split, snap, tol):
@@ -809,8 +823,8 @@ def _phillips(ts, spec, radius, reach, split, snap, tol):
         if eps is None:
             split(ts, i)
             continue
-        k = (_count_on_arc(spec(t0), eps, snap, r),
-             _count_on_arc(spec(t1), eps, snap, r))
+        k = (_count_on_arc(spec(t0), eps, snap),
+             _count_on_arc(spec(t1), eps, snap))
         epsilons.append(eps)
         k_counts.append(k)
         total += k[1] - k[0]
@@ -827,6 +841,18 @@ def _halve(ts, i, shortest, most):
         return False
     ts.insert(i + 1, 0.5 * (t0 + t1))
     return True
+
+
+def _halve_to_reach(ts, radius, reach, split):
+    """Halve the partition ``ts`` in place, by the count's own split(ts,
+    i), until radius(t0, t1) is at most ``reach`` on every piece: the
+    pieces Phillips' count starts from, known before any value is read."""
+    i = 0
+    while i < len(ts) - 1:
+        if radius(ts[i], ts[i + 1]) > reach:
+            split(ts, i)
+        else:
+            i += 1
 
 
 class _Formed(dict):
@@ -904,21 +930,16 @@ class _Reads:
         sum_k sum angle(eig(U_k^H U_k+1)) over its pieces [t_k, t_k+1] of
         ``ts``.  On a piece of radius r <= ``reach`` < pi every eigenvalue
         of U_t0^H U_t stays within r of 1, so its principal angles are
-        the continuous ones; a piece of larger radius goes first to
-        split(ts, i), the count's own rule, so the count later starts from
-        the pieces read here.  The pieces are read in one stacked
-        ``eigvals``."""
+        the continuous ones; ``ts`` is first halved to ``reach`` by the
+        count's own split (``_halve_to_reach``), so the count later
+        starts from the pieces read here.  The pieces are read in one
+        stacked ``eigvals``."""
         path = self._path
         if self._exact:
             return path.phase
         if path._phase is not None or self._radius is None:
             return path._phase
-        i = 0
-        while i < len(ts) - 1:
-            if self._radius(ts[i], ts[i + 1]) > reach:
-                split(ts, i)
-            else:
-                i += 1
+        _halve_to_reach(ts, self._radius, reach, split)
         us = np.stack([self.mats[t] for t in ts])
         steps = us[:-1].conj().swapaxes(1, 2) @ us[1:]
         return float(np.angle(np.linalg.eigvals(steps)).sum())

@@ -28,22 +28,18 @@ the brackets at its start block all the spectrum the piece can reach,
 and no eigenvalue is matched across samples.  On a sampled family that
 radius is read off the slope of the node gap that holds the piece.
 
-Each family time costs only the shots its pieces read.  It has one
-``_Shooter``, and its ``_Spectrum`` counts only the pieces of the
-detection grid that a piece of radius r can reach, [-r, EPS_CAP + r],
-and grows when a wider piece reads it; a grid piece resolves on its own,
-so what the cover holds is what the whole window holds there, whatever
-the order in which it grew.  The count reads the detection grid and
-nothing past it: Phillips' count needs test values near 0 only, so no
-eigenvalue far from 0 is asked about, at the ends of [0, 1] or inside.
-The radius reads C_t alone, so most times the count reads are known
-before anything is shot: those of the Weyl partition, [0, 1] halved
-until no piece's radius exceeds ``_REACH``.  Their covers are shot up
-front in one stacked read (``_read``: one ``_flows`` call on a stack of
-generators, and one stacked call of each kind after it), and the count
-then reads them as counted.  numpy and scipy work on a stack slice by
-slice, so every shot, determinant, offset and chord is bitwise the one a
-read at its time alone gives, and the report does not change.
+Each family time has one ``_Shooter`` and one ``_Spectrum``, counted
+once, when it is built, on the whole detection grid and nothing past it:
+Phillips' count needs test values near 0 only, so no eigenvalue far from
+0 is asked about, at the ends of [0, 1] or inside.  The radius reads C_t
+alone, so most times the count reads are known before anything is shot:
+those of the Weyl partition, [0, 1] halved until no piece's radius
+exceeds ``_REACH``.  Their grids are shot up front in one stacked read
+(``_read``: one ``_flows`` call on a stack of generators, and one
+stacked call of each kind after it), and their spectra are then counted
+from those shots.  numpy and scipy work on a stack slice by slice, so
+every shot, determinant, offset and chord is bitwise the one a read at
+its time alone gives, and the report does not change.
 
 Only ``eigenvalues_near`` and ``eigenvalue_trace`` locate the roots, by
 ``brentq`` on the brackets.  The coincidence theorem equates the flow
@@ -52,7 +48,6 @@ lambda0 ⊞ lambda1, and ``verify_coincidence`` computes both sides; the
 path's node flows and frames are each formed in one stacked call.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -66,6 +61,7 @@ from .core import (
     _block_diag,
     _dimension,
     _expect,
+    _expect_time,
     _norm2_exceeds,
     _uncleared,
     box_space,
@@ -80,6 +76,7 @@ from .paths import (
     LagrangianPath,
     _check_times,
     _halve,
+    _halve_to_reach,
     _phillips,
     _test_value,
     _widest_gap,
@@ -474,20 +471,11 @@ def _grid(lo, hi):
 
 
 class _Spectrum:
-    """The eigenvalues at one family time inside the pieces of a shooting
-    ``grid`` that its reads reach, as ``_count_roots`` leaves them: simple
-    ``brackets`` [s0, s1], each holding one root in (s0, s1] and a
-    determinant sign change, and ``points`` with multiplicity, both in
-    s order.
-
-    The cover grows on demand.  ``test_value(r)`` counts the grid pieces
-    that meet [-r, EPS_CAP + r], ``count(lo, hi, r)`` those that meet
-    [lo, hi] as well, and ``located`` all of them; a piece outside the
-    cover holds nothing that the read could see.  The cover stays one run
-    of pieces: a read that reaches past it counts the pieces missing on
-    either side, shot in one stacked call.  ``_count_roots`` resolves each
-    grid piece on its own, so the brackets and points inside the cover
-    are the ones a cover of the whole grid finds, in the same order.
+    """The eigenvalues at one family time on a shooting ``grid``, counted
+    by ``_count_roots`` when it is built, from the shots its shooter
+    holds or takes: simple ``brackets`` [s0, s1], each holding one root
+    in (s0, s1] and a determinant sign change, and ``points`` with
+    multiplicity, both in s order.
 
     A question about the side of q on which a bracket's root lies costs
     one determinant sign at q, and only when q is inside the bracket.
@@ -495,43 +483,9 @@ class _Spectrum:
 
     def __init__(self, shoot, grid, tol):
         self._shoot = shoot
-        self._grid = grid
-        self._tol = tol
-        self._span = None
         self.brackets = []
         self.points = []
-
-    def _cover(self, lo, hi):
-        """Count the grid pieces that meet [lo, hi] and are not counted
-        yet (``_cover``)."""
-        _cover([(self, lo, hi)])
-
-    def _grow(self, lo, hi):
-        """The runs (left, right) of grid points that grow the cover to
-        the pieces that meet [lo, hi], with those between them and the
-        cover, or None when it holds them all; the first read grows an
-        empty cover at its own first piece.  The grown cover is kept:
-        ``_count`` must count the runs."""
-        g = self._grid
-        # pieces i..j-1, piece k = [g[k], g[k + 1]]
-        i = max(bisect_left(g, lo) - 1, 0)
-        j = min(bisect_right(g, hi), len(g) - 1)
-        a, b = self._span or (i, i)
-        if i >= j or a <= i and j <= b:
-            return None
-        i, j = min(i, a), max(j, b)
-        self._span = (i, j)
-        return g[i:a + 1], g[b:j + 1]
-
-    def _count(self, left, right):
-        """Count the runs that ``_grow`` returned, on either side of what
-        the cover held."""
-        brackets, points = [], []
-        _count_roots(self._shoot, left, self._tol, brackets, points)
-        brackets += self.brackets
-        points += self.points
-        _count_roots(self._shoot, right, self._tol, brackets, points)
-        self.brackets, self.points = brackets, points
+        _count_roots(shoot, list(grid), tol, self.brackets, self.points)
 
     def _side(self, bracket, q):
         """sign(root - q) for the root of ``bracket``."""
@@ -545,12 +499,8 @@ class _Spectrum:
             return 0
         return -1 if (d < 0.0) != (self._shoot.det(s0) < 0.0) else 1
 
-    def count(self, lo, hi, r):
-        """Number of eigenvalues in [lo, hi], with multiplicity, read by a
-        flow piece of radius r: the cover also takes in what
-        ``test_value(r)`` reads, which the next piece from this time is
-        likely to ask for."""
-        self._cover(min(lo, -r), max(hi, EPS_CAP + r))
+    def count(self, lo, hi):
+        """Number of eigenvalues in [lo, hi], with multiplicity."""
         return sum(lo <= a <= hi for a in self.points) + sum(
             self._side(b, lo) >= 0 and self._side(b, hi) <= 0
             for b in self.brackets
@@ -567,10 +517,7 @@ class _Spectrum:
         bracket whose ball meets (x, y) is halved, while it is wider than
         ``tol.clearance``.  None when (x, y) is too narrow for a test
         value or no such bracket is left: the piece is then split in time.
-        Only a ball that meets (0, EPS_CAP] can block or close a gap, so
-        the cover reaches r past both ends of it.
         """
-        self._cover(-r, EPS_CAP + r)
         points = [(a - r, a + r) for a in self.points]
         while True:
             eps = _test_value(
@@ -600,29 +547,11 @@ class _Spectrum:
     def located(self, tol):
         """The eigenvalues on the whole grid, each bracket's root found by
         ``brentq`` to ``tol.bisect_t``, in increasing order."""
-        self._cover(self._grid[0], self._grid[-1])
         roots = [
             brentq(self._shoot.det, s0, s1, xtol=tol.bisect_t)
             for s0, s1 in self.brackets
         ]
         return np.sort(np.array(roots + self.points, dtype=float))
-
-
-def _cover(reads):
-    """Grow the cover of each (spectrum, lo, hi) of ``reads``, spectra of
-    one problem, to the grid pieces that meet [lo, hi], and count the
-    pieces it gains.  The grid points of every spectrum's new runs are
-    shot in one stacked read (``_read``) before any is counted."""
-    grown = [(spec, spec._grow(lo, hi)) for spec, lo, hi in reads]
-    grown = [(spec, runs) for spec, runs in grown if runs is not None]
-    # a one-point run has no piece, and its point is read already or
-    # starts the other run
-    _read([
-        (spec._shoot, [ss for ss in runs if len(ss) > 1])
-        for spec, runs in grown
-    ])
-    for spec, runs in grown:
-        spec._count(*runs)
 
 
 def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
@@ -641,9 +570,7 @@ def eigenvalues_near(bp, t, lo, hi, tol=DEFAULT_TOL):
     number in [0, 1], and unless ``bp`` is a BoundaryProblem.
     """
     _expect(BoundaryProblem, "eigenvalues_near", bp)
-    if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
-        raise ValidationError("t must be a number in [0, 1]",
-                              where="eigenvalues_near")
+    _expect_time(t, "eigenvalues_near")
     grid = _grid(lo, hi)
     return _Spectrum(_Shooter(bp, t), grid, tol).located(tol)
 
@@ -683,26 +610,18 @@ def _radius(bp, t0, t1):
     return float(np.linalg.norm(shifts, 2, axis=(1, 2)).max())
 
 
-def _read_ahead(spec, radius, split, snap):
-    """Cover, in one stacked read (``_cover``), the spectrum ``spec(t)``
-    at every time t of the Weyl partition: [0, 1] halved by ``split``
-    until ``radius`` is at most ``_REACH`` on every piece, as the flow
-    count halves it before any test value is sought.  Each time's cover
-    is [-R, EPS_CAP + R], R the larger radius of its two pieces, at least
-    ``snap``: what those pieces read of it.
+def _read_ahead(bp, grid, radius, split):
+    """The shooters, keyed by time, of every time of the Weyl partition:
+    [0, 1] halved by ``split`` until ``radius`` is at most ``_REACH`` on
+    every piece (``paths._halve_to_reach``), as the flow count halves it
+    before any test value is sought.  The whole ``grid`` of every time is
+    shot in one stacked read (``_read``).
     """
     ts = [0.0, 1.0]
-    i = 0
-    while i < len(ts) - 1:
-        if radius(ts[i], ts[i + 1]) > _REACH:
-            split(ts, i)
-        else:
-            i += 1
-    reach = [snap, *(max(radius(*p), snap) for p in zip(ts, ts[1:])), snap]
-    _cover([
-        (spec(t), -R, EPS_CAP + R)
-        for t, R in zip(ts, map(max, reach, reach[1:]))
-    ])
+    _halve_to_reach(ts, radius, _REACH, split)
+    shooters = {t: _Shooter(bp, t) for t in ts}
+    _read([(shoot, [grid]) for shoot in shooters.values()])
+    return shooters
 
 
 def spectral_flow(bp, tol=DEFAULT_TOL):
@@ -715,36 +634,27 @@ def spectral_flow(bp, tol=DEFAULT_TOL):
     Phillips' count (``paths._phillips``) from the partition {0, 1}, with
     the radius ``_radius`` and the reach ``_REACH``: by Weyl no eigenvalue
     moves farther than the radius on a piece.  Each family time has one
-    ``_Shooter`` and one ``_Spectrum`` of brackets on the detection grid,
-    and no root is located: the balls around the brackets at t0 choose
-    the test value, narrowed by halving only when they leave none free,
-    and the counts at both ends are read from determinant signs.  A
-    spectrum counts only the grid pieces that the pieces reading it can
-    reach, [-R, EPS_CAP + R] with R = max(r, snap) for the largest radius
-    r among them, and grows when a wider piece reads it.  No s outside the
-    detection grid is shot.
+    ``_Shooter`` and one ``_Spectrum`` of brackets on the whole detection
+    grid, counted once when the count first reads that time, and no root
+    is located: the balls around the brackets at t0 choose the test
+    value, narrowed by halving only when they leave none free, and the
+    counts at both ends are read from determinant signs.  No s outside
+    the detection grid is shot.
 
     The radius reads only C_t, and the count halves every piece whose
     radius exceeds ``_REACH`` before it looks for a test value, so the
-    times of that Weyl partition are known before anything is shot: they
-    are covered in one stacked read first (``_read_ahead``), and the
-    count then reads their spectra as counted, growing a cover or
-    shooting a new time only where a test value needs it.  A spectrum's
-    counts inside its cover do not depend on the order in which it grew,
-    and every stacked value is bitwise the one a single read gives, so
-    the report is the one the count gives on its own.  Each piece's
-    radius is computed once.  A read ahead that fails is dropped: the
-    count meets the failure in its own order.
+    times of that Weyl partition are known before anything is shot: their
+    grids are shot in one stacked read first (``_read_ahead``), and each
+    spectrum is then counted from its time's shooter; a time that a test
+    value needs past them is shot when it is read.  Every stacked value is
+    bitwise the one a single read gives, so the report is the one the
+    count gives on its own.  Each piece's radius is computed once.  A
+    read ahead that fails is dropped: the count meets the failure in its
+    own order.
     """
     _expect(BoundaryProblem, "spectral_flow", bp)
     grid = _grid(_DETECT_LO, _DETECT_HI)
-    spectra = {}
     radii = {}
-
-    def spec(t):
-        if t not in spectra:
-            spectra[t] = _Spectrum(_Shooter(bp, t), grid, tol)
-        return spectra[t]
 
     def radius(t0, t1):
         if (t0, t1) not in radii:
@@ -757,9 +667,17 @@ def spectral_flow(bp, tol=DEFAULT_TOL):
                                  "crossing?)", where="spectral_flow")
 
     try:
-        _read_ahead(spec, radius, split, tol.flow_snap)
+        shooters = _read_ahead(bp, grid, radius, split)
     except MasidxError:
-        spectra.clear()
+        shooters = {}
+    spectra = {}
+
+    def spec(t):
+        if t not in spectra:
+            shoot = shooters.get(t) or _Shooter(bp, t)
+            spectra[t] = _Spectrum(shoot, grid, tol)
+        return spectra[t]
+
     ts = [0.0, 1.0]
     total, epsilons, _ = _phillips(
         ts, spec, radius, _REACH, split, tol.flow_snap, tol
@@ -773,8 +691,10 @@ def spectral_flow(bp, tol=DEFAULT_TOL):
 
 
 def eigenvalue_trace(bp, window=8.0, tol=DEFAULT_TOL):
-    """Per-family-sample eigenvalue lists inside (-window, window]."""
+    """Per-family-sample eigenvalue lists inside (-window, window];
+    ValidationError unless ``window`` is a number."""
     _expect(BoundaryProblem, "eigenvalue_trace", bp)
+    _expect(Real, "eigenvalue_trace", window)
     return tuple(
         (float(t), tuple(eigenvalues_near(bp, float(t), -window, window, tol)))
         for t in bp.ts

@@ -15,6 +15,12 @@ stdout.  A problem whose command emits a trace runs a second time with
 problem id, ``report``, the flow value and the JSON of the partition and
 test values of that tree's ``spectral_flow`` report, which the CLI does
 not print (or ``raised``, the error's type and its JSON-quoted reason).
+After the workloads of a seed come the reports of a fixed set of random
+families, drawn from that seed with the helpers of ``TREE/tests/conftest.py``:
+for N = 1, 2 and 3, two ladders (``ladder_problem``: B = 0, sampled) and
+two ``random_boundary_family``s (B != 0, with ``c_func``), each counted
+under every tolerance profile.  Each prints seed, ``families``, the
+family's id and profile, ``report`` and the report as above.
 An exception that escapes ``cli.run`` prints as exit code ``raised``
 followed by its type.  TREE defaults to
 the checkout that holds this script; point it at a second checkout (made
@@ -53,17 +59,13 @@ def _run(cli, argv):
     return code, json.dumps(buf.getvalue())
 
 
-def _flow_report(cli, argv):
+def _report(problem, tol):
     """Value and JSON-quoted partition and test values of the
-    ``spectral_flow`` report of a flow problem, read with the CLI's own
-    input reader and tolerance profile."""
-    from masidx import DEFAULT_TOL, MasidxError, spectral_flow
+    ``spectral_flow`` report of the problem that ``problem()`` builds."""
+    from masidx import MasidxError, spectral_flow
 
-    args = cli._parser().parse_args(argv)
-    tol = DEFAULT_TOL.scaled(cli._PROFILES[args.tolerance_profile])
     try:
-        bp = cli._boundary_problem(cli._load_input(args.input))
-        rep = spectral_flow(bp, tol=tol)
+        rep = spectral_flow(problem(), tol=tol)
     except MasidxError as exc:
         return f"raised {type(exc).__name__}", json.dumps(exc.reason)
     return rep.value, json.dumps({
@@ -72,16 +74,46 @@ def _flow_report(cli, argv):
     })
 
 
+def _flow_report(cli, argv):
+    """The report of a flow problem, read with the CLI's own input reader
+    and tolerance profile."""
+    from masidx import DEFAULT_TOL
+
+    args = cli._parser().parse_args(argv)
+    tol = DEFAULT_TOL.scaled(cli._PROFILES[args.tolerance_profile])
+    return _report(
+        lambda: cli._boundary_problem(cli._load_input(args.input)), tol
+    )
+
+
+def _families(seed):
+    """(id, problem) of the random families drawn from ``seed``."""
+    import conftest
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    for N in (1, 2, 3):
+        for k in range(2):
+            yield f"ladder-N{N}-{k}", conftest.ladder_problem(
+                rng.uniform(-1.6, 1.6, N), rng.uniform(-3.5, 3.5, N)
+            )
+            yield f"random-N{N}-{k}", conftest.random_boundary_family(
+                N, rng, samples=12, c_bound=4.0
+            )
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=pathlib.Path, default=DEFAULT_ROOT)
     ap.add_argument("--seed", type=int, action="append")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+    sys.path[:0] = [
+        str(root / "perfbench"), str(root / "src"), str(root / "tests")
+    ]
     import run  # perfbench/run.py: sets BLAS_ENV before numpy loads
 
-    from masidx import cli
+    from masidx import DEFAULT_TOL, cli
 
     for seed in args.seed or [1, 7]:
         for workload in ("dense", "refine", "flow"):
@@ -109,6 +141,11 @@ def main(argv=None):
                         os.remove(trace)
                     print(seed, workload, problem["id"], "trace", *run_out,
                           json.dumps(csv), flush=True)
+        for name, bp in _families(seed):
+            for profile, scale in sorted(cli._PROFILES.items()):
+                print(seed, "families", f"{name}-{profile}", "report",
+                      *_report(lambda: bp, DEFAULT_TOL.scaled(scale)),
+                      flush=True)
     return 0
 
 

@@ -27,6 +27,7 @@ from masidx import (
     standard_space,
     vertical_frame,
 )
+from masidx.errors import ValidationError
 from conftest import (
     line_frame,
     line_path,
@@ -498,3 +499,22 @@ def test_touch_inside_a_piece_is_found():
     ts = find_crossings(path, horizontal_frame(SP1))
     assert len(ts) == 1
     assert abs(ts[0] - 0.37) < 1e-3
+
+
+@pytest.mark.parametrize("t_star", [7.0, -0.1, float("nan"), "a"])
+def test_a_time_off_the_path_is_no_crossing(t_star):
+    """A geodesic's piece parameter is clamped to [0, 1], so a time past
+    the end would read the crossing at t = 1: ``crossing_form`` takes
+    t_star only as a number in [0, 1], by the time check that
+    ``eigenvalues_near`` shares."""
+    path = paths.lagrangian_geodesic(
+        [0.0, 1.0], [line_frame(SP1, 0.2), line_frame(SP1, np.pi / 2)],
+        [0.0, 0.5, 1.0],
+    )
+    ref = line_frame(SP1, np.pi / 2)
+    assert crossing_form(path, ref, 1.0).regular
+    with pytest.raises(ValidationError) as info:
+        crossing_form(path, ref, t_star)
+    assert (info.value.reason, info.value.where) == (
+        "t must be a number in [0, 1]", "crossing_form"
+    )

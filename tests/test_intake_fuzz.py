@@ -8,7 +8,8 @@ are due, a wrong shape or ndim, or (for a frame) a rank-deficient one.
 The call must raise a ``MasidxError`` with a non-empty ``where``: never
 numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.  An
 entry point handed an array where it takes a problem, a path or a frame
-names what it expected.
+names what it expected, and one handed paths of two sizes, a window that
+is not a number or a sample count that is not an integer says so.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from masidx import (
     LiftedUnitary,
     SymplecticSpace,
     boundary_problem,
+    box,
+    catenate,
     cauchy_data_path,
     complex_kashiwara,
     compatible_structure,
@@ -27,6 +30,8 @@ from masidx import (
     crossing_form,
     eigenvalue_trace,
     eigenvalues_near,
+    embed_path,
+    embed_reference,
     find_crossings,
     fundamental_solution,
     gamma_reduce,
@@ -39,12 +44,14 @@ from masidx import (
     lagrangian,
     lagrangian_from_souriau,
     lagrangian_path,
+    lagrangian_path_from_function,
     leray_general,
     maslov,
     minus_one_offsets,
     pair_maslov,
     polarized_pair,
     realify,
+    reverse,
     souriau,
     spectral_flow,
     standard_space,
@@ -60,6 +67,7 @@ from masidx.errors import MasidxError, ValidationError
 SP1, SP2 = standard_space(1), standard_space(2)
 H2 = horizontal_frame(SP2)
 V2, HF2 = vertical_frame(SP2), horizontal_frame(SP2)
+HF1 = horizontal_frame(SP1)
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
 LINE = np.array([[1.0], [0.0]])
@@ -201,6 +209,7 @@ def test_a_malformed_matrix_argument_is_a_typed_error(case):
 
 
 PATH2 = lagrangian_path([(0.0, H2), (1.0, V2)])
+PATH_KINDS = "expected a UnitaryPath or LagrangianPath or GeodesicPath"
 PP2 = polarized_pair(V2, HF2, V2, HF2, np.array([1.0, 2.0]))
 # name (the where, then the argument when more than one can be wrong):
 # the call on an array in place of its problem, path or frame, and the
@@ -255,6 +264,26 @@ WRONG_TYPE = {
         lambda x: polarized_pair(V2, HF2, x, HF2, np.array([1.0, 2.0])),
         "expected a LagrangianFrame",
     ),
+    "catenate": (lambda x: catenate(x, x), PATH_KINDS),
+    "catenate second": (lambda x: catenate(PATH2, x), PATH_KINDS),
+    "reverse": (reverse, PATH_KINDS),
+    "box": (lambda x: box(x, H2), "expected a LagrangianFrame"),
+    "box lam": (lambda x: box(H2, x), "expected a LagrangianFrame"),
+    "embed_path": (
+        lambda x: embed_path(x, H2, H2), "expected a LagrangianPath"
+    ),
+    "embed_path ell0": (
+        lambda x: embed_path(PATH2, x, H2), "expected a LagrangianFrame"
+    ),
+    "embed_path ell1": (
+        lambda x: embed_path(PATH2, H2, x), "expected a LagrangianFrame"
+    ),
+    "embed_reference": (
+        lambda x: embed_reference(x, H2), "expected a LagrangianFrame"
+    ),
+    "embed_reference ell1": (
+        lambda x: embed_reference(H2, x), "expected a LagrangianFrame"
+    ),
 }
 
 
@@ -263,6 +292,48 @@ def test_an_array_in_place_of_a_problem_or_path_is_a_validation_error(where):
     call, reason = WRONG_TYPE[where]
     with pytest.raises(ValidationError) as info:
         call(I2)
+    assert (info.value.reason, info.value.where) == (
+        reason, where.split()[0]
+    )
+
+
+BP = boundary_problem(1, Z2, [(0.0, Z2), (1.0, 3.0 * I2)], LINE, LINE)
+U3 = haar_unitary(3, np.random.default_rng(3))
+# name (the where, then a tag): a call with paths of two sizes, a window
+# that is not a number or a sample count that is not an integer, and the
+# reason it raises
+WRONG_ARGUMENT = {
+    "catenate unitary": (
+        lambda: catenate(unitary_path([(0.0, U_A), (1.0, U_A)]),
+                         unitary_path([(0.0, U3), (1.0, U3)])),
+        "size mismatch",
+    ),
+    "catenate lagrangian": (
+        lambda: catenate(
+            lagrangian_path([(0.0, HF1), (1.0, HF1)]),
+            lagrangian_path([(0.0, H2), (1.0, H2)]),
+        ),
+        "size mismatch",
+    ),
+    "eigenvalue_trace": (
+        lambda: eigenvalue_trace(BP, window="a"), "expected a Real"
+    ),
+    "unitary_path_from_function": (
+        lambda: unitary_path_from_function(_turn, num="a"),
+        "num must be an integer",
+    ),
+    "lagrangian_path_from_function": (
+        lambda: lagrangian_path_from_function(lambda t: H2, num=2.5),
+        "num must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WRONG_ARGUMENT))
+def test_a_size_mismatch_or_a_mistyped_number_is_a_validation_error(where):
+    call, reason = WRONG_ARGUMENT[where]
+    with pytest.raises(ValidationError) as info:
+        call()
     assert (info.value.reason, info.value.where) == (
         reason, where.split()[0]
     )

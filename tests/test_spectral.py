@@ -590,14 +590,14 @@ def test_bracket_counts_answer_as_the_located_root():
     spectrum = spectral._Spectrum(
         spectral._Shooter(bp, 0.3), spectral._grid(-1.0, 0.0), tol
     )
-    assert spectrum.count(-1.0, 0.0, 0.0) == 1
+    assert spectrum.count(-1.0, 0.0) == 1
     assert spectrum.brackets == [[-0.75, -0.5]] and spectrum.points == []
     (root,) = eigenvalues_near(bp, 0.3, -1.0, 0.0)
     assert -0.75 < root < -0.5
     for q in (root - 1e-9, root + 1e-9):
-        assert spectrum.count(-1.0, q, 0.0) == int(root <= q)
-        assert spectrum.count(q, 0.0, 0.0) == int(root >= q)
-    assert spectrum.count(root - 1e-9, root + 1e-9, 0.0) == 1
+        assert spectrum.count(-1.0, q) == int(root <= q)
+        assert spectrum.count(q, 0.0) == int(root >= q)
+    assert spectrum.count(root - 1e-9, root + 1e-9) == 1
 
 
 def test_a_clockwise_shooting_path_is_ambiguous(monkeypatch):
@@ -830,59 +830,6 @@ def test_kernel_free_constant_family_has_zero_flow():
     assert out == {"sf": 0, "mas": 0, "equal": True}
 
 
-def _inside(spectrum, full):
-    """The brackets and points of ``full`` inside the grid pieces that
-    ``spectrum`` covers, in order."""
-    i, j = spectrum._span
-    lo, hi = spectrum._grid[i], spectrum._grid[j]
-    return (
-        [b for b in full.brackets if lo <= b[0] and b[1] <= hi],
-        [a for a in full.points if lo < a < hi],
-    )
-
-
-@pytest.mark.parametrize("N", [1, 2, 4])
-def test_a_window_on_demand_reads_as_the_whole_window(N):
-    """A flow spectrum counts only the grid pieces that its reads reach,
-    and grows when a read reaches farther.  At each read it answers as a
-    spectrum counted over the whole window on the same grid: the same
-    test value, the same count on the test arc, and the same brackets and
-    points, in the same order, inside the pieces it covers."""
-    rng = np.random.default_rng(20261020 + N)
-    tol = spectral.DEFAULT_TOL
-    snap = tol.flow_snap
-    grid = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
-    families = [
-        ladder_problem(rng.uniform(-1.6, 1.6, N), rng.uniform(-3.5, 3.5, N)),
-        _piecewise_linear_family(N, 6, rng),
-    ]
-    grew = 0
-    for bp in families:
-        for t in rng.uniform(0.0, 1.0, 6):
-            lazy = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
-            full = spectral._Spectrum(spectral._Shooter(bp, t), grid, tol)
-            full._cover(grid[0], grid[-1])
-            # growing radii grow the cover on both sides
-            radii = np.sort(rng.uniform(0.0, spectral._REACH, 4))
-            for k, r in enumerate(radii):
-                span = lazy._span
-                if k % 2 == 0:
-                    # a count reads first, as at the end of a piece
-                    q = rng.uniform(0.0, 1.0)
-                    assert lazy.count(-snap, q + snap, r) == full.count(
-                        -snap, q + snap, r
-                    )
-                eps = lazy.test_value(r, tol)
-                assert eps == full.test_value(r, tol)
-                if eps is not None:
-                    assert lazy.count(-snap, eps + snap, r) == full.count(
-                        -snap, eps + snap, r
-                    )
-                grew += span is not None and lazy._span != span
-                assert (lazy.brackets, lazy.points) == _inside(lazy, full)
-    assert grew > 0
-
-
 def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
     """One ``_Shooter`` per partition time, and no ``_flows`` stack that
     holds an s outside the detection grid; the Cauchy data path takes one
@@ -945,12 +892,12 @@ def test_a_flow_shoots_each_family_time_once_per_reach(monkeypatch):
 
 
 def test_the_read_ahead_leaves_the_report_bitwise_alone(monkeypatch):
-    """The flow count reads the times of the Weyl partition ahead, in one
-    stacked read (``_read_ahead``).  Without it, each time read when the
+    """The flow count shoots the times of the Weyl partition ahead, in one
+    stacked read (``_read_ahead``).  Without it, each time shot when the
     count reaches it, the report is bitwise the same, value, partition
     and epsilons, on sampled families with B != 0, ``c_func`` families
     and ladders; the read ahead takes fewer ``_flows`` calls.  A read
-    ahead that fails is dropped, what it covered with it: the report is
+    ahead that fails is dropped, with the shooters it read: the report is
     still the same."""
     rng = np.random.default_rng(20261021)
     problems = [rotation_problem()]
@@ -978,7 +925,7 @@ def test_the_read_ahead_leaves_the_report_bitwise_alone(monkeypatch):
         read_ahead(*args)
         raise AmbiguityError("failed after its read", where="spectral_flow")
 
-    for replaced in (lambda *args: None, failing):
+    for replaced in (lambda *args: {}, failing):
         monkeypatch.setattr(spectral, "_read_ahead", replaced)
         for bp, want in zip(problems, ahead):
             got = spectral_flow(bp)
@@ -1022,9 +969,10 @@ def test_one_stack_shoots_every_time_of_the_weyl_partition(monkeypatch):
     """On the rotation family C_t = (t - 1/2) pi I the radius of a piece
     is pi times its width, so the Weyl partition halves [0, 1] down to
     eighths, and the count needs no other time.  The first ``_flows``
-    call holds the generators of all nine times; after it only the two
-    determinant signs that place a bracket's root are shot, one s each.
-    No shot lies outside the detection grid."""
+    call holds the whole detection grid of all nine times; after it only
+    the determinant signs that place a bracket's root and the midpoints
+    that split a grid piece are shot, one s each.  No shot lies outside
+    the detection grid."""
     calls = []
     flows = spectral._flows
 
@@ -1038,10 +986,12 @@ def test_one_stack_shoots_every_time_of_the_weyl_partition(monkeypatch):
     rep = spectral_flow(bp)
     weyl = np.linspace(0.0, 1.0, 9)
     np.testing.assert_array_equal(rep.partition, weyl)
+    grid = spectral._grid(spectral._DETECT_LO, spectral._DETECT_HI)
     assert calls[0][0] == {
         spectral._generator(bp.B, bp.c_at(t))[0].tobytes() for t in weyl
     }
-    assert [len(ss) for _, ss in calls[1:]] == [1, 1]
+    assert calls[0][1] == grid * len(weyl)
+    assert calls[1:] and all(len(ss) == 1 for _, ss in calls[1:])
     shot = [s for _, ss in calls for s in ss]
     assert all(spectral._DETECT_LO <= s <= spectral._DETECT_HI for s in shot)
 
