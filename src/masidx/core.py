@@ -131,6 +131,8 @@ _DEGENERATE_FORM = 1e-10
 # spanned, and the bound on ||S J S^-1 - J_std||_2 of its result.
 _SWEEP_RESIDUAL = 1e-3
 _STANDARDIZATION_DRIFT = 1e-9
+# farthest a time may lie from 0, 1 or a sample time and still match it
+_TIME_MATCH = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +363,11 @@ def _expect(kind, where, *objs):
 
 def _expect_time(t, where):
     """ValidationError "t must be a number in [0, 1]" at ``where`` unless
-    t is one: the check of every single family or path time argument."""
-    if not (isinstance(t, Real) and 0.0 <= t <= 1.0):
+    t is one, up to the ``_TIME_MATCH`` that sample times may miss 0 and
+    1 by: the check of every single family or path time argument."""
+    if not (
+        isinstance(t, Real) and -_TIME_MATCH <= t <= 1.0 + _TIME_MATCH
+    ):
         raise ValidationError("t must be a number in [0, 1]", where=where)
 
 
@@ -414,7 +419,8 @@ class LagrangianFrame:
 
     @cached_property
     def _standard(self):
-        """The frame on the standard model, pushed at most once."""
+        """The frame on the standard model, pushed at most once
+        (``_standard_frames`` pushes a sequence)."""
         return self.space.standardization.push_frame(self)
 
     def j_image(self):
@@ -504,6 +510,24 @@ def lagrangian(space, M):
         raise ValidationError("rank-deficient frame", where="lagrangian")
     frames = tuple(LagrangianFrame._exact(space, f) for f in F)
     return frames[0] if single else frames
+
+
+def _standard_frames(frames):
+    """``f._standard`` for each frame f of a sequence.  The frames of a
+    non-standard space that were not pushed yet are pushed, one stacked
+    ``lagrangian`` call per space, and each keeps its pushed frame; numpy
+    multiplies and factors a stack slice by slice, so each is bitwise the
+    one ``Standardization.push_frame`` gives it alone."""
+    todo = {}
+    for f in frames:
+        if "_standard" not in f.__dict__ and not f.space.is_standard:
+            todo.setdefault(id(f.space), []).append(f)
+    for group in todo.values():
+        std = group[0].space.standardization
+        F = std.matrix @ np.stack([f.F for f in group])
+        for f, g in zip(group, lagrangian(std.target, F)):
+            f.__dict__["_standard"] = g
+    return [f._standard for f in frames]
 
 
 def horizontal_frame(space):

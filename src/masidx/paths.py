@@ -20,8 +20,9 @@ in (0, EPS_CAP].  A piece with no such gap is halved; without a refiner
 that is an AmbiguityError.  r has three sources (``_Reads``): exact on a
 ``GeodesicPath``, read off the angles each gap carries; certified on a
 path that carries its own bound (the reduced path of a geodesic,
-``pairs.gamma_reduce_path``); and elsewhere the chord heuristic, which
-``_arc_radius`` describes.
+``pairs.gamma_reduce_path``, and the Cauchy-data path of a sampled
+family, ``spectral.cauchy_data_path``); and elsewhere the chord
+heuristic, which ``_arc_radius`` describes.
 
 Where the continuous phase of det U_t is known, the count collapses to
 the Souriau-Leray determinant lift (``_lift_value``): the index comes
@@ -58,11 +59,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    _TIME_MATCH,
     DEFAULT_TOL,
     LagrangianFrame,
     _as_matrix,
     _dimension,
     _expect,
+    _expect_time,
     _norm2_exceeds,
     _spaces_match,
     _unitary,
@@ -95,8 +98,6 @@ MAX_SAMPLES = 60000
 _END_CHORD = 0.5
 # farthest the two samples at a ``catenate`` junction may lie apart
 _JUNCTION = 1e-8
-# farthest a time may lie from 0, 1 or a sample time and still match it
-_TIME_MATCH = 1e-12
 # farthest the determinant lift of a GeodesicPath may lie from an integer:
 # its angles and end spectra carry rounding only (at most 1.4e-14 on the
 # benchmark's paths, n up to 64), so a larger distance is a fault, not a
@@ -146,7 +147,10 @@ def _unitaries(samples):
 
 
 def _at(path, t, where):
-    """The sample at t, or the refiner's value when there is one."""
+    """The sample at t, or the refiner's value when there is one;
+    ValidationError unless t is a time of the path (``core._expect_time``).
+    """
+    _expect_time(t, where)
     if path.refiner is not None:
         return path.refiner(t)
     for ts, v in path.samples:
@@ -214,7 +218,8 @@ class LagrangianPath:
     the ``GeodesicPath`` G, and its samples are G's grid, each frame
     formed when first read.  ``_radius`` is a certified arc radius (t0,
     t1) -> r of its pair unitaries against any fixed reference, on a
-    path that carries one (``pairs.gamma_reduce_path``).
+    path that carries one (``pairs.gamma_reduce_path``,
+    ``spectral.cauchy_data_path``).
     """
 
     samples: tuple
@@ -454,6 +459,7 @@ class GeodesicPath:
         return self.pieces[i], min(max(tau, 0.0), 1.0)
 
     def at(self, t):
+        _expect_time(t, "GeodesicPath.at")
         piece, tau = self._locate(t)
         return piece.at(tau)
 
@@ -879,7 +885,8 @@ class _Reads:
     the count and the crossing search share.  It has three sources: exact
     on a ``GeodesicPath``, which forms no unitary for its spectra;
     certified where the path carries one (``UnitaryPath._radius``, a
-    reduced path's); and the chord heuristic ``_arc_radius`` elsewhere.
+    reduced path's or a Cauchy-data path's); and the chord heuristic
+    ``_arc_radius`` elsewhere.
     ``phase`` is the increase of the continuous phase of det U_t, where
     it is known, which a lifted value reads with the two end spectra in
     place of every sample's.  It holds no reference to itself, so what it
@@ -1025,7 +1032,8 @@ def unitary_maslov(path, tol=DEFAULT_TOL):
     the sampled partition (a ``GeodesicPath``: its grid), with one of
     three radii (``_Reads``): exact on a ``GeodesicPath`` (its
     ``radius``), certified where the path carries one (the reduced path
-    of a geodesic, ``pairs.gamma_reduce_path``), else the chord heuristic
+    of a geodesic, ``pairs.gamma_reduce_path``; the Cauchy-data path of a
+    sampled family, ``spectral.cauchy_data_path``), else the chord heuristic
     ``_arc_radius``.  While r <= pi - EPS_CAP no ball around a signed
     offset wraps past +-pi into the test arc, and U is normal, so by
     Bauer-Fike a gap between the balls around the offsets at t0 is

@@ -31,6 +31,7 @@ from .core import (
     _as_matrix,
     _expect,
     _require_same_space,
+    _standard_frames,
     _unitary,
     lagrangian,
     realify,
@@ -69,7 +70,9 @@ def souriau(lam, mu):
     lam : LagrangianFrame
     mu : LagrangianFrame, or a sequence of k of them
         Frames in the space of lam.  A non-standard metric is converted
-        by congruence first.
+        by congruence first: the mu not converted yet in one stacked
+        ``lagrangian`` call (``core._standard_frames``), not one call per
+        frame, each bitwise the frame a call on it alone gives.
 
     Returns
     -------
@@ -84,7 +87,7 @@ def souriau(lam, mu):
     _expect(LagrangianFrame, "souriau", lam, *mus)
     for m in mus:
         _require_same_space(lam.space, m.space, "souriau")
-    W = -_symmetric_unitaries([m._standard for m in mus]) @ np.conj(
+    W = -_symmetric_unitaries(_standard_frames(mus)) @ np.conj(
         _symmetric_unitaries([lam._standard])[0]
     )
     return W[0] if single else W

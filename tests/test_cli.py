@@ -382,6 +382,21 @@ def test_verify_coincidence_on_a_ladder(a0, r, tmp_path, capsys):
     assert out["equal"] is True
 
 
+def test_verify_coincidence_on_a_fast_family(tmp_path, capsys):
+    """C_t from 0.1 I to 6 I over one gap: the Cauchy-data path turns by
+    a whole turn between the two nodes, which a chord read at the nodes
+    misses; its certified radius halves the gap, and both sides read the
+    closed form 1."""
+    code, out, raw = _run(
+        tmp_path, capsys, "verify-coincidence",
+        ladder_body([0.1], [5.9], nodes=2),
+    )
+    assert code == 0, raw
+    assert ladder_flow([0.1], [5.9]) == 1
+    assert (out["sf"], out["mas"], out["equal"]) == (1, 1, True)
+    assert '"equal":true' in raw
+
+
 def test_commuting_b_exits_2(tmp_path, capsys):
     body = ladder_body([0.3], [3.5])
     body["B"] = _real(np.eye(2))

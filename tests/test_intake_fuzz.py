@@ -9,7 +9,8 @@ The call must raise a ``MasidxError`` with a non-empty ``where``: never
 numpy's ``LinAlgError``, a bare ``ValueError`` or a silent result.  An
 entry point handed an array where it takes a problem, a path or a frame
 names what it expected, and one handed paths of two sizes, a window that
-is not a number or a sample count that is not an integer says so.
+is not a positive finite number, a time off [0, 1] or a sample count that
+is not an integer says so.
 """
 
 import numpy as np
@@ -63,6 +64,7 @@ from masidx import (
     vertical_frame,
 )
 from masidx.errors import MasidxError, ValidationError
+from masidx.paths import geodesic_path, lagrangian_geodesic
 
 SP1, SP2 = standard_space(1), standard_space(2)
 H2 = horizontal_frame(SP2)
@@ -299,9 +301,15 @@ def test_an_array_in_place_of_a_problem_or_path_is_a_validation_error(where):
 
 BP = boundary_problem(1, Z2, [(0.0, Z2), (1.0, 3.0 * I2)], LINE, LINE)
 U3 = haar_unitary(3, np.random.default_rng(3))
+SLOPE2 = lagrangian(SP2, np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.0],
+                                   [0.0, 0.2]]))
+GEODESIC2 = lagrangian_geodesic([0.0, 1.0], [H2, SLOPE2], [0.0, 0.5, 1.0])
+UNITARY_GEODESIC = geodesic_path([0.0, 1.0], [I2, 1j * I2], [0.0, 1.0])
+OFF_TIME = "t must be a number in [0, 1]"
+WINDOW = "window must be positive and finite"
 # name (the where, then a tag): a call with paths of two sizes, a window
-# that is not a number or a sample count that is not an integer, and the
-# reason it raises
+# that is not a positive finite number, a time off [0, 1] or a sample
+# count that is not an integer, and the reason it raises
 WRONG_ARGUMENT = {
     "catenate unitary": (
         lambda: catenate(unitary_path([(0.0, U_A), (1.0, U_A)]),
@@ -318,6 +326,25 @@ WRONG_ARGUMENT = {
     "eigenvalue_trace": (
         lambda: eigenvalue_trace(BP, window="a"), "expected a Real"
     ),
+    "eigenvalue_trace nan": (
+        lambda: eigenvalue_trace(BP, window=np.nan), WINDOW
+    ),
+    "eigenvalue_trace inf": (
+        lambda: eigenvalue_trace(BP, window=np.inf), WINDOW
+    ),
+    "eigenvalue_trace zero": (lambda: eigenvalue_trace(BP, window=0), WINDOW),
+    "eigenvalue_trace negative": (
+        lambda: eigenvalue_trace(BP, window=-2.0), WINDOW
+    ),
+    "BoundaryProblem.c_at": (lambda: BP.c_at(7.0), OFF_TIME),
+    "BoundaryProblem.c_at nan": (lambda: BP.c_at(np.nan), OFF_TIME),
+    "BoundaryProblem.solution": (lambda: BP.solution("a", 0.0), OFF_TIME),
+    "LagrangianPath.at": (lambda: GEODESIC2.at(7.0), OFF_TIME),
+    "LagrangianPath.at sampled": (lambda: PATH2.at(-0.5), OFF_TIME),
+    "UnitaryPath.at": (
+        lambda: unitary_path([(0.0, U_A), (1.0, U_B)]).at(1.5), OFF_TIME
+    ),
+    "GeodesicPath.at": (lambda: UNITARY_GEODESIC.at(np.nan), OFF_TIME),
     "unitary_path_from_function": (
         lambda: unitary_path_from_function(_turn, num="a"),
         "num must be an integer",
@@ -337,3 +364,16 @@ def test_a_size_mismatch_or_a_mistyped_number_is_a_validation_error(where):
     assert (info.value.reason, info.value.where) == (
         reason, where.split()[0]
     )
+
+
+@pytest.mark.parametrize(
+    "at", [BP.c_at, GEODESIC2.at, PATH2.at, UNITARY_GEODESIC.at]
+)
+def test_a_time_within_the_sample_slack_is_a_time(at):
+    """Sample times may miss 0 and 1 by ``_TIME_MATCH``; a time that
+    close to [0, 1] is read as the end it misses."""
+    for t, end in ((-1e-13, 0.0), (1.0 + 1e-13, 1.0)):
+        value, want = at(t), at(end)
+        if hasattr(want, "F"):
+            value, want = value.F, want.F
+        assert np.array_equal(value, want)

@@ -24,6 +24,7 @@ from masidx import (
     find_crossings,
     fundamental_solution,
     maslov,
+    souriau,
     spectral_flow,
     standard_space,
     verify_coincidence,
@@ -41,16 +42,18 @@ from conftest import (
 from oracles import same_span
 
 
-def _piecewise_linear_family(N, nodes, rng):
+def _piecewise_linear_family(N, nodes, rng, with_b=True):
     """Random admissible family sampled at ``nodes`` uneven times, with
-    no ``c_func``: C_t is linear between the nodes."""
+    no ``c_func``: C_t is linear between the nodes.  B is 0 unless
+    ``with_b``."""
     inner = np.sort(rng.uniform(0.05, 0.95, nodes - 2))
     ts = np.concatenate([[0.0], inner, [1.0]])
     family = [(float(t), random_symmetric(2 * N, rng, 1.5)) for t in ts]
     space = standard_space(N)
+    B = random_admissible(N, rng, 0.5) if with_b else np.zeros((2 * N,) * 2)
     return boundary_problem(
         N,
-        random_admissible(N, rng, 0.5),
+        B,
         family,
         random_lagrangian(space, rng).F,
         random_lagrangian(space, rng).F,
@@ -1274,16 +1277,85 @@ def test_skew_pairing_of_the_operator_is_the_boundary_form(rng):
     np.testing.assert_allclose(green, bu @ G @ bv, atol=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the Maslov side reads the chord radius of a Cauchy data path "
-    "sampled at the family nodes, which misses whole turns within a gap",
-)
-def test_coincidence_on_a_fast_family():
+@pytest.mark.parametrize("c, flow", [(6.0, 1), (6.5, 2), (12.5, 3)])
+def test_coincidence_on_a_fast_family(c, flow):
     """With B = 0, both boundary conditions horizontal and C_t going
-    linearly from 0.1 I to 6 I, one eigenvalue crosses 0 for each
-    multiple of pi that the scale passes: one, at pi."""
+    linearly from 0.1 I to c I, one eigenvalue crosses 0 for each
+    multiple of pi that the scale passes.  The Cauchy-data path turns
+    by whole turns inside its one gap, which the chord at the two nodes
+    misses; the certified radius halves the gap until none is missed."""
     lam = np.array([[1.0], [0.0]])
-    family = [(0.0, 0.1 * np.eye(2)), (1.0, 6.0 * np.eye(2))]
+    family = [(0.0, 0.1 * np.eye(2)), (1.0, c * np.eye(2))]
     bp = boundary_problem(1, np.zeros((2, 2)), family, lam, lam)
-    assert verify_coincidence(bp) == {"sf": 1, "mas": 1, "equal": True}
+    assert verify_coincidence(bp) == {"sf": flow, "mas": flow, "equal": True}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("with_b", [False, True])
+def test_the_cauchy_radius_bounds_each_piece(N, with_b):
+    """On a sampled family every eigenphase of the pair unitary W_t of
+    the Cauchy-data path against its boundary stays, on a fine grid
+    inside each certified piece [t0, t1], within the piece's radius r of
+    the spectrum at t0, and every eigenvalue of W_t0^H W_t within r of
+    1, the bound the determinant lift reads."""
+    rng = np.random.default_rng(3900 + 10 * N + with_b)
+    bp = _piecewise_linear_family(N, 4, rng, with_b=with_b)
+    path, boundary = cauchy_data_path(bp)
+    ts = [t for t, _ in path.samples]
+    assert path._radius is not None and len(ts) > len(bp.ts)
+    for t0, t1 in zip(ts, ts[1:]):
+        r = path._radius(t0, t1)
+        assert r <= np.pi - spectral.EPS_CAP
+        inner = np.linspace(t0, t1, 6)[1:].tolist()
+        W0, *Ws = souriau(boundary, [path.at(t) for t in [t0, *inner]])
+        start = np.angle(np.linalg.eigvals(W0))
+        for W in Ws:
+            turn = np.angle(np.linalg.eigvals(W0.conj().T @ W))
+            assert np.abs(turn).max() <= r
+            phases = np.angle(np.linalg.eigvals(W))
+            apart = np.angle(np.exp(1j * (phases[:, None] - start)))
+            assert np.abs(apart).min(axis=1).max() <= r
+
+
+def _over_budget_family(seed):
+    """N = 1 with ||B||_2 about 5 and one gap: the log norm mu of the
+    flow's generator reaches 7.5 to 13, and e^mu makes the gap's certified
+    partition far larger than ``_CAUCHY_MAX_PIECES``."""
+    rng = np.random.default_rng(seed)
+    B = random_admissible(1, rng, 1.5)
+    family = [(t, random_symmetric(2, rng, 3.0)) for t in (0.0, 1.0)]
+    space = standard_space(1)
+    return boundary_problem(
+        1, B, family, random_lagrangian(space, rng).F,
+        random_lagrangian(space, rng).F,
+    )
+
+
+@pytest.mark.parametrize(
+    "bp, mas",
+    [(rotation_problem(), 1), (_over_budget_family(3), 1),
+     (_over_budget_family(26), -1)],
+    ids=["c_func", "over-budget-3", "over-budget-26"],
+)
+def test_a_c_func_family_or_one_over_the_budget_keeps_its_nodes(bp, mas):
+    """The Cauchy-data path of a ``c_func`` family, and of a family whose
+    certified partition would pass the piece budget, is sampled at the
+    family nodes alone and carries no radius: the chord route, with the
+    value it gave before the certificate, which is the flow's."""
+    path, _ = cauchy_data_path(bp)
+    assert [t for t, _ in path.samples] == bp.ts.tolist()
+    assert path._radius is None
+    assert verify_coincidence(bp) == {"sf": mas, "mas": mas, "equal": True}
+
+
+def test_an_overflowing_log_norm_is_no_certificate():
+    """A constant family whose log norm overflows e^mu has no certified
+    partition (0 times inf is no size), so it takes the chord route,
+    whose shots fail the symplectic check as before."""
+    lam = np.array([[1.0], [0.0]])
+    family = [(0.0, np.eye(2)), (1.0, np.eye(2))]
+    bp = boundary_problem(1, np.diag([800.0, -800.0]), family, lam, lam)
+    assert spectral._cauchy_radius(bp) is None
+    with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
+        cauchy_data_path(bp)
+    assert err.value.reason == "flow not symplectic (check B, C)"
